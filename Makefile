@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-submit bench-json allocs-gate cluster-smoke crash-smoke profile fmt vet figures clean ci
+.PHONY: all build test race bench bench-submit bench-json bench-check allocs-gate cluster-smoke crash-smoke profile fmt vet figures clean ci
 
 all: build
 
@@ -29,7 +29,9 @@ bench:
 # BenchmarkRebalance rides along: live-handoff latency plus the txn/s
 # the moves leave intact (the throughput dip). BenchmarkPaymentDurable
 # documents the group-commit WAL cost next to the Durability=Off
-# baseline (same pipelined shape, Batch mode, one fsync per drain).
+# baseline (same pipelined shape, Batch mode, one shared log fsynced by
+# the log-writer goroutine) and reports the realized group size as
+# txns/fsync.
 # BenchmarkGroupedAgg compares the dense grouped-aggregate fast path
 # against the hash-map fallback on the same dictionary-encoded query.
 bench-submit:
@@ -45,6 +47,17 @@ bench-submit:
 # it a smoke, shapes are scale-invariant.
 bench-json:
 	$(GO) run ./cmd/anydb-bench -phase-ms 6 -json BENCH_PR10.json
+
+# The repo's benchmark (BENCHMARK.json, benchmark/) is its own module
+# and links internal packages, so `go test ./...` at the root never
+# compiles it: vet and test it, then run one short traced oltp_durable
+# pass end to end — layer probes, the closed-loop run, and its
+# correctness gate (Verify, YTD, close -> reopen -> replay). run.sh exits
+# non-zero on a build failure or a failed gate, so an internal API
+# change that breaks the benchmark fails the PR that makes it.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh --workload oltp_durable --seed 1 --seconds 2 --trace 1
 
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
@@ -69,11 +82,13 @@ cluster-smoke:
 	$(GO) build ./cmd/anydbd
 	$(GO) run ./examples/cluster
 
-# Fault smoke, blocking in CI: the kill-and-restart recovery test
-# (SIGKILL mid-burst under Batch durability, reopen, Verify-clean with
-# exactly-once acked effects) plus the member-death cluster tests
-# (futures resolve typed, partitions pulled home, traffic resumes).
-# Run under -race: the failure paths are the racy ones.
+# Fault smoke, blocking in CI: the kill-and-restart recovery tests
+# (SIGKILL with a 16-deep window in flight under Batch durability,
+# a legacy per-dispatcher WALDir, Close under a pipelined burst — each
+# reopened, Verify-clean with exactly-once acked effects) plus the
+# member-death cluster tests (futures resolve typed, partitions pulled
+# home, traffic resumes). Run under -race: the failure paths are the
+# racy ones.
 crash-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashRecovery|TestMemberDeath|TestMemberReconnect|TestSessionAcrossMemberDeath' -v .
 

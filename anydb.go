@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,17 +129,24 @@ type Config struct {
 	// AutoRebalance (default 10ms wall clock).
 	AdaptWindow time.Duration
 	// Durability selects the write-ahead command log. Off (the default)
-	// keeps everything in memory. Batch group-commits: each dispatcher
-	// AC appends its admitted transactions' command records to a
-	// per-dispatcher log and fsyncs once per mailbox drain cycle — a
-	// transaction's segments dispatch only after its record is durable,
-	// so an acknowledged commit survives a crash. Strict fsyncs per
-	// transaction. Open replays any logs found in WALDir into the fresh
-	// database before serving (full replay from genesis — no
-	// checkpointing yet; see ROADMAP).
+	// keeps everything in memory. Otherwise every dispatcher AC appends
+	// its admitted transactions' command records to one cluster-wide log
+	// and parks them; a single log-writer goroutine fsyncs whatever has
+	// accumulated while the previous fsync ran (pipelined group commit:
+	// the group size follows the load, there is nothing to tune) and
+	// releases the transactions it covered. A transaction's segments
+	// dispatch only after its record is durable, so an acknowledged
+	// commit survives a crash, and no AC goroutine waits for the device.
+	// Batch asks for a sync once per dispatcher mailbox drain, Strict
+	// once per transaction (smaller groups at low load, lower latency).
+	// Open replays any logs found in WALDir into the fresh database
+	// before serving (full replay from genesis — no checkpointing yet;
+	// see ROADMAP).
 	Durability Durability
-	// WALDir is the directory holding the per-dispatcher command logs
-	// (wal-*.log). Required when Durability is not Off.
+	// WALDir is the directory holding the command log, wal-shared.log.
+	// Per-dispatcher wal-NNNN.log files written by earlier versions are
+	// replayed first on Open and never written again. Required when
+	// Durability is not Off.
 	WALDir string
 	// HeartbeatInterval paces liveness Pings between the head and member
 	// processes on a multi-process cluster (default 1s; < 0 disables).
@@ -281,17 +289,16 @@ type Cluster struct {
 	rpcMu     sync.Mutex
 	rpcWait   map[uint64]chan any
 
-	// Durability plane (Config.Durability != DurabilityOff). walFiles
-	// maps log path -> open device plus the LSN recovery replayed up to,
-	// so each dispatcher's logger resumes numbering where the previous
-	// incarnation stopped. walApplied counts replayed transactions —
-	// when nonzero on a multi-process cluster, the head pushes the
-	// replayed partitions to joining members (they repopulate from the
-	// seed and would otherwise miss recovered state).
+	// Durability plane (Config.Durability != DurabilityOff): the one
+	// command log every dispatcher appends to, its device, and the
+	// writer goroutine wal.Logger.Start runs (logDurable is its notify).
+	// walApplied counts replayed transactions — when nonzero on a
+	// multi-process cluster, the head pushes the replayed partitions to
+	// joining members (they repopulate from the seed and would otherwise
+	// miss recovered state).
 	durability Durability
-	walDir     string
-	walMu      sync.Mutex
-	walFiles   map[string]*walFile
+	walDev     *wal.FileDevice
+	walLog     *wal.Logger
 	walApplied int
 
 	// Failure-detection pacing (multi-process clusters; distributed.go).
@@ -306,10 +313,13 @@ type Durability uint8
 const (
 	// DurabilityOff runs fully in memory (the default).
 	DurabilityOff Durability = iota
-	// DurabilityBatch group-commits: one fsync per dispatcher drain
-	// cycle covers every transaction admitted in that burst.
+	// DurabilityBatch group-commits: a dispatcher asks the log writer
+	// for a sync once per mailbox drain cycle, and each fsync covers
+	// everything any dispatcher admitted while the previous one ran.
 	DurabilityBatch
-	// DurabilityStrict fsyncs before dispatching each transaction.
+	// DurabilityStrict asks for a sync at every admission instead of at
+	// batch end. Same path and same guarantee — a transaction's record is
+	// durable before it dispatches — with the smallest wait at low load.
 	DurabilityStrict
 )
 
@@ -325,12 +335,10 @@ func (d Durability) String() string {
 	return fmt.Sprintf("Durability(%d)", uint8(d))
 }
 
-// walFile is one per-dispatcher log: the open device and the last LSN
-// recovery observed in it (0 for a fresh file).
-type walFile struct {
-	dev  *wal.FileDevice
-	last uint64
-}
+// sharedWAL names the cluster-wide command log inside Config.WALDir. It
+// matches wal-*.log like the per-dispatcher wal-NNNN.log files earlier
+// versions wrote (and sorts after them); replay applies those first.
+const sharedWAL = "wal-shared.log"
 
 // ErrClosed is returned by every entry point once Close has begun;
 // match it with errors.Is to distinguish shutdown from other failures.
@@ -381,15 +389,18 @@ func Open(cfg Config) (*Cluster, error) {
 		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("anydb: WALDir: %w", err)
 		}
-		c.durability, c.walDir = cfg.Durability, cfg.WALDir
-		c.walFiles = make(map[string]*walFile)
+		c.durability = cfg.Durability
 		// Recovery: replay every existing log into the freshly populated
-		// database before any AC serves traffic. Each log preserves its
-		// dispatcher's admission order; cross-log order is not recorded,
-		// which is sound because transactions admitted by different
-		// dispatchers in the same epoch never conflicted (SharedNothing
-		// partitioning) or were serialized by acks before acking clients.
-		if err := c.replayWAL(); err != nil {
+		// database before any AC serves traffic. The shared log records
+		// one global append order; it preserves each dispatcher's
+		// admission order, while records of different dispatchers may
+		// sit in either order relative to their execution — sound
+		// because transactions admitted by different dispatchers in the
+		// same epoch never conflicted (SharedNothing partitioning) or
+		// were serialized by acks before acking clients. Legacy
+		// per-dispatcher logs predate everything in the shared log and
+		// replay first.
+		if err := c.replayWAL(cfg.WALDir); err != nil {
 			return nil, err
 		}
 	}
@@ -435,6 +446,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.RemoteServers > 0 {
 		remote, err := c.addRemoteServers(cfg)
 		if err != nil {
+			c.closeWAL()
 			return nil, err
 		}
 		// Partitions rotate over the head's executors AND every member's
@@ -492,9 +504,13 @@ func Open(cfg Config) (*Cluster, error) {
 		c.eng = core.NewEngine(c.topo, c.setupAC)
 	}
 	c.eng.SetClient(c.onDone)
+	if c.walLog != nil {
+		c.walLog.Start(c.logDurable)
+	}
 	if c.remoteACs != nil {
 		if err := c.acceptMembers(cfg); err != nil {
 			c.eng.Stop()
+			c.closeWAL()
 			c.ln.Close()
 			return nil, err
 		}
@@ -502,16 +518,21 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// replayWAL re-executes every wal-*.log in WALDir against the freshly
-// populated database, truncates each file back to its last intact
-// record (discarding a torn tail from a mid-write crash), and records
-// the per-file resume LSN for the dispatchers that will adopt the logs.
-func (c *Cluster) replayWAL() error {
-	paths, err := filepath.Glob(filepath.Join(c.walDir, "wal-*.log"))
+// replayWAL re-executes every wal-*.log in dir against the freshly
+// populated database — legacy per-dispatcher logs in name order, read
+// only, then the shared log — and opens the shared log for appending:
+// truncated back to its last intact record (discarding a torn tail from
+// a mid-write crash) with the logger resuming at the replayed LSN.
+func (c *Cluster) replayWAL(dir string) error {
+	shared := filepath.Join(dir, sharedWAL)
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return fmt.Errorf("anydb: scanning WALDir: %w", err)
 	}
-	for _, path := range paths {
+	if i := slices.Index(paths, shared); i >= 0 {
+		paths = slices.Delete(paths, i, i+1)
+	}
+	for _, path := range append(paths, shared) {
 		dev, err := wal.OpenFile(path)
 		if err != nil {
 			return fmt.Errorf("anydb: opening %s: %w", path, err)
@@ -521,39 +542,53 @@ func (c *Cluster) replayWAL() error {
 			dev.Close()
 			return fmt.Errorf("anydb: replaying %s: %w", path, err)
 		}
+		c.walApplied += applied
+		if path != shared {
+			dev.Close()
+			continue
+		}
 		if err := dev.Truncate(clean); err != nil {
 			dev.Close()
 			return fmt.Errorf("anydb: truncating %s: %w", path, err)
 		}
-		c.walFiles[path] = &walFile{dev: dev, last: last}
-		c.walApplied += applied
+		c.walDev = dev
+		c.walLog = wal.NewLogger(dev, 0)
+		c.walLog.Resume(last)
 	}
 	return nil
 }
 
-// walLogger opens (or adopts the recovered) log for one dispatcher AC
-// and returns a logger resuming at the replayed LSN. GroupSize 0: the
-// dispatcher controls flush boundaries (per batch or per transaction).
-func (c *Cluster) walLogger(id core.ACID) *wal.Logger {
-	path := filepath.Join(c.walDir, fmt.Sprintf("wal-%04d.log", id))
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	wf := c.walFiles[path]
-	if wf == nil {
-		dev, err := wal.OpenFile(path)
-		if err != nil {
-			// setupAC cannot return an error; Open already validated the
-			// directory is writable, so this is an environment failure
-			// (fd exhaustion, disk gone) where fail-stop is the only
-			// durable answer.
-			panic(fmt.Sprintf("anydb: opening %s: %v", path, err))
+// logDurable is the log writer's notify (it runs on the writer
+// goroutine after every group commit): tell each dispatcher that has
+// parked transactions how far the log is durable, or that it failed.
+// The notice rides a pooled event, so the durable path adds no
+// per-transaction allocation.
+func (c *Cluster) logDurable(durable uint64, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, d := range c.dispers {
+		if !d.HasParked() {
+			continue
 		}
-		wf = &walFile{dev: dev}
-		c.walFiles[path] = wf
+		ev := core.GetEvent()
+		ev.Kind, ev.Seq = core.EvLogDurable, durable
+		if err != nil {
+			ev.Payload = err
+		}
+		if !c.eng.Inject(id, ev) {
+			core.FreeEvent(ev) // engine stopping: nothing is parked any more
+		}
 	}
-	lg := wal.NewLogger(wf.dev, 0)
-	lg.Resume(wf.last)
-	return lg
+}
+
+// closeWAL stops the log writer (after a final flush) and closes the
+// device. The AC goroutines must be gone: nothing may append any more.
+func (c *Cluster) closeWAL() {
+	if c.walLog == nil {
+		return
+	}
+	c.walLog.Stop()
+	c.walDev.Close()
 }
 
 func (c *Cluster) setupAC(ac *core.AC) {
@@ -596,16 +631,17 @@ func (c *Cluster) setupAC(ac *core.AC) {
 	d.SetTelemetry(tel)
 	c.dispers[ac.ID] = d
 	c.mu.Unlock()
-	if c.durability != DurabilityOff {
-		d.Log = c.walLogger(ac.ID)
+	if c.walLog != nil {
+		// Admitted transactions park in the dispatcher until the log
+		// writer reports their records durable (EvLogDurable). Strict
+		// kicks the writer per admission; Batch once per drain cycle,
+		// from the runtime's batch-end hook.
+		d.Log = c.walLog
 		d.Strict = c.durability == DurabilityStrict
 		if !d.Strict {
-			// Group commit: admitted transactions queue in the
-			// dispatcher until the runtime's batch-end hook fires —
-			// one fsync covers the whole drain cycle, then the batch's
-			// segments dispatch.
 			ac.OnBatchEnd = d.FlushBatch
 		}
+		ac.Register(core.EvLogDurable, d)
 	}
 	ac.Register(core.EvTxn, d)
 	ac.Register(core.EvAck, d)
@@ -1661,16 +1697,24 @@ type Stats struct {
 	// UnmatchedDone counts transaction completions that found no
 	// waiting caller; nonzero means a transaction was resolved twice.
 	UnmatchedDone int64
+	// WALRecords and WALSyncs count the command records made durable
+	// since Open and the fsyncs that took; their ratio is the realized
+	// group-commit size. Both stay 0 with Durability Off.
+	WALRecords, WALSyncs uint64
 }
 
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Servers:       c.topo.NumServers(),
 		ACs:           c.topo.NumACs(),
 		Warehouses:    c.cfg.Warehouses,
 		UnmatchedDone: c.unmatchedDone.Load(),
 	}
+	if c.walLog != nil {
+		st.WALRecords, st.WALSyncs = c.walLog.Stats()
+	}
+	return st
 }
 
 // Close stops all AC goroutines. It closes the submission plane (every
@@ -1718,13 +1762,10 @@ func (c *Cluster) Close() {
 		c.serveWG.Wait()
 	}
 	// The dispatcher goroutines are gone, so no appends are in flight:
-	// closing the log devices is race-free. The final drain flushed
-	// every admitted batch, so nothing durable is lost here.
-	c.walMu.Lock()
-	for _, wf := range c.walFiles {
-		wf.dev.Close()
-	}
-	c.walMu.Unlock()
+	// stopping the log writer and closing the device is race-free. The
+	// drain above resolved every admitted transaction, which implies its
+	// record was synced, so nothing acknowledged is lost here.
+	c.closeWAL()
 	// The drain above resolved every transaction and delivered every
 	// query result, so the wait table is empty unless something slipped
 	// past accounting; closing leftovers (race-free now — all AC

@@ -72,11 +72,18 @@ const (
 	// client/harness, which owns injection and can therefore drain and
 	// reroute safely.
 	EvAdapt
+	// EvLogDurable tells a dispatcher how far the shared command log is
+	// durable: Seq carries the durable LSN, Payload the latched device
+	// error (nil while the log is healthy). The log writer injects it
+	// after every group commit; the dispatcher releases the parked
+	// transactions it covers (or fails them all on error).
+	EvLogDurable
 )
 
 var eventKindNames = [...]string{
 	"Txn", "Segment", "Ack", "TxnDone", "Query", "InstallOp",
 	"OpDone", "QueryDone", "SeqStamp", "Control", "Signal", "Adapt",
+	"LogDurable",
 }
 
 func (k EventKind) String() string {

@@ -198,9 +198,11 @@ func (e *Engine) NewStream() StreamID {
 	return StreamID(e.nextStream.Add(1))
 }
 
-// Inject delivers an event from outside (client requests).
-func (e *Engine) Inject(dst ACID, ev *Event) {
-	e.box(dst).Send(ev)
+// Inject delivers an event from outside (client requests). It reports
+// false when dst's mailbox is closed: the event was not delivered and
+// still belongs to the caller.
+func (e *Engine) Inject(dst ACID, ev *Event) bool {
+	return e.box(dst).Send(ev)
 }
 
 // InjectData delivers a data message from outside.

@@ -63,10 +63,12 @@ type Routes struct {
 // CommandLog is the durable command log a dispatcher writes ahead of
 // dispatch (wal.Logger implements it; the interface lives here to avoid
 // an import cycle — wal imports oltp for replay). Append buffers one
-// record; Flush makes the open group durable with one device sync.
+// record and returns its LSN; Kick asks the log's writer to make
+// everything appended so far durable and never blocks — completion comes
+// back to the dispatcher as a core.EvLogDurable event.
 type CommandLog interface {
 	Append(txn *tpcc.Txn) (uint64, error)
-	Flush() error
+	Kick()
 }
 
 // Dispatcher is the behavior of an AC acting as the transaction entry
@@ -90,13 +92,19 @@ type Dispatcher struct {
 	// Log, when set, makes admission write-ahead: a transaction's
 	// command record must be durable before any of its segments
 	// dispatch, so effects never precede the log and recovery replays
-	// exactly the prefix whose effects may exist. Strict flushes per
-	// transaction; otherwise admitted transactions park in logq until
-	// the batch-end FlushBatch group-commits them (one fsync per AC
-	// drain cycle).
+	// exactly the prefix whose effects may exist. Admission appends the
+	// record and parks the transaction in logq under its LSN; the log's
+	// writer syncs off this goroutine and EvLogDurable releases every
+	// parked transaction the durable LSN covers. The AC never waits for
+	// the device. Strict kicks the writer per transaction; otherwise the
+	// batch-end FlushBatch kicks once per drain cycle.
 	Log    CommandLog
 	Strict bool
-	logq   []queuedTxn
+	logq   []queuedTxn // parked, in LSN order
+	// parked tells the log writer (another goroutine) that logq may be
+	// non-empty, so it only notifies dispatchers with work to release.
+	// Set before the Append that parks, cleared when logq runs empty.
+	parked atomic.Bool
 	// logErr latches the first log failure: the durability plane is
 	// fail-stop, so every later admission fails fast with it.
 	logErr error
@@ -132,6 +140,7 @@ type queuedTxn struct {
 	id     core.TxnID
 	txn    *tpcc.Txn
 	client any
+	lsn    uint64 // logq only: the command record's LSN
 }
 
 // segGroup accumulates the ops routed to one destination AC.
@@ -173,7 +182,7 @@ func (d *Dispatcher) Config() DispatchConfig { return *d.cfg.Load() }
 // controller. Install before the engine starts delivering events.
 func (d *Dispatcher) SetTelemetry(t Telemetry) { d.win.SetTelemetry(t) }
 
-// OnEvent implements core.Behavior for EvTxn and EvAck.
+// OnEvent implements core.Behavior for EvTxn, EvAck and EvLogDurable.
 func (d *Dispatcher) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 	cfg := d.cfg.Load()
 	switch ev.Kind {
@@ -189,6 +198,11 @@ func (d *Dispatcher) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 		d.admit(ctx, cfg, id, txn, client)
 	case core.EvAck:
 		d.onAck(ctx, cfg, ev)
+	case core.EvLogDurable:
+		durable := ev.Seq
+		err, _ := ev.Payload.(error)
+		d.Pools.FreeEvent(ev)
+		d.onLogDurable(ctx, cfg, durable, err)
 	default:
 		panic(fmt.Sprintf("oltp: dispatcher got %v", ev.Kind))
 	}
@@ -216,22 +230,22 @@ func (d *Dispatcher) admit(ctx core.Context, cfg *DispatchConfig, id core.TxnID,
 		d.failTxn(ctx, cfg, id, txn, client, d.logErr)
 		return
 	}
-	if _, err := d.Log.Append(txn); err != nil {
-		d.logErr = err
+	// Raise parked before the Append: a writer that swaps this record
+	// into its group then also sees the flag when it notifies.
+	if len(d.logq) == 0 {
+		d.parked.Store(true)
+	}
+	lsn, err := d.Log.Append(txn)
+	if err != nil {
+		d.failLog(ctx, cfg, err)
 		d.failTxn(ctx, cfg, id, txn, client, err)
 		return
 	}
+	// Park until the log writer reports the record durable.
+	d.logq = append(d.logq, queuedTxn{id: id, txn: txn, client: client, lsn: lsn})
 	if d.Strict {
-		if err := d.Log.Flush(); err != nil {
-			d.logErr = err
-			d.failTxn(ctx, cfg, id, txn, client, err)
-			return
-		}
-		d.admitChecked(ctx, cfg, id, txn, client)
-		return
+		d.Log.Kick()
 	}
-	// Group commit: park until the batch-end fsync releases the group.
-	d.logq = append(d.logq, queuedTxn{id: id, txn: txn, client: client})
 }
 
 // admitChecked is admission past reconnaissance and durability:
@@ -269,31 +283,58 @@ func (d *Dispatcher) failTxn(ctx core.Context, cfg *DispatchConfig, id core.TxnI
 }
 
 // FlushBatch is the AC's batch-end hook (core.AC.OnBatchEnd) under
-// group-commit durability: one fsync makes every transaction admitted
-// during the drain batch durable, then their segments dispatch. If the
-// flush fails, the whole group fails — no segment of an unlogged
-// transaction ever executes.
-func (d *Dispatcher) FlushBatch(ctx core.Context) {
-	if len(d.logq) == 0 {
-		return
+// group-commit durability: it kicks the log writer once for everything
+// admitted during the drain batch and returns — the fsync happens on the
+// writer's goroutine, and whatever other dispatchers (and this one's
+// next batches) append meanwhile rides the following group.
+func (d *Dispatcher) FlushBatch(core.Context) {
+	if len(d.logq) != 0 {
+		d.Log.Kick()
 	}
-	err := d.Log.Flush()
-	q := d.logq
-	cfg := d.cfg.Load()
+}
+
+// HasParked reports whether transactions may be waiting for the log.
+// Safe from any goroutine: the log writer uses it to pick the
+// dispatchers it sends EvLogDurable to.
+func (d *Dispatcher) HasParked() bool { return d.parked.Load() }
+
+// onLogDurable handles the log writer's report: every parked
+// transaction whose record the durable LSN covers dispatches, in LSN
+// (= admission) order. A device error instead fails everything parked —
+// the failed group and whatever queued behind it — so no segment of a
+// transaction whose record may not be durable ever executes.
+func (d *Dispatcher) onLogDurable(ctx core.Context, cfg *DispatchConfig, durable uint64, err error) {
 	if err != nil {
-		d.logErr = err
-		for i := range q {
-			d.failTxn(ctx, cfg, q[i].id, q[i].txn, q[i].client, err)
-			q[i] = queuedTxn{}
-		}
-		d.logq = q[:0]
+		d.failLog(ctx, cfg, err)
 		return
 	}
-	for i := range q {
-		d.admitChecked(ctx, cfg, q[i].id, q[i].txn, q[i].client)
-		q[i] = queuedTxn{}
+	q := d.logq
+	n := 0
+	for n < len(q) && q[n].lsn <= durable {
+		d.admitChecked(ctx, cfg, q[n].id, q[n].txn, q[n].client)
+		n++
 	}
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	d.logq = q[:rest]
+	if rest == 0 {
+		d.parked.Store(false)
+	}
+}
+
+// failLog latches err (fail-stop: later admissions fail fast with it)
+// and fails every parked transaction with it.
+func (d *Dispatcher) failLog(ctx core.Context, cfg *DispatchConfig, err error) {
+	if d.logErr == nil {
+		d.logErr = err
+	}
+	q := d.logq
+	for i := range q {
+		d.failTxn(ctx, cfg, q[i].id, q[i].txn, q[i].client, d.logErr)
+	}
+	clear(q)
 	d.logq = q[:0]
+	d.parked.Store(false)
 }
 
 // dispatch groups the transaction's operations by destination AC and

@@ -25,6 +25,7 @@ type cluster struct {
 	execs      []core.ACID
 	committed  int
 	aborted    int
+	errs       []error // DoneInfo.Err of every abort that carried one
 	lastDone   sim.Time
 }
 
@@ -79,6 +80,7 @@ func buildCluster(db *storage.Database, cfg tpcc.Config, policy Policy) *cluster
 		case dispAC:
 			ac.Register(core.EvTxn, c.dispatcher)
 			ac.Register(core.EvAck, c.dispatcher)
+			ac.Register(core.EvLogDurable, c.dispatcher)
 		case seqAC:
 			ac.Register(core.EvSeqStamp, &core.Sequencer{})
 		case coordAC:
@@ -91,6 +93,9 @@ func buildCluster(db *storage.Database, cfg tpcc.Config, policy Policy) *cluster
 			c.committed++
 		} else {
 			c.aborted++
+			if info.Err != nil {
+				c.errs = append(c.errs, info.Err)
+			}
 		}
 		c.lastDone = at
 	})
@@ -98,11 +103,15 @@ func buildCluster(db *storage.Database, cfg tpcc.Config, policy Policy) *cluster
 }
 
 // run injects txns and drains the simulation.
-func (c *cluster) run(txns []tpcc.Txn) {
+func (c *cluster) run(txns []tpcc.Txn) { c.submit(1, txns) }
+
+// submit injects txns, numbered from firstID, at the current virtual
+// time and runs the simulation dry.
+func (c *cluster) submit(firstID int, txns []tpcc.Txn) {
 	for i := range txns {
 		c.cl.Inject(c.dispAC, &core.Event{
-			Kind: core.EvTxn, Txn: core.TxnID(i + 1), Payload: &txns[i],
-		}, 0)
+			Kind: core.EvTxn, Txn: core.TxnID(firstID + i), Payload: &txns[i],
+		}, c.cl.Sched.Now())
 	}
 	c.cl.Run()
 }

@@ -5,19 +5,26 @@
 // same property streaming CC exploits), command logging suffices — the
 // log records transaction parameters, not page images.
 //
-// The live cluster hangs one Logger off each dispatcher AC
+// The live cluster shares ONE Logger among all dispatcher ACs
 // (write-ahead: a transaction's record is durable before any of its
-// segments dispatch) and group-commits per drain batch — see
-// oltp.Dispatcher and anydb.Config.Durability. Records use a canonical
-// binary framing (record.go) so the hot path appends into a reused
-// buffer, and recovery stops cleanly at the first torn, corrupt, or
-// discontinuous record rather than failing the whole replay.
+// segments dispatch). Dispatchers only Append and Kick; a single
+// log-writer goroutine (Start) swaps the open group out, pays one
+// Write+Sync for everything any dispatcher appended meanwhile, and
+// reports the new durable LSN — pipelined, self-clocking group commit:
+// the next group fills while the current one is on the device, so the
+// group size follows the load with no timer and no size setting, and no
+// AC goroutine ever waits for the device. See oltp.Dispatcher and
+// anydb.Config.Durability. Records use a canonical binary framing
+// (record.go) so the hot path appends into a reused buffer, and
+// recovery stops cleanly at the first torn, corrupt, or discontinuous
+// record rather than failing the whole replay.
 package wal
 
 import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"anydb/internal/oltp"
 	"anydb/internal/sim"
@@ -99,26 +106,47 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 // whole group durable — amortizing the device round trip exactly like
 // the acknowledgment batching the paper's storage events imply.
 //
+// Appends never wait for the device: a flush swaps the open group out
+// under mu (double buffer, no copy) and writes it outside, so the next
+// group accumulates while the current one syncs. Flush is synchronous
+// for its caller; the live cluster instead runs one writer goroutine
+// (Start) that flushes whenever it is kicked.
+//
 // The logger is fail-stop: the first device error latches, every
 // subsequent Append and Flush reports it, and nothing more reaches the
 // device. The database stays consistent because under write-ahead use
 // the transactions of a failed group never execute.
 type Logger struct {
+	dev Device
+	// flushMu serializes flushers (the writer goroutine, synchronous
+	// Flush callers) across the swap, the device round trip and the
+	// durable-LSN publish; it also owns spare. Acquired before mu.
+	flushMu sync.Mutex
+	spare   []byte // the group on the device, or last time's, kept for its capacity
+
 	mu      sync.Mutex
-	dev     Device
 	buf     []byte // the open group: encoded but unwritten records
 	lsn     uint64
 	durable uint64
 	pending int
 	err     error
-	// GroupSize flushes automatically every N appends (0 = manual
-	// Flush only — the dispatcher's batch-end hook in the live engine).
+	// GroupSize flushes automatically every N appends (0 = flush only
+	// when asked: Flush, or the writer goroutine on Kick).
 	GroupSize int
+
+	// records and syncs count what reached the device durably: group
+	// size = records / syncs. Written under flushMu, read by anyone.
+	records, syncs atomic.Uint64
+
+	// The writer goroutine (Start): kick holds at most one pending
+	// wake-up, quit asks for the final drain, done reports the exit.
+	kick       chan struct{}
+	quit, done chan struct{}
 }
 
 // NewLogger returns a logger on dev.
 func NewLogger(dev Device, groupSize int) *Logger {
-	return &Logger{dev: dev, GroupSize: groupSize}
+	return &Logger{dev: dev, GroupSize: groupSize, kick: make(chan struct{}, 1)}
 }
 
 // Resume continues an existing log whose replay ended at lsn: the next
@@ -130,51 +158,115 @@ func (l *Logger) Resume(lsn uint64) {
 }
 
 // Append logs one transaction command and returns its LSN. The record
-// is durable only after the next Flush (or group auto-flush).
+// is durable only after a later flush covers it (DurableLSN ≥ the
+// returned LSN). Safe for concurrent use; LSNs follow append order.
 func (l *Logger) Append(txn *tpcc.Txn) (uint64, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.err != nil {
-		return 0, l.err
+		err := l.err
+		l.mu.Unlock()
+		return 0, err
 	}
 	l.lsn++
-	l.buf = appendRecord(l.buf, l.lsn, txn)
+	lsn := l.lsn
+	l.buf = appendRecord(l.buf, lsn, txn)
 	l.pending++
-	if l.GroupSize > 0 && l.pending >= l.GroupSize {
-		if err := l.flushLocked(); err != nil {
+	full := l.GroupSize > 0 && l.pending >= l.GroupSize
+	l.mu.Unlock()
+	if full {
+		if err := l.Flush(); err != nil {
 			return 0, err
 		}
 	}
-	return l.lsn, nil
+	return lsn, nil
 }
 
-// Flush writes and syncs the open group, making every appended record
-// durable. A clean logger with nothing pending is a no-op (no fsync).
+// Flush writes and syncs the open group, making every record appended
+// before the call durable. A clean logger with nothing pending is a
+// no-op (no fsync).
 func (l *Logger) Flush() error {
+	_, err := l.flush()
+	return err
+}
+
+// flush is one group commit: swap the open group out, write and sync it
+// with no lock an appender needs, publish the new durable LSN. It
+// returns the durable LSN after the attempt.
+func (l *Logger) flush() (uint64, error) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	if l.err != nil || l.pending == 0 {
+		durable, err := l.durable, l.err
+		l.mu.Unlock()
+		return durable, err
+	}
+	group, upto, n := l.buf, l.lsn, l.pending
+	l.buf, l.pending = l.spare[:0], 0
+	l.mu.Unlock()
+
+	_, err := l.dev.Write(group)
+	if err != nil {
+		err = fmt.Errorf("wal: write: %w", err)
+	} else if err = l.dev.Sync(); err != nil {
+		err = fmt.Errorf("wal: sync: %w", err)
+	}
+	l.spare = group
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flushLocked()
+	if err != nil {
+		l.err = err
+		return l.durable, err
+	}
+	l.durable = upto
+	l.records.Add(uint64(n))
+	l.syncs.Add(1)
+	return upto, nil
 }
 
-func (l *Logger) flushLocked() error {
-	if l.err != nil {
-		return l.err
+// Start launches the log-writer goroutine: every Kick makes it flush
+// whatever is open and then call notify — on the writer goroutine —
+// with the durable LSN and the latched device error, if any. notify
+// runs after every kick, even when the flush found nothing new, so a
+// caller that registered interest just before kicking is always told.
+// Stop ends the goroutine.
+func (l *Logger) Start(notify func(durable uint64, err error)) {
+	l.quit, l.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(l.done)
+		for stop := false; !stop; {
+			select {
+			case <-l.kick:
+			case <-l.quit:
+				stop = true // after one final drain below
+			}
+			notify(l.flush())
+		}
+	}()
+}
+
+// Kick asks the writer goroutine to make everything appended so far
+// durable. It never blocks: while a group is on the device one pending
+// kick is remembered, and the flush it triggers covers every record
+// appended before it runs — which is what makes the group commit
+// self-clocking.
+func (l *Logger) Kick() {
+	select {
+	case l.kick <- struct{}{}:
+	default:
 	}
-	if l.pending == 0 && len(l.buf) == 0 {
-		return nil
+}
+
+// Stop flushes the open group one last time and waits for the writer
+// goroutine to exit (a no-op if Start never ran). Appends must have
+// ceased.
+func (l *Logger) Stop() {
+	if l.quit == nil {
+		return
 	}
-	if _, err := l.dev.Write(l.buf); err != nil {
-		l.err = fmt.Errorf("wal: write: %w", err)
-		return l.err
-	}
-	l.buf = l.buf[:0]
-	if err := l.dev.Sync(); err != nil {
-		l.err = fmt.Errorf("wal: sync: %w", err)
-		return l.err
-	}
-	l.durable = l.lsn
-	l.pending = 0
-	return nil
+	close(l.quit)
+	<-l.done
 }
 
 // DurableLSN returns the highest LSN guaranteed to survive a crash.
@@ -189,6 +281,12 @@ func (l *Logger) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
+}
+
+// Stats reports how many records have been made durable and with how
+// many device syncs; their ratio is the realized group size.
+func (l *Logger) Stats() (records, syncs uint64) {
+	return l.records.Load(), l.syncs.Load()
 }
 
 // Replay decodes the durable prefix of dev and re-executes every record
@@ -211,7 +309,13 @@ func Replay(dev Device, db *storage.Database) (applied int, clean int64, lastLSN
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	// One executor, undo log and op scratch serve every record: a fresh
+	// UndoLog per record (regrowing its entries) and a fresh op slice
+	// were a quarter of recovery time.
 	costs := sim.DefaultCosts()
+	var undo storage.UndoLog
+	ex := &oltp.Exec{DB: db, Costs: &costs, Charge: func(sim.Time) {}, Undo: &undo}
+	var ops []oltp.Op
 	off := 0
 	for off < len(data) {
 		lsn, txn, n, derr := decodeRecord(data[off:])
@@ -221,7 +325,8 @@ func Replay(dev Device, db *storage.Database) (applied int, clean int64, lastLSN
 		if lsn != lastLSN+1 {
 			break // discontinuity: same corruption boundary
 		}
-		if rerr := replay(db, &costs, txn); rerr != nil {
+		ops = oltp.ProgramAppend(ops[:0], &txn)
+		if rerr := replay(ex, ops); rerr != nil {
 			return applied, int64(off), lastLSN, rerr
 		}
 		lastLSN = lsn
@@ -246,18 +351,16 @@ func Recover(dev Device, cfg tpcc.Config) (*storage.Database, int, error) {
 	return db, applied, nil
 }
 
-// replay re-executes one committed command against db.
-func replay(db *storage.Database, costs *sim.CostModel, txn tpcc.Txn) error {
-	var undo storage.UndoLog
-	ex := &oltp.Exec{DB: db, Costs: costs, Charge: func(sim.Time) {}, Undo: &undo}
-	for _, op := range oltp.Program(txn) {
+// replay re-executes one committed command's op program on ex.
+func replay(ex *oltp.Exec, ops []oltp.Op) error {
+	for _, op := range ops {
 		if err := op.Run(ex); err != nil {
 			// Only committed transactions are logged; an abort here
 			// means the log is inconsistent with the command stream.
-			undo.Rollback()
+			ex.Undo.Rollback()
 			return fmt.Errorf("wal: replayed transaction aborted: %w", err)
 		}
 	}
-	undo.Commit()
+	ex.Undo.Commit()
 	return nil
 }
