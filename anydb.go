@@ -243,9 +243,8 @@ type Cluster struct {
 	// pipelined submission hot path allocates nothing per call in steady
 	// state.
 	futPool sync.Pool
-	// sessPool recycles Sessions; nextSess round-robins their pinned
-	// submission shards so concurrent sessions spread over the counters.
-	sessPool sync.Pool
+	// nextSess round-robins the sessions' pinned submission shards so
+	// concurrent sessions spread over the counters.
 	nextSess atomic.Uint32
 
 	// Self-driving state (Config.AutoAdapt). Decisions queue under mu
@@ -592,13 +591,7 @@ func (c *Cluster) closeWAL() {
 }
 
 func (c *Cluster) setupAC(ac *core.AC) {
-	// One free-list set per AC, shared by every OLTP behavior registered
-	// on it: under aggregated routing the dispatcher, executor and
-	// embedded coordinator of a transaction all run on the same AC
-	// goroutine, so events, segments, acks and program blocks recycle
-	// through plain slices instead of sync.Pools.
-	pools := &oltp.Pools{}
-	ac.Register(core.EvSegment, &oltp.Executor{DB: c.db, Pools: pools})
+	ac.Register(core.EvSegment, &oltp.Executor{DB: c.db})
 	ac.Register(core.EvInstallOp, &olap.Worker{DB: c.db})
 	ac.Register(core.EvQuery, &plan.QO{Topo: c.topo})
 	ac.Register(core.EvSeqStamp, &core.Sequencer{})
@@ -615,7 +608,6 @@ func (c *Cluster) setupAC(ac *core.AC) {
 	}
 	if len(c.ctrl) > 2 && ac.ID == c.ctrl[2] {
 		coord := oltp.NewCoordinator()
-		coord.Pools = pools
 		coord.SetTelemetry(tel)
 		ac.Register(core.EvAck, coord)
 		return
@@ -627,7 +619,6 @@ func (c *Cluster) setupAC(ac *core.AC) {
 	c.mu.Lock()
 	pol := c.curPolicy
 	d := oltp.NewDispatcher(oltp.Policy(pol), c.db, c.routes(pol))
-	d.Pools = pools
 	d.SetTelemetry(tel)
 	c.dispers[ac.ID] = d
 	c.mu.Unlock()
@@ -772,11 +763,14 @@ func newOrderTxn(no NewOrder) *tpcc.Txn {
 	return t
 }
 
-// Future is the pending result of a submitted transaction. Futures are
-// pooled: Wait consumes the future, and calling Wait again — or after a
-// Wait that returned the transaction's result — panics if the future is
-// still in the pool (a recycled future would otherwise steal another
-// session's result; the guard is best-effort once it is re-issued).
+// Future is the pending result of a submitted transaction. A Future
+// from any entry point (Cluster.Submit* or Session.Submit*) may be
+// handed to, and Waited on by, any goroutine — one Wait at a time.
+// Futures are pooled: Wait consumes the future, and calling Wait again —
+// or after a Wait that returned the transaction's result — panics if
+// the future is still in the pool (a recycled future would otherwise
+// steal another caller's result; the guard is best-effort once it is
+// re-issued).
 type Future struct {
 	c  *Cluster
 	ch chan bool
@@ -793,13 +787,6 @@ type Future struct {
 	// (resolver) or abandonment (waiter); the loser follows the winner
 	// and parks the future back in the pool (futPooled).
 	state atomic.Uint32
-	// sess and sgen tie a future issued through a Session to that
-	// session's private freelist: Wait on the session goroutine recycles
-	// it there (no atomics) when sgen still matches the session's
-	// generation; stale futures — the session closed meanwhile — and
-	// futures parked by the resolver fall back to the shared pool.
-	sess *Session
-	sgen uint32
 	// err distinguishes an infrastructure failure (ErrMemberDown: the
 	// member executing a segment died) from a logical rollback. Written
 	// by the completion callback before the channel send, read by Wait
@@ -824,19 +811,11 @@ func (c *Cluster) getFuture() *Future {
 	return &Future{c: c, ch: make(chan bool, 1)}
 }
 
-// park returns a consumed future to its pool: the owning session's
-// freelist when the future was issued through a still-open session (park
-// then runs on the session goroutine — Wait's contract), the shared
-// cluster pool otherwise. Its channel is empty.
+// park returns a consumed future to the cluster's pool. Its channel is
+// empty: park runs on whichever side touches the future last — Wait
+// after it received the result, or resolve after the waiter abandoned.
 func (f *Future) park() {
 	f.state.Store(futPooled)
-	if s := f.sess; s != nil {
-		if s.gen.Load() == f.sgen && len(s.free) < sessFutureCap {
-			s.free = append(s.free, f)
-			return
-		}
-		f.sess = nil
-	}
 	f.c.futPool.Put(f)
 }
 
@@ -849,12 +828,8 @@ func (f *Future) resolve(committed bool) {
 		return
 	}
 	// The waiter abandoned the future (context canceled); nobody will
-	// ever Wait on it again, so recycle it here. This runs on an AC
-	// goroutine, so a session-issued future may not touch its session's
-	// freelist — it returns to the shared pool.
-	f.state.Store(futPooled)
-	f.sess = nil
-	f.c.futPool.Put(f)
+	// ever Wait on it again, so recycle it here.
+	f.park()
 }
 
 // Wait blocks until the transaction resolves and reports whether it
@@ -887,7 +862,7 @@ func (f *Future) Wait(ctx context.Context) (bool, error) {
 }
 
 // SubmitPayment enqueues a payment transaction and returns immediately
-// with a Future for its outcome. Submissions pipeline: a session can
+// with a Future for its outcome. Submissions pipeline: a caller can
 // keep hundreds in flight and Wait on them in any order. ctx bounds only
 // the submission itself (it can block while a policy switch drains);
 // pass it again to Future.Wait to bound the wait.
@@ -925,13 +900,20 @@ func (c *Cluster) NewOrder(no NewOrder) (bool, error) {
 	return f.Wait(context.Background())
 }
 
-// submit is the transaction entry hot path. Uncontended it takes zero
-// locks: epoch entry is an atomic add on a goroutine-affine shard, the
-// id an atomic counter, the event and future pooled, and the future
-// itself travels as the completion token — nothing left to serialize.
+// submit is the session-less transaction entry: submitAt on the calling
+// goroutine's fingerprinted shard.
 func (c *Cluster) submit(ctx context.Context, t *tpcc.Txn) (*Future, error) {
+	return c.submitAt(ctx, t, c.shardIdx())
+}
+
+// submitAt is the one transaction entry, for sessions (si pinned at
+// open) and session-less callers alike. Uncontended it takes zero locks:
+// epoch entry is an atomic add on shard si, the id an atomic counter,
+// the event and future pooled, and the future itself travels as the
+// completion token — nothing left to serialize.
+func (c *Cluster) submitAt(ctx context.Context, t *tpcc.Txn, si int32) (*Future, error) {
 	mask := txnMask(t)
-	e, si, err := c.enter(ctx, mask)
+	e, err := c.enterAt(ctx, si, mask)
 	if err != nil {
 		tpcc.FreeTxn(t)
 		return nil, err
@@ -1076,39 +1058,6 @@ func (c *Cluster) QueryRow(ctx context.Context, text string) *Row {
 	return &Row{cols: rows.cols, vals: vals}
 }
 
-// QueryAll executes a query and materializes the whole result as
-// [][]any rows (int64/float64/string cells).
-//
-// Deprecated: QueryAll is the previous Query signature, kept for one
-// release as a migration shim. Use Query (streaming Rows) or QueryRow
-// instead. For a bare COUNT(*) the first return is the count itself
-// (matching the old behavior); otherwise it is the number of rows.
-func (c *Cluster) QueryAll(ctx context.Context, text string) (int64, [][]any, error) {
-	rows, err := c.Query(ctx, text)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer rows.Close()
-	var out [][]any
-	for rows.Next() {
-		vals := make([]any, len(rows.Columns()))
-		ptrs := make([]any, len(vals))
-		for i := range vals {
-			ptrs[i] = &vals[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			return 0, nil, err
-		}
-		out = append(out, vals)
-	}
-	cols := rows.Columns()
-	if len(out) == 1 && len(cols) == 1 && cols[0] == "count" {
-		n, _ := out[0][0].(int64)
-		return n, nil, nil
-	}
-	return int64(len(out)), out, nil
-}
-
 // computeACs picks the pool that hosts a query's joins and final sink:
 // the ACs of the highest-numbered live server. Normally that is the
 // newest server — analytics get fresh compute, disaggregated from the
@@ -1193,8 +1142,7 @@ func (c *Cluster) registerQueryID(ctx context.Context, qid core.QueryID, si int3
 	if si < 0 {
 		si = c.shardIdx()
 	}
-	_, si, err := c.enterAt(ctx, si, queryMask)
-	if err != nil {
+	if _, err := c.enterAt(ctx, si, queryMask); err != nil {
 		return nil, err
 	}
 	ch := make(chan *olap.QueryResult, 1)

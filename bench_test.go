@@ -582,57 +582,3 @@ func BenchmarkPaymentDurable(b *testing.B) {
 		b.ReportMetric(float64(st.WALRecords)/float64(st.WALSyncs), "txns/fsync")
 	}
 }
-
-// BenchmarkSessionAffinity isolates what Session pinning buys on the
-// submission path: the same pipelined payment load driven through
-// per-goroutine Sessions (pinned shard, cached epoch, private future
-// freelist) versus the session-less entry points (per-call goroutine
-// fingerprint, shared future pool). Run with -cpu 1,4; the spread
-// between the two sub-benchmarks is the sessions' win.
-func BenchmarkSessionAffinity(b *testing.B) {
-	const window = 64
-	ctx := context.Background()
-	for _, sessioned := range []bool{true, false} {
-		name := "Session"
-		if !sessioned {
-			name = "Sessionless"
-		}
-		b.Run(name, func(b *testing.B) {
-			c := openBenchCluster(b)
-			b.ResetTimer()
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				submit := c.SubmitPayment
-				if sessioned {
-					s := c.Session()
-					defer s.Close()
-					submit = s.SubmitPayment
-				}
-				futs := make([]*anydb.Future, 0, window)
-				flush := func() {
-					for _, f := range futs {
-						if _, err := f.Wait(ctx); err != nil {
-							b.Error(err)
-						}
-					}
-					futs = futs[:0]
-				}
-				i := 0
-				for pb.Next() {
-					f, err := submit(ctx, anydb.Payment{
-						Warehouse: i % 4, District: 1 + i%4, Customer: 1 + i%100, Amount: 1,
-					})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if futs = append(futs, f); len(futs) == window {
-						flush()
-					}
-					i++
-				}
-				flush()
-			})
-		})
-	}
-}

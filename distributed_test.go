@@ -178,7 +178,7 @@ func TestDistributedPair(t *testing.T) {
 	}
 	// Both processes share this test binary's pools: a drained
 	// cross-process shutdown must leave zero outstanding pooled
-	// objects — the per-AC free lists count through the same balance.
+	// objects.
 	assertBalanced()
 }
 

@@ -195,10 +195,6 @@ func TestSessionAcrossMemberDeath(t *testing.T) {
 
 	// Block Waits in goroutines BEFORE the kill, so the typed error has
 	// to wake real waiters rather than being observed after the fact.
-	// These use cluster futures — session futures carry a single-
-	// goroutine Wait contract (they recycle onto the session freelist
-	// without atomics), so the session's own futures wait sequentially
-	// on the test goroutine below.
 	const inflight = 16
 	futs := make([]*anydb.Future, inflight)
 	for i := range futs {

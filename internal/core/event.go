@@ -154,20 +154,15 @@ func GetEvent() *Event {
 // data streams or re-sent (operator continuations) must not be freed.
 // Freeing is optional — events that miss their free (dropped delivery to
 // a killed AC, simulation runs) fall back to the GC.
+//
+// Every field a producer may have set is reset by an explicit store,
+// keeping the Need slice's capacity: the compiler would route
+// `*ev = Event{}` through memclr (the struct holds pointers), while
+// stores of mostly-already-zero fields cost a handful of moves.
 func FreeEvent(ev *Event) {
 	if trackPools.Load() {
 		eventBal.Add(-1)
 	}
-	ClearEvent(ev)
-	eventPool.Put(ev)
-}
-
-// ClearEvent resets every field an event producer may have set, keeping
-// the Need slice's capacity. Field stores beat a whole-struct zero here:
-// the compiler would route `*ev = Event{}` through memclr (the struct
-// holds pointers), while explicit stores of mostly-already-zero fields
-// cost a handful of moves.
-func ClearEvent(ev *Event) {
 	ev.Kind = 0
 	ev.Txn = 0
 	ev.Query = 0
@@ -177,24 +172,7 @@ func ClearEvent(ev *Event) {
 	ev.Payload = nil
 	ev.Client = nil
 	ev.Size = 0
-}
-
-// CountEventGet and CountEventFree maintain the leak-tracking balance
-// for event recycling that bypasses GetEvent/FreeEvent — the per-AC
-// free lists (oltp.Pools). Keeping the count through the bypass means
-// PoolBalances still proves every event reaches a free, whichever pool
-// it came from.
-func CountEventGet() {
-	if trackPools.Load() {
-		eventBal.Add(1)
-	}
-}
-
-// CountEventFree is the free-side counterpart of CountEventGet.
-func CountEventFree() {
-	if trackPools.Load() {
-		eventBal.Add(-1)
-	}
+	eventPool.Put(ev)
 }
 
 // DataMsg is one element of a data stream: a columnar batch, or a pure

@@ -78,12 +78,6 @@ type CommandLog interface {
 // coordination unless Routes.Coord redirects acks elsewhere.
 type Dispatcher struct {
 	DB *storage.Database
-	// Pools is the hosting AC's free-list set for events, segments,
-	// acks, and program blocks; it is shared with the Executor (and any
-	// Coordinator) registered on the same AC, so under aggregated
-	// routing the get/free cycle of a local transaction never touches a
-	// sync.Pool. nil (simulation runtime) uses the globals.
-	Pools *Pools
 	// cfg holds the active policy and routing atomically, so the engine
 	// can reroute at runtime (the paper's zero-downtime architecture
 	// shift) while AC goroutines dispatch concurrently.
@@ -194,14 +188,14 @@ func (d *Dispatcher) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 		id, client := ev.Txn, ev.Client
 		// The envelope is dead once admission has the txn (queued
 		// admissions keep the payload, never the event).
-		d.Pools.FreeEvent(ev)
+		core.FreeEvent(ev)
 		d.admit(ctx, cfg, id, txn, client)
 	case core.EvAck:
 		d.onAck(ctx, cfg, ev)
 	case core.EvLogDurable:
 		durable := ev.Seq
 		err, _ := ev.Payload.(error)
-		d.Pools.FreeEvent(ev)
+		core.FreeEvent(ev)
 		d.onLogDurable(ctx, cfg, durable, err)
 	default:
 		panic(fmt.Sprintf("oltp: dispatcher got %v", ev.Kind))
@@ -279,7 +273,7 @@ func (d *Dispatcher) failTxn(ctx core.Context, cfg *DispatchConfig, id core.TxnI
 	d.win.maybeFlush(ctx, cfg.Policy)
 	home := txn.HomeWarehouse()
 	tpcc.FreeTxn(txn)
-	sendTxnDone(ctx, d.Pools, id, false, home, client, err)
+	sendTxnDone(ctx, id, false, home, client, err)
 }
 
 // FlushBatch is the AC's batch-end hook (core.AC.OnBatchEnd) under
@@ -344,7 +338,7 @@ func (d *Dispatcher) failLog(ctx core.Context, cfg *DispatchConfig, err error) {
 // the scratch is free for the next transaction immediately.
 func (d *Dispatcher) dispatch(ctx core.Context, cfg *DispatchConfig, id core.TxnID, txn *tpcc.Txn, client any) {
 	var prog *paymentProgram
-	d.ops, prog = programInto(d.ops[:0], txn, d.Pools)
+	d.ops, prog = programInto(d.ops[:0], txn)
 	// The transaction parameters are fully compiled into the op program
 	// now; the txn itself dies here and is recycled for the next
 	// submission (both runtimes inject pooled txns).
@@ -393,7 +387,7 @@ func (d *Dispatcher) dispatch(ctx core.Context, cfg *DispatchConfig, id core.Txn
 				Ev:  d.segmentEvent(id, groups[i].ops, coord, total, client, prog),
 			})
 		}
-		seq := d.Pools.GetEvent()
+		seq := core.GetEvent()
 		seq.Kind, seq.Txn, seq.Payload = core.EvSeqStamp, id, batch
 		ctx.Send(cfg.Routes.Seq, seq)
 		return
@@ -405,10 +399,10 @@ func (d *Dispatcher) dispatch(ctx core.Context, cfg *DispatchConfig, id core.Txn
 
 // segmentEvent builds one pooled EvSegment event owning a copy of ops.
 func (d *Dispatcher) segmentEvent(id core.TxnID, ops []Op, coord core.ACID, total int, client any, prog *paymentProgram) *core.Event {
-	seg := d.Pools.getSegment()
+	seg := GetSegment()
 	seg.Ops = append(seg.Ops[:0], ops...)
 	seg.Coord, seg.Total, seg.Client, seg.Prog = coord, total, client, prog
-	ev := d.Pools.GetEvent()
+	ev := core.GetEvent()
 	ev.Kind, ev.Txn, ev.Payload, ev.Size = core.EvSegment, id, seg, seg.wireSize()
 	return ev
 }
@@ -417,14 +411,10 @@ func (d *Dispatcher) segmentEvent(id core.TxnID, ops []Op, coord core.ACID, tota
 // the consumer of the event frees the DoneInfo (FreeDoneInfo). Shared
 // by the dispatcher-embedded and dedicated-coordinator commit paths.
 // client is the submitter's completion token, handed back untouched.
-// The DoneInfo itself stays on the global pool (it dies client-side),
-// but the envelope comes from the AC's free lists: the real runtime
-// frees client-bound envelopes synchronously on the sending AC's
-// goroutine, so the event returns to the same lists.
-func sendTxnDone(ctx core.Context, pools *Pools, id core.TxnID, committed bool, home int, client any, err error) {
+func sendTxnDone(ctx core.Context, id core.TxnID, committed bool, home int, client any, err error) {
 	done := GetDoneInfo()
 	done.Committed, done.Home, done.Client, done.Err = committed, home, client, err
-	ev := pools.GetEvent()
+	ev := core.GetEvent()
 	ev.Kind, ev.Txn, ev.Payload = core.EvTxnDone, id, done
 	ctx.Send(core.ClientAC, ev)
 }
@@ -443,7 +433,7 @@ func route(cfg *DispatchConfig, op Op) core.ACID {
 }
 
 func (d *Dispatcher) onAck(ctx core.Context, cfg *DispatchConfig, ev *core.Event) {
-	id, ackHome, client, err, done := takeAck(ctx, d.Pools, d.pending, d.failed, ev)
+	id, ackHome, client, err, done := takeAck(ctx, d.pending, d.failed, ev)
 	if !done {
 		return
 	}
@@ -455,11 +445,11 @@ func (d *Dispatcher) onAck(ctx core.Context, cfg *DispatchConfig, ev *core.Event
 		d.Aborted.Inc()
 		d.win.observeAbort()
 		d.win.maybeFlush(ctx, cfg.Policy)
-		sendTxnDone(ctx, d.Pools, id, false, ackHome, client, err)
+		sendTxnDone(ctx, id, false, ackHome, client, err)
 	} else {
 		d.Committed.Inc()
 		d.win.observeCommit(false)
-		sendTxnDone(ctx, d.Pools, id, true, ackHome, client, nil)
+		sendTxnDone(ctx, id, true, ackHome, client, nil)
 	}
 	// Naive admission: release the home warehouse and start the next
 	// queued transaction.

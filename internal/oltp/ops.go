@@ -381,16 +381,16 @@ type paymentProgram struct {
 // ops reference freshly built operation values; the input transaction
 // is not retained beyond its Lines slices.
 func ProgramAppend(ops []Op, t *tpcc.Txn) []Op {
-	ops, _ = programInto(ops, t, nil)
+	ops, _ = programInto(ops, t)
 	return ops
 }
 
 // programInto is ProgramAppend plus the pooled payment block the ops
 // were carved from (nil for new-order programs, whose op shapes vary).
 // The dispatcher uses it to set the block's segment refcount and thread
-// the block through the segments for recycling. pools, when non-nil, is
-// the dispatching AC's free-list set for the program block.
-func programInto(ops []Op, t *tpcc.Txn, pools *Pools) ([]Op, *paymentProgram) {
+// the block through the segments for recycling (FreeSegment returns it
+// to progPool at the last segment's death).
+func programInto(ops []Op, t *tpcc.Txn) ([]Op, *paymentProgram) {
 	switch t.Kind {
 	case tpcc.TxnPayment:
 		p := t.Payment
@@ -398,7 +398,9 @@ func programInto(ops []Op, t *tpcc.Txn, pools *Pools) ([]Op, *paymentProgram) {
 		if p.ByLast {
 			cref = -int64(p.Last) - 1
 		}
-		pp := pools.getProg()
+		// Every field of the pooled block is overwritten here; refs is
+		// re-armed by the dispatcher once it knows the segment count.
+		pp := progPool.Get().(*paymentProgram)
 		pp.w = UpdateWarehouseYTD{W: p.W, Amount: p.Amount}
 		pp.d = UpdateDistrictYTD{W: p.W, D: p.D, Amount: p.Amount}
 		pp.c = PayCustomer{W: p.CW, D: p.CD, C: p.C, ByLast: p.ByLast, Last: p.Last, Amount: p.Amount}

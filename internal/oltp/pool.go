@@ -1,10 +1,6 @@
 package oltp
 
-import (
-	"sync"
-
-	"anydb/internal/core"
-)
+import "sync"
 
 // Pools for the OLTP hot-path payloads. Every transaction allocates a
 // Segment per routed group, an Ack per segment, and a DoneInfo — with
@@ -21,163 +17,50 @@ var (
 	progPool = sync.Pool{New: func() any { return new(paymentProgram) }}
 )
 
-// Pools is one AC's private free-list set for the single-consumer OLTP
-// payloads and their event envelopes. Under aggregated routing the same
-// AC that gets an object frees it within the same drain loop (the
-// dispatcher builds a segment, the owner-executor consumes it, the
-// embedded coordinator counts the ack), so a plain slice with no
-// atomics recycles objects for free — the sync.Pool pushHead/popHead
-// CAS traffic disappears from the submit path. The global pools remain
-// as spill/fill: an empty list falls through to them and a full one
-// overflows into them, so objects still migrate correctly when producer
-// and consumer land on different ACs (fine-grained policies, transport
-// peers). A nil *Pools (simulation runtime, wire codecs) is valid and
-// uses the global pools directly.
-//
-// All behaviors registered on one AC share one Pools value; it must
-// only be touched from that AC's goroutine.
-type Pools struct {
-	events []*core.Event
-	segs   []*Segment
-	acks   []*Ack
-	progs  []*paymentProgram
-}
+// GetSegment returns a pooled Segment: the dispatcher builds one per
+// routed group, and the wire decode path materializes segments off the
+// wire (the transport peer plays the dispatcher's role for remotely
+// executed segments).
+func GetSegment() *Segment { return segPool.Get().(*Segment) }
 
-// poolsCap bounds each per-AC list; overflow spills to the globals.
-const poolsCap = 256
-
-// GetEvent returns a recycled event envelope, falling back to the
-// global event pool. Leak accounting is preserved through the bypass.
-func (p *Pools) GetEvent() *core.Event {
-	if p != nil {
-		if n := len(p.events) - 1; n >= 0 {
-			ev := p.events[n]
-			p.events[n] = nil
-			p.events = p.events[:n]
-			core.CountEventGet()
-			return ev
-		}
-	}
-	return core.GetEvent()
-}
-
-// FreeEvent recycles ev into the AC-local list (or the global pool when
-// the list is full or p is nil). Same ownership contract as
-// core.FreeEvent.
-func (p *Pools) FreeEvent(ev *core.Event) {
-	if p != nil && len(p.events) < poolsCap {
-		core.ClearEvent(ev)
-		core.CountEventFree()
-		p.events = append(p.events, ev)
-		return
-	}
-	core.FreeEvent(ev)
-}
-
-func (p *Pools) getSegment() *Segment {
-	if p != nil {
-		if n := len(p.segs) - 1; n >= 0 {
-			s := p.segs[n]
-			p.segs[n] = nil
-			p.segs = p.segs[:n]
-			return s
-		}
-	}
-	return segPool.Get().(*Segment)
-}
-
-// freeSegment recycles a fully executed segment, keeping the Ops
-// capacity. The op references are cleared so the program block of the
-// owning transaction is not pinned by the pool; if this was the last
-// segment holding the transaction's pooled payment-program block, the
-// block is recycled too (its ops all ran — the refcount is the number
-// of routed segments, decremented here at each segment's death).
-func (p *Pools) freeSegment(s *Segment) {
+// FreeSegment recycles a fully executed segment (or the encode side's
+// local copy once the frame is written), keeping the Ops capacity. The
+// op references are cleared so the program block of the owning
+// transaction is not pinned by the pool; if this was the last segment
+// holding the transaction's pooled payment-program block, the block is
+// recycled too (its ops all ran — the refcount is the number of routed
+// segments, decremented here at each segment's death).
+func FreeSegment(s *Segment) {
 	clear(s.Ops)
 	s.Ops = s.Ops[:0]
 	if prog := s.Prog; prog != nil {
 		s.Prog = nil
 		if prog.refs.Add(-1) == 0 {
-			p.freeProg(prog)
+			progPool.Put(prog)
 		}
 	}
 	s.Coord = 0
 	s.Total = 0
 	s.Client = nil
-	if p != nil && len(p.segs) < poolsCap {
-		p.segs = append(p.segs, s)
-		return
-	}
 	segPool.Put(s)
 }
 
-// getProg returns a payment-program block. Every field is fully
-// overwritten by the builder, and refs is re-armed by the dispatcher
-// once it knows the segment count.
-func (p *Pools) getProg() *paymentProgram {
-	if p != nil {
-		if n := len(p.progs) - 1; n >= 0 {
-			pr := p.progs[n]
-			p.progs[n] = nil
-			p.progs = p.progs[:n]
-			return pr
-		}
-	}
-	return progPool.Get().(*paymentProgram)
-}
+// GetAck returns a pooled Ack (executors, and wire decode paths).
+func GetAck() *Ack { return ackPool.Get().(*Ack) }
 
-func (p *Pools) freeProg(pr *paymentProgram) {
-	if p != nil && len(p.progs) < poolsCap {
-		p.progs = append(p.progs, pr)
-		return
-	}
-	progPool.Put(pr)
-}
-
-func (p *Pools) getAck() *Ack {
-	if p != nil {
-		if n := len(p.acks) - 1; n >= 0 {
-			a := p.acks[n]
-			p.acks[n] = nil
-			p.acks = p.acks[:n]
-			return a
-		}
-	}
-	return ackPool.Get().(*Ack)
-}
-
-func (p *Pools) freeAck(a *Ack) {
+// FreeAck recycles an ack at the coordinator that counted it, or at the
+// wire codec that encoded it.
+func FreeAck(a *Ack) {
 	a.Total = 0
 	a.Home = 0
 	a.Client = nil
 	a.Err = nil
-	if p != nil && len(p.acks) < poolsCap {
-		p.acks = append(p.acks, a)
-		return
-	}
 	ackPool.Put(a)
 }
-
-// GetSegment returns a pooled Segment for decode paths that materialize
-// segments off the wire (the transport peer plays the dispatcher's role
-// for remotely executed segments).
-func GetSegment() *Segment { return (*Pools)(nil).getSegment() }
-
-// FreeSegment recycles a segment owned by a wire codec (the encode side
-// frees its local copy once the frame is written).
-func FreeSegment(s *Segment) { (*Pools)(nil).freeSegment(s) }
-
-// GetAck returns a pooled Ack for wire decode paths.
-func GetAck() *Ack { return (*Pools)(nil).getAck() }
-
-// FreeAck recycles an ack owned by a wire codec.
-func FreeAck(a *Ack) { (*Pools)(nil).freeAck(a) }
 
 // GetDoneInfo returns a zeroed DoneInfo from the pool. The dispatch side
 // allocates it; whoever consumes the EvTxnDone (the anydb client
 // callback) frees it with FreeDoneInfo once the outcome is recorded.
-// DoneInfos cross the AC/client boundary by design, so they stay on the
-// global pool rather than any AC-local list.
 func GetDoneInfo() *DoneInfo { return donePool.Get().(*DoneInfo) }
 
 // FreeDoneInfo recycles d. Callers must not touch d afterwards.

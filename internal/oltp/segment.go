@@ -63,9 +63,6 @@ type DoneInfo struct {
 // any locking (§3.3).
 type Executor struct {
 	DB *storage.Database
-	// Pools is the hosting AC's free-list set, shared with every other
-	// behavior on that AC; nil uses the global pools.
-	Pools *Pools
 	// Executed counts segments for observability.
 	Executed int64
 
@@ -98,19 +95,17 @@ func (x *Executor) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
 	}
 	x.undo.Commit()
 	x.Executed++
-	ack := x.Pools.getAck()
+	ack := GetAck()
 	ack.Total, ack.Client = seg.Total, seg.Client
 	if len(seg.Ops) > 0 {
 		ack.Home = seg.Ops[0].Warehouse()
 	}
-	coord, id := seg.Coord, ev.Txn
-	// The segment and its envelope die here; the ack rides a fresh
-	// pooled event.
-	x.Pools.freeSegment(seg)
-	x.Pools.FreeEvent(ev)
-	ackEv := x.Pools.GetEvent()
-	ackEv.Kind, ackEv.Txn, ackEv.Payload = core.EvAck, id, ack
-	ctx.Send(coord, ackEv)
+	coord := seg.Coord
+	// The segment dies here; its envelope carries the ack back (same
+	// Txn; the coordinator frees it).
+	FreeSegment(seg)
+	ev.Kind, ev.Payload, ev.Seq, ev.Size = core.EvAck, ack, 0, 0
+	ctx.Send(coord, ev)
 }
 
 // Coordinator is the commit-coordination behavior: it counts segment
@@ -119,8 +114,6 @@ func (x *Executor) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
 // executors' critical path; in the other policies the dispatcher embeds
 // the same logic.
 type Coordinator struct {
-	// Pools is the hosting AC's free-list set; nil uses the globals.
-	Pools   *Pools
 	pending map[core.TxnID]int
 	failed  map[core.TxnID]error
 	// win accumulates the telemetry window (commit-side signals).
@@ -150,7 +143,7 @@ func (c *Coordinator) SetTelemetry(t Telemetry) { c.win.SetTelemetry(t) }
 // fully acked. A failure ack (synthetic, from the dead-member path)
 // poisons the transaction: when the count converges, err carries the
 // first failure and the caller completes the transaction as failed.
-func takeAck(ctx core.Context, pools *Pools, pending map[core.TxnID]int, failed map[core.TxnID]error, ev *core.Event) (id core.TxnID, home int, client any, err error, done bool) {
+func takeAck(ctx core.Context, pending map[core.TxnID]int, failed map[core.TxnID]error, ev *core.Event) (id core.TxnID, home int, client any, err error, done bool) {
 	ack := ev.Payload.(*Ack)
 	ctx.Charge(ctx.Costs().AckProcess)
 	var total int
@@ -160,8 +153,8 @@ func takeAck(ctx core.Context, pools *Pools, pending map[core.TxnID]int, failed 
 			failed[id] = ack.Err
 		}
 	}
-	pools.freeAck(ack)
-	pools.FreeEvent(ev)
+	FreeAck(ack)
+	core.FreeEvent(ev)
 	got := pending[id] + 1
 	if got < total {
 		pending[id] = got
@@ -177,13 +170,13 @@ func takeAck(ctx core.Context, pools *Pools, pending map[core.TxnID]int, failed 
 
 // OnEvent implements core.Behavior for EvAck.
 func (c *Coordinator) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
-	id, ackHome, client, err, done := takeAck(ctx, c.Pools, c.pending, c.failed, ev)
+	id, ackHome, client, err, done := takeAck(ctx, c.pending, c.failed, ev)
 	if !done {
 		return
 	}
 	ctx.Charge(ctx.Costs().TxnCommit)
 	if err != nil {
-		sendTxnDone(ctx, c.Pools, id, false, ackHome, client, err)
+		sendTxnDone(ctx, id, false, ackHome, client, err)
 		return
 	}
 	c.Committed.Inc()
@@ -191,5 +184,5 @@ func (c *Coordinator) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
 	// advance on commits (it never sees admissions).
 	c.win.observeCommit(true)
 	c.win.maybeFlush(ctx, StreamingCC)
-	sendTxnDone(ctx, c.Pools, id, true, ackHome, client, nil)
+	sendTxnDone(ctx, id, true, ackHome, client, nil)
 }

@@ -98,13 +98,11 @@ func ServeNode(ctx context.Context, addr string) error {
 		Dispatch: ctrl[0], Seq: ctrl[1], Coord: ctrl[2],
 	}
 	setup := func(ac *core.AC) {
-		pools := &oltp.Pools{}
-		ac.Register(core.EvSegment, &oltp.Executor{DB: db, Pools: pools})
+		ac.Register(core.EvSegment, &oltp.Executor{DB: db})
 		ac.Register(core.EvInstallOp, &olap.Worker{DB: db})
 		ac.Register(core.EvQuery, &plan.QO{Topo: topo})
 		ac.Register(core.EvSeqStamp, &core.Sequencer{})
 		d := oltp.NewDispatcher(oltp.SharedNothing, db, route.For(oltp.SharedNothing, lay))
-		d.Pools = pools
 		ac.Register(core.EvTxn, d)
 		ac.Register(core.EvAck, d)
 	}

@@ -3,42 +3,29 @@ package anydb
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 
-	"anydb/internal/core"
-	"anydb/internal/oltp"
-	"anydb/internal/route"
 	"anydb/internal/tpcc"
 )
 
 // ErrSessionClosed is returned by every Session method after Close.
 var ErrSessionClosed = errors.New("anydb: session closed")
 
-// sessFutureCap bounds a session's private future freelist; overflow
-// spills to the shared cluster pool.
-const sessFutureCap = 512
-
-// Session is a client's pinned, pooled handle onto the submission plane.
+// Session is a client's pinned handle onto the submission plane: one
+// submission shard, chosen at open, and a closed flag — nothing else.
 // The session-less Submit*/Query entry points fingerprint the calling
-// goroutine per call to pick an in-flight shard and revalidate the
-// submission epoch from scratch every time; a Session resolves all of
-// that once at open:
+// goroutine per call to pick the in-flight shard; a Session picks its
+// shard once (round-robin over the shard set, so concurrent sessions
+// spread across the counters) and from there runs the very same
+// submission path. Epoch transitions (SetPolicy, Rebalance) and gated
+// partition moves park and resume a session's submissions exactly like
+// anyone else's.
 //
-//   - it is pinned to one submission shard (round-robin over the shard
-//     set, so concurrent sessions spread across the counters);
-//   - it caches the current submission epoch and re-validates it with
-//     one pointer compare per submit — only an actual epoch transition
-//     (SetPolicy, Rebalance, Close) takes the slow path, which re-pins
-//     the session to the successor epoch;
-//   - it recycles its Futures through a private freelist with no
-//     atomics, instead of the shared sync.Pool.
-//
-// A Session is NOT safe for concurrent use: all calls on it — and Wait
-// on the futures it issued — must come from one goroutine at a time.
-// For parallel load, open one session per worker goroutine (sessions
-// are cheap and pooled). The session-less entry points remain available
-// and fully concurrent-safe; both paths can be mixed freely on one
-// cluster.
+// A Session is NOT safe for concurrent use: calls on it must come from
+// one goroutine at a time. The Futures it issues are ordinary futures —
+// they may be handed to and Waited on by any goroutine, and they stay
+// valid after the session closes. For parallel load, open one session
+// per worker goroutine. The session-less entry points remain available
+// and fully concurrent-safe; both can be mixed freely on one cluster.
 //
 //	s := cluster.Session()
 //	defer s.Close()
@@ -47,98 +34,23 @@ const sessFutureCap = 512
 //		...
 //	}
 type Session struct {
-	c     *Cluster
-	shard int32
-	// epoch is the cached submission epoch; the fast path holds no
-	// reference count on it (counts live in the cluster-lifetime
-	// shards), so a stale pointer is only ever a missed fast path.
-	epoch *submitEpoch
-	// free is the private future freelist. Only the session goroutine
-	// touches it (Session methods and Future.Wait's park).
-	free []*Future
-	// gen guards cross-goroutine future returns: Close bumps it, so a
-	// future issued before Close can never land on the freelist of a
-	// later incarnation of this pooled session. Read concurrently by
-	// stale futures' park — hence atomic — but only the session
-	// goroutine writes it.
-	gen    atomic.Uint32
+	c      *Cluster
+	shard  int32
 	closed bool
 }
 
-// Session opens a pooled client session. The returned session is pinned
-// to a submission shard and the current routing epoch; see the type
-// documentation for the concurrency contract. Sessions may outlive
-// policy switches and rebalances (they re-pin transparently) but not
-// the cluster: after Cluster.Close every method returns ErrClosed.
+// Session opens a client session pinned to one submission shard; see
+// the type documentation for the concurrency contract. Sessions may
+// outlive policy switches and rebalances but not the cluster: after
+// Cluster.Close every method returns ErrClosed.
 func (c *Cluster) Session() *Session {
-	var s *Session
-	if v := c.sessPool.Get(); v != nil {
-		s = v.(*Session)
-		s.closed = false
-	} else {
-		s = &Session{c: c}
-	}
-	s.shard = int32(c.nextSess.Add(1)) & c.shardMask
-	s.epoch = c.sub.Load()
-	return s
+	return &Session{c: c, shard: int32(c.nextSess.Add(1)) & c.shardMask}
 }
 
-// Close returns the session to the cluster's pool. Futures still in
-// flight stay valid — they detach from the session (generation bump)
-// and recycle through the shared pool instead. Closing twice is a no-op.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.gen.Add(1)
-	for i, f := range s.free {
-		f.sess = nil
-		s.free[i] = nil
-		s.c.futPool.Put(f)
-	}
-	s.free = s.free[:0]
-	s.c.sessPool.Put(s)
-}
-
-// getFuture issues a future from the session freelist, falling back to
-// the shared pool.
-func (s *Session) getFuture() *Future {
-	if n := len(s.free) - 1; n >= 0 {
-		f := s.free[n]
-		s.free[n] = nil
-		s.free = s.free[:n]
-		f.state.Store(futPending)
-		return f
-	}
-	f := s.c.getFuture()
-	f.sess, f.sgen = s, s.gen.Load()
-	return f
-}
-
-// enter joins the cached epoch with one in-flight count held on the
-// session's pinned shard. The fast path is two atomic adds (shard +
-// warehouse bits), three loads and a pointer compare; any mismatch —
-// epoch transition, partition gate on our warehouses — backs out and
-// takes the cluster's generic parked path, then re-pins the session to
-// whatever epoch it ends up admitted under.
-func (s *Session) enter(ctx context.Context, mask uint64) (*submitEpoch, error) {
-	c := s.c
-	e := s.epoch
-	c.addInflight(s.shard, mask, 1)
-	g := c.gate.Load()
-	if (g == nil || g.mask&mask == 0) && e == c.sub.Load() && !e.closed.Load() {
-		return e, nil
-	}
-	c.addInflight(s.shard, mask, -1)
-	c.pingDrainer()
-	e, _, err := c.enterAt(ctx, s.shard, mask)
-	if err != nil {
-		return nil, err
-	}
-	s.epoch = e // re-pin to the epoch that admitted us
-	return e, nil
-}
+// Close marks the session closed: every later method returns
+// ErrSessionClosed. Futures still in flight stay valid. Closing twice is
+// a no-op, and a closed handle can never affect another session.
+func (s *Session) Close() { s.closed = true }
 
 // SubmitPayment enqueues a payment transaction on this session; see
 // Cluster.SubmitPayment for the pipelining and Future semantics.
@@ -174,31 +86,14 @@ func (s *Session) NewOrder(no NewOrder) (bool, error) {
 	return f.Wait(context.Background())
 }
 
-// submit is the sessioned transaction entry: Cluster.submit with the
-// shard pick, epoch validation and future issue resolved session-side.
+// submit is the sessioned transaction entry: the cluster's one submit
+// path on the session's pinned shard.
 func (s *Session) submit(ctx context.Context, t *tpcc.Txn) (*Future, error) {
 	if s.closed {
 		tpcc.FreeTxn(t)
 		return nil, ErrSessionClosed
 	}
-	c := s.c
-	mask := txnMask(t)
-	e, err := s.enter(ctx, mask)
-	if err != nil {
-		tpcc.FreeTxn(t)
-		return nil, err
-	}
-	id := core.TxnID(c.nextTxn.Add(1))
-	f := s.getFuture()
-	f.shard, f.mask = s.shard, mask
-	entry := route.Entry(oltp.Policy(e.policy), c.lay, t.HomeWarehouse())
-	if c.remoteACs != nil && c.remoteACs[entry] {
-		entry = c.lay.Dispatch
-	}
-	ev := core.GetEvent()
-	ev.Kind, ev.Txn, ev.Payload, ev.Client = core.EvTxn, id, t, f
-	c.eng.Inject(entry, ev)
-	return f, nil
+	return s.c.submitAt(ctx, t, s.shard)
 }
 
 // Query executes a read-only SQL query on this session; semantics match

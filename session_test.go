@@ -3,6 +3,7 @@ package anydb_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestSessionClosed(t *testing.T) {
 	s.Close()
 	s.Close() // double close is a no-op
 
-	// The in-flight future detached from the session and still resolves.
+	// The in-flight future outlives the session and still resolves.
 	if ok, err := f.Wait(ctx); err != nil || !ok {
 		t.Fatalf("pre-close future: ok=%v err=%v", ok, err)
 	}
@@ -89,11 +90,90 @@ func TestSessionClosed(t *testing.T) {
 	}
 }
 
+// TestSessionStaleHandleDoesNotAlias: a handle that was already closed
+// is inert — closing it again after another session was opened must not
+// close that other session.
+func TestSessionStaleHandleDoesNotAlias(t *testing.T) {
+	c := openWide(t, anydb.Config{})
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		s1 := c.Session()
+		s1.Close()
+		s2 := c.Session()
+		s1.Close()
+		f, err := s2.SubmitPayment(ctx, anydb.Payment{Warehouse: 1, District: 1, Customer: 1, Amount: 1})
+		if err != nil {
+			t.Fatalf("iteration %d: stale Close reached the next session: %v", i, err)
+		}
+		if ok, err := f.Wait(ctx); err != nil || !ok {
+			t.Fatalf("iteration %d: ok=%v err=%v", i, ok, err)
+		}
+		s2.Close()
+	}
+}
+
+// TestSessionFuturesWaitedElsewhere: futures issued by a session are
+// goroutine-free. One goroutine submits 64-deep windows on a session
+// while another Waits on them — one Wait per window abandoned through
+// an already-cancelled context — and the session closes with futures
+// still in flight. Every non-abandoned Wait must commit, and a drained
+// Close must leave the pools balanced.
+func TestSessionFuturesWaitedElsewhere(t *testing.T) {
+	assertBalanced := trackPools(t)
+	c := openWide(t, anydb.Config{})
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+
+	const window, rounds = 64, 4
+	handoff := make(chan *anydb.Future, window)
+	waited := make(chan error, 1)
+	go func() {
+		n := 0
+		for f := range handoff {
+			wctx := ctx
+			if n++; n%window == 0 {
+				wctx = cancelled
+			}
+			ok, err := f.Wait(wctx)
+			if errors.Is(err, context.Canceled) {
+				continue // abandoned: the payment still completes
+			}
+			if err != nil || !ok {
+				waited <- fmt.Errorf("future %d: ok=%v err=%v", n, ok, err)
+				return
+			}
+		}
+		waited <- nil
+	}()
+
+	s := c.Session()
+	for i := 0; i < window*rounds; i++ {
+		f, err := s.SubmitPayment(ctx, anydb.Payment{
+			Warehouse: i % 8, District: 1 + i%2, Customer: 1 + i%50, Amount: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handoff <- f
+	}
+	s.Close() // the waiter is still draining the last window
+	close(handoff)
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Stats().UnmatchedDone; n != 0 {
+		t.Fatalf("UnmatchedDone = %d, want 0", n)
+	}
+	c.Close()
+	assertBalanced()
+}
+
 // TestSessionPolicyChurn: sessions opened before a wave of SetPolicy
-// switches keep submitting through every epoch transition — each
-// switch invalidates the cached epoch, so every worker exercises the
-// re-pin path many times. Run under -race this also proves the
-// freelist recycling never crosses goroutines.
+// switches keep submitting through every epoch transition.
 func TestSessionPolicyChurn(t *testing.T) {
 	assertBalanced := trackPools(t)
 	c := openWide(t, anydb.Config{})
@@ -165,8 +245,8 @@ func TestSessionPolicyChurn(t *testing.T) {
 
 // TestSessionRebalanceRepins: a session hammering one warehouse keeps
 // flowing while that exact warehouse is moved between servers — the
-// partition gate forces the session's fast path to back out, park, and
-// re-pin, and every submission must still commit exactly once.
+// partition gate parks its submissions, and every one must still commit
+// exactly once.
 func TestSessionRebalanceRepins(t *testing.T) {
 	c := openWide(t, anydb.Config{Servers: 2})
 	ctx := context.Background()

@@ -123,10 +123,10 @@ func newEpoch(p Policy) *submitEpoch {
 
 // shardIdx picks the calling goroutine's submission shard. The address
 // of a stack variable is a cheap goroutine fingerprint (stacks are
-// distinct allocations, ≥2KiB apart), giving each session goroutine a
+// distinct allocations, ≥2KiB apart), giving each calling goroutine a
 // stable shard without runtime hooks; correctness never depends on the
-// mapping — enter records the index it incremented and the completion
-// decrements exactly that shard.
+// mapping — the future (or query registration) records the index that
+// was incremented and the completion decrements exactly that shard.
 func (c *Cluster) shardIdx() int32 {
 	var marker byte
 	return int32(uintptr(unsafe.Pointer(&marker))>>10) & c.shardMask
@@ -145,20 +145,15 @@ func (c *Cluster) addInflight(si int32, mask uint64, delta int64) {
 	}
 }
 
-// enter joins the current epoch, returning it with one in-flight count
-// held on shard si for the given warehouse mask. The uncontended path
-// is lock-free: a few atomic adds, three atomic loads. While an epoch
-// drain — or a partition handoff touching mask — is in progress it
-// parks until the plane (or the partition) reopens; ctx cancellation
-// abandons the attempt and ErrClosed reports a cluster that will never
-// reopen.
-func (c *Cluster) enter(ctx context.Context, mask uint64) (e *submitEpoch, si int32, err error) {
-	return c.enterAt(ctx, c.shardIdx(), mask)
-}
-
-// enterAt is enter with the shard chosen by the caller — sessions pin
-// theirs at open instead of fingerprinting the goroutine per call.
-func (c *Cluster) enterAt(ctx context.Context, si int32, mask uint64) (e *submitEpoch, _ int32, err error) {
+// enterAt joins the current epoch, returning it with one in-flight
+// count held on shard si for the given warehouse mask. The caller
+// chooses the shard: a session's pinned one, or shardIdx for
+// session-less callers. The uncontended path is lock-free: a few atomic
+// adds, three atomic loads. While an epoch drain — or a partition
+// handoff touching mask — is in progress it parks until the plane (or
+// the partition) reopens; ctx cancellation abandons the attempt and
+// ErrClosed reports a cluster that will never reopen.
+func (c *Cluster) enterAt(ctx context.Context, si int32, mask uint64) (e *submitEpoch, err error) {
 	for {
 		e = c.sub.Load()
 		// Increment first, then check the flags: a drainer sets its flag
@@ -171,7 +166,7 @@ func (c *Cluster) enterAt(ctx context.Context, si int32, mask uint64) (e *submit
 			g = nil // a move is in progress, but not on our partitions
 		}
 		if !e.closed.Load() && g == nil {
-			return e, si, nil
+			return e, nil
 		}
 		c.addInflight(si, mask, -1)
 		c.pingDrainer()
@@ -179,18 +174,18 @@ func (c *Cluster) enterAt(ctx context.Context, si int32, mask uint64) (e *submit
 			select {
 			case <-e.reopen:
 			case <-ctx.Done():
-				return nil, 0, ctx.Err()
+				return nil, ctx.Err()
 			case <-c.closedCh:
-				return nil, 0, ErrClosed
+				return nil, ErrClosed
 			}
 			continue
 		}
 		select {
 		case <-g.reopen:
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return nil, ctx.Err()
 		case <-c.closedCh:
-			return nil, 0, ErrClosed
+			return nil, ErrClosed
 		}
 	}
 }
