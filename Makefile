@@ -41,12 +41,13 @@ bench-submit:
 	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 0.3s ./internal/olap
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput
-# on the evolving workload. CI uploads BENCH_PR10.json as an artifact,
-# and benchdata/ keeps the committed per-PR trajectory points for
-# comparison. Deterministic virtual-time runs — the short phase keeps
-# it a smoke, shapes are scale-invariant.
+# on the evolving workload, gated byte for byte against the committed
+# benchdata/BENCH_determinism.json (CI uploads the fresh copy as an
+# artifact). Deterministic virtual-time runs — the short phase keeps it
+# a smoke, shapes are scale-invariant.
 bench-json:
-	$(GO) run ./cmd/anydb-bench -phase-ms 6 -json BENCH_PR10.json
+	$(GO) run ./cmd/anydb-bench -phase-ms 6 -json BENCH_determinism.json
+	cmp BENCH_determinism.json benchdata/BENCH_determinism.json
 
 # The repo's benchmark (BENCHMARK.json, benchmark/) is its own module
 # and links internal packages, so `go test ./...` at the root never
@@ -120,6 +121,6 @@ loc:
 # Remove generated build/bench artifacts (everything .gitignore lists).
 clean:
 	rm -f cpu.prof mem.prof mutex.prof anydb-profile.test anydbd \
-		BENCH_PR*.json
+		BENCH_determinism.json
 
 ci: fmt vet build race bench

@@ -183,14 +183,11 @@ type Cluster struct {
 	cfg   tpcc.Config
 	cores int // cores per server, for elastic growth
 
-	execs []core.ACID
-	ctrl  []core.ACID
-	// lay names the AC roles for internal/route: the first server's ACs
-	// are the record-class executors and partition owners; the control
-	// server hosts dispatch, sequencing and commit coordination. Built
-	// once in Open (the role ACs never change; growth only adds compute
-	// servers) so the submission hot path allocates nothing for it.
-	lay route.Layout
+	// asm builds every AC (Open and AddServer hand it to the engine),
+	// holds the dispatcher registry and the active routing policy, and
+	// names the AC roles: asm.Lay is fixed once built, so the submission
+	// hot path reads it without a lock.
+	asm *route.Assembly
 
 	// The submission plane (see submit.go). shards holds the global
 	// in-flight counters (transactions AND analytical queries — a drain
@@ -217,6 +214,9 @@ type Cluster struct {
 	closeDrained chan struct{}
 	closeDone    chan struct{}
 
+	// Every submission bumps nextTxn; the pad keeps that write off the
+	// cache line of the fields above that every entry reads (sub, gate).
+	_       [64]byte
 	nextTxn atomic.Uint64
 	nextQ   atomic.Uint64
 
@@ -227,13 +227,10 @@ type Cluster struct {
 	qMu   sync.Mutex
 	qWait map[core.QueryID]*queryWait
 
-	// mu guards the remaining slow-path state: the dispatcher registry
-	// (grown servers register while switches reconfigure), the policy
-	// those dispatchers were last configured with, the adaptation log
-	// and decision queue, and the Events subscribers.
-	mu        sync.Mutex
-	curPolicy Policy
-	dispers   map[core.ACID]*oltp.Dispatcher
+	// mu guards the remaining slow-path state: the adaptation log and
+	// decision queue, the grown placement pool, and the Events
+	// subscribers.
+	mu sync.Mutex
 	// subs are live Events subscribers; a subscriber detaches when its
 	// context ends (reaped lazily at the next publish) and all remaining
 	// channels close on Close.
@@ -247,11 +244,10 @@ type Cluster struct {
 	// concurrent sessions spread over the counters.
 	nextSess atomic.Uint32
 
-	// Self-driving state (Config.AutoAdapt). Decisions queue under mu
-	// and the applier is kicked via decKick: the controller assumes
-	// every emitted decision is applied (it tracks the policy it chose),
-	// so none may be dropped.
-	adaptCtrl     *adapt.Controller
+	// Self-driving state (Config.AutoAdapt; the controller is asm.Ctrl).
+	// Decisions queue under mu and the applier is kicked via decKick:
+	// the controller assumes every emitted decision is applied (it
+	// tracks the policy it chose), so none may be dropped.
 	autoAdapt     bool
 	autoRebalance bool
 	adaptLog      []AdaptationEvent
@@ -289,13 +285,12 @@ type Cluster struct {
 	rpcWait   map[uint64]chan any
 
 	// Durability plane (Config.Durability != DurabilityOff): the one
-	// command log every dispatcher appends to, its device, and the
-	// writer goroutine wal.Logger.Start runs (logDurable is its notify).
-	// walApplied counts replayed transactions — when nonzero on a
-	// multi-process cluster, the head pushes the replayed partitions to
+	// command log every dispatcher appends to (asm.Log), its device, and
+	// the writer goroutine wal.Logger.Start runs (logDurable is its
+	// notify). walApplied counts replayed transactions — when nonzero on
+	// a multi-process cluster, the head pushes the replayed partitions to
 	// joining members (they repopulate from the seed and would otherwise
 	// miss recovered state).
-	durability Durability
 	walDev     *wal.FileDevice
 	walLog     *wal.Logger
 	walApplied int
@@ -349,6 +344,18 @@ var ErrClosed = errors.New("anydb: cluster closed")
 // home to the head and subsequent submissions succeed.
 var ErrMemberDown = errors.New("anydb: cluster member down")
 
+// newDatabase builds the seed database every process of a cluster starts
+// from — the head in Open, each member in ServeNode: deterministic in
+// (config, seed), with statistics for the SQL planner (partition 0 is
+// representative: population is symmetric across warehouses).
+func newDatabase(tc tpcc.Config) *storage.Database {
+	db, _ := tpcc.NewDatabase(tc)
+	for _, tn := range db.Catalog.Tables() {
+		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
+	}
+	return db
+}
+
 // Open populates the database and starts the AC goroutines.
 func Open(cfg Config) (*Cluster, error) {
 	tc := tpcc.Config{
@@ -368,12 +375,10 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.CoresPerServer < 4 {
 		return nil, fmt.Errorf("anydb: CoresPerServer = %d, need at least 4 (the control server hosts the dispatcher, sequencer, coordinator and query-optimizer roles)", cfg.CoresPerServer)
 	}
-	db := storage.NewDatabase(tc.Warehouses, tpcc.Schemas()...)
-	tpcc.Populate(db, tc)
+	db := newDatabase(tc)
 
 	c := &Cluster{
 		db: db, cfg: tc, cores: cfg.CoresPerServer,
-		dispers:      make(map[core.ACID]*oltp.Dispatcher),
 		qWait:        make(map[core.QueryID]*queryWait),
 		drainWake:    make(chan struct{}, 1),
 		closedCh:     make(chan struct{}),
@@ -388,7 +393,6 @@ func Open(cfg Config) (*Cluster, error) {
 		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("anydb: WALDir: %w", err)
 		}
-		c.durability = cfg.Durability
 		// Recovery: replay every existing log into the freshly populated
 		// database before any AC serves traffic. The shared log records
 		// one global append order; it preserves each dispatcher's
@@ -402,11 +406,6 @@ func Open(cfg Config) (*Cluster, error) {
 		if err := c.replayWAL(cfg.WALDir); err != nil {
 			return nil, err
 		}
-	}
-	// Statistics for the SQL planner (partition 0 is representative:
-	// population is symmetric across warehouses).
-	for _, tn := range db.Catalog.Tables() {
-		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
 	}
 	c.heartbeat = cfg.HeartbeatInterval
 	if c.heartbeat == 0 {
@@ -436,12 +435,15 @@ func Open(cfg Config) (*Cluster, error) {
 	c.whCounts = make([]atomic.Int64, nshards*whSlots)
 	c.sub.Store(newEpoch(SharedNothing))
 	c.topo = core.NewTopology(db)
-	c.execs = c.topo.AddServer(cfg.CoresPerServer)
-	c.ctrl = c.topo.AddServer(cfg.CoresPerServer)
-	for s := 2; s < cfg.Servers; s++ {
+	for s := 0; s < cfg.Servers; s++ {
 		c.topo.AddServer(cfg.CoresPerServer)
 	}
-	ownerPool := c.execs
+	c.asm = route.NewAssembly(db, c.topo)
+	if c.walLog != nil {
+		c.asm.Log, c.asm.Strict = c.walLog, cfg.Durability == DurabilityStrict
+	}
+	execs := c.asm.Lay.Execs
+	ownerPool := execs
 	if cfg.RemoteServers > 0 {
 		remote, err := c.addRemoteServers(cfg)
 		if err != nil {
@@ -451,14 +453,10 @@ func Open(cfg Config) (*Cluster, error) {
 		// Partitions rotate over the head's executors AND every member's
 		// ACs, so cross-process segments and scans flow from the first
 		// request rather than only after a Rebalance.
-		ownerPool = append(append([]core.ACID(nil), c.execs...), remote...)
+		ownerPool = append(append([]core.ACID(nil), execs...), remote...)
 	}
 	for w := 0; w < tc.Warehouses; w++ {
 		c.topo.SetOwner(w, ownerPool[w%len(ownerPool)])
-	}
-	c.lay = route.Layout{
-		Owner: c.topo.Owner, Execs: c.execs,
-		Dispatch: c.ctrl[0], Seq: c.ctrl[1], Coord: c.ctrl[2],
 	}
 	if cfg.AutoAdapt || cfg.AutoRebalance {
 		c.autoAdapt, c.autoRebalance = cfg.AutoAdapt, cfg.AutoRebalance
@@ -466,7 +464,7 @@ func Open(cfg Config) (*Cluster, error) {
 		if window <= 0 {
 			window = 10 * time.Millisecond
 		}
-		cands := append([]core.ACID(nil), c.execs...)
+		cands := append([]core.ACID(nil), execs...)
 		c.ownerCands.Store(&cands)
 		opts := adapt.Options{
 			Start: oltp.SharedNothing,
@@ -476,7 +474,7 @@ func Open(cfg Config) (*Cluster, error) {
 			// measured model starts from the hand-calibrated prior and
 			// converges on realized throughput per workload class.
 			Model:      adapt.NewMeasuredModel(nil),
-			Env:        adapt.Env{Executors: len(c.execs), Warehouses: tc.Warehouses},
+			Env:        adapt.Env{Executors: len(execs), Warehouses: tc.Warehouses},
 			WindowSpan: sim.Time(window.Nanoseconds()),
 			Elastic:    cfg.AutoAdapt,
 			Rebalance:  cfg.AutoRebalance,
@@ -492,15 +490,15 @@ func Open(cfg Config) (*Cluster, error) {
 			// placement but never switches the routing policy.
 			opts.Candidates = []oltp.Policy{oltp.SharedNothing}
 		}
-		c.adaptCtrl = adapt.NewController(opts)
+		c.asm.Ctrl = adapt.NewController(opts)
 		c.decKick = make(chan struct{}, 1)
 		c.applierWG.Add(1)
 		go c.runApplier()
 	}
 	if c.remoteACs != nil {
-		c.eng = core.NewEngineAt(c.topo, c.setupAC, func(id core.ACID) bool { return !c.remoteACs[id] })
+		c.eng = core.NewEngineAt(c.topo, c.asm.SetupAC, func(id core.ACID) bool { return !c.remoteACs[id] })
 	} else {
-		c.eng = core.NewEngine(c.topo, c.setupAC)
+		c.eng = core.NewEngine(c.topo, c.asm.SetupAC)
 	}
 	c.eng.SetClient(c.onDone)
 	if c.walLog != nil {
@@ -563,12 +561,7 @@ func (c *Cluster) replayWAL(dir string) error {
 // The notice rides a pooled event, so the durable path adds no
 // per-transaction allocation.
 func (c *Cluster) logDurable(durable uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, d := range c.dispers {
-		if !d.HasParked() {
-			continue
-		}
+	c.asm.EachParked(func(id core.ACID) {
 		ev := core.GetEvent()
 		ev.Kind, ev.Seq = core.EvLogDurable, durable
 		if err != nil {
@@ -577,7 +570,7 @@ func (c *Cluster) logDurable(durable uint64, err error) {
 		if !c.eng.Inject(id, ev) {
 			core.FreeEvent(ev) // engine stopping: nothing is parked any more
 		}
-	}
+	})
 }
 
 // closeWAL stops the log writer (after a final flush) and closes the
@@ -588,58 +581,6 @@ func (c *Cluster) closeWAL() {
 	}
 	c.walLog.Stop()
 	c.walDev.Close()
-}
-
-func (c *Cluster) setupAC(ac *core.AC) {
-	ac.Register(core.EvSegment, &oltp.Executor{DB: c.db})
-	ac.Register(core.EvInstallOp, &olap.Worker{DB: c.db})
-	ac.Register(core.EvQuery, &plan.QO{Topo: c.topo})
-	ac.Register(core.EvSeqStamp, &core.Sequencer{})
-	// Every=32 keeps the signal stream dense enough that a sliding
-	// window always aggregates several dispatchers' reports — placement
-	// decisions need cross-owner coverage, not just volume (matches the
-	// virtual-time harness cadence).
-	tel := oltp.Telemetry{Sink: c.ctrl[1], Every: 32, Enabled: c.adaptCtrl != nil}
-	if c.adaptCtrl != nil {
-		// The controller registers on every AC (components stay
-		// generic); only the telemetry sink receives reports, so its
-		// state stays on one goroutine.
-		ac.Register(core.EvSignal, c.adaptCtrl)
-	}
-	if len(c.ctrl) > 2 && ac.ID == c.ctrl[2] {
-		coord := oltp.NewCoordinator()
-		coord.SetTelemetry(tel)
-		ac.Register(core.EvAck, coord)
-		return
-	}
-	// Servers grown at runtime inherit the active policy. Reading the
-	// policy, building the dispatcher and publishing it happen in one
-	// critical section so a concurrent SetPolicy either sees the new
-	// dispatcher in the map or runs before it configures itself.
-	c.mu.Lock()
-	pol := c.curPolicy
-	d := oltp.NewDispatcher(oltp.Policy(pol), c.db, c.routes(pol))
-	d.SetTelemetry(tel)
-	c.dispers[ac.ID] = d
-	c.mu.Unlock()
-	if c.walLog != nil {
-		// Admitted transactions park in the dispatcher until the log
-		// writer reports their records durable (EvLogDurable). Strict
-		// kicks the writer per admission; Batch once per drain cycle,
-		// from the runtime's batch-end hook.
-		d.Log = c.walLog
-		d.Strict = c.durability == DurabilityStrict
-		if !d.Strict {
-			ac.OnBatchEnd = d.FlushBatch
-		}
-		ac.Register(core.EvLogDurable, d)
-	}
-	ac.Register(core.EvTxn, d)
-	ac.Register(core.EvAck, d)
-}
-
-func (c *Cluster) routes(p Policy) oltp.Routes {
-	return route.For(oltp.Policy(p), c.lay)
 }
 
 // SetPolicy reroutes subsequent transactions. It gates new submissions
@@ -693,13 +634,7 @@ func (c *Cluster) setPolicy(ctx context.Context, p Policy) error {
 		// closedCh has already released every gated submitter.
 		return err
 	}
-	c.mu.Lock()
-	c.curPolicy = p
-	routes := c.routes(p)
-	for _, d := range c.dispers {
-		d.SetConfig(oltp.Policy(p), routes)
-	}
-	c.mu.Unlock()
+	c.asm.SetPolicy(oltp.Policy(p))
 	c.reopenLocked(e, p)
 	return nil
 }
@@ -923,13 +858,13 @@ func (c *Cluster) submitAt(ctx context.Context, t *tpcc.Txn, si int32) (*Future,
 	f.shard, f.mask = si, mask
 	// Resolve the entry AC before injecting: the dispatcher consumes
 	// (and recycles) the txn, so it must not be touched after Inject.
-	entry := route.Entry(oltp.Policy(e.policy), c.lay, t.HomeWarehouse())
+	entry := route.Entry(oltp.Policy(e.policy), c.asm.Lay, t.HomeWarehouse())
 	if c.remoteACs != nil && c.remoteACs[entry] {
 		// Raw transactions never cross the wire (their op programs are
 		// compiled from closures): enter at the head dispatcher instead,
 		// which compiles locally and ships the routed segments — the
 		// wire-encodable form — to the remote owner.
-		entry = c.lay.Dispatch
+		entry = c.asm.Lay.Dispatch
 	}
 	ev := core.GetEvent()
 	ev.Kind, ev.Txn, ev.Payload, ev.Client = core.EvTxn, id, t, f
@@ -1122,7 +1057,7 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	}
 	qev := core.GetEvent()
 	qev.Kind, qev.Query, qev.Payload = core.EvQuery, qid, p
-	c.eng.Inject(c.ctrl[3], qev)
+	c.eng.Inject(c.asm.Lay.QO, qev)
 	return c.awaitQuery(ctx, qid, ch)
 }
 
@@ -1256,7 +1191,7 @@ func (c *Cluster) onDone(ev *core.Event) {
 			freeResult(p)
 		}
 		c.exitShard(qw.shard, queryMask)
-		if c.adaptCtrl != nil && !c.growAsked.Load() {
+		if c.asm.Ctrl != nil && !c.growAsked.Load() {
 			// Feed analytical activity into the signal stream so the
 			// controller can react with elasticity (a one-shot
 			// trigger — once growth is requested, stop reporting).
@@ -1265,7 +1200,7 @@ func (c *Cluster) onDone(ev *core.Event) {
 			sig.Payload = &oltp.Report{
 				At: sim.Time(time.Since(c.start).Nanoseconds()), Queries: 1,
 			}
-			c.eng.Inject(c.ctrl[1], sig)
+			c.eng.Inject(c.asm.Lay.Seq, sig)
 		}
 	case *adapt.Decision:
 		if p.Grow {
@@ -1288,7 +1223,7 @@ func (c *Cluster) onDone(ev *core.Event) {
 // the controller's placement pool, so AutoRebalance can migrate hot
 // partitions onto the fresh hardware.
 func (c *Cluster) AddServer(cores int) int {
-	ids := c.eng.GrowServer(cores, c.setupAC)
+	ids := c.eng.GrowServer(cores, c.asm.SetupAC)
 	if len(ids) > 0 && c.ownerCands.Load() != nil {
 		c.mu.Lock()
 		grown := append(append([]core.ACID(nil), *c.ownerCands.Load()...), ids...)
@@ -1340,7 +1275,6 @@ func (c *Cluster) Rebalance(ctx context.Context, warehouse, server int) error {
 	cur := c.topo.Owner(warehouse)
 	dst := core.NoAC
 	bestN := int(^uint(0) >> 1)
-	c.mu.Lock()
 	for _, id := range c.topo.ACs(server) {
 		if id == cur {
 			continue
@@ -1350,14 +1284,13 @@ func (c *Cluster) Rebalance(ctx context.Context, warehouse, server int) error {
 		// dedicated commit coordinator is the one AC without one.
 		// Member-hosted ACs all run dispatchers in their own process
 		// (they are not in the head's registry), so they are eligible.
-		if _, ok := c.dispers[id]; !ok && !c.isRemote(id) {
+		if !c.asm.Dispatches(id) && !c.isRemote(id) {
 			continue
 		}
 		if n := len(c.topo.OwnedPartitions(id)); n < bestN {
 			dst, bestN = id, n
 		}
 	}
-	c.mu.Unlock()
 	if dst == core.NoAC {
 		return nil // no eligible AC besides the current owner
 	}

@@ -100,29 +100,6 @@ func openBenchCluster(b *testing.B) *anydb.Cluster {
 
 const submitWorkers = 4
 
-// BenchmarkPaymentBlocking drives payments from submitWorkers goroutines
-// one round trip at a time — the query-at-a-time client model.
-func BenchmarkPaymentBlocking(b *testing.B) {
-	c := openBenchCluster(b)
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < submitWorkers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < b.N; i += submitWorkers {
-				if _, err := c.Payment(anydb.Payment{
-					Warehouse: i % 4, District: 1 + i%4, Customer: 1 + i%100, Amount: 1,
-				}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // BenchmarkSubmitContention measures the cluster-entry path under
 // maximum submitter parallelism: GOMAXPROCS sessions pipeline payments
 // (a 64-deep window each), so every submission hits the gate/inflight

@@ -411,12 +411,13 @@ func (c *Cluster) deadMsg(msg any) {
 // warehouse to hit zero (failTransit already resolved everything that
 // involved the dead member, so it drains), flip ownership, broadcast.
 func (c *Cluster) adoptPartitions(m *member) {
+	execs := c.asm.Lay.Execs
 	for w := 0; w < c.cfg.Warehouses; w++ {
 		owner := c.topo.Owner(w)
 		if c.topo.ServerOf(owner) != m.server {
 			continue
 		}
-		c.adoptPartition(w, c.execs[w%len(c.execs)], m)
+		c.adoptPartition(w, execs[w%len(execs)], m)
 	}
 }
 

@@ -27,7 +27,7 @@ func Ablation(opts OLTPOpts) []AblationRow {
 	for _, v := range fig5Variants() {
 		db, cfg := tpcc.NewDatabase(opts.Cfg)
 		a := NewAnyDB(db, cfg, sim.DefaultCosts())
-		a.SetPolicy(v.policy, a.RoutesFor(v.policy))
+		a.SetPolicy(v.policy)
 		gen := tpcc.NewGenerator(cfg, tpcc.Skewed(), opts.Seed)
 		a.SetWorkload(gen)
 		a.Prime(opts.Outstanding)
@@ -35,11 +35,11 @@ func Ablation(opts OLTPOpts) []AblationRow {
 		committed, _, _ := a.TakeWindow()
 
 		var events int64
-		for _, id := range a.Topo.AllACs() {
+		for _, id := range a.Cl.Topo.AllACs() {
 			events += a.Cl.AC(id).EventsHandled
 		}
 		var utils []float64
-		for _, id := range a.Execs() {
+		for _, id := range a.Asm.Lay.Execs {
 			utils = append(utils, a.Cl.Actor(id).Utilization())
 		}
 		row := AblationRow{

@@ -16,7 +16,7 @@ func RunEvolvingStatic(opts OLTPOpts, v anyDBVariant) (*metrics.Series, *AnyDB) 
 	phases := fig1Phases()
 	db, cfg := tpcc.NewDatabase(opts.Cfg)
 	a := NewAnyDB(db, cfg, sim.DefaultCosts())
-	a.SetPolicy(v.policy, a.RoutesFor(v.policy))
+	a.SetPolicy(v.policy)
 	gen := tpcc.NewGenerator(cfg, phases[0].mix, opts.Seed)
 	a.SetWorkload(gen)
 	a.Prime(opts.Outstanding)
@@ -47,7 +47,7 @@ func RunEvolvingAdaptive(opts OLTPOpts, start oltp.Policy) (*metrics.Series, *An
 	phases := fig1Phases()
 	db, cfg := tpcc.NewDatabase(opts.Cfg)
 	a := NewAdaptiveAnyDB(db, cfg, sim.DefaultCosts(), adapt.Options{Start: start})
-	a.SetPolicy(start, a.RoutesFor(start))
+	a.SetPolicy(start)
 	gen := tpcc.NewGenerator(cfg, phases[0].mix, opts.Seed)
 	a.SetWorkload(gen)
 	a.Prime(opts.Outstanding)

@@ -1,8 +1,9 @@
 // Package bench regenerates every figure of the paper's evaluation:
 // Figure 1 (evolving workload), Figure 5 (OLTP execution strategies) and
 // Figure 6 (data beaming), plus ablations. Engines run on the
-// virtual-time kernel; see DESIGN.md §2 for the experiment index and §3
-// for the calibration rationale.
+// virtual-time kernel; README's "Regenerating the paper's figures" indexes
+// the experiments and internal/sim/cost.go gives the calibration
+// rationale.
 package bench
 
 import (
@@ -17,37 +18,29 @@ import (
 	"anydb/internal/tpcc"
 )
 
-// AnyDB is the benchmark-side assembly of the architecture-less system:
-// the Figure 2 layout (2 servers × 4 ACs, growable), with every AC
-// registering the full generic behavior set — executor, OLAP worker,
-// query optimizer, sequencer, dispatcher — so any AC can act as anything;
-// routing alone decides who does what.
+// AnyDB is the workload driver of the virtual-time harness: it runs the
+// cluster's shared route.Assembly — the same behavior set and routing
+// the public runtime builds — on the Figure 2 layout (2 servers × 4 ACs,
+// growable) in a SimCluster, and adds what only an experiment needs: the
+// closed-loop transaction source, the drain-reroute-resume protocol for
+// policy switches, the HTAP query streams and the window counters.
 type AnyDB struct {
-	Cl   *core.SimCluster
-	Topo *core.Topology
-	DB   *storage.Database
-	Cfg  tpcc.Config
+	Cl  *core.SimCluster
+	Cfg tpcc.Config
+	Asm *route.Assembly
 
-	execs   []core.ACID // server-1 ACs, partition owners
-	ctrl    []core.ACID // server-2 ACs: dispatcher, sequencer, coordinator, QO
-	extra   []core.ACID // grown servers for HTAP isolation
-	dispers map[core.ACID]*oltp.Dispatcher
+	extra []core.ACID // grown servers for HTAP isolation
 
 	gen      *tpcc.Generator
-	policy   oltp.Policy
-	routes   oltp.Routes
-	lay      route.Layout // role layout, fixed at construction
 	nextTxn  core.TxnID
 	nextQID  core.QueryID
 	inflight int
 	paused   bool
 	depth    int // closed-loop depth of the last Prime
 
-	// Self-driving mode: the controller behavior observes EvSignal
-	// telemetry and emits EvAdapt decisions; the harness applies a
-	// pending switch once in-flight work drains.
-	adapt         *adapt.Controller
-	tel           oltp.Telemetry
+	// Self-driving mode (Asm.Ctrl set): the controller behavior observes
+	// EvSignal telemetry and emits EvAdapt decisions; the harness applies
+	// a pending switch once in-flight work drains.
 	pendingSwitch *adapt.Decision
 
 	// Window counters, reset by TakeWindow.
@@ -76,30 +69,24 @@ func NewAdaptiveAnyDB(db *storage.Database, cfg tpcc.Config, costs sim.CostModel
 }
 
 func newAnyDB(db *storage.Database, cfg tpcc.Config, costs sim.CostModel, aopts *adapt.Options) *AnyDB {
-	a := &AnyDB{DB: db, Cfg: cfg.WithDefaults(), dispers: make(map[core.ACID]*oltp.Dispatcher)}
-	a.Topo = core.NewTopology(db)
-	a.execs = a.Topo.AddServer(4)
-	a.ctrl = a.Topo.AddServer(4)
+	a := &AnyDB{Cfg: cfg.WithDefaults()}
+	topo := core.NewTopology(db)
+	execs := topo.AddServer(4)
+	topo.AddServer(4)
 	for w := 0; w < a.Cfg.Warehouses; w++ {
-		a.Topo.SetOwner(w, a.execs[w%len(a.execs)])
+		topo.SetOwner(w, execs[w%len(execs)])
 	}
-	a.policy = oltp.SharedNothing
-	a.lay = route.Layout{
-		Owner: a.Topo.Owner, Execs: a.execs,
-		Dispatch: a.DispatchAC(), Seq: a.SeqAC(), Coord: a.CoordAC(),
-	}
-	a.routes = route.For(a.policy, a.lay)
+	a.Asm = route.NewAssembly(db, topo)
 	if aopts != nil {
 		if aopts.Env.Executors == 0 {
-			aopts.Env.Executors = len(a.execs)
+			aopts.Env.Executors = len(execs)
 		}
 		if aopts.Env.Warehouses == 0 {
 			aopts.Env.Warehouses = a.Cfg.Warehouses
 		}
-		a.adapt = adapt.NewController(*aopts)
-		a.tel = oltp.Telemetry{Sink: a.SeqAC(), Every: 32, Enabled: true}
+		a.Asm.Ctrl = adapt.NewController(*aopts)
 	}
-	a.Cl = core.NewSimCluster(a.Topo, costs, a.setupAC)
+	a.Cl = core.NewSimCluster(topo, costs, a.Asm.SetupAC)
 	// AnyDB's deployment uses DPI flows (§4): cross-server streams are
 	// serialized and partitioned by the NICs, not the sending cores.
 	a.Cl.DPI = true
@@ -107,69 +94,20 @@ func newAnyDB(db *storage.Database, cfg tpcc.Config, costs sim.CostModel, aopts 
 	return a
 }
 
-// Role accessors (server 2 layout).
-func (a *AnyDB) DispatchAC() core.ACID { return a.ctrl[0] }
-func (a *AnyDB) SeqAC() core.ACID      { return a.ctrl[1] }
-func (a *AnyDB) CoordAC() core.ACID    { return a.ctrl[2] }
-func (a *AnyDB) QOAC() core.ACID       { return a.ctrl[3] }
-
-// Execs returns the partition-owner ACs.
-func (a *AnyDB) Execs() []core.ACID { return a.execs }
-
-// setupAC registers the generic behavior set on every AC. Dispatchers
-// are per-AC instances; EvAck coordination lives with the dispatcher
-// except on the dedicated coordinator AC.
-func (a *AnyDB) setupAC(ac *core.AC) {
-	ac.Register(core.EvSegment, &oltp.Executor{DB: a.DB})
-	ac.Register(core.EvInstallOp, &olap.Worker{DB: a.DB})
-	ac.Register(core.EvQuery, &plan.QO{Topo: a.Topo})
-	ac.Register(core.EvSeqStamp, &core.Sequencer{})
-	if a.adapt != nil {
-		// The controller registers everywhere (components stay
-		// generic); only the telemetry sink AC receives reports.
-		ac.Register(core.EvSignal, a.adapt)
-	}
-	if len(a.ctrl) > 0 && ac.ID == a.CoordAC() {
-		coord := oltp.NewCoordinator()
-		coord.SetTelemetry(a.tel)
-		ac.Register(core.EvAck, coord)
-		return
-	}
-	d := oltp.NewDispatcher(a.policy, a.DB, a.routes)
-	d.SetTelemetry(a.tel)
-	a.dispers[ac.ID] = d
-	ac.Register(core.EvTxn, d)
-	ac.Register(core.EvAck, d)
-}
-
 // SetWorkload installs the transaction generator.
 func (a *AnyDB) SetWorkload(gen *tpcc.Generator) { a.gen = gen }
 
-// SetPolicy reconfigures routing for subsequent transactions. Callers
-// must Drain first when switching between policies whose routings could
-// interleave conflicting events differently (the harness drains at phase
-// boundaries; in-flight work always completes under its old routing —
-// the paper's "no downtime" reconfiguration).
-func (a *AnyDB) SetPolicy(policy oltp.Policy, routes oltp.Routes) {
-	a.policy = policy
-	a.routes = routes
-	for _, d := range a.dispers {
-		d.SetConfig(policy, routes)
-	}
-}
-
-// RoutesFor maps a policy to its standard routing table — the same
-// internal/route mapping the public runtime (anydb.Cluster) uses, so
-// the bench harness and the real engine can never drift apart. The
-// layout is cached at construction (role ACs never change), keeping
-// the closed-loop injection path allocation-free.
-func (a *AnyDB) RoutesFor(p oltp.Policy) oltp.Routes {
-	return route.For(p, a.lay)
-}
+// SetPolicy reroutes subsequent transactions under policy's standard
+// routing table (route.For — the mapping the public runtime uses).
+// Callers must Drain first when switching between policies whose
+// routings could interleave conflicting events differently (the harness
+// drains at phase boundaries; in-flight work always completes under its
+// old routing — the paper's "no downtime" reconfiguration).
+func (a *AnyDB) SetPolicy(policy oltp.Policy) { a.Asm.SetPolicy(policy) }
 
 // entryAC picks where a transaction enters the system (see route.Entry).
 func (a *AnyDB) entryAC(txn *tpcc.Txn) core.ACID {
-	return route.Entry(a.policy, a.lay, txn.HomeWarehouse())
+	return route.Entry(a.Asm.Policy(), a.Asm.Lay, txn.HomeWarehouse())
 }
 
 // injectNext issues one transaction from the generator (closed loop).
@@ -197,10 +135,10 @@ func (a *AnyDB) Prime(n int) {
 // AdaptLog returns the self-driving controller's decisions (nil when
 // the cluster was built without one).
 func (a *AnyDB) AdaptLog() []adapt.Decision {
-	if a.adapt == nil {
+	if a.Asm.Ctrl == nil {
 		return nil
 	}
-	return a.adapt.Log()
+	return a.Asm.Ctrl.Log()
 }
 
 // onClient keeps the loop full and counts completions.
@@ -255,8 +193,8 @@ func (a *AnyDB) onClient(at sim.Time, ev *core.Event) {
 func (a *AnyDB) applyPendingSwitch() {
 	d := a.pendingSwitch
 	a.pendingSwitch = nil
-	if d.To != a.policy {
-		a.SetPolicy(d.To, a.RoutesFor(d.To))
+	if d.To != a.Asm.Policy() {
+		a.SetPolicy(d.To)
 	}
 	if !a.paused {
 		a.Prime(a.depth)
@@ -285,8 +223,8 @@ func (a *AnyDB) TakeWindow() (committed, aborted, queries int64) {
 // from the storage owners.
 func (a *AnyDB) EnableOLAP(streams int) {
 	if len(a.extra) == 0 {
-		a.extra = append(a.extra, a.Cl.GrowServer(4, a.setupAC)...)
-		a.extra = append(a.extra, a.Cl.GrowServer(4, a.setupAC)...)
+		a.extra = append(a.extra, a.Cl.GrowServer(4, a.Asm.SetupAC)...)
+		a.extra = append(a.extra, a.Cl.GrowServer(4, a.Asm.SetupAC)...)
 	}
 	if a.olapPlan == nil {
 		parts := make([]int, a.Cfg.Warehouses)
@@ -324,7 +262,7 @@ func (a *AnyDB) startQuery(at sim.Time) {
 	// Any AC can act as the query optimizer (Figure 2): rotate the QO
 	// role across the extra servers so concurrent query streams compile
 	// in parallel.
-	qoAC := a.QOAC()
+	qoAC := a.Asm.Lay.QO
 	if n := len(a.extra); n > 0 {
 		qoAC = a.extra[(int(a.nextQID)*3+2)%n]
 	}

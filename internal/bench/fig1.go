@@ -74,7 +74,7 @@ func Figure1(opts OLTPOpts) Fig1Result {
 	a := NewAnyDB(db, cfg, sim.DefaultCosts())
 	gen := tpcc.NewGenerator(cfg, phases[0].mix, opts.Seed)
 	a.SetWorkload(gen)
-	a.SetPolicy(phases[0].policy, a.RoutesFor(phases[0].policy))
+	a.SetPolicy(phases[0].policy)
 	a.Prime(opts.Outstanding)
 
 	s := &metrics.Series{Label: "AnyDB"}
@@ -88,7 +88,7 @@ func Figure1(opts OLTPOpts) Fig1Result {
 			// into the phase's measured window, which is the visible
 			// transition dip at phases 3 and 9.
 			a.Drain()
-			a.SetPolicy(p.policy, a.RoutesFor(p.policy))
+			a.SetPolicy(p.policy)
 			a.Prime(opts.Outstanding)
 			cur = p.policy
 		}

@@ -78,7 +78,7 @@ func seriesLabel(base string, tes int) string {
 }
 
 // anyDBVariant describes one AnyDB line of Figure 5. Routing tables come
-// from internal/route via AnyDB.RoutesFor.
+// from internal/route via AnyDB.SetPolicy.
 type anyDBVariant struct {
 	label  string
 	policy oltp.Policy
@@ -97,7 +97,7 @@ func fig5Variants() []anyDBVariant {
 func RunAnyDBSeries(opts OLTPOpts, v anyDBVariant, phases []tpcc.Mix) (*metrics.Series, *AnyDB) {
 	db, cfg := tpcc.NewDatabase(opts.Cfg)
 	a := NewAnyDB(db, cfg, sim.DefaultCosts())
-	a.SetPolicy(v.policy, a.RoutesFor(v.policy))
+	a.SetPolicy(v.policy)
 	gen := tpcc.NewGenerator(cfg, phases[0], opts.Seed)
 	a.SetWorkload(gen)
 	a.Prime(opts.Outstanding)

@@ -63,26 +63,18 @@ type fig6Harness struct {
 }
 
 func newFig6Harness(db *storage.Database, cfg tpcc.Config, disagg bool) *fig6Harness {
-	topo := core.NewTopology(db)
-	s1 := topo.AddServer(4)
-	s2 := topo.AddServer(4)
-	for w := 0; w < cfg.Warehouses; w++ {
-		topo.SetOwner(w, s1[w%4])
-	}
-	h := &fig6Harness{marks: make(map[string]sim.Time)}
-	qo := &plan.QO{Topo: topo}
-	h.cl = core.NewSimCluster(topo, sim.DefaultCosts(), func(ac *core.AC) {
-		ac.Register(core.EvInstallOp, &olap.Worker{DB: db})
-		ac.Register(core.EvQuery, qo)
-	})
+	// The query runs alone on the Figure 2 cluster: no closed loop, the
+	// harness's own client instead.
+	a := NewAnyDB(db, cfg, sim.DefaultCosts())
+	h := &fig6Harness{cl: a.Cl, qoAC: a.Asm.Lay.QO, marks: make(map[string]sim.Time)}
+	s1, s2 := a.Cl.Topo.ACs(0), a.Cl.Topo.ACs(1)
 	join1, join2 := s1[0], s1[1]
+	// Disaggregated: joins on the second server, streams ride DPI flows
+	// (NIC as co-processor).
+	h.cl.DPI = disagg
 	if disagg {
-		// Disaggregated: joins on the second server, streams ride DPI
-		// flows (NIC as co-processor).
 		join1, join2 = s2[0], s2[1]
-		h.cl.DPI = true
 	}
-	h.qoAC = s2[3]
 	parts := make([]int, cfg.Warehouses)
 	for i := range parts {
 		parts[i] = i

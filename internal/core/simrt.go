@@ -14,8 +14,8 @@ const ClientAC ACID = -2
 // SimCluster runs a set of ACs on the virtual-time kernel: every AC is
 // one sim.Actor (one virtual core), servers are connected by
 // latency+bandwidth links, and all costs come from the cost model. It
-// reproduces the paper's testbed deterministically (DESIGN.md §3,
-// substitution 1).
+// reproduces the paper's testbed deterministically (internal/sim stands
+// in for its cores and network; cost.go gives the calibration).
 type SimCluster struct {
 	Sched *sim.Scheduler
 	Costs sim.CostModel

@@ -1,8 +1,12 @@
-// Package route builds the standard routing tables for the §3 execution
-// strategies from a cluster layout. It is the single source of truth for
-// "which AC executes what under policy P": both the public runtime
-// (anydb.Cluster) and the virtual-time bench harness (internal/bench)
-// consume it, so the two can never drift.
+// Package route assembles a cluster's ACs and decides who does what. It
+// covers three things every runtime shares: the role layout (which ACs
+// execute record classes, own partitions, dispatch, sequence, coordinate
+// and optimize queries), the behavior set each AC carries (Assembly), and
+// the standard routing tables of the §3 execution strategies (For,
+// Entry). The public cluster (anydb.Open), a member process
+// (anydb.ServeNode) and the virtual-time harness (internal/bench) all
+// build their ACs through one Assembly, so the paper figures run the
+// cluster users run and the runtimes can never drift.
 package route
 
 import (
@@ -12,9 +16,9 @@ import (
 
 // Layout names the AC roles a routing table is built from. Execs are the
 // record-class executors (by convention the first server's ACs, which
-// also own the partitions); Dispatch, Seq and Coord live on the control
-// server. Indices into Execs wrap modulo its length, so layouts with
-// fewer or more than the canonical four executors still route.
+// also own the partitions); Dispatch, Seq, Coord and QO live on the
+// control server. Indices into Execs wrap modulo its length, so layouts
+// with fewer or more than the canonical four executors still route.
 type Layout struct {
 	// Owner maps a partition (warehouse) to the AC owning it.
 	Owner func(partition int) core.ACID
@@ -29,6 +33,8 @@ type Layout struct {
 	// Coord is the dedicated commit coordinator AC (streaming CC);
 	// the other policies coordinate at the dispatcher.
 	Coord core.ACID
+	// QO is the default query-optimizer AC.
+	QO core.ACID
 }
 
 func (l Layout) exec(i int) core.ACID { return l.Execs[i%len(l.Execs)] }

@@ -1,7 +1,7 @@
 package sim
 
 // CostModel holds the virtual-time prices for every primitive the engines
-// execute. The constants are calibrated (DESIGN.md §3) so that a DBx1000
+// execute. The constants are calibrated so that a DBx1000
 // transaction executor lands near the paper's anchors — a TPC-C payment
 // costs ≈1.4µs of core time, giving ≈0.7 M tx/s per executor and ≈2 M tx/s
 // for 4 executors on a partitionable workload — and all remaining figure

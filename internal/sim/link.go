@@ -5,7 +5,7 @@ package sim
 // begin only when the previous one has finished transmitting. This is the
 // simulated stand-in for the paper's shared-memory queues (high bandwidth,
 // ~100ns latency) and the InfiniBand network carrying DPI flows (lower
-// bandwidth, microsecond latency); see DESIGN.md §3.
+// bandwidth, microsecond latency); CostModel holds the calibrated figures.
 type Link struct {
 	Name        string
 	sched       *Scheduler

@@ -1,7 +1,7 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // It substitutes for the multi-core servers and InfiniBand network of the
-// paper's testbed (see DESIGN.md §3): AnyComponents and transaction
+// paper's testbed (calibration in cost.go): AnyComponents and transaction
 // executors run as Actors pinned to virtual cores, operations charge
 // virtual nanoseconds from a calibrated cost model while performing the
 // real work on real data structures, and Links model message latency and

@@ -268,7 +268,7 @@ func TestCostModelSane(t *testing.T) {
 	if c.IndexLookup <= 0 || c.RecordUpdate <= 0 || c.TxnCommit <= 0 {
 		t.Fatal("zero cost in default model")
 	}
-	// The calibration target from DESIGN.md: a payment-like op sequence
+	// The calibration target from CostModel's doc: a payment-like op sequence
 	// (4 record ops + txn overhead + locking) should cost 1–2µs so a
 	// single executor lands in the 0.5–1.0 M tx/s band.
 	payment := c.TxnBegin + c.TxnCommit +

@@ -65,9 +65,9 @@ func BenchmarkEventPlane(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueComparison is the Folly-substitute ablation (DESIGN.md
-// §2): how do the three local stream carriers compare for one
-// producer/one consumer hops? Run with:
+// BenchmarkQueueComparison is the Folly-substitute ablation: how do the
+// three local stream carriers compare for one producer/one consumer
+// hops? Run with:
 //
 //	go test -bench QueueComparison ./internal/stream
 func BenchmarkQueueComparison(b *testing.B) {

@@ -15,12 +15,7 @@ import (
 	"time"
 
 	"anydb/internal/core"
-	"anydb/internal/olap"
-	"anydb/internal/oltp"
-	"anydb/internal/plan"
 	"anydb/internal/route"
-	"anydb/internal/storage"
-	"anydb/internal/tpcc"
 	"anydb/internal/transport"
 )
 
@@ -67,11 +62,7 @@ func ServeNode(ctx context.Context, addr string) error {
 	// Rebuild the head's exact database and topology from the recipe:
 	// population is deterministic in (config, seed), and the ownership
 	// vector replays the head's SetOwner calls.
-	db := storage.NewDatabase(w.TC.Warehouses, tpcc.Schemas()...)
-	tpcc.Populate(db, w.TC)
-	for _, tn := range db.Catalog.Tables() {
-		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
-	}
+	db := newDatabase(w.TC)
 	topo := core.NewTopology(db)
 	for s := 0; s < w.Servers; s++ {
 		topo.AddServer(w.Cores)
@@ -84,29 +75,14 @@ func ServeNode(ctx context.Context, addr string) error {
 		local[id] = true
 	}
 
-	// The member registers the full behavior set on its ACs — executors
-	// for cross-process segments, workers for installed scans/joins, a
-	// dispatcher per AC so the server can own partitions (under
-	// shared-nothing the owner IS the entry point; the head redirects
-	// raw transactions, but the role must exist for symmetry with local
-	// owners). Telemetry stays disabled: the self-driving loop does not
-	// run distributed.
-	execs := topo.ACs(0)
-	ctrl := topo.ACs(1)
-	lay := route.Layout{
-		Owner: topo.Owner, Execs: execs,
-		Dispatch: ctrl[0], Seq: ctrl[1], Coord: ctrl[2],
-	}
-	setup := func(ac *core.AC) {
-		ac.Register(core.EvSegment, &oltp.Executor{DB: db})
-		ac.Register(core.EvInstallOp, &olap.Worker{DB: db})
-		ac.Register(core.EvQuery, &plan.QO{Topo: topo})
-		ac.Register(core.EvSeqStamp, &core.Sequencer{})
-		d := oltp.NewDispatcher(oltp.SharedNothing, db, route.For(oltp.SharedNothing, lay))
-		ac.Register(core.EvTxn, d)
-		ac.Register(core.EvAck, d)
-	}
-	eng := core.NewEngineAt(topo, setup, func(id core.ACID) bool { return local[id] })
+	// The member's ACs carry the same behavior set as the head's — among
+	// it a dispatcher per AC, so the server can own partitions (under
+	// shared-nothing the owner IS the entry point; the head redirects raw
+	// transactions, but the role must exist for symmetry with local
+	// owners). The assembly stays on SharedNothing with no controller and
+	// no log: the self-driving loop and durability are the head's.
+	asm := route.NewAssembly(db, topo)
+	eng := core.NewEngineAt(topo, asm.SetupAC, func(id core.ACID) bool { return local[id] })
 	// Completions surfacing here (query results, op-done notifications
 	// from locally hosted operators) belong to the head's client: relay
 	// them; the engine recycles the envelope when the callback returns.
