@@ -25,20 +25,13 @@ bench:
 # Contention smoke: the submission-plane and topology-read benchmarks at
 # -cpu 1,4, so a regression that re-serializes the entry (a lock on the
 # hot path scales visibly worse at 4) shows up in CI. Short benchtime —
-# this watches the slope and allocs/op, not absolute throughput.
-# BenchmarkRebalance rides along: live-handoff latency plus the txn/s
-# the moves leave intact (the throughput dip). BenchmarkPaymentDurable
-# documents the group-commit WAL cost next to the Durability=Off
-# baseline (same pipelined shape, Batch mode, one shared log fsynced by
-# the log-writer goroutine) and reports the realized group size as
-# txns/fsync.
-# BenchmarkGroupedAgg compares the dense grouped-aggregate fast path
-# against the hash-map fallback on the same dictionary-encoded query.
+# this watches the slope, not absolute throughput. Allocation regressions
+# are allocs-gate's job, absolute ns/op the repo benchmark's
+# (BENCHMARK.json); the other root micro-benchmarks run on demand with
+# `go test -bench`.
 bench-submit:
-	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention|BenchmarkPaymentPipelined|BenchmarkPaymentDurable|BenchmarkRebalance|BenchmarkSharedScanConcurrency|BenchmarkGroupedAgg' \
-		-benchmem -benchtime 0.3s -cpu 1,4 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention' -benchmem -benchtime 0.3s -cpu 1,4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkTopologyRead' -benchmem -benchtime 0.3s -cpu 1,4 ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 0.3s ./internal/olap
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput
 # on the evolving workload, gated byte for byte against the committed
@@ -63,18 +56,19 @@ bench-check:
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
-# shows up here) and the analytical scan-flush path must report exactly
-# 0 allocs/op. Fixed iteration counts keep the gate reproducible on any
-# machine; the payment path runs 100000x so cold-pool warm-up amortizes
-# below the integer allocs/op floor (a reintroduced per-op allocation
-# still shows as >= 1).
+# shows up here) and one full pass of a streaming shared-scan
+# registration (BenchmarkScanFlush: chunk decode, projection, batch
+# flushes) must report exactly 0 allocs/op. Fixed iteration counts keep
+# the gate reproducible on any machine; the payment path runs 100000x
+# so cold-pool warm-up amortizes below the integer allocs/op floor (a
+# reintroduced per-op allocation still shows as >= 1).
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
 	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 100x ./internal/olap)"; \
 	printf '%s\n%s\n' "$$out1" "$$out2"; \
 	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment and scan-flush hot paths"
+	echo "allocs gate OK: 0 allocs/op on the payment and shared-scan hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

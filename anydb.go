@@ -344,18 +344,6 @@ var ErrClosed = errors.New("anydb: cluster closed")
 // home to the head and subsequent submissions succeed.
 var ErrMemberDown = errors.New("anydb: cluster member down")
 
-// newDatabase builds the seed database every process of a cluster starts
-// from — the head in Open, each member in ServeNode: deterministic in
-// (config, seed), with statistics for the SQL planner (partition 0 is
-// representative: population is symmetric across warehouses).
-func newDatabase(tc tpcc.Config) *storage.Database {
-	db, _ := tpcc.NewDatabase(tc)
-	for _, tn := range db.Catalog.Tables() {
-		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
-	}
-	return db
-}
-
 // Open populates the database and starts the AC goroutines.
 func Open(cfg Config) (*Cluster, error) {
 	tc := tpcc.Config{
@@ -375,7 +363,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.CoresPerServer < 4 {
 		return nil, fmt.Errorf("anydb: CoresPerServer = %d, need at least 4 (the control server hosts the dispatcher, sequencer, coordinator and query-optimizer roles)", cfg.CoresPerServer)
 	}
-	db := newDatabase(tc)
+	db, _ := tpcc.NewDatabase(tc)
 
 	c := &Cluster{
 		db: db, cfg: tc, cores: cfg.CoresPerServer,
@@ -884,22 +872,9 @@ type QueryOptions struct {
 	CompileDelay time.Duration
 }
 
-// q3SQL is the paper's §4 query expressed against the SQL surface; the
-// OpenOrders wrappers run it through the same planner as Query.
-var q3SQL = fmt.Sprintf(`SELECT COUNT(*)
-	FROM customer
-	JOIN orders ON customer.c_w_id = orders.o_w_id
-		AND customer.c_d_id = orders.o_d_id
-		AND customer.c_id = orders.o_c_id
-	JOIN new_order ON orders.o_w_id = new_order.no_w_id
-		AND orders.o_d_id = new_order.no_d_id
-		AND orders.o_id = new_order.no_o_id
-	WHERE c_state LIKE '%s%%' AND o_entry_d >= %d`,
-	tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
-
 // OpenOrders runs the paper's analytical query (§4: all open orders for
 // customers from states 'A%' since 2007) with full data beaming. It is a
-// documented wrapper over the SQL path:
+// documented wrapper over the SQL path (the text is tpcc.Q3SQL):
 //
 //	cluster.QueryRow(ctx, "SELECT COUNT(*) FROM customer JOIN orders ... JOIN new_order ...")
 func (c *Cluster) OpenOrders(ctx context.Context) (int64, error) {
@@ -922,7 +897,7 @@ func (c *Cluster) OpenOrders(ctx context.Context) (int64, error) {
 // switches drain in-flight queries, so a query never straddles a
 // routing change.
 func (c *Cluster) OpenOrdersOpts(ctx context.Context, o QueryOptions) (int64, error) {
-	res, err := c.runQuery(ctx, q3SQL, o)
+	res, err := c.runQuery(ctx, tpcc.Q3SQL, o)
 	if err != nil {
 		return 0, err
 	}
@@ -1046,7 +1021,9 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	if err != nil {
 		return nil, err
 	}
-	p.Beam = o.Beam
+	if o.Beam {
+		p.Beam = plan.BeamAll
+	}
 	p.CompileTime = sim.Time(o.CompileDelay.Nanoseconds())
 
 	// Enter the epoch only once compilation succeeded (enter re-checks

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anydb"
+	"anydb/internal/tpcc"
 )
 
 var bg = context.Background()
@@ -505,15 +506,7 @@ func TestSQLQueryJoinMatchesOpenOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int64
-	err = c.QueryRow(bg, `SELECT COUNT(*)
-		FROM customer
-		JOIN orders ON customer.c_w_id = orders.o_w_id
-			AND customer.c_d_id = orders.o_d_id
-			AND customer.c_id = orders.o_c_id
-		JOIN new_order ON orders.o_w_id = new_order.no_w_id
-			AND orders.o_d_id = new_order.no_d_id
-			AND orders.o_id = new_order.no_o_id
-		WHERE c_state LIKE 'A%' AND o_entry_d >= 2007`).Scan(&got)
+	err = c.QueryRow(bg, tpcc.Q3SQL).Scan(&got)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anydb"
+	"anydb/internal/tpcc"
 )
 
 func main() {
@@ -110,18 +111,12 @@ func main() {
 	}
 	fmt.Println("open qualifying orders:", open)
 
-	// The same query in SQL: parsed, planned from table statistics, and
+	// The same query as SQL text (SELECT COUNT(*) FROM customer JOIN
+	// orders ... JOIN new_order ... WHERE c_state LIKE 'A%' AND
+	// o_entry_d >= 2007): parsed, planned from table statistics, and
 	// executed through the identical event/data-stream pipeline.
 	var n int64
-	err = cluster.QueryRow(ctx, `SELECT COUNT(*)
-		FROM customer
-		JOIN orders ON customer.c_w_id = orders.o_w_id
-			AND customer.c_d_id = orders.o_d_id
-			AND customer.c_id = orders.o_c_id
-		JOIN new_order ON orders.o_w_id = new_order.no_w_id
-			AND orders.o_d_id = new_order.no_d_id
-			AND orders.o_id = new_order.no_o_id
-		WHERE c_state LIKE 'A%' AND o_entry_d >= 2007`).Scan(&n)
+	err = cluster.QueryRow(ctx, tpcc.Q3SQL).Scan(&n)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"anydb/internal/plan"
 	"anydb/internal/route"
 	"anydb/internal/sim"
+	"anydb/internal/sql"
 	"anydb/internal/storage"
 	"anydb/internal/tpcc"
 )
@@ -48,8 +49,7 @@ type AnyDB struct {
 	aborted   int64
 	queries   int64
 
-	olapOn   bool
-	olapPlan func(q core.QueryID) *plan.Q3Plan
+	olapOn bool
 }
 
 // NewAnyDB builds the cluster over a freshly populated database.
@@ -165,6 +165,7 @@ func (a *AnyDB) onClient(at sim.Time, ev *core.Event) {
 			a.injectNext(at)
 		}
 	case *olap.QueryResult:
+		freeBatches(p)
 		a.queries++
 		if a.olapOn {
 			a.startQuery(at)
@@ -182,8 +183,6 @@ func (a *AnyDB) onClient(at sim.Time, ev *core.Event) {
 		if a.inflight == 0 {
 			a.applyPendingSwitch()
 		}
-	case *olap.OpDone:
-		// Figure 6 instrumentation; unused in throughput runs.
 	}
 }
 
@@ -218,30 +217,14 @@ func (a *AnyDB) TakeWindow() (committed, aborted, queries int64) {
 }
 
 // EnableOLAP grows two extra servers (Figure 3b) on first use and starts
-// `streams` continuous Q3 chains with full data beaming, isolated from
-// the OLTP ACs: joins and the QO run on the new servers, scans stream
-// from the storage owners.
+// `streams` continuous chains of the paper's query (tpcc.Q3SQL) with
+// full data beaming, isolated from the OLTP ACs: joins, the sink and the
+// QO run on the new servers, scans ride the storage owners' shared
+// cursors.
 func (a *AnyDB) EnableOLAP(streams int) {
 	if len(a.extra) == 0 {
 		a.extra = append(a.extra, a.Cl.GrowServer(4, a.Asm.SetupAC)...)
 		a.extra = append(a.extra, a.Cl.GrowServer(4, a.Asm.SetupAC)...)
-	}
-	if a.olapPlan == nil {
-		parts := make([]int, a.Cfg.Warehouses)
-		for i := range parts {
-			parts[i] = i
-		}
-		a.olapPlan = func(q core.QueryID) *plan.Q3Plan {
-			// Spread the query streams' operators across the extra
-			// servers' ACs.
-			base := int(q) * 2 % len(a.extra)
-			return &plan.Q3Plan{
-				Query: q, Beam: plan.BeamAll, CompileTime: 2 * sim.Millisecond,
-				Parts:   parts,
-				Join1AC: a.extra[base], Join2AC: a.extra[(base+1)%len(a.extra)],
-				Notify: core.ClientAC,
-			}
-		}
 	}
 	if !a.olapOn {
 		a.olapOn = true
@@ -262,11 +245,37 @@ func (a *AnyDB) startQuery(at sim.Time) {
 	// Any AC can act as the query optimizer (Figure 2): rotate the QO
 	// role across the extra servers so concurrent query streams compile
 	// in parallel.
-	qoAC := a.Asm.Lay.QO
-	if n := len(a.extra); n > 0 {
-		qoAC = a.extra[(int(a.nextQID)*3+2)%n]
+	n := len(a.extra)
+	qoAC := a.extra[(int(a.nextQID)*3+2)%n]
+	// Spread the query streams' operators across the extra servers' ACs.
+	base := int(a.nextQID) * 2 % n
+	p := compileQ3(a.Asm.DB, a.Cfg, a.nextQID, a.extra[base], a.extra[(base+1)%n])
+	p.Beam, p.CompileTime = plan.BeamAll, 2*sim.Millisecond
+	a.Cl.Inject(qoAC, &core.Event{Kind: core.EvQuery, Query: a.nextQID, Payload: p}, at)
+}
+
+// compileQ3 plans the paper's query through the SQL planner, as
+// Cluster.Query does: scans at each partition's owner, join1 on join1AC,
+// join2 and the sink on join2AC.
+func compileQ3(db *storage.Database, cfg tpcc.Config, qid core.QueryID, join1AC, join2AC core.ACID) *plan.GenericPlan {
+	q, err := sql.Parse(tpcc.Q3SQL)
+	if err != nil {
+		panic(err)
 	}
-	a.Cl.Inject(qoAC, &core.Event{
-		Kind: core.EvQuery, Query: a.nextQID, Payload: a.olapPlan(a.nextQID),
-	}, at)
+	parts := make([]int, cfg.Warehouses)
+	for i := range parts {
+		parts[i] = i
+	}
+	p, err := plan.CompileSQL(db.Catalog, q, qid, parts, []core.ACID{join1AC, join2AC}, core.ClientAC)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// freeBatches recycles a query result's pooled batches.
+func freeBatches(res *olap.QueryResult) {
+	for _, b := range res.Batches {
+		storage.FreeBatch(b)
+	}
 }

@@ -56,7 +56,7 @@ type Fig6Result struct {
 type fig6Harness struct {
 	cl     *core.SimCluster
 	qoAC   core.ACID
-	plan   *plan.Q3Plan
+	plan   *plan.GenericPlan
 	doneAt sim.Time
 	rows   int64
 	marks  map[string]sim.Time
@@ -75,18 +75,13 @@ func newFig6Harness(db *storage.Database, cfg tpcc.Config, disagg bool) *fig6Har
 	if disagg {
 		join1, join2 = s2[0], s2[1]
 	}
-	parts := make([]int, cfg.Warehouses)
-	for i := range parts {
-		parts[i] = i
-	}
-	h.plan = &plan.Q3Plan{
-		Query: 1, Parts: parts,
-		Join1AC: join1, Join2AC: join2, Notify: core.ClientAC,
-	}
+	h.plan = compileQ3(db, cfg, 1, join1, join2)
+	h.plan.NotifyJoins(core.ClientAC)
 	h.cl.SetClient(func(at sim.Time, ev *core.Event) {
 		switch p := ev.Payload.(type) {
 		case *olap.QueryResult:
-			h.rows = p.Rows
+			h.rows = p.Batches[0].Value(0, 0).I // the COUNT(*)
+			freeBatches(p)
 			h.doneAt = at
 		case *olap.OpDone:
 			h.marks[p.Label] = at

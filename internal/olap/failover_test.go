@@ -34,15 +34,13 @@ func TestQueryRerouteAfterACFailure(t *testing.T) {
 	defer eng.Stop()
 	eng.SetClient(func(ev *core.Event) {
 		if r, ok := ev.Payload.(*olap.QueryResult); ok {
-			results <- r.Rows
+			results <- resultCount(r)
 		}
 	})
-	parts := []int{0, 1, 2, 3}
 	issue := func(qid core.QueryID, join1, join2 core.ACID) {
-		eng.Inject(s2[3], &core.Event{Kind: core.EvQuery, Query: qid, Payload: &plan.Q3Plan{
-			Query: qid, Beam: plan.BeamAll, Parts: parts,
-			Join1AC: join1, Join2AC: join2, Notify: core.ClientAC,
-		}})
+		p := q3Plan(t, db, qid, join1, join2)
+		p.Beam = plan.BeamAll
+		eng.Inject(s2[3], &core.Event{Kind: core.EvQuery, Query: qid, Payload: p})
 	}
 
 	// Baseline result on healthy ACs.

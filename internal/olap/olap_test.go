@@ -7,6 +7,7 @@ import (
 	"anydb/internal/olap"
 	"anydb/internal/plan"
 	"anydb/internal/sim"
+	"anydb/internal/sql"
 	"anydb/internal/storage"
 	"anydb/internal/tpcc"
 )
@@ -16,19 +17,46 @@ func testCfg() tpcc.Config {
 		Items: 40, InitOrders: 120, Seed: 3}.WithDefaults()
 }
 
+// q3Plan compiles the paper's query (tpcc.Q3SQL) through the SQL planner
+// over every partition: join1 on join1AC, join2 and the sink on join2AC.
+func q3Plan(t testing.TB, db *storage.Database, qid core.QueryID, join1AC, join2AC core.ACID) *plan.GenericPlan {
+	t.Helper()
+	q, err := sql.Parse(tpcc.Q3SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]int, db.NumPartitions())
+	for i := range parts {
+		parts[i] = i
+	}
+	p, err := plan.CompileSQL(db.Catalog, q, qid, parts, []core.ACID{join1AC, join2AC}, core.ClientAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// resultCount reads a COUNT(*) result and recycles its batches.
+func resultCount(res *olap.QueryResult) int64 {
+	n := res.Batches[0].Value(0, 0).I
+	for _, b := range res.Batches {
+		storage.FreeBatch(b)
+	}
+	return n
+}
+
 // harness wires storage owners on server 1 and join ACs either on server
 // 1 (aggregated) or server 2 (disaggregated).
 type harness struct {
-	cl      *core.SimCluster
-	qoAC    core.ACID
-	plan    *plan.Q3Plan
-	rows    int64
-	doneAt  sim.Time
-	events  map[string]sim.Time // OpDone label -> time
-	started sim.Time
+	cl     *core.SimCluster
+	qoAC   core.ACID
+	plan   *plan.GenericPlan
+	rows   int64
+	doneAt sim.Time
+	events map[string]sim.Time // OpDone label -> time
 }
 
-func build(db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harness {
+func build(t *testing.T, db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harness {
 	topo := core.NewTopology(db)
 	s1 := topo.AddServer(4)
 	s2 := topo.AddServer(4)
@@ -47,16 +75,13 @@ func build(db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harnes
 		join1, join2 = s2[0], s2[1]
 	}
 	h.qoAC = s2[3]
-	h.plan = &plan.Q3Plan{
-		Query: 1, Beam: plan.BeamNone, CompileTime: 2 * sim.Millisecond,
-		Parts:   []int{0, 1, 2, 3},
-		Join1AC: join1, Join2AC: join2,
-		Notify: core.ClientAC,
-	}
+	h.plan = q3Plan(t, db, 1, join1, join2)
+	h.plan.CompileTime = 2 * sim.Millisecond
+	h.plan.NotifyJoins(core.ClientAC)
 	h.cl.SetClient(func(at sim.Time, ev *core.Event) {
 		switch p := ev.Payload.(type) {
 		case *olap.QueryResult:
-			h.rows = p.Rows
+			h.rows = resultCount(p)
 			h.doneAt = at
 		case *olap.OpDone:
 			h.events[p.Label] = at
@@ -81,7 +106,7 @@ func TestQ3CorrectAllModes(t *testing.T) {
 				if want == 0 {
 					t.Fatal("oracle returned 0 rows; enlarge the dataset")
 				}
-				h := build(db, cfg, disagg, dpi)
+				h := build(t, db, cfg, disagg, dpi)
 				h.run(beam)
 				if h.rows != want {
 					t.Fatalf("disagg=%v dpi=%v beam=%v: rows=%d want=%d",
@@ -110,7 +135,7 @@ func TestBeamingHidesTransfer(t *testing.T) {
 	times := make(map[plan.BeamMode]sim.Time)
 	for _, beam := range []plan.BeamMode{plan.BeamNone, plan.BeamBuild, plan.BeamAll} {
 		db, _ := tpcc.NewDatabase(cfg)
-		h := build(db, cfg, true, true)
+		h := build(t, db, cfg, true, true)
 		h.plan.CompileTime = 5 * sim.Millisecond
 		h.run(beam)
 		times[beam] = h.doneAt
@@ -133,13 +158,13 @@ func TestBeamedBuildFinishesEarly(t *testing.T) {
 	compile := 10 * sim.Millisecond
 
 	db1, _ := tpcc.NewDatabase(cfg)
-	h1 := build(db1, cfg, true, true)
+	h1 := build(t, db1, cfg, true, true)
 	h1.plan.CompileTime = compile
 	h1.run(plan.BeamNone)
 	noBeam := h1.events["join1/build"] - compile
 
 	db2, _ := tpcc.NewDatabase(cfg)
-	h2 := build(db2, cfg, true, true)
+	h2 := build(t, db2, cfg, true, true)
 	h2.plan.CompileTime = compile
 	h2.run(plan.BeamBuild)
 	beamed := h2.events["join1/build"] - compile
@@ -149,28 +174,6 @@ func TestBeamedBuildFinishesEarly(t *testing.T) {
 	}
 	if beamed > noBeam/2 {
 		t.Fatalf("beamed build runtime %v should be well under unbeamed %v", beamed, noBeam)
-	}
-}
-
-func TestPredicates(t *testing.T) {
-	sch := storage.NewSchema("t",
-		storage.Column{Name: "s", Kind: storage.KStr},
-		storage.Column{Name: "n", Kind: storage.KInt})
-	row := storage.Row{storage.Str("AZ"), storage.Int(2010)}
-	if !(olap.Predicate{Kind: olap.PredNone}).Matches(sch, row) {
-		t.Fatal("PredNone")
-	}
-	if !(olap.Predicate{Col: "s", Kind: olap.PredPrefix, Prefix: "A"}).Matches(sch, row) {
-		t.Fatal("prefix hit")
-	}
-	if (olap.Predicate{Col: "s", Kind: olap.PredPrefix, Prefix: "B"}).Matches(sch, row) {
-		t.Fatal("prefix miss")
-	}
-	if !(olap.Predicate{Col: "n", Kind: olap.PredGEInt, MinI: 2007}).Matches(sch, row) {
-		t.Fatal("ge hit")
-	}
-	if (olap.Predicate{Col: "n", Kind: olap.PredGEInt, MinI: 2011}).Matches(sch, row) {
-		t.Fatal("ge miss")
 	}
 }
 

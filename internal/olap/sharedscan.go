@@ -13,11 +13,11 @@ import (
 )
 
 // This file implements the shared analytical scan (SharedDB's "one
-// cursor, many queries" applied to AnyDB's operator plane) and the
-// generic query sink that terminates every planned query.
+// cursor, many queries" applied to AnyDB's operator plane), the only
+// scan operator: every planned query reads base tables through it.
 //
-// A SharedScanSpec does not start a private cursor like ScanSpec does.
-// It REGISTERS with the per-(table, partition) shared cursor living on
+// A SharedScanSpec does not start a private cursor. It REGISTERS with
+// the per-(table, partition) shared cursor living on
 // the owning AC: the registration compiles its predicates against the
 // table schema once, joins the pass at the cursor's current chunk, and
 // detaches after seeing every chunk exactly once (one full circle).
@@ -73,8 +73,8 @@ type AggExpr struct {
 // partition's table. Two modes:
 //
 //   - streaming (len(Aggs) == 0): matching rows are projected onto Cols
-//     and pushed into Out in pooled batches — the shared-scan analogue
-//     of ScanSpec, feeding joins or a collecting sink;
+//     and pushed into Out in pooled batches, feeding joins or a
+//     collecting sink;
 //   - aggregate pushdown (len(Aggs) > 0): matching rows fold into a
 //     grouped partial-aggregate table private to the registration, and
 //     one partial batch (layout: group columns, then per-aggregate
@@ -1063,7 +1063,9 @@ func partialWidth(aggs []AggExpr) int {
 }
 
 // flush emits the registration's accumulated streaming batch as one
-// pooled data message (mirrors ScanSpec.flush).
+// pooled data message. The batch scratch is recycled, not reallocated:
+// the consumer frees each emitted batch at its death point, so
+// steady-state flushing allocates nothing.
 func (r *scanReg) flush(ctx core.Context, last bool) {
 	if r.out.Len() == 0 && !last {
 		return

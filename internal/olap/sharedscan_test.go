@@ -1,6 +1,7 @@
 package olap_test
 
 import (
+	"fmt"
 	"testing"
 
 	"anydb/internal/core"
@@ -199,4 +200,98 @@ func TestSharedScanStreamingAttach(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedScanRawPredicates covers the predicate modes that run on
+// unencoded chunk columns: an int column that overflows the int
+// dictionary and spans more than 2³² per chunk (so frame-of-reference
+// does not apply either), and a string column with more distinct values
+// than the string dictionary holds (it seals, and the chunks after it
+// stay raw). Each predicate's shared-scan COUNT(*) must equal a hand
+// filter of the same rows.
+func TestSharedScanRawPredicates(t *testing.T) {
+	db := storage.NewDatabase(1, storage.NewSchema("wide",
+		storage.Column{Name: "n", Kind: storage.KInt},
+		storage.Column{Name: "s", Kind: storage.KStr}))
+	tab := db.Partition(0).Table("wide")
+	const rows = 1<<16 + 3*storage.ColChunkRows
+	for i := 0; i < rows; i++ {
+		tab.Append(storage.Row{storage.Int(int64(i) << 33), storage.Str(fmt.Sprintf("k%06d", i))})
+	}
+	topo := core.NewTopology(db)
+	ids := topo.AddServer(4)
+	topo.SetOwner(0, ids[0])
+	got := make(map[core.QueryID]int64)
+	cl := core.NewSimCluster(topo, sim.DefaultCosts(), func(ac *core.AC) {
+		ac.Register(core.EvInstallOp, &olap.Worker{DB: db})
+	})
+	cl.SetClient(func(_ sim.Time, ev *core.Event) {
+		if r, ok := ev.Payload.(*olap.QueryResult); ok {
+			got[r.Query] = resultCount(r)
+		}
+	})
+
+	const pivot = 5000 << 33
+	preds := []olap.Predicate{
+		{Col: "n", Kind: olap.PredGEInt, MinI: pivot},
+		{Col: "n", Kind: olap.PredLTInt, MinI: pivot},
+		{Col: "n", Kind: olap.PredEqInt, MinI: pivot},
+		{Col: "n", Kind: olap.PredNeInt, MinI: pivot},
+		{Col: "s", Kind: olap.PredEqStr, Str: fmt.Sprintf("k%06d", rows-1)},
+		{Col: "s", Kind: olap.PredPrefix, Prefix: "k06"}, // spans dictionary and raw chunks
+	}
+	aggs := []olap.AggExpr{{Fn: olap.AggCount}}
+	for i, p := range preds {
+		qid := core.QueryID(i + 1)
+		out := core.StreamID(uint64(qid) * 64)
+		cl.Inject(ids[0], &core.Event{Kind: core.EvInstallOp, Query: qid, Payload: &olap.SharedScanSpec{
+			Query: qid, Table: tab.Schema.ID, Part: 0, Filters: []olap.Predicate{p},
+			Aggs: aggs, Out: out, To: ids[1], Producers: 1,
+		}}, 0)
+		cl.Inject(ids[1], &core.Event{Kind: core.EvInstallOp, Query: qid, Payload: &olap.SinkSpec{
+			Query: qid, In: out, Aggs: aggs, MergePartials: true,
+			OutCols: []string{"count"}, OutKinds: []storage.Kind{storage.KInt},
+			OutSrc: []int{0}, Limit: -1, Notify: core.ClientAC,
+		}}, 0)
+	}
+	cl.Run()
+
+	last := tab.ColChunk(tab.NumColChunks() - 1)
+	if last.Cols[0].Enc != storage.EncRaw || last.Cols[1].Enc != storage.EncRaw {
+		t.Fatalf("last chunk encodings = %v/%v, want raw/raw", last.Cols[0].Enc, last.Cols[1].Enc)
+	}
+	for i, p := range preds {
+		var want int64
+		tab.Scan(func(_ int32, r storage.Row) bool {
+			n, s := r[0].I, r[1].S
+			switch p.Kind {
+			case olap.PredGEInt:
+				want += b2i(n >= p.MinI)
+			case olap.PredLTInt:
+				want += b2i(n < p.MinI)
+			case olap.PredEqInt:
+				want += b2i(n == p.MinI)
+			case olap.PredNeInt:
+				want += b2i(n != p.MinI)
+			case olap.PredEqStr:
+				want += b2i(s == p.Str)
+			case olap.PredPrefix:
+				want += b2i(len(s) >= len(p.Prefix) && s[:len(p.Prefix)] == p.Prefix)
+			}
+			return true
+		})
+		if want == 0 || want == rows {
+			t.Fatalf("predicate %+v: degenerate oracle count %d", p, want)
+		}
+		if g := got[core.QueryID(i+1)]; g != want {
+			t.Errorf("predicate %+v: count = %d, want %d", p, g, want)
+		}
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

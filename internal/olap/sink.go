@@ -21,7 +21,7 @@ import (
 //   - Aggs without MergePartials: the stream carries raw rows (join
 //     output); the sink folds them into group accumulators directly.
 //   - No Aggs: plain collection of projected rows (capped at
-//     CollectCap, like CollectSpec).
+//     CollectCap).
 type SinkSpec struct {
 	Query core.QueryID
 	In    core.StreamID

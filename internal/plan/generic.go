@@ -22,9 +22,8 @@ import (
 type GenericPlan struct {
 	Query       core.QueryID
 	CompileTime sim.Time
-	Beam        bool
+	Beam        BeamMode
 	Parts       []int
-	Notify      core.ACID
 
 	scans   []scanTemplate
 	joins   []*olap.JoinSpec
@@ -149,10 +148,7 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 		outCols[i] = name
 		outKinds[i] = it.kind
 	}
-	outSrc, aggs, aggTables, err := layoutAgg(items, groupTables, groupCols)
-	if err != nil {
-		return nil, err
-	}
+	outSrc, aggs := layoutAgg(items, groupCols)
 	orderKeys, err := resolveOrderBy(infos, order, q, items)
 	if err != nil {
 		return nil, err
@@ -219,7 +215,7 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 
 	// Wire streams: scan of chain[i] → stream base+i+1; join_i output →
 	// stream base+32+i.
-	p := &GenericPlan{Query: qid, Parts: parts, Notify: notify}
+	p := &GenericPlan{Query: qid, Parts: parts}
 	base := core.StreamID(uint64(qid) * 64)
 	scanStream := func(i int) core.StreamID { return base + core.StreamID(i) + 1 }
 	joinStream := func(i int) core.StreamID { return base + 32 + core.StreamID(i) }
@@ -271,7 +267,6 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 		p.sink = sink
 		return p, nil
 	}
-	_ = aggTables
 
 	// Accumulated (build) side starts as chain[0]'s scan; join_i runs on
 	// compute AC J_i, builds on the accumulated stream and probes the
@@ -307,8 +302,7 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			Query: qid,
 			Build: accStream, BuildKey: buildKeys,
 			Probe: probeStream, ProbeKey: probeKeys,
-			Semi: false,
-			Out:  out, To: outTo, Producers: 1,
+			Out: out, To: outTo, Producers: 1,
 			Notify: core.NoAC, Label: fmt.Sprintf("join%d", i),
 		})
 		p.joinACs = append(p.joinACs, joinAC(i))
@@ -450,7 +444,7 @@ func checkJoinUnambiguous(infos map[string]*tableInfo, order []string, items []o
 // layoutAgg derives the aggregate list (in select order) and the OutSrc
 // mapping from output columns onto the sink's internal layout (group
 // values first, then finalized aggregates).
-func layoutAgg(items []outItem, groupTables, groupCols []string) (outSrc []int, aggs []olap.AggExpr, aggTables []string, err error) {
+func layoutAgg(items []outItem, groupCols []string) (outSrc []int, aggs []olap.AggExpr) {
 	aggregated := false
 	for _, it := range items {
 		if it.agg != sql.AggNone {
@@ -458,7 +452,7 @@ func layoutAgg(items []outItem, groupTables, groupCols []string) (outSrc []int, 
 		}
 	}
 	if !aggregated {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	outSrc = make([]int, len(items))
 	for i, it := range items {
@@ -473,10 +467,8 @@ func layoutAgg(items []outItem, groupTables, groupCols []string) (outSrc []int, 
 		}
 		outSrc[i] = len(groupCols) + len(aggs)
 		aggs = append(aggs, olap.AggExpr{Fn: aggFn(it.agg), Col: it.col})
-		aggTables = append(aggTables, it.table)
 	}
-	_ = groupTables
-	return outSrc, aggs, aggTables, nil
+	return outSrc, aggs
 }
 
 // resolveOrderBy maps ORDER BY terms onto output column indexes: each
@@ -497,7 +489,7 @@ func resolveOrderBy(infos map[string]*tableInfo, order []string, q *sql.Query, i
 		}
 		idx := -1
 		for i, it := range items {
-			if it.agg != aggOf(oi.Agg) {
+			if it.agg != oi.Agg {
 				continue
 			}
 			if oi.Agg == sql.AggCount || (it.col == col && (table == "" || it.table == table)) {
@@ -512,8 +504,6 @@ func resolveOrderBy(infos map[string]*tableInfo, order []string, q *sql.Query, i
 	}
 	return keys, nil
 }
-
-func aggOf(a sql.AggKind) sql.AggKind { return a }
 
 // aggFn maps the parser's aggregate kind onto the operator plane's.
 func aggFn(a sql.AggKind) olap.AggFn {
@@ -542,42 +532,14 @@ func itemCols(items []outItem) []string {
 	return out
 }
 
-// OnGenericPlan is the QO-side emission (called from QO.OnEvent).
-func (q *QO) onGenericPlan(ctx core.Context, p *GenericPlan) {
-	emitScans := func() {
-		for i := range p.scans {
-			sc := &p.scans[i]
-			for _, part := range p.Parts {
-				ev := core.GetEvent()
-				ev.Kind, ev.Query = core.EvInstallOp, p.Query
-				ev.Payload = &olap.SharedScanSpec{
-					Query: p.Query, Table: sc.tableID, Part: part,
-					Filters: sc.filters, Cols: sc.cols,
-					GroupBy: sc.groupBy, Aggs: sc.aggs, DictGroups: sc.dictGroups,
-					Out: sc.out, To: sc.to, Producers: len(p.Parts),
-				}
-				ctx.Send(q.Topo.Owner(part), ev)
-			}
-		}
+// NotifyJoins makes every join report EvOpDone instrumentation (build
+// and probe completion, labelled "join<i>/build" and "join<i>/probe") to
+// ac. CompileSQL leaves joins silent; the virtual-time Figure 6 harness
+// times the join phases from these events.
+func (p *GenericPlan) NotifyJoins(ac core.ACID) {
+	for _, js := range p.joins {
+		js.Notify = ac
 	}
-	if p.Beam {
-		emitScans()
-	}
-	ctx.Charge(p.CompileTime)
-	if !p.Beam {
-		emitScans()
-	}
-	for i, js := range p.joins {
-		ev := core.GetEvent()
-		ev.Kind, ev.Query, ev.Payload = core.EvInstallOp, p.Query, js
-		ctx.Send(p.joinACs[i], ev)
-	}
-	if p.sink == nil {
-		panic("plan: generic plan without final sink")
-	}
-	ev := core.GetEvent()
-	ev.Kind, ev.Query, ev.Payload = core.EvInstallOp, p.Query, p.sink
-	ctx.Send(p.sinkAC, ev)
 }
 
 // Describe renders the routed plan as a deterministic multi-line

@@ -39,15 +39,6 @@ func newSQLHarness(t *testing.T) *sqlHarness {
 	for w := 0; w < cfg.Warehouses; w++ {
 		topo.SetOwner(w, s1[w%4])
 	}
-	// Analyze tables so the planner has statistics.
-	for w := 0; w < cfg.Warehouses; w++ {
-		for _, tn := range db.Catalog.Tables() {
-			tab := db.Partition(w).Table(tn)
-			if w == 0 {
-				db.Catalog.SetStats(tn, storage.Analyze(tab))
-			}
-		}
-	}
 	h := &sqlHarness{topo: topo, db: db, cfg: cfg, qoAC: s2[3], comp: s2[:3]}
 	qo := &plan.QO{Topo: topo}
 	h.cl = core.NewSimCluster(topo, sim.DefaultCosts(), func(ac *core.AC) {
@@ -120,15 +111,7 @@ func countOf(t *testing.T, res *olap.QueryResult) int64 {
 // oracle count through the full parse→plan→event-stream pipeline.
 func TestSQLQ3MatchesOracle(t *testing.T) {
 	h := newSQLHarness(t)
-	res := h.run(t, `SELECT COUNT(*)
-		FROM customer
-		JOIN orders ON customer.c_w_id = orders.o_w_id
-			AND customer.c_d_id = orders.o_d_id
-			AND customer.c_id = orders.o_c_id
-		JOIN new_order ON orders.o_w_id = new_order.no_w_id
-			AND orders.o_d_id = new_order.no_d_id
-			AND orders.o_id = new_order.no_o_id
-		WHERE c_state LIKE 'A%' AND o_entry_d >= 2007`)
+	res := h.run(t, tpcc.Q3SQL)
 	want := tpcc.ReferenceQ3(h.db, h.cfg)
 	if want == 0 {
 		t.Fatal("oracle empty")
@@ -427,6 +410,24 @@ func TestPlanDescribeGolden(t *testing.T) {
 		if got := p.Describe(); got != c.want {
 			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestQ3DescribeGolden pins the routed shape of the paper's query — the
+// plan the public OpenOrders wrappers and the virtual-time figures both
+// run: customer is the first build side, join1 runs on compute[0], and
+// join2 plus the sink on compute[1] (the placement Figure 6's
+// join1/build and join1/probe timings depend on).
+func TestQ3DescribeGolden(t *testing.T) {
+	h := newSQLHarness(t)
+	want := "scan customer parts=4 filters=1 cols=[c_d_id c_id c_w_id] -> s449@ac4\n" +
+		"scan orders parts=4 filters=1 cols=[o_c_id o_d_id o_id o_w_id] -> s450@ac4\n" +
+		"scan new_order parts=4 cols=[no_d_id no_o_id no_w_id] -> s451@ac5\n" +
+		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] @ac4 -> s480@ac5\n" +
+		"join2 build=s480[o_w_id o_d_id o_id] probe=s451[no_w_id no_d_id no_o_id] @ac5 -> s481@ac5\n" +
+		"sink in=s481 fold group=[] aggs=[count] out=[count] @ac5\n"
+	if got := h.compile(t, tpcc.Q3SQL, 7).Describe(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

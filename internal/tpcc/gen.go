@@ -256,10 +256,17 @@ func reserveTables(p *storage.Partition, cat *storage.Catalog) {
 	}
 }
 
-// NewDatabase creates and populates a database in one call.
+// NewDatabase creates and populates a database in one call — the seed
+// database every runtime starts from: deterministic in (config, seed),
+// with statistics for the SQL planner (partition 0 is representative:
+// population is symmetric across warehouses), so every runtime plans a
+// query with the same join order.
 func NewDatabase(cfg Config) (*storage.Database, Config) {
 	cfg = cfg.WithDefaults()
 	db := storage.NewDatabase(cfg.Warehouses, Schemas()...)
 	Populate(db, cfg)
+	for _, tn := range db.Catalog.Tables() {
+		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
+	}
 	return db, cfg
 }

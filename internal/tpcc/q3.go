@@ -1,6 +1,10 @@
 package tpcc
 
-import "anydb/internal/storage"
+import (
+	"fmt"
+
+	"anydb/internal/storage"
+)
 
 // The CH-benCHmark-style query of the paper's §4 experiment (based on
 // CH-benCHmark Q3 [3]): "report all open orders for all customers from
@@ -14,6 +18,22 @@ const Q3StatePrefix = "A"
 // Q3SinceYear filters orders by entry year (13 of 20 populated years
 // qualify, ≈65% selectivity).
 const Q3SinceYear = 2007
+
+// Q3SQL is the query in the SQL surface's grammar. Every runtime runs it
+// through the same planner: the public OpenOrders wrappers, the
+// virtual-time figures and the tests. Its COUNT(*) over inner joins
+// equals the semi-join count of ReferenceQ3, since each order has one
+// customer and each new_order one order.
+var Q3SQL = fmt.Sprintf(`SELECT COUNT(*)
+	FROM customer
+	JOIN orders ON customer.c_w_id = orders.o_w_id
+		AND customer.c_d_id = orders.o_d_id
+		AND customer.c_id = orders.o_c_id
+	JOIN new_order ON orders.o_w_id = new_order.no_w_id
+		AND orders.o_d_id = new_order.no_d_id
+		AND orders.o_id = new_order.no_o_id
+	WHERE c_state LIKE '%s%%' AND o_entry_d >= %d`,
+	Q3StatePrefix, Q3SinceYear)
 
 // ReferenceQ3 evaluates the query sequentially against the database — the
 // correctness oracle every engine's result is compared to (tests only; it

@@ -20,7 +20,8 @@ const (
 // Payload type tags of an event body. Only payloads that actually cross
 // process boundaries under the distributed deployment are encodable;
 // anything else (plan continuations, sequencer batches, telemetry) is a
-// routing bug surfaced as an encode error, not silently dropped.
+// routing bug surfaced as an encode error, not silently dropped. Retired
+// tags keep their slot, so the remaining tags never change value.
 const (
 	pNil uint8 = iota
 	pSegment
@@ -28,11 +29,11 @@ const (
 	pDoneInfo
 	pOpDone
 	pQueryResult
-	pScanSpec
+	_ // retired: private-cursor scan spec
 	pSharedScanSpec
 	pJoinSpec
-	pAggSpec
-	pCollectSpec
+	_ // retired: counting-aggregate spec
+	_ // retired: row-collecting spec
 	pSinkSpec
 )
 
@@ -278,18 +279,6 @@ func (e *encoder) encodePayload(p any) error {
 	case *olap.QueryResult:
 		e.w.u8(pQueryResult)
 		e.encodeQueryResult(v)
-	case *olap.ScanSpec:
-		e.w.u8(pScanSpec)
-		e.w.u64(uint64(v.Query))
-		e.w.i32(int32(v.Table))
-		e.w.varint(v.Part)
-		e.encodePreds(v.Filters)
-		e.encodeStrs(v.Cols)
-		e.w.u64(uint64(v.Out))
-		e.w.i32(int32(v.To))
-		e.w.varint(v.Producers)
-		e.w.varint(v.ChunkRows)
-		e.w.varint(v.BatchRows)
 	case *olap.SharedScanSpec:
 		e.w.u8(pSharedScanSpec)
 		e.w.u64(uint64(v.Query))
@@ -299,6 +288,7 @@ func (e *encoder) encodePayload(p any) error {
 		e.encodeStrs(v.Cols)
 		e.encodeStrs(v.GroupBy)
 		e.encodeAggs(v.Aggs)
+		e.w.bool(v.DictGroups)
 		e.w.u64(uint64(v.Out))
 		e.w.i32(int32(v.To))
 		e.w.varint(v.Producers)
@@ -310,23 +300,11 @@ func (e *encoder) encodePayload(p any) error {
 		e.encodeStrs(v.BuildKey)
 		e.w.u64(uint64(v.Probe))
 		e.encodeStrs(v.ProbeKey)
-		e.w.bool(v.Semi)
 		e.w.u64(uint64(v.Out))
 		e.w.i32(int32(v.To))
 		e.w.varint(v.Producers)
 		e.w.i32(int32(v.Notify))
 		e.w.str(v.Label)
-	case *olap.AggSpec:
-		e.w.u8(pAggSpec)
-		e.w.u64(uint64(v.Query))
-		e.w.u64(uint64(v.In))
-		e.w.i32(int32(v.Notify))
-	case *olap.CollectSpec:
-		e.w.u8(pCollectSpec)
-		e.w.u64(uint64(v.Query))
-		e.w.u64(uint64(v.In))
-		e.encodeStrs(v.Cols)
-		e.w.i32(int32(v.Notify))
 	case *olap.SinkSpec:
 		e.w.u8(pSinkSpec)
 		e.w.u64(uint64(v.Query))
@@ -512,52 +490,6 @@ func (e *encoder) encodeQueryResult(v *olap.QueryResult) {
 	for _, b := range v.Batches {
 		e.encodeBatch(b)
 	}
-	e.w.varint(len(v.Collected))
-	for _, row := range v.Collected {
-		e.encodeRow(row)
-	}
-}
-
-func (e *encoder) encodeRow(row storage.Row) {
-	e.w.varint(len(row))
-	for _, v := range row {
-		e.encodeValue(v)
-	}
-}
-
-func (e *encoder) encodeValue(v storage.Value) {
-	e.w.u8(uint8(v.Kind))
-	switch v.Kind {
-	case storage.KInt:
-		e.w.i64(v.I)
-	case storage.KFloat:
-		e.w.f64(v.F)
-	default:
-		e.w.str(v.S)
-	}
-}
-
-func (d *decoder) decodeRow(r *rbuf) storage.Row {
-	n := r.count()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make(storage.Row, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, d.decodeValue(r))
-	}
-	return out
-}
-
-func (d *decoder) decodeValue(r *rbuf) storage.Value {
-	switch storage.Kind(r.u8()) {
-	case storage.KInt:
-		return storage.Int(r.i64())
-	case storage.KFloat:
-		return storage.Float(r.f64())
-	default:
-		return storage.Str(r.str())
-	}
 }
 
 // encodeData writes one data message: header plus, when present, its
@@ -697,18 +629,11 @@ func (d *decoder) decodePayload(r *rbuf) any {
 			return q
 		}
 		return nil
-	case pScanSpec:
-		return &olap.ScanSpec{
-			Query: core.QueryID(r.u64()), Table: storage.TableID(r.i32()), Part: r.varint(),
-			Filters: d.decodePreds(r), Cols: d.decodeStrs(r),
-			Out: core.StreamID(r.u64()), To: core.ACID(r.i32()),
-			Producers: r.varint(), ChunkRows: r.varint(), BatchRows: r.varint(),
-		}
 	case pSharedScanSpec:
 		return &olap.SharedScanSpec{
 			Query: core.QueryID(r.u64()), Table: storage.TableID(r.i32()), Part: r.varint(),
 			Filters: d.decodePreds(r), Cols: d.decodeStrs(r),
-			GroupBy: d.decodeStrs(r), Aggs: d.decodeAggs(r),
+			GroupBy: d.decodeStrs(r), Aggs: d.decodeAggs(r), DictGroups: r.bool(),
 			Out: core.StreamID(r.u64()), To: core.ACID(r.i32()),
 			Producers: r.varint(), BatchRows: r.varint(),
 		}
@@ -717,19 +642,8 @@ func (d *decoder) decodePayload(r *rbuf) any {
 			Query: core.QueryID(r.u64()),
 			Build: core.StreamID(r.u64()), BuildKey: d.decodeStrs(r),
 			Probe: core.StreamID(r.u64()), ProbeKey: d.decodeStrs(r),
-			Semi: r.bool(),
-			Out:  core.StreamID(r.u64()), To: core.ACID(r.i32()),
+			Out: core.StreamID(r.u64()), To: core.ACID(r.i32()),
 			Producers: r.varint(), Notify: core.ACID(r.i32()), Label: r.str(),
-		}
-	case pAggSpec:
-		return &olap.AggSpec{
-			Query: core.QueryID(r.u64()), In: core.StreamID(r.u64()),
-			Notify: core.ACID(r.i32()),
-		}
-	case pCollectSpec:
-		return &olap.CollectSpec{
-			Query: core.QueryID(r.u64()), In: core.StreamID(r.u64()),
-			Cols: d.decodeStrs(r), Notify: core.ACID(r.i32()),
 		}
 	case pSinkSpec:
 		s := &olap.SinkSpec{
@@ -819,10 +733,6 @@ func (d *decoder) decodeQueryResult(r *rbuf) *olap.QueryResult {
 		if b := d.decodeBatch(r); b != nil {
 			q.Batches = append(q.Batches, b)
 		}
-	}
-	nr := r.count()
-	for i := 0; i < nr && r.err == nil; i++ {
-		q.Collected = append(q.Collected, d.decodeRow(r))
 	}
 	if r.err != nil {
 		for _, b := range q.Batches {

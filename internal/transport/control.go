@@ -15,7 +15,7 @@ import (
 
 // ProtoVersion gates the handshake: both sides must speak the same wire
 // format.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Hello is the member's first frame after dialing. A reconnecting
 // member sets Rejoin with its previously assigned server slot; the head

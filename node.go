@@ -16,6 +16,7 @@ import (
 
 	"anydb/internal/core"
 	"anydb/internal/route"
+	"anydb/internal/tpcc"
 	"anydb/internal/transport"
 )
 
@@ -62,7 +63,7 @@ func ServeNode(ctx context.Context, addr string) error {
 	// Rebuild the head's exact database and topology from the recipe:
 	// population is deterministic in (config, seed), and the ownership
 	// vector replays the head's SetOwner calls.
-	db := newDatabase(w.TC)
+	db, _ := tpcc.NewDatabase(w.TC)
 	topo := core.NewTopology(db)
 	for s := 0; s < w.Servers; s++ {
 		topo.AddServer(w.Cores)
