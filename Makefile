@@ -56,19 +56,21 @@ bench-check:
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
-# shows up here) and one full pass of a streaming shared-scan
+# shows up here), one full pass of a streaming shared-scan
 # registration (BenchmarkScanFlush: chunk decode, projection, batch
-# flushes) must report exactly 0 allocs/op. Fixed iteration counts keep
+# flushes) and one hash-join probe of a 1 024-row batch
+# (BenchmarkJoinProbe: table lookups, match gather, output emission)
+# must report exactly 0 allocs/op. Fixed iteration counts keep
 # the gate reproducible on any machine; the payment path runs 100000x
 # so cold-pool warm-up amortizes below the integer allocs/op floor (a
 # reintroduced per-op allocation still shows as >= 1).
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkJoinProbe' -benchmem -benchtime 100x ./internal/olap)"; \
 	printf '%s\n%s\n' "$$out1" "$$out2"; \
-	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment and shared-scan hot paths"
+	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 3) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 3"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan and join-probe hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

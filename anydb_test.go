@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -512,6 +513,38 @@ func TestSQLQueryJoinMatchesOpenOrders(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("SQL count %d != OpenOrders %d", got, want)
+	}
+}
+
+// TestSQLJoinOnNonIntColumnRejected: the hash join keys on int columns
+// only, so a join on a string or float column must fail at planning with
+// an error naming the column — not crash an AC mid-query — and the
+// cluster must go on answering queries.
+func TestSQLJoinOnNonIntColumnRejected(t *testing.T) {
+	c := open(t)
+	for _, tc := range []struct{ sql, col string }{
+		{"SELECT COUNT(*) FROM customer JOIN warehouse ON customer.c_state = warehouse.w_state", "c_state"},
+		{"SELECT COUNT(*) FROM customer JOIN warehouse ON customer.c_balance = warehouse.w_ytd", "c_balance"},
+	} {
+		rows, err := c.Query(bg, tc.sql)
+		if err == nil {
+			rows.Close()
+			t.Fatalf("%q: no error", tc.sql)
+		}
+		if !strings.Contains(err.Error(), tc.col) {
+			t.Fatalf("%q: error %q does not name %s", tc.sql, err, tc.col)
+		}
+	}
+	want, err := c.OpenOrders(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int64
+	if err := c.QueryRow(bg, tpcc.Q3SQL).Scan(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Q3 after rejected joins = %d, want %d", got, want)
 	}
 }
 

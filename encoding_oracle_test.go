@@ -159,7 +159,9 @@ func TestEncodedPredicateOracle(t *testing.T) {
 
 // TestGroupedAggOracle checks the dense grouped-aggregate fast path
 // against a hand-grouped map of the same rows, and pins that forcing
-// the hash-map fallback returns the identical result set.
+// the hash-map fallback returns the identical result set. AVG(c_id)
+// folds an int column through the decode path; SUM and AVG of c_balance
+// fold a raw float column through its typed loop.
 func TestGroupedAggOracle(t *testing.T) {
 	c, err := anydb.Open(oracleConfig())
 	if err != nil {
@@ -169,8 +171,8 @@ func TestGroupedAggOracle(t *testing.T) {
 	cust := loadCustomers(t, c)
 
 	type agg struct {
-		n   int64
-		sum float64
+		n        int64
+		sum, bal float64 // sum of c_id, sum of c_balance
 	}
 	want := make(map[string]*agg)
 	for _, r := range cust {
@@ -181,9 +183,11 @@ func TestGroupedAggOracle(t *testing.T) {
 		}
 		a.n++
 		a.sum += float64(r.id)
+		a.bal += r.balance
 	}
 
-	const q = "SELECT c_state, COUNT(*), AVG(c_id) FROM customer GROUP BY c_state"
+	const q = "SELECT c_state, COUNT(*), AVG(c_id), SUM(c_balance), AVG(c_balance) FROM customer GROUP BY c_state"
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(1, math.Abs(b)) }
 	run := func() map[string]agg {
 		rows, err := c.Query(bg, q)
 		if err != nil {
@@ -194,14 +198,17 @@ func TestGroupedAggOracle(t *testing.T) {
 		for rows.Next() {
 			var state string
 			var n int64
-			var avg float64
-			if err := rows.Scan(&state, &n, &avg); err != nil {
+			var avg, bal, avgBal float64
+			if err := rows.Scan(&state, &n, &avg, &bal, &avgBal); err != nil {
 				t.Fatal(err)
 			}
 			if _, dup := got[state]; dup {
 				t.Fatalf("state %q appears twice in one result set", state)
 			}
-			got[state] = agg{n: n, sum: avg * float64(n)}
+			if !near(avgBal*float64(n), bal) {
+				t.Fatalf("state %q: AVG(c_balance) %v × %d != SUM(c_balance) %v", state, avgBal, n, bal)
+			}
+			got[state] = agg{n: n, sum: avg * float64(n), bal: bal}
 		}
 		return got
 	}
@@ -219,8 +226,11 @@ func TestGroupedAggOracle(t *testing.T) {
 			if g.n != w.n {
 				t.Errorf("%s: %q count = %d, want %d", label, state, g.n, w.n)
 			}
-			if math.Abs(g.sum-w.sum) > 1e-6*math.Max(1, math.Abs(w.sum)) {
+			if !near(g.sum, w.sum) {
 				t.Errorf("%s: %q sum = %v, want %v", label, state, g.sum, w.sum)
+			}
+			if !near(g.bal, w.bal) {
+				t.Errorf("%s: %q balance sum = %v, want %v", label, state, g.bal, w.bal)
 			}
 		}
 	}
@@ -236,7 +246,7 @@ func TestGroupedAggOracle(t *testing.T) {
 
 	for state, f := range fast {
 		m, ok := mapped[state]
-		if !ok || m.n != f.n || math.Abs(m.sum-f.sum) > 1e-6*math.Max(1, math.Abs(f.sum)) {
+		if !ok || m.n != f.n || !near(m.sum, f.sum) || !near(m.bal, f.bal) {
 			t.Errorf("fast/map divergence at %q: fast %+v, map %+v (present %v)", state, f, m, ok)
 		}
 	}

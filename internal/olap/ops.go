@@ -11,8 +11,10 @@ package olap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anydb/internal/core"
+	"anydb/internal/sim"
 	"anydb/internal/storage"
 )
 
@@ -124,37 +126,152 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 // joinState is a two-phase hash join bound to one AC.
 type joinState struct {
 	spec  *JoinSpec
-	ht    map[joinKey][]int32 // build key -> build row indexes
+	ht    joinTable
 	build []*storage.Batch
 	built bool
 	out   *storage.Batch
+
+	// Key column indexes, resolved at each side's first batch (every
+	// batch of a stream has the same layout).
+	buildCols, probeCols []int
+
+	// Probe scratch: the matches of the current output segment, as build
+	// refs and probe rows, gathered into out at each emission point.
+	mref []storage.RowRef
+	mrow []int32
 }
 
-type joinKey struct {
-	a, b, c int64
-}
+// maxJoinKeys bounds the equi-join key width (the planner enforces it).
+const maxJoinKeys = 3
 
+// joinKey is one build or probe key; columns past the key width are 0.
+type joinKey [maxJoinKeys]int64
+
+// keyOf reads the int key of row from the key columns cols.
 func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
 	var k joinKey
 	for i, c := range cols {
-		v := batch.Cols[c].Ints[row]
-		switch i {
-		case 0:
-			k.a = v
-		case 1:
-			k.b = v
-		default:
-			k.c = v
-		}
+		k[i] = batch.Cols[c].Ints[row]
 	}
 	return k
 }
 
+// joinTable is the join's hash table: a flat open-addressing index over
+// the distinct build keys, each heading an insertion-ordered chain of
+// build-row refs. Slots pack the key hash's low half with the entry
+// index + 1 (0 = empty), so a probe miss — the common case — usually
+// rejects on the slot word alone, without touching the entry.
+type joinTable struct {
+	slots   []uint64
+	shift   uint // 64 - log2(len(slots))
+	entries []joinEntry
+	refs    []joinRef
+}
+
+// joinEntry is one distinct build key and its ref chain (indexes into
+// refs; tail makes appends O(1) while keeping insertion order).
+type joinEntry struct {
+	key        joinKey
+	head, tail int32
+}
+
+// joinRef is one build row plus the next ref of its key's chain (-1 ends
+// the chain).
+type joinRef struct {
+	at   storage.RowRef
+	next int32
+}
+
+// hashKey mixes every key word (unused ones are 0) into 64 bits: find
+// takes the slot from the high bits and the tag from the low half.
+func hashKey(k joinKey) uint64 {
+	h := uint64(k[0])*0x9e3779b97f4a7c15 ^ uint64(k[1])*0xc2b2ae3d27d4eb4f ^ uint64(k[2])*0x165667b19e3779f9
+	h ^= h >> 29
+	return h * 0xbf58476d1ce4e5b9
+}
+
+// find returns the entry index of key k (h = hashKey(k)) and its slot:
+// the entry is -1 and the slot empty when k has no entry.
+func (t *joinTable) find(k joinKey, h uint64) (int32, int) {
+	tag := h << 32
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if s&^0xffffffff == tag {
+			if e := int32(uint32(s)) - 1; t.entries[e].key == k {
+				return e, i
+			}
+		}
+	}
+}
+
+// insert appends build row at to key k's chain.
+func (t *joinTable) insert(k joinKey, at storage.RowRef) {
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		t.grow()
+	}
+	h := hashKey(k)
+	e, slot := t.find(k, h)
+	ref := int32(len(t.refs))
+	t.refs = append(t.refs, joinRef{at: at, next: -1})
+	if e >= 0 {
+		en := &t.entries[e]
+		t.refs[en.tail].next = ref
+		en.tail = ref
+		return
+	}
+	t.entries = append(t.entries, joinEntry{key: k, head: ref, tail: ref})
+	t.slots[slot] = h<<32 | uint64(len(t.entries))
+}
+
+// grow doubles the slot array (sized for load <= 1/2) and re-indexes
+// every entry.
+func (t *joinTable) grow() {
+	n := max(2*len(t.slots), 64)
+	t.slots = make([]uint64, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for e := range t.entries {
+		h := hashKey(t.entries[e].key)
+		_, slot := t.find(t.entries[e].key, h)
+		t.slots[slot] = h<<32 | uint64(e+1)
+	}
+}
+
+// lookup returns the head ref of key k's chain, or -1.
+func (t *joinTable) lookup(k joinKey) int32 {
+	if len(t.entries) == 0 {
+		return -1
+	}
+	e, _ := t.find(k, hashKey(k))
+	if e < 0 {
+		return -1
+	}
+	return t.entries[e].head
+}
+
 func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
-	j := &joinState{spec: spec, ht: make(map[joinKey][]int32)}
+	j := &joinState{spec: spec}
 	// Consume the build side first; staged (beamed) batches replay
 	// immediately inside Subscribe.
 	ac.Subscribe(ctx, spec.Build, (*joinBuildSink)(j))
+}
+
+// keyCols resolves a join's key columns against a side's batch schema;
+// keys must be int columns (the planner rejects others).
+func keyCols(s *storage.Schema, names []string) []int {
+	if len(names) > maxJoinKeys {
+		panic(fmt.Sprintf("olap: %d join key columns, at most %d", len(names), maxJoinKeys))
+	}
+	cols := colIdx(s, names)
+	for i, c := range cols {
+		if s.Cols[c].Kind != storage.KInt {
+			panic(fmt.Sprintf("olap: join key %s.%s is %s, not int", s.Name, names[i], s.Cols[c].Kind))
+		}
+	}
+	return cols
 }
 
 // joinBuildSink and joinProbeSink give the two phases distinct OnData
@@ -170,15 +287,16 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			// DPI flows hash rows in flight (§4 co-processor).
 			buildCost = buildCost * 3 / 4
 		}
-		cols := colIdx(msg.Batch.Schema, st.spec.BuildKey)
+		if st.buildCols == nil {
+			st.buildCols = keyCols(msg.Batch.Schema, st.spec.BuildKey)
+		}
 		// Build rows are materialized at probe time, so the batch must
 		// live until the probe side closes.
-		bi := len(st.build)
+		bi := int32(len(st.build))
 		st.build = append(st.build, msg.Batch)
 		for r := 0; r < msg.Batch.Len(); r++ {
 			ctx.Charge(buildCost)
-			k := keyOf(msg.Batch, r, cols)
-			st.ht[k] = append(st.ht[k], int32(bi)<<16|int32(r))
+			st.ht.insert(keyOf(msg.Batch, r, st.buildCols), storage.RowRef{Batch: bi, Row: int32(r)})
 		}
 	}
 	if msg.Last {
@@ -205,27 +323,40 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		if msg.Prehashed {
 			probeCost = probeCost * 3 / 4
 		}
-		cols := colIdx(msg.Batch.Schema, spec.ProbeKey)
+		if st.probeCols == nil {
+			st.probeCols = keyCols(msg.Batch.Schema, spec.ProbeKey)
+		}
 		if st.out == nil {
 			st.out = storage.GetBatch(outSchema(st, msg.Batch.Schema))
 		}
-		for r := 0; r < msg.Batch.Len(); r++ {
-			ctx.Charge(probeCost)
-			matches := st.ht[keyOf(msg.Batch, r, cols)]
-			if len(matches) == 0 {
+		// Matches queue as (build ref, probe row) pairs and are gathered
+		// into the output column by column at each emission point —
+		// exactly where the row-at-a-time join emitted, after the last
+		// match of the probe row that fills a batch, so batch boundaries
+		// and output order (probe row order, then build insertion order)
+		// are unchanged. Probe charges are paid in the same positions
+		// relative to the emissions.
+		probe, charged := msg.Batch, 0
+		for r := 0; r < probe.Len(); r++ {
+			ref := st.ht.lookup(keyOf(probe, r, st.probeCols))
+			if ref < 0 {
 				continue
 			}
-			for _, m := range matches {
-				b := st.build[m>>16]
-				row := append(b.Row(int(m&0xffff)), msg.Batch.Row(r)...)
-				st.out.AppendRow(row)
+			for ; ref >= 0; ref = st.ht.refs[ref].next {
+				st.mref = append(st.mref, st.ht.refs[ref].at)
+				st.mrow = append(st.mrow, int32(r))
 			}
-			if st.out.Len() >= DefaultBatchRows {
+			if st.out.Len()+len(st.mref) >= DefaultBatchRows {
+				ctx.Charge(probeCost * sim.Time(r+1-charged))
+				charged = r + 1
+				st.gather(probe)
 				st.emit(ctx, false)
 			}
 		}
-		// AppendRow/Row copy, so the probe batch dies here.
-		storage.FreeBatch(msg.Batch)
+		ctx.Charge(probeCost * sim.Time(probe.Len()-charged))
+		st.gather(probe)
+		// The gather copies, so the probe batch dies here.
+		storage.FreeBatch(probe)
 	}
 	if msg.Last {
 		st.emit(ctx, true)
@@ -233,7 +364,7 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		for _, b := range st.build {
 			storage.FreeBatch(b)
 		}
-		st.build, st.ht = nil, nil
+		st.build, st.ht = nil, joinTable{}
 		if spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, spec.Query
@@ -241,6 +372,12 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			ctx.Send(spec.Notify, done)
 		}
 	}
+}
+
+// gather appends the queued matches against probe to the output batch.
+func (st *joinState) gather(probe *storage.Batch) {
+	st.out.AppendJoined(st.build, st.mref, probe, st.mrow)
+	st.mref, st.mrow = st.mref[:0], st.mrow[:0]
 }
 
 // emit forwards the accumulated output batch (if any) as one pooled

@@ -455,7 +455,6 @@ type scanReg struct {
 	// Streaming mode.
 	outIdx []int
 	out    *storage.Batch
-	rowBuf storage.Row
 
 	// Aggregate-pushdown mode.
 	groupIdx []int
@@ -476,6 +475,7 @@ type scanReg struct {
 	dense        []aggCell // len = slots × len(Aggs)
 	denseSeen    []bool
 	denseTouched []int32 // touched packed slots, first-touch order
+	denseAt      []int32 // scratch: per matched row, its slot's first cell
 	denseDims    []int
 	denseStride  []int
 	denseDicts   []*storage.Dict
@@ -545,7 +545,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			outCols[i] = t.Schema.Cols[r.outIdx[i]]
 		}
 		r.out = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
-		r.rowBuf = make(storage.Row, len(r.outIdx))
 	} else {
 		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
 		r.aggIdx = make([]int, len(spec.Aggs))
@@ -761,22 +760,23 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, buf []int32) []int32 
 }
 
 // foldStream appends the matched rows, projected, to the registration's
-// output batch, flushing at batch granularity.
+// output batch, flushing at batch granularity. Rows gather straight from
+// the encoded chunk in BatchRows-bounded slices of match.
 func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
 		return
 	}
-	for _, m := range match {
-		for j, c := range r.outIdx {
-			r.rowBuf[j] = chunk.Value(int(m), c)
-		}
-		r.out.AppendRow(r.rowBuf)
+	n := len(match)
+	for len(match) > 0 {
+		k := min(len(match), r.spec.BatchRows-r.out.Len())
+		r.out.AppendChunkRows(chunk, r.outIdx, match[:k])
+		match = match[k:]
 		if r.out.Len() >= r.spec.BatchRows {
 			r.flush(ctx, false)
 		}
 	}
 	if !ctx.Offloaded(r.spec.To) {
-		ctx.Charge(ctx.Costs().PartitionRow * sim.Time(len(match)))
+		ctx.Charge(ctx.Costs().PartitionRow * sim.Time(n))
 	}
 }
 
@@ -920,31 +920,68 @@ func (r *scanReg) tryFoldDense(c *storage.EncChunk, match []int32) ([]int32, boo
 		}
 		return nil, true
 	}
+	// One pass computes each matched row's accumulator offset (packed
+	// slot × aggregates), stopping at the first code past the padded
+	// dims; then each aggregate folds the rows before it in one typed
+	// loop over its source vector.
+	n, over := len(match), false
+	at := r.denseAt[:0]
 	for mi, m := range match {
-		i := int(m)
 		packed := 0
 		for g, col := range r.groupIdx {
-			code := int(c.Cols[col].Codes[i])
+			code := int(c.Cols[col].Codes[m])
 			if code >= r.denseDims[g] {
-				r.denseOK = false
-				return match[mi:], false
+				over = true
+				break
 			}
 			packed += code * r.denseStride[g]
+		}
+		if over {
+			n = mi
+			break
 		}
 		if !r.denseSeen[packed] {
 			r.denseSeen[packed] = true
 			r.denseTouched = append(r.denseTouched, int32(packed))
 		}
-		cells := r.dense[packed*nA : packed*nA+nA]
-		for j := range cells {
-			var v storage.Value
-			if r.aggIdx[j] >= 0 {
-				v = c.Value(i, r.aggIdx[j])
+		at = append(at, int32(packed*nA))
+	}
+	r.denseAt = at
+	for j, a := range aggs {
+		if a.Fn == AggCount {
+			cells := r.dense[j:]
+			for _, o := range at {
+				cells[o].count++
 			}
-			cells[j].addRaw(aggs[j].Fn, v)
+			continue
 		}
+		foldCol(a.Fn, &c.Cols[r.aggIdx[j]], match[:n], at, r.dense[j:])
+	}
+	if over {
+		r.denseOK = false
+		return match[n:], false
 	}
 	return nil, true
+}
+
+// foldCol folds aggregate fn (not COUNT) of column v over the matched
+// rows: cells[at[i]] accumulates match[i]. SUM and AVG of a raw float
+// column read the float vector directly; every other case decodes
+// through addRaw.
+func foldCol(fn AggFn, v *storage.EncVec, match, at []int32, cells []aggCell) {
+	if (fn == AggSum || fn == AggAvg) && v.Enc == storage.EncRaw && v.Kind == storage.KFloat {
+		for i, m := range match {
+			c := &cells[at[i]]
+			if fn == AggAvg {
+				c.count++
+			}
+			c.sumF += v.Floats[m]
+		}
+		return
+	}
+	for i, m := range match {
+		cells[at[i]].addRaw(fn, v.Value(int(m)))
+	}
 }
 
 // denseKey decodes a packed slot back into its group values.
@@ -978,7 +1015,7 @@ func (r *scanReg) abandonDense(keyBuf []byte) []byte {
 		r.groups[key] = acc
 		r.order = append(r.order, key)
 	}
-	r.dense, r.denseSeen, r.denseTouched = nil, nil, nil
+	r.dense, r.denseSeen, r.denseTouched, r.denseAt = nil, nil, nil, nil
 	r.denseReady = false
 	return keyBuf
 }

@@ -112,6 +112,10 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			if err != nil {
 				return nil, err
 			}
+			// The hash join keys on int columns only.
+			if k := ti.schema.Cols[ti.schema.MustCol(side.c)].Kind; k != storage.KInt {
+				return nil, fmt.Errorf("plan: join column %s.%s is %s; only int columns can be join keys", ti.name, side.c, k)
+			}
 			ti.joinCols = append(ti.joinCols, side.c)
 		}
 	}

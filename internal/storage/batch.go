@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -157,6 +158,122 @@ func (b *Batch) AppendRow(row Row) {
 
 // AppendValues appends one row given as individual values.
 func (b *Batch) AppendValues(vals ...Value) { b.AppendRow(Row(vals)) }
+
+// AppendChunkRows appends rows sel of chunk c, projected onto the chunk
+// column indexes cols (one per batch column), decoding straight from the
+// encoded vectors in one typed loop per column: frame-of-reference adds
+// the chunk's Ref, dictionary codes index the dictionary's value slice,
+// raw vectors copy. The batch grows by exactly the cells and Bytes() that
+// AppendRow of each decoded row would add.
+func (b *Batch) AppendChunkRows(c *EncChunk, cols []int, sel []int32) {
+	if len(cols) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: batch arity mismatch: projection %d, batch %d", len(cols), len(b.Cols)))
+	}
+	for j, col := range cols {
+		src, dst := &c.Cols[col], &b.Cols[j]
+		switch {
+		case src.Enc == EncFoR:
+			dst.Ints = slices.Grow(dst.Ints, len(sel))
+			for _, i := range sel {
+				dst.Ints = append(dst.Ints, src.Ref+int64(src.Codes[i]))
+			}
+		case src.Enc == EncDict && src.Kind == KInt:
+			dst.Ints = gatherCodes(dst.Ints, src.Dict.ints, src.Codes, sel)
+		case src.Enc == EncDict:
+			dst.Strs = gatherCodes(dst.Strs, src.Dict.strs, src.Codes, sel)
+		case src.Kind == KInt:
+			dst.Ints = gather(dst.Ints, src.Ints, sel)
+		case src.Kind == KFloat:
+			dst.Floats = gather(dst.Floats, src.Floats, sel)
+		default:
+			dst.Strs = gather(dst.Strs, src.Strs, sel)
+		}
+		b.bytes += cellBytes(dst, len(sel))
+	}
+	b.n += len(sel)
+}
+
+// RowRef addresses one row of a batch list: row Row of batch Batch.
+type RowRef struct{ Batch, Row int32 }
+
+// AppendJoined appends one row per ref: the cells of the referenced row
+// of left, then the cells of row rows[i] of right, so the batch's schema
+// must be left's columns followed by right's (ConcatSchema). Cells copy
+// one typed loop per column; the batch grows by exactly the Bytes() that
+// AppendRow of each concatenated row would add.
+func (b *Batch) AppendJoined(left []*Batch, refs []RowRef, right *Batch, rows []int32) {
+	if len(refs) != len(rows) {
+		panic(fmt.Sprintf("storage: join gather mismatch: %d refs, %d rows", len(refs), len(rows)))
+	}
+	nl := len(b.Cols) - len(right.Cols)
+	for c := 0; c < nl; c++ {
+		dst := &b.Cols[c]
+		switch dst.Kind {
+		case KInt:
+			dst.Ints = gatherRefs(dst.Ints, left, refs, func(v *ColVec) []int64 { return v.Ints }, c)
+		case KFloat:
+			dst.Floats = gatherRefs(dst.Floats, left, refs, func(v *ColVec) []float64 { return v.Floats }, c)
+		default:
+			dst.Strs = gatherRefs(dst.Strs, left, refs, func(v *ColVec) []string { return v.Strs }, c)
+		}
+		b.bytes += cellBytes(dst, len(refs))
+	}
+	for c := range right.Cols {
+		src, dst := &right.Cols[c], &b.Cols[nl+c]
+		switch dst.Kind {
+		case KInt:
+			dst.Ints = gather(dst.Ints, src.Ints, rows)
+		case KFloat:
+			dst.Floats = gather(dst.Floats, src.Floats, rows)
+		default:
+			dst.Strs = gather(dst.Strs, src.Strs, rows)
+		}
+		b.bytes += cellBytes(dst, len(rows))
+	}
+	b.n += len(refs)
+}
+
+// gather appends src[i] for every i in sel to dst.
+func gather[T any](dst, src []T, sel []int32) []T {
+	dst = slices.Grow(dst, len(sel))
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
+}
+
+// gatherRefs appends, for every ref, cell r.Row of column c of batch
+// left[r.Batch] to dst; vec picks the column's typed slice.
+func gatherRefs[T any](dst []T, left []*Batch, refs []RowRef, vec func(*ColVec) []T, c int) []T {
+	dst = slices.Grow(dst, len(refs))
+	for _, r := range refs {
+		dst = append(dst, vec(&left[r.Batch].Cols[c])[r.Row])
+	}
+	return dst
+}
+
+// gatherCodes appends the dictionary values of codes[i] for every i in
+// sel to dst.
+func gatherCodes[T any](dst, dict []T, codes []uint32, sel []int32) []T {
+	dst = slices.Grow(dst, len(sel))
+	for _, i := range sel {
+		dst = append(dst, dict[codes[i]])
+	}
+	return dst
+}
+
+// cellBytes is the wire size (Value.size) of the last n cells appended
+// to column c.
+func cellBytes(c *ColVec, n int) int64 {
+	if c.Kind != KStr {
+		return 8 * int64(n)
+	}
+	var s int64
+	for _, x := range c.Strs[len(c.Strs)-n:] {
+		s += int64(len(x)) + 4
+	}
+	return s
+}
 
 // Row materializes row i (a copy).
 func (b *Batch) Row(i int) Row {
