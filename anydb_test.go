@@ -158,6 +158,50 @@ func TestPolicySwitchUnderLoad(t *testing.T) {
 	}
 }
 
+// TestNewOrderItemPastCatalog: the item catalog holds ids 0..Items-1, and
+// a new-order naming the first id past it (or any later one) rolls back
+// at the dispatcher like the §2.4.1.4 unused id, before any executor
+// sees it, under either routing policy and with a remote supply line.
+// The cluster keeps serving and stays consistent.
+func TestNewOrderItemPastCatalog(t *testing.T) {
+	c := open(t) // Items: 40
+	const items = 40
+	for _, pol := range []anydb.Policy{anydb.SharedNothing, anydb.StreamingCC} {
+		if err := c.SetPolicy(bg, pol); err != nil {
+			t.Fatal(err)
+		}
+		for _, item := range []int{items, items + 7} {
+			ok, err := c.NewOrder(anydb.NewOrder{
+				Warehouse: 1, District: 1, Customer: 1,
+				Lines: []anydb.OrderLine{
+					{Item: 3, Qty: 1, SupplyWarehouse: 1},
+					{Item: item, Qty: 1, SupplyWarehouse: 2},
+				},
+			})
+			if err != nil {
+				t.Fatalf("%v: item %d: %v", pol, item, err)
+			}
+			if ok {
+				t.Fatalf("%v: item %d, past the catalog, committed", pol, item)
+			}
+		}
+		ok, err := c.NewOrder(anydb.NewOrder{
+			Warehouse: 1, District: 1, Customer: 1,
+			Lines: []anydb.OrderLine{{Item: items - 1, Qty: 1, SupplyWarehouse: 2}},
+		})
+		if err != nil || !ok {
+			t.Fatalf("%v: the catalog's last item: ok=%v err=%v", pol, ok, err)
+		}
+		ok, err = c.Payment(anydb.Payment{Warehouse: 2, District: 1, Customer: 1, Amount: 1})
+		if err != nil || !ok {
+			t.Fatalf("%v: payment after the rollbacks: ok=%v err=%v", pol, ok, err)
+		}
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPolicySwitchMidFlight reroutes while transactions are genuinely
 // in flight on the real engine: worker goroutines never pause while a
 // switcher flips the policy. Every submission must resolve exactly once

@@ -388,74 +388,6 @@ func BenchmarkGroupedAgg(b *testing.B) {
 	}
 }
 
-// TestSharedScanConcurrencySpeedup pins the point of the shared-scan
-// engine: 32 concurrent same-table analytical queries must deliver at
-// least 5× the aggregate throughput of 32 sequential ones. Retried a
-// few times so a noisy scheduler cannot fail a healthy engine.
-//
-// The filter is a LIKE prefix: on the encoded chunks it is a per-row
-// dictionary-bitset probe, which concurrent identical queries share
-// (one evaluation per chunk) and sequential ones each pay — the
-// sharing this test measures. A trivially-satisfiable filter like
-// `c_d_id <> 0` no longer works here: it collapses to a chunk-level
-// match-all, scans become nearly free, and per-query fixed costs
-// dominate both sides.
-func TestSharedScanConcurrencySpeedup(t *testing.T) {
-	c, err := anydb.Open(scanBenchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	const query = "SELECT COUNT(*) FROM customer WHERE c_state LIKE 'A%'"
-	const n = 32
-	var want int64
-	if err := c.QueryRow(ctx, query).Scan(&want); err != nil {
-		t.Fatal(err)
-	}
-	runOne := func() {
-		var got int64
-		if err := c.QueryRow(ctx, query).Scan(&got); err != nil {
-			t.Error(err)
-		} else if got != want {
-			t.Errorf("count = %d, want %d", got, want)
-		}
-	}
-	var best float64
-	for attempt := 0; attempt < 3; attempt++ {
-		seqStart := time.Now()
-		for i := 0; i < n; i++ {
-			runOne()
-		}
-		seq := time.Since(seqStart)
-
-		var wg sync.WaitGroup
-		concStart := time.Now()
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runOne()
-			}()
-		}
-		wg.Wait()
-		conc := time.Since(concStart)
-		if t.Failed() {
-			t.FailNow()
-		}
-		speedup := float64(seq) / float64(conc)
-		t.Logf("attempt %d: %d sequential in %v, %d concurrent in %v (%.1fx)",
-			attempt, n, seq, n, conc, speedup)
-		if speedup > best {
-			best = speedup
-		}
-		if best >= 5 {
-			return
-		}
-	}
-	t.Fatalf("32 concurrent queries only %.1fx faster than sequential, want >= 5x", best)
-}
-
 // BenchmarkPaymentPipelined drives the same payments from the same
 // number of goroutines, but each worker opens a Session and keeps a
 // window of submissions in flight (SubmitPayment + deferred Wait)

@@ -33,7 +33,7 @@ func newBareJoin(buildKey, probeKey []string) *joinState {
 	return &joinState{spec: &JoinSpec{
 		Query: 1, Build: 1, BuildKey: buildKey, Probe: 2, ProbeKey: probeKey,
 		Out: 3, To: 1, Producers: 1, Notify: core.NoAC, Label: "j",
-	}}
+	}, ht: getJoinTable()}
 }
 
 // TestJoinBuildBatchOver64KRows feeds one build batch larger than 65 535

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"anydb/internal/core"
 	"anydb/internal/sim"
@@ -189,6 +190,9 @@ type Worker struct {
 	DB *storage.Database
 
 	shared map[sharedKey]*sharedScan
+	// evals counts predicate evaluations over a chunk (matchChunk calls):
+	// the work that registrations with one predicate signature share.
+	evals int
 }
 
 // OnEvent implements core.Behavior.
@@ -212,7 +216,7 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 // joinState is a two-phase hash join bound to one AC.
 type joinState struct {
 	spec  *JoinSpec
-	ht    joinTable
+	ht    *joinTable
 	build []*storage.Batch
 	built bool
 	out   *storage.Batch
@@ -246,7 +250,9 @@ func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
 // the distinct build keys, each heading an insertion-ordered chain of
 // build-row refs. Slots pack the key hash's low half with the entry
 // index + 1 (0 = empty), so a probe miss — the common case — usually
-// rejects on the slot word alone, without touching the entry.
+// rejects on the slot word alone, without touching the entry. Tables
+// recycle through joinTables when their join closes, so a steady-state
+// build inserts into warm arrays.
 type joinTable struct {
 	slots   []uint64
 	shift   uint // 64 - log2(len(slots))
@@ -323,10 +329,15 @@ func (t *joinTable) insert(k joinKey, at storage.RowRef) {
 }
 
 // grow doubles the slot array (sized for load <= 1/2) and re-indexes
-// every entry.
+// every entry. A recycled table's first grow takes the whole slot array
+// it kept, so a build no larger than the table's last one re-indexes
+// nothing.
 func (t *joinTable) grow() {
 	n := max(2*len(t.slots), 64)
-	t.slots = make([]uint64, n)
+	if len(t.slots) == 0 && cap(t.slots) > n {
+		n = 1 << (bits.Len(uint(cap(t.slots))) - 1)
+	}
+	t.slots = zeroed(t.slots, n)
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	for e := range t.entries {
 		h := hashKey(t.entries[e].key)
@@ -347,8 +358,25 @@ func (t *joinTable) lookup(k joinKey) int32 {
 	return t.entries[e].head
 }
 
+// joinTables recycles join tables across queries.
+var joinTables sync.Pool
+
+// getJoinTable returns an empty table from the pool.
+func getJoinTable() *joinTable {
+	if t, _ := joinTables.Get().(*joinTable); t != nil {
+		return t
+	}
+	return &joinTable{}
+}
+
+// release empties t, keeping its arrays, and returns it to the pool.
+func (t *joinTable) release() {
+	t.slots, t.entries, t.refs = t.slots[:0], t.entries[:0], t.refs[:0]
+	joinTables.Put(t)
+}
+
 func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
-	j := &joinState{spec: spec}
+	j := &joinState{spec: spec, ht: getJoinTable()}
 	// Consume the build side first; staged (beamed) batches replay
 	// immediately inside Subscribe.
 	ac.Subscribe(ctx, spec.Build, (*joinBuildSink)(j))
@@ -416,7 +444,7 @@ func (st *joinState) installProbeScans(ctx core.Context) {
 	if len(spec.ProbeScans) == 0 {
 		return
 	}
-	f := newKeyFilter(spec.ProbeKey, &st.ht)
+	f := newKeyFilter(spec.ProbeKey, st.ht)
 	ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(len(st.ht.entries)))
 	for _, in := range spec.ProbeScans {
 		in.Spec.Keys = f
@@ -479,7 +507,8 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		for _, b := range st.build {
 			storage.FreeBatch(b)
 		}
-		st.build, st.ht = nil, joinTable{}
+		st.ht.release()
+		st.build, st.ht = nil, nil
 		if spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, spec.Query

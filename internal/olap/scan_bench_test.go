@@ -59,8 +59,57 @@ func BenchmarkScanFlush(b *testing.B) {
 	})
 }
 
-// benchScanPasses times one full pass of the streaming registration spec
-// per op, over db's partition spec.Part.
+// BenchmarkGroupedPass measures the steady-state allocation cost of a
+// grouped-aggregate registration: one op is one full pass of a
+// dictionary-grouped COUNT(*), SUM(c_balance) over a customer partition
+// — the dense fold of every chunk, then finish gathering the partial
+// batch and returning the group table to its pool. A pass must show
+// zero steady-state allocations: the table's vectors recycle.
+//
+//	go test -bench GroupedPass -benchmem ./internal/olap
+func BenchmarkGroupedPass(b *testing.B) {
+	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	benchScanPasses(b, db, &SharedScanSpec{
+		Query: 1, Table: tpcc.TCustomerID, Part: 0,
+		GroupBy: []string{"c_state"}, DictGroups: true,
+		Aggs: []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
+		Out:  7, To: 1, Producers: 1,
+	})
+}
+
+// BenchmarkJoinBuild measures the steady-state allocation cost of a
+// hash join's build: one op inserts about 8 k build rows (two per key,
+// so every key heads a chain) into a pooled table and releases it, as a
+// join does when it closes. With the table's arrays recycled, a build
+// must show zero steady-state allocations.
+//
+//	go test -bench JoinBuild -benchmem ./internal/olap
+func BenchmarkJoinBuild(b *testing.B) {
+	const rows = 8192
+	keys := make([]joinKey, rows)
+	for i := range keys {
+		k := int64(i / 2)
+		keys[i] = joinKey{k % 4, k / 4 % 10, k / 40}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := getJoinTable()
+		for r, k := range keys {
+			t.insert(k, storage.RowRef{Row: int32(r)})
+		}
+		if len(t.entries) != rows/2 {
+			b.Fatalf("%d keys, want %d", len(t.entries), rows/2)
+		}
+		t.release()
+	}
+}
+
+// benchScanPasses times one full pass of the registration spec per op,
+// over db's partition spec.Part.
 func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
 	w := &Worker{DB: db}
 	ctx := &flushSink{costs: sim.DefaultCosts()}
@@ -72,16 +121,20 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
 		}
 	}
 
-	// Register once (compiling predicates, resolving the projection and
-	// its schema), keeping the cursor and the registration: a finished
-	// pass detaches both, and each timed pass re-arms them.
+	// Register once (compiling predicates, resolving the projection or
+	// the partial layout and its schema), keeping the cursor and the
+	// registration: a finished pass detaches both, and each timed pass
+	// re-arms them with a fresh output batch or group table.
 	ev := core.GetEvent()
 	ev.Kind, ev.Payload = core.EvInstallOp, spec
 	w.OnEvent(ctx, nil, ev)
 	key := sharedKey{table: spec.Table, part: spec.Part}
 	ss := w.shared[key]
 	reg := ss.regs[0]
-	schema := reg.out.Schema
+	var schema *storage.Schema
+	if reg.out != nil {
+		schema = reg.out.Schema
+	}
 	drive(ctx.resent) // warm: chunk cache, match buffer, pools
 
 	b.ReportAllocs()
@@ -92,7 +145,11 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
 		// death point), so reusing one event across passes would be a
 		// use-after-free against the pool.
 		reg.next, reg.done = 0, 0
-		reg.out = storage.GetBatch(schema)
+		if schema != nil {
+			reg.out = storage.GetBatch(schema)
+		} else {
+			reg.armGroups()
+		}
 		ss.cursor = 0
 		ss.regs = append(ss.regs[:0], reg)
 		ss.ev = core.GetEvent()

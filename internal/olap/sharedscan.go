@@ -3,7 +3,6 @@ package olap
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -354,96 +353,6 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 	return cp
 }
 
-// aggCell is one accumulator: which fields are live depends on the
-// aggregate function (count for COUNT/AVG, sumI/sumF for SUM, sumF for
-// AVG, cur/seen for MIN/MAX).
-type aggCell struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	cur   storage.Value
-	seen  bool
-}
-
-func (c *aggCell) addRaw(fn AggFn, v storage.Value) {
-	switch fn {
-	case AggCount:
-		c.count++
-	case AggSum:
-		if v.Kind == storage.KInt {
-			c.sumI += v.I
-		} else {
-			c.sumF += v.F
-		}
-	case AggAvg:
-		c.count++
-		if v.Kind == storage.KInt {
-			c.sumF += float64(v.I)
-		} else {
-			c.sumF += v.F
-		}
-	case AggMin:
-		if !c.seen || v.Compare(c.cur) < 0 {
-			c.cur, c.seen = v, true
-		}
-	case AggMax:
-		if !c.seen || v.Compare(c.cur) > 0 {
-			c.cur, c.seen = v, true
-		}
-	}
-}
-
-// groupAcc is one group's accumulators plus its key values (kept for
-// output).
-type groupAcc struct {
-	keyVals []storage.Value
-	cells   []aggCell
-}
-
-// appendKeyVal appends one value's canonical group-key encoding to buf
-// (NUL-terminated; kinds are fixed per column so the encoding cannot
-// collide across kinds). Every group-key producer — batch rows at the
-// sink, encoded chunks at the scan, dense-slot migration — goes through
-// this one helper, so their keys merge identically.
-func appendKeyVal(buf []byte, v storage.Value) []byte {
-	switch v.Kind {
-	case storage.KInt:
-		buf = strconv.AppendInt(buf, v.I, 10)
-	case storage.KFloat:
-		buf = strconv.AppendFloat(buf, v.F, 'g', -1, 64)
-	default:
-		buf = append(buf, v.S...)
-	}
-	return append(buf, 0)
-}
-
-// encodeGroupKey appends the canonical encoding of the group columns of
-// batch row i to buf.
-func encodeGroupKey(buf []byte, b *storage.Batch, i int, cols []int) []byte {
-	for _, c := range cols {
-		buf = appendKeyVal(buf, b.Value(i, c))
-	}
-	return buf
-}
-
-// encodeChunkKey is encodeGroupKey over an encoded chunk: values decode
-// per cell, so chunks with different encodings of the same table (a
-// dictionary chunk next to a raw one) produce identical keys.
-func encodeChunkKey(buf []byte, c *storage.EncChunk, i int, cols []int) []byte {
-	for _, col := range cols {
-		buf = appendKeyVal(buf, c.Value(i, col))
-	}
-	return buf
-}
-
-// encodeValsKey is encodeGroupKey over already-materialized values.
-func encodeValsKey(buf []byte, vals []storage.Value) []byte {
-	for _, v := range vals {
-		buf = appendKeyVal(buf, v)
-	}
-	return buf
-}
-
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
 	spec  *SharedScanSpec
@@ -466,35 +375,22 @@ type scanReg struct {
 	keyHash []uint64
 	live    []int32
 
-	// Aggregate-pushdown mode.
+	// Aggregate-pushdown mode: the partial layout, the group and source
+	// columns, and the group table.
 	groupIdx []int
 	aggIdx   []int // source column per aggregate; -1 for COUNT(*)
 	partial  *storage.Schema
-	groups   map[string]*groupAcc
-	order    []string  // insertion-ordered keys, sorted at emit
-	global   *groupAcc // fast path: the single group of a global aggregate
+	partCols []int // the partial layout's view columns: the identity
+	groups   *groupTable
 
 	// Dense grouped-aggregate fast path (spec.DictGroups): group codes
-	// pack into one flat accumulator slot per combination — a
-	// bounds-checked array index per row instead of a key encode + map
-	// probe. Initialized lazily at the first dictionary-encoded chunk;
-	// abandoned (state migrated into groups) if a chunk arrives with a
-	// different encoding or a code outgrows the slack-padded dims.
-	denseOK      bool      // hinted, enabled, and not abandoned
-	denseReady   bool      // dims/strides sized, dense allocated
-	dense        []aggCell // len = slots × len(Aggs)
-	denseSeen    []bool
-	denseTouched []int32 // touched packed slots, first-touch order
-	denseAt      []int32 // scratch: per matched row, its slot's first cell
-	denseDims    []int
-	denseStride  []int
-	denseDicts   []*storage.Dict
+	// pack into one table slot per combination — a bounds-checked array
+	// index per row instead of a key map probe. Laid out at the first
+	// dictionary-encoded chunk; abandoned (the table turns keyed) if a
+	// chunk arrives with a different encoding or a code outgrows the
+	// slack-padded dims.
+	denseOK bool // hinted, enabled, and not abandoned
 }
-
-// denseSlotCap bounds the dense accumulator's group-combination space.
-// Past it (high-cardinality or many-column groupings) the map path is
-// the right tool anyway.
-const denseSlotCap = 4096
 
 // groupedFastPath gates the dense grouped-aggregate path globally; the
 // benchmark suite flips it off to measure the map-probe baseline.
@@ -521,7 +417,6 @@ type sharedScan struct {
 	cursor int
 	regs   []*scanReg
 	ev     *core.Event // the driver continuation, re-sent per chunk
-	keyBuf []byte      // scratch: group-key encoding
 
 	// Predicate evaluation is shared across registrations, not just the
 	// chunk fetch: all registrations whose filters have the same
@@ -586,8 +481,8 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			}
 		}
 		r.partial = storage.NewSchema(t.Schema.Name+"_partial", cols...)
-		r.groups = make(map[string]*groupAcc)
-		r.denseOK = spec.DictGroups && len(spec.GroupBy) > 0 && groupedFastPath.Load()
+		r.partCols = identityCols(len(cols))
+		r.armGroups()
 	}
 
 	r.total = t.NumColChunks()
@@ -675,11 +570,12 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 		if mb.step != ss.steps {
 			mb.rows = matchChunk(chunk, r.preds, mb.rows)
 			mb.step = ss.steps
+			w.evals++
 		}
 		if len(r.spec.Aggs) == 0 {
 			r.foldStream(ctx, chunk, mb.rows)
 		} else {
-			ss.keyBuf = r.foldAgg(ctx, chunk, mb.rows, ss.keyBuf)
+			r.foldAgg(ctx, chunk, mb.rows)
 		}
 		r.done++
 		r.next++
@@ -802,323 +698,88 @@ func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []
 	}
 }
 
-// foldAgg folds the matched rows into the registration's grouped
-// accumulators, returning the (possibly grown) key scratch buffer.
-func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int32, keyBuf []byte) []byte {
+// armGroups gives the registration an empty group table from the pool,
+// its accumulators typed after the partial layout's columns.
+func (r *scanReg) armGroups() {
+	g := getGroupTable(r.spec.Aggs, len(r.groupIdx))
+	col := len(r.groupIdx)
+	for j, a := range r.spec.Aggs {
+		g.aggs[j].vals.Kind = r.partial.Cols[col].Kind
+		col++
+		if a.Fn == AggAvg {
+			col++
+		}
+	}
+	r.groups = g
+	r.denseOK = r.spec.DictGroups && len(r.groupIdx) > 0 && groupedFastPath.Load()
+}
+
+// foldAgg folds the matched rows into the registration's group table:
+// each row's slot first — its packed dictionary codes on the dense path,
+// one map probe otherwise — then the row counts and one typed loop per
+// aggregate.
+func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
-		return keyBuf
-	}
-	ctx.Charge(ctx.Costs().AggRow * sim.Time(len(match)))
-	if len(r.groupIdx) == 0 {
-		// Global aggregate: one accumulator, no per-row group-key encode
-		// or map lookup; COUNT folds a whole chunk in O(1).
-		acc := r.global
-		if acc == nil {
-			acc = &groupAcc{cells: make([]aggCell, len(r.spec.Aggs))}
-			r.global = acc
-			r.groups[""] = acc
-			r.order = append(r.order, "")
-		}
-		for j := range acc.cells {
-			if fn := r.spec.Aggs[j].Fn; fn == AggCount {
-				acc.cells[j].count += int64(len(match))
-			} else {
-				c := r.aggIdx[j]
-				for _, m := range match {
-					acc.cells[j].addRaw(fn, chunk.Value(int(m), c))
-				}
-			}
-		}
-		return keyBuf
-	}
-	if r.denseOK {
-		rest, ok := r.tryFoldDense(chunk, match)
-		if ok {
-			return keyBuf
-		}
-		// The fast path bowed out (non-dictionary chunk, dimension
-		// overflow, or too many group combinations — denseOK is now
-		// false): migrate what it accumulated into the map and fold the
-		// remaining rows there.
-		keyBuf = r.abandonDense(keyBuf)
-		match = rest
-	}
-	for _, m := range match {
-		i := int(m)
-		keyBuf = encodeChunkKey(keyBuf[:0], chunk, i, r.groupIdx)
-		acc := r.groups[string(keyBuf)]
-		if acc == nil {
-			acc = &groupAcc{cells: make([]aggCell, len(r.spec.Aggs))}
-			acc.keyVals = make([]storage.Value, len(r.groupIdx))
-			for j, c := range r.groupIdx {
-				acc.keyVals[j] = chunk.Value(i, c)
-			}
-			key := string(keyBuf)
-			r.groups[key] = acc
-			r.order = append(r.order, key)
-		}
-		for j := range acc.cells {
-			var v storage.Value
-			if r.aggIdx[j] >= 0 {
-				v = chunk.Value(i, r.aggIdx[j])
-			}
-			acc.cells[j].addRaw(r.spec.Aggs[j].Fn, v)
-		}
-	}
-	return keyBuf
-}
-
-// initDense sizes the dense accumulator from the group columns'
-// dictionaries, padding each dimension with slack so codes assigned
-// later in the pass (the dictionary grows as dirtied chunks rebuild)
-// still land in range. Reports false when a group column is not
-// dictionary-encoded in this chunk or the combination space exceeds
-// denseSlotCap.
-func (r *scanReg) initDense(c *storage.EncChunk) bool {
-	nG := len(r.groupIdx)
-	dims := make([]int, nG)
-	dicts := make([]*storage.Dict, nG)
-	slots := 1
-	for g, col := range r.groupIdx {
-		v := &c.Cols[col]
-		if v.Enc != storage.EncDict {
-			return false
-		}
-		d := v.Dict
-		dim := d.Len() + d.Len()/2 + 8
-		dims[g], dicts[g] = dim, d
-		slots *= dim
-		if slots > denseSlotCap {
-			return false
-		}
-	}
-	stride := make([]int, nG)
-	s := 1
-	for g := 0; g < nG; g++ {
-		stride[g] = s
-		s *= dims[g]
-	}
-	r.dense = make([]aggCell, slots*len(r.spec.Aggs))
-	r.denseSeen = make([]bool, slots)
-	r.denseDims, r.denseStride, r.denseDicts = dims, stride, dicts
-	r.denseReady = true
-	return true
-}
-
-// tryFoldDense folds the matched rows into the dense accumulator.
-// ok=false means the fast path just died (denseOK cleared); the
-// returned slice is the unfolded tail of match, which the caller folds
-// via the map path after migrating the dense state.
-func (r *scanReg) tryFoldDense(c *storage.EncChunk, match []int32) ([]int32, bool) {
-	if !r.denseReady && !r.initDense(c) {
-		r.denseOK = false
-		return match, false
-	}
-	for g, col := range r.groupIdx {
-		v := &c.Cols[col]
-		if v.Enc != storage.EncDict || v.Dict != r.denseDicts[g] {
-			r.denseOK = false
-			return match, false
-		}
-	}
-	nA := len(r.spec.Aggs)
-	aggs := r.spec.Aggs
-	if len(r.groupIdx) == 1 && nA == 1 && aggs[0].Fn == AggCount {
-		// The headline shape — GROUP BY one dictionary column, COUNT(*):
-		// one bounds-checked array index per row, nothing else.
-		codes := c.Cols[r.groupIdx[0]].Codes
-		dim := r.denseDims[0]
-		for mi, m := range match {
-			code := int(codes[m])
-			if code >= dim {
-				r.denseOK = false
-				return match[mi:], false
-			}
-			if !r.denseSeen[code] {
-				r.denseSeen[code] = true
-				r.denseTouched = append(r.denseTouched, int32(code))
-			}
-			r.dense[code].count++
-		}
-		return nil, true
-	}
-	// One pass computes each matched row's accumulator offset (packed
-	// slot × aggregates), stopping at the first code past the padded
-	// dims; then each aggregate folds the rows before it in one typed
-	// loop over its source vector.
-	n, over := len(match), false
-	at := r.denseAt[:0]
-	for mi, m := range match {
-		packed := 0
-		for g, col := range r.groupIdx {
-			code := int(c.Cols[col].Codes[m])
-			if code >= r.denseDims[g] {
-				over = true
-				break
-			}
-			packed += code * r.denseStride[g]
-		}
-		if over {
-			n = mi
-			break
-		}
-		if !r.denseSeen[packed] {
-			r.denseSeen[packed] = true
-			r.denseTouched = append(r.denseTouched, int32(packed))
-		}
-		at = append(at, int32(packed*nA))
-	}
-	r.denseAt = at
-	for j, a := range aggs {
-		if a.Fn == AggCount {
-			cells := r.dense[j:]
-			for _, o := range at {
-				cells[o].count++
-			}
-			continue
-		}
-		foldCol(a.Fn, &c.Cols[r.aggIdx[j]], match[:n], at, r.dense[j:])
-	}
-	if over {
-		r.denseOK = false
-		return match[n:], false
-	}
-	return nil, true
-}
-
-// foldCol folds aggregate fn (not COUNT) of column v over the matched
-// rows: cells[at[i]] accumulates match[i]. SUM and AVG of a raw float
-// column read the float vector directly; every other case decodes
-// through addRaw.
-func foldCol(fn AggFn, v *storage.EncVec, match, at []int32, cells []aggCell) {
-	if (fn == AggSum || fn == AggAvg) && v.Enc == storage.EncRaw && v.Kind == storage.KFloat {
-		for i, m := range match {
-			c := &cells[at[i]]
-			if fn == AggAvg {
-				c.count++
-			}
-			c.sumF += v.Floats[m]
-		}
 		return
 	}
-	for i, m := range match {
-		cells[at[i]].addRaw(fn, v.Value(int(m)))
-	}
-}
-
-// denseKey decodes a packed slot back into its group values.
-func (r *scanReg) denseKey(packed int) []storage.Value {
-	vals := make([]storage.Value, len(r.groupIdx))
-	for g := len(r.groupIdx) - 1; g >= 0; g-- {
-		code := packed / r.denseStride[g]
-		packed -= code * r.denseStride[g]
-		vals[g] = r.denseDicts[g].DecodeValue(uint32(code))
-	}
-	return vals
-}
-
-// abandonDense migrates the dense accumulator's touched slots into the
-// map representation — keys encoded exactly as the map path encodes
-// them, so both halves of a converted pass merge as one group set.
-func (r *scanReg) abandonDense(keyBuf []byte) []byte {
-	if !r.denseReady {
-		return keyBuf
-	}
-	nA := len(r.spec.Aggs)
-	for _, packed := range r.denseTouched {
-		p := int(packed)
-		acc := &groupAcc{
-			keyVals: r.denseKey(p),
-			cells:   make([]aggCell, nA),
+	ctx.Charge(ctx.Costs().AggRow * sim.Time(len(match)))
+	g := r.groups
+	if r.denseOK {
+		n := 0
+		if g.dense || g.initDense(chunk, r.groupIdx) {
+			n = g.denseSlots(chunk, r.groupIdx, match)
+			g.fold(chunk.Cols, r.aggIdx, match[:n], g.at)
+			if n == len(match) {
+				return
+			}
 		}
-		copy(acc.cells, r.dense[p*nA:p*nA+nA])
-		keyBuf = encodeValsKey(keyBuf[:0], acc.keyVals)
-		key := string(keyBuf)
-		r.groups[key] = acc
-		r.order = append(r.order, key)
+		// The dense path bowed out (a chunk not dictionary-encoded like the
+		// first, or a code past the padded dims): the table turns keyed
+		// and the rest of the pass, from this row on, folds by key.
+		r.denseOK = false
+		if g.dense {
+			g.undense()
+		}
+		match = match[n:]
 	}
-	r.dense, r.denseSeen, r.denseTouched, r.denseAt = nil, nil, nil, nil
-	r.denseReady = false
-	return keyBuf
+	at := g.at[:0]
+	for _, m := range match {
+		at = append(at, g.slotOf(chunk.Cols, r.groupIdx, int(m)))
+	}
+	g.at = at
+	g.fold(chunk.Cols, r.aggIdx, match, at)
 }
 
 // finish detaches the registration: streaming mode flushes the tail
-// batch with the Last marker; pushdown mode emits the partial-aggregate
-// batch (group-key-sorted for determinism) and Last.
+// batch with the Last marker; pushdown mode gathers the groups' partial
+// rows, column by column in slot order, into one batch, emits it with
+// Last, and returns the table to the pool.
 func (r *scanReg) finish(ctx core.Context) {
 	if len(r.spec.Aggs) == 0 {
 		r.flush(ctx, true)
 		return
 	}
 	var b *storage.Batch
-	nA := len(r.spec.Aggs)
-	switch {
-	case r.denseReady && len(r.denseTouched) > 0:
-		// Dense fast path: decode packed group codes back to values once
-		// per touched group, in packed-code order (content-deterministic;
-		// the sink re-sorts groups by encoded key before finalizing).
-		sort.Slice(r.denseTouched, func(a, b int) bool { return r.denseTouched[a] < r.denseTouched[b] })
+	g := r.groups
+	if sel := g.touched(); len(sel) > 0 {
 		b = storage.GetBatch(r.partial)
-		row := make(storage.Row, 0, r.partial.NumCols())
-		for _, packed := range r.denseTouched {
-			p := int(packed)
-			row = r.appendPartialRow(row[:0], r.denseKey(p), r.dense[p*nA:p*nA+nA])
-			b.AppendRow(row)
-		}
-	case len(r.order) > 0:
-		sort.Strings(r.order)
-		b = storage.GetBatch(r.partial)
-		row := make(storage.Row, 0, r.partial.NumCols())
-		for _, k := range r.order {
-			acc := r.groups[k]
-			row = r.appendPartialRow(row[:0], acc.keyVals, acc.cells)
-			b.AppendRow(row)
-		}
+		b.AppendChunkRows(g.viewOf(false), r.partCols, sel)
 	}
-	r.groups, r.order, r.global = nil, nil, nil
-	r.dense, r.denseSeen, r.denseTouched, r.denseReady = nil, nil, nil, false
+	g.release()
+	r.groups = nil
 	msg := core.GetDataMsg()
 	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, true, r.spec.Producers
 	msg.Batch = b
 	ctx.SendData(r.spec.To, msg)
 }
 
-// appendPartialRow appends one group's partial-layout cells (group
-// values, then per-aggregate accumulator columns) to row.
-func (r *scanReg) appendPartialRow(row storage.Row, keyVals []storage.Value, cells []aggCell) storage.Row {
-	row = append(row, keyVals...)
-	for j := range cells {
-		cell := &cells[j]
-		switch r.spec.Aggs[j].Fn {
-		case AggCount:
-			row = append(row, storage.Int(cell.count))
-		case AggSum:
-			if r.partial.Cols[len(keyVals)+partialWidth(r.spec.Aggs[:j])].Kind == storage.KInt {
-				row = append(row, storage.Int(cell.sumI))
-			} else {
-				row = append(row, storage.Float(cell.sumF))
-			}
-		case AggAvg:
-			row = append(row, storage.Float(cell.sumF), storage.Int(cell.count))
-		default: // min/max
-			row = append(row, cell.cur)
-		}
+// identityCols returns the column list 0..n-1.
+func identityCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
 	}
-	return row
-}
-
-// partialWidth returns how many partial-layout columns the given
-// aggregate prefix occupies (AVG takes two).
-func partialWidth(aggs []AggExpr) int {
-	n := 0
-	for _, a := range aggs {
-		if a.Fn == AggAvg {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
+	return cols
 }
 
 // flush emits the registration's accumulated streaming batch as one

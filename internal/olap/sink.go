@@ -1,7 +1,9 @@
 package olap
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"anydb/internal/core"
 	"anydb/internal/sim"
@@ -51,91 +53,114 @@ type OrderKey struct {
 	Desc bool
 }
 
-// sinkState accumulates one query's result.
+// sinkState accumulates one query's result: a group table when the
+// query aggregates, otherwise one batch of collected rows.
 type sinkState struct {
 	spec      *SinkSpec
-	groups    map[string]*groupAcc
-	order     []string
-	rows      []storage.Row
+	schema    *storage.Schema // the result's
+	groups    *groupTable
+	rows      *storage.Batch
 	truncated bool
-	keyBuf    []byte
 
-	// Raw-fold column resolution, cached per batch schema.
+	// Column resolution against the stream's batch schema (raw fold and
+	// collect), cached per schema.
 	resolved *storage.Schema
 	groupIdx []int
 	aggIdx   []int
+	projIdx  []int
 
 	// Partial-merge scratch: the partial layout leads with the group
 	// columns, so the index list is the identity — built once here, not
 	// per incoming batch.
 	partIdx []int
+
+	// Per-batch scratch: the batch's columns as vectors, and the identity
+	// selection over its rows.
+	src []storage.EncVec
+	sel []int32
 }
 
 func newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 	s := &sinkState{spec: spec}
+	cols := make([]storage.Column, len(spec.OutCols))
+	for i := range cols {
+		cols[i] = storage.Column{Name: spec.OutCols[i], Kind: spec.OutKinds[i]}
+	}
+	s.schema = storage.NewSchema("result", cols...)
 	if len(spec.Aggs) > 0 {
-		s.groups = make(map[string]*groupAcc)
+		// Each accumulator takes its aggregate's result kind, recovered
+		// from its SELECT slot (every aggregate came from a select item, so
+		// one exists); AVG accumulates a float sum.
+		s.groups = getGroupTable(spec.Aggs, len(spec.GroupBy))
+		base := len(spec.GroupBy)
+		for i, src := range spec.OutSrc {
+			if src >= base {
+				s.groups.aggs[src-base].vals.Kind = spec.OutKinds[i]
+			}
+		}
+		for j, a := range spec.Aggs {
+			if a.Fn == AggAvg {
+				s.groups.aggs[j].vals.Kind = storage.KFloat
+			}
+		}
 	}
 	if spec.MergePartials {
-		s.partIdx = make([]int, len(spec.GroupBy))
-		for i := range s.partIdx {
-			s.partIdx[i] = i
-		}
+		s.partIdx = identityCols(len(spec.GroupBy))
 	}
 	ac.Subscribe(ctx, spec.In, s)
 }
 
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
-	if msg.Batch != nil {
-		ctx.Charge(ctx.Costs().AggRow * sim.Time(msg.Batch.Len()))
+	if b := msg.Batch; b != nil {
+		ctx.Charge(ctx.Costs().AggRow * sim.Time(b.Len()))
+		s.src, s.sel = rawVecs(s.src, b), identity(s.sel, b.Len())
 		switch {
 		case s.spec.MergePartials:
-			s.mergePartials(msg.Batch)
+			s.mergePartials(b)
 		case len(s.spec.Aggs) > 0:
-			s.foldRaw(msg.Batch)
+			s.foldRaw(b)
 		default:
-			s.collect(msg.Batch)
+			s.collect(b)
 		}
-		storage.FreeBatch(msg.Batch)
+		storage.FreeBatch(b)
 	}
 	if msg.Last {
 		s.finalize(ctx, ac)
 	}
 }
 
-// mergePartials folds partial-aggregate rows (shared-scan partial
-// layout) into the sink's accumulators.
+// mergePartials merges partial-aggregate rows (shared-scan partial
+// layout) into the group table: one map probe per row finds its group,
+// then each aggregate merges in one typed loop over its partial column.
+// Every COUNT and AVG count column of a partial row carries the same
+// row count, so the first one feeds the table's counts.
 func (s *sinkState) mergePartials(b *storage.Batch) {
-	g := len(s.spec.GroupBy)
-	for r := 0; r < b.Len(); r++ {
-		acc := s.acc(b, r, s.partIdx)
-		col := g
-		for j, a := range s.spec.Aggs {
-			cell := &acc.cells[j]
-			switch a.Fn {
-			case AggCount:
-				cell.count += b.Cols[col].Ints[r]
-				col++
-			case AggSum:
-				if b.Cols[col].Kind == storage.KInt {
-					cell.sumI += b.Cols[col].Ints[r]
-				} else {
-					cell.sumF += b.Cols[col].Floats[r]
-				}
-				col++
-			case AggAvg:
-				cell.sumF += b.Cols[col].Floats[r]
-				cell.count += b.Cols[col+1].Ints[r]
-				col += 2
-			default: // min/max merge by comparison
-				cell.addRaw(a.Fn, b.Value(r, col))
-				col++
+	g := s.groups
+	g.at = s.slots(b.Len(), s.partIdx)
+	col, counted := len(s.spec.GroupBy), false
+	for j, a := range s.spec.Aggs {
+		switch a.Fn {
+		case AggCount:
+			if !counted {
+				g.addCounts(s.src[col].Ints, g.at)
+				counted = true
 			}
+			col++
+		case AggAvg:
+			g.aggs[j].add(&s.src[col], s.sel, g.at)
+			if !counted {
+				g.addCounts(s.src[col+1].Ints, g.at)
+				counted = true
+			}
+			col += 2
+		default:
+			g.aggs[j].add(&s.src[col], s.sel, g.at)
+			col++
 		}
 	}
 }
 
-// foldRaw folds raw stream rows (join output) into the accumulators.
+// foldRaw folds raw stream rows (join output) into the group table.
 func (s *sinkState) foldRaw(b *storage.Batch) {
 	if s.resolved != b.Schema {
 		s.groupIdx = colIdx(b.Schema, s.spec.GroupBy)
@@ -148,173 +173,127 @@ func (s *sinkState) foldRaw(b *storage.Batch) {
 		}
 		s.resolved = b.Schema
 	}
-	for r := 0; r < b.Len(); r++ {
-		acc := s.acc(b, r, s.groupIdx)
-		for j := range acc.cells {
-			var v storage.Value
-			if s.aggIdx[j] >= 0 {
-				v = b.Value(r, s.aggIdx[j])
-			}
-			acc.cells[j].addRaw(s.spec.Aggs[j].Fn, v)
-		}
-	}
+	g := s.groups
+	g.at = s.slots(b.Len(), s.groupIdx)
+	g.fold(s.src, s.aggIdx, s.sel, g.at)
 }
 
-// acc finds or creates the group accumulator for row r.
-func (s *sinkState) acc(b *storage.Batch, r int, groupIdx []int) *groupAcc {
-	s.keyBuf = encodeGroupKey(s.keyBuf[:0], b, r, groupIdx)
-	acc := s.groups[string(s.keyBuf)]
-	if acc == nil {
-		acc = &groupAcc{cells: make([]aggCell, len(s.spec.Aggs))}
-		if len(groupIdx) > 0 {
-			acc.keyVals = make([]storage.Value, len(groupIdx))
-			for j, c := range groupIdx {
-				acc.keyVals[j] = b.Value(r, c)
-			}
-		}
-		key := string(s.keyBuf)
-		s.groups[key] = acc
-		s.order = append(s.order, key)
+// slots returns the group slot of each of the batch's n rows, grouped by
+// the batch columns groupIdx.
+func (s *sinkState) slots(n int, groupIdx []int) []int32 {
+	g := s.groups
+	at := g.at[:0]
+	for r := 0; r < n; r++ {
+		at = append(at, g.slotOf(s.src, groupIdx, r))
 	}
-	return acc
+	return at
 }
 
-// collect appends projected rows (no aggregation). A column may be
-// selected more than once.
+// collect appends projected rows (no aggregation), up to CollectCap. A
+// column may be selected more than once.
 func (s *sinkState) collect(b *storage.Batch) {
-	idx := colIdx(b.Schema, s.spec.Cols)
-	for r := 0; r < b.Len(); r++ {
-		if len(s.rows) >= CollectCap {
-			s.truncated = true
-			break
-		}
-		row := make(storage.Row, len(idx))
-		for i, c := range idx {
-			row[i] = b.Value(r, c)
-		}
-		s.rows = append(s.rows, row)
+	if s.resolved != b.Schema {
+		s.projIdx = colIdx(b.Schema, s.spec.Cols)
+		s.resolved = b.Schema
 	}
+	if s.rows == nil {
+		s.rows = storage.GetBatch(s.schema)
+	}
+	n := min(b.Len(), CollectCap-s.rows.Len())
+	if n < b.Len() {
+		s.truncated = true
+	}
+	s.rows.AppendChunkRows(&storage.EncChunk{Cols: s.src}, s.projIdx, s.sel[:n])
 }
 
-// finalize orders, limits, and batches the result, then reports it.
+// finalize orders, limits, and batches the result, then reports it. The
+// result is a chunk view — the group table's key and finalized aggregate
+// columns, or the collected rows — and a permutation of its rows; the
+// result batches gather from it column by column.
 func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 	spec := s.spec
-	var out []storage.Row
-	if len(spec.Aggs) > 0 {
-		// Deterministic group order: sort by encoded group key. ORDER BY,
-		// when present, re-sorts below.
-		sort.Strings(s.order)
-		if len(s.order) == 0 && len(spec.GroupBy) == 0 {
+	var view *storage.EncChunk
+	var cols []int
+	var perm []int32
+	if g := s.groups; g != nil {
+		if len(g.rows) == 0 && len(spec.GroupBy) == 0 {
 			// Global aggregate over zero rows still yields one row
 			// (COUNT(*) = 0; sums and extrema zero-valued — no NULLs in
 			// this value model).
-			out = append(out, s.zeroRow())
+			g.addSlot()
 		}
-		// Result kind of each aggregate, recovered from its SELECT slot
-		// (every aggregate came from a select item, so one exists).
-		base := len(spec.GroupBy)
-		aggKind := make([]storage.Kind, len(spec.Aggs))
-		for i, src := range spec.OutSrc {
-			if src >= base {
-				aggKind[src-base] = spec.OutKinds[i]
-			}
-		}
-		vals := make(storage.Row, base+len(spec.Aggs))
-		for _, k := range s.order {
-			acc := s.groups[k]
-			copy(vals, acc.keyVals)
-			for j := range acc.cells {
-				vals[base+j] = finalizeCell(spec.Aggs[j].Fn, aggKind[j], &acc.cells[j])
-			}
-			row := make(storage.Row, len(spec.OutSrc))
-			for i, src := range spec.OutSrc {
-				row[i] = vals[src]
-			}
-			out = append(out, row)
-		}
+		// Deterministic group order: by group key. ORDER BY, when present,
+		// re-sorts below.
+		view, cols, perm = g.viewOf(true), spec.OutSrc, g.sorted()
 	} else {
-		out = s.rows
+		if s.rows == nil {
+			s.rows = storage.GetBatch(s.schema)
+		}
+		s.src = rawVecs(s.src, s.rows)
+		view, cols = &storage.EncChunk{Cols: s.src}, identityCols(len(spec.OutCols))
+		s.sel = identity(s.sel, s.rows.Len())
+		perm = s.sel
 	}
 	if len(spec.OrderBy) > 0 {
-		sort.SliceStable(out, func(a, b int) bool {
+		slices.SortStableFunc(perm, func(a, b int32) int {
 			for _, k := range spec.OrderBy {
-				c := out[a][k.Col].Compare(out[b][k.Col])
-				if c == 0 {
-					continue
+				if c := compareAt(&view.Cols[cols[k.Col]], a, b); c != 0 {
+					if k.Desc {
+						return -c
+					}
+					return c
 				}
-				return (c < 0) != k.Desc
 			}
-			return false
+			return 0
 		})
 	}
-	if spec.Limit >= 0 && len(out) > spec.Limit {
-		out = out[:spec.Limit]
+	if spec.Limit >= 0 && len(perm) > spec.Limit {
+		perm = perm[:spec.Limit]
 	}
-	if len(out) > CollectCap {
-		out = out[:CollectCap]
+	if len(perm) > CollectCap {
+		perm = perm[:CollectCap]
 		s.truncated = true
 	}
 
-	cols := make([]storage.Column, len(spec.OutCols))
-	for i := range cols {
-		cols[i] = storage.Column{Name: spec.OutCols[i], Kind: spec.OutKinds[i]}
-	}
-	schema := storage.NewSchema("result", cols...)
 	var batches []*storage.Batch
-	var cur *storage.Batch
-	for _, row := range out {
-		if cur == nil || cur.Len() >= DefaultBatchRows {
-			cur = storage.GetBatch(schema)
-			batches = append(batches, cur)
-		}
-		cur.AppendRow(row)
+	for i := 0; i < len(perm); i += DefaultBatchRows {
+		b := storage.GetBatch(s.schema)
+		b.AppendChunkRows(view, cols, perm[i:min(i+DefaultBatchRows, len(perm))])
+		batches = append(batches, b)
 	}
 
-	s.groups, s.order, s.rows = nil, nil, nil
+	rows := len(perm)
+	if s.groups != nil {
+		s.groups.release()
+		s.groups = nil
+	}
+	storage.FreeBatch(s.rows)
+	s.rows = nil
 	ac.DropStream(spec.In)
 	done := core.GetEvent()
 	done.Kind, done.Query = core.EvQueryDone, spec.Query
 	done.Payload = &QueryResult{
-		Query: spec.Query, Rows: int64(len(out)),
+		Query: spec.Query, Rows: int64(rows),
 		Cols: spec.OutCols, Batches: batches, Truncated: s.truncated,
 	}
 	ctx.Send(spec.Notify, done)
 }
 
-// zeroRow synthesizes the zero-input global-aggregate result row in
-// SELECT order.
-func (s *sinkState) zeroRow() storage.Row {
-	spec := s.spec
-	row := make(storage.Row, len(spec.OutSrc))
-	for i := range spec.OutSrc {
-		switch spec.OutKinds[i] {
-		case storage.KInt:
-			row[i] = storage.Int(0)
-		case storage.KFloat:
-			row[i] = storage.Float(0)
-		default:
-			row[i] = storage.Str("")
+// compareAt orders rows a and b of the raw vector v as Value.Compare
+// orders their values.
+func compareAt(v *storage.EncVec, a, b int32) int {
+	switch v.Kind {
+	case storage.KInt:
+		return cmp.Compare(v.Ints[a], v.Ints[b])
+	case storage.KFloat:
+		switch x, y := v.Floats[a], v.Floats[b]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
 		}
-	}
-	return row
-}
-
-// finalizeCell turns an accumulator into its result value.
-func finalizeCell(fn AggFn, kind storage.Kind, c *aggCell) storage.Value {
-	switch fn {
-	case AggCount:
-		return storage.Int(c.count)
-	case AggSum:
-		if kind == storage.KFloat {
-			return storage.Float(c.sumF)
-		}
-		return storage.Int(c.sumI)
-	case AggAvg:
-		if c.count == 0 {
-			return storage.Float(0)
-		}
-		return storage.Float(c.sumF / float64(c.count))
+		return 0
 	default:
-		return c.cur
+		return strings.Compare(v.Strs[a], v.Strs[b])
 	}
 }

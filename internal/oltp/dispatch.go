@@ -128,6 +128,11 @@ type Dispatcher struct {
 	// are atomic counters.
 	Committed metrics.Counter
 	Aborted   metrics.Counter
+
+	// items is the replicated item catalog's size, read once from the
+	// database: new-order item ids must lie in 0..items-1 (Valid). Last,
+	// so the fields above keep their offsets.
+	items int
 }
 
 type queuedTxn struct {
@@ -153,6 +158,7 @@ type DispatchConfig struct {
 func NewDispatcher(policy Policy, db *storage.Database, routes Routes) *Dispatcher {
 	d := &Dispatcher{
 		DB:      db,
+		items:   db.Partition(0).TableByID(tpcc.TItemID).Rows(),
 		pending: make(map[core.TxnID]int),
 		failed:  make(map[core.TxnID]error),
 		busy:    make(map[int]bool),
@@ -210,7 +216,7 @@ func (d *Dispatcher) admit(ctx core.Context, cfg *DispatchConfig, id core.TxnID,
 	// before logging anything, so replay never re-executes an abort.
 	if txn.Kind == tpcc.TxnNewOrder {
 		ctx.Charge(ctx.Costs().IndexLookup * sim.Time(len(txn.NewOrder.Lines)))
-		if !Valid(txn) {
+		if !Valid(txn, d.items) {
 			d.failTxn(ctx, cfg, id, txn, client, nil)
 			return
 		}

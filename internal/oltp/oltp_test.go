@@ -217,7 +217,7 @@ func TestNewOrderMixWithAborts(t *testing.T) {
 	txns := genTxns(cfg, mix, 400)
 	wantAborts := 0
 	for _, txn := range txns {
-		if !Valid(&txn) {
+		if !Valid(&txn, cfg.Items) {
 			wantAborts++
 		}
 	}
@@ -337,10 +337,20 @@ func TestValidDetectsRollback(t *testing.T) {
 	bad := tpcc.Txn{Kind: tpcc.TxnNewOrder, NewOrder: tpcc.NewOrder{
 		Lines: []tpcc.NewOrderLine{{Item: 5}, {Item: -1}},
 	}}
-	if !Valid(&ok) || Valid(&bad) {
+	if !Valid(&ok, 10) || Valid(&bad, 10) {
 		t.Fatal("Valid broken")
 	}
-	if !Valid(&tpcc.Txn{Kind: tpcc.TxnPayment}) {
+	// The catalog holds ids 0..items-1: the first id past it rolls back.
+	last := tpcc.Txn{Kind: tpcc.TxnNewOrder, NewOrder: tpcc.NewOrder{
+		Lines: []tpcc.NewOrderLine{{Item: 9}},
+	}}
+	past := tpcc.Txn{Kind: tpcc.TxnNewOrder, NewOrder: tpcc.NewOrder{
+		Lines: []tpcc.NewOrderLine{{Item: 5}, {Item: 10}},
+	}}
+	if !Valid(&last, 10) || Valid(&past, 10) {
+		t.Fatal("Valid accepts an item id past the catalog")
+	}
+	if !Valid(&tpcc.Txn{Kind: tpcc.TxnPayment}, 10) {
 		t.Fatal("payments are always valid")
 	}
 }

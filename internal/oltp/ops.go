@@ -439,15 +439,16 @@ func programInto(ops []Op, t *tpcc.Txn) ([]Op, *paymentProgram) {
 
 // Valid pre-validates a transaction the way AnyDB's dispatcher does
 // (Calvin-style reconnaissance): new-order item ids are checked against
-// the replicated item catalog before any event is dispatched, so
-// distributed execution never needs cross-AC undo. It returns false for
-// the §2.4.1.4 rollback case.
-func Valid(t *tpcc.Txn) bool {
+// the replicated item catalog, whose ids are 0..items-1, before any event
+// is dispatched, so distributed execution never needs cross-AC undo. It
+// returns false for the §2.4.1.4 rollback case: any id outside the
+// catalog.
+func Valid(t *tpcc.Txn, items int) bool {
 	if t.Kind != tpcc.TxnNewOrder {
 		return true
 	}
 	for _, l := range t.NewOrder.Lines {
-		if l.Item < 0 {
+		if l.Item < 0 || l.Item >= items {
 			return false
 		}
 	}
