@@ -125,4 +125,4 @@ clean:
 	rm -f cpu.prof mem.prof mutex.prof anydb-profile.test anydbd \
 		BENCH_determinism.json
 
-ci: fmt vet build race bench
+ci: fmt vet build race bench bench-submit bench-json crash-smoke bench-check cluster-smoke allocs-gate

@@ -104,7 +104,6 @@ type Config struct {
 	Items                int
 	InitialOrdersPerDist int
 	Seed                 int64
-	DisableInitialOrders bool
 	// AutoAdapt turns on the self-driving loop: dispatchers report
 	// workload signals to an adaptation-controller AC, which switches
 	// the routing policy (and grows a server when analytical load
@@ -129,19 +128,18 @@ type Config struct {
 	// AutoRebalance (default 10ms wall clock).
 	AdaptWindow time.Duration
 	// Durability selects the write-ahead command log. Off (the default)
-	// keeps everything in memory. Otherwise every dispatcher AC appends
-	// its admitted transactions' command records to one cluster-wide log
-	// and parks them; a single log-writer goroutine fsyncs whatever has
-	// accumulated while the previous fsync ran (pipelined group commit:
-	// the group size follows the load, there is nothing to tune) and
-	// releases the transactions it covered. A transaction's segments
-	// dispatch only after its record is durable, so an acknowledged
-	// commit survives a crash, and no AC goroutine waits for the device.
-	// Batch asks for a sync once per dispatcher mailbox drain, Strict
-	// once per transaction (smaller groups at low load, lower latency).
-	// Open replays any logs found in WALDir into the fresh database
-	// before serving (full replay from genesis — no checkpointing yet;
-	// see ROADMAP).
+	// keeps everything in memory. Under Batch, the only other value,
+	// every dispatcher AC appends its admitted transactions' command
+	// records to one cluster-wide log and parks them; a single
+	// log-writer goroutine fsyncs whatever has accumulated while the
+	// previous fsync ran (pipelined group commit: the group size follows
+	// the load, there is nothing to tune) and releases the transactions
+	// it covered. Each dispatcher asks for a sync once per mailbox
+	// drain. A transaction's segments dispatch only after its record is
+	// durable, so an acknowledged commit survives a crash, and no AC
+	// goroutine waits for the device. Open replays any logs found in
+	// WALDir into the fresh database before serving (full replay from
+	// genesis — no checkpointing yet; see ROADMAP).
 	Durability Durability
 	// WALDir is the directory holding the command log, wal-shared.log.
 	// Per-dispatcher wal-NNNN.log files written by earlier versions are
@@ -311,10 +309,6 @@ const (
 	// for a sync once per mailbox drain cycle, and each fsync covers
 	// everything any dispatcher admitted while the previous one ran.
 	DurabilityBatch
-	// DurabilityStrict asks for a sync at every admission instead of at
-	// batch end. Same path and same guarantee — a transaction's record is
-	// durable before it dispatches — with the smallest wait at low load.
-	DurabilityStrict
 )
 
 func (d Durability) String() string {
@@ -323,8 +317,6 @@ func (d Durability) String() string {
 		return "Off"
 	case DurabilityBatch:
 		return "Batch"
-	case DurabilityStrict:
-		return "Strict"
 	}
 	return fmt.Sprintf("Durability(%d)", uint8(d))
 }
@@ -362,6 +354,9 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	if cfg.CoresPerServer < 4 {
 		return nil, fmt.Errorf("anydb: CoresPerServer = %d, need at least 4 (the control server hosts the dispatcher, sequencer, coordinator and query-optimizer roles)", cfg.CoresPerServer)
+	}
+	if cfg.Durability > DurabilityBatch {
+		return nil, fmt.Errorf("anydb: unknown %v, want DurabilityOff or DurabilityBatch", cfg.Durability)
 	}
 	db, _ := tpcc.NewDatabase(tc)
 
@@ -428,7 +423,7 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	c.asm = route.NewAssembly(db, c.topo)
 	if c.walLog != nil {
-		c.asm.Log, c.asm.Strict = c.walLog, cfg.Durability == DurabilityStrict
+		c.asm.Log = c.walLog
 	}
 	execs := c.asm.Lay.Execs
 	ownerPool := execs
@@ -649,13 +644,36 @@ type NewOrder struct {
 	Lines                         []OrderLine
 }
 
+// idCheck records the first transaction id that lies outside its range.
+// Every id is checked before the submission enters the epoch: past it, a
+// bad warehouse panics the entry routing or an AC.
+type idCheck struct{ err error }
+
+// in checks that id lies in [lo,hi).
+func (k *idCheck) in(what string, id, lo, hi int) {
+	if k.err == nil && (id < lo || id >= hi) {
+		k.err = fmt.Errorf("anydb: %s %d out of range [%d,%d)", what, id, lo, hi)
+	}
+}
+
 // paymentTxn builds a pooled transaction; the dispatcher recycles it
 // once the op program is compiled (ROADMAP: the client-side *tpcc.Txn
 // was one of the three remaining steady-state allocations).
-func paymentTxn(p Payment) (*tpcc.Txn, error) {
+func (c *Cluster) paymentTxn(p Payment) (*tpcc.Txn, error) {
 	cw, cd := p.CustomerWarehouse, p.CustomerDistrict
 	if cw == 0 && cd == 0 {
 		cw, cd = p.Warehouse, p.District
+	}
+	var k idCheck
+	k.in("warehouse", p.Warehouse, 0, c.cfg.Warehouses)
+	k.in("district", p.District, 1, c.cfg.Districts+1)
+	k.in("customer warehouse", cw, 0, c.cfg.Warehouses)
+	k.in("customer district", cd, 1, c.cfg.Districts+1)
+	if !p.ByLastName {
+		k.in("customer", p.Customer, 1, c.cfg.Customers+1)
+	}
+	if k.err != nil {
+		return nil, k.err
 	}
 	t := tpcc.GetTxn()
 	t.Kind = tpcc.TxnPayment
@@ -674,7 +692,17 @@ func paymentTxn(p Payment) (*tpcc.Txn, error) {
 	return t, nil
 }
 
-func newOrderTxn(no NewOrder) *tpcc.Txn {
+func (c *Cluster) newOrderTxn(no NewOrder) (*tpcc.Txn, error) {
+	var k idCheck
+	k.in("warehouse", no.Warehouse, 0, c.cfg.Warehouses)
+	k.in("district", no.District, 1, c.cfg.Districts+1)
+	k.in("customer", no.Customer, 1, c.cfg.Customers+1)
+	for _, l := range no.Lines {
+		k.in("supply warehouse", l.SupplyWarehouse, 0, c.cfg.Warehouses)
+	}
+	if k.err != nil {
+		return nil, k.err
+	}
 	t := tpcc.GetTxn()
 	t.Kind = tpcc.TxnNewOrder
 	t.NewOrder = tpcc.NewOrder{W: no.Warehouse, D: no.District, C: no.Customer}
@@ -683,7 +711,7 @@ func newOrderTxn(no NewOrder) *tpcc.Txn {
 			Item: l.Item, Qty: l.Qty, SupplyW: l.SupplyWarehouse,
 		})
 	}
-	return t
+	return t, nil
 }
 
 // Future is the pending result of a submitted transaction. A Future
@@ -790,7 +818,7 @@ func (f *Future) Wait(ctx context.Context) (bool, error) {
 // the submission itself (it can block while a policy switch drains);
 // pass it again to Future.Wait to bound the wait.
 func (c *Cluster) SubmitPayment(ctx context.Context, p Payment) (*Future, error) {
-	t, err := paymentTxn(p)
+	t, err := c.paymentTxn(p)
 	if err != nil {
 		return nil, err
 	}
@@ -799,7 +827,11 @@ func (c *Cluster) SubmitPayment(ctx context.Context, p Payment) (*Future, error)
 
 // SubmitNewOrder enqueues a new-order transaction; see SubmitPayment.
 func (c *Cluster) SubmitNewOrder(ctx context.Context, no NewOrder) (*Future, error) {
-	return c.submit(ctx, newOrderTxn(no))
+	t, err := c.newOrderTxn(no)
+	if err != nil {
+		return nil, err
+	}
+	return c.submit(ctx, t)
 }
 
 // Payment executes a payment transaction and reports whether it
@@ -1314,11 +1346,9 @@ func (c *Cluster) moveWarehouse(ctx context.Context, w int, dst core.ACID) error
 	}
 	if err == nil {
 		// Quiet window: nothing in flight touches the partition, no
-		// overlapping submission can slip past the gate. Hand off the
-		// storage side, then flip the routing — dispatchers and entry
-		// routing read the topology snapshot, so the very next
-		// submission lands at the new owner.
-		c.db.Partition(w).Handoff(int64(dst))
+		// overlapping submission can slip past the gate. Flip the
+		// routing — dispatchers and entry routing read the topology
+		// snapshot, so the very next submission lands at the new owner.
 		c.topo.SetOwner(w, dst)
 	}
 	c.gate.Store(nil)
@@ -1652,7 +1682,3 @@ func (c *Cluster) Close() {
 	}
 	close(c.closeDone)
 }
-
-// Costs exposes the engine's cost model (used by the examples to print
-// the calibration).
-func (c *Cluster) Costs() sim.CostModel { return c.eng.Costs }

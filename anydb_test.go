@@ -202,6 +202,82 @@ func TestNewOrderItemPastCatalog(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeIDs: a warehouse, district or customer id
+// outside the database fails at the entry, through the Cluster and the
+// Session entry points alike, before anything counts it in flight. Such
+// ids used to panic the caller or an AC, wedge Close, or commit a
+// new-order for a customer that does not exist.
+func TestSubmitRejectsOutOfRangeIDs(t *testing.T) {
+	c, err := anydb.Open(anydb.Config{
+		Warehouses: 2, Districts: 2, CustomersPerDistrict: 30, Items: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(supply int) []anydb.OrderLine {
+		return []anydb.OrderLine{{Item: 1, Qty: 1, SupplyWarehouse: supply}}
+	}
+	payments := []anydb.Payment{
+		{Warehouse: -1, District: 1, Customer: 1, Amount: 1},
+		{Warehouse: 2, District: 1, Customer: 1, Amount: 1},
+		{Warehouse: 0, District: 0, Customer: 1, Amount: 1},
+		{Warehouse: 0, District: 99, Customer: 1, Amount: 1},
+		{Warehouse: 0, District: 1, Customer: 0, Amount: 1},
+		{Warehouse: 0, District: 1, Customer: 9999, Amount: 1},
+		{Warehouse: 0, District: 1, Customer: 1, CustomerWarehouse: 99, CustomerDistrict: 1, Amount: 1},
+		{Warehouse: 0, District: 1, Customer: 1, CustomerWarehouse: 1, CustomerDistrict: 99, Amount: 1},
+		{Warehouse: 99, District: 1, ByLastName: true, LastName: "BARBARBAR", Amount: 1},
+	}
+	orders := []anydb.NewOrder{
+		{Warehouse: 99, District: 1, Customer: 1, Lines: line(0)},
+		{Warehouse: -1, District: 1, Customer: 1, Lines: line(0)},
+		{Warehouse: 0, District: 99, Customer: 1, Lines: line(0)},
+		{Warehouse: 0, District: 1, Customer: 9999, Lines: line(0)},
+		{Warehouse: 0, District: 1, Customer: 1, Lines: line(99)},
+		{Warehouse: 0, District: 1, Customer: 1, Lines: line(-1)},
+	}
+	s := c.Session()
+	defer s.Close()
+	submitters := []struct {
+		name     string
+		payment  func(context.Context, anydb.Payment) (*anydb.Future, error)
+		newOrder func(context.Context, anydb.NewOrder) (*anydb.Future, error)
+	}{
+		{"Cluster", c.SubmitPayment, c.SubmitNewOrder},
+		{"Session", s.SubmitPayment, s.SubmitNewOrder},
+	}
+	for _, pol := range []anydb.Policy{anydb.SharedNothing, anydb.StreamingCC} {
+		if err := c.SetPolicy(bg, pol); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range submitters {
+			for _, p := range payments {
+				if f, err := sub.payment(bg, p); err == nil || f != nil {
+					t.Errorf("%v %s: payment %+v: future %v, err %v; want an error", pol, sub.name, p, f, err)
+				}
+			}
+			for _, no := range orders {
+				if f, err := sub.newOrder(bg, no); err == nil || f != nil {
+					t.Errorf("%v %s: new-order %+v: future %v, err %v; want an error", pol, sub.name, no, f, err)
+				}
+			}
+		}
+	}
+	if ok, err := c.Payment(anydb.Payment{Warehouse: 1, District: 2, Customer: 30, Amount: 1}); err != nil || !ok {
+		t.Fatalf("valid payment after the rejections: ok=%v err=%v", ok, err)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: a rejected submission is still counted in flight")
+	}
+}
+
 // TestPolicySwitchMidFlight reroutes while transactions are genuinely
 // in flight on the real engine: worker goroutines never pause while a
 // switcher flips the policy. Every submission must resolve exactly once
@@ -794,6 +870,16 @@ func TestOpenRejectsTinyCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+}
+
+// TestOpenRejectsUnknownDurability: a Durability value other than Off and
+// Batch fails Open instead of silently running as Batch.
+func TestOpenRejectsUnknownDurability(t *testing.T) {
+	cfg := anydb.Config{Warehouses: 2, Durability: anydb.DurabilityBatch + 1, WALDir: t.TempDir()}
+	if c, err := anydb.Open(cfg); err == nil {
+		c.Close()
+		t.Fatalf("Durability %v accepted", cfg.Durability)
+	}
 }
 
 // TestAllPoliciesVerifyUnderLoad drives concurrent mixed traffic under

@@ -18,7 +18,6 @@ import (
 
 	"anydb"
 	"anydb/internal/bench"
-	"anydb/internal/olap"
 	"anydb/internal/sim"
 )
 
@@ -305,12 +304,10 @@ func BenchmarkSharedScanConcurrency(b *testing.B) {
 }
 
 // BenchmarkGroupedAgg measures grouped-aggregate throughput on a
-// dictionary-encoded group column: Fast uses the dense fast path
+// dictionary-encoded group column, which takes the dense fast path
 // (packed group codes index a flat accumulator, one bounds-checked
-// array access per row), Map forces the hash-map fallback the fast
-// path replaces. Same query, same data, Conc 1/8/32 — the Fast/Map
-// ratio at equal concurrency is the vectorized path's win, and the
-// queries/s metric is the headline.
+// array access per row), at Conc 1/8/32; the queries/s metric is the
+// headline.
 func BenchmarkGroupedAgg(b *testing.B) {
 	const query = "SELECT c_state, COUNT(*) FROM customer GROUP BY c_state"
 	countGroups := func(c *anydb.Cluster, ctx context.Context) (groups int64, total int64, err error) {
@@ -330,59 +327,49 @@ func BenchmarkGroupedAgg(b *testing.B) {
 		}
 		return groups, total, nil
 	}
-	for _, fast := range []bool{true, false} {
-		mode := "Fast"
-		if !fast {
-			mode = "Map"
-		}
-		b.Run(mode, func(b *testing.B) {
-			prev := olap.SetGroupedAggFastPath(fast)
-			defer olap.SetGroupedAggFastPath(prev)
-			for _, conc := range []int{1, 8, 32} {
-				b.Run(fmt.Sprintf("Conc%d", conc), func(b *testing.B) {
-					c, err := anydb.Open(scanBenchConfig())
-					if err != nil {
-						b.Fatal(err)
+	for _, conc := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("Conc%d", conc), func(b *testing.B) {
+			c, err := anydb.Open(scanBenchConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			ctx := context.Background()
+			// Warm-up pass builds the columnar chunks and
+			// dictionaries; the timed region measures steady state.
+			wantGroups, wantTotal, err := countGroups(c, ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if wantGroups == 0 || wantTotal == 0 {
+				b.Fatalf("warm-up returned %d groups / %d rows", wantGroups, wantTotal)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			start := time.Now()
+			for g := 0; g < conc; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						groups, total, err := countGroups(c, ctx)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if groups != wantGroups || total != wantTotal {
+							b.Errorf("got %d groups / %d rows, want %d / %d",
+								groups, total, wantGroups, wantTotal)
+							return
+						}
 					}
-					b.Cleanup(c.Close)
-					ctx := context.Background()
-					// Warm-up pass builds the columnar chunks and
-					// dictionaries; the timed region measures steady state.
-					wantGroups, wantTotal, err := countGroups(c, ctx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if wantGroups == 0 || wantTotal == 0 {
-						b.Fatalf("warm-up returned %d groups / %d rows", wantGroups, wantTotal)
-					}
-					b.ResetTimer()
-					b.ReportAllocs()
-					var next atomic.Int64
-					var wg sync.WaitGroup
-					start := time.Now()
-					for g := 0; g < conc; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for next.Add(1) <= int64(b.N) {
-								groups, total, err := countGroups(c, ctx)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								if groups != wantGroups || total != wantTotal {
-									b.Errorf("got %d groups / %d rows, want %d / %d",
-										groups, total, wantGroups, wantTotal)
-									return
-								}
-							}
-						}()
-					}
-					wg.Wait()
-					if elapsed := time.Since(start); elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
-					}
-				})
+				}()
+			}
+			wg.Wait()
+			if elapsed := time.Since(start); elapsed > 0 {
+				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
 			}
 		})
 	}

@@ -341,7 +341,7 @@ func TestCrashRecoveryLegacyWALDir(t *testing.T) {
 // or during that sequence must be in the log on reopen, and later
 // submissions must fail with ErrClosed rather than hang.
 func TestCrashRecoveryCloseMidBurst(t *testing.T) {
-	for _, mode := range []anydb.Durability{anydb.DurabilityBatch, anydb.DurabilityStrict} {
+	for _, mode := range []anydb.Durability{anydb.DurabilityBatch} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			ytd0 := freshLaneYTD(t)

@@ -431,9 +431,8 @@ func (c *Cluster) adoptPartition(w int, dst core.ACID, dead *member) {
 	g := &moveGate{mask: mask, reopen: make(chan struct{})}
 	c.gate.Store(g)
 	if err := c.drainPartitionLocked(context.Background(), mask); err == nil {
-		// The head's copy becomes live. Handoff publishes the owner flip
-		// to the storage layer; OwnerUpdate reroutes surviving members.
-		c.db.Partition(w).Handoff(int64(dst))
+		// The head's copy becomes live; OwnerUpdate reroutes surviving
+		// members.
 		c.topo.SetOwner(w, dst)
 		for _, other := range c.peers {
 			if other == dead || other.down.Load() {

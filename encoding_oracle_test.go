@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"anydb"
-	"anydb/internal/olap"
 )
 
 // The tests in this file are value oracles for the encoded columnar
@@ -158,8 +157,7 @@ func TestEncodedPredicateOracle(t *testing.T) {
 }
 
 // TestGroupedAggOracle checks the dense grouped-aggregate fast path
-// against a hand-grouped map of the same rows, and pins that forcing
-// the hash-map fallback returns the identical result set. AVG(c_id)
+// against a hand-grouped map of the same rows. AVG(c_id)
 // folds an int column through the decode path; SUM and AVG of c_balance
 // fold a raw float column through its typed loop.
 func TestGroupedAggOracle(t *testing.T) {
@@ -213,41 +211,23 @@ func TestGroupedAggOracle(t *testing.T) {
 		return got
 	}
 
-	check := func(label string, got map[string]agg) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
-		}
-		for state, w := range want {
-			g, ok := got[state]
-			if !ok {
-				t.Fatalf("%s: missing group %q", label, state)
-			}
-			if g.n != w.n {
-				t.Errorf("%s: %q count = %d, want %d", label, state, g.n, w.n)
-			}
-			if !near(g.sum, w.sum) {
-				t.Errorf("%s: %q sum = %v, want %v", label, state, g.sum, w.sum)
-			}
-			if !near(g.bal, w.bal) {
-				t.Errorf("%s: %q balance sum = %v, want %v", label, state, g.bal, w.bal)
-			}
-		}
+	got := run()
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
 	}
-
-	prev := olap.SetGroupedAggFastPath(true)
-	defer olap.SetGroupedAggFastPath(prev)
-	fast := run()
-	check("fast path", fast)
-
-	olap.SetGroupedAggFastPath(false)
-	mapped := run()
-	check("map fallback", mapped)
-
-	for state, f := range fast {
-		m, ok := mapped[state]
-		if !ok || m.n != f.n || !near(m.sum, f.sum) || !near(m.bal, f.bal) {
-			t.Errorf("fast/map divergence at %q: fast %+v, map %+v (present %v)", state, f, m, ok)
+	for state, w := range want {
+		g, ok := got[state]
+		if !ok {
+			t.Fatalf("missing group %q", state)
+		}
+		if g.n != w.n {
+			t.Errorf("%q count = %d, want %d", state, g.n, w.n)
+		}
+		if !near(g.sum, w.sum) {
+			t.Errorf("%q sum = %v, want %v", state, g.sum, w.sum)
+		}
+		if !near(g.bal, w.bal) {
+			t.Errorf("%q balance sum = %v, want %v", state, g.bal, w.bal)
 		}
 	}
 }

@@ -98,11 +98,16 @@ func TestControllerSwitchesOnSkew(t *testing.T) {
 
 func TestControllerNeedsMinSample(t *testing.T) {
 	ctx := newFakeCtx()
-	opts := testOptions(oltp.SharedNothing)
-	opts.MinSample = 1000
-	ctrl := NewController(opts)
+	ctrl := NewController(testOptions(oltp.SharedNothing))
+	// feed spaces reports 30µs apart, so at most eight fall inside one
+	// default 200µs window: each carrying under an eighth of minSample
+	// keeps every window below it.
+	tiny := int64(minSample/8 - 1)
 	for i := 0; i < 50; i++ {
-		feed(ctrl, ctx, []int64{8, 0, 0, 0}) // fully skewed but tiny
+		feed(ctrl, ctx, []int64{tiny, 0, 0, 0}) // fully skewed but tiny
+	}
+	if s := ctrl.Snapshot(ctx.now); s.Admitted == 0 || s.Admitted >= minSample {
+		t.Fatalf("window holds %v admissions, want in (0, %d)", s.Admitted, minSample)
 	}
 	if len(ctx.decisions()) != 0 {
 		t.Fatal("controller acted below the minimum sample size")
@@ -111,11 +116,9 @@ func TestControllerNeedsMinSample(t *testing.T) {
 
 func TestControllerPatience(t *testing.T) {
 	ctx := newFakeCtx()
-	opts := testOptions(oltp.SharedNothing)
-	opts.Patience = 5
-	ctrl := NewController(opts)
-	// Fewer skewed evaluations than Patience: no switch yet.
-	for i := 0; i < 4; i++ {
+	ctrl := NewController(testOptions(oltp.SharedNothing))
+	// Fewer skewed evaluations than patience: no switch yet.
+	for i := 0; i < patience-1; i++ {
 		feed(ctrl, ctx, []int64{64, 0, 0, 0})
 	}
 	if len(ctx.decisions()) != 0 {

@@ -49,6 +49,44 @@ type Move struct {
 	FromOwner, ToOwner int
 }
 
+// The controller's hysteresis. The durations are multiples of
+// Options.WindowSpan, so they scale with the window the runtime passes.
+const (
+	// buckets is the sliding windows' resolution.
+	buckets = 8
+	// minSample is the admissions a window needs before the controller
+	// trusts it.
+	minSample = 48
+	// margin is the score advantage a candidate needs over the current
+	// policy (20% better) — hysteresis against flapping.
+	margin = 1.2
+	// patience is how many consecutive evaluations must agree before a
+	// switch — more hysteresis.
+	patience = 3
+	// minDwellSpans is the minimum time between switches.
+	minDwellSpans = 2
+
+	// moveSkew is the rebalance trigger: the hottest owner's admission
+	// share against the ideal 1/NumOwners (60% above fair).
+	moveSkew = 1.6
+	// moveDwellSpans is the minimum time between moves.
+	moveDwellSpans = 4
+	// moveMinSample is the admission floor for placement decisions: a
+	// migration is costlier to get wrong than a switch, and a sparse
+	// window — one dispatcher's report arriving ahead of the others —
+	// must never read as skew.
+	moveMinSample = 4 * minSample
+	// movePatience is the consecutive-evaluation streak a move needs.
+	movePatience = 2 * patience
+
+	// probeEverySpans is how long the controller stays on one policy
+	// before spending a probe on an unmeasured candidate; probeSpans is
+	// the probe's length — one settle window plus two measured ones.
+	// Probes only happen with a MeasuredModel and >1 candidate.
+	probeEverySpans = 24
+	probeSpans      = 3
+)
+
 // Options tunes the controller. Zero fields take defaults sized for the
 // virtual-time runtime; the real runtime passes a wider window.
 type Options struct {
@@ -63,26 +101,13 @@ type Options struct {
 	Env Env
 	// WindowSpan is the sliding-window length (default 200µs virtual).
 	WindowSpan sim.Time
-	// Buckets is the window resolution (default 8).
-	Buckets int
-	// MinSample is the minimum admissions in a window before the
-	// controller trusts it (default 48).
-	MinSample float64
-	// Margin is the score advantage a candidate needs over the current
-	// policy (default 1.2 = 20% better) — hysteresis against flapping.
-	Margin float64
-	// Patience is how many consecutive evaluations must agree before
-	// switching (default 3) — more hysteresis.
-	Patience int
-	// MinDwell is the minimum time between switches (default 2×span).
-	MinDwell sim.Time
 	// Elastic lets the controller request server growth when
 	// analytical queries appear.
 	Elastic bool
 
 	// Rebalance extends the decision space beyond policy choice to
 	// data placement: when the admission load carried by one owner
-	// exceeds MoveSkew× its fair share (with the same patience/dwell
+	// exceeds moveSkew× its fair share (with the same patience/dwell
 	// hysteresis as switches), the controller emits a Move decision
 	// relocating the warehouse whose migration best levels the load.
 	// Requires OwnerIdx and NumOwners.
@@ -96,27 +121,6 @@ type Options struct {
 	// NumOwners returns the current owner-candidate count; it grows
 	// when elastic servers join the placement pool.
 	NumOwners func() int
-	// MoveSkew is the overload trigger: hottest owner's admission
-	// share vs the ideal 1/NumOwners (default 1.6 = 60% above fair).
-	MoveSkew float64
-	// MoveDwell is the minimum time between moves (default 4×span).
-	MoveDwell sim.Time
-	// MoveMinSample is the admission floor for placement decisions
-	// (default 4×MinSample): a migration is costlier to get wrong than
-	// a switch, and a sparse window — one dispatcher's report arriving
-	// ahead of the others — must never read as skew.
-	MoveMinSample float64
-	// MovePatience is the consecutive-evaluation streak required
-	// before a move (default 2×Patience).
-	MovePatience int
-
-	// ProbeEvery is how long the controller stays on one policy before
-	// spending a probe on an unmeasured candidate (default 24×span);
-	// ProbeSpan is the probe's length (default 3×span — one settle
-	// window plus two measured ones). Probes only happen with a
-	// MeasuredModel and >1 candidate.
-	ProbeEvery sim.Time
-	ProbeSpan  sim.Time
 
 	// EvalEvery additionally evaluates after this many reports even
 	// inside the time-based rate limit (0 = time-based only). The
@@ -142,39 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WindowSpan == 0 {
 		o.WindowSpan = 200 * sim.Microsecond
-	}
-	if o.Buckets == 0 {
-		o.Buckets = 8
-	}
-	if o.MinSample == 0 {
-		o.MinSample = 48
-	}
-	if o.Margin == 0 {
-		o.Margin = 1.2
-	}
-	if o.Patience == 0 {
-		o.Patience = 3
-	}
-	if o.MinDwell == 0 {
-		o.MinDwell = 2 * o.WindowSpan
-	}
-	if o.MoveSkew == 0 {
-		o.MoveSkew = 1.6
-	}
-	if o.MoveDwell == 0 {
-		o.MoveDwell = 4 * o.WindowSpan
-	}
-	if o.MoveMinSample == 0 {
-		o.MoveMinSample = 4 * o.MinSample
-	}
-	if o.MovePatience == 0 {
-		o.MovePatience = 2 * o.Patience
-	}
-	if o.ProbeEvery == 0 {
-		o.ProbeEvery = 24 * o.WindowSpan
-	}
-	if o.ProbeSpan == 0 {
-		o.ProbeSpan = 3 * o.WindowSpan
 	}
 	return o
 }
@@ -226,7 +197,7 @@ type Controller struct {
 // NewController returns a controller observing from opts.Start.
 func NewController(opts Options) *Controller {
 	opts = opts.withDefaults()
-	span, n := int64(opts.WindowSpan), opts.Buckets
+	span, n := int64(opts.WindowSpan), buckets
 	c := &Controller{
 		opt: opts, cur: opts.Start,
 		admitted:  metrics.NewWindow(span, n),
@@ -304,7 +275,7 @@ func (c *Controller) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
 	// set, also triggers on report count so burst-delivered reports
 	// (goroutine runtime) are evaluated while still in the window.
 	c.reportsSinceEval++
-	width := c.opt.WindowSpan / sim.Time(c.opt.Buckets)
+	width := c.opt.WindowSpan / buckets
 	if c.evaluated && sim.Time(now)-c.lastEval < width &&
 		(c.opt.EvalEvery == 0 || c.reportsSinceEval < c.opt.EvalEvery) {
 		return
@@ -342,7 +313,7 @@ func (c *Controller) Snapshot(now sim.Time) Signals {
 // moves alongside policy choice.
 func (c *Controller) evaluate(ctx core.Context, now sim.Time) {
 	s := c.Snapshot(now)
-	if s.Admitted < c.opt.MinSample {
+	if s.Admitted < minSample {
 		return
 	}
 	c.observe(now, s)
@@ -397,7 +368,7 @@ func (c *Controller) scoreCandidates(s Signals) (scores map[oltp.Policy]float64,
 // whether it emitted a decision this round.
 func (c *Controller) evaluatePolicy(ctx core.Context, now sim.Time, s Signals) bool {
 	if c.probing {
-		if now-c.probeStart < c.opt.ProbeSpan {
+		if now-c.probeStart < probeSpans*c.opt.WindowSpan {
 			return false
 		}
 		return c.endProbe(ctx, now, s)
@@ -407,7 +378,7 @@ func (c *Controller) evaluatePolicy(ctx core.Context, now sim.Time, s Signals) b
 	if !ok {
 		curScore = c.opt.Model.Score(c.cur, s, c.opt.Env)
 	}
-	if best == c.cur || bestScore < c.opt.Margin*curScore {
+	if best == c.cur || bestScore < margin*curScore {
 		c.streak = 0
 		return c.maybeProbe(ctx, now, s)
 	}
@@ -416,10 +387,10 @@ func (c *Controller) evaluatePolicy(ctx core.Context, now sim.Time, s Signals) b
 		c.streak = 0
 	}
 	c.streak++
-	if c.streak < c.opt.Patience {
+	if c.streak < patience {
 		return false
 	}
-	if c.switched && now-c.lastSwitch < c.opt.MinDwell {
+	if c.switched && now-c.lastSwitch < minDwellSpans*c.opt.WindowSpan {
 		return false
 	}
 	c.streak = 0
@@ -439,14 +410,14 @@ func (c *Controller) evaluatePolicy(ctx core.Context, now sim.Time, s Signals) b
 // maybeProbe spends a short measurement phase on a candidate the model
 // has never observed under the current workload class — the exploration
 // half of the measured loop. The controller must itself be measured
-// (its own arm sampled) and stable for ProbeEvery first, so probes cost
-// throughput only when the loop has settled.
+// (its own arm sampled) and stable for probeEverySpans windows first, so
+// probes cost throughput only when the loop has settled.
 func (c *Controller) maybeProbe(ctx core.Context, now sim.Time, s Signals) bool {
 	m := c.measured
 	if m == nil || len(c.opt.Candidates) < 2 {
 		return false
 	}
-	if now-c.lastSwitch < c.opt.ProbeEvery || !m.Sampled(c.cur, s) {
+	if now-c.lastSwitch < probeEverySpans*c.opt.WindowSpan || !m.Sampled(c.cur, s) {
 		return false
 	}
 	for _, p := range c.opt.Candidates {
@@ -498,7 +469,7 @@ func (c *Controller) evaluateRebalance(ctx core.Context, now sim.Time, s Signals
 	if !o.Rebalance || o.OwnerIdx == nil || o.NumOwners == nil || len(s.HomeShare) == 0 {
 		return
 	}
-	if s.Admitted < o.MoveMinSample {
+	if s.Admitted < moveMinSample {
 		return
 	}
 	n := o.NumOwners()
@@ -536,7 +507,7 @@ func (c *Controller) evaluateRebalance(ctx core.Context, now sim.Time, s Signals
 		}
 	}
 	ideal := 1.0 / float64(n)
-	if loads[hi] < o.MoveSkew*ideal {
+	if loads[hi] < moveSkew*ideal {
 		c.moveStreak = 0
 		return
 	}
@@ -566,10 +537,10 @@ func (c *Controller) evaluateRebalance(ctx core.Context, now sim.Time, s Signals
 		c.moveStreak = 0
 	}
 	c.moveStreak++
-	if c.moveStreak < o.MovePatience {
+	if c.moveStreak < movePatience {
 		return
 	}
-	if c.moved && now-c.lastMove < o.MoveDwell {
+	if c.moved && now-c.lastMove < moveDwellSpans*o.WindowSpan {
 		return
 	}
 	c.moveStreak = 0

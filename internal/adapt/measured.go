@@ -171,13 +171,3 @@ func (m *MeasuredModel) Regret() float64 { return m.regret }
 
 // Samples returns the total number of observations recorded.
 func (m *MeasuredModel) Samples() int { return m.samples }
-
-// MeasuredRate returns the model's current rate estimate for policy p
-// under the workload class of s, and whether the arm has data.
-func (m *MeasuredModel) MeasuredRate(p oltp.Policy, s Signals) (float64, bool) {
-	st := m.arms[arm{pol: p, sig: classify(s)}]
-	if st == nil || st.n == 0 {
-		return 0, false
-	}
-	return st.rate, true
-}

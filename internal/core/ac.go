@@ -276,20 +276,6 @@ func (ac *AC) Subscribe(ctx Context, sid StreamID, sink DataSink) {
 	}
 }
 
-// TakeBatches removes and returns all staged batches of a stream (used
-// by consumers that want the buffered form directly, e.g. a hash-join
-// build that fires only once the stream closed).
-func (ac *AC) TakeBatches(sid StreamID) []*DataMsg {
-	s := ac.stream(sid)
-	out := s.Pending
-	s.Pending = nil
-	s.Bytes = 0
-	return out
-}
-
-// StreamClosed reports whether a stream has fully arrived.
-func (ac *AC) StreamClosed(sid StreamID) bool { return ac.stream(sid).Closed }
-
 // DropStream releases stream state (query teardown).
 func (ac *AC) DropStream(sid StreamID) {
 	delete(ac.streams, sid)

@@ -120,9 +120,6 @@ func (cl *SimCluster) netLink(from, to int) *sim.Link {
 	return l
 }
 
-// NetLink exposes the directed link between two servers for accounting.
-func (cl *SimCluster) NetLink(from, to int) *sim.Link { return cl.netLink(from, to) }
-
 // Inject delivers an event from outside the simulation (the workload
 // harness) at absolute virtual time at.
 func (cl *SimCluster) Inject(dst ACID, ev *Event, at sim.Time) {

@@ -76,9 +76,6 @@ func New(sched *sim.Scheduler, db *storage.Database, cfg tpcc.Config, tes int, c
 	return e
 }
 
-// NumTEs returns the executor count.
-func (e *Engine) NumTEs() int { return len(e.tes) }
-
 // TE exposes an executor actor for utilization accounting.
 func (e *Engine) TE(i int) *sim.Actor { return e.tes[i] }
 

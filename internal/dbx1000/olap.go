@@ -62,9 +62,6 @@ func (e *Engine) StartOLAP(repeat bool, streams int) {
 	}
 }
 
-// StopOLAP stops issuing new queries (the in-flight one completes).
-func (e *Engine) StopOLAP() { e.olapRepeat = false }
-
 func (e *Engine) startQuery(at sim.Time) {
 	e.olapSeq++
 	q := &query{

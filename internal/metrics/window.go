@@ -34,9 +34,6 @@ func NewWindow(span int64, buckets int) *Window {
 	return w
 }
 
-// Span returns the trailing duration the window covers.
-func (w *Window) Span() int64 { return w.span }
-
 // slot maps a timestamp to its ring slot and bucket start.
 func (w *Window) slot(at int64) (int, int64) {
 	b := at / w.width

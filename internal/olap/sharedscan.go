@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync/atomic"
 
 	"anydb/internal/core"
 	"anydb/internal/sim"
@@ -126,7 +125,7 @@ type compiledPred struct {
 	// Per-chunk prepared state (prepare): mode selects the row test;
 	// code / bits / lo / hi are mode-specific operands.
 	mode    predMode
-	code    uint32        // modeEqCode/NeCode: dict code; modeEq/NeDelta: delta
+	code    uint32        // modeEqCode/NeCode: dict code or frame-of-reference delta
 	lo, hi  uint32        // modeGEDelta / modeLTDelta thresholds
 	bits    []uint64      // modeBits: per-dictionary-code predicate results
 	bitsFor *storage.Dict // dictionary bits was built against
@@ -139,13 +138,11 @@ type predMode uint8
 const (
 	modeAll       predMode = iota // every row matches
 	modeNone                      // no row matches
-	modeEqCode                    // Codes[i] == code (dictionary)
-	modeNeCode                    // Codes[i] != code (dictionary)
+	modeEqCode                    // Codes[i] == code (dictionary or frame-of-reference)
+	modeNeCode                    // Codes[i] != code (dictionary or frame-of-reference)
 	modeBits                      // bits[Codes[i]] set (dictionary)
 	modeGEDelta                   // Codes[i] >= lo (frame-of-reference)
 	modeLTDelta                   // Codes[i] < hi (frame-of-reference)
-	modeEqDelta                   // Codes[i] == code (frame-of-reference)
-	modeNeDelta                   // Codes[i] != code (frame-of-reference)
 	modeRawGE                     // Ints[i] >= minI
 	modeRawLT                     // Ints[i] < minI
 	modeRawEq                     // Ints[i] == minI
@@ -281,13 +278,13 @@ func (p *compiledPred) prepareFoR(ref int64) {
 			if out {
 				p.mode = modeNone
 			} else {
-				p.code, p.mode = uint32(diff), modeEqDelta
+				p.code, p.mode = uint32(diff), modeEqCode
 			}
 		} else {
 			if out {
 				p.mode = modeAll
 			} else {
-				p.code, p.mode = uint32(diff), modeNeDelta
+				p.code, p.mode = uint32(diff), modeNeCode
 			}
 		}
 	}
@@ -311,10 +308,6 @@ func (p *compiledPred) matchAt(v *storage.EncVec, i int) bool {
 		return v.Codes[i] >= p.lo
 	case modeLTDelta:
 		return v.Codes[i] < p.hi
-	case modeEqDelta:
-		return v.Codes[i] == p.code
-	case modeNeDelta:
-		return v.Codes[i] != p.code
 	case modeRawGE:
 		return v.Ints[i] >= p.minI
 	case modeRawLT:
@@ -389,19 +382,8 @@ type scanReg struct {
 	// dictionary-encoded chunk; abandoned (the table turns keyed) if a
 	// chunk arrives with a different encoding or a code outgrows the
 	// slack-padded dims.
-	denseOK bool // hinted, enabled, and not abandoned
+	denseOK bool // hinted and not abandoned
 }
-
-// groupedFastPath gates the dense grouped-aggregate path globally; the
-// benchmark suite flips it off to measure the map-probe baseline.
-var groupedFastPath atomic.Bool
-
-func init() { groupedFastPath.Store(true) }
-
-// SetGroupedAggFastPath toggles the dense grouped-aggregate fast path
-// for newly registered scans and returns the previous setting. On by
-// default; exists so benchmarks can pin either path.
-func SetGroupedAggFastPath(on bool) bool { return groupedFastPath.Swap(on) }
 
 // matchBuf caches one predicate signature's matched rows for the chunk
 // of the current step (valid while step == sharedScan.steps).
@@ -711,7 +693,7 @@ func (r *scanReg) armGroups() {
 		}
 	}
 	r.groups = g
-	r.denseOK = r.spec.DictGroups && len(r.groupIdx) > 0 && groupedFastPath.Load()
+	r.denseOK = r.spec.DictGroups && len(r.groupIdx) > 0
 }
 
 // foldAgg folds the matched rows into the registration's group table:

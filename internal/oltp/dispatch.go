@@ -90,11 +90,10 @@ type Dispatcher struct {
 	// record and parks the transaction in logq under its LSN; the log's
 	// writer syncs off this goroutine and EvLogDurable releases every
 	// parked transaction the durable LSN covers. The AC never waits for
-	// the device. Strict kicks the writer per transaction; otherwise the
-	// batch-end FlushBatch kicks once per drain cycle.
-	Log    CommandLog
-	Strict bool
-	logq   []queuedTxn // parked, in LSN order
+	// the device. The batch-end FlushBatch kicks the writer once per
+	// drain cycle.
+	Log  CommandLog
+	logq []queuedTxn // parked, in LSN order
 	// parked tells the log writer (another goroutine) that logq may be
 	// non-empty, so it only notifies dispatchers with work to release.
 	// Set before the Append that parks, cleared when logq runs empty.
@@ -243,9 +242,6 @@ func (d *Dispatcher) admit(ctx core.Context, cfg *DispatchConfig, id core.TxnID,
 	}
 	// Park until the log writer reports the record durable.
 	d.logq = append(d.logq, queuedTxn{id: id, txn: txn, client: client, lsn: lsn})
-	if d.Strict {
-		d.Log.Kick()
-	}
 }
 
 // admitChecked is admission past reconnaissance and durability:

@@ -62,9 +62,9 @@ func TestDispatcherLogFailureIsFailStop(t *testing.T) {
 	if !c.dispatcher.HasParked() {
 		t.Fatal("HasParked false with 10 transactions parked")
 	}
-	// Batch mode asks for the sync at batch end, once.
+	// The dispatcher asks for the sync at batch end, once.
 	if log.kicks != 0 {
-		t.Fatalf("batch mode kicked %d times at admission", log.kicks)
+		t.Fatalf("admission kicked the log %d times", log.kicks)
 	}
 	c.dispatcher.FlushBatch(nil)
 	if log.kicks != 1 {
@@ -137,32 +137,5 @@ func TestDispatcherAppendFailureFailsParked(t *testing.T) {
 	c.logDurable(3, nil)
 	if c.committed != 0 {
 		t.Fatal("a failed transaction dispatched on a late durable notice")
-	}
-}
-
-// TestDispatcherStrictKicksPerAdmission: Strict differs from Batch only
-// in when it asks for the sync — at every admission — and still parks
-// until the log reports the record durable.
-func TestDispatcherStrictKicksPerAdmission(t *testing.T) {
-	cfg := testCfg()
-	db, _ := tpcc.NewDatabase(cfg)
-	c := buildCluster(db, cfg, SharedNothing)
-	log := &fakeLog{}
-	c.dispatcher.Log, c.dispatcher.Strict = log, true
-
-	txns := genTxns(cfg, tpcc.Partitionable(), 6)
-	c.submit(1, txns)
-	if log.kicks != 6 {
-		t.Fatalf("strict mode kicked %d times for 6 admissions", log.kicks)
-	}
-	if c.committed != 0 {
-		t.Fatal("strict mode dispatched before the record was durable")
-	}
-	c.logDurable(6, nil)
-	if c.committed != 6 {
-		t.Fatalf("committed=%d after durable=6, want 6", c.committed)
-	}
-	if _, err := tpcc.Verify(db, cfg); err != nil {
-		t.Fatal(err)
 	}
 }

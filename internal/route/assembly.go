@@ -15,8 +15,8 @@ import (
 // every runtime: the public goroutine cluster, a member process and the
 // virtual-time harness all hand SetupAC to their engine. It also owns the
 // dispatcher registry, so a policy switch reaches every dispatcher —
-// including those of servers grown after the switch. Set Ctrl, Log and
-// Strict before the engine runs SetupAC for the first time.
+// including those of servers grown after the switch. Set Ctrl and Log
+// before the engine runs SetupAC for the first time.
 type Assembly struct {
 	DB   *storage.Database
 	Topo *core.Topology
@@ -28,10 +28,8 @@ type Assembly struct {
 	// telemetry to Lay.Seq.
 	Ctrl *adapt.Controller
 	// Log, when set, makes every dispatcher write-ahead (see
-	// oltp.Dispatcher.Log); Strict kicks the writer per admission instead
-	// of once per mailbox drain.
-	Log    oltp.CommandLog
-	Strict bool
+	// oltp.Dispatcher.Log).
+	Log oltp.CommandLog
 
 	// mu orders SetupAC against SetPolicy: a dispatcher is built under the
 	// active policy and published in one critical section, so a concurrent
@@ -90,13 +88,10 @@ func (a *Assembly) SetupAC(ac *core.AC) {
 	a.mu.Unlock()
 	if a.Log != nil {
 		// Admitted transactions park in the dispatcher until the log
-		// writer reports their records durable (EvLogDurable). Strict
-		// kicks the writer per admission; otherwise once per drain cycle,
-		// from the runtime's batch-end hook.
-		d.Log, d.Strict = a.Log, a.Strict
-		if !d.Strict {
-			ac.OnBatchEnd = d.FlushBatch
-		}
+		// writer reports their records durable (EvLogDurable); the
+		// runtime's batch-end hook kicks the writer once per drain cycle.
+		d.Log = a.Log
+		ac.OnBatchEnd = d.FlushBatch
 		ac.Register(core.EvLogDurable, d)
 	}
 	ac.Register(core.EvTxn, d)

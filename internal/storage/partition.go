@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Partition groups the table shards belonging to one partition key range
 // (one TPC-C warehouse in the reproduced workloads). A partition has a
@@ -13,14 +10,7 @@ type Partition struct {
 	ID     int
 	tables map[string]*Table
 	list   []*Table // dense, indexed by Schema.ID — the hot-path lookup
-	seq    int64
 	slab   RowSlab
-	// owner is an observability tag recording the last live handoff
-	// target (an AC id, or -1 before any handoff). The tag is NOT the
-	// routing source of truth — core.Topology is — but a handoff stamps
-	// it atomically so tooling and tests can ask the storage layer who
-	// it was last handed to.
-	owner atomic.Int64
 }
 
 // Slab returns the partition's row slab for append-only inserts. Like
@@ -30,29 +20,9 @@ type Partition struct {
 // takes over.
 func (p *Partition) Slab() *RowSlab { return &p.slab }
 
-// Handoff records the partition's transfer to a new owner. The caller
-// (the engine's repartitioning path) must have quiesced all in-flight
-// work touching the partition first; by that point every pending
-// append has landed in the tables, so the only state to move is the
-// ownership tag itself — the paper's "state never moves" elasticity.
-func (p *Partition) Handoff(newOwner int64) { p.owner.Store(newOwner) }
-
-// LastOwner returns the last Handoff target, or -1 if the partition has
-// never been handed off (it still has its setup-time owner).
-func (p *Partition) LastOwner() int64 { return p.owner.Load() }
-
-// NextSeq returns a partition-local monotone sequence number (used to key
-// tables without a natural primary key, e.g. TPC-C history).
-func (p *Partition) NextSeq() int64 {
-	p.seq++
-	return p.seq
-}
-
 // NewPartition returns an empty partition.
 func NewPartition(id int) *Partition {
-	p := &Partition{ID: id, tables: make(map[string]*Table)}
-	p.owner.Store(-1)
-	return p
+	return &Partition{ID: id, tables: make(map[string]*Table)}
 }
 
 // CreateTable adds an empty table for schema and returns it. The table
@@ -188,14 +158,6 @@ func (c *Catalog) AddSchema(s *Schema) {
 
 // Schema returns the schema for a table name, or nil.
 func (c *Catalog) Schema(name string) *Schema { return c.schemas[name] }
-
-// SchemaByID returns the schema for an interned handle, or nil.
-func (c *Catalog) SchemaByID(id TableID) *Schema {
-	if id < 0 || int(id) >= len(c.byID) {
-		return nil
-	}
-	return c.byID[id]
-}
 
 // SetStats stores statistics for a table.
 func (c *Catalog) SetStats(table string, st *TableStats) { c.stats[table] = st }

@@ -65,22 +65,11 @@ func BenchmarkEventPlane(b *testing.B) {
 	})
 }
 
-// BenchmarkQueueComparison is the Folly-substitute ablation: how do the
-// three local stream carriers compare for one producer/one consumer
-// hops? Run with:
+// BenchmarkQueueComparison compares the local stream carriers with a
+// buffered channel for one-producer/one-consumer hops. Run with:
 //
 //	go test -bench QueueComparison ./internal/stream
 func BenchmarkQueueComparison(b *testing.B) {
-	b.Run("spsc", func(b *testing.B) {
-		q := NewSPSC[int](4096)
-		for i := 0; i < b.N; i++ {
-			if !q.TryPush(i) {
-				q.TryPop()
-				q.TryPush(i)
-			}
-			q.TryPop()
-		}
-	})
 	b.Run("mpsc", func(b *testing.B) {
 		q := NewMPSC[int]()
 		for i := 0; i < b.N; i++ {

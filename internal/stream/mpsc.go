@@ -1,9 +1,17 @@
+// Package stream provides the queue primitives that carry event and data
+// streams between AnyComponents: MPSC is an unbounded multi-producer
+// queue used for AC inboxes, and Mailbox adds blocking receive on top of
+// it.
 package stream
 
 import (
 	"sync"
 	"sync/atomic"
 )
+
+// cacheLinePad separates hot atomics so producer and consumer do not
+// false-share a cache line.
+type cacheLinePad struct{ _ [64]byte }
 
 // mpscNode is a link in the MPSC queue. Nodes are heap allocated; Go's GC
 // makes the classic Vyukov design safe without hazard pointers. Popped

@@ -120,13 +120,6 @@ func (p *Peer) MarkDead() {
 	p.wmu.Unlock()
 }
 
-// Dead reports whether MarkDead ran.
-func (p *Peer) Dead() bool {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	return p.dead
-}
-
 // SetConn installs a fresh connection after a rejoin handshake and
 // clears the dead mark. The caller must have completed the handshake on
 // conn and guaranteed no Serve loop is still reading the old one.

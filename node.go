@@ -150,7 +150,6 @@ func ServeNode(ctx context.Context, addr string) error {
 			return peer.WriteControl(ack)
 		case *transport.OwnerUpdate:
 			topo.SetOwner(msg.W, core.ACID(msg.AC))
-			db.Partition(msg.W).Handoff(int64(msg.AC))
 		case *transport.Ping:
 			if hb > 0 {
 				// Same goroutine as the read loop, so no race.

@@ -55,7 +55,7 @@ func (s *Session) Close() { s.closed = true }
 // SubmitPayment enqueues a payment transaction on this session; see
 // Cluster.SubmitPayment for the pipelining and Future semantics.
 func (s *Session) SubmitPayment(ctx context.Context, p Payment) (*Future, error) {
-	t, err := paymentTxn(p)
+	t, err := s.c.paymentTxn(p)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,11 @@ func (s *Session) SubmitPayment(ctx context.Context, p Payment) (*Future, error)
 // SubmitNewOrder enqueues a new-order transaction on this session; see
 // Cluster.SubmitNewOrder.
 func (s *Session) SubmitNewOrder(ctx context.Context, no NewOrder) (*Future, error) {
-	return s.submit(ctx, newOrderTxn(no))
+	t, err := s.c.newOrderTxn(no)
+	if err != nil {
+		return nil, err
+	}
+	return s.submit(ctx, t)
 }
 
 // Payment is SubmitPayment + Wait without a deadline.
