@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-submit bench-json bench-check allocs-gate cluster-smoke crash-smoke profile fmt vet figures loc clean ci
+.PHONY: all build test race bench bench-submit bench-json bench-check allocs-gate cluster-smoke crash-smoke fuzz-smoke profile fmt vet figures loc clean ci
 
 all: build
 
@@ -94,6 +94,19 @@ cluster-smoke:
 # racy ones.
 crash-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashRecovery|TestMemberDeath|TestMemberReconnect|TestSessionAcrossMemberDeath' -v .
+
+# On-demand fuzz smoke, deliberately not part of ci (random inputs would
+# make the pipeline nondeterministic): the wire codec's event and data
+# decoders and the WAL's frame and record decoders, FUZZTIME each (one
+# target per `go test -fuzz` run), on two fuzz workers. `go test ./...`
+# already replays every committed seed and testdata/fuzz corpus entry;
+# a new crasher lands in the package's testdata/fuzz for committing.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDataMsgCodec$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal
 
 # CPU + allocation profiles of the parallel submission hot path (the
 # public API entry under GOMAXPROCS submitters). Inspect with `go tool

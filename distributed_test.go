@@ -3,12 +3,14 @@ package anydb_test
 import (
 	"context"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"anydb"
+	"anydb/internal/transport"
 )
 
 // freeAddr reserves a loopback port and releases it for the cluster to
@@ -180,6 +182,47 @@ func TestDistributedPair(t *testing.T) {
 	// cross-process shutdown must leave zero outstanding pooled
 	// objects.
 	assertBalanced()
+}
+
+// TestMemberHandshakeRejectsOtherProto pins the head's wire-version
+// gate: a member whose Hello carries another protocol version is
+// refused, and Open fails with the handshake error instead of waiting
+// out the join window.
+func TestMemberHandshakeRejectsOtherProto(t *testing.T) {
+	addr := freeAddr(t)
+	opened := make(chan error, 1)
+	go func() {
+		c, err := anydb.Open(smallDistCfg(addr))
+		if err == nil {
+			c.Close()
+		}
+		opened <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	var conn net.Conn
+	for {
+		var err error
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("head never listened: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	peer := transport.NewPeer(conn, nil)
+	defer peer.Close()
+	if err := peer.WriteControl(&transport.Hello{Proto: transport.ProtoVersion - 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-opened:
+		if err == nil || !strings.Contains(err.Error(), "handshake") {
+			t.Fatalf("Open = %v, want a member handshake error", err)
+		}
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("Open did not refuse the member within 10 s")
+	}
 }
 
 // TestDistributedConfigErrors pins the distributed-mode restrictions.

@@ -106,6 +106,9 @@ func TestAggregateOracle(t *testing.T) {
 		{[]string{"k_s", "k_i"}, pathDense}, {[]string{"k_s", "k_i"}, pathMap}, {[]string{"k_s", "k_i"}, pathRaw},
 		{[]string{"k_i"}, pathDense}, {[]string{"k_i"}, pathMap}, {[]string{"k_i"}, pathRaw},
 		{[]string{"k_m"}, pathMigrate}, {[]string{"k_i", "k_m"}, pathMigrate}, {[]string{"k_n"}, pathMigrate},
+		// Float groupings never dictionary-encode, so the scan keys them
+		// from the first row, as the planner plans them.
+		{[]string{"v_f"}, pathMap}, {[]string{"k_s", "v_f"}, pathMap}, {[]string{"v_f"}, pathRaw},
 	}
 	for _, c := range cases {
 		for _, order := range []bool{false, true} {
@@ -149,6 +152,7 @@ func TestAggregateOraclePaths(t *testing.T) {
 	}{
 		{[]string{"k_s"}, true}, {[]string{"k_s", "k_i"}, true}, {[]string{"k_i"}, true},
 		{[]string{"k_m"}, false}, {[]string{"k_i", "k_m"}, false}, {[]string{"k_n"}, false},
+		{[]string{"v_f"}, false},
 	} {
 		db := oracleDB()
 		tab := db.Partition(0).Table("facts")
@@ -293,10 +297,12 @@ func oracleEval(db *storage.Database, sink *SinkSpec) []storage.Row {
 		db.Partition(p).Table("facts").Scan(func(_ int32, r storage.Row) bool {
 			var key string
 			for _, g := range sink.GroupBy {
-				v := r[schema.MustCol(g)]
-				if v.Kind == storage.KInt {
+				switch v := r[schema.MustCol(g)]; v.Kind {
+				case storage.KInt:
 					key += strconv.FormatInt(v.I, 10) + "\x00"
-				} else {
+				case storage.KFloat:
+					key += strconv.FormatFloat(v.F, 'g', -1, 64) + "\x00"
+				default:
 					key += v.S + "\x00"
 				}
 			}

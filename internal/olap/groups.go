@@ -26,8 +26,8 @@ import (
 //
 // A slot is either a packed combination of dictionary codes (the dense
 // path, initDense) or an index the key map hands out in first-seen order
-// (slotOf). Both layouts read back as a chunk of columns (view), so the
-// partial batch and the result gather column by column. Tables recycle
+// (slotOf). Both layouts read back as one list of vectors (viewOf), so
+// the partial batch and the result gather column by column. Tables recycle
 // through groupTables when their operator closes.
 type groupTable struct {
 	aggs []aggVec
@@ -45,10 +45,10 @@ type groupTable struct {
 	dims   []int
 	stride []int
 
-	// Scratch: per-row slots, an identity selection, and the chunk view.
+	// Scratch: per-row slots, an identity selection, and the view.
 	at   []int32
 	sel  []int32
-	view storage.EncChunk
+	view []storage.EncVec
 }
 
 // aggVec is one aggregate's accumulator vector (raw-encoded, of the
@@ -85,26 +85,19 @@ func (g *groupTable) release() {
 	g.rows = g.rows[:0]
 	for j := range g.aggs {
 		a := &g.aggs[j]
-		resetVec(&a.vals, storage.KInt)
+		a.vals.Reset(storage.KInt)
 		a.seen = a.seen[:0]
 	}
 	for k := range g.keyVecs {
-		resetVec(&g.keyVecs[k], storage.KInt)
+		g.keyVecs[k].Reset(storage.KInt)
 	}
 	clear(g.index)
 	clear(g.keys)
 	g.keys = g.keys[:0]
 	g.strKey, g.dense = false, false
-	clear(g.view.Cols) // drop the dictionary and vector references
-	g.view.Cols = g.view.Cols[:0]
+	clear(g.view) // drop the dictionary and vector references
+	g.view = g.view[:0]
 	groupTables.Put(g)
-}
-
-// resetVec empties v as a raw vector of kind, keeping its capacity.
-func resetVec(v *storage.EncVec, kind storage.Kind) {
-	clear(v.Strs)
-	v.Enc, v.Kind, v.Ref, v.Dict = storage.EncRaw, kind, 0, nil
-	v.Ints, v.Floats, v.Strs, v.Codes = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Codes[:0]
 }
 
 // zeroed returns s resized to n zero elements, reusing its capacity.
@@ -157,7 +150,7 @@ func (g *groupTable) addSlot() int32 {
 // the first group is added.
 func (g *groupTable) keyOn(src []storage.EncVec, cols []int) {
 	for k, c := range cols {
-		resetVec(&g.keyVecs[k], src[c].Kind)
+		g.keyVecs[k].Reset(src[c].Kind)
 	}
 	g.strKey = len(cols) == 1 && src[cols[0]].Kind == storage.KStr
 }
@@ -193,6 +186,17 @@ func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 		return s
 	}
 	return g.addGroup(string(g.keyBuf), src, cols, i)
+}
+
+// slots sets g.at to the slot (slotOf) of each row sel of the source
+// columns cols, and returns it.
+func (g *groupTable) slots(src []storage.EncVec, cols []int, sel []int32) []int32 {
+	at := g.at[:0]
+	for _, i := range sel {
+		at = append(at, g.slotOf(src, cols, int(i)))
+	}
+	g.at = at
+	return at
 }
 
 // addGroup adds a slot for the group keyed key, whose values are row i
@@ -252,7 +256,7 @@ func (g *groupTable) initDense(c *storage.EncChunk, cols []int) bool {
 	g.resize(slots)
 	for k, col := range cols {
 		kv := &g.keyVecs[k]
-		resetVec(kv, c.Cols[col].Kind)
+		kv.Reset(c.Cols[col].Kind)
 		kv.Enc, kv.Dict = storage.EncDict, c.Cols[col].Dict
 		kv.Codes = slices.Grow(kv.Codes, slots)[:slots]
 		for p := range kv.Codes {
@@ -446,13 +450,13 @@ func (g *groupTable) sorted() []int32 {
 	return g.sel
 }
 
-// viewOf lays the table out as a chunk for Batch.AppendChunkRows: the
-// key columns, then each aggregate's columns. In partial layout COUNT is
+// viewOf lays the table out as vectors for Batch.AppendRows: the key
+// columns, then each aggregate's columns. In partial layout COUNT is
 // the row count and AVG its sum and the row count. Finalized, AVG is the
 // sum divided by the count (0 for an empty group), computed in place: a
 // finalized table is only read, then released.
-func (g *groupTable) viewOf(final bool) *storage.EncChunk {
-	view := append(g.view.Cols[:0], g.keyVecs...)
+func (g *groupTable) viewOf(final bool) []storage.EncVec {
+	view := append(g.view[:0], g.keyVecs...)
 	counts := storage.EncVec{Kind: storage.KInt, Ints: g.rows}
 	for j := range g.aggs {
 		a := &g.aggs[j]
@@ -472,8 +476,8 @@ func (g *groupTable) viewOf(final bool) *storage.EncChunk {
 			view = append(view, a.vals)
 		}
 	}
-	g.view.Cols = view
-	return &g.view
+	g.view = view
+	return view
 }
 
 // identity returns the selection 0..n-1, reusing sel's capacity.
@@ -528,15 +532,4 @@ func appendZero(v *storage.EncVec) {
 	default:
 		v.Strs = append(v.Strs, "")
 	}
-}
-
-// rawVecs views the columns of batch b as raw-encoded vectors, reusing
-// dst.
-func rawVecs(dst []storage.EncVec, b *storage.Batch) []storage.EncVec {
-	dst = dst[:0]
-	for i := range b.Cols {
-		c := &b.Cols[i]
-		dst = append(dst, storage.EncVec{Kind: c.Kind, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs})
-	}
-	return dst
 }

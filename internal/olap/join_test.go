@@ -107,7 +107,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 		chunk := cust.ColChunk(ci)
 		sel = matchChunk(chunk, preds, sel)
 		bb := storage.GetBatch(bs)
-		bb.AppendChunkRows(chunk, bIdx, sel)
+		bb.AppendRows(chunk.Cols, bIdx, sel)
 		(*joinBuildSink)(st).OnData(ctx, nil, &core.DataMsg{Stream: 1, Batch: bb, Producers: 1})
 	}
 
@@ -125,7 +125,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	msg := &core.DataMsg{Stream: 2, Producers: 1}
 	probe := func(i int) {
 		pb := storage.GetBatch(ps)
-		pb.AppendChunkRows(chunk, pIdx, windows[i%len(windows)])
+		pb.AppendRows(chunk.Cols, pIdx, windows[i%len(windows)])
 		msg.Batch = pb
 		(*joinProbeSink)(st).OnData(ctx, nil, msg)
 	}

@@ -62,7 +62,7 @@ func TestKeyFilterKeepsEveryBuildKey(t *testing.T) {
 		keyOfRow := func(i int) joinKey {
 			var k joinKey
 			for j, c := range idx {
-				k[j] = tbl.ColChunk(i/storage.ColChunkRows).Value(i%storage.ColChunkRows, c).I
+				k[j] = tbl.ColChunk(i / storage.ColChunkRows).Cols[c].Value(i % storage.ColChunkRows).I
 			}
 			return k
 		}
@@ -146,7 +146,7 @@ func keyedOrdersScan(t testing.TB, db *storage.Database, keys bool) *SharedScanS
 		for _, m := range sel {
 			var k joinKey
 			for j, c := range idx {
-				k[j] = chunk.Value(int(m), c).I
+				k[j] = chunk.Cols[c].Value(int(m)).I
 			}
 			ht.insert(k, storage.RowRef{})
 		}

@@ -96,7 +96,6 @@ type SharedScanSpec struct {
 	Out        core.StreamID
 	To         core.ACID
 	Producers  int
-	BatchRows  int
 	// Keys, set on a hash join's held probe-side scan (streaming mode
 	// only), drops the matched rows whose join key the filter rules out
 	// before they are gathered.
@@ -421,9 +420,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		r.preds = append(r.preds, compilePred(t.Schema, f))
 	}
 	r.sig = predSignature(r.preds)
-	if spec.BatchRows == 0 {
-		spec.BatchRows = DefaultBatchRows
-	}
 	if len(spec.Aggs) == 0 {
 		r.outIdx = make([]int, len(spec.Cols))
 		outCols := make([]storage.Column, len(spec.Cols))
@@ -652,7 +648,7 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, buf []int32) []int32 
 
 // foldStream appends the matched rows, projected, to the registration's
 // output batch, flushing at batch granularity. Rows gather straight from
-// the encoded chunk in BatchRows-bounded slices of match. A join-key
+// the encoded chunk in DefaultBatchRows-bounded slices of match. A join-key
 // filter first narrows match to the rows the join can use.
 func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
@@ -668,10 +664,10 @@ func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []
 	}
 	n := len(match)
 	for len(match) > 0 {
-		k := min(len(match), r.spec.BatchRows-r.out.Len())
-		r.out.AppendChunkRows(chunk, r.outIdx, match[:k])
+		k := min(len(match), DefaultBatchRows-r.out.Len())
+		r.out.AppendRows(chunk.Cols, r.outIdx, match[:k])
 		match = match[k:]
-		if r.out.Len() >= r.spec.BatchRows {
+		if r.out.Len() >= DefaultBatchRows {
 			r.flush(ctx, false)
 		}
 	}
@@ -724,12 +720,7 @@ func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int
 		}
 		match = match[n:]
 	}
-	at := g.at[:0]
-	for _, m := range match {
-		at = append(at, g.slotOf(chunk.Cols, r.groupIdx, int(m)))
-	}
-	g.at = at
-	g.fold(chunk.Cols, r.aggIdx, match, at)
+	g.fold(chunk.Cols, r.aggIdx, match, g.slots(chunk.Cols, r.groupIdx, match))
 }
 
 // finish detaches the registration: streaming mode flushes the tail
@@ -745,7 +736,7 @@ func (r *scanReg) finish(ctx core.Context) {
 	g := r.groups
 	if sel := g.touched(); len(sel) > 0 {
 		b = storage.GetBatch(r.partial)
-		b.AppendChunkRows(g.viewOf(false), r.partCols, sel)
+		b.AppendRows(g.viewOf(false), r.partCols, sel)
 	}
 	g.release()
 	r.groups = nil

@@ -74,9 +74,7 @@ type sinkState struct {
 	// per incoming batch.
 	partIdx []int
 
-	// Per-batch scratch: the batch's columns as vectors, and the identity
-	// selection over its rows.
-	src []storage.EncVec
+	// Per-batch scratch: the identity selection over its rows.
 	sel []int32
 }
 
@@ -113,7 +111,7 @@ func newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	if b := msg.Batch; b != nil {
 		ctx.Charge(ctx.Costs().AggRow * sim.Time(b.Len()))
-		s.src, s.sel = rawVecs(s.src, b), identity(s.sel, b.Len())
+		s.sel = identity(s.sel, b.Len())
 		switch {
 		case s.spec.MergePartials:
 			s.mergePartials(b)
@@ -136,25 +134,25 @@ func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 // row count, so the first one feeds the table's counts.
 func (s *sinkState) mergePartials(b *storage.Batch) {
 	g := s.groups
-	g.at = s.slots(b.Len(), s.partIdx)
+	g.slots(b.Cols, s.partIdx, s.sel)
 	col, counted := len(s.spec.GroupBy), false
 	for j, a := range s.spec.Aggs {
 		switch a.Fn {
 		case AggCount:
 			if !counted {
-				g.addCounts(s.src[col].Ints, g.at)
+				g.addCounts(b.Cols[col].Ints, g.at)
 				counted = true
 			}
 			col++
 		case AggAvg:
-			g.aggs[j].add(&s.src[col], s.sel, g.at)
+			g.aggs[j].add(&b.Cols[col], s.sel, g.at)
 			if !counted {
-				g.addCounts(s.src[col+1].Ints, g.at)
+				g.addCounts(b.Cols[col+1].Ints, g.at)
 				counted = true
 			}
 			col += 2
 		default:
-			g.aggs[j].add(&s.src[col], s.sel, g.at)
+			g.aggs[j].add(&b.Cols[col], s.sel, g.at)
 			col++
 		}
 	}
@@ -174,19 +172,7 @@ func (s *sinkState) foldRaw(b *storage.Batch) {
 		s.resolved = b.Schema
 	}
 	g := s.groups
-	g.at = s.slots(b.Len(), s.groupIdx)
-	g.fold(s.src, s.aggIdx, s.sel, g.at)
-}
-
-// slots returns the group slot of each of the batch's n rows, grouped by
-// the batch columns groupIdx.
-func (s *sinkState) slots(n int, groupIdx []int) []int32 {
-	g := s.groups
-	at := g.at[:0]
-	for r := 0; r < n; r++ {
-		at = append(at, g.slotOf(s.src, groupIdx, r))
-	}
-	return at
+	g.fold(b.Cols, s.aggIdx, s.sel, g.slots(b.Cols, s.groupIdx, s.sel))
 }
 
 // collect appends projected rows (no aggregation), up to CollectCap. A
@@ -203,16 +189,16 @@ func (s *sinkState) collect(b *storage.Batch) {
 	if n < b.Len() {
 		s.truncated = true
 	}
-	s.rows.AppendChunkRows(&storage.EncChunk{Cols: s.src}, s.projIdx, s.sel[:n])
+	s.rows.AppendRows(b.Cols, s.projIdx, s.sel[:n])
 }
 
 // finalize orders, limits, and batches the result, then reports it. The
-// result is a chunk view — the group table's key and finalized aggregate
-// columns, or the collected rows — and a permutation of its rows; the
-// result batches gather from it column by column.
+// result is a list of vectors — the group table's key and finalized
+// aggregate columns, or the collected rows' — and a permutation of its
+// rows; the result batches gather from it column by column.
 func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 	spec := s.spec
-	var view *storage.EncChunk
+	var view []storage.EncVec
 	var cols []int
 	var perm []int32
 	if g := s.groups; g != nil {
@@ -229,15 +215,14 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 		if s.rows == nil {
 			s.rows = storage.GetBatch(s.schema)
 		}
-		s.src = rawVecs(s.src, s.rows)
-		view, cols = &storage.EncChunk{Cols: s.src}, identityCols(len(spec.OutCols))
+		view, cols = s.rows.Cols, identityCols(len(spec.OutCols))
 		s.sel = identity(s.sel, s.rows.Len())
 		perm = s.sel
 	}
 	if len(spec.OrderBy) > 0 {
 		slices.SortStableFunc(perm, func(a, b int32) int {
 			for _, k := range spec.OrderBy {
-				if c := compareAt(&view.Cols[cols[k.Col]], a, b); c != 0 {
+				if c := compareAt(&view[cols[k.Col]], a, b); c != 0 {
 					if k.Desc {
 						return -c
 					}
@@ -258,7 +243,7 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 	var batches []*storage.Batch
 	for i := 0; i < len(perm); i += DefaultBatchRows {
 		b := storage.GetBatch(s.schema)
-		b.AppendChunkRows(view, cols, perm[i:min(i+DefaultBatchRows, len(perm))])
+		b.AppendRows(view, cols, perm[i:min(i+DefaultBatchRows, len(perm))])
 		batches = append(batches, b)
 	}
 

@@ -37,21 +37,11 @@ type GenericPlan struct {
 	sink    *olap.SinkSpec
 }
 
-// scanTemplate is one table's shared-scan registration, instantiated
-// per partition at emission.
+// scanTemplate is one table's shared-scan registration: spec is complete
+// but for Part and Producers, which emission sets per partition.
 type scanTemplate struct {
-	table   string
-	tableID storage.TableID // interned handle the emitted specs carry
-	filters []olap.Predicate
-	cols    []string       // streaming projection
-	groupBy []string       // aggregate pushdown
-	aggs    []olap.AggExpr // aggregate pushdown
-	// dictGroups marks the grouping dictionary-eligible (no float group
-	// columns): the scan may fold into a dense packed-code accumulator
-	// instead of a per-row map probe.
-	dictGroups bool
-	out        core.StreamID
-	to         core.ACID
+	table string
+	spec  olap.SharedScanSpec
 }
 
 // tableInfo is the planner's view of one FROM entry.
@@ -255,20 +245,20 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 					dict = false
 				}
 			}
-			p.scans = append(p.scans, scanTemplate{
-				table: t, tableID: infos[t].schema.ID, filters: infos[t].filters,
-				groupBy: groupCols, aggs: aggs, dictGroups: dict,
-				out: scanStream(0), to: acOf(0),
-			})
+			p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
+				Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
+				GroupBy: groupCols, Aggs: aggs, DictGroups: dict,
+				Out: scanStream(0), To: acOf(0),
+			}})
 			sink.GroupBy = groupCols
 			sink.Aggs = aggs
 			sink.MergePartials = true
 		} else {
-			p.scans = append(p.scans, scanTemplate{
-				table: t, tableID: infos[t].schema.ID, filters: infos[t].filters,
-				cols: setToSlice(needed[t]),
-				out:  scanStream(0), to: acOf(0),
-			})
+			p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
+				Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
+				Cols: setToSlice(needed[t]),
+				Out:  scanStream(0), To: acOf(0),
+			}})
 			sink.Cols = itemCols(items)
 		}
 		sink.In = scanStream(0)
@@ -284,20 +274,20 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	accSchemas := []*storage.Schema{scanSchema(infos[chain[0]], needed)}
 	accStream := scanStream(0)
 	joinAC := func(i int) core.ACID { return acOf(i - 1) } // J_i for i>=1
-	p.scans = append(p.scans, scanTemplate{
-		table: chain[0], tableID: infos[chain[0]].schema.ID,
-		filters: infos[chain[0]].filters,
-		cols:    setToSlice(needed[chain[0]]),
-		out:     accStream, to: joinAC(1),
-	})
+	p.scans = append(p.scans, scanTemplate{table: chain[0], spec: olap.SharedScanSpec{
+		Query: qid, Table: infos[chain[0]].schema.ID,
+		Filters: infos[chain[0]].filters,
+		Cols:    setToSlice(needed[chain[0]]),
+		Out:     accStream, To: joinAC(1),
+	}})
 	for i := 1; i < len(chain); i++ {
 		t := chain[i]
 		probeStream := scanStream(i)
-		p.scans = append(p.scans, scanTemplate{
-			table: t, tableID: infos[t].schema.ID, filters: infos[t].filters,
-			cols: setToSlice(needed[t]),
-			out:  probeStream, to: joinAC(i),
-		})
+		p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
+			Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
+			Cols: setToSlice(needed[t]),
+			Out:  probeStream, To: joinAC(i),
+		}})
 		buildKeys, probeKeys, err := joinKeys(q.Joins, accSchemas, infos[t], joined, chain[:i])
 		if err != nil {
 			return nil, err
@@ -556,21 +546,21 @@ func (p *GenericPlan) NotifyJoins(ac core.ACID) {
 func (p *GenericPlan) Describe() string {
 	var b strings.Builder
 	for i := range p.scans {
-		sc := &p.scans[i]
-		fmt.Fprintf(&b, "scan %s parts=%d", sc.table, len(p.Parts))
-		if len(sc.filters) > 0 {
-			fmt.Fprintf(&b, " filters=%d", len(sc.filters))
+		sc := &p.scans[i].spec
+		fmt.Fprintf(&b, "scan %s parts=%d", p.scans[i].table, len(p.Parts))
+		if len(sc.Filters) > 0 {
+			fmt.Fprintf(&b, " filters=%d", len(sc.Filters))
 		}
-		if len(sc.aggs) > 0 {
-			fmt.Fprintf(&b, " pushdown group=%v", sc.groupBy)
-			if sc.dictGroups {
+		if len(sc.Aggs) > 0 {
+			fmt.Fprintf(&b, " pushdown group=%v", sc.GroupBy)
+			if sc.DictGroups {
 				b.WriteString(" dict")
 			}
-			fmt.Fprintf(&b, " aggs=%s", aggList(sc.aggs))
+			fmt.Fprintf(&b, " aggs=%s", aggList(sc.Aggs))
 		} else {
-			fmt.Fprintf(&b, " cols=%v", sc.cols)
+			fmt.Fprintf(&b, " cols=%v", sc.Cols)
 		}
-		fmt.Fprintf(&b, " -> s%d@ac%d\n", sc.out, sc.to)
+		fmt.Fprintf(&b, " -> s%d@ac%d\n", sc.Out, sc.To)
 	}
 	for i, js := range p.joins {
 		fmt.Fprintf(&b, "%s build=s%d%v probe=s%d%v @ac%d -> s%d@ac%d\n",

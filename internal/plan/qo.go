@@ -132,10 +132,7 @@ func (q *QO) emitScan(ctx core.Context, p *GenericPlan, sc *scanTemplate) {
 
 // scanSpec instantiates scan template sc for one partition.
 func scanSpec(p *GenericPlan, sc *scanTemplate, part int) *olap.SharedScanSpec {
-	return &olap.SharedScanSpec{
-		Query: p.Query, Table: sc.tableID, Part: part,
-		Filters: sc.filters, Cols: sc.cols,
-		GroupBy: sc.groupBy, Aggs: sc.aggs, DictGroups: sc.dictGroups,
-		Out: sc.out, To: sc.to, Producers: len(p.Parts),
-	}
+	spec := sc.spec
+	spec.Part, spec.Producers = part, len(p.Parts)
+	return &spec
 }

@@ -7,52 +7,25 @@ import (
 	"sync/atomic"
 )
 
-// ColVec is one column of a columnar batch. Only the slice matching Kind
-// is populated.
-type ColVec struct {
-	Kind   Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-}
-
-func (c *ColVec) appendValue(v Value) {
-	switch c.Kind {
-	case KInt:
-		c.Ints = append(c.Ints, v.I)
-	case KFloat:
-		c.Floats = append(c.Floats, v.F)
-	default:
-		c.Strs = append(c.Strs, v.S)
-	}
-}
-
-// value materializes row i of the column as a Value.
-func (c *ColVec) value(i int) Value {
-	switch c.Kind {
-	case KInt:
-		return Int(c.Ints[i])
-	case KFloat:
-		return Float(c.Floats[i])
-	default:
-		return Str(c.Strs[i])
-	}
-}
-
 // Batch is a columnar chunk of rows flowing through a data stream. OLAP
 // operators exchange batches, not rows: this is the paper's vectorized
 // query processing micro-model, and batch boundaries are where the
-// simulation charges transfer and dispatch costs.
+// simulation charges transfer and dispatch costs. A batch's columns are
+// the same vectors as a chunk's (EncVec), so one gather (AppendRows)
+// reads a chunk, another batch or a group table alike.
 type Batch struct {
 	Schema *Schema
-	Cols   []ColVec
-	n      int
-	bytes  int64
+	// Cols holds one vector per schema column. Batch columns are raw
+	// (EncRaw) by construction — every writer appends decoded cells — so
+	// readers index Ints, Floats or Strs directly.
+	Cols  []EncVec
+	n     int
+	bytes int64
 }
 
 // NewBatch returns an empty batch shaped like schema.
 func NewBatch(schema *Schema) *Batch {
-	b := &Batch{Schema: schema, Cols: make([]ColVec, schema.NumCols())}
+	b := &Batch{Schema: schema, Cols: make([]EncVec, schema.NumCols())}
 	for i, c := range schema.Cols {
 		b.Cols[i].Kind = c.Kind
 	}
@@ -106,20 +79,18 @@ func GetBatch(schema *Schema) *Batch {
 	if v == nil {
 		return NewBatch(schema)
 	}
+	// FreeBatch reset every vector the batch ever used, so the columns
+	// only take their kinds.
 	b := v.(*Batch)
 	b.Schema = schema
 	n := schema.NumCols()
 	if cap(b.Cols) < n {
-		b.Cols = make([]ColVec, n)
+		b.Cols = make([]EncVec, n)
 	} else {
 		b.Cols = b.Cols[:n]
 	}
 	for i := range b.Cols {
-		c := &b.Cols[i]
-		c.Kind = schema.Cols[i].Kind
-		c.Ints = c.Ints[:0]
-		c.Floats = c.Floats[:0]
-		c.Strs = c.Strs[:0]
+		b.Cols[i].Kind = schema.Cols[i].Kind
 	}
 	b.n, b.bytes = 0, 0
 	return b
@@ -128,9 +99,9 @@ func GetBatch(schema *Schema) *Batch {
 // FreeBatch recycles b, keeping its column-vector capacity. Only the
 // consumer the batch was delivered to may free it, and only once no row
 // or projected reference escapes (Row/Project copy, so their results
-// survive the free). String cells are released eagerly so the pool
-// never pins row data. Frees are optional — missed ones fall back to
-// the GC.
+// survive the free). The reset releases string cells eagerly so the
+// pool never pins row data. Frees are optional — missed ones fall back
+// to the GC.
 func FreeBatch(b *Batch) {
 	if b == nil {
 		return
@@ -139,7 +110,7 @@ func FreeBatch(b *Batch) {
 		batchBal.Add(-1)
 	}
 	for i := range b.Cols {
-		clear(b.Cols[i].Strs)
+		b.Cols[i].Reset(b.Cols[i].Kind)
 	}
 	batchPools[batchClass(len(b.Cols))].Put(b)
 }
@@ -149,9 +120,17 @@ func (b *Batch) AppendRow(row Row) {
 	if len(row) != len(b.Cols) {
 		panic(fmt.Sprintf("storage: batch arity mismatch: row %d, batch %d", len(row), len(b.Cols)))
 	}
-	for i := range row {
-		b.Cols[i].appendValue(row[i])
-		b.bytes += row[i].size()
+	for i, v := range row {
+		c := &b.Cols[i]
+		switch c.Kind {
+		case KInt:
+			c.Ints = append(c.Ints, v.I)
+		case KFloat:
+			c.Floats = append(c.Floats, v.F)
+		default:
+			c.Strs = append(c.Strs, v.S)
+		}
+		b.bytes += v.size()
 	}
 	b.n++
 }
@@ -159,38 +138,57 @@ func (b *Batch) AppendRow(row Row) {
 // AppendValues appends one row given as individual values.
 func (b *Batch) AppendValues(vals ...Value) { b.AppendRow(Row(vals)) }
 
-// AppendChunkRows appends rows sel of chunk c, projected onto the chunk
-// column indexes cols (one per batch column), decoding straight from the
-// encoded vectors in one typed loop per column: frame-of-reference adds
-// the chunk's Ref, dictionary codes index the dictionary's value slice,
-// raw vectors copy. The batch grows by exactly the cells and Bytes() that
-// AppendRow of each decoded row would add.
-func (b *Batch) AppendChunkRows(c *EncChunk, cols []int, sel []int32) {
+// AppendRows appends rows sel of the vectors src — a chunk's columns, a
+// batch's, or a group table's — projected onto the indexes cols (one per
+// batch column), decoding in one typed loop per column. The batch grows
+// by exactly the cells and Bytes() that AppendRow of each decoded row
+// would add.
+func (b *Batch) AppendRows(src []EncVec, cols []int, sel []int32) {
 	if len(cols) != len(b.Cols) {
 		panic(fmt.Sprintf("storage: batch arity mismatch: projection %d, batch %d", len(cols), len(b.Cols)))
 	}
 	for j, col := range cols {
-		src, dst := &c.Cols[col], &b.Cols[j]
-		switch {
-		case src.Enc == EncFoR:
-			dst.Ints = slices.Grow(dst.Ints, len(sel))
-			for _, i := range sel {
-				dst.Ints = append(dst.Ints, src.Ref+int64(src.Codes[i]))
-			}
-		case src.Enc == EncDict && src.Kind == KInt:
-			dst.Ints = gatherCodes(dst.Ints, src.Dict.ints, src.Codes, sel)
-		case src.Enc == EncDict:
-			dst.Strs = gatherCodes(dst.Strs, src.Dict.strs, src.Codes, sel)
-		case src.Kind == KInt:
-			dst.Ints = gather(dst.Ints, src.Ints, sel)
-		case src.Kind == KFloat:
-			dst.Floats = gather(dst.Floats, src.Floats, sel)
-		default:
-			dst.Strs = gather(dst.Strs, src.Strs, sel)
-		}
-		b.bytes += cellBytes(dst, len(sel))
+		b.bytes += b.Cols[j].appendSel(&src[col], sel)
 	}
 	b.n += len(sel)
+}
+
+// appendSel appends rows sel of s, decoded, to the raw vector v and
+// returns their wire size: frame-of-reference adds s's Ref, dictionary
+// codes index the dictionary's value slice, raw vectors copy.
+func (v *EncVec) appendSel(s *EncVec, sel []int32) int64 {
+	switch {
+	case s.Enc == EncFoR:
+		// Locals, not s's fields: v is an EncVec too, so the compiler
+		// would reload s.Ref and s.Codes after every append.
+		ints, ref, codes := slices.Grow(v.Ints, len(sel)), s.Ref, s.Codes
+		for _, i := range sel {
+			ints = append(ints, ref+int64(codes[i]))
+		}
+		v.Ints = ints
+	case s.Enc == EncDict && s.Kind == KInt:
+		v.Ints = gatherCodes(v.Ints, s.Dict.ints, s.Codes, sel)
+	case s.Enc == EncDict:
+		v.Strs = gatherCodes(v.Strs, s.Dict.strs, s.Codes, sel)
+	case s.Kind == KInt:
+		v.Ints = gather(v.Ints, s.Ints, sel)
+	case s.Kind == KFloat:
+		v.Floats = gather(v.Floats, s.Floats, sel)
+	default:
+		v.Strs = gather(v.Strs, s.Strs, sel)
+	}
+	return cellBytes(v, len(sel))
+}
+
+// Extend counts n rows the caller appended straight to the typed slice
+// of every column (a decoder filling the batch column by column): the
+// batch grows by the Len() and Bytes() that AppendRow of each row would
+// add.
+func (b *Batch) Extend(n int) {
+	for i := range b.Cols {
+		b.bytes += cellBytes(&b.Cols[i], n)
+	}
+	b.n += n
 }
 
 // RowRef addresses one row of a batch list: row Row of batch Batch.
@@ -210,25 +208,16 @@ func (b *Batch) AppendJoined(left []*Batch, refs []RowRef, right *Batch, rows []
 		dst := &b.Cols[c]
 		switch dst.Kind {
 		case KInt:
-			dst.Ints = gatherRefs(dst.Ints, left, refs, func(v *ColVec) []int64 { return v.Ints }, c)
+			dst.Ints = gatherRefs(dst.Ints, left, refs, func(v *EncVec) []int64 { return v.Ints }, c)
 		case KFloat:
-			dst.Floats = gatherRefs(dst.Floats, left, refs, func(v *ColVec) []float64 { return v.Floats }, c)
+			dst.Floats = gatherRefs(dst.Floats, left, refs, func(v *EncVec) []float64 { return v.Floats }, c)
 		default:
-			dst.Strs = gatherRefs(dst.Strs, left, refs, func(v *ColVec) []string { return v.Strs }, c)
+			dst.Strs = gatherRefs(dst.Strs, left, refs, func(v *EncVec) []string { return v.Strs }, c)
 		}
 		b.bytes += cellBytes(dst, len(refs))
 	}
 	for c := range right.Cols {
-		src, dst := &right.Cols[c], &b.Cols[nl+c]
-		switch dst.Kind {
-		case KInt:
-			dst.Ints = gather(dst.Ints, src.Ints, rows)
-		case KFloat:
-			dst.Floats = gather(dst.Floats, src.Floats, rows)
-		default:
-			dst.Strs = gather(dst.Strs, src.Strs, rows)
-		}
-		b.bytes += cellBytes(dst, len(rows))
+		b.bytes += b.Cols[nl+c].appendSel(&right.Cols[c], rows)
 	}
 	b.n += len(refs)
 }
@@ -244,7 +233,7 @@ func gather[T any](dst, src []T, sel []int32) []T {
 
 // gatherRefs appends, for every ref, cell r.Row of column c of batch
 // left[r.Batch] to dst; vec picks the column's typed slice.
-func gatherRefs[T any](dst []T, left []*Batch, refs []RowRef, vec func(*ColVec) []T, c int) []T {
+func gatherRefs[T any](dst []T, left []*Batch, refs []RowRef, vec func(*EncVec) []T, c int) []T {
 	dst = slices.Grow(dst, len(refs))
 	for _, r := range refs {
 		dst = append(dst, vec(&left[r.Batch].Cols[c])[r.Row])
@@ -264,7 +253,7 @@ func gatherCodes[T any](dst, dict []T, codes []uint32, sel []int32) []T {
 
 // cellBytes is the wire size (Value.size) of the last n cells appended
 // to column c.
-func cellBytes(c *ColVec, n int) int64 {
+func cellBytes(c *EncVec, n int) int64 {
 	if c.Kind != KStr {
 		return 8 * int64(n)
 	}
@@ -279,13 +268,13 @@ func cellBytes(c *ColVec, n int) int64 {
 func (b *Batch) Row(i int) Row {
 	r := make(Row, len(b.Cols))
 	for c := range b.Cols {
-		r[c] = b.Cols[c].value(i)
+		r[c] = b.Cols[c].Value(i)
 	}
 	return r
 }
 
 // Value returns the cell at (row, col) without materializing the row.
-func (b *Batch) Value(row, col int) Value { return b.Cols[col].value(row) }
+func (b *Batch) Value(row, col int) Value { return b.Cols[col].Value(row) }
 
 // Len returns the row count.
 func (b *Batch) Len() int { return b.n }

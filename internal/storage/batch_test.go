@@ -43,11 +43,11 @@ func gatherTestChunk(t *testing.T) *EncChunk {
 	return c
 }
 
-// TestAppendChunkRowsMatchesDecode checks the typed chunk gather against
-// per-cell decode + AppendRow over random row selections and
-// projections: same cells, same Len, and the same Bytes() the
-// virtual-time transfer charges read.
-func TestAppendChunkRowsMatchesDecode(t *testing.T) {
+// TestAppendRowsMatchesDecode checks the typed gather against per-cell
+// decode + AppendRow over random row selections and projections, from a
+// chunk's encoded vectors and then from a batch's raw ones: same cells,
+// same Len, and the same Bytes() the virtual-time transfer charges read.
+func TestAppendRowsMatchesDecode(t *testing.T) {
 	c := gatherTestChunk(t)
 	rng := rand.New(rand.NewSource(5))
 	projections := [][]int{
@@ -72,17 +72,29 @@ func TestAppendChunkRowsMatchesDecode(t *testing.T) {
 		got, want := GetBatch(schema), NewBatch(schema)
 		// Two appends into one batch: the gather must extend, not reset.
 		half := len(sel) / 2
-		got.AppendChunkRows(c, cols, sel[:half])
-		got.AppendChunkRows(c, cols, sel[half:])
+		got.AppendRows(c.Cols, cols, sel[:half])
+		got.AppendRows(c.Cols, cols, sel[half:])
 		row := make(Row, len(cols))
 		for _, i := range sel {
 			for j, col := range cols {
-				row[j] = c.Value(int(i), col)
+				row[j] = c.Cols[col].Value(int(i))
 			}
 			want.AppendRow(row)
 		}
 		assertSameBatch(t, fmt.Sprintf("trial %d", trial), got, want)
+		// A batch's columns gather like a chunk's: copy got whole.
+		all, ident := make([]int32, got.Len()), make([]int, len(cols))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for j := range ident {
+			ident[j] = j
+		}
+		again := GetBatch(schema)
+		again.AppendRows(got.Cols, ident, all)
+		assertSameBatch(t, fmt.Sprintf("trial %d, batch to batch", trial), again, want)
 		FreeBatch(got)
+		FreeBatch(again)
 	}
 }
 
@@ -104,11 +116,11 @@ func TestAppendJoinedMatchesRows(t *testing.T) {
 	var left []*Batch
 	for b := 0; b < 3; b++ {
 		lb := NewBatch(ls)
-		lb.AppendChunkRows(c, leftCols, []int32{int32(b), int32(b + 100), int32(b + 500), int32(b + 900)})
+		lb.AppendRows(c.Cols, leftCols, []int32{int32(b), int32(b + 100), int32(b + 500), int32(b + 900)})
 		left = append(left, lb)
 	}
 	right := NewBatch(rs)
-	right.AppendChunkRows(c, rightCols, []int32{7, 8, 9, 1000, 1001})
+	right.AppendRows(c.Cols, rightCols, []int32{7, 8, 9, 1000, 1001})
 
 	var refs []RowRef
 	var rows []int32

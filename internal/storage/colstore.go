@@ -45,9 +45,11 @@ const (
 	EncFoR                 // Codes are deltas from Ref (frame-of-reference)
 )
 
-// EncVec is one encoded column of a chunk. Exactly one representation is
+// EncVec is the one column vector of the analytical path: a chunk's
+// encoded column, a message batch's column (always raw), and a group
+// table's per-slot keys and accumulators. Exactly one representation is
 // live, selected by Enc; the others keep their capacity for the next
-// rebuild.
+// rebuild or reuse.
 type EncVec struct {
 	Enc    EncKind
 	Kind   Kind
@@ -59,12 +61,13 @@ type EncVec struct {
 	Dict   *Dict    // EncDict: the table's column dictionary
 }
 
-// reset prepares the vector for a rebuild, keeping slice capacity.
-func (v *EncVec) reset(kind Kind) {
+// Reset empties v as a raw vector of kind, keeping slice capacity — for
+// a chunk rebuild, a batch back to its pool or a recycled group table.
+func (v *EncVec) Reset(kind Kind) {
 	v.Enc, v.Kind, v.Ref, v.Dict = EncRaw, kind, 0, nil
 	v.Ints = v.Ints[:0]
 	v.Floats = v.Floats[:0]
-	clear(v.Strs) // release string cells so the cache never pins old rows
+	clear(v.Strs) // release string cells so no cache or pool pins old rows
 	v.Strs = v.Strs[:0]
 	v.Codes = v.Codes[:0]
 }
@@ -100,9 +103,6 @@ type EncChunk struct {
 
 // Len returns the chunk's live-row count (tombstones are skipped).
 func (c *EncChunk) Len() int { return c.n }
-
-// Value returns the decoded cell at (row, col).
-func (c *EncChunk) Value(row, col int) Value { return c.Cols[col].Value(row) }
 
 // colChunk is one chunk-cache entry. version counts writes into the
 // range; built records the version the cached chunk was built at (valid
@@ -192,7 +192,7 @@ func (t *Table) ColChunk(ci int) *EncChunk {
 	for col := range ch.Cols {
 		v := &ch.Cols[col]
 		kind := t.Schema.Cols[col].Kind
-		v.reset(kind)
+		v.Reset(kind)
 		switch kind {
 		case KFloat:
 			for _, s := range slots {

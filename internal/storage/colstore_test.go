@@ -12,8 +12,8 @@ func colTestSchema() *Schema {
 	)
 }
 
-func chunkInt(c *EncChunk, row, col int) int64  { return c.Value(row, col).I }
-func chunkStr(c *EncChunk, row, col int) string { return c.Value(row, col).S }
+func chunkInt(c *EncChunk, row, col int) int64  { return c.Cols[col].Value(row).I }
+func chunkStr(c *EncChunk, row, col int) string { return c.Cols[col].Value(row).S }
 
 func TestColChunkBuildsAndCaches(t *testing.T) {
 	tb := NewTable(colTestSchema())
@@ -138,7 +138,7 @@ func TestEncChunkEncodings(t *testing.T) {
 	for i := 0; i < c.Len(); i++ {
 		row := tb.RowAt(int32(i))
 		for col := range schema.Cols {
-			if got := c.Value(i, col); !got.Equal(row[col]) {
+			if got := c.Cols[col].Value(i); !got.Equal(row[col]) {
 				t.Fatalf("cell (%d,%d) = %v, want %v", i, col, got, row[col])
 			}
 		}
@@ -204,9 +204,9 @@ func TestDictRoundTripUnderMutation(t *testing.T) {
 		c := tb.ColChunk(0)
 		i := 0
 		tb.Scan(func(_ int32, row Row) bool {
-			if !c.Value(i, 0).Equal(row[0]) || !c.Value(i, 1).Equal(row[1]) {
+			if !c.Cols[0].Value(i).Equal(row[0]) || !c.Cols[1].Value(i).Equal(row[1]) {
 				t.Fatalf("row %d: chunk (%v,%v) != heap (%v,%v)",
-					i, c.Value(i, 0), c.Value(i, 1), row[0], row[1])
+					i, c.Cols[0].Value(i), c.Cols[1].Value(i), row[0], row[1])
 			}
 			i++
 			return true

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"anydb/internal/core"
@@ -174,7 +175,6 @@ type encoder struct {
 type decoder struct {
 	tok     *TokenTable
 	schemas map[string]*storage.Schema
-	rowBuf  storage.Row
 }
 
 func newDecoder(tok *TokenTable) *decoder {
@@ -341,7 +341,6 @@ func (e *encoder) encodeScanSpec(v *olap.SharedScanSpec) {
 	e.w.u64(uint64(v.Out))
 	e.w.i32(int32(v.To))
 	e.w.varint(v.Producers)
-	e.w.varint(v.BatchRows)
 	e.w.bool(v.Keys != nil)
 	if v.Keys != nil {
 		e.encodeStrs(v.Keys.Cols)
@@ -358,7 +357,7 @@ func (d *decoder) decodeScanSpec(r *rbuf) *olap.SharedScanSpec {
 		Filters: d.decodePreds(r), Cols: d.decodeStrs(r),
 		GroupBy: d.decodeStrs(r), Aggs: d.decodeAggs(r), DictGroups: r.bool(),
 		Out: core.StreamID(r.u64()), To: core.ACID(r.i32()),
-		Producers: r.varint(), BatchRows: r.varint(),
+		Producers: r.varint(),
 	}
 	if !r.bool() {
 		return s
@@ -850,47 +849,42 @@ func (d *decoder) decodeBatch(r *rbuf) *storage.Batch {
 		d.schemas[key] = schema
 	}
 	n := r.count()
-	if r.err != nil {
+	// Every cell takes at least 4 bytes of the frame (a string's length
+	// prefix; ints and floats take 8), so a row count the rest of the
+	// frame cannot hold is malformed — rejected before any column grows.
+	if r.err != nil || n*ncols*4 > len(r.b)-r.off {
+		r.fail()
 		return nil
 	}
+	// Column-major on the wire: each column decodes straight into its
+	// vector of the pooled batch. Past a failed read the fixed-width
+	// loops only fill capacity already grown with zeros.
 	b := storage.GetBatch(schema)
-	if cap(d.rowBuf) < ncols {
-		d.rowBuf = make(storage.Row, ncols)
-	}
-	row := d.rowBuf[:ncols]
-	// Column-major on the wire, row-major append: read each column into
-	// the scratch row per row index. To keep decode single-pass, read
-	// columns into the batch's vectors via AppendRow row by row instead:
-	// materialize column vectors first.
-	vecs := make([][]storage.Value, ncols)
-	for c := 0; c < ncols; c++ {
-		vec := make([]storage.Value, 0, n)
-		switch cols[c].Kind {
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		switch v.Kind {
 		case storage.KInt:
-			for i := 0; i < n && r.err == nil; i++ {
-				vec = append(vec, storage.Int(r.i64()))
+			v.Ints = slices.Grow(v.Ints, n)
+			for i := 0; i < n; i++ {
+				v.Ints = append(v.Ints, r.i64())
 			}
 		case storage.KFloat:
-			for i := 0; i < n && r.err == nil; i++ {
-				vec = append(vec, storage.Float(r.f64()))
+			v.Floats = slices.Grow(v.Floats, n)
+			for i := 0; i < n; i++ {
+				v.Floats = append(v.Floats, r.f64())
 			}
 		default:
+			v.Strs = slices.Grow(v.Strs, n)
 			for i := 0; i < n && r.err == nil; i++ {
-				vec = append(vec, storage.Str(r.str()))
+				v.Strs = append(v.Strs, r.str())
 			}
 		}
-		vecs[c] = vec
 	}
 	if r.err != nil {
 		storage.FreeBatch(b)
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		for c := 0; c < ncols; c++ {
-			row[c] = vecs[c][i]
-		}
-		b.AppendRow(row)
-	}
+	b.Extend(n)
 	return b
 }
 

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"anydb/internal/core"
@@ -71,7 +74,7 @@ func sampleEvents() []*core.Event {
 			GroupBy:    []string{"d"},
 			Aggs:       []olap.AggExpr{{Fn: olap.AggCount}, {Fn: olap.AggAvg, Col: "amount"}},
 			DictGroups: true,
-			Out:        31, To: 6, Producers: 4, BatchRows: 512,
+			Out:        31, To: 6, Producers: 4,
 		}),
 		mk(core.EvInstallOp, &olap.JoinSpec{
 			Query: 4, Build: 31, BuildKey: []string{"id"}, Probe: 32, ProbeKey: []string{"oid"},
@@ -278,6 +281,7 @@ func FuzzDataMsgCodec(f *testing.F) {
 	}
 	f.Add([]byte{mtData})
 	f.Add([]byte{mtData, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(wideMalformedFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		core.TrackPools(true)
 		defer core.TrackPools(false)
@@ -286,6 +290,49 @@ func FuzzDataMsgCodec(f *testing.F) {
 			t.Fatalf("decode leaked pooled objects: %s", core.PoolBalanceString())
 		}
 	})
+}
+
+// wideMalformedFrame is a data frame whose batch declares 256 int
+// columns and as many rows as the frame has bytes after the row count:
+// within the bound count() puts on any element count, but a tiny
+// fraction of what 256 columns of 8-byte cells need.
+func wideMalformedFrame(t testing.TB) []byte {
+	t.Helper()
+	cols := make([]storage.Column, 256)
+	for i := range cols {
+		cols[i] = storage.Column{Kind: storage.KInt, Name: fmt.Sprintf("c%d", i)}
+	}
+	b := storage.NewBatch(storage.NewSchema("wide", cols...))
+	frame := encodeOne(t, nil, &core.DataMsg{Stream: 31, Query: 4, Producers: 1, Batch: b})
+	// The empty batch's encoding ends with its row count (0): rewrite it
+	// to the length of the filler appended after it.
+	const filler = 1 << 16
+	binary.LittleEndian.PutUint64(frame[len(frame)-8:], filler)
+	return append(frame, make([]byte, filler)...)
+}
+
+// TestDecodeBatchAllocationBounded pins that rejecting a malformed data
+// frame allocates on the order of the frame, not of the row count it
+// claims times its column count: the wide frame must fail as malformed
+// having allocated under 8 MB.
+func TestDecodeBatchAllocationBounded(t *testing.T) {
+	core.TrackPools(true)
+	defer core.TrackPools(false)
+	frame := wideMalformedFrame(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := rbuf{b: frame}
+	_, err := newDecoder(nil).decodeMsg(&r)
+	runtime.ReadMemStats(&after)
+	if err != errMalformed {
+		t.Fatalf("decode of a %d-byte frame: err = %v, want %v", len(frame), err, errMalformed)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("rejecting a %d-byte frame allocated %d bytes, want under 8 MB", len(frame), got)
+	}
+	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
+		t.Fatalf("decode leaked pooled objects: %s", core.PoolBalanceString())
+	}
 }
 
 // BenchmarkEventCodec measures the steady-state encode of a pipelined
