@@ -58,9 +58,11 @@ bench-check:
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
 # shows up here), one full pass of a streaming shared-scan
 # registration (BenchmarkScanFlush: chunk decode, projection, batch
-# flushes), one pass of a join's probe-side scan under its build-key
-# filter (BenchmarkKeyedScan: key hashing off the encoded columns,
-# survivor gather), one hash-join probe of a 1 024-row batch
+# flushes), the same pass under a dictionary-code and a
+# frame-of-reference range predicate (BenchmarkFilteredScan: per-chunk
+# preparation, the typed filter loops), one pass of a join's probe-side
+# scan under its build-key filter (BenchmarkKeyedScan: key hashing off
+# the encoded columns, survivor gather), one hash-join probe of a 1 024-row batch
 # (BenchmarkJoinProbe: table lookups, match gather, output emission),
 # one pass of a dictionary-grouped COUNT+SUM registration through its
 # partial batch (BenchmarkGroupedPass: dense fold, finish, the group
@@ -73,10 +75,10 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkGroupedPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkGroupedPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
 	printf '%s\n%s\n' "$$out1" "$$out2"; \
-	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 6) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 6"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, keyed-scan, join-probe, grouped-pass and join-build hot paths"
+	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 7) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 7"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, grouped-pass and join-build hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

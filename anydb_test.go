@@ -1179,3 +1179,42 @@ func TestDoubleWaitPanics(t *testing.T) {
 	}()
 	f.Wait(bg)
 }
+
+// TestSQLIntLiteralSemantics: an int comparison is exact against its
+// literal, fractional literals and literals past int64 included, on the
+// 20 districts (d_id 1..10) of two warehouses; each edge row has an
+// integral twin. A string literal against an int column is rejected.
+func TestSQLIntLiteralSemantics(t *testing.T) {
+	c, err := anydb.Open(anydb.Config{Warehouses: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for _, tc := range []struct {
+		where string
+		want  int64
+	}{
+		{"d_id >= 2.5", 16}, {"d_id >= 3", 16},
+		{"d_id > 2.5", 16}, {"d_id > 2", 16},
+		{"d_id < 2.5", 4}, {"d_id < 3", 4},
+		{"d_id <= 2.5", 4}, {"d_id <= 2", 4},
+		{"d_id = 2.5", 0}, {"d_id = 2", 2},
+		{"d_id <> 2.5", 20}, {"d_id <> 2", 18},
+		{"d_id < 99999999999999999999", 20}, {"d_id < 11", 20},
+		{"d_id > 9223372036854775807", 0}, {"d_id > 10", 0},
+		{"d_id <= 9223372036854775807", 20}, {"d_id <= 10", 20},
+	} {
+		var n int64
+		if err := c.QueryRow(bg, "SELECT COUNT(*) FROM district WHERE "+tc.where).Scan(&n); err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		if n != tc.want {
+			t.Errorf("WHERE %s: count = %d, want %d", tc.where, n, tc.want)
+		}
+	}
+	// A string literal does not compare with an int column.
+	if rows, err := c.Query(bg, "SELECT COUNT(*) FROM district WHERE d_id < 'x'"); err == nil {
+		rows.Close()
+		t.Fatal("d_id < 'x' planned")
+	}
+}

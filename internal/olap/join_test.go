@@ -101,7 +101,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	ctx := &flushSink{costs: sim.DefaultCosts()}
 	st := newBareJoin([]string{"c_w_id", "c_d_id", "c_id"}, []string{"o_w_id", "o_d_id", "o_c_id"})
 	bs, bIdx := project(cust, []string{"c_w_id", "c_d_id", "c_id", "c_state"})
-	preds := []compiledPred{compilePred(cust.Schema, Predicate{Col: "c_state", Kind: PredPrefix, Prefix: "A"})}
+	preds := []compiledPred{compilePred(cust.Schema, Predicate{Col: "c_state", Kind: PredPrefix, Str: "A"})}
 	var sel []int32
 	for ci := 0; ci < cust.NumColChunks(); ci++ {
 		chunk := cust.ColChunk(ci)

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestKeyFilterKeepsEveryBuildKey(t *testing.T) {
 func keyedOrdersScan(t testing.TB, db *storage.Database, keys bool) *SharedScanSpec {
 	spec := &SharedScanSpec{
 		Query: 1, Table: tpcc.TOrdersID, Part: 0,
-		Filters: []Predicate{{Col: "o_entry_d", Kind: PredGEInt, MinI: tpcc.Q3SinceYear}},
+		Filters: []Predicate{{Col: "o_entry_d", Kind: PredIn, Lo: tpcc.Q3SinceYear, Hi: math.MaxInt64}},
 		Cols:    []string{"o_w_id", "o_d_id", "o_c_id", "o_id"},
 		Out:     2, To: 1, Producers: 1,
 	}
@@ -136,7 +137,7 @@ func keyedOrdersScan(t testing.TB, db *storage.Database, keys bool) *SharedScanS
 		return spec
 	}
 	cust := db.Partition(0).TableByID(tpcc.TCustomerID)
-	preds := []compiledPred{compilePred(cust.Schema, Predicate{Col: "c_state", Kind: PredPrefix, Prefix: tpcc.Q3StatePrefix})}
+	preds := []compiledPred{compilePred(cust.Schema, Predicate{Col: "c_state", Kind: PredPrefix, Str: tpcc.Q3StatePrefix})}
 	idx := colIdx(cust.Schema, []string{"c_w_id", "c_d_id", "c_id"})
 	var ht joinTable
 	var sel []int32

@@ -26,30 +26,26 @@ import (
 type PredKind uint8
 
 const (
-	// PredNone passes every row.
-	PredNone PredKind = iota
-	// PredPrefix keeps rows whose string column starts with Prefix.
-	PredPrefix
-	// PredGEInt keeps rows whose int column is >= MinI.
-	PredGEInt
-	// PredLTInt keeps rows whose int column is < MinI.
-	PredLTInt
-	// PredEqInt keeps rows whose int column equals MinI.
-	PredEqInt
-	// PredNeInt keeps rows whose int column differs from MinI.
-	PredNeInt
+	// PredPrefix keeps rows whose string column starts with Str.
+	PredPrefix PredKind = iota
 	// PredEqStr keeps rows whose string column equals Str.
 	PredEqStr
+	// PredIn keeps rows whose int column lies in [Lo, Hi].
+	PredIn
+	// PredOut keeps rows whose int column lies outside [Lo, Hi].
+	PredOut
 )
 
-// Predicate is a single-column filter (the paper's query needs prefix and
-// range predicates; richer trees live in the plan package).
+// Predicate is a single-column filter: a string prefix or equality, or
+// an int range. Every int comparison is one closed range — equality is
+// Lo == Hi, a one-sided comparison leaves the other bound at the int64
+// limit, inequality is PredOut — and Lo > Hi is the empty range.
+// Predicate is comparable, so equal filter lists are found with ==.
 type Predicate struct {
 	Col    string
 	Kind   PredKind
-	Prefix string
 	Str    string
-	MinI   int64
+	Lo, Hi int64
 }
 
 // JoinSpec instructs an AC to hash-join (inner equi-join) two incoming
@@ -191,7 +187,7 @@ type Worker struct {
 
 	shared map[sharedKey]*sharedScan
 	// evals counts predicate evaluations over a chunk (matchChunk calls):
-	// the work that registrations with one predicate signature share.
+	// the work that registrations with one filter list share.
 	evals int
 }
 

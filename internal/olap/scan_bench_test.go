@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"math"
 	"testing"
 
 	"anydb/internal/core"
@@ -55,6 +56,28 @@ func BenchmarkScanFlush(b *testing.B) {
 	benchScanPasses(b, db, &SharedScanSpec{
 		Query: 1, Table: tpcc.TCustomerID, Part: 0,
 		Cols: []string{"c_w_id", "c_d_id", "c_id"},
+		Out:  7, To: 1, Producers: 1,
+	})
+}
+
+// BenchmarkFilteredScan is BenchmarkScanFlush under the filters of a
+// top-N customer query, c_d_id = 1 AND c_id <= 400: a dictionary code
+// range and a frame-of-reference delta range narrow each chunk before
+// the gather. A pass must show zero steady-state allocations.
+//
+//	go test -bench FilteredScan -benchmem ./internal/olap
+func BenchmarkFilteredScan(b *testing.B) {
+	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	benchScanPasses(b, db, &SharedScanSpec{
+		Query: 1, Table: tpcc.TCustomerID, Part: 0,
+		Filters: []Predicate{
+			{Col: "c_d_id", Kind: PredIn, Lo: 1, Hi: 1},
+			{Col: "c_id", Kind: PredIn, Lo: math.MinInt64, Hi: 400},
+		},
+		Cols: []string{"c_id", "c_last", "c_balance"},
 		Out:  7, To: 1, Producers: 1,
 	})
 }
@@ -135,7 +158,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
 	if reg.out != nil {
 		schema = reg.out.Schema
 	}
-	drive(ctx.resent) // warm: chunk cache, match buffer, pools
+	drive(ctx.resent) // warm: chunk cache, filter set, pools
 
 	b.ReportAllocs()
 	b.ResetTimer()

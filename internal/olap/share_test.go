@@ -14,7 +14,7 @@ import (
 // LIKE query in flight together evaluate the predicate about once per
 // chunk, not once per registration per chunk. The prefix filter is a
 // per-row dictionary-bitset probe on the encoded chunks, so evaluating
-// it is real work that only predicate-signature sharing saves (a
+// it is real work that only filter-set sharing saves (a
 // trivially satisfiable filter such as `c_d_id <> 0` collapses to a
 // chunk-level match-all and shares nothing measurable). The virtual-time
 // speedup over running the queries one after another is logged, not
@@ -74,7 +74,7 @@ func runLikeQueries(t *testing.T, n int) likeRun {
 		}
 	})
 	aggs := []AggExpr{{Fn: AggCount}}
-	like := []Predicate{{Col: "c_state", Kind: PredPrefix, Prefix: "A"}}
+	like := []Predicate{{Col: "c_state", Kind: PredPrefix, Str: "A"}}
 	for q := core.QueryID(1); q <= core.QueryID(n); q++ {
 		out := core.StreamID(uint64(q) * 64)
 		for w := 0; w < cfg.Warehouses; w++ {

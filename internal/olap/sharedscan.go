@@ -3,7 +3,8 @@ package olap
 import (
 	"fmt"
 	"math"
-	"strconv"
+	"slices"
+	"strings"
 
 	"anydb/internal/core"
 	"anydb/internal/sim"
@@ -16,14 +17,14 @@ import (
 //
 // A SharedScanSpec does not start a private cursor. It REGISTERS with
 // the per-(table, partition) shared cursor living on
-// the owning AC: the registration compiles its predicates against the
-// table schema once, joins the pass at the cursor's current chunk, and
-// detaches after seeing every chunk exactly once (one full circle).
-// One driver continuation event advances the cursor one columnar chunk
-// at a time — the chunk fetch, the event-plane hop, and the shared
-// per-row scan charge are paid once per chunk regardless of how many
-// registrations ride the pass; only each registration's own predicate
-// evaluation and fold are per-query. Registrations carry private
+// the owning AC: the registration joins the pass at the cursor's current
+// chunk and detaches after seeing every chunk exactly once (one full
+// circle). One driver continuation event advances the cursor one
+// columnar chunk at a time — the chunk fetch, the event-plane hop, and
+// the shared per-row scan charge are paid once per chunk regardless of
+// how many registrations ride the pass; each distinct filter list is
+// compiled and evaluated once per chunk for all the registrations that
+// carry it, and only the fold is per-query. Registrations carry private
 // result state (a projection batch or a grouped-aggregate table), so
 // detaching is just emitting it downstream.
 //
@@ -111,106 +112,103 @@ type sharedKey struct {
 // compiledPred is a Predicate with its column resolved to a vector
 // index, evaluated directly against encoded columnar chunks. Before a
 // chunk is scanned, prepare translates the predicate into the chunk's
-// encoding domain — a dictionary code, a code bitset, or a
-// frame-of-reference delta bound — so the per-row test is an integer
+// encoding domain — a dictionary code range or code bitset, or a
+// frame-of-reference delta range — so the per-row test is one integer
 // compare (or nothing at all, when the chunk-level answer is all/none).
 type compiledPred struct {
-	col    int
-	kind   PredKind
-	prefix string
-	str    string
-	minI   int64
+	Predicate
+	col int
+	in  bool // rows inside the range (or matching the string) are kept
 
-	// Per-chunk prepared state (prepare): mode selects the row test;
-	// code / bits / lo / hi are mode-specific operands.
-	mode    predMode
-	code    uint32        // modeEqCode/NeCode: dict code or frame-of-reference delta
-	lo, hi  uint32        // modeGEDelta / modeLTDelta thresholds
-	bits    []uint64      // modeBits: per-dictionary-code predicate results
-	bitsFor *storage.Dict // dictionary bits was built against
-	bitsLen int           // dictionary prefix covered by bits
+	// Per-chunk prepared state (prepare): mode selects the row loop;
+	// code/span or bits are its operands.
+	mode       predMode
+	code, span uint32        // modeCodes: the code range [code, code+span]
+	bits       []uint64      // modeBits: per-dictionary-code results
+	bitsFor    *storage.Dict // dictionary bits was built against
+	bitsLen    int           // dictionary prefix covered by bits
 }
 
 // predMode is the prepared per-chunk evaluation strategy.
 type predMode uint8
 
 const (
-	modeAll       predMode = iota // every row matches
-	modeNone                      // no row matches
-	modeEqCode                    // Codes[i] == code (dictionary or frame-of-reference)
-	modeNeCode                    // Codes[i] != code (dictionary or frame-of-reference)
-	modeBits                      // bits[Codes[i]] set (dictionary)
-	modeGEDelta                   // Codes[i] >= lo (frame-of-reference)
-	modeLTDelta                   // Codes[i] < hi (frame-of-reference)
-	modeRawGE                     // Ints[i] >= minI
-	modeRawLT                     // Ints[i] < minI
-	modeRawEq                     // Ints[i] == minI
-	modeRawNe                     // Ints[i] != minI
-	modeRawEqStr                  // Strs[i] == str
-	modeRawPrefix                 // Strs[i] starts with prefix
+	modeAll   predMode = iota // every row is kept
+	modeNone                  // no row is kept
+	modeBits                  // bits[Codes[i]] set (dictionary)
+	modeCodes                 // Codes[i] in the code range, or outside for PredOut
+	modeInts                  // Ints[i] in [Lo, Hi], or outside for PredOut
+	modeStrs                  // Strs[i] equals Str, or starts with it for PredPrefix
 )
 
 // prepare resolves the predicate against one chunk's column encoding.
+// Dictionary equality is one lookup (a miss means no chunk row is
+// inside), every other dictionary predicate a bitset over the
+// dictionary's codes — built once and extended incrementally as the
+// dictionary grows, so a whole pass pays O(dict) once, not O(rows).
 func (p *compiledPred) prepare(c *storage.EncChunk) {
-	if p.kind == PredNone {
-		p.mode = modeAll
-		return
-	}
 	v := &c.Cols[p.col]
-	switch v.Enc {
-	case storage.EncDict:
-		p.prepareDict(v.Dict)
-	case storage.EncFoR:
+	ints := p.Kind >= PredIn
+	switch {
+	case ints && p.Lo > p.Hi:
+		p.whole(false)
+	case ints && p.Lo == math.MinInt64 && p.Hi == math.MaxInt64:
+		p.whole(true)
+	case v.Enc == storage.EncFoR:
 		p.prepareFoR(v.Ref)
+	case v.Enc != storage.EncDict && ints:
+		p.mode = modeInts
+	case v.Enc != storage.EncDict:
+		p.mode = modeStrs
+	case p.Kind == PredEqStr:
+		code, ok := v.Dict.LookupStr(p.Str)
+		p.codes(code, code, ok)
+	case ints && p.Lo == p.Hi:
+		code, ok := v.Dict.LookupInt(p.Lo)
+		p.codes(code, code, ok)
 	default:
-		switch p.kind {
-		case PredGEInt:
-			p.mode = modeRawGE
-		case PredLTInt:
-			p.mode = modeRawLT
-		case PredEqInt:
-			p.mode = modeRawEq
-		case PredNeInt:
-			p.mode = modeRawNe
-		case PredEqStr:
-			p.mode = modeRawEqStr
-		case PredPrefix:
-			p.mode = modeRawPrefix
-		default:
-			panic("olap: unknown predicate kind")
-		}
+		p.extendBits(v.Dict)
+		p.mode = modeBits
 	}
 }
 
-// prepareDict compiles the predicate to dictionary-code membership:
-// equality is one dictionary lookup (a miss means no chunk row can
-// match), and prefix/range predicates become a bitset over the
-// dictionary's codes — built once and extended incrementally as the
-// dictionary grows, so a whole pass pays O(dict) once, not O(rows).
-func (p *compiledPred) prepareDict(d *storage.Dict) {
-	switch p.kind {
-	case PredEqStr:
-		if code, ok := d.LookupStr(p.str); ok {
-			p.code, p.mode = code, modeEqCode
-		} else {
-			p.mode = modeNone
-		}
-	case PredEqInt:
-		if code, ok := d.LookupInt(p.minI); ok {
-			p.code, p.mode = code, modeEqCode
-		} else {
-			p.mode = modeNone
-		}
-	case PredNeInt:
-		if code, ok := d.LookupInt(p.minI); ok {
-			p.code, p.mode = code, modeNeCode
-		} else {
-			p.mode = modeAll
-		}
-	default: // PredPrefix, PredGEInt, PredLTInt
-		p.extendBits(d)
-		p.mode = modeBits
+// whole resolves the chunk at once: every row is inside the range (or
+// matches the string), or every row is outside.
+func (p *compiledPred) whole(inside bool) {
+	p.mode = modeNone
+	if inside == p.in {
+		p.mode = modeAll
 	}
+}
+
+// codes resolves the chunk to the code range [lo, hi]; ok false means
+// no code of the chunk's encoding lies in the range.
+func (p *compiledPred) codes(lo, hi uint32, ok bool) {
+	if !ok {
+		p.whole(false)
+		return
+	}
+	p.mode, p.code, p.span = modeCodes, lo, hi-lo
+}
+
+// prepareFoR intersects [Lo, Hi] with the chunk's delta domain (value =
+// ref + delta, delta in [0, 2³²)). The differences are exact in uint64
+// under two's-complement wraparound for any int64 pair.
+func (p *compiledPred) prepareFoR(ref int64) {
+	if p.Hi < ref {
+		p.whole(false)
+		return
+	}
+	var lo uint64
+	if p.Lo > ref {
+		lo = uint64(p.Lo) - uint64(ref)
+	}
+	hi := min(uint64(p.Hi)-uint64(ref), math.MaxUint32)
+	if lo == 0 && hi == math.MaxUint32 {
+		p.whole(true)
+		return
+	}
+	p.codes(uint32(lo), uint32(hi), lo <= math.MaxUint32)
 }
 
 // extendBits (re)builds the per-code predicate bitset for dictionary d,
@@ -226,14 +224,11 @@ func (p *compiledPred) extendBits(d *storage.Dict) {
 	}
 	for code := p.bitsLen; code < n; code++ {
 		var ok bool
-		switch p.kind {
-		case PredPrefix:
-			s := d.DecodeStr(uint32(code))
-			ok = len(s) >= len(p.prefix) && s[:len(p.prefix)] == p.prefix
-		case PredGEInt:
-			ok = d.DecodeInt(uint32(code)) >= p.minI
-		case PredLTInt:
-			ok = d.DecodeInt(uint32(code)) < p.minI
+		if p.Kind == PredPrefix {
+			ok = strings.HasPrefix(d.DecodeStr(uint32(code)), p.Str)
+		} else {
+			x := d.DecodeInt(uint32(code))
+			ok = (p.Lo <= x && x <= p.Hi) == p.in
 		}
 		if ok {
 			p.bits[code>>6] |= 1 << (code & 63)
@@ -242,114 +237,67 @@ func (p *compiledPred) extendBits(d *storage.Dict) {
 	p.bitsLen = n
 }
 
-// prepareFoR translates an int predicate into the chunk's delta domain
-// (value = Ref + delta, delta in [0, 2³²)). Out-of-domain constants
-// collapse to all/none at the chunk level.
-func (p *compiledPred) prepareFoR(ref int64) {
-	var diff uint64
-	above := p.minI > ref
-	if above {
-		// Exact under two's-complement wraparound for any int64 pair.
-		diff = uint64(p.minI) - uint64(ref)
-	}
-	switch p.kind {
-	case PredGEInt:
-		switch {
-		case !above:
-			p.mode = modeAll
-		case diff > math.MaxUint32:
-			p.mode = modeNone
-		default:
-			p.lo, p.mode = uint32(diff), modeGEDelta
-		}
-	case PredLTInt:
-		switch {
-		case !above:
-			p.mode = modeNone
-		case diff > math.MaxUint32:
-			p.mode = modeAll
-		default:
-			p.hi, p.mode = uint32(diff), modeLTDelta
-		}
-	default: // PredEqInt, PredNeInt
-		out := p.minI < ref || diff > math.MaxUint32
-		if p.kind == PredEqInt {
-			if out {
-				p.mode = modeNone
-			} else {
-				p.code, p.mode = uint32(diff), modeEqCode
-			}
-		} else {
-			if out {
-				p.mode = modeAll
-			} else {
-				p.code, p.mode = uint32(diff), modeNeCode
-			}
-		}
-	}
-}
-
-// matchAt tests row i of the prepared chunk column.
-func (p *compiledPred) matchAt(v *storage.EncVec, i int) bool {
+// filter narrows sel in place to the rows of the prepared column v the
+// predicate keeps: one typed loop per mode (modeNone keeps no row).
+func (p *compiledPred) filter(v *storage.EncVec, sel []int32) []int32 {
+	w := 0
 	switch p.mode {
 	case modeAll:
-		return true
-	case modeNone:
-		return false
-	case modeEqCode:
-		return v.Codes[i] == p.code
-	case modeNeCode:
-		return v.Codes[i] != p.code
+		return sel
 	case modeBits:
-		c := v.Codes[i]
-		return p.bits[c>>6]&(1<<(c&63)) != 0
-	case modeGEDelta:
-		return v.Codes[i] >= p.lo
-	case modeLTDelta:
-		return v.Codes[i] < p.hi
-	case modeRawGE:
-		return v.Ints[i] >= p.minI
-	case modeRawLT:
-		return v.Ints[i] < p.minI
-	case modeRawEq:
-		return v.Ints[i] == p.minI
-	case modeRawNe:
-		return v.Ints[i] != p.minI
-	case modeRawEqStr:
-		return v.Strs[i] == p.str
-	default: // modeRawPrefix
-		s := v.Strs[i]
-		return len(s) >= len(p.prefix) && s[:len(p.prefix)] == p.prefix
+		codes, bits := v.Codes, p.bits
+		for _, r := range sel {
+			if c := codes[r]; bits[c>>6]&(1<<(c&63)) != 0 {
+				sel[w] = r
+				w++
+			}
+		}
+	case modeCodes:
+		codes, lo, span, in := v.Codes, p.code, p.span, p.in
+		for _, r := range sel {
+			if (codes[r]-lo <= span) == in {
+				sel[w] = r
+				w++
+			}
+		}
+	case modeInts:
+		ints, lo, span, in := v.Ints, uint64(p.Lo), uint64(p.Hi)-uint64(p.Lo), p.in
+		for _, r := range sel {
+			if (uint64(ints[r])-lo <= span) == in {
+				sel[w] = r
+				w++
+			}
+		}
+	case modeStrs:
+		strs, str, prefix := v.Strs, p.Str, p.Kind == PredPrefix
+		for _, r := range sel {
+			if s := strs[r]; len(s) >= len(str) && (prefix || len(s) == len(str)) && s[:len(str)] == str {
+				sel[w] = r
+				w++
+			}
+		}
 	}
+	return sel[:w]
 }
 
 // compilePred resolves pred against schema, validating kinds so a
 // mis-typed predicate fails at registration, not mid-chunk.
 func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
-	cp := compiledPred{kind: pred.Kind, prefix: pred.Prefix, str: pred.Str, minI: pred.MinI}
-	if pred.Kind == PredNone {
-		return cp
+	cp := compiledPred{Predicate: pred, col: schema.MustCol(pred.Col), in: pred.Kind != PredOut}
+	want := storage.KInt
+	if pred.Kind < PredIn {
+		want = storage.KStr
 	}
-	cp.col = schema.MustCol(pred.Col)
-	kind := schema.Cols[cp.col].Kind
-	switch pred.Kind {
-	case PredPrefix, PredEqStr:
-		if kind != storage.KStr {
-			panic(fmt.Sprintf("olap: string predicate on %s column %s.%s", kind, schema.Name, pred.Col))
-		}
-	default:
-		if kind != storage.KInt {
-			panic(fmt.Sprintf("olap: int predicate on %s column %s.%s", kind, schema.Name, pred.Col))
-		}
+	if kind := schema.Cols[cp.col].Kind; kind != want {
+		panic(fmt.Sprintf("olap: %s predicate on %s column %s.%s", want, kind, schema.Name, pred.Col))
 	}
 	return cp
 }
 
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
-	spec  *SharedScanSpec
-	preds []compiledPred
-	sig   string // canonical predicate signature, for match sharing
+	spec *SharedScanSpec
+	set  *filterSet // the compiled filters, shared with equal lists
 
 	// Pass window: the registration joined at some chunk and detaches
 	// after `total` chunks (the chunk count at attach — chunks appended
@@ -384,11 +332,15 @@ type scanReg struct {
 	denseOK bool // hinted and not abandoned
 }
 
-// matchBuf caches one predicate signature's matched rows for the chunk
-// of the current step (valid while step == sharedScan.steps).
-type matchBuf struct {
-	rows []int32
-	step uint64
+// filterSet is one distinct filter list of a cursor's registrations,
+// compiled once: every registration with an equal list points at it and
+// reuses its matched rows for the chunk of the current step (valid while
+// step == sharedScan.steps).
+type filterSet struct {
+	filters []Predicate
+	preds   []compiledPred
+	rows    []int32
+	step    uint64
 }
 
 // sharedScan is the per-(table, partition) shared cursor state, owned
@@ -400,13 +352,29 @@ type sharedScan struct {
 	ev     *core.Event // the driver continuation, re-sent per chunk
 
 	// Predicate evaluation is shared across registrations, not just the
-	// chunk fetch: all registrations whose filters have the same
-	// canonical signature reuse one matchChunk evaluation per chunk.
-	// steps increments once per driven chunk (cursor positions repeat
-	// across passes, so the step counter is the validity token); buffers
-	// live as long as the cursor does — one busy period.
-	steps    uint64
-	sigMatch map[string]*matchBuf
+	// chunk fetch: registrations with equal filter lists share one
+	// filterSet and so one matchChunk evaluation per chunk. steps
+	// increments once per driven chunk (cursor positions repeat across
+	// passes, so the step counter is the validity token); sets live as
+	// long as the cursor does — one busy period.
+	steps uint64
+	sets  []*filterSet
+}
+
+// filterSet returns the cursor's set for filters, compiling a new one
+// against schema for a list no registration has brought yet.
+func (ss *sharedScan) filterSet(schema *storage.Schema, filters []Predicate) *filterSet {
+	for _, s := range ss.sets {
+		if slices.Equal(s.filters, filters) {
+			return s
+		}
+	}
+	s := &filterSet{filters: filters, preds: make([]compiledPred, len(filters))}
+	for i, f := range filters {
+		s.preds[i] = compilePred(schema, f)
+	}
+	ss.sets = append(ss.sets, s)
+	return s
 }
 
 // attachShared registers spec with the shared cursor, creating (and
@@ -415,11 +383,6 @@ type sharedScan struct {
 func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScanSpec) {
 	t := w.DB.Partition(spec.Part).TableByID(spec.Table)
 	r := &scanReg{spec: spec}
-	r.preds = make([]compiledPred, 0, len(spec.Filters))
-	for _, f := range spec.Filters {
-		r.preds = append(r.preds, compilePred(t.Schema, f))
-	}
-	r.sig = predSignature(r.preds)
 	if len(spec.Aggs) == 0 {
 		r.outIdx = make([]int, len(spec.Cols))
 		outCols := make([]storage.Column, len(spec.Cols))
@@ -473,23 +436,26 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 
 	key := sharedKey{table: spec.Table, part: spec.Part}
 	ss := w.shared[key]
-	if ss != nil {
-		// Join the in-flight pass at the cursor's current position; the
-		// install event is dead (a continuation is already circulating).
+	idle := ss == nil
+	if idle {
+		if w.shared == nil {
+			w.shared = make(map[sharedKey]*sharedScan)
+		}
+		ss = &sharedScan{key: key, ev: ev}
+		w.shared[key] = ss
+	} else {
+		// Join the in-flight pass at the cursor's current position.
 		r.next = ss.cursor
 		if r.next >= r.total {
 			r.next = 0
 		}
-		ss.regs = append(ss.regs, r)
-		core.FreeEvent(ev)
+	}
+	r.set = ss.filterSet(t.Schema, spec.Filters)
+	ss.regs = append(ss.regs, r)
+	if !idle {
+		core.FreeEvent(ev) // a continuation is already circulating
 		return
 	}
-	if w.shared == nil {
-		w.shared = make(map[sharedKey]*sharedScan)
-	}
-	ss = &sharedScan{key: key, ev: ev}
-	ss.regs = append(ss.regs, r)
-	w.shared[key] = ss
 	// Reuse the install event as the driver continuation.
 	ev.Payload = ss
 	ctx.Send(ctx.Self(), ev)
@@ -535,25 +501,17 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			ctx.Charge(costs.ScanRow * sim.Time(chunk.Len()))
 			ss.steps++
 		}
-		// Registrations with the same predicate signature share one
-		// evaluation of this chunk.
-		mb := ss.sigMatch[r.sig]
-		if mb == nil {
-			if ss.sigMatch == nil {
-				ss.sigMatch = make(map[string]*matchBuf)
-			}
-			mb = &matchBuf{}
-			ss.sigMatch[r.sig] = mb
-		}
-		if mb.step != ss.steps {
-			mb.rows = matchChunk(chunk, r.preds, mb.rows)
-			mb.step = ss.steps
+		// Registrations with equal filter lists share one evaluation of
+		// this chunk.
+		if f := r.set; f.step != ss.steps {
+			f.rows = matchChunk(chunk, f.preds, f.rows)
+			f.step = ss.steps
 			w.evals++
 		}
 		if len(r.spec.Aggs) == 0 {
-			r.foldStream(ctx, chunk, mb.rows)
+			r.foldStream(ctx, chunk, r.set.rows)
 		} else {
-			r.foldAgg(ctx, chunk, mb.rows)
+			r.foldAgg(ctx, chunk, r.set.rows)
 		}
 		r.done++
 		r.next++
@@ -576,74 +534,23 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 	ctx.Send(ctx.Self(), ss.ev)
 }
 
-// predSignature canonically encodes a compiled predicate list so
-// registrations with identical filters can share match results. Columns
-// are already resolved to indexes and predicates are AND-composed in
-// plan order, so a byte-equal signature means row-equal matches.
-func predSignature(preds []compiledPred) string {
-	if len(preds) == 0 {
-		return ""
-	}
-	buf := make([]byte, 0, 16*len(preds))
-	for i := range preds {
-		p := &preds[i]
-		buf = strconv.AppendInt(buf, int64(p.kind), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(p.col), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, p.minI, 10)
-		buf = append(buf, ':')
-		buf = append(buf, p.prefix...)
-		buf = append(buf, 0)
-		buf = append(buf, p.str...)
-		buf = append(buf, 0)
-	}
-	return string(buf)
-}
-
 // matchChunk returns the row indexes of chunk c passing all preds,
-// reusing buf. Each predicate prepares against the chunk's encoding
-// first, so chunk-level all/none answers skip row work entirely: the
-// first selective predicate scans the full chunk, later ones filter the
-// survivors in place.
-func matchChunk(c *storage.EncChunk, preds []compiledPred, buf []int32) []int32 {
-	buf = buf[:0]
-	n := c.Len()
-	dense := true // no selective predicate applied yet: buf is implicitly 0..n-1
-	for pi := range preds {
-		p := &preds[pi]
+// reusing sel: it starts from every row, and each predicate, prepared
+// against the chunk's encoding, narrows the selection in place.
+func matchChunk(c *storage.EncChunk, preds []compiledPred, sel []int32) []int32 {
+	sel = sel[:0]
+	for i := range int32(c.Len()) {
+		sel = append(sel, i)
+	}
+	for i := range preds {
+		if len(sel) == 0 {
+			break
+		}
+		p := &preds[i]
 		p.prepare(c)
-		switch p.mode {
-		case modeAll:
-			continue
-		case modeNone:
-			return buf[:0]
-		}
-		v := &c.Cols[p.col]
-		if dense {
-			for i := 0; i < n; i++ {
-				if p.matchAt(v, i) {
-					buf = append(buf, int32(i))
-				}
-			}
-			dense = false
-			continue
-		}
-		w := 0
-		for _, m := range buf {
-			if p.matchAt(v, int(m)) {
-				buf[w] = m
-				w++
-			}
-		}
-		buf = buf[:w]
+		sel = p.filter(&c.Cols[p.col], sel)
 	}
-	if dense {
-		for i := 0; i < n; i++ {
-			buf = append(buf, int32(i))
-		}
-	}
-	return buf
+	return sel
 }
 
 // foldStream appends the matched rows, projected, to the registration's

@@ -2,6 +2,8 @@ package olap_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"anydb/internal/core"
@@ -166,7 +168,7 @@ func TestSharedScanStreamingAttach(t *testing.T) {
 				Kind: core.EvInstallOp, Query: qid,
 				Payload: &olap.SharedScanSpec{
 					Query: qid, Table: tpcc.TCustomerID, Part: w,
-					Filters: []olap.Predicate{{Col: "c_d_id", Kind: olap.PredEqInt, MinI: dist}},
+					Filters: []olap.Predicate{{Col: "c_d_id", Kind: olap.PredIn, Lo: dist, Hi: dist}},
 					Cols:    []string{"c_id", "c_d_id"},
 					Out:     out, To: h.sinkAC, Producers: h.cfg.Warehouses,
 				},
@@ -203,20 +205,24 @@ func TestSharedScanStreamingAttach(t *testing.T) {
 }
 
 // TestSharedScanRawPredicates covers the predicate modes that run on
-// unencoded chunk columns: an int column that overflows the int
-// dictionary and spans more than 2³² per chunk (so frame-of-reference
-// does not apply either), and a string column with more distinct values
-// than the string dictionary holds (it seals, and the chunks after it
-// stay raw). Each predicate's shared-scan COUNT(*) must equal a hand
-// filter of the same rows.
+// unencoded chunk columns, and the range edges on every int encoding:
+// an int column n that overflows the int dictionary and spans more than
+// 2³² per chunk (so frame-of-reference does not apply either), a string
+// column s with more distinct values than the string dictionary holds
+// (it seals, and the chunks after it stay raw), and an int column g
+// that is a dictionary in chunks 0–31 and frame-of-reference in 32–34
+// once its 1 024-code dictionary seals. Each predicate's shared-scan
+// COUNT(*) must equal a hand filter of the same rows; the edge cases
+// marked whole select every row or none by design.
 func TestSharedScanRawPredicates(t *testing.T) {
 	db := storage.NewDatabase(1, storage.NewSchema("wide",
 		storage.Column{Name: "n", Kind: storage.KInt},
-		storage.Column{Name: "s", Kind: storage.KStr}))
+		storage.Column{Name: "s", Kind: storage.KStr},
+		storage.Column{Name: "g", Kind: storage.KInt}))
 	tab := db.Partition(0).Table("wide")
 	const rows = 1<<16 + 3*storage.ColChunkRows
 	for i := 0; i < rows; i++ {
-		tab.Append(storage.Row{storage.Int(int64(i) << 33), storage.Str(fmt.Sprintf("k%06d", i))})
+		tab.Append(storage.Row{storage.Int(int64(i) << 33), storage.Str(fmt.Sprintf("k%06d", i)), storage.Int(int64(i / 64))})
 	}
 	topo := core.NewTopology(db)
 	ids := topo.AddServer(4)
@@ -232,20 +238,47 @@ func TestSharedScanRawPredicates(t *testing.T) {
 	})
 
 	const pivot = 5000 << 33
-	preds := []olap.Predicate{
-		{Col: "n", Kind: olap.PredGEInt, MinI: pivot},
-		{Col: "n", Kind: olap.PredLTInt, MinI: pivot},
-		{Col: "n", Kind: olap.PredEqInt, MinI: pivot},
-		{Col: "n", Kind: olap.PredNeInt, MinI: pivot},
-		{Col: "s", Kind: olap.PredEqStr, Str: fmt.Sprintf("k%06d", rows-1)},
-		{Col: "s", Kind: olap.PredPrefix, Prefix: "k06"}, // spans dictionary and raw chunks
+	// g's chunk k holds 32k..32k+31; chunk 32 is the first frame-of-reference one.
+	const forMin, forMax = 32 * 32, 35*32 - 1
+	in := func(col string, lo, hi int64) olap.Predicate {
+		return olap.Predicate{Col: col, Kind: olap.PredIn, Lo: lo, Hi: hi}
+	}
+	out := func(col string, lo, hi int64) olap.Predicate {
+		return olap.Predicate{Col: col, Kind: olap.PredOut, Lo: lo, Hi: hi}
+	}
+	cases := []struct {
+		p     olap.Predicate
+		whole bool
+	}{
+		{p: in("n", pivot, math.MaxInt64)},
+		{p: in("n", math.MinInt64, pivot-1)},
+		{p: in("n", pivot, pivot)},
+		{p: out("n", pivot, pivot)},
+		{p: olap.Predicate{Col: "s", Kind: olap.PredEqStr, Str: fmt.Sprintf("k%06d", rows-1)}},
+		{p: olap.Predicate{Col: "s", Kind: olap.PredPrefix, Str: "k06"}}, // spans dictionary and raw chunks
+		{p: in("g", forMin+32, forMin+32)},                               // a frame-of-reference chunk's minimum
+		{p: out("g", forMin+32, forMin+32)},                              // ... and its complement
+		{p: in("g", 5*32, 5*32)},                                         // a dictionary chunk's minimum
+		{p: in("g", 100, 1500)},                                          // dictionary bitset, frame-of-reference delta range
+		{p: out("g", 100, 1500)},                                         // ... and its complement
+		{p: in("g", math.MinInt64, forMin+31)},                           // ends just below chunk 33
+		{p: in("g", forMin+32, math.MaxInt64)},                           // starts just above chunk 32
+		{p: in("g", forMax+1, math.MaxInt64), whole: true},               // starts just above the last chunk
+		{p: in("g", forMin+1<<32, math.MaxInt64), whole: true},           // starts past chunk 32's delta domain
+		{p: in("g", math.MinInt64, math.MaxInt64), whole: true},
+		{p: out("g", math.MinInt64, math.MaxInt64), whole: true},
+		{p: in("g", 1, 0), whole: true}, // the empty range
+		{p: out("g", 1, 0), whole: true},
+		{p: in("g", -5, -5), whole: true}, // absent from the dictionary
+		{p: out("g", -5, -5), whole: true},
+		{p: olap.Predicate{Col: "s", Kind: olap.PredEqStr, Str: "absent"}, whole: true},
 	}
 	aggs := []olap.AggExpr{{Fn: olap.AggCount}}
-	for i, p := range preds {
+	for i, c := range cases {
 		qid := core.QueryID(i + 1)
 		out := core.StreamID(uint64(qid) * 64)
 		cl.Inject(ids[0], &core.Event{Kind: core.EvInstallOp, Query: qid, Payload: &olap.SharedScanSpec{
-			Query: qid, Table: tab.Schema.ID, Part: 0, Filters: []olap.Predicate{p},
+			Query: qid, Table: tab.Schema.ID, Part: 0, Filters: []olap.Predicate{c.p},
 			Aggs: aggs, Out: out, To: ids[1], Producers: 1,
 		}}, 0)
 		cl.Inject(ids[1], &core.Event{Kind: core.EvInstallOp, Query: qid, Payload: &olap.SinkSpec{
@@ -256,32 +289,39 @@ func TestSharedScanRawPredicates(t *testing.T) {
 	}
 	cl.Run()
 
-	last := tab.ColChunk(tab.NumColChunks() - 1)
-	if last.Cols[0].Enc != storage.EncRaw || last.Cols[1].Enc != storage.EncRaw {
-		t.Fatalf("last chunk encodings = %v/%v, want raw/raw", last.Cols[0].Enc, last.Cols[1].Enc)
+	for ci, want := range map[int][3]storage.EncKind{
+		0:                      {storage.EncRaw, storage.EncDict, storage.EncDict},
+		31:                     {storage.EncRaw, storage.EncDict, storage.EncDict},
+		32:                     {storage.EncRaw, storage.EncRaw, storage.EncFoR},
+		tab.NumColChunks() - 1: {storage.EncRaw, storage.EncRaw, storage.EncFoR},
+	} {
+		chunk := tab.ColChunk(ci)
+		if g := [3]storage.EncKind{chunk.Cols[0].Enc, chunk.Cols[1].Enc, chunk.Cols[2].Enc}; g != want {
+			t.Fatalf("chunk %d encodings = %v, want %v", ci, g, want)
+		}
 	}
-	for i, p := range preds {
+	for i, c := range cases {
+		p := c.p
 		var want int64
 		tab.Scan(func(_ int32, r storage.Row) bool {
-			n, s := r[0].I, r[1].S
+			x, s := r[0].I, r[1].S
+			if p.Col == "g" {
+				x = r[2].I
+			}
 			switch p.Kind {
-			case olap.PredGEInt:
-				want += b2i(n >= p.MinI)
-			case olap.PredLTInt:
-				want += b2i(n < p.MinI)
-			case olap.PredEqInt:
-				want += b2i(n == p.MinI)
-			case olap.PredNeInt:
-				want += b2i(n != p.MinI)
+			case olap.PredIn:
+				want += b2i(p.Lo <= x && x <= p.Hi)
+			case olap.PredOut:
+				want += b2i(x < p.Lo || x > p.Hi)
 			case olap.PredEqStr:
 				want += b2i(s == p.Str)
 			case olap.PredPrefix:
-				want += b2i(len(s) >= len(p.Prefix) && s[:len(p.Prefix)] == p.Prefix)
+				want += b2i(strings.HasPrefix(s, p.Str))
 			}
 			return true
 		})
-		if want == 0 || want == rows {
-			t.Fatalf("predicate %+v: degenerate oracle count %d", p, want)
+		if degenerate := want == 0 || want == rows; degenerate != c.whole {
+			t.Fatalf("predicate %+v: oracle count %d of %d rows, whole = %v", p, want, rows, c.whole)
 		}
 		if g := got[core.QueryID(i+1)]; g != want {
 			t.Errorf("predicate %+v: count = %d, want %d", p, g, want)

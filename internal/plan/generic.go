@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -629,56 +630,46 @@ func resolveColumn(infos map[string]*tableInfo, order []string, table, col strin
 
 func toPredicate(schema *storage.Schema, f sql.Filter) (olap.Predicate, error) {
 	kind := schema.Cols[schema.MustCol(f.Col)].Kind
-	intOnly := func(op string) error {
-		if kind != storage.KInt {
-			return fmt.Errorf("plan: %s supported on int columns only (%q)", op, f.Col)
-		}
-		return nil
-	}
-	switch f.Op {
-	case sql.OpLikePrefix:
+	switch {
+	case f.Op == sql.OpLikePrefix || f.IsStr && f.Op == sql.OpEq:
 		if kind != storage.KStr {
-			return olap.Predicate{}, fmt.Errorf("plan: LIKE on non-string column %q", f.Col)
+			return olap.Predicate{}, fmt.Errorf("plan: string comparison on %s column %q", kind, f.Col)
 		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredPrefix, Prefix: f.Str}, nil
-	case sql.OpGe:
-		if err := intOnly(">="); err != nil {
-			return olap.Predicate{}, err
+		p := olap.Predicate{Col: f.Col, Kind: olap.PredEqStr, Str: f.Str}
+		if f.Op == sql.OpLikePrefix {
+			p.Kind = olap.PredPrefix
 		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredGEInt, MinI: int64(f.Num)}, nil
-	case sql.OpEq:
-		if f.IsStr {
-			if kind != storage.KStr {
-				return olap.Predicate{}, fmt.Errorf("plan: string comparison on %s column %q", kind, f.Col)
-			}
-			return olap.Predicate{Col: f.Col, Kind: olap.PredEqStr, Str: f.Str}, nil
-		}
-		if err := intOnly("="); err != nil {
-			return olap.Predicate{}, err
-		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredEqInt, MinI: int64(f.Num)}, nil
-	case sql.OpLt:
-		if err := intOnly("<"); err != nil {
-			return olap.Predicate{}, err
-		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredLTInt, MinI: int64(f.Num)}, nil
-	case sql.OpGt:
-		if err := intOnly(">"); err != nil {
-			return olap.Predicate{}, err
-		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredGEInt, MinI: int64(f.Num) + 1}, nil
-	case sql.OpLe:
-		if err := intOnly("<="); err != nil {
-			return olap.Predicate{}, err
-		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredLTInt, MinI: int64(f.Num) + 1}, nil
-	case sql.OpNe:
-		if err := intOnly("<>"); err != nil {
-			return olap.Predicate{}, err
-		}
-		return olap.Predicate{Col: f.Col, Kind: olap.PredNeInt, MinI: int64(f.Num)}, nil
+		return p, nil
+	case kind != storage.KInt || f.IsStr:
+		return olap.Predicate{}, fmt.Errorf("plan: unsupported comparison on %s column %q", kind, f.Col)
 	}
-	return olap.Predicate{}, fmt.Errorf("plan: unsupported operator")
+	// An int comparison is one closed range: the literal's ceiling and
+	// floor bound it, so a fractional literal compares exactly, and a
+	// literal past int64 leaves the range empty (Lo > Hi) or whole.
+	p := olap.Predicate{Col: f.Col, Kind: olap.PredIn, Lo: math.MinInt64, Hi: math.MaxInt64}
+	if f.Op == sql.OpNe {
+		p.Kind = olap.PredOut
+	}
+	if f.Num >= 1<<63 {
+		if f.Op != sql.OpLt && f.Op != sql.OpLe {
+			p.Lo, p.Hi = 1, 0
+		}
+		return p, nil
+	}
+	fl, ce := int64(math.Floor(f.Num)), int64(math.Ceil(f.Num))
+	switch f.Op {
+	case sql.OpGe:
+		p.Lo = ce
+	case sql.OpGt:
+		p.Lo = fl + 1
+	case sql.OpLe:
+		p.Hi = fl
+	case sql.OpLt:
+		p.Hi = ce - 1
+	default: // = and <>: the empty range for a fractional literal
+		p.Lo, p.Hi = ce, fl
+	}
+	return p, nil
 }
 
 // estimateRows multiplies the table's row count by per-filter
@@ -693,23 +684,16 @@ func estimateRows(cat *storage.Catalog, ti *tableInfo) float64 {
 	for _, f := range ti.filters {
 		sel := 0.3
 		if st != nil {
-			switch f.Kind {
-			case olap.PredPrefix:
-				sel = st.SelectivityPrefix(f.Col, f.Prefix)
-			case olap.PredGEInt:
-				cs := st.Col(f.Col)
-				if cs != nil {
-					sel = st.SelectivityRange(f.Col, f.MinI, cs.MaxI)
-				}
-			case olap.PredLTInt:
-				cs := st.Col(f.Col)
-				if cs != nil {
-					sel = st.SelectivityRange(f.Col, cs.MinI, f.MinI-1)
-				}
-			case olap.PredEqInt, olap.PredEqStr:
+			switch {
+			case f.Kind == olap.PredPrefix:
+				sel = st.SelectivityPrefix(f.Col, f.Str)
+			case f.Kind == olap.PredEqStr || f.Lo == f.Hi:
 				sel = st.SelectivityEq(f.Col)
-			case olap.PredNeInt:
-				sel = 1 - st.SelectivityEq(f.Col)
+			default:
+				sel = st.SelectivityRange(f.Col, f.Lo, f.Hi)
+			}
+			if f.Kind == olap.PredOut {
+				sel = 1 - sel
 			}
 		}
 		rows *= sel

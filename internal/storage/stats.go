@@ -1,5 +1,7 @@
 package storage
 
+import "math"
+
 // TableStats summarizes a table for the query optimizer: row count,
 // per-column min/max/NDV, an equi-width histogram for integer columns and
 // a value sample for string columns (prefix-selectivity estimation, e.g.
@@ -136,11 +138,19 @@ func (s *TableStats) SelectivityEq(col string) float64 {
 }
 
 // SelectivityRange estimates the fraction of rows with lo <= col <= hi
-// for int columns, using the histogram when available.
+// for int columns, using the histogram when available. An int64 limit
+// leaves that side unbounded: it is estimated from the column's own
+// bound.
 func (s *TableStats) SelectivityRange(col string, lo, hi int64) float64 {
 	cs := s.Col(col)
 	if cs == nil || cs.Kind != KInt || s.Rows == 0 {
 		return 0.3
+	}
+	if lo == math.MinInt64 {
+		lo = cs.MinI
+	}
+	if hi == math.MaxInt64 {
+		hi = cs.MaxI
 	}
 	if lo > cs.MaxI || hi < cs.MinI {
 		return 0

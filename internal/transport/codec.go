@@ -484,9 +484,9 @@ func (e *encoder) encodePreds(ps []olap.Predicate) {
 	for _, p := range ps {
 		e.w.str(p.Col)
 		e.w.u8(uint8(p.Kind))
-		e.w.str(p.Prefix)
 		e.w.str(p.Str)
-		e.w.i64(p.MinI)
+		e.w.i64(p.Lo)
+		e.w.i64(p.Hi)
 	}
 }
 
@@ -497,10 +497,11 @@ func (d *decoder) decodePreds(r *rbuf) []olap.Predicate {
 	}
 	out := make([]olap.Predicate, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, olap.Predicate{
-			Col: r.str(), Kind: olap.PredKind(r.u8()),
-			Prefix: r.str(), Str: r.str(), MinI: r.i64(),
-		})
+		p := olap.Predicate{Col: r.str(), Kind: olap.PredKind(r.u8()), Str: r.str(), Lo: r.i64(), Hi: r.i64()}
+		if p.Kind > olap.PredOut {
+			r.fail() // a kind this build does not know
+		}
+		out = append(out, p)
 	}
 	return out
 }

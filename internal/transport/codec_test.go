@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -62,15 +63,16 @@ func sampleEvents() []*core.Event {
 		mk(core.EvInstallOp, &olap.SharedScanSpec{
 			Query: 4, Table: tpcc.TCustomerID, Part: 1,
 			Filters: []olap.Predicate{
-				{Col: "c_state", Kind: olap.PredPrefix, Prefix: "A"},
+				{Col: "c_state", Kind: olap.PredPrefix, Str: "A"},
 				{Col: "c_last", Kind: olap.PredEqStr, Str: "BARBAR"},
-				{Col: "c_d_id", Kind: olap.PredNeInt, MinI: -3},
+				{Col: "c_d_id", Kind: olap.PredOut, Lo: -3, Hi: -3},
+				{Col: "c_id", Kind: olap.PredIn, Lo: math.MinInt64, Hi: 400},
 			},
 			Cols: []string{"c_w_id", "c_id"}, Out: 30, To: 5, Producers: 4,
 		}),
 		mk(core.EvInstallOp, &olap.SharedScanSpec{
 			Query: 4, Table: tpcc.TOrdersID, Part: 2,
-			Filters:    []olap.Predicate{{Col: "year", Kind: olap.PredGEInt, MinI: 2021}},
+			Filters:    []olap.Predicate{{Col: "year", Kind: olap.PredIn, Lo: 2021, Hi: math.MaxInt64}},
 			GroupBy:    []string{"d"},
 			Aggs:       []olap.AggExpr{{Fn: olap.AggCount}, {Fn: olap.AggAvg, Col: "amount"}},
 			DictGroups: true,
@@ -92,7 +94,7 @@ func sampleEvents() []*core.Event {
 			ProbeScans: []olap.ScanInstall{
 				{At: 2, Spec: &olap.SharedScanSpec{
 					Query: 4, Table: tpcc.TOrdersID, Part: 0,
-					Filters: []olap.Predicate{{Col: "o_entry_d", Kind: olap.PredGEInt, MinI: 2007}},
+					Filters: []olap.Predicate{{Col: "o_entry_d", Kind: olap.PredIn, Lo: 2007, Hi: math.MaxInt64}},
 					Cols:    []string{"o_w_id", "o_c_id"}, Out: 32, To: 6, Producers: 2,
 				}},
 				{At: 3, Spec: &olap.SharedScanSpec{
@@ -253,6 +255,32 @@ func TestClientTokenRoundTrip(t *testing.T) {
 	}
 }
 
+// unknownPredKindFrame is a well-framed scan-spec install whose one
+// predicate carries a kind no build knows.
+func unknownPredKindFrame(t testing.TB) []byte {
+	t.Helper()
+	return encodeOne(t, nil, &core.Event{Kind: core.EvInstallOp, Query: 4, Payload: &olap.SharedScanSpec{
+		Query: 4, Table: tpcc.TCustomerID, Filters: []olap.Predicate{{Col: "c_d_id", Kind: 9}},
+		Cols: []string{"c_id"}, Out: 30, To: 5, Producers: 1,
+	}})
+}
+
+// TestDecodeRejectsUnknownPredicateKind: a predicate kind past the last
+// one is malformed input, rejected at the decoder without leaking pooled
+// objects, not an install that panics or silently misfilters a member.
+func TestDecodeRejectsUnknownPredicateKind(t *testing.T) {
+	core.TrackPools(true)
+	defer core.TrackPools(false)
+	r := rbuf{b: unknownPredKindFrame(t)}
+	if m, err := newDecoder(nil).decodeMsg(&r); err == nil {
+		freeLocal(m)
+		t.Fatal("decoded a scan spec with predicate kind 9")
+	}
+	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
+		t.Fatalf("rejected decode leaked pooled objects: %s", core.PoolBalanceString())
+	}
+}
+
 // FuzzEventCodec throws arbitrary bytes at the event decoder: malformed
 // frames must be rejected without panicking or leaking pooled objects,
 // and anything that decodes must re-encode to a byte-stable canonical
@@ -263,6 +291,7 @@ func FuzzEventCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{mtEvent})
+	f.Add(unknownPredKindFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		core.TrackPools(true)
 		defer core.TrackPools(false)

@@ -15,8 +15,9 @@ import (
 
 // ProtoVersion gates the handshake: both sides must speak the same wire
 // format. Version 3 added the join's held probe scans and their key
-// filter; version 4 dropped the shared scan's batch-size field.
-const ProtoVersion = 4
+// filter; version 4 dropped the shared scan's batch-size field; version
+// 5 encodes a scan predicate as one string or one int range.
+const ProtoVersion = 5
 
 // Hello is the member's first frame after dialing. A reconnecting
 // member sets Rejoin with its previously assigned server slot; the head
