@@ -24,13 +24,15 @@ bench:
 
 # Contention smoke: the submission-plane and topology-read benchmarks at
 # -cpu 1,4, so a regression that re-serializes the entry (a lock on the
-# hot path scales visibly worse at 4) shows up in CI. Short benchtime —
+# hot path scales visibly worse at 4) shows up in CI, plus the live
+# partition handoff under load (BenchmarkRebalance: gate, drain, handoff,
+# reopen on the same submission gate). Short benchtime —
 # this watches the slope, not absolute throughput. Allocation regressions
 # are allocs-gate's job, absolute ns/op the repo benchmark's
 # (BENCHMARK.json); the other root micro-benchmarks run on demand with
 # `go test -bench`.
 bench-submit:
-	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention' -benchmem -benchtime 0.3s -cpu 1,4 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention|BenchmarkRebalance' -benchmem -benchtime 0.3s -cpu 1,4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkTopologyRead' -benchmem -benchtime 0.3s -cpu 1,4 ./internal/core
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput

@@ -97,7 +97,10 @@ type Config struct {
 	// commit-coordinator and query-optimizer roles on separate ACs.
 	Servers        int
 	CoresPerServer int
-	// Warehouses etc. size the database (defaults are small).
+	// Warehouses etc. size the database (defaults are small; 0 picks
+	// the default). Negative sizes are rejected, and so are more than
+	// 4096 warehouses or 255 districts per warehouse: the storage key
+	// packs the warehouse id into 12 bits and the district id into 8.
 	Warehouses           int
 	Districts            int
 	CustomersPerDistrict int
@@ -187,23 +190,18 @@ type Cluster struct {
 	// hot path reads it without a lock.
 	asm *route.Assembly
 
-	// The submission plane (see submit.go). shards holds the global
-	// in-flight counters (transactions AND analytical queries — a drain
-	// covers both); sub is the current epoch, carrying the active
-	// routing policy and the draining gate. The steady-state entry
-	// (enter/exitShard) takes no mutex; switchMu serializes the slow
-	// path only — epoch transitions by SetPolicy, Verify and Close.
-	shards    []submitShard
+	// The submission plane (see submit.go). whCounts holds the in-flight
+	// counters (transactions AND analytical queries): per submission
+	// shard, one counter per warehouse bit (see whSlots). plane is the
+	// published submitGate, carrying the active routing policy and the
+	// gated warehouse mask. The steady-state entry (enterAt/exitShard)
+	// takes no mutex; switchMu serializes the drains only — SetPolicy,
+	// Verify, Close and partition handoffs.
+	whCounts  []atomic.Int64
 	shardMask int32
-	sub       atomic.Pointer[submitEpoch]
+	plane     atomic.Pointer[submitGate]
 	drainWake chan struct{}
 	switchMu  sync.Mutex
-	// whCounts is the partition-granularity half of the in-flight
-	// accounting: per shard, one counter per warehouse bit (see
-	// whSlots). gate is the partition handoff in progress, nil when
-	// none — entries overlapping its mask park, the rest flow.
-	whCounts []atomic.Int64
-	gate     atomic.Pointer[moveGate]
 	// closed flips once (Close); closedCh unblocks every parked entry
 	// and drain, closeDrained marks the final drain's completion (safe
 	// to read the database), closeDone marks full teardown.
@@ -213,14 +211,14 @@ type Cluster struct {
 	closeDone    chan struct{}
 
 	// Every submission bumps nextTxn; the pad keeps that write off the
-	// cache line of the fields above that every entry reads (sub, gate).
+	// cache line of the fields above that every entry reads (plane).
 	_       [64]byte
 	nextTxn atomic.Uint64
 	nextQ   atomic.Uint64
 
 	// qMu guards the analytical-query completion table. Queries keep a
 	// registration map (results are streamed values, not tokens); their
-	// in-flight counts still live in the lock-free shards. Off the
+	// in-flight counts still live in the lock-free whCounts. Off the
 	// transaction hot path.
 	qMu   sync.Mutex
 	qWait map[core.QueryID]*queryWait
@@ -358,6 +356,23 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Durability > DurabilityBatch {
 		return nil, fmt.Errorf("anydb: unknown %v, want DurabilityOff or DurabilityBatch", cfg.Durability)
 	}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{
+		{"Warehouses", tc.Warehouses}, {"Districts", tc.Districts},
+		{"CustomersPerDistrict", tc.Customers}, {"Items", tc.Items},
+		{"InitialOrdersPerDist", tc.InitOrders},
+	} {
+		if size.n < 0 {
+			return nil, fmt.Errorf("anydb: Config.%s = %d is negative", size.name, size.n)
+		}
+	}
+	if tc.Warehouses > 4096 || tc.Districts > 255 {
+		// storage.MakeKey packs the warehouse id into 12 bits and the
+		// district id into 8.
+		return nil, fmt.Errorf("anydb: %d warehouses of %d districts exceed the key layout (at most 4096 of 255)", tc.Warehouses, tc.Districts)
+	}
 	db, _ := tpcc.NewDatabase(tc)
 
 	c := &Cluster{
@@ -401,8 +416,9 @@ func Open(cfg Config) (*Cluster, error) {
 		c.memberGrace = 2 * time.Second
 	}
 	// Size the submission shards to the parallelism the runtime can
-	// actually offer (power of two for cheap masking, padded to cache
-	// lines): enough that concurrent sessions rarely share a counter.
+	// actually offer (power of two for cheap masking; each shard's row
+	// is whSlots counters, a multiple of the cache line): enough that
+	// concurrent sessions rarely share a counter.
 	nshards := 1
 	for nshards < 4*runtime.GOMAXPROCS(0) {
 		nshards <<= 1
@@ -413,10 +429,9 @@ func Open(cfg Config) (*Cluster, error) {
 	if nshards > 256 {
 		nshards = 256
 	}
-	c.shards = make([]submitShard, nshards)
 	c.shardMask = int32(nshards - 1)
 	c.whCounts = make([]atomic.Int64, nshards*whSlots)
-	c.sub.Store(newEpoch(SharedNothing))
+	c.plane.Store(&submitGate{policy: SharedNothing})
 	c.topo = core.NewTopology(db)
 	for s := 0; s < cfg.Servers; s++ {
 		c.topo.AddServer(cfg.CoresPerServer)
@@ -574,11 +589,15 @@ func (c *Cluster) closeWAL() {
 // and queries from any goroutine: work arriving mid-switch briefly
 // blocks, then runs under the new routing. Canceling ctx abandons the
 // switch (the old routing stays in effect) and releases gated callers.
+// A policy outside Policies() is an error.
 //
 // On a self-driving cluster (Config.AutoAdapt) the controller owns the
 // routing; manual switches would silently fight it, so SetPolicy
 // returns an error instead.
 func (c *Cluster) SetPolicy(ctx context.Context, p Policy) error {
+	if !slices.Contains(Policies(), p) {
+		return fmt.Errorf("anydb: unknown policy %d, want one of Policies()", int(p))
+	}
 	if c.autoAdapt {
 		return errors.New("anydb: cluster is self-driving (Config.AutoAdapt); the controller owns the policy")
 	}
@@ -594,31 +613,22 @@ func (c *Cluster) SetPolicy(ctx context.Context, p Policy) error {
 // setPolicy is the switch path shared by SetPolicy and the adaptation
 // applier. The drain covers transactions AND analytical queries: under
 // the fine-grained policies writes execute off the partition owners, so
-// a query scan straddling the switch could race them. The switch is an
-// epoch transition: close the current epoch (one flag store — gating
-// every submitter), wait for the sharded in-flight counters to drain,
-// reconfigure the dispatchers, publish a fresh epoch under the new
-// policy.
+// a query scan straddling the switch could race them. The switch gates
+// every warehouse bit in use plus the query bit, waits for the
+// in-flight counters under them to drain, reconfigures the dispatchers
+// and reopens under the new policy.
 func (c *Cluster) setPolicy(ctx context.Context, p Policy) error {
 	c.switchMu.Lock()
 	defer c.switchMu.Unlock()
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	e := c.sub.Load()
-	e.closed.Store(true)
-	if err := c.drainLocked(ctx); err != nil {
-		if !errors.Is(err, ErrClosed) {
-			// Canceled: abandon the switch, the old routing stays in
-			// effect, gated submitters resume under it.
-			c.reopenLocked(e, e.policy)
-		}
-		// On ErrClosed the plane stays closed — Close owns it now and
-		// closedCh has already released every gated submitter.
+	g, err := c.drainLocked(ctx, c.allMask())
+	if err != nil {
 		return err
 	}
 	c.asm.SetPolicy(oltp.Policy(p))
-	c.reopenLocked(e, p)
+	c.reopenLocked(g, p)
 	return nil
 }
 
@@ -645,7 +655,7 @@ type NewOrder struct {
 }
 
 // idCheck records the first transaction id that lies outside its range.
-// Every id is checked before the submission enters the epoch: past it, a
+// Every id is checked before the submission enters the plane: past it, a
 // bad warehouse panics the entry routing or an AC.
 type idCheck struct{ err error }
 
@@ -863,12 +873,12 @@ func (c *Cluster) submit(ctx context.Context, t *tpcc.Txn) (*Future, error) {
 
 // submitAt is the one transaction entry, for sessions (si pinned at
 // open) and session-less callers alike. Uncontended it takes zero locks:
-// epoch entry is an atomic add on shard si, the id an atomic counter,
-// the event and future pooled, and the future itself travels as the
-// completion token — nothing left to serialize.
+// entry is an atomic add per warehouse on shard si, the id an atomic
+// counter, the event and future pooled, and the future itself travels
+// as the completion token — nothing left to serialize.
 func (c *Cluster) submitAt(ctx context.Context, t *tpcc.Txn, si int32) (*Future, error) {
 	mask := txnMask(t)
-	e, err := c.enterAt(ctx, si, mask)
+	g, err := c.enterAt(ctx, si, mask)
 	if err != nil {
 		tpcc.FreeTxn(t)
 		return nil, err
@@ -878,7 +888,7 @@ func (c *Cluster) submitAt(ctx context.Context, t *tpcc.Txn, si int32) (*Future,
 	f.shard, f.mask = si, mask
 	// Resolve the entry AC before injecting: the dispatcher consumes
 	// (and recycles) the txn, so it must not be touched after Inject.
-	entry := route.Entry(oltp.Policy(e.policy), c.asm.Lay, t.HomeWarehouse())
+	entry := route.Entry(oltp.Policy(g.policy), c.asm.Lay, t.HomeWarehouse())
 	if c.remoteACs != nil && c.remoteACs[entry] {
 		// Raw transactions never cross the wire (their op programs are
 		// compiled from closures): enter at the head dispatcher instead,
@@ -1058,8 +1068,8 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	}
 	p.CompileTime = sim.Time(o.CompileDelay.Nanoseconds())
 
-	// Enter the epoch only once compilation succeeded (enter re-checks
-	// closed, so a registration can never slip past Close's drain).
+	// Enter the plane only once compilation succeeded (entry re-reads
+	// the gate, so a registration can never slip past Close's drain).
 	ch, err := c.registerQueryID(ctx, qid, si)
 	if err != nil {
 		return nil, err
@@ -1078,10 +1088,10 @@ type queryWait struct {
 	shard int32
 }
 
-// registerQueryID enters the submission epoch (queries count toward the
-// same sharded in-flight accounting as transactions — a drain covers
-// both; their warehouse mask is the shared query bit, so partition
-// handoffs drain them too) and registers the completion channel for qid.
+// registerQueryID enters the submission plane (queries count toward the
+// same sharded in-flight accounting as transactions under the shared
+// query bit, which every drain gates) and registers the completion
+// channel for qid.
 func (c *Cluster) registerQueryID(ctx context.Context, qid core.QueryID, si int32) (chan *olap.QueryResult, error) {
 	if si < 0 {
 		si = c.shardIdx()
@@ -1228,10 +1238,14 @@ func (c *Cluster) onDone(ev *core.Event) {
 }
 
 // AddServer grows the cluster by one server (elasticity, §5) and returns
-// how many ACs it added. On a self-driving cluster the new ACs also join
-// the controller's placement pool, so AutoRebalance can migrate hot
-// partitions onto the fresh hardware.
+// how many ACs it added: cores of them, or none when cores < 1. On a
+// self-driving cluster the new ACs also join the controller's placement
+// pool, so AutoRebalance can migrate hot partitions onto the fresh
+// hardware.
 func (c *Cluster) AddServer(cores int) int {
+	if cores < 1 {
+		return 0
+	}
 	ids := c.eng.GrowServer(cores, c.asm.SetupAC)
 	if len(ids) > 0 && c.ownerCands.Load() != nil {
 		c.mu.Lock()
@@ -1260,8 +1274,8 @@ func (c *Cluster) ownerIdx(w int) int {
 // Rebalance performs a live elastic-repartitioning step: it migrates a
 // warehouse's partition ownership to the least-loaded AC of the target
 // server (excluding the current owner — on the owner's own server this
-// is an intra-server move). The handoff reuses the submission plane's
-// epoch gate at partition granularity: only work touching the moving
+// is an intra-server move). The handoff uses the submission plane's one
+// gate at partition granularity: only work touching the moving
 // warehouse (and analytical queries, whose scans run at the owners) is
 // briefly gated and drained; everything else keeps flowing. Once quiet,
 // storage hands the partition off and the new topology snapshot is
@@ -1318,12 +1332,13 @@ func (c *Cluster) Placement() []int {
 	return out
 }
 
-// moveWarehouse is the live SetOwner handoff shared by Rebalance and
-// the controller's Move decisions: publish a partition gate, drain the
-// in-flight work touching the warehouse, hand the storage partition to
-// the new owner, publish the topology snapshot, reopen. Serialized with
-// policy switches, Verify and Close under switchMu — but unlike those,
-// it never stops traffic on other partitions.
+// moveWarehouse is the live SetOwner handoff shared by Rebalance, the
+// controller's Move decisions and failover adoption: gate the
+// warehouse's bit plus the query bit, drain the in-flight work under
+// them, hand the storage partition to the new owner, publish the
+// topology snapshot, reopen. Serialized with policy switches, Verify
+// and Close under switchMu — but unlike those, it never stops traffic
+// on other partitions.
 func (c *Cluster) moveWarehouse(ctx context.Context, w int, dst core.ACID) error {
 	c.switchMu.Lock()
 	defer c.switchMu.Unlock()
@@ -1333,13 +1348,13 @@ func (c *Cluster) moveWarehouse(ctx context.Context, w int, dst core.ACID) error
 	if c.topo.Owner(w) == dst {
 		return nil
 	}
-	mask := whBit(w) | queryMask
-	g := &moveGate{mask: mask, reopen: make(chan struct{})}
-	c.gate.Store(g)
-	err := c.drainPartitionLocked(ctx, mask)
-	if err == nil && c.remoteACs != nil {
+	g, err := c.drainLocked(ctx, whBit(w)|queryMask)
+	if err != nil {
+		return err
+	}
+	if c.remoteACs != nil {
 		// Cross-process leg: ship the partition's live rows between
-		// processes (pull from a remote source, push to a remote
+		// processes (pull from a live remote source, push to a remote
 		// destination) and broadcast the ownership flip, all inside the
 		// same quiet window.
 		err = c.migratePartition(w, dst)
@@ -1351,8 +1366,7 @@ func (c *Cluster) moveWarehouse(ctx context.Context, w int, dst core.ACID) error
 		// snapshot, so the very next submission lands at the new owner.
 		c.topo.SetOwner(w, dst)
 	}
-	c.gate.Store(nil)
-	close(g.reopen)
+	c.reopenLocked(g, g.policy)
 	return err
 }
 
@@ -1543,25 +1557,23 @@ func (c *Cluster) applyDecision(d *adapt.Decision) {
 }
 
 // Verify checks the TPC-C consistency conditions over the current state.
-// It quiesces the cluster first — an epoch drain, exactly like a policy
-// switch: submissions arriving mid-verify briefly gate, in-flight work
-// completes, the check runs over a stable snapshot, and the plane
-// reopens under the unchanged policy. Concurrent with Close it waits
-// for Close's own final drain instead (the engine is stopped, so the
-// read is equally stable).
+// It quiesces the cluster first — a drain of every bit, exactly like a
+// policy switch: submissions arriving mid-verify briefly gate,
+// in-flight work completes, the check runs over a stable snapshot, and
+// the plane reopens under the unchanged policy. Concurrent with Close
+// it waits for Close's own final drain instead (the engine is stopped,
+// so the read is equally stable).
 func (c *Cluster) Verify() error {
 	c.switchMu.Lock()
 	if !c.closed.Load() {
-		e := c.sub.Load()
-		e.closed.Store(true)
-		if err := c.drainLocked(context.Background()); err == nil {
+		if g, err := c.drainLocked(context.Background(), c.allMask()); err == nil {
 			// On a multi-process cluster the check runs against the head
 			// database, so remote-owned partitions come home first.
 			verr := c.pullRemotePartitions()
 			if verr == nil {
 				_, verr = tpcc.Verify(c.db, c.cfg)
 			}
-			c.reopenLocked(e, e.policy)
+			c.reopenLocked(g, g.policy)
 			c.switchMu.Unlock()
 			return verr
 		}
@@ -1616,13 +1628,14 @@ func (c *Cluster) Close() {
 		<-c.closeDone
 		return
 	}
-	// Release every parked submitter and abort any in-progress policy
-	// switch (it observes closedCh, returns ErrClosed, and leaves the
-	// plane closed for us).
+	// Release every parked submitter and abort any in-progress drain
+	// (it observes closedCh, returns ErrClosed, and leaves its gate up
+	// for us), then gate every bit for good.
 	close(c.closedCh)
 	c.switchMu.Lock()
-	c.sub.Load().closed.Store(true)
-	for c.inflightCount() != 0 {
+	all := c.allMask()
+	c.plane.Store(&submitGate{mask: all})
+	for c.inflightOn(all) != 0 {
 		<-c.drainWake
 	}
 	c.switchMu.Unlock()

@@ -38,9 +38,48 @@ func TestOpenDefaults(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsTinyTopology: Open returns an error — never a panic,
+// and never a cluster whose first Verify fails — for a topology too
+// small to host the control roles or a database size the storage key
+// layout (12-bit warehouse, 8-bit district) cannot hold. The bounds
+// themselves still open clean.
 func TestOpenRejectsTinyTopology(t *testing.T) {
-	if _, err := anydb.Open(anydb.Config{Servers: 1}); err == nil {
-		t.Fatal("1-server cluster accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  anydb.Config
+	}{
+		{"Servers=1", anydb.Config{Servers: 1}},
+		// CoresPerServer < 4 used to panic indexing the control server's
+		// role ACs.
+		{"CoresPerServer=1", anydb.Config{CoresPerServer: 1}},
+		{"CoresPerServer=2", anydb.Config{CoresPerServer: 2}},
+		{"CoresPerServer=3", anydb.Config{CoresPerServer: 3}},
+		{"Warehouses=-1", anydb.Config{Warehouses: -1}},
+		{"Warehouses=4097", anydb.Config{Warehouses: 4097}},
+		{"Districts=-2", anydb.Config{Districts: -2}},
+		{"Districts=256", anydb.Config{Districts: 256}},
+		{"Districts=300", anydb.Config{Warehouses: 2, Districts: 300}},
+		{"CustomersPerDistrict=-5", anydb.Config{CustomersPerDistrict: -5}},
+		{"Items=-1", anydb.Config{Items: -1}},
+		{"InitialOrdersPerDist=-3", anydb.Config{InitialOrdersPerDist: -3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if c, err := anydb.Open(tc.cfg); err == nil {
+				c.Close()
+				t.Fatalf("%+v accepted", tc.cfg)
+			}
+		})
+	}
+	c, err := anydb.Open(anydb.Config{
+		CoresPerServer: 4, Warehouses: 2, Districts: 255,
+		CustomersPerDistrict: 4, InitialOrdersPerDist: 2, Items: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Verify(); err != nil {
+		t.Fatalf("255 districts: %v", err)
 	}
 }
 
@@ -152,6 +191,19 @@ func TestPolicySwitchUnderLoad(t *testing.T) {
 		if err := c.SetPolicy(bg, pol); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// A value outside Policies() is refused, not run as an unnamed
+	// hybrid, and the cluster keeps serving under the last policy.
+	for _, pol := range []anydb.Policy{-1, anydb.Policy(len(anydb.Policies())), 9} {
+		if err := c.SetPolicy(bg, pol); err == nil {
+			t.Fatalf("SetPolicy(%d) accepted", int(pol))
+		}
+	}
+	if ok, err := c.Payment(anydb.Payment{Warehouse: 0, District: 1, Customer: 1, Amount: 2}); err != nil || !ok {
+		t.Fatalf("payment after refused switches: ok=%v err=%v", ok, err)
 	}
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)
@@ -558,6 +610,19 @@ func TestAddServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A server without cores adds nothing: no panic, and no empty
+	// server left to strand the query planner.
+	for _, cores := range []int{0, -3} {
+		if n := c.AddServer(cores); n != 0 {
+			t.Fatalf("AddServer(%d) = %d, want 0", cores, n)
+		}
+	}
+	if c.Stats().Servers != 2 {
+		t.Fatalf("AddServer without cores grew the cluster to %d servers", c.Stats().Servers)
+	}
+	if n, err := c.OpenOrders(bg); err != nil || n != before {
+		t.Fatalf("query after a refused AddServer: %d, %v (want %d)", n, err, before)
+	}
 	if n := c.AddServer(4); n != 4 {
 		t.Fatalf("AddServer = %d", n)
 	}
@@ -855,21 +920,6 @@ func TestSQLQueryErrors(t *testing.T) {
 	if !errors.Is(err, anydb.ErrNoRows) {
 		t.Fatalf("err = %v, want ErrNoRows", err)
 	}
-}
-
-func TestOpenRejectsTinyCores(t *testing.T) {
-	// Regression: CoresPerServer < 4 used to panic indexing the control
-	// server's role ACs instead of returning an error.
-	for _, cores := range []int{1, 2, 3} {
-		if _, err := anydb.Open(anydb.Config{CoresPerServer: cores}); err == nil {
-			t.Fatalf("CoresPerServer=%d accepted", cores)
-		}
-	}
-	c, err := anydb.Open(anydb.Config{CoresPerServer: 4, Warehouses: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
 }
 
 // TestOpenRejectsUnknownDurability: a Durability value other than Off and

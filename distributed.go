@@ -192,19 +192,8 @@ func (c *Cluster) pushReplayedPartitions() error {
 		if !c.isRemote(owner) {
 			continue
 		}
-		m := c.memberOf(owner)
-		if m == nil {
-			return fmt.Errorf("anydb: no member connection for AC %d", owner)
-		}
-		tables := transport.SnapshotPartition(c.db, w)
-		v, err := c.rpc(m, func(ref uint64) any { return &transport.PartInstall{Ref: ref, W: w, Tables: tables} })
-		if err != nil {
+		if err := c.pushPartition(owner, w); err != nil {
 			return err
-		}
-		if ack, ok := v.(*transport.PartAck); !ok {
-			return fmt.Errorf("anydb: partition %d: unexpected rpc reply %T", w, v)
-		} else if ack.Err != "" {
-			return fmt.Errorf("anydb: partition %d install on member %d: %s", w, m.server, ack.Err)
 		}
 	}
 	return nil
@@ -406,43 +395,21 @@ func (c *Cluster) deadMsg(msg any) {
 }
 
 // adoptPartitions pulls every partition the dead member owned home to
-// the head's executors, one drained quiet window per partition: gate
+// the head's executors, one moveWarehouse handoff per partition: gate
 // overlapping submissions, wait for the in-flight count on the
 // warehouse to hit zero (failTransit already resolved everything that
-// involved the dead member, so it drains), flip ownership, broadcast.
+// involved the dead member, so it drains), flip ownership and tell the
+// connected members. The head's copy becomes live — migratePartition
+// pulls nothing from a member marked down.
 func (c *Cluster) adoptPartitions(m *member) {
 	execs := c.asm.Lay.Execs
 	for w := 0; w < c.cfg.Warehouses; w++ {
-		owner := c.topo.Owner(w)
-		if c.topo.ServerOf(owner) != m.server {
-			continue
-		}
-		c.adoptPartition(w, execs[w%len(execs)], m)
-	}
-}
-
-func (c *Cluster) adoptPartition(w int, dst core.ACID, dead *member) {
-	c.switchMu.Lock()
-	defer c.switchMu.Unlock()
-	if c.closed.Load() {
-		return
-	}
-	mask := whBit(w) | queryMask
-	g := &moveGate{mask: mask, reopen: make(chan struct{})}
-	c.gate.Store(g)
-	if err := c.drainPartitionLocked(context.Background(), mask); err == nil {
-		// The head's copy becomes live; OwnerUpdate reroutes surviving
-		// members.
-		c.topo.SetOwner(w, dst)
-		for _, other := range c.peers {
-			if other == dead || other.down.Load() {
-				continue
-			}
-			_ = other.peer.WriteControl(&transport.OwnerUpdate{W: w, AC: int(dst)})
+		if c.topo.ServerOf(c.topo.Owner(w)) == m.server {
+			// Nobody waits on adoption: only Close racing it fails the
+			// move, and then nothing routes again anyway.
+			_ = c.moveWarehouse(context.Background(), w, execs[w%len(execs)])
 		}
 	}
-	c.gate.Store(nil)
-	close(g.reopen)
 }
 
 // remoteMsg relays one decoded inbound message into the local engine.
@@ -554,44 +521,58 @@ func (c *Cluster) pullPartition(m *member, w int) error {
 	return transport.InstallPartition(c.db, w, snap.Tables)
 }
 
+// pushPartition installs the head's copy of partition w on the member
+// hosting AC owner.
+func (c *Cluster) pushPartition(owner core.ACID, w int) error {
+	m := c.memberOf(owner)
+	if m == nil {
+		return fmt.Errorf("anydb: no member connection for AC %d", owner)
+	}
+	tables := transport.SnapshotPartition(c.db, w)
+	v, err := c.rpc(m, func(ref uint64) any { return &transport.PartInstall{Ref: ref, W: w, Tables: tables} })
+	if err != nil {
+		return err
+	}
+	ack, ok := v.(*transport.PartAck)
+	if !ok {
+		return fmt.Errorf("anydb: partition %d: unexpected rpc reply %T", w, v)
+	}
+	if ack.Err != "" {
+		return fmt.Errorf("anydb: partition %d install on member %d: %s", w, m.server, ack.Err)
+	}
+	return nil
+}
+
 // migratePartition is the cross-process leg of moveWarehouse, running
 // inside the drained quiet window: pull the live rows home when the
-// source owner is remote, push the fresh copy out when the destination
-// is, then broadcast the ownership flip so every process's topology
-// snapshot reroutes identically. The caller flips the head's own
-// topology afterwards.
+// source owner is a live member, push the fresh copy out when the
+// destination is remote, then broadcast the ownership flip so each
+// connected member's topology snapshot reroutes identically. A member
+// marked down is not pulled from (the head's copy is the surviving
+// replica). The caller flips the head's own topology afterwards.
 func (c *Cluster) migratePartition(w int, dst core.ACID) error {
 	if src := c.topo.Owner(w); c.isRemote(src) {
 		m := c.memberOf(src)
 		if m == nil {
 			return fmt.Errorf("anydb: no member connection for AC %d", src)
 		}
-		if err := c.pullPartition(m, w); err != nil {
-			return err
+		if !m.down.Load() {
+			if err := c.pullPartition(m, w); err != nil {
+				return err
+			}
 		}
 	}
 	if c.isRemote(dst) {
-		m := c.memberOf(dst)
-		if m == nil {
-			return fmt.Errorf("anydb: no member connection for AC %d", dst)
-		}
-		tables := transport.SnapshotPartition(c.db, w)
-		v, err := c.rpc(m, func(ref uint64) any { return &transport.PartInstall{Ref: ref, W: w, Tables: tables} })
-		if err != nil {
+		if err := c.pushPartition(dst, w); err != nil {
 			return err
-		}
-		ack, ok := v.(*transport.PartAck)
-		if !ok {
-			return fmt.Errorf("anydb: partition %d: unexpected rpc reply %T", w, v)
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("anydb: partition %d install on member %d: %s", w, m.server, ack.Err)
 		}
 	}
 	for _, m := range c.peers {
-		if err := m.peer.WriteControl(&transport.OwnerUpdate{W: w, AC: int(dst)}); err != nil {
-			return err
-		}
+		// A member whose connection is broken (down, or inside its
+		// grace window) misses the update. Nothing on a member reads
+		// partition owners today: raw transactions enter at the head's
+		// dispatcher, and queries are planned on the head.
+		_ = m.peer.WriteControl(&transport.OwnerUpdate{W: w, AC: int(dst)})
 	}
 	return nil
 }

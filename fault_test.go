@@ -3,7 +3,7 @@ package anydb_test
 // Transport fault tolerance: member death and reconnection. A member
 // process dying mid-load must not wedge the head — in-flight futures
 // against it resolve with ErrMemberDown (typed, never hung), its
-// partitions are pulled home inside a routing epoch, and subsequent
+// partitions are pulled home through the submission gate, and subsequent
 // submissions, sessions and queries succeed. A member whose CONNECTION
 // drops (but whose process survives) redials within the grace window
 // and resumes.
@@ -16,6 +16,10 @@ package anydb_test
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,6 +166,273 @@ func TestMemberDeathFailover(t *testing.T) {
 	if districts != 8*2 {
 		t.Fatalf("district count = %d, want 16", districts)
 	}
+}
+
+// TestMemberDeathThenRebalance: once a dead member's partitions are
+// home, live repartitioning keeps working — the handoff neither pulls
+// from nor announces to the dead member. No traffic reaches the member
+// before it dies, so the head's copy is complete and Verify must be
+// clean.
+func TestMemberDeathThenRebalance(t *testing.T) {
+	addr := freeAddr(t)
+	memberCtx, killMember := context.WithCancel(context.Background())
+	defer killMember()
+	nodeErr := make(chan error, 1)
+	go func() { nodeErr <- anydb.ServeNode(memberCtx, addr) }()
+
+	c, err := anydb.Open(faultCfg(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	killMember()
+	select {
+	case <-nodeErr:
+	case <-time.After(10 * time.Second):
+		t.Fatal("member did not exit after its context was canceled")
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for slices.Contains(c.Placement(), 2) {
+		if time.Now().After(deadline) {
+			t.Fatalf("partitions still on dead member: placement %v", c.Placement())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Move a warehouse between the two head servers, then back.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const w = 0
+	for range 2 {
+		from := c.Placement()[w]
+		to := 1 - from
+		if err := c.Rebalance(ctx, w, to); err != nil {
+			t.Fatalf("Rebalance(w%d, server %d) after member death: %v", w, to, err)
+		}
+		if got := c.Placement()[w]; got != to {
+			t.Fatalf("w%d on server %d after Rebalance to %d", w, got, to)
+		}
+		if committed, err := c.Payment(anydb.Payment{
+			Warehouse: w, District: 1, Customer: 1, Amount: 1,
+		}); err != nil || !committed {
+			t.Fatalf("payment after move: committed=%v err=%v", committed, err)
+		}
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemberDeathWhileSiblingCutOff: one network fault breaks two
+// members' connections — member B's process is gone, member A's link
+// heals inside its grace window. B's adoption must not wait on A: its
+// partitions come home while A is still cut off (A misses the
+// ownership broadcast). After A rejoins, its partitions are still its
+// own, and a payment spanning A's warehouse and one of B's adopted ones
+// commits.
+func TestMemberDeathWhileSiblingCutOff(t *testing.T) {
+	addr := freeAddr(t)
+	proxyA := newCutProxy(t, addr)
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	ctxB, killB := context.WithCancel(context.Background())
+	defer killB()
+	errA := make(chan error, 1)
+	errB := make(chan error, 1)
+	go func() { errA <- anydb.ServeNode(ctxA, proxyA.Addr()) }()
+	go func() {
+		// Join after A, so A holds server slot 2 and B slot 3.
+		<-proxyA.linked
+		errB <- anydb.ServeNode(ctxB, addr)
+	}()
+
+	const grace = 2 * time.Second
+	cfg := faultCfg(addr)
+	// One warehouse per AC: four head executors, four ACs per member.
+	cfg.Warehouses, cfg.RemoteServers = 12, 2
+	cfg.MemberGrace = grace
+	c, err := anydb.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	aW, bW := slices.Index(c.Placement(), 2), slices.Index(c.Placement(), 3)
+	if aW < 0 || bW < 0 {
+		t.Fatalf("placement %v: each member must own a warehouse", c.Placement())
+	}
+	ctx := context.Background()
+	pay := func(p anydb.Payment) (bool, error) {
+		f, err := c.SubmitPayment(ctx, p)
+		if err != nil {
+			return false, err
+		}
+		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		return f.Wait(wctx)
+	}
+	home := anydb.Payment{Warehouse: aW, District: 1, Customer: 1, Amount: 1}
+	if committed, err := pay(home); err != nil || !committed {
+		t.Fatalf("payment on member A: committed=%v err=%v", committed, err)
+	}
+
+	// B dies; halfway through its grace A's link is cut, so when B's
+	// grace expires A is still inside its own.
+	killB()
+	select {
+	case <-errB:
+	case <-time.After(10 * time.Second):
+		t.Fatal("member B did not exit after its context was canceled")
+	}
+	time.Sleep(grace / 2)
+	proxyA.cut()
+	deadline := time.Now().Add(3 * grace)
+	for slices.Contains(c.Placement(), 3) {
+		if time.Now().After(deadline) {
+			t.Fatalf("B's partitions never came home while A was cut off: placement %v", c.Placement())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := c.Placement()[aW]; got != 2 {
+		t.Fatalf("w%d on server %d: A was declared down before its link healed", aW, got)
+	}
+	proxyA.heal()
+
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		committed, err := pay(home)
+		if err == nil && committed {
+			break
+		}
+		if err != nil && !errors.Is(err, anydb.ErrMemberDown) {
+			t.Fatalf("payment while A rejoins: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("member A never rejoined: committed=%v err=%v", committed, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := c.Placement()[aW]; got != 2 {
+		t.Fatalf("w%d moved to server %d — A rejoined in its grace window", aW, got)
+	}
+	remote := home
+	remote.CustomerWarehouse, remote.CustomerDistrict = bW, 1
+	if committed, err := pay(remote); err != nil || !committed {
+		t.Fatalf("payment from w%d for a customer on B's former w%d: committed=%v err=%v", aW, bW, committed, err)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	select {
+	case err := <-errA:
+		if err != nil {
+			t.Fatalf("member A exited with %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("member A did not shut down after Close")
+	}
+}
+
+// cutProxy relays a member's connections to the head. cut closes every
+// relayed connection and holds new ones until heal, so the member's
+// redials hang instead of failing: a network partition that heals when
+// the test says.
+type cutProxy struct {
+	ln     net.Listener
+	head   string
+	linked chan struct{} // closed once the first connection reaches the head
+	done   chan struct{}
+	mu     sync.Mutex
+	up     chan struct{} // closed while the link is up
+	conns  []net.Conn
+}
+
+func newCutProxy(t *testing.T, head string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{
+		ln: ln, head: head,
+		linked: make(chan struct{}), done: make(chan struct{}), up: make(chan struct{}),
+	}
+	close(p.up)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go p.relay(conn)
+		}
+	}()
+	t.Cleanup(func() {
+		close(p.done)
+		ln.Close()
+		p.cut()
+	})
+	return p
+}
+
+func (p *cutProxy) Addr() string { return p.ln.Addr().String() }
+
+// relay waits for the link to be up, dials the head (retrying until
+// Open listens) and copies both ways. A cut that lands between the wait
+// and the dial sends it back to waiting.
+func (p *cutProxy) relay(conn net.Conn) {
+	for {
+		p.mu.Lock()
+		up := p.up
+		p.mu.Unlock()
+		select {
+		case <-up:
+		case <-p.done:
+			conn.Close()
+			return
+		}
+		head, err := net.Dial("tcp", p.head)
+		if err != nil {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		p.mu.Lock()
+		if p.up != up {
+			p.mu.Unlock()
+			head.Close()
+			continue
+		}
+		select {
+		case <-p.linked:
+		default:
+			close(p.linked)
+		}
+		p.conns = append(p.conns, conn, head)
+		p.mu.Unlock()
+		go func() { io.Copy(head, conn); head.Close(); conn.Close() }()
+		go func() { io.Copy(conn, head); conn.Close(); head.Close() }()
+		return
+	}
+}
+
+func (p *cutProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.up:
+		p.up = make(chan struct{})
+	default: // already cut
+	}
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.conns = nil
+}
+
+func (p *cutProxy) heal() {
+	p.mu.Lock()
+	close(p.up)
+	p.mu.Unlock()
 }
 
 // TestSessionAcrossMemberDeath pins the session story across a fault:

@@ -16,9 +16,9 @@ var ErrSessionClosed = errors.New("anydb: session closed")
 // goroutine per call to pick the in-flight shard; a Session picks its
 // shard once (round-robin over the shard set, so concurrent sessions
 // spread across the counters) and from there runs the very same
-// submission path. Epoch transitions (SetPolicy, Rebalance) and gated
-// partition moves park and resume a session's submissions exactly like
-// anyone else's.
+// submission path. The submission gate (SetPolicy, Rebalance, Verify)
+// parks and resumes a session's submissions exactly like anyone
+// else's.
 //
 // A Session is NOT safe for concurrent use: calls on it must come from
 // one goroutine at a time. The Futures it issues are ordinary futures —
