@@ -68,8 +68,10 @@ bench-check:
 # (BenchmarkJoinProbe: table lookups, match gather, output emission),
 # one pass of a dictionary-grouped COUNT+SUM registration through its
 # partial batch (BenchmarkGroupedPass: dense fold, finish, the group
-# table back to its pool) and one ~8 k-row hash-join build released to
-# its pool (BenchmarkJoinBuild) must report exactly 0 allocs/op.
+# table back to its pool), the same pass after one c_balance write in
+# every chunk (BenchmarkStaleChunkPass: the one stale column re-encoded
+# into its vector's capacity) and one ~8 k-row hash-join build released
+# to its pool (BenchmarkJoinBuild) must report exactly 0 allocs/op.
 # Fixed iteration counts keep
 # the gate reproducible on any machine; the payment path runs 100000x
 # so cold-pool warm-up amortizes below the integer allocs/op floor (a
@@ -77,10 +79,10 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkGroupedPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
 	printf '%s\n%s\n' "$$out1" "$$out2"; \
-	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 7) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 7"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, grouped-pass and join-build hot paths"
+	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 8) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 8"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, grouped-pass, stale-chunk-pass and join-build hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

@@ -103,6 +103,33 @@ func BenchmarkGroupedPass(b *testing.B) {
 	})
 }
 
+// BenchmarkStaleChunkPass is BenchmarkGroupedPass behind a stream of
+// payments: each op first writes c_balance once in every chunk, as a
+// payment does, then runs the grouped pass, which re-encodes only that
+// column of each chunk before folding it. It must report 0 allocs/op:
+// a column re-encodes into the capacity its vector already has.
+//
+//	go test -bench StaleChunkPass -benchmem ./internal/olap
+func BenchmarkStaleChunkPass(b *testing.B) {
+	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	cust := db.Partition(0).TableByID(tpcc.TCustomerID)
+	paid := 0.0
+	benchScanPasses(b, db, &SharedScanSpec{
+		Query: 1, Table: tpcc.TCustomerID, Part: 0,
+		GroupBy: []string{"c_state"}, DictGroups: true,
+		Aggs: []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
+		Out:  7, To: 1, Producers: 1,
+	}, func() {
+		paid++
+		for ci := range cust.NumColChunks() {
+			cust.UpdateAt(int32(ci<<storage.ColChunkShift), tpcc.ColCBalance, storage.Float(-paid))
+		}
+	})
+}
+
 // BenchmarkJoinBuild measures the steady-state allocation cost of a
 // hash join's build: one op inserts about 8 k build rows (two per key,
 // so every key heads a chain) into a pooled table and releases it, as a
@@ -132,8 +159,8 @@ func BenchmarkJoinBuild(b *testing.B) {
 }
 
 // benchScanPasses times one full pass of the registration spec per op,
-// over db's partition spec.Part.
-func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
+// over db's partition spec.Part, each after the optional writes.
+func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, writes ...func()) {
 	w := &Worker{DB: db}
 	ctx := &flushSink{costs: sim.DefaultCosts()}
 	drive := func(ev *core.Event) {
@@ -163,6 +190,9 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		for _, write := range writes {
+			write()
+		}
 		// Each pass draws a fresh pooled continuation, as a new query's
 		// install event does: the cursor frees it when the pass ends (its
 		// death point), so reusing one event across passes would be a

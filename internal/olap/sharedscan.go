@@ -296,8 +296,9 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
-	spec *SharedScanSpec
-	set  *filterSet // the compiled filters, shared with equal lists
+	spec  *SharedScanSpec
+	set   *filterSet     // the compiled filters, shared with equal lists
+	reads storage.ColSet // every chunk column the registration reads
 
 	// Pass window: the registration joined at some chunk and detaches
 	// after `total` chunks (the chunk count at attach — chunks appended
@@ -451,6 +452,16 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		}
 	}
 	r.set = ss.filterSet(t.Schema, spec.Filters)
+	for _, p := range r.set.preds {
+		r.reads |= 1 << p.col
+	}
+	for _, cols := range [][]int{r.outIdx, r.keyIdx, r.groupIdx, r.aggIdx} {
+		for _, c := range cols {
+			if c >= 0 { // aggIdx is -1 for COUNT(*)
+				r.reads |= 1 << c
+			}
+		}
+	}
 	ss.regs = append(ss.regs, r)
 	if !idle {
 		core.FreeEvent(ev) // a continuation is already circulating
@@ -486,6 +497,14 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 		ss.cursor = 0
 	}
 	ci := ss.cursor
+	// The chunk is fetched with the columns the registrations due at it
+	// read: a column none of them reads is never re-encoded.
+	var need storage.ColSet
+	for _, r := range ss.regs {
+		if r.next == ci {
+			need |= r.reads
+		}
+	}
 	costs := ctx.Costs()
 	var chunk *storage.EncChunk
 	for i := 0; i < len(ss.regs); {
@@ -497,7 +516,7 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 		if chunk == nil {
 			// The chunk fetch and the per-row scan charge are shared:
 			// paid once however many registrations ride this pass.
-			chunk = t.ColChunk(ci)
+			chunk = t.ColChunkCols(ci, need)
 			ctx.Charge(costs.ScanRow * sim.Time(chunk.Len()))
 			ss.steps++
 		}

@@ -335,3 +335,135 @@ func b2i(b bool) int64 {
 	}
 	return 0
 }
+
+// TestSharedScanReadSet pins the scan's read set on populated customer
+// partitions. A grouped pass encodes c_state and c_balance; then
+// payment-shaped writes (c_balance, c_ytd_payment, c_payment_cnt,
+// c_data) land in every chunk, and a GROUP BY c_state COUNT(*),
+// SUM(c_balance) pass and a join-key-filtered streaming pass share the
+// cursor. Both must equal a naive fold over the row heap, and the
+// string columns no pass reads must never have been encoded: their
+// dictionaries stay nil.
+func TestSharedScanReadSet(t *testing.T) {
+	h := newSharedHarness(t)
+	aggs := []olap.AggExpr{{Fn: olap.AggCount}, {Fn: olap.AggSum, Col: "c_balance"}}
+	installGroup := func(qid core.QueryID, at sim.Time) {
+		out := core.StreamID(uint64(qid) * 64)
+		for w := 0; w < h.cfg.Warehouses; w++ {
+			h.cl.Inject(h.topo.Owner(w), &core.Event{Kind: core.EvInstallOp, Query: qid,
+				Payload: &olap.SharedScanSpec{Query: qid, Table: tpcc.TCustomerID, Part: w,
+					GroupBy: []string{"c_state"}, Aggs: aggs, DictGroups: true,
+					Out: out, To: h.sinkAC, Producers: h.cfg.Warehouses}}, at)
+		}
+		h.cl.Inject(h.sinkAC, &core.Event{Kind: core.EvInstallOp, Query: qid,
+			Payload: &olap.SinkSpec{Query: qid, In: out, GroupBy: []string{"c_state"}, Aggs: aggs,
+				MergePartials: true, OutCols: []string{"c_state", "count", "sum"},
+				OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat},
+				OutSrc:   []int{0, 1, 2}, Limit: -1, Notify: core.ClientAC}}, at)
+	}
+	type group struct {
+		n   int64
+		sum float64
+	}
+	checkGroups := func(qid core.QueryID) {
+		t.Helper()
+		want := map[string]group{}
+		for w := 0; w < h.cfg.Warehouses; w++ {
+			tab := h.db.Partition(w).TableByID(tpcc.TCustomerID)
+			state := tab.Schema.MustCol("c_state")
+			tab.Scan(func(_ int32, r storage.Row) bool {
+				g := want[r[state].S]
+				g.n++
+				g.sum += r[tpcc.ColCBalance].F
+				want[r[state].S] = g
+				return true
+			})
+		}
+		got := map[string]group{}
+		for _, b := range h.results[qid].Batches {
+			for i := 0; i < b.Len(); i++ {
+				got[b.Value(i, 0).S] = group{b.Value(i, 1).I, b.Value(i, 2).F}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d groups, want %d", qid, len(got), len(want))
+		}
+		for s, g := range want {
+			if got[s] != g {
+				t.Fatalf("query %d group %q = %+v, heap %+v", qid, s, got[s], g)
+			}
+		}
+	}
+	installGroup(1, 0)
+	h.cl.Run()
+	checkGroups(1)
+
+	// Payment-shaped writes in every chunk of every partition. Whole
+	// amounts keep the float sums exact in any fold order.
+	for w := 0; w < h.cfg.Warehouses; w++ {
+		tab := h.db.Partition(w).TableByID(tpcc.TCustomerID)
+		data := tab.Schema.MustCol("c_data")
+		for slot := int32(w); int(slot) < tab.Rows(); slot += 97 {
+			r, amt := tab.RowAt(slot), float64(1+slot%50)
+			tab.UpdateAt(slot, tpcc.ColCBalance, storage.Float(r[tpcc.ColCBalance].F-amt))
+			tab.UpdateAt(slot, tpcc.ColCYtdPayment, storage.Float(r[tpcc.ColCYtdPayment].F+amt))
+			tab.UpdateAt(slot, tpcc.ColCPaymentCnt, storage.Int(r[tpcc.ColCPaymentCnt].I+1))
+			tab.UpdateAt(slot, data, storage.Str(fmt.Sprintf("paid %v | %s", amt, r[data].S)))
+		}
+	}
+
+	// The second grouped pass and, on warehouse 0, a streaming pass whose
+	// join-key filter admits the district-1 customers c_id ≡ 0 (mod 7).
+	// The keys' c_w_id column is read by the filter alone.
+	at := h.cl.Sched.Now()
+	installGroup(2, at)
+	var keys [][]int64
+	for c := int64(7); c <= int64(h.cfg.Customers); c += 7 {
+		keys = append(keys, []int64{0, 1, c})
+	}
+	cols := []string{"c_d_id", "c_id", "c_balance", "c_payment_cnt"}
+	h.cl.Inject(h.topo.Owner(0), &core.Event{Kind: core.EvInstallOp, Query: 3,
+		Payload: &olap.SharedScanSpec{Query: 3, Table: tpcc.TCustomerID, Part: 0, Cols: cols,
+			Keys: olap.KeyFilterOf([]string{"c_w_id", "c_d_id", "c_id"}, keys),
+			Out:  3 * 64, To: h.sinkAC, Producers: 1}}, at)
+	h.cl.Inject(h.sinkAC, &core.Event{Kind: core.EvInstallOp, Query: 3,
+		Payload: &olap.SinkSpec{Query: 3, In: 3 * 64, Cols: cols, OutCols: cols,
+			OutKinds: []storage.Kind{storage.KInt, storage.KInt, storage.KFloat, storage.KInt},
+			Limit:    -1, Notify: core.ClientAC}}, at)
+	h.cl.Run()
+	checkGroups(2)
+
+	// Every keyed customer is shipped, and every shipped row — a filter
+	// false positive included — carries the heap's current values.
+	tab := h.db.Partition(0).TableByID(tpcc.TCustomerID)
+	shipped := map[[2]int64]bool{}
+	for _, b := range h.results[3].Batches {
+		for i := 0; i < b.Len(); i++ {
+			d, c := b.Value(i, 0).I, b.Value(i, 1).I
+			slot, ok := tab.Lookup(storage.MakeKey(0, int(d), c))
+			if !ok {
+				t.Fatalf("shipped customer (0, %d, %d) is not in the heap", d, c)
+			}
+			r := tab.RowAt(slot)
+			if b.Value(i, 2).F != r[tpcc.ColCBalance].F || b.Value(i, 3).I != r[tpcc.ColCPaymentCnt].I {
+				t.Fatalf("customer (0, %d, %d) shipped (%v, %v), heap (%v, %v)", d, c,
+					b.Value(i, 2), b.Value(i, 3), r[tpcc.ColCBalance], r[tpcc.ColCPaymentCnt])
+			}
+			shipped[[2]int64{d, c}] = true
+		}
+	}
+	for _, k := range keys {
+		if !shipped[[2]int64{k[1], k[2]}] {
+			t.Fatalf("keyed customer %v was not shipped", k)
+		}
+	}
+
+	for w := 0; w < h.cfg.Warehouses; w++ {
+		tab := h.db.Partition(w).TableByID(tpcc.TCustomerID)
+		for _, col := range []string{"c_first", "c_last", "c_credit", "c_data"} {
+			if tab.Dict(tab.Schema.MustCol(col)) != nil {
+				t.Errorf("partition %d: %s, which no pass reads, was encoded", w, col)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package storage
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Columnar chunk cache: the scan-side storage layout behind the shared
 // analytical scans (Vertica's projection store, scaled to this repo's
@@ -19,11 +22,17 @@ import "math"
 //   - EncRaw: the plain typed vector when neither encoding pays
 //     (floats, sealed dictionaries with a wide value range).
 //
-// Consistency is version-based: every heap write stamps the chunk it
-// touches (markColDirty, a shift + bounds check + increment — nothing
-// the 0-alloc OLTP path can feel), and ColChunk rebuilds a chunk only
-// when its cached build is stale. Dictionaries assign codes append-only,
-// so chunks built at different dictionary generations stay mutually
+// Consistency is per column. Each chunk keeps one fresh bit per column
+// whose encoded vector matches the heap, plus a flag saying its live-slot
+// list does. A heap write clears only what it changed (staleCol,
+// staleChunk: a shift, a bounds check and a mask — nothing the 0-alloc
+// OLTP path can feel): UpdateAt clears its column's bit; Insert, Append,
+// Delete and AbortAppend clear every bit and the flag. A scan fetches
+// the columns it reads (ColChunkCols): the live slots are recounted only
+// when the flag is down, and only the stale columns of the read set are
+// re-encoded, so a column no scan reads is never encoded and its
+// dictionary never built. Dictionaries assign codes append-only, so
+// columns encoded at different dictionary generations stay mutually
 // consistent. Single ownership does the rest: the partition's owner AC
 // is the only reader and the only writer, so no locking is needed, and
 // the cache travels with the partition on a live handoff like every
@@ -94,31 +103,52 @@ func (v *EncVec) Value(i int) Value {
 
 // EncChunk is one cached columnar mirror of a heap slot range, in
 // encoded form. It is owned by the table: readers must not mutate or
-// retain it past the next table write.
+// retain it past the next table write, and may read only the columns
+// they fetched it with — the others can hold an older image, or nothing.
 type EncChunk struct {
 	Schema *Schema
 	Cols   []EncVec
-	n      int
+	slots  []int32 // the range's live heap slots, in order: row i is slots[i]
 }
 
 // Len returns the chunk's live-row count (tombstones are skipped).
-func (c *EncChunk) Len() int { return c.n }
+func (c *EncChunk) Len() int { return len(c.slots) }
 
-// colChunk is one chunk-cache entry. version counts writes into the
-// range; built records the version the cached chunk was built at (valid
-// iff chunk != nil && built == version).
+// ColSet is a set of a table's columns, one bit per column position: the
+// columns a scan reads, or those of a chunk whose encoding is fresh.
+type ColSet uint64
+
+// maxCols is the widest schema a table accepts: one ColSet bit a column.
+const maxCols = 64
+
+// allCols is the set of a schema's n columns. A shift by 64 yields 0 for
+// an unsigned value, so n = maxCols gives every bit.
+func allCols(n int) ColSet { return ColSet(1)<<n - 1 }
+
+// colChunk is one chunk-cache entry: the chunk (nil until first fetched),
+// the columns whose encoded vector matches the heap, and whether its
+// live-slot list does. A write that changes the slot list clears every
+// fresh bit too, so slotsOK false implies fresh == 0.
 type colChunk struct {
-	version uint32
-	built   uint32
+	fresh   ColSet
+	slotsOK bool
 	chunk   *EncChunk
 }
 
-// markColDirty stamps the chunk covering slot as stale. Called on every
-// heap write; must stay allocation-free and branch-cheap.
-func (t *Table) markColDirty(slot int32) {
-	ci := int(slot >> ColChunkShift)
-	if ci < len(t.colChunks) {
-		t.colChunks[ci].version++
+// staleCol marks column col of the chunk covering slot stale (an
+// in-place cell update). Called on every UpdateAt; must stay
+// allocation-free and branch-cheap.
+func (t *Table) staleCol(slot int32, col int) {
+	if ci := int(slot >> ColChunkShift); ci < len(t.colChunks) {
+		t.colChunks[ci].fresh &^= 1 << col
+	}
+}
+
+// staleChunk marks the chunk covering slot wholly stale — its live slots
+// and every column — on a write that adds or removes a row.
+func (t *Table) staleChunk(slot int32) {
+	if ci := int(slot >> ColChunkShift); ci < len(t.colChunks) {
+		t.colChunks[ci].fresh, t.colChunks[ci].slotsOK = 0, false
 	}
 }
 
@@ -153,11 +183,20 @@ func (t *Table) Dict(col int) *Dict {
 	return t.dicts[col]
 }
 
-// ColChunk returns the encoded columnar mirror of chunk ci, rebuilding
-// it from the row heap if it was never built or a write landed in its
-// range. The returned chunk is owned by the table: callers must not
-// mutate, free, or retain it past the next table write.
+// ColChunk returns the encoded columnar mirror of chunk ci with every
+// column current: ColChunkCols over the whole schema.
 func (t *Table) ColChunk(ci int) *EncChunk {
+	return t.ColChunkCols(ci, allCols(t.Schema.NumCols()))
+}
+
+// ColChunkCols returns the encoded columnar mirror of chunk ci with the
+// columns of need current. It recounts the range's live slots only if a
+// row was added or removed since the last fetch, and re-encodes from the
+// row heap only the columns of need a write staled (or never built).
+// Columns outside need are left as they are. The returned chunk is owned
+// by the table: callers must not mutate, free, or retain it past the
+// next table write, and may read only the columns of need.
+func (t *Table) ColChunkCols(ci int, need ColSet) *EncChunk {
 	if ci >= len(t.colChunks) {
 		if ci >= cap(t.colChunks) {
 			grown := make([]colChunk, ci+1, max(2*cap(t.colChunks), ci+1))
@@ -168,54 +207,60 @@ func (t *Table) ColChunk(ci int) *EncChunk {
 		}
 	}
 	c := &t.colChunks[ci]
-	if c.chunk != nil && c.built == c.version {
+	stale := need &^ c.fresh
+	if stale == 0 && c.slotsOK {
 		return c.chunk
 	}
 	ch := c.chunk
 	if ch == nil {
 		ch = &EncChunk{Schema: t.Schema, Cols: make([]EncVec, t.Schema.NumCols())}
+		c.chunk = ch
 	}
-
-	// Live slots of the range, collected once so each column encodes in
-	// a tight typed loop (scratch reused across rebuilds).
-	lo := ci << ColChunkShift
-	hi := min(lo+ColChunkRows, len(t.rows))
-	slots := t.chunkSlots[:0]
-	for slot := lo; slot < hi; slot++ {
-		if t.rows[slot] != nil {
-			slots = append(slots, int32(slot))
+	if !c.slotsOK {
+		// Live slots of the range, collected once so each column encodes
+		// in a tight typed loop.
+		lo := ci << ColChunkShift
+		hi := min(lo+ColChunkRows, len(t.rows))
+		ch.slots = ch.slots[:0]
+		for slot := lo; slot < hi; slot++ {
+			if t.rows[slot] != nil {
+				ch.slots = append(ch.slots, int32(slot))
+			}
 		}
+		c.slotsOK = true
 	}
-	t.chunkSlots = slots
-	ch.n = len(slots)
-
-	for col := range ch.Cols {
-		v := &ch.Cols[col]
-		kind := t.Schema.Cols[col].Kind
-		v.Reset(kind)
-		switch kind {
-		case KFloat:
-			for _, s := range slots {
-				v.Floats = append(v.Floats, t.rows[s][col].F)
-			}
-		case KStr:
-			if !t.encodeDict(v, col, slots) {
-				for _, s := range slots {
-					v.Strs = append(v.Strs, t.rows[s][col].S)
-				}
-			}
-		default: // KInt: dictionary first, then frame-of-reference, then raw
-			if t.encodeDict(v, col, slots) {
-				break
-			}
-			for _, s := range slots {
-				v.Ints = append(v.Ints, t.rows[s][col].I)
-			}
-			encodeFoR(v)
-		}
+	for ; stale != 0; stale &= stale - 1 {
+		col := bits.TrailingZeros64(uint64(stale))
+		t.encodeCol(&ch.Cols[col], col, ch.slots)
 	}
-	c.chunk, c.built = ch, c.version
+	c.fresh |= need
 	return ch
+}
+
+// encodeCol re-encodes column col over the given live slots into v.
+func (t *Table) encodeCol(v *EncVec, col int, slots []int32) {
+	kind := t.Schema.Cols[col].Kind
+	v.Reset(kind)
+	switch kind {
+	case KFloat:
+		for _, s := range slots {
+			v.Floats = append(v.Floats, t.rows[s][col].F)
+		}
+	case KStr:
+		if !t.encodeDict(v, col, slots) {
+			for _, s := range slots {
+				v.Strs = append(v.Strs, t.rows[s][col].S)
+			}
+		}
+	default: // KInt: dictionary first, then frame-of-reference, then raw
+		if t.encodeDict(v, col, slots) {
+			break
+		}
+		for _, s := range slots {
+			v.Ints = append(v.Ints, t.rows[s][col].I)
+		}
+		encodeFoR(v)
+	}
 }
 
 // encodeDict tries to dictionary-encode the column over the given slots,

@@ -41,50 +41,240 @@ func TestColChunkBuildsAndCaches(t *testing.T) {
 	}
 }
 
-func TestColChunkInvalidation(t *testing.T) {
-	tb := NewTable(colTestSchema())
-	for i := 0; i < 100; i++ {
-		if _, err := tb.Insert(Key(i), Row{Int(int64(i)), Str("x")}); err != nil {
-			t.Fatal(err)
+// invSchema is TestColChunkInvalidation's table: two int columns, two
+// string columns and a float, so a fetch can name a strict subset of
+// each kind.
+func invSchema() *Schema {
+	return NewSchema("inv",
+		Column{Name: "id", Kind: KInt},
+		Column{Name: "grp", Kind: KInt},
+		Column{Name: "name", Kind: KStr},
+		Column{Name: "note", Kind: KStr},
+		Column{Name: "amt", Kind: KFloat},
+	)
+}
+
+const invID, invGrp, invName, invNote, invAmt = 0, 1, 2, 3, 4
+
+// invRow is row i of the invalidation table; grp(i) picks the grp value.
+func invRow(i int, grp func(int) int64) Row {
+	return Row{Int(int64(i)), Int(grp(i)), Str(fmt.Sprintf("n%d", i%9)),
+		Str(fmt.Sprintf("note-%d", i)), Float(float64(i) / 4)}
+}
+
+func cols(c ...int) ColSet {
+	var s ColSet
+	for _, col := range c {
+		s |= 1 << col
+	}
+	return s
+}
+
+// checkChunk compares the columns of need in chunk ci against the row
+// heap, row by live row, and the chunk's length against the live slots.
+func checkChunk(t *testing.T, tb *Table, ci int, need ColSet, c *EncChunk) {
+	t.Helper()
+	lo := ci << ColChunkShift
+	hi := min(lo+ColChunkRows, len(tb.rows))
+	i := 0
+	for slot := lo; slot < hi; slot++ {
+		row := tb.rows[slot]
+		if row == nil {
+			continue
 		}
+		for col := range row {
+			if need&(1<<col) == 0 {
+				continue
+			}
+			if got := c.Cols[col].Value(i); !got.Equal(row[col]) {
+				t.Fatalf("chunk %d row %d col %d = %v, heap %v", ci, i, col, got, row[col])
+			}
+		}
+		i++
 	}
-	if got := tb.ColChunk(0).Len(); got != 100 {
-		t.Fatalf("initial build has %d rows, want 100", got)
+	if c.Len() != i {
+		t.Fatalf("chunk %d Len = %d, heap has %d live rows", ci, c.Len(), i)
 	}
+}
 
-	// An insert into the cached chunk's range must trigger a rebuild.
-	if _, err := tb.Insert(Key(100), Row{Int(100), Str("y")}); err != nil {
-		t.Fatal(err)
+// TestColChunkInvalidation drives write/fetch sequences over the
+// columnar mirror. Every fetch is read back against the row heap for
+// the columns it named; each step then pins the freshness state or the
+// encodings it must leave behind.
+func TestColChunkInvalidation(t *testing.T) {
+	all := allCols(5)
+	seq := func(i int) int64 { return int64(1000 + i) } // > the int dict cap: FoR
+	type step struct {
+		name  string
+		write func(tb *Table)
+		ci    int
+		need  ColSet
+		after func(t *testing.T, tb *Table, c *EncChunk)
 	}
-	if got := tb.ColChunk(0).Len(); got != 101 {
-		t.Fatalf("after insert: %d rows, want 101", got)
+	cases := []struct {
+		name  string
+		rows  int
+		grp   func(int) int64
+		steps []step
+	}{
+		{
+			name: "one-column update then full fetch", rows: 100, grp: seq,
+			steps: []step{
+				{name: "build", need: all},
+				{name: "update", write: func(tb *Table) { tb.UpdateAt(42, invAmt, Float(-1)) }, need: all,
+					after: func(t *testing.T, tb *Table, c *EncChunk) {
+						if got := c.Cols[invAmt].Floats[42]; got != -1 {
+							t.Fatalf("amt[42] = %v, want -1", got)
+						}
+					}},
+				{name: "stale only its column", write: func(tb *Table) { tb.UpdateAt(7, invName, Str("fresh")) },
+					need: cols(invID), after: func(t *testing.T, tb *Table, c *EncChunk) {
+						if c := tb.colChunks[0]; c.fresh != all&^cols(invName) || !c.slotsOK {
+							t.Fatalf("fresh %b slotsOK %v, want %b true", c.fresh, c.slotsOK, all&^cols(invName))
+						}
+					}},
+				{name: "re-encode it", need: all},
+			},
+		},
+		{
+			name: "subset fetch leaves unread strings unbuilt", rows: 300, grp: func(i int) int64 { return int64(i % 5) },
+			steps: []step{
+				{name: "ints only", need: cols(invID, invGrp), after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if tb.Dict(invName) != nil || tb.Dict(invNote) != nil {
+						t.Fatal("an unread string column built a dictionary")
+					}
+					if c.Cols[invGrp].Enc != EncDict {
+						t.Fatalf("grp enc = %d, want EncDict", c.Cols[invGrp].Enc)
+					}
+				}},
+				{name: "write the unread column", write: func(tb *Table) { tb.UpdateAt(3, invNote, Str("x")) },
+					need: cols(invID, invGrp), after: func(t *testing.T, tb *Table, c *EncChunk) {
+						if tb.Dict(invNote) != nil {
+							t.Fatal("note dictionary built by a fetch that does not read it")
+						}
+					}},
+				{name: "now read it", need: cols(invNote, invAmt), after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if tb.Dict(invNote) == nil || c.Cols[invNote].Enc != EncDict {
+						t.Fatal("note not dictionary-encoded once read")
+					}
+					if tb.Dict(invName) != nil {
+						t.Fatal("name dictionary built though never read")
+					}
+				}},
+			},
+		},
+		{
+			name: "empty read set after insert and delete", rows: 100, grp: seq,
+			steps: []step{
+				{name: "build", need: all},
+				{name: "insert", write: func(tb *Table) {
+					if _, err := tb.Insert(Key(100), invRow(100, seq)); err != nil {
+						panic(err)
+					}
+				}, need: 0, after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if tb.colChunks[0].fresh != 0 {
+						t.Fatalf("fresh = %b after an empty fetch, want 0", tb.colChunks[0].fresh)
+					}
+				}},
+				{name: "delete", write: func(tb *Table) { tb.Delete(Key(0)) }, need: 0},
+				{name: "append", write: func(tb *Table) { tb.Append(invRow(101, seq)) }, need: 0},
+				{name: "abort append", write: func(tb *Table) { tb.AbortAppend(101) }, need: 0},
+				{name: "full", need: all, after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if got := c.Cols[invID].Value(0).I; got != 1 {
+						t.Fatalf("first id = %d after deleting 0, want 1", got)
+					}
+				}},
+			},
+		},
+		{
+			name: "update leaves the FoR window", rows: maxIntDictCodes + 100, grp: seq,
+			steps: []step{
+				{name: "build", need: all, after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if c.Cols[invGrp].Enc != EncFoR || c.Cols[invID].Enc != EncFoR || c.Cols[invName].Enc != EncDict {
+						t.Fatalf("encodings id %d grp %d name %d, want FoR FoR Dict",
+							c.Cols[invID].Enc, c.Cols[invGrp].Enc, c.Cols[invName].Enc)
+					}
+				}},
+				{name: "widen grp", write: func(tb *Table) { tb.UpdateAt(5, invGrp, Int(1<<40)) }, need: all,
+					after: func(t *testing.T, tb *Table, c *EncChunk) {
+						if c.Cols[invGrp].Enc != EncRaw {
+							t.Fatalf("grp enc = %d past the uint32 window, want EncRaw", c.Cols[invGrp].Enc)
+						}
+						if c.Cols[invID].Enc != EncFoR || c.Cols[invID].Ref != 0 || c.Cols[invName].Enc != EncDict {
+							t.Fatal("an untouched column lost its encoding")
+						}
+					}},
+			},
+		},
+		{
+			// Chunk 0's grp codes 0..599 fit the dictionary; chunk 1 brings
+			// 600 more and seals it mid-encode.
+			name: "dictionary seals between fetches", rows: ColChunkRows + 700,
+			grp: func(i int) int64 { return int64(i>>ColChunkShift*600 + i%600) },
+			steps: []step{
+				{name: "chunk 0", need: cols(invGrp, invName), after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if c.Cols[invGrp].Enc != EncDict {
+						t.Fatalf("chunk 0 grp enc = %d, want EncDict", c.Cols[invGrp].Enc)
+					}
+				}},
+				{name: "chunk 1 seals", ci: 1, need: cols(invGrp), after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if !tb.Dict(invGrp).Sealed() || c.Cols[invGrp].Enc != EncFoR {
+						t.Fatal("chunk 1 did not seal the grp dictionary and fall back to FoR")
+					}
+				}},
+				{name: "chunk 0 again", need: cols(invGrp, invName), after: func(t *testing.T, tb *Table, c *EncChunk) {
+					if c.Cols[invGrp].Enc != EncDict {
+						t.Fatal("a fresh column was re-encoded")
+					}
+				}},
+				{name: "chunk 0 grp written", write: func(tb *Table) { tb.UpdateAt(9, invGrp, Int(5)) },
+					need: cols(invGrp, invName), after: func(t *testing.T, tb *Table, c *EncChunk) {
+						if c.Cols[invGrp].Enc != EncFoR || c.Cols[invName].Enc != EncDict {
+							t.Fatalf("encodings grp %d name %d, want FoR Dict", c.Cols[invGrp].Enc, c.Cols[invName].Enc)
+						}
+					}},
+			},
+		},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := NewTable(invSchema())
+			for i := range tc.rows {
+				if _, err := tb.Insert(Key(i), invRow(i, tc.grp)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, st := range tc.steps {
+				if st.write != nil {
+					st.write(tb)
+				}
+				c := tb.ColChunkCols(st.ci, st.need)
+				checkChunk(t, tb, st.ci, st.need, c)
+				if st.after != nil {
+					st.after(t, tb, c)
+				}
+				if t.Failed() {
+					t.Fatalf("after step %q", st.name)
+				}
+			}
+		})
+	}
+}
 
-	// Updates are reflected.
-	slot, _ := tb.Lookup(Key(42))
-	tb.UpdateAt(slot, 1, Str("updated"))
-	if got := chunkStr(tb.ColChunk(0), 42, 1); got != "updated" {
-		t.Fatalf("after update: cell = %q, want %q", got, "updated")
+// TestNewTableRejectsWideSchema: the mirror's freshness is one ColSet
+// bit a column, so a schema past maxCols is refused at table creation.
+func TestNewTableRejectsWideSchema(t *testing.T) {
+	wide := make([]Column, maxCols+1)
+	for i := range wide {
+		wide[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: KInt}
 	}
-
-	// Deletes tombstone the slot out of the rebuilt chunk.
-	tb.Delete(Key(0))
-	if got := tb.ColChunk(0).Len(); got != 100 {
-		t.Fatalf("after delete: %d rows, want 100", got)
-	}
-	if got := chunkInt(tb.ColChunk(0), 0, 0); got != 1 {
-		t.Fatalf("after delete: first id = %d, want 1", got)
-	}
-
-	// AbortAppend likewise.
-	slot2 := tb.Append(Row{Int(999), Str("z")})
-	if got := tb.ColChunk(0).Len(); got != 101 {
-		t.Fatalf("after append: %d rows, want 101", got)
-	}
-	tb.AbortAppend(slot2)
-	if got := tb.ColChunk(0).Len(); got != 100 {
-		t.Fatalf("after abort: %d rows, want 100", got)
-	}
+	NewTable(NewSchema("max", wide[:maxCols]...)) // the widest accepted
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewTable accepted a schema wider than maxCols")
+		}
+	}()
+	NewTable(NewSchema("wide", wide...))
 }
 
 func TestColChunkDirtyBeforeFirstBuild(t *testing.T) {

@@ -77,15 +77,6 @@ func (p *Partition) HasTable(name string) bool {
 	return ok
 }
 
-// Bytes returns the total approximate size of all tables.
-func (p *Partition) Bytes() int64 {
-	var s int64
-	for _, t := range p.tables {
-		s += t.Bytes()
-	}
-	return s
-}
-
 // Database is the full partitioned store: one Partition per warehouse
 // plus the catalog. Both engines share this layout; they differ only in
 // who executes against it and how access is coordinated.

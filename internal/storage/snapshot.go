@@ -29,7 +29,7 @@ func (t *Table) SnapshotRows() (keys []Key, rows []Row, keyless []Row) {
 }
 
 // ResetRows empties the table in place: row heap, primary and secondary
-// indexes, size accounting, the columnar mirror and its dictionaries.
+// indexes, the columnar mirror and its dictionaries.
 // The schema and index definitions survive, so a snapshot installs into
 // the same table identity. Dictionaries reset with the chunks: no chunk
 // survives to reference old codes, and the incoming contents rebuild
@@ -38,7 +38,6 @@ func (t *Table) ResetRows() {
 	t.rows = nil
 	t.pk = NewHashIndex(64)
 	t.live = 0
-	t.bytes = 0
 	for _, idx := range t.secondary {
 		idx.tree = NewBTree()
 	}

@@ -26,15 +26,13 @@ type SecondaryIndex struct {
 type Table struct {
 	Schema *Schema
 
-	rows       []Row // slot = position; nil = tombstone
-	pk         *HashIndex
-	secondary  []*SecondaryIndex
-	secCols    map[int]bool // columns used by any secondary key
-	live       int
-	bytes      int64
-	colChunks  []colChunk // lazily built columnar mirror (colstore.go)
-	dicts      []*Dict    // per-column dictionaries (dict.go), lazy
-	chunkSlots []int32    // chunk-rebuild scratch: live slots of one range
+	rows      []Row // slot = position; nil = tombstone
+	pk        *HashIndex
+	secondary []*SecondaryIndex
+	secCols   map[int]bool // columns used by any secondary key
+	live      int
+	colChunks []colChunk // lazily built columnar mirror (colstore.go)
+	dicts     []*Dict    // per-column dictionaries (dict.go), lazy
 }
 
 // Reserve pre-sizes the row heap for at least n slots, so steady-state
@@ -49,8 +47,12 @@ func (t *Table) Reserve(n int) {
 	t.rows = grown
 }
 
-// NewTable returns an empty table for schema.
+// NewTable returns an empty table for schema. It panics on a schema
+// wider than maxCols: the columnar mirror tracks one ColSet bit a column.
 func NewTable(schema *Schema) *Table {
+	if n := schema.NumCols(); n > maxCols {
+		panic(fmt.Sprintf("storage: table %s has %d columns, at most %d", schema.Name, n, maxCols))
+	}
 	return &Table{
 		Schema:  schema,
 		pk:      NewHashIndex(64),
@@ -100,8 +102,7 @@ func (t *Table) Insert(key Key, row Row) (int32, error) {
 		idx.tree.Put(idx.keyOf(row), slot)
 	}
 	t.live++
-	t.bytes += row.Size()
-	t.markColDirty(slot)
+	t.staleChunk(slot)
 	return slot, nil
 }
 
@@ -120,8 +121,7 @@ func (t *Table) Append(row Row) int32 {
 		idx.tree.Put(idx.keyOf(row), slot)
 	}
 	t.live++
-	t.bytes += row.Size()
-	t.markColDirty(slot)
+	t.staleChunk(slot)
 	return slot
 }
 
@@ -134,10 +134,9 @@ func (t *Table) AbortAppend(slot int32) {
 	for _, idx := range t.secondary {
 		idx.tree.Delete(idx.keyOf(row))
 	}
-	t.bytes -= row.Size()
 	t.rows[slot] = nil
 	t.live--
-	t.markColDirty(slot)
+	t.staleChunk(slot)
 }
 
 // Lookup resolves key to a row slot.
@@ -167,9 +166,8 @@ func (t *Table) UpdateAt(slot int32, col int, v Value) Value {
 	}
 	row := t.rows[slot]
 	old := row[col]
-	t.bytes += v.size() - old.size()
 	row[col] = v
-	t.markColDirty(slot)
+	t.staleCol(slot, col)
 	return old
 }
 
@@ -184,19 +182,14 @@ func (t *Table) Delete(key Key) bool {
 		idx.tree.Delete(idx.keyOf(row))
 	}
 	t.pk.Delete(key)
-	t.bytes -= row.Size()
 	t.rows[slot] = nil
 	t.live--
-	t.markColDirty(slot)
+	t.staleChunk(slot)
 	return true
 }
 
 // Rows returns the number of live rows.
 func (t *Table) Rows() int { return t.live }
-
-// Bytes returns the approximate heap size in bytes, used to model data
-// stream volume.
-func (t *Table) Bytes() int64 { return t.bytes }
 
 // Scan visits every live row in slot order; fn returning false stops.
 // The row is passed by reference: do not mutate or retain it.

@@ -116,15 +116,6 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// Size returns the approximate wire size of the row.
-func (r Row) Size() int64 {
-	var s int64
-	for i := range r {
-		s += r[i].size()
-	}
-	return s
-}
-
 // Column describes one attribute.
 type Column struct {
 	Name string
