@@ -70,19 +70,23 @@ bench-check:
 # partial batch (BenchmarkGroupedPass: dense fold, finish, the group
 # table back to its pool), the same pass after one c_balance write in
 # every chunk (BenchmarkStaleChunkPass: the one stale column re-encoded
-# into its vector's capacity) and one ~8 k-row hash-join build released
-# to its pool (BenchmarkJoinBuild) must report exactly 0 allocs/op.
+# into its vector's capacity), one ~8 k-row hash-join build released
+# to its pool (BenchmarkJoinBuild) and the typed row heap's write path
+# (BenchmarkHeapWrite: a keyed insert of a stack row, a keyless append,
+# a Field read and an UpdateAt) must report exactly 0 allocs/op.
 # Fixed iteration counts keep
-# the gate reproducible on any machine; the payment path runs 100000x
-# so cold-pool warm-up amortizes below the integer allocs/op floor (a
-# reintroduced per-op allocation still shows as >= 1).
+# the gate reproducible on any machine; the payment path and the heap
+# writes run 100000x so cold-pool warm-up and page and index growth
+# amortize below the integer allocs/op floor (a reintroduced per-op
+# allocation still shows as >= 1).
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
 	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
-	printf '%s\n%s\n' "$$out1" "$$out2"; \
-	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 8) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 8"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, grouped-pass, stale-chunk-pass and join-build hot paths"
+	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
+	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
+	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 9) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 9"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, grouped-pass, stale-chunk-pass, join-build and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live
@@ -103,8 +107,9 @@ crash-smoke:
 
 # On-demand fuzz smoke, deliberately not part of ci (random inputs would
 # make the pipeline nondeterministic): the wire codec's event and data
-# decoders and the WAL's frame and record decoders, FUZZTIME each (one
-# target per `go test -fuzz` run), on two fuzz workers. `go test ./...`
+# decoders, the WAL's frame and record decoders and the row heap against
+# its map model (FuzzTableHeap), FUZZTIME each (one target per
+# `go test -fuzz` run), on two fuzz workers. `go test ./...`
 # already replays every committed seed and testdata/fuzz corpus entry;
 # a new crasher lands in the package's testdata/fuzz for committing.
 FUZZTIME ?= 10s
@@ -113,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDataMsgCodec$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzTableHeap$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/storage
 
 # CPU + allocation profiles of the parallel submission hot path (the
 # public API entry under GOMAXPROCS submitters). Inspect with `go tool

@@ -404,11 +404,11 @@ func TestSharedScanReadSet(t *testing.T) {
 		tab := h.db.Partition(w).TableByID(tpcc.TCustomerID)
 		data := tab.Schema.MustCol("c_data")
 		for slot := int32(w); int(slot) < tab.Rows(); slot += 97 {
-			r, amt := tab.RowAt(slot), float64(1+slot%50)
-			tab.UpdateAt(slot, tpcc.ColCBalance, storage.Float(r[tpcc.ColCBalance].F-amt))
-			tab.UpdateAt(slot, tpcc.ColCYtdPayment, storage.Float(r[tpcc.ColCYtdPayment].F+amt))
-			tab.UpdateAt(slot, tpcc.ColCPaymentCnt, storage.Int(r[tpcc.ColCPaymentCnt].I+1))
-			tab.UpdateAt(slot, data, storage.Str(fmt.Sprintf("paid %v | %s", amt, r[data].S)))
+			amt := float64(1 + slot%50)
+			tab.UpdateAt(slot, tpcc.ColCBalance, storage.Float(tab.Field(slot, tpcc.ColCBalance).F-amt))
+			tab.UpdateAt(slot, tpcc.ColCYtdPayment, storage.Float(tab.Field(slot, tpcc.ColCYtdPayment).F+amt))
+			tab.UpdateAt(slot, tpcc.ColCPaymentCnt, storage.Int(tab.Field(slot, tpcc.ColCPaymentCnt).I+1))
+			tab.UpdateAt(slot, data, storage.Str(fmt.Sprintf("paid %v | %s", amt, tab.Field(slot, data).S)))
 		}
 	}
 
@@ -444,10 +444,10 @@ func TestSharedScanReadSet(t *testing.T) {
 			if !ok {
 				t.Fatalf("shipped customer (0, %d, %d) is not in the heap", d, c)
 			}
-			r := tab.RowAt(slot)
-			if b.Value(i, 2).F != r[tpcc.ColCBalance].F || b.Value(i, 3).I != r[tpcc.ColCPaymentCnt].I {
+			bal, cnt := tab.Field(slot, tpcc.ColCBalance), tab.Field(slot, tpcc.ColCPaymentCnt)
+			if b.Value(i, 2).F != bal.F || b.Value(i, 3).I != cnt.I {
 				t.Fatalf("customer (0, %d, %d) shipped (%v, %v), heap (%v, %v)", d, c,
-					b.Value(i, 2), b.Value(i, 3), r[tpcc.ColCBalance], r[tpcc.ColCPaymentCnt])
+					b.Value(i, 2), b.Value(i, 3), bal, cnt)
 			}
 			shipped[[2]int64{d, c}] = true
 		}

@@ -11,6 +11,9 @@ import (
 // lazily mirrors fixed-size slot ranges ("chunks") into encoded columnar
 // vectors that analytical scans read directly, so a shared cursor
 // amortizes a vectorized scan rather than a per-row map-lookup walk.
+// Chunk ci mirrors heap page ci (table.go): its live slots come from the
+// page's bitmap, and a rebuild reads the page's typed column runs — int
+// and float words, string cells — with no Value in between.
 //
 // Chunk rebuilds emit *encoded* columns, chosen per column per chunk:
 //
@@ -154,9 +157,7 @@ func (t *Table) staleChunk(slot int32) {
 
 // NumColChunks returns how many chunks cover the heap (including the
 // trailing partial chunk). Chunks are addressed 0..NumColChunks()-1.
-func (t *Table) NumColChunks() int {
-	return (len(t.rows) + ColChunkRows - 1) >> ColChunkShift
-}
+func (t *Table) NumColChunks() int { return len(t.pages) }
 
 // dict returns the table's dictionary for col, creating it lazily on the
 // first chunk rebuild that wants one. Float columns never dictionary-
@@ -195,7 +196,8 @@ func (t *Table) ColChunk(ci int) *EncChunk {
 // row heap only the columns of need a write staled (or never built).
 // Columns outside need are left as they are. The returned chunk is owned
 // by the table: callers must not mutate, free, or retain it past the
-// next table write, and may read only the columns of need.
+// next table write, and may read only the columns of need. ci must be
+// below NumColChunks().
 func (t *Table) ColChunkCols(ci int, need ColSet) *EncChunk {
 	if ci >= len(t.colChunks) {
 		if ci >= cap(t.colChunks) {
@@ -216,80 +218,80 @@ func (t *Table) ColChunkCols(ci int, need ColSet) *EncChunk {
 		ch = &EncChunk{Schema: t.Schema, Cols: make([]EncVec, t.Schema.NumCols())}
 		c.chunk = ch
 	}
+	p := t.pages[ci]
 	if !c.slotsOK {
-		// Live slots of the range, collected once so each column encodes
-		// in a tight typed loop.
-		lo := ci << ColChunkShift
-		hi := min(lo+ColChunkRows, len(t.rows))
+		// Live slots of the page, collected once from its bitmap so each
+		// column encodes in a tight typed loop.
+		base := int32(ci << ColChunkShift)
 		ch.slots = ch.slots[:0]
-		for slot := lo; slot < hi; slot++ {
-			if t.rows[slot] != nil {
-				ch.slots = append(ch.slots, int32(slot))
+		for w, m := range p.live {
+			for ; m != 0; m &= m - 1 {
+				ch.slots = append(ch.slots, base+int32(w<<6+bits.TrailingZeros64(m)))
 			}
 		}
 		c.slotsOK = true
 	}
 	for ; stale != 0; stale &= stale - 1 {
 		col := bits.TrailingZeros64(uint64(stale))
-		t.encodeCol(&ch.Cols[col], col, ch.slots)
+		t.encodeCol(&ch.Cols[col], p, col, ch.slots)
 	}
 	c.fresh |= need
 	return ch
 }
 
-// encodeCol re-encodes column col over the given live slots into v.
-func (t *Table) encodeCol(v *EncVec, col int, slots []int32) {
+// encodeCol re-encodes column col over the given live slots of page p
+// into v, reading the page's typed words directly.
+func (t *Table) encodeCol(v *EncVec, p *page, col int, slots []int32) {
 	kind := t.Schema.Cols[col].Kind
 	v.Reset(kind)
+	lo, hi := int(t.lane[col])<<ColChunkShift, int(t.lane[col]+1)<<ColChunkShift
 	switch kind {
 	case KFloat:
+		words := p.words[lo:hi]
 		for _, s := range slots {
-			v.Floats = append(v.Floats, t.rows[s][col].F)
+			v.Floats = append(v.Floats, math.Float64frombits(words[s&(ColChunkRows-1)]))
 		}
 	case KStr:
-		if !t.encodeDict(v, col, slots) {
+		strs := p.strs[lo:hi]
+		if !encodeDict(v, t.dict(col), nil, strs, slots) {
 			for _, s := range slots {
-				v.Strs = append(v.Strs, t.rows[s][col].S)
+				v.Strs = append(v.Strs, strs[s&(ColChunkRows-1)])
 			}
 		}
 	default: // KInt: dictionary first, then frame-of-reference, then raw
-		if t.encodeDict(v, col, slots) {
+		words := p.words[lo:hi]
+		if encodeDict(v, t.dict(col), words, nil, slots) {
 			break
 		}
 		for _, s := range slots {
-			v.Ints = append(v.Ints, t.rows[s][col].I)
+			v.Ints = append(v.Ints, int64(words[s&(ColChunkRows-1)]))
 		}
 		encodeFoR(v)
 	}
 }
 
-// encodeDict tries to dictionary-encode the column over the given slots,
-// assigning new codes as it goes. It reports false — leaving v raw-empty
-// — when the dictionary seals mid-encode (the cap was hit), which is
-// permanent: later rebuilds skip the attempt via Sealed.
-func (t *Table) encodeDict(v *EncVec, col int, slots []int32) bool {
-	d := t.dict(col)
+// encodeDict tries to dictionary-encode a column run — strs for a string
+// column, words for an int one — over the given slots, assigning new
+// codes as it goes. It reports false — leaving v raw-empty — when the
+// dictionary seals mid-encode (the cap was hit), which is permanent:
+// later rebuilds skip the attempt via Sealed.
+func encodeDict(v *EncVec, d *Dict, words []uint64, strs []string, slots []int32) bool {
 	if d.Sealed() {
 		return false
 	}
-	if v.Kind == KStr {
-		for _, s := range slots {
-			code, ok := d.codeStr(t.rows[s][col].S)
-			if !ok {
-				v.Codes = v.Codes[:0]
-				return false
-			}
-			v.Codes = append(v.Codes, code)
+	for _, s := range slots {
+		var code uint32
+		var ok bool
+		if v.Kind == KStr {
+			code, ok = d.codeStr(strs[s&(ColChunkRows-1)])
+		} else {
+			code, ok = d.codeInt(int64(words[s&(ColChunkRows-1)]))
 		}
-	} else {
-		for _, s := range slots {
-			code, ok := d.codeInt(t.rows[s][col].I)
-			if !ok {
-				v.Codes = v.Codes[:0]
-				return false
-			}
-			v.Codes = append(v.Codes, code)
+		if !ok {
+			v.Codes = v.Codes[:0]
+			return false
 		}
+		v.Codes = append(v.Codes, code)
 	}
 	v.Enc, v.Dict = EncDict, d
 	return true

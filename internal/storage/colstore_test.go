@@ -74,13 +74,11 @@ func cols(c ...int) ColSet {
 // heap, row by live row, and the chunk's length against the live slots.
 func checkChunk(t *testing.T, tb *Table, ci int, need ColSet, c *EncChunk) {
 	t.Helper()
-	lo := ci << ColChunkShift
-	hi := min(lo+ColChunkRows, len(tb.rows))
+	lo := int32(ci << ColChunkShift)
 	i := 0
-	for slot := lo; slot < hi; slot++ {
-		row := tb.rows[slot]
-		if row == nil {
-			continue
+	tb.ScanRange(lo, ColChunkRows, func(slot int32, row Row) bool {
+		if slot >= lo+ColChunkRows {
+			return false
 		}
 		for col := range row {
 			if need&(1<<col) == 0 {
@@ -91,7 +89,8 @@ func checkChunk(t *testing.T, tb *Table, ci int, need ColSet, c *EncChunk) {
 			}
 		}
 		i++
-	}
+		return true
+	})
 	if c.Len() != i {
 		t.Fatalf("chunk %d Len = %d, heap has %d live rows", ci, c.Len(), i)
 	}
@@ -326,10 +325,9 @@ func TestEncChunkEncodings(t *testing.T) {
 	}
 	// Every decoded cell must equal the heap row, whatever the encoding.
 	for i := 0; i < c.Len(); i++ {
-		row := tb.RowAt(int32(i))
 		for col := range schema.Cols {
-			if got := c.Cols[col].Value(i); !got.Equal(row[col]) {
-				t.Fatalf("cell (%d,%d) = %v, want %v", i, col, got, row[col])
+			if got, want := c.Cols[col].Value(i), tb.Field(int32(i), col); !got.Equal(want) {
+				t.Fatalf("cell (%d,%d) = %v, want %v", i, col, got, want)
 			}
 		}
 	}

@@ -13,11 +13,10 @@ type Partition struct {
 	slab   RowSlab
 }
 
-// Slab returns the partition's row slab for append-only inserts. Like
-// the tables, it is single-writer under the ownership discipline: only
-// the AC (or executor) currently allowed to write the partition may use
-// it, and a live handoff fully drains that writer before the new owner
-// takes over.
+// Slab returns the partition's row slab. The typed heap copies every
+// inserted row, so no engine path carves rows from it any more; it
+// survives only for the repo benchmark's storage probe
+// (benchmark/probes.go), which builds its insert rows with it.
 func (p *Partition) Slab() *RowSlab { return &p.slab }
 
 // NewPartition returns an empty partition.
@@ -114,21 +113,18 @@ func (db *Database) Partition(id int) *Partition {
 // NumPartitions returns the partition count.
 func (db *Database) NumPartitions() int { return len(db.Partitions) }
 
-// Catalog maps table names to schemas, statistics, and cardinality
-// hints.
+// Catalog maps table names to schemas and statistics.
 type Catalog struct {
-	schemas  map[string]*Schema
-	byID     []*Schema
-	stats    map[string]*TableStats
-	rowHints map[string]int
+	schemas map[string]*Schema
+	byID    []*Schema
+	stats   map[string]*TableStats
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		schemas:  make(map[string]*Schema),
-		stats:    make(map[string]*TableStats),
-		rowHints: make(map[string]int),
+		schemas: make(map[string]*Schema),
+		stats:   make(map[string]*TableStats),
 	}
 }
 
@@ -155,16 +151,6 @@ func (c *Catalog) SetStats(table string, st *TableStats) { c.stats[table] = st }
 
 // Stats returns statistics for a table, or nil if never analyzed.
 func (c *Catalog) Stats(table string) *TableStats { return c.stats[table] }
-
-// SetRowHint records the expected steady-state row count per partition
-// for a table. Loaders call Table.Reserve with it so heap growth
-// reallocation never shows up on the ingest path.
-func (c *Catalog) SetRowHint(table string, rowsPerPartition int) {
-	c.rowHints[table] = rowsPerPartition
-}
-
-// RowHint returns the per-partition cardinality hint, or 0 if unset.
-func (c *Catalog) RowHint(table string) int { return c.rowHints[table] }
 
 // Tables lists registered table names (unordered).
 func (c *Catalog) Tables() []string {

@@ -1,15 +1,13 @@
 package storage
 
 // slabChunkValues sizes the value block a RowSlab carves rows out of.
-// One block serves ~680 six-column rows, so the per-row allocation cost
-// of an append-only table amortizes to effectively zero.
 const slabChunkValues = 4096
 
-// RowSlab carves fixed-arity rows out of large value blocks, so
-// append-only tables (TPC-C history) cost no per-row heap allocation.
-// A slab is single-writer: it belongs to whoever owns the partition the
-// rows land in, which is exactly the discipline that already protects
-// the tables themselves.
+// RowSlab carves fixed-arity rows out of large value blocks. Tables copy
+// inserted rows into their typed heap, so a slab row is only scratch;
+// the type survives for the repo benchmark's storage probe
+// (benchmark/probes.go) alone. A slab is single-writer: it belongs to
+// whoever owns the partition, like the tables themselves.
 type RowSlab struct {
 	block []Value
 }

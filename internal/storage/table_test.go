@@ -112,8 +112,8 @@ func TestTableSecondaryIndex(t *testing.T) {
 	tab.AddIndex("by_last", keyOf, "c_last")
 
 	var ids []int64
-	tab.Range("by_last", MakeKey(1, 0, 0), MakeKey(2, 0, 0), func(_ int32, r Row) bool {
-		ids = append(ids, r[0].I)
+	tab.Range("by_last", MakeKey(1, 0, 0), MakeKey(2, 0, 0), func(slot int32) bool {
+		ids = append(ids, tab.Field(slot, 0).I)
 		return true
 	})
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
@@ -123,8 +123,8 @@ func TestTableSecondaryIndex(t *testing.T) {
 	// Inserts after AddIndex are indexed too.
 	tab.Insert(MakeKey(1, 1, 9), Row{Int(9), Str("AAA"), Float(0)})
 	ids = ids[:0]
-	tab.Range("by_last", MakeKey(1, 0, 0), MakeKey(2, 0, 0), func(_ int32, r Row) bool {
-		ids = append(ids, r[0].I)
+	tab.Range("by_last", MakeKey(1, 0, 0), MakeKey(2, 0, 0), func(slot int32) bool {
+		ids = append(ids, tab.Field(slot, 0).I)
 		return true
 	})
 	if len(ids) != 3 || ids[2] != 9 {
@@ -309,13 +309,15 @@ func TestAnalyzeEmptyTable(t *testing.T) {
 }
 
 // TestAppendAndSlab covers the keyless append path history inserts ride:
-// slab-carved rows, no primary-key entry, visible to scans and counts,
-// reversible via AbortAppend.
+// no primary-key entry, visible to scans and counts, reversible via
+// AbortAppend. Every row is appended from one slab-carved scratch row,
+// rewritten between appends: the heap copies rows in, so none aliases
+// the scratch.
 func TestAppendAndSlab(t *testing.T) {
 	tab := NewTable(custSchema())
 	var slab RowSlab
+	r := slab.NewRow(3)
 	for i := 0; i < 100; i++ {
-		r := slab.NewRow(3)
 		r[0], r[1], r[2] = Int(int64(i)), Str("APPEND"), Float(float64(i))
 		tab.Append(r)
 	}
@@ -330,9 +332,9 @@ func TestAppendAndSlab(t *testing.T) {
 	if sum != 99*100/2 {
 		t.Fatalf("scan sum = %d", sum)
 	}
-	// Slab rows must not alias: every row keeps its own values.
+	// Appended rows must not alias the scratch: each keeps its own values.
 	if tab.Field(0, 0).I != 0 || tab.Field(99, 0).I != 99 {
-		t.Fatal("slab rows alias each other")
+		t.Fatal("appended rows alias the caller's row")
 	}
 	// Appends have no primary-key entry; keyed lookups stay unaffected.
 	if _, ok := tab.Lookup(MakeKey(0, 0, 0)); ok {
@@ -372,7 +374,7 @@ func TestAppendMaintainsSecondaryIndexes(t *testing.T) {
 	tab.AddIndex("by_id", func(r Row) Key { return MakeKey(0, 0, r[0].I) }, "c_id")
 	slot := tab.Append(Row{Int(5), Str("X"), Float(0)})
 	var hits int
-	tab.Range("by_id", MakeKey(0, 0, 0), MakeKey(0, 0, 10), func(_ int32, _ Row) bool {
+	tab.Range("by_id", MakeKey(0, 0, 0), MakeKey(0, 0, 10), func(int32) bool {
 		hits++
 		return true
 	})
@@ -381,7 +383,7 @@ func TestAppendMaintainsSecondaryIndexes(t *testing.T) {
 	}
 	tab.AbortAppend(slot)
 	hits = 0
-	tab.Range("by_id", MakeKey(0, 0, 0), MakeKey(0, 0, 10), func(_ int32, _ Row) bool {
+	tab.Range("by_id", MakeKey(0, 0, 0), MakeKey(0, 0, 10), func(int32) bool {
 		hits++
 		return true
 	})

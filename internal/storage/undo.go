@@ -87,7 +87,7 @@ func (u *UndoLog) Rollback() int {
 		e := u.entries[i]
 		switch e.kind {
 		case undoUpdate:
-			e.table.rows[e.slot][e.col] = e.old
+			e.table.UpdateAt(e.slot, int(e.col), e.old)
 		case undoInsert:
 			e.table.Delete(e.key)
 		case undoAppend:

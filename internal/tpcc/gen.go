@@ -120,11 +120,9 @@ func Populate(db *storage.Database, cfg Config) {
 		panic(fmt.Sprintf("tpcc: need %d partitions, have %d", cfg.Warehouses, db.NumPartitions()))
 	}
 	pad := strings.Repeat("x", cfg.DataPad)
-	setRowHints(db.Catalog, cfg)
 	for w := 0; w < cfg.Warehouses; w++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
 		p := db.Partition(w)
-		reserveTables(p, db.Catalog)
 
 		wt := p.Table(TWarehouse)
 		// TPC-C seeds w_ytd = 300000 with 10 districts at 30000 each;
@@ -220,39 +218,6 @@ func Populate(db *storage.Database, cfg Config) {
 		ct.AddIndex(IdxCustomerByLast, func(r storage.Row) storage.Key {
 			return CustomerLastKey(LastNameNum(r[cLast].S), int(r[cDist].I), int(r[cID].I))
 		}, "c_last", "c_d_id", "c_id")
-	}
-}
-
-// setRowHints records per-partition cardinality hints in the catalog,
-// so table heaps are reserved up front and steady-state ingest never
-// growth-reallocates (ROADMAP: ingest-path memory shaping). Static
-// tables hint their exact size; tables the workload appends to
-// (orders, order lines, open orders, history) hint 2× their initial
-// population as working headroom.
-func setRowHints(cat *storage.Catalog, cfg Config) {
-	lines := cfg.LinesPerOrder
-	if lines == 0 {
-		lines = 10 // TPC-C draws 5..15 uniformly
-	}
-	orders := cfg.Districts * cfg.InitOrders
-	cat.SetRowHint(TWarehouse, 1)
-	cat.SetRowHint(TDistrict, cfg.Districts)
-	cat.SetRowHint(TCustomer, cfg.Districts*cfg.Customers)
-	cat.SetRowHint(TItem, cfg.Items)
-	cat.SetRowHint(TStock, cfg.Items)
-	cat.SetRowHint(TOrders, 2*orders)
-	cat.SetRowHint(TNewOrder, orders)
-	cat.SetRowHint(TOrderLine, 2*orders*lines)
-	cat.SetRowHint(THistory, 2*cfg.Districts*cfg.Customers)
-}
-
-// reserveTables applies the catalog's cardinality hints to one
-// partition's tables.
-func reserveTables(p *storage.Partition, cat *storage.Catalog) {
-	for _, name := range cat.Tables() {
-		if n := cat.RowHint(name); n > 0 && p.HasTable(name) {
-			p.Table(name).Reserve(n)
-		}
 	}
 }
 

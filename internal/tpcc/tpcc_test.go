@@ -84,9 +84,9 @@ func TestByLastNameIndex(t *testing.T) {
 	found := 0
 	var foundID int64
 	ct.Range(IdxCustomerByLast, CustomerLastKey(0, 1, 0), CustomerLastKey(0, 1, 1<<30),
-		func(_ int32, r storage.Row) bool {
+		func(slot int32) bool {
 			found++
-			foundID = r[ct.Schema.MustCol("c_id")].I
+			foundID = ct.Field(slot, ct.Schema.MustCol("c_id")).I
 			return true
 		})
 	if found != 1 || foundID != 1 {
@@ -95,7 +95,7 @@ func TestByLastNameIndex(t *testing.T) {
 	// District separation: district 2's BARBARBAR is a different entry.
 	found = 0
 	ct.Range(IdxCustomerByLast, CustomerLastKey(0, 2, 0), CustomerLastKey(0, 2, 1<<30),
-		func(_ int32, r storage.Row) bool { found++; return true })
+		func(int32) bool { found++; return true })
 	if found != 1 {
 		t.Fatalf("district 2 range = %d rows", found)
 	}

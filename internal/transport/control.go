@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"anydb/internal/storage"
 	"anydb/internal/tpcc"
@@ -155,9 +156,29 @@ func SnapshotPartition(db *storage.Database, w int) []TableSnap {
 	return out
 }
 
-// InstallPartition replaces partition w's contents with a snapshot.
+// InstallPartition replaces partition w's contents with a snapshot. The
+// snapshot arrives off the wire, so it is checked whole first — w in
+// range, each table known and named once, and every table's rows
+// (storage.Table.CheckRows) — and a malformed one is an error that
+// leaves the partition untouched.
 func InstallPartition(db *storage.Database, w int, tables []TableSnap) error {
+	if w < 0 || w >= db.NumPartitions() {
+		return fmt.Errorf("transport: snapshot of partition %d, have %d", w, db.NumPartitions())
+	}
 	p := db.Partition(w)
+	seen := make(map[string]bool, len(tables))
+	for _, ts := range tables {
+		if !p.HasTable(ts.Name) {
+			return fmt.Errorf("transport: snapshot of partition %d names unknown table %q", w, ts.Name)
+		}
+		if seen[ts.Name] {
+			return fmt.Errorf("transport: snapshot of partition %d names table %q twice", w, ts.Name)
+		}
+		seen[ts.Name] = true
+		if err := p.Table(ts.Name).CheckRows(ts.Keys, ts.Rows, ts.Keyless); err != nil {
+			return err
+		}
+	}
 	for _, ts := range tables {
 		if err := p.Table(ts.Name).InstallRows(ts.Keys, ts.Rows, ts.Keyless); err != nil {
 			return err
