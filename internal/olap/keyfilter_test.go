@@ -11,24 +11,30 @@ import (
 	"anydb/internal/tpcc"
 )
 
-// keyTable builds a one-partition table of n rows whose three int key
-// columns encode three ways in the chunk cache: k0 has 7 values
-// (dictionary codes), k1 spans 10·n (more values than the int
-// dictionary holds, so frame-of-reference) and k2 spans more than 2³²
-// (raw).
+// keyTable builds a one-partition table of n rows whose int key columns
+// encode every way in the chunk cache: k0 has 7 values (dictionary
+// codes), k1 spans 10·n (more values than the int dictionary holds, so
+// frame-of-reference), k2 spans more than 2³² (raw), and k3 is 0–4 on
+// even rows and past 2⁴⁰ on odd ones (raw, with a narrow build box).
 func keyTable(t *testing.T, n int) *storage.Table {
 	t.Helper()
 	schema := storage.NewSchema("keys",
 		storage.Column{Name: "k0", Kind: storage.KInt},
 		storage.Column{Name: "k1", Kind: storage.KInt},
 		storage.Column{Name: "k2", Kind: storage.KInt},
+		storage.Column{Name: "k3", Kind: storage.KInt},
 		storage.Column{Name: "v", Kind: storage.KStr})
 	tbl := storage.NewDatabase(1, schema).Partition(0).Table("keys")
 	for i := 0; i < n; i++ {
+		k3 := int64(i % 5)
+		if i%2 == 1 {
+			k3 = 1<<40 + int64(i)
+		}
 		row := storage.Row{
 			storage.Int(int64(i % 7)),
 			storage.Int(int64(10 * i)),
 			storage.Int(int64(i) << 34),
+			storage.Int(k3),
 			storage.Str("x"),
 		}
 		if _, err := tbl.Insert(storage.MakeKey(0, 0, int64(i)), row); err != nil {
@@ -38,18 +44,19 @@ func keyTable(t *testing.T, n int) *storage.Table {
 	return tbl
 }
 
-// TestKeyFilterKeepsEveryBuildKey hashes probe keys straight from the
+// TestKeyFilterKeepsEveryBuildKey filters probe keys straight off the
 // encoded chunk columns — dictionary, frame-of-reference and raw, in
-// 1–3 column keys and column orders unlike the table's — and requires
-// every row whose key is a build key to pass, while few of the others
-// do. A false negative would silently drop join results; a false
-// positive only costs the join a probe.
+// 1–3 column keys and column orders unlike the table's. Where the build
+// keys' box fits the cap, the filter must keep exactly the rows whose key
+// is a build key; past the cap, exactly the rows inside the box. A false
+// negative would silently drop join results, and a false positive ships
+// a row the join cannot use.
 func TestKeyFilterKeepsEveryBuildKey(t *testing.T) {
 	const n = 3 * storage.ColChunkRows
 	tbl := keyTable(t, n)
 	seen := map[storage.EncKind]bool{}
 	for ci := 0; ci < tbl.NumColChunks(); ci++ {
-		for _, v := range tbl.ColChunk(ci).Cols[:3] {
+		for _, v := range tbl.ColChunk(ci).Cols[:4] {
 			seen[v.Enc] = true
 		}
 	}
@@ -58,67 +65,130 @@ func TestKeyFilterKeepsEveryBuildKey(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	for _, cols := range [][]string{{"k2"}, {"k1", "k0"}, {"k0", "k2", "k1"}, {"k1"}} {
-		idx := colIdx(tbl.Schema, cols)
-		keyOfRow := func(i int) joinKey {
-			var k joinKey
-			for j, c := range idx {
-				k[j] = tbl.ColChunk(i / storage.ColChunkRows).Cols[c].Value(i % storage.ColChunkRows).I
+	for _, c := range []struct {
+		cols  []string
+		even  bool // build on even rows only
+		upto  int  // build on rows below
+		exact bool // the box fits the cap
+	}{
+		{[]string{"k1"}, false, n, true},
+		{[]string{"k1", "k0"}, false, n, true},
+		{[]string{"k3", "k0"}, true, n, true},
+		{[]string{"k0", "k3", "k1"}, true, storage.ColChunkRows, true},
+		{[]string{"k2"}, false, n, false},
+		{[]string{"k0", "k2", "k1"}, false, n, false},
+	} {
+		idx := colIdx(tbl.Schema, c.cols)
+		keyOfRow := func(i int) []int64 {
+			k := make([]int64, len(idx))
+			for j, col := range idx {
+				k[j] = tbl.ColChunk(i / storage.ColChunkRows).Cols[col].Value(i % storage.ColChunkRows).I
 			}
 			return k
 		}
-		// Build on a random third of the rows' keys plus keys no row has.
-		var ht joinTable
-		build := map[joinKey]bool{}
+		// Build on a random third of the rows' keys, some twice.
+		var keys [][]int64
+		build := map[[MaxJoinKeys]int64]bool{}
+		lo, hi := make([]int64, len(idx)), make([]int64, len(idx))
 		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				k := keyOfRow(i)
-				build[k] = true
-				ht.insert(k, storage.RowRef{})
+			if rng.Intn(3) != 0 || c.even && i%2 == 1 || i >= c.upto {
+				continue
+			}
+			k := keyOfRow(i)
+			keys = append(keys, k)
+			if rng.Intn(4) == 0 {
+				keys = append(keys, k)
+			}
+			var jk [MaxJoinKeys]int64
+			copy(jk[:], k)
+			if len(build) == 0 {
+				copy(lo, k)
+				copy(hi, k)
+			}
+			build[jk] = true
+			for j := range k {
+				lo[j], hi[j] = min(lo[j], k[j]), max(hi[j], k[j])
 			}
 		}
-		for i := 0; i < 500; i++ {
-			ht.insert(joinKey{-1, int64(i), -3}, storage.RowRef{})
+		f := KeyFilterOf(c.cols, keys)
+		if (f.Bits != nil) != c.exact {
+			t.Fatalf("cols %v: bitmap %v, want %v (spans %v)", c.cols, f.Bits != nil, c.exact, f.Span)
 		}
-		f := newKeyFilter(cols, &ht)
-
-		var h []uint64
-		var kept []int32
-		passed, others := 0, 0
+		ks := newKeyScan(tbl.Schema, f)
+		kept, wantKept := 0, 0
 		for ci := 0; ci < tbl.NumColChunks(); ci++ {
 			chunk := tbl.ColChunk(ci)
 			sel := make([]int32, chunk.Len())
 			for i := range sel {
 				sel[i] = int32(i)
 			}
-			h, kept = f.keep(chunk, idx, sel, h, kept[:0])
 			keep := map[int32]bool{}
-			for _, m := range kept {
+			for _, m := range ks.keep(chunk, sel) {
 				keep[m] = true
 			}
+			kept += len(keep)
 			for _, m := range sel {
-				in := build[keyOfRow(ci*storage.ColChunkRows+int(m))]
-				if in && !keep[m] {
-					t.Fatalf("cols %v: row %d has a build key but was dropped", cols, ci*storage.ColChunkRows+int(m))
-				}
-				if !in {
-					others++
-					if keep[m] {
-						passed++
+				k := keyOfRow(ci*storage.ColChunkRows + int(m))
+				var jk [MaxJoinKeys]int64
+				copy(jk[:], k)
+				want := build[jk]
+				if !c.exact {
+					want = true
+					for j := range k {
+						want = want && lo[j] <= k[j] && k[j] <= hi[j]
 					}
+				}
+				if want != keep[m] {
+					t.Fatalf("cols %v: row %d key %v kept=%v, want %v", c.cols, ci*storage.ColChunkRows+int(m), k, keep[m], want)
+				}
+				if want {
+					wantKept++
 				}
 			}
 		}
-		if others == 0 || float64(passed) > 0.03*float64(others) {
-			t.Fatalf("cols %v: %d of %d rows without a build key passed", cols, passed, others)
+		if wantKept == 0 || kept != wantKept {
+			t.Fatalf("cols %v: kept %d rows, want %d", c.cols, kept, wantKept)
 		}
 	}
 
 	// An empty build side passes nothing.
-	var empty joinTable
-	chunk := tbl.ColChunk(0)
-	if _, kept := newKeyFilter([]string{"k1"}, &empty).keep(chunk, colIdx(tbl.Schema, []string{"k1"}), []int32{0, 1, 2}, nil, nil); len(kept) != 0 {
+	f := KeyFilterOf([]string{"k1"}, nil)
+	if len(f.Bits) != 1 || f.Bits[0] != 0 {
+		t.Fatalf("empty build's filter = %+v, want a one-cell box with no bit set", f)
+	}
+	if kept := newKeyScan(tbl.Schema, f).keep(tbl.ColChunk(0), []int32{0, 1, 2}); len(kept) != 0 {
 		t.Fatalf("empty filter kept %v", kept)
+	}
+}
+
+// TestBoxWordsBounds pins the box arithmetic the wire checks: a box
+// exactly at the cap gets a bitmap and one cell past it does not, a span
+// running past MaxInt64 (or a key width outside 1..MaxJoinKeys) is
+// malformed, and MinInt64..MaxInt64 is a valid box past the cap.
+func TestBoxWordsBounds(t *testing.T) {
+	for _, c := range []struct {
+		lo    []int64
+		span  []uint64
+		words int
+		ok    bool
+	}{
+		{[]int64{0}, []uint64{0}, 1, true},
+		{[]int64{-5}, []uint64{64}, 2, true},
+		{[]int64{0, 0}, []uint64{1<<10 - 1, 1<<11 - 1}, KeyBoxCap / 64, true},
+		{[]int64{0, 0}, []uint64{1 << 10, 1<<11 - 1}, 0, true},
+		{[]int64{0, 0, 0}, []uint64{1, 1, KeyBoxCap/4 - 1}, KeyBoxCap / 64, true},
+		{[]int64{0}, []uint64{KeyBoxCap}, 0, true},
+		{[]int64{math.MinInt64}, []uint64{math.MaxUint64}, 0, true},
+		{[]int64{math.MaxInt64}, []uint64{0}, 1, true},
+		{[]int64{math.MaxInt64}, []uint64{1}, 0, false},
+		{[]int64{1}, []uint64{math.MaxUint64}, 0, false},
+		{nil, nil, 0, false},
+		{[]int64{0, 0, 0, 0}, []uint64{0, 0, 0, 0}, 0, false},
+		{[]int64{0}, []uint64{0, 0}, 0, false},
+	} {
+		if words, ok := BoxWords(c.lo, c.span); words != c.words || ok != c.ok {
+			t.Errorf("BoxWords(%v, %v) = %d, %v; want %d, %v", c.lo, c.span, words, ok, c.words, c.ok)
+		}
 	}
 }
 
@@ -139,30 +209,32 @@ func keyedOrdersScan(t testing.TB, db *storage.Database, keys bool) *SharedScanS
 	cust := db.Partition(0).TableByID(tpcc.TCustomerID)
 	preds := []compiledPred{compilePred(cust.Schema, Predicate{Col: "c_state", Kind: PredPrefix, Str: tpcc.Q3StatePrefix})}
 	idx := colIdx(cust.Schema, []string{"c_w_id", "c_d_id", "c_id"})
-	var ht joinTable
+	var build [][]int64
 	var sel []int32
 	for ci := 0; ci < cust.NumColChunks(); ci++ {
 		chunk := cust.ColChunk(ci)
 		sel = matchChunk(chunk, preds, sel)
 		for _, m := range sel {
-			var k joinKey
+			k := make([]int64, len(idx))
 			for j, c := range idx {
 				k[j] = chunk.Cols[c].Value(int(m)).I
 			}
-			ht.insert(k, storage.RowRef{})
+			build = append(build, k)
 		}
 	}
-	if len(ht.entries) == 0 {
+	if len(build) == 0 {
 		t.Fatal("no customer matches the build filter")
 	}
-	spec.Keys = newKeyFilter([]string{"o_w_id", "o_d_id", "o_c_id"}, &ht)
+	spec.Keys = KeyFilterOf([]string{"o_w_id", "o_d_id", "o_c_id"}, build)
+	if spec.Keys.Bits == nil {
+		t.Fatalf("customer key box %v is past the cap", spec.Keys.Span)
+	}
 	return spec
 }
 
 // TestKeyedScanShipsOnlyJoinableRows runs Q3's orders scan with and
-// without the build-key filter: the filtered pass must still ship every
-// order of a matching customer (the rows the join emits), and far fewer
-// rows overall.
+// without the build-key filter: the filtered pass must ship exactly the
+// orders of matching customers (the rows the join emits), each once.
 func TestKeyedScanShipsOnlyJoinableRows(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
 		Items: 10, InitOrders: 3000, Seed: 7}.WithDefaults()
@@ -204,23 +276,24 @@ func TestKeyedScanShipsOnlyJoinableRows(t *testing.T) {
 	all, kept := shipped(false), shipped(true)
 	got := map[storage.Key]bool{}
 	for _, r := range kept {
-		got[storage.MakeKey(int(r[0].I), int(r[1].I), r[3].I)] = true
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("joinable order %v was filtered out", k)
+		k := storage.MakeKey(int(r[0].I), int(r[1].I), r[3].I)
+		if !want[k] {
+			t.Fatalf("filtered scan shipped order %v, whose customer is not in the build", k)
 		}
+		got[k] = true
 	}
-	if len(want) == 0 || len(kept) > len(want)+len(all)/50 {
-		t.Fatalf("filtered scan shipped %d rows for %d joinable ones (unfiltered: %d)", len(kept), len(want), len(all))
+	if len(want) == 0 || len(kept) != len(want) || len(got) != len(want) || len(all) <= len(want) {
+		t.Fatalf("filtered scan shipped %d rows (%d distinct) for %d joinable ones (unfiltered: %d)",
+			len(kept), len(got), len(want), len(all))
 	}
 }
 
 // BenchmarkKeyedScan is BenchmarkScanFlush for a join's held probe scan:
 // one op is one pass of Q3's orders scan with its build-key filter, so
-// matched rows are hashed straight off the encoded key columns and only
-// the survivors are gathered. It must report 0 allocs/op: the hash and
-// survivor scratch live in the registration.
+// matched rows are range-checked and looked up in the key box's bitmap
+// straight off the encoded key columns, and only the survivors are
+// gathered. It must report 0 allocs/op: the offset and survivor scratch
+// live in the registration.
 //
 //	go test -bench KeyedScan -benchmem ./internal/olap
 func BenchmarkKeyedScan(b *testing.B) {

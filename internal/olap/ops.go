@@ -13,6 +13,7 @@ package olap
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -48,11 +49,19 @@ type Predicate struct {
 	Lo, Hi int64
 }
 
-// JoinSpec instructs an AC to hash-join (inner equi-join) two incoming
-// streams; each match emits the build row concatenated with the probe
-// row. The build side is consumed entirely first (NeedClosed semantics);
-// probe batches stream through afterwards — any probe data beamed early
-// waits staged at the AC.
+// JoinSpec instructs an AC to join (inner equi-join) two incoming
+// streams; each match emits the build row's BuildOut columns followed by
+// the probe row's ProbeOut columns. The build side is consumed entirely
+// first (NeedClosed semantics); probe batches stream through afterwards
+// — any probe data beamed early waits staged at the AC.
+//
+// When the build closes, the join takes its keys' box (KeyFilter). A
+// build that ships only its key columns, and whose bitmap proves its
+// keys distinct, needs no hash table: a probe row whose key the bitmap
+// holds matches exactly one build row, whose cells are the probe row's
+// own key cells, so the join forwards the probe row. Every other build —
+// duplicate keys, non-key columns, a box past KeyBoxCap — is indexed in
+// a hash table sized from its row count.
 type JoinSpec struct {
 	Query     core.QueryID
 	Build     core.StreamID
@@ -62,15 +71,18 @@ type JoinSpec struct {
 	Out       core.StreamID
 	To        core.ACID
 	Producers int
+	// BuildOut and ProbeOut name the columns of each side the output
+	// carries: the planner keeps only those a later operator reads.
+	BuildOut, ProbeOut []string
 	// Notify receives EvOpDone events at build completion and probe
 	// completion (the harness's Figure 6 instrumentation).
 	Notify core.ACID
 	Label  string
 	// ProbeScans are the probe side's shared-scan registrations when the
 	// QO holds them back instead of installing them itself: the join
-	// installs them once its build side is complete, each carrying a
-	// KeyFilter over the build keys, so the scans drop the rows no build
-	// key can match before gathering and shipping them (sideways
+	// installs them once its build side is complete, each carrying the
+	// KeyFilter of the build keys, so the scans drop the rows no build
+	// key matches before gathering and shipping them (sideways
 	// information passing). Empty when the probe scans run unfiltered.
 	ProbeScans []ScanInstall
 }
@@ -80,75 +92,6 @@ type JoinSpec struct {
 type ScanInstall struct {
 	At   core.ACID
 	Spec *SharedScanSpec
-}
-
-// KeyFilter is what a hash join tells its probe-side scans: a Bloom
-// filter over the distinct build keys. Each key sets two bits of one
-// 64-bit word, all three picked from hashKey, so a test is one word
-// load. It has no false negatives; its false positives (about 0.5–2 %
-// at 16 bits per key) reach the join, whose exact probe rejects them.
-type KeyFilter struct {
-	Cols []string // the probe table's key columns, in join-key order
-	Bits []uint64 // a power-of-two number of words
-}
-
-// keyFilterBits is the filter's size in bits per distinct build key.
-const keyFilterBits = 16
-
-// newKeyFilter builds the filter over the distinct keys of t, for the
-// probe key columns cols.
-func newKeyFilter(cols []string, t *joinTable) *KeyFilter {
-	words := 1
-	for words*64 < len(t.entries)*keyFilterBits {
-		words <<= 1
-	}
-	f := &KeyFilter{Cols: cols, Bits: make([]uint64, words)}
-	shift := f.shift()
-	for i := range t.entries {
-		h := hashKey(t.entries[i].key)
-		f.Bits[h>>shift] |= keyBits(h)
-	}
-	return f
-}
-
-// shift maps a hash's high bits onto a word index.
-func (f *KeyFilter) shift() uint { return uint(64 - bits.TrailingZeros(uint(len(f.Bits)))) }
-
-// keyBits is the two-bit mask of hash h within its word.
-func keyBits(h uint64) uint64 { return 1<<(h>>32&63) | 1<<(h>>38&63) }
-
-// keep appends to dst the rows of sel whose key — chunk columns cols —
-// may be a build key. The key hash accumulates in the scratch h one
-// typed loop per key column, decoding frame-of-reference and dictionary
-// codes in place. It returns both (possibly grown) buffers.
-func (f *KeyFilter) keep(c *storage.EncChunk, cols []int, sel []int32, h []uint64, dst []int32) ([]uint64, []int32) {
-	h = slices.Grow(h[:0], len(sel))[:len(sel)]
-	clear(h)
-	for j, col := range cols {
-		mul, v := keyMuls[j], &c.Cols[col]
-		switch v.Enc {
-		case storage.EncFoR:
-			for i, m := range sel {
-				h[i] ^= uint64(v.Ref+int64(v.Codes[m])) * mul
-			}
-		case storage.EncDict:
-			for i, m := range sel {
-				h[i] ^= uint64(v.Dict.DecodeInt(v.Codes[m])) * mul
-			}
-		default:
-			for i, m := range sel {
-				h[i] ^= uint64(v.Ints[m]) * mul
-			}
-		}
-	}
-	shift := f.shift()
-	for i, m := range sel {
-		k := mixKey(h[i])
-		if b := keyBits(k); f.Bits[k>>shift]&b == b {
-			dst = append(dst, m)
-		}
-	}
-	return h, dst
 }
 
 // QueryResult is the payload of EvQueryDone.
@@ -209,17 +152,32 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 	}
 }
 
-// joinState is a two-phase hash join bound to one AC.
+// joinState is a two-phase join bound to one AC.
 type joinState struct {
 	spec  *JoinSpec
 	ht    *joinTable
 	build []*storage.Batch
-	built bool
+	rows  int // build rows
 	out   *storage.Batch
 
 	// Key column indexes, resolved at each side's first batch (every
 	// batch of a stream has the same layout).
 	buildCols, probeCols []int
+
+	// The build keys' box: hi holds the greatest keys while build batches
+	// widen it, and the spans and the bitmap follow when the build
+	// closes. direct marks a distinct key-only build, which the join
+	// answers from the bitmap alone; filtered marks a probe side whose
+	// every row the exact filter already kept.
+	box              keyBox
+	hi               joinKey
+	direct, filtered bool
+
+	// The output: its schema, the build and probe columns it carries, and
+	// (direct joins) the probe columns that stand in for all of them.
+	outSchema  *storage.Schema
+	bOut, pOut []int
+	fromProbe  []int
 
 	// Probe scratch: the matches of the current output segment, as build
 	// refs and probe rows, gathered into out at each emission point.
@@ -227,11 +185,11 @@ type joinState struct {
 	mrow []int32
 }
 
-// maxJoinKeys bounds the equi-join key width (the planner enforces it).
-const maxJoinKeys = 3
+// MaxJoinKeys bounds the equi-join key width (the planner enforces it).
+const MaxJoinKeys = 3
 
 // joinKey is one build or probe key; columns past the key width are 0.
-type joinKey [maxJoinKeys]int64
+type joinKey [MaxJoinKeys]int64
 
 // keyOf reads the int key of row from the key columns cols.
 func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
@@ -242,14 +200,18 @@ func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
 	return k
 }
 
-// joinTable is the join's hash table: a flat open-addressing index over
-// the distinct build keys, each heading an insertion-ordered chain of
-// build-row refs. Slots pack the key hash's low half with the entry
+// joinTable is a join's recycled build state: the key box's bitmap, row
+// and offset scratch, and the hash table — a flat open-addressing index
+// over the distinct build keys, each heading an insertion-ordered chain
+// of build-row refs. Slots pack the key hash's low half with the entry
 // index + 1 (0 = empty), so a probe miss — the common case — usually
 // rejects on the slot word alone, without touching the entry. Tables
 // recycle through joinTables when their join closes, so a steady-state
-// build inserts into warm arrays.
+// build fills warm arrays.
 type joinTable struct {
+	bits    []uint64
+	live    []int32
+	off     []uint64
 	slots   []uint64
 	shift   uint // 64 - log2(len(slots))
 	entries []joinEntry
@@ -270,19 +232,10 @@ type joinRef struct {
 	next int32
 }
 
-// keyMuls are hashKey's per-column multipliers.
-var keyMuls = [maxJoinKeys]uint64{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9}
-
 // hashKey mixes every key word (unused ones are 0) into 64 bits: find
-// takes the slot from the high bits and the tag from the low half. The
-// per-column products XOR together, so KeyFilter.keep can accumulate
-// them one column at a time.
+// takes the slot from the high bits and the tag from the low half.
 func hashKey(k joinKey) uint64 {
-	return mixKey(uint64(k[0])*keyMuls[0] ^ uint64(k[1])*keyMuls[1] ^ uint64(k[2])*keyMuls[2])
-}
-
-// mixKey finalizes hashKey's column products.
-func mixKey(h uint64) uint64 {
+	h := uint64(k[0])*0x9e3779b97f4a7c15 ^ uint64(k[1])*0xc2b2ae3d27d4eb4f ^ uint64(k[2])*0x165667b19e3779f9
 	h ^= h >> 29
 	return h * 0xbf58476d1ce4e5b9
 }
@@ -305,11 +258,27 @@ func (t *joinTable) find(k joinKey, h uint64) (int32, int) {
 	}
 }
 
+// index builds the hash table over every row of build, keyed by the
+// columns cols. The slot array is sized from the row count n (load at
+// most 1/2, at least 64 slots) before the first insert, so nothing
+// re-indexes, and a recycled table zeroes only the slots this build
+// uses, whatever size an earlier build left it.
+func (t *joinTable) index(build []*storage.Batch, cols []int, n int) {
+	size := 64
+	for size < 2*n {
+		size <<= 1
+	}
+	t.slots = zeroed(t.slots, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for bi, b := range build {
+		for r := 0; r < b.Len(); r++ {
+			t.insert(keyOf(b, r, cols), storage.RowRef{Batch: int32(bi), Row: int32(r)})
+		}
+	}
+}
+
 // insert appends build row at to key k's chain.
 func (t *joinTable) insert(k joinKey, at storage.RowRef) {
-	if 2*(len(t.entries)+1) > len(t.slots) {
-		t.grow()
-	}
 	h := hashKey(k)
 	e, slot := t.find(k, h)
 	ref := int32(len(t.refs))
@@ -324,24 +293,6 @@ func (t *joinTable) insert(k joinKey, at storage.RowRef) {
 	t.slots[slot] = h<<32 | uint64(len(t.entries))
 }
 
-// grow doubles the slot array (sized for load <= 1/2) and re-indexes
-// every entry. A recycled table's first grow takes the whole slot array
-// it kept, so a build no larger than the table's last one re-indexes
-// nothing.
-func (t *joinTable) grow() {
-	n := max(2*len(t.slots), 64)
-	if len(t.slots) == 0 && cap(t.slots) > n {
-		n = 1 << (bits.Len(uint(cap(t.slots))) - 1)
-	}
-	t.slots = zeroed(t.slots, n)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for e := range t.entries {
-		h := hashKey(t.entries[e].key)
-		_, slot := t.find(t.entries[e].key, h)
-		t.slots[slot] = h<<32 | uint64(e+1)
-	}
-}
-
 // lookup returns the head ref of key k's chain, or -1.
 func (t *joinTable) lookup(k joinKey) int32 {
 	if len(t.entries) == 0 {
@@ -352,6 +303,15 @@ func (t *joinTable) lookup(k joinKey) int32 {
 		return -1
 	}
 	return t.entries[e].head
+}
+
+// allRows returns the rows 0..n-1 in t's row scratch.
+func (t *joinTable) allRows(n int) []int32 {
+	t.live = t.live[:0]
+	for i := range int32(n) {
+		t.live = append(t.live, i)
+	}
+	return t.live
 }
 
 // joinTables recycles join tables across queries.
@@ -365,9 +325,14 @@ func getJoinTable() *joinTable {
 	return &joinTable{}
 }
 
-// release empties t, keeping its arrays, and returns it to the pool.
+// reset empties t, keeping its arrays.
+func (t *joinTable) reset() {
+	t.bits, t.slots, t.entries, t.refs = t.bits[:0], t.slots[:0], t.entries[:0], t.refs[:0]
+}
+
+// release empties t and returns it to the pool.
 func (t *joinTable) release() {
-	t.slots, t.entries, t.refs = t.slots[:0], t.entries[:0], t.refs[:0]
+	t.reset()
 	joinTables.Put(t)
 }
 
@@ -381,8 +346,8 @@ func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
 // keyCols resolves a join's key columns against a side's batch schema;
 // keys must be int columns (the planner rejects others).
 func keyCols(s *storage.Schema, names []string) []int {
-	if len(names) > maxJoinKeys {
-		panic(fmt.Sprintf("olap: %d join key columns, at most %d", len(names), maxJoinKeys))
+	if len(names) > MaxJoinKeys {
+		panic(fmt.Sprintf("olap: %d join key columns, at most %d", len(names), MaxJoinKeys))
 	}
 	cols := colIdx(s, names)
 	for i, c := range cols {
@@ -399,27 +364,33 @@ type joinBuildSink joinState
 
 func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	st := (*joinState)(j)
-	costs := ctx.Costs()
-	if msg.Batch != nil {
-		buildCost := costs.HashBuildRow
+	if b := msg.Batch; b != nil {
+		buildCost := ctx.Costs().HashBuildRow
 		if msg.Prehashed {
 			// DPI flows hash rows in flight (§4 co-processor).
 			buildCost = buildCost * 3 / 4
 		}
+		ctx.Charge(buildCost * sim.Time(b.Len()))
 		if st.buildCols == nil {
-			st.buildCols = keyCols(msg.Batch.Schema, st.spec.BuildKey)
+			st.buildCols = keyCols(b.Schema, st.spec.BuildKey)
 		}
 		// Build rows are materialized at probe time, so the batch must
-		// live until the probe side closes.
-		bi := int32(len(st.build))
-		st.build = append(st.build, msg.Batch)
-		for r := 0; r < msg.Batch.Len(); r++ {
-			ctx.Charge(buildCost)
-			st.ht.insert(keyOf(msg.Batch, r, st.buildCols), storage.RowRef{Batch: bi, Row: int32(r)})
+		// live until the probe side closes. Its keys widen the box.
+		st.build = append(st.build, b)
+		for j, c := range st.buildCols {
+			lo, hi := st.box.lo[j], st.hi[j]
+			if st.rows == 0 {
+				lo, hi = math.MaxInt64, math.MinInt64
+			}
+			for _, v := range b.Cols[c].Ints {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+			st.box.lo[j], st.hi[j] = lo, hi
 		}
+		st.rows += b.Len()
 	}
 	if msg.Last {
-		st.built = true
+		st.closeBuild()
 		if st.spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, st.spec.Query
@@ -432,6 +403,53 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 }
 
+// closeBuild completes the build side: it fixes the key box, sets one
+// bit per build row when the box fits KeyBoxCap (a bit set twice marks a
+// duplicate key), and then either marks the join direct — keys distinct
+// and every build column a key column — or indexes the build in the
+// hash table.
+func (st *joinState) closeBuild() {
+	t, x := st.ht, &st.box
+	for j := range st.spec.BuildKey {
+		if st.rows == 0 {
+			x.lo[j], st.hi[j] = 0, 0 // an empty build: the one-cell box, no bit set
+		}
+		x.span[j] = uint64(st.hi[j]) - uint64(x.lo[j])
+	}
+	n := len(st.spec.BuildKey)
+	cells, fits := boxCells(x.span[:n])
+	distinct := fits
+	x.bits = nil
+	if fits {
+		x.stride = boxStrides(x.span[:n])
+		t.bits = zeroed(t.bits, (cells+63)/64)
+		for _, b := range st.build {
+			_, t.off = x.cells(b, st.buildCols, t.allRows(b.Len()), t.off)
+			for _, o := range t.off {
+				w, m := o>>6, uint64(1)<<(o&63)
+				distinct = distinct && t.bits[w]&m == 0
+				t.bits[w] |= m
+			}
+		}
+		x.bits = t.bits
+	}
+	st.direct = distinct && (st.rows == 0 || keyOnly(st.build[0].Schema, st.buildCols))
+	if !st.direct {
+		t.index(st.build, st.buildCols, st.rows)
+	}
+}
+
+// keyOnly reports whether every column of the build schema s is one of
+// the key columns cols.
+func keyOnly(s *storage.Schema, cols []int) bool {
+	for c := range s.Cols {
+		if !slices.Contains(cols, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // installProbeScans starts the held probe-side scans, all sharing one
 // filter over the now complete build keys. The filter is read-only from
 // here on, so the scans' ACs read it without copies.
@@ -440,15 +458,24 @@ func (st *joinState) installProbeScans(ctx core.Context) {
 	if len(spec.ProbeScans) == 0 {
 		return
 	}
-	f := newKeyFilter(spec.ProbeKey, st.ht)
-	ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(len(st.ht.entries)))
+	st.filtered = st.box.bits != nil
+	f := st.box.filter(spec.ProbeKey)
+	ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(st.distinctKeys()))
 	for _, in := range spec.ProbeScans {
 		in.Spec.Keys = f
 		ev := core.GetEvent()
 		ev.Kind, ev.Query, ev.Payload = core.EvInstallOp, spec.Query, in.Spec
-		ev.Size = 8 * int64(len(f.Bits))
+		ev.Size = 8 * int64(len(f.Bits)+2*len(f.Cols))
 		ctx.Send(in.At, ev)
 	}
+}
+
+// distinctKeys is the number of distinct build keys.
+func (st *joinState) distinctKeys() int {
+	if st.direct {
+		return st.rows
+	}
+	return len(st.ht.entries)
 }
 
 type joinProbeSink joinState
@@ -456,55 +483,34 @@ type joinProbeSink joinState
 func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	st := (*joinState)(j)
 	spec := st.spec
-	costs := ctx.Costs()
-	if msg.Batch != nil {
-		probeCost := costs.HashProbeRow
+	if probe := msg.Batch; probe != nil {
+		probeCost := ctx.Costs().HashProbeRow
 		if msg.Prehashed {
 			probeCost = probeCost * 3 / 4
 		}
 		if st.probeCols == nil {
-			st.probeCols = keyCols(msg.Batch.Schema, spec.ProbeKey)
+			st.probeCols = keyCols(probe.Schema, spec.ProbeKey)
 		}
-		if st.out == nil {
-			st.out = storage.GetBatch(outSchema(st, msg.Batch.Schema))
+		switch {
+		case st.rows == 0:
+			// An empty build matches nothing.
+			ctx.Charge(probeCost * sim.Time(probe.Len()))
+		case st.direct:
+			st.forward(ctx, probe, probeCost)
+		default:
+			st.probe(ctx, probe, probeCost)
 		}
-		// Matches queue as (build ref, probe row) pairs and are gathered
-		// into the output column by column at each emission point —
-		// exactly where the row-at-a-time join emitted, after the last
-		// match of the probe row that fills a batch, so batch boundaries
-		// and output order (probe row order, then build insertion order)
-		// are unchanged. Probe charges are paid in the same positions
-		// relative to the emissions.
-		probe, charged := msg.Batch, 0
-		for r := 0; r < probe.Len(); r++ {
-			ref := st.ht.lookup(keyOf(probe, r, st.probeCols))
-			if ref < 0 {
-				continue
-			}
-			for ; ref >= 0; ref = st.ht.refs[ref].next {
-				st.mref = append(st.mref, st.ht.refs[ref].at)
-				st.mrow = append(st.mrow, int32(r))
-			}
-			if st.out.Len()+len(st.mref) >= DefaultBatchRows {
-				ctx.Charge(probeCost * sim.Time(r+1-charged))
-				charged = r + 1
-				st.gather(probe)
-				st.emit(ctx, false)
-			}
-		}
-		ctx.Charge(probeCost * sim.Time(probe.Len()-charged))
-		st.gather(probe)
-		// The gather copies, so the probe batch dies here.
+		// The gathers copy, so the probe batch dies here.
 		storage.FreeBatch(probe)
 	}
 	if msg.Last {
 		st.emit(ctx, true)
-		// The join is over: release the build side and the hash table.
+		// The join is over: release the build side and its table.
 		for _, b := range st.build {
 			storage.FreeBatch(b)
 		}
 		st.ht.release()
-		st.build, st.ht = nil, nil
+		st.build, st.ht, st.box.bits = nil, nil, nil
 		if spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, spec.Query
@@ -514,9 +520,102 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 }
 
+// probe joins one probe batch through the hash table. Matches queue as
+// (build ref, probe row) pairs and are gathered into the output column
+// by column at each emission point: after the last match of the probe
+// row that fills a batch, so batch boundaries and output order (probe
+// row order, then build insertion order) follow the probe. Probe charges
+// are paid in the same positions relative to the emissions.
+func (st *joinState) probe(ctx core.Context, probe *storage.Batch, probeCost sim.Time) {
+	st.arm(probe.Schema)
+	charged := 0
+	for r := 0; r < probe.Len(); r++ {
+		ref := st.ht.lookup(keyOf(probe, r, st.probeCols))
+		if ref < 0 {
+			continue
+		}
+		for ; ref >= 0; ref = st.ht.refs[ref].next {
+			st.mref = append(st.mref, st.ht.refs[ref].at)
+			st.mrow = append(st.mrow, int32(r))
+		}
+		if st.out.Len()+len(st.mref) >= DefaultBatchRows {
+			ctx.Charge(probeCost * sim.Time(r+1-charged))
+			charged = r + 1
+			st.gather(probe)
+			st.emit(ctx, false)
+		}
+	}
+	ctx.Charge(probeCost * sim.Time(probe.Len()-charged))
+	st.gather(probe)
+}
+
+// forward joins one probe batch of a direct join: the rows whose key the
+// bitmap holds — every row, when the held scans' exact filter already
+// kept only those — each match one build row, so their projected cells
+// append to the output with no hash table. Emission points and charges
+// fall where probe puts them.
+func (st *joinState) forward(ctx core.Context, probe *storage.Batch, probeCost sim.Time) {
+	st.arm(probe.Schema)
+	t := st.ht
+	rows := t.allRows(probe.Len())
+	if !st.filtered {
+		rows, t.off = st.box.cells(probe, st.probeCols, rows, t.off)
+		w := 0
+		for i, r := range rows {
+			if o := t.off[i]; st.box.bits[o>>6]&(1<<(o&63)) != 0 {
+				rows[w] = r
+				w++
+			}
+		}
+		rows = rows[:w]
+	}
+	charged := 0
+	for len(rows) > 0 && st.out.Len()+len(rows) >= DefaultBatchRows {
+		k := DefaultBatchRows - st.out.Len()
+		r := int(rows[k-1])
+		ctx.Charge(probeCost * sim.Time(r+1-charged))
+		charged = r + 1
+		st.out.AppendRows(probe.Cols, st.fromProbe, rows[:k])
+		rows = rows[k:]
+		st.emit(ctx, false)
+	}
+	ctx.Charge(probeCost * sim.Time(probe.Len()-charged))
+	st.out.AppendRows(probe.Cols, st.fromProbe, rows)
+}
+
+// arm resolves the output layout at the first probe batch — the build
+// and probe columns it carries and, for a direct join, the probe column
+// each build key column copies — and draws the output batch.
+func (st *joinState) arm(probe *storage.Schema) {
+	if st.outSchema == nil {
+		bs := st.build[0].Schema
+		st.bOut, st.pOut = colIdx(bs, st.spec.BuildOut), colIdx(probe, st.spec.ProbeOut)
+		st.outSchema = storage.ConcatSchema("join_out", project(bs, st.bOut), project(probe, st.pOut))
+		if st.direct {
+			st.fromProbe = make([]int, 0, len(st.bOut)+len(st.pOut))
+			for _, c := range st.bOut {
+				st.fromProbe = append(st.fromProbe, st.probeCols[slices.Index(st.buildCols, c)])
+			}
+			st.fromProbe = append(st.fromProbe, st.pOut...)
+		}
+	}
+	if st.out == nil {
+		st.out = storage.GetBatch(st.outSchema)
+	}
+}
+
+// project returns the schema of columns cols of s, under s's name.
+func project(s *storage.Schema, cols []int) *storage.Schema {
+	out := make([]storage.Column, len(cols))
+	for i, c := range cols {
+		out[i] = s.Cols[c]
+	}
+	return storage.NewSchema(s.Name, out...)
+}
+
 // gather appends the queued matches against probe to the output batch.
 func (st *joinState) gather(probe *storage.Batch) {
-	st.out.AppendJoined(st.build, st.mref, probe, st.mrow)
+	st.out.AppendJoined(st.build, st.bOut, st.mref, probe, st.pOut, st.mrow)
 	st.mref, st.mrow = st.mref[:0], st.mrow[:0]
 }
 
@@ -537,13 +636,6 @@ func (st *joinState) emit(ctx core.Context, last bool) {
 		st.out = nil
 	}
 	ctx.SendData(st.spec.To, msg)
-}
-
-func outSchema(st *joinState, probe *storage.Schema) *storage.Schema {
-	if len(st.build) == 0 {
-		return probe
-	}
-	return storage.ConcatSchema("join_out", st.build[0].Schema, probe)
 }
 
 func colIdx(s *storage.Schema, names []string) []int {

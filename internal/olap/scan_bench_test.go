@@ -131,26 +131,28 @@ func BenchmarkStaleChunkPass(b *testing.B) {
 }
 
 // BenchmarkJoinBuild measures the steady-state allocation cost of a
-// hash join's build: one op inserts about 8 k build rows (two per key,
-// so every key heads a chain) into a pooled table and releases it, as a
+// hash join's build: one op indexes about 8 k build rows (two per key,
+// so every key heads a chain) in a pooled table and releases it, as a
 // join does when it closes. With the table's arrays recycled, a build
 // must show zero steady-state allocations.
 //
 //	go test -bench JoinBuild -benchmem ./internal/olap
 func BenchmarkJoinBuild(b *testing.B) {
 	const rows = 8192
-	keys := make([]joinKey, rows)
-	for i := range keys {
+	batch := storage.NewBatch(storage.NewSchema("b",
+		storage.Column{Name: "w", Kind: storage.KInt},
+		storage.Column{Name: "d", Kind: storage.KInt},
+		storage.Column{Name: "c", Kind: storage.KInt}))
+	for i := range rows {
 		k := int64(i / 2)
-		keys[i] = joinKey{k % 4, k / 4 % 10, k / 40}
+		batch.AppendValues(storage.Int(k%4), storage.Int(k/4%10), storage.Int(k/40))
 	}
+	build, cols := []*storage.Batch{batch}, []int{0, 1, 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := getJoinTable()
-		for r, k := range keys {
-			t.insert(k, storage.RowRef{Row: int32(r)})
-		}
+		t.index(build, cols, rows)
 		if len(t.entries) != rows/2 {
 			b.Fatalf("%d keys, want %d", len(t.entries), rows/2)
 		}

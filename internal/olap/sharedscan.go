@@ -127,6 +127,7 @@ type compiledPred struct {
 	bits       []uint64      // modeBits: per-dictionary-code results
 	bitsFor    *storage.Dict // dictionary bits was built against
 	bitsLen    int           // dictionary prefix covered by bits
+	bitsSet    int           // codes of that prefix the predicate keeps
 }
 
 // predMode is the prepared per-chunk evaluation strategy.
@@ -145,7 +146,8 @@ const (
 // Dictionary equality is one lookup (a miss means no chunk row is
 // inside), every other dictionary predicate a bitset over the
 // dictionary's codes — built once and extended incrementally as the
-// dictionary grows, so a whole pass pays O(dict) once, not O(rows).
+// dictionary grows, so a whole pass pays O(dict) once, not O(rows) —
+// that resolves the chunk at once when it keeps every code or none.
 func (p *compiledPred) prepare(c *storage.EncChunk) {
 	v := &c.Cols[p.col]
 	ints := p.Kind >= PredIn
@@ -168,7 +170,14 @@ func (p *compiledPred) prepare(c *storage.EncChunk) {
 		p.codes(code, code, ok)
 	default:
 		p.extendBits(v.Dict)
-		p.mode = modeBits
+		switch p.bitsSet {
+		case 0:
+			p.whole(!p.in)
+		case p.bitsLen:
+			p.whole(p.in)
+		default:
+			p.mode = modeBits
+		}
 	}
 }
 
@@ -216,7 +225,7 @@ func (p *compiledPred) prepareFoR(ref int64) {
 func (p *compiledPred) extendBits(d *storage.Dict) {
 	n := d.Len()
 	if p.bitsFor != d {
-		p.bitsFor, p.bitsLen = d, 0
+		p.bitsFor, p.bitsLen, p.bitsSet = d, 0, 0
 		p.bits = p.bits[:0]
 	}
 	for len(p.bits)*64 < n {
@@ -232,6 +241,7 @@ func (p *compiledPred) extendBits(d *storage.Dict) {
 		}
 		if ok {
 			p.bits[code>>6] |= 1 << (code & 63)
+			p.bitsSet++
 		}
 	}
 	p.bitsLen = n
@@ -310,11 +320,8 @@ type scanReg struct {
 	outIdx []int
 	out    *storage.Batch
 
-	// Join-key filtering (spec.Keys): the key columns' chunk indexes, and
-	// scratch for the key hashes and the surviving rows.
-	keyIdx  []int
-	keyHash []uint64
-	live    []int32
+	// Join-key filtering (spec.Keys), compiled against the table.
+	keys *keyScan
 
 	// Aggregate-pushdown mode: the partial layout, the group and source
 	// columns, and the group table.
@@ -393,7 +400,7 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		}
 		r.out = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
 		if spec.Keys != nil {
-			r.keyIdx = keyCols(t.Schema, spec.Keys.Cols)
+			r.keys = newKeyScan(t.Schema, spec.Keys)
 		}
 	} else {
 		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
@@ -455,7 +462,12 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	for _, p := range r.set.preds {
 		r.reads |= 1 << p.col
 	}
-	for _, cols := range [][]int{r.outIdx, r.keyIdx, r.groupIdx, r.aggIdx} {
+	if r.keys != nil {
+		for _, p := range r.keys.ranges {
+			r.reads |= 1 << p.col
+		}
+	}
+	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
 		for _, c := range cols {
 			if c >= 0 { // aggIdx is -1 for COUNT(*)
 				r.reads |= 1 << c
@@ -575,16 +587,14 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, sel []int32) []int32 
 // foldStream appends the matched rows, projected, to the registration's
 // output batch, flushing at batch granularity. Rows gather straight from
 // the encoded chunk in DefaultBatchRows-bounded slices of match. A join-key
-// filter first narrows match to the rows the join can use.
+// filter first narrows match to the rows whose key the build has.
 func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
 		return
 	}
-	if r.spec.Keys != nil {
+	if r.keys != nil {
 		ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(len(match)))
-		r.keyHash, r.live = r.spec.Keys.keep(chunk, r.keyIdx, match, r.keyHash, r.live[:0])
-		match = r.live
-		if len(match) == 0 {
+		if match = r.keys.keep(chunk, match); len(match) == 0 {
 			return
 		}
 	}

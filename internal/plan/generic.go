@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -190,26 +191,11 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	// output, grouping columns, aggregate sources. (Single-table
 	// aggregate plans push the aggregation into the scan instead and
 	// ship only partial-aggregate rows.)
-	needed := make(map[string]map[string]bool)
+	needed := readAfter(chain, 0, q.Joins, items, groupTables, groupCols)
 	for _, t := range order {
-		needed[t] = make(map[string]bool)
-	}
-	for _, jc := range q.Joins {
-		needed[jc.LeftTable][jc.LeftCol] = true
-		needed[jc.RightTable][jc.RightCol] = true
-	}
-	for _, it := range items {
-		if it.col != "" {
-			needed[it.table][it.col] = true
-		}
-	}
-	for i, t := range groupTables {
-		needed[t][groupCols[i]] = true
-	}
-	for t, cols := range needed {
-		if len(cols) == 0 {
+		if len(needed[t]) == 0 {
 			// Ship at least one column so batches have shape.
-			needed[t][infos[t].schema.Cols[0].Name] = true
+			needed[t] = map[string]bool{infos[t].schema.Cols[0].Name: true}
 		}
 	}
 
@@ -271,8 +257,8 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	// Accumulated (build) side starts as chain[0]'s scan; join_i runs on
 	// compute AC J_i, builds on the accumulated stream and probes the
 	// next table's scan. The last join's output stays local to feed the
-	// sink.
-	accSchemas := []*storage.Schema{scanSchema(infos[chain[0]], needed)}
+	// sink. A join's output carries only the columns an operator after it
+	// reads: a later join's key, or a sink column.
 	accStream := scanStream(0)
 	joinAC := func(i int) core.ACID { return acOf(i - 1) } // J_i for i>=1
 	p.scans = append(p.scans, scanTemplate{table: chain[0], spec: olap.SharedScanSpec{
@@ -289,9 +275,19 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			Cols: setToSlice(needed[t]),
 			Out:  probeStream, To: joinAC(i),
 		}})
-		buildKeys, probeKeys, err := joinKeys(q.Joins, accSchemas, infos[t], joined, chain[:i])
+		buildKeys, probeKeys, err := joinKeys(q.Joins, infos[t], chain[:i])
 		if err != nil {
 			return nil, err
+		}
+		read := readAfter(chain, i, q.Joins, items, groupTables, groupCols)
+		var buildOut []string
+		for _, bt := range chain[:i] {
+			buildOut = append(buildOut, setToSlice(read[bt])...)
+		}
+		probeOut := setToSlice(read[t])
+		if len(buildOut)+len(probeOut) == 0 {
+			// Ship at least one column so batches have shape.
+			probeOut = probeKeys[:1]
 		}
 		out := joinStream(i - 1)
 		outTo := joinAC(i + 1) // the next join consumes our output...
@@ -302,11 +298,11 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			Query: qid,
 			Build: accStream, BuildKey: buildKeys,
 			Probe: probeStream, ProbeKey: probeKeys,
+			BuildOut: buildOut, ProbeOut: probeOut,
 			Out: out, To: outTo, Producers: 1,
 			Notify: core.NoAC, Label: fmt.Sprintf("join%d", i),
 		})
 		p.joinACs = append(p.joinACs, joinAC(i))
-		accSchemas = append(accSchemas, scanSchema(infos[t], needed))
 		accStream = out
 	}
 	if len(aggs) > 0 {
@@ -564,8 +560,8 @@ func (p *GenericPlan) Describe() string {
 		fmt.Fprintf(&b, " -> s%d@ac%d\n", sc.Out, sc.To)
 	}
 	for i, js := range p.joins {
-		fmt.Fprintf(&b, "%s build=s%d%v probe=s%d%v @ac%d -> s%d@ac%d\n",
-			js.Label, js.Build, js.BuildKey, js.Probe, js.ProbeKey, p.joinACs[i], js.Out, js.To)
+		fmt.Fprintf(&b, "%s build=s%d%v probe=s%d%v out=%v+%v @ac%d -> s%d@ac%d\n",
+			js.Label, js.Build, js.BuildKey, js.Probe, js.ProbeKey, js.BuildOut, js.ProbeOut, p.joinACs[i], js.Out, js.To)
 	}
 	s := p.sink
 	fmt.Fprintf(&b, "sink in=s%d", s.In)
@@ -713,8 +709,7 @@ func connected(joins []sql.JoinCond, joined map[string]bool, t string) bool {
 
 // joinKeys collects the equi-join columns between the accumulated side
 // (tables in chainSoFar) and table ti.
-func joinKeys(joins []sql.JoinCond, accSchemas []*storage.Schema, ti *tableInfo,
-	joined map[string]bool, chainSoFar []string) (build, probe []string, err error) {
+func joinKeys(joins []sql.JoinCond, ti *tableInfo, chainSoFar []string) (build, probe []string, err error) {
 	inChain := make(map[string]bool, len(chainSoFar))
 	for _, t := range chainSoFar {
 		inChain[t] = true
@@ -732,19 +727,40 @@ func joinKeys(joins []sql.JoinCond, accSchemas []*storage.Schema, ti *tableInfo,
 	if len(build) == 0 {
 		return nil, nil, fmt.Errorf("plan: no join keys for %q", ti.name)
 	}
-	if len(build) > 3 {
-		return nil, nil, fmt.Errorf("plan: at most 3 join key columns supported")
+	if len(build) > olap.MaxJoinKeys {
+		return nil, nil, fmt.Errorf("plan: at most %d join key columns supported", olap.MaxJoinKeys)
 	}
 	return build, probe, nil
 }
 
-func scanSchema(ti *tableInfo, needed map[string]map[string]bool) *storage.Schema {
-	cols := setToSlice(needed[ti.name])
-	out := make([]storage.Column, len(cols))
-	for i, c := range cols {
-		out[i] = ti.schema.Cols[ti.schema.MustCol(c)]
+// readAfter returns, per table, the columns an operator after join i of
+// chain reads (after its scan, for i = 0): the keys of the joins past i
+// (a condition belongs to the join of its later table), and the sink's
+// grouping, aggregate and projection columns.
+func readAfter(chain []string, i int, joins []sql.JoinCond, items []outItem,
+	groupTables, groupCols []string) map[string]map[string]bool {
+	read := make(map[string]map[string]bool, len(chain))
+	add := func(t, c string) {
+		if read[t] == nil {
+			read[t] = make(map[string]bool)
+		}
+		read[t][c] = true
 	}
-	return storage.NewSchema(ti.name+"_scan", out...)
+	for _, jc := range joins {
+		if max(slices.Index(chain, jc.LeftTable), slices.Index(chain, jc.RightTable)) > i {
+			add(jc.LeftTable, jc.LeftCol)
+			add(jc.RightTable, jc.RightCol)
+		}
+	}
+	for _, it := range items {
+		if it.col != "" {
+			add(it.table, it.col)
+		}
+	}
+	for k, t := range groupTables {
+		add(t, groupCols[k])
+	}
+	return read
 }
 
 func setToSlice(set map[string]bool) []string {

@@ -399,7 +399,7 @@ func TestPlanDescribeGolden(t *testing.T) {
 	// 0-7 (two servers of four), compute = {4,5,6}, qid = 7.
 	cases[0].want = "scan customer parts=4 filters=1 cols=[c_d_id c_id c_w_id] -> s449@ac4\n" +
 		"scan orders parts=4 filters=1 cols=[o_c_id o_d_id o_w_id] -> s450@ac4\n" +
-		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] @ac4 -> s480@ac4\n" +
+		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] out=[]+[o_w_id] @ac4 -> s480@ac4\n" +
 		"sink in=s480 fold group=[] aggs=[count] out=[count] @ac4\n"
 	cases[1].want = "scan orders parts=4 pushdown group=[o_d_id] dict aggs=[count sum(o_ol_cnt)] -> s449@ac4\n" +
 		"sink in=s449 merge group=[o_d_id] aggs=[count sum(o_ol_cnt)] order=[{1 true}] limit=3 out=[o_d_id count sum_o_ol_cnt] @ac4\n"
@@ -417,14 +417,17 @@ func TestPlanDescribeGolden(t *testing.T) {
 // plan the public OpenOrders wrappers and the virtual-time figures both
 // run: customer is the first build side, join1 runs on compute[0], and
 // join2 plus the sink on compute[1] (the placement Figure 6's
-// join1/build and join1/probe timings depend on).
+// join1/build and join1/probe timings depend on). Each join carries only
+// what a later operator reads: join1 the orders key join2 builds on,
+// join2 one column for the sink's COUNT(*). So both builds ship only
+// their keys.
 func TestQ3DescribeGolden(t *testing.T) {
 	h := newSQLHarness(t)
 	want := "scan customer parts=4 filters=1 cols=[c_d_id c_id c_w_id] -> s449@ac4\n" +
 		"scan orders parts=4 filters=1 cols=[o_c_id o_d_id o_id o_w_id] -> s450@ac4\n" +
 		"scan new_order parts=4 cols=[no_d_id no_o_id no_w_id] -> s451@ac5\n" +
-		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] @ac4 -> s480@ac5\n" +
-		"join2 build=s480[o_w_id o_d_id o_id] probe=s451[no_w_id no_d_id no_o_id] @ac5 -> s481@ac5\n" +
+		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] out=[]+[o_d_id o_id o_w_id] @ac4 -> s480@ac5\n" +
+		"join2 build=s480[o_w_id o_d_id o_id] probe=s451[no_w_id no_d_id no_o_id] out=[]+[no_w_id] @ac5 -> s481@ac5\n" +
 		"sink in=s481 fold group=[] aggs=[count] out=[count] @ac5\n"
 	if got := h.compile(t, tpcc.Q3SQL, 7).Describe(); got != want {
 		t.Errorf("got:\n%s\nwant:\n%s", got, want)

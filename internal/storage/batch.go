@@ -194,18 +194,19 @@ func (b *Batch) Extend(n int) {
 // RowRef addresses one row of a batch list: row Row of batch Batch.
 type RowRef struct{ Batch, Row int32 }
 
-// AppendJoined appends one row per ref: the cells of the referenced row
-// of left, then the cells of row rows[i] of right, so the batch's schema
-// must be left's columns followed by right's (ConcatSchema). Cells copy
-// one typed loop per column; the batch grows by exactly the Bytes() that
-// AppendRow of each concatenated row would add.
-func (b *Batch) AppendJoined(left []*Batch, refs []RowRef, right *Batch, rows []int32) {
-	if len(refs) != len(rows) {
-		panic(fmt.Sprintf("storage: join gather mismatch: %d refs, %d rows", len(refs), len(rows)))
+// AppendJoined appends one row per ref: the cells of columns lcols of
+// the referenced row of left, then the cells of columns rcols of row
+// rows[i] of right, so the batch's schema must be those left columns
+// followed by those right ones. Cells copy one typed loop per column;
+// the batch grows by exactly the Bytes() that AppendRow of each
+// concatenated row would add.
+func (b *Batch) AppendJoined(left []*Batch, lcols []int, refs []RowRef, right *Batch, rcols []int, rows []int32) {
+	if len(refs) != len(rows) || len(lcols)+len(rcols) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: join gather mismatch: %d refs, %d rows, %d+%d columns into %d",
+			len(refs), len(rows), len(lcols), len(rcols), len(b.Cols)))
 	}
-	nl := len(b.Cols) - len(right.Cols)
-	for c := 0; c < nl; c++ {
-		dst := &b.Cols[c]
+	for j, c := range lcols {
+		dst := &b.Cols[j]
 		switch dst.Kind {
 		case KInt:
 			dst.Ints = gatherRefs(dst.Ints, left, refs, func(v *EncVec) []int64 { return v.Ints }, c)
@@ -216,8 +217,8 @@ func (b *Batch) AppendJoined(left []*Batch, refs []RowRef, right *Batch, rows []
 		}
 		b.bytes += cellBytes(dst, len(refs))
 	}
-	for c := range right.Cols {
-		b.bytes += b.Cols[nl+c].appendSel(&right.Cols[c], rows)
+	for j, c := range rcols {
+		b.bytes += b.Cols[len(lcols)+j].appendSel(&right.Cols[c], rows)
 	}
 	b.n += len(refs)
 }

@@ -100,19 +100,20 @@ func TestAppendRowsMatchesDecode(t *testing.T) {
 
 // TestAppendJoinedMatchesRows checks the join gather against AppendRow
 // of the concatenated build and probe rows, with build refs spanning
-// several batches.
+// several batches: once carrying every column of both sides, once a
+// reordered subset of each, and once the right side alone.
 func TestAppendJoinedMatchesRows(t *testing.T) {
 	c := gatherTestChunk(t)
 	rng := rand.New(rand.NewSource(9))
 	leftCols, rightCols := []int{0, 1, 4}, []int{5, 2, 3}
-	proj := func(name string, cols []int) *Schema {
+	proj := func(name string, src *Schema, cols []int) *Schema {
 		out := make([]Column, len(cols))
 		for j, col := range cols {
-			out[j] = c.Schema.Cols[col]
+			out[j] = src.Cols[col]
 		}
 		return NewSchema(name, out...)
 	}
-	ls, rs := proj("l", leftCols), proj("r", rightCols)
+	ls, rs := proj("l", c.Schema, leftCols), proj("r", c.Schema, rightCols)
 	var left []*Batch
 	for b := 0; b < 3; b++ {
 		lb := NewBatch(ls)
@@ -128,13 +129,22 @@ func TestAppendJoinedMatchesRows(t *testing.T) {
 		refs = append(refs, RowRef{Batch: int32(rng.Intn(len(left))), Row: int32(rng.Intn(4))})
 		rows = append(rows, int32(rng.Intn(right.Len())))
 	}
-	out := ConcatSchema("out", ls, rs)
-	got, want := NewBatch(out), NewBatch(out)
-	got.AppendJoined(left, refs, right, rows)
-	for i, r := range refs {
-		want.AppendRow(append(left[r.Batch].Row(int(r.Row)), right.Row(int(rows[i]))...))
+	for _, keep := range []struct{ l, r []int }{{[]int{0, 1, 2}, []int{0, 1, 2}}, {[]int{2, 0}, []int{1}}, {nil, []int{2, 0}}} {
+		out := ConcatSchema("out", proj("l", ls, keep.l), proj("r", rs, keep.r))
+		got, want := NewBatch(out), NewBatch(out)
+		got.AppendJoined(left, keep.l, refs, right, keep.r, rows)
+		for i, r := range refs {
+			var row Row
+			for _, col := range keep.l {
+				row = append(row, left[r.Batch].Value(int(r.Row), col))
+			}
+			for _, col := range keep.r {
+				row = append(row, right.Value(int(rows[i]), col))
+			}
+			want.AppendRow(row)
+		}
+		assertSameBatch(t, fmt.Sprintf("join %v+%v", keep.l, keep.r), got, want)
 	}
-	assertSameBatch(t, "join", got, want)
 }
 
 func assertSameBatch(t *testing.T, what string, got, want *Batch) {

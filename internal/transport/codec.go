@@ -289,6 +289,8 @@ func (e *encoder) encodePayload(p any) error {
 		e.encodeStrs(v.BuildKey)
 		e.w.u64(uint64(v.Probe))
 		e.encodeStrs(v.ProbeKey)
+		e.encodeStrs(v.BuildOut)
+		e.encodeStrs(v.ProbeOut)
 		e.w.u64(uint64(v.Out))
 		e.w.i32(int32(v.To))
 		e.w.varint(v.Producers)
@@ -342,10 +344,14 @@ func (e *encoder) encodeScanSpec(v *olap.SharedScanSpec) {
 	e.w.i32(int32(v.To))
 	e.w.varint(v.Producers)
 	e.w.bool(v.Keys != nil)
-	if v.Keys != nil {
-		e.encodeStrs(v.Keys.Cols)
-		e.w.varint(len(v.Keys.Bits))
-		for _, w := range v.Keys.Bits {
+	if f := v.Keys; f != nil {
+		e.encodeStrs(f.Cols)
+		for j := range f.Cols {
+			e.w.i64(f.Lo[j])
+			e.w.u64(f.Span[j])
+		}
+		e.w.varint(len(f.Bits))
+		for _, w := range f.Bits {
 			e.w.u64(w)
 		}
 	}
@@ -362,19 +368,30 @@ func (d *decoder) decodeScanSpec(r *rbuf) *olap.SharedScanSpec {
 	if !r.bool() {
 		return s
 	}
-	s.Keys = &olap.KeyFilter{Cols: d.decodeStrs(r)}
-	// The word count is a power of two (the filter indexes words by hash
-	// bits), and every word takes 8 bytes of the frame.
-	n := r.count()
-	if n == 0 || n&(n-1) != 0 || n > (len(r.b)-r.off)/8 {
+	f := &olap.KeyFilter{Cols: d.decodeStrs(r)}
+	s.Keys = f
+	if len(f.Cols) == 0 || len(f.Cols) > olap.MaxJoinKeys {
 		r.fail()
-	}
-	if r.err != nil {
 		return s
 	}
-	s.Keys.Bits = make([]uint64, n)
-	for i := range s.Keys.Bits {
-		s.Keys.Bits[i] = r.u64()
+	f.Lo, f.Span = make([]int64, len(f.Cols)), make([]uint64, len(f.Cols))
+	for j := range f.Cols {
+		f.Lo[j], f.Span[j] = r.i64(), r.u64()
+	}
+	// The box must be well formed, and the bitmap exactly as long as the
+	// box has cells (none past the cap) and within the frame: 8 bytes a
+	// word.
+	words, ok := olap.BoxWords(f.Lo, f.Span)
+	n := r.count()
+	if !ok || n != words || n > (len(r.b)-r.off)/8 {
+		r.fail()
+	}
+	if r.err != nil || n == 0 {
+		return s
+	}
+	f.Bits = make([]uint64, n)
+	for i := range f.Bits {
+		f.Bits[i] = r.u64()
 	}
 	return s
 }
@@ -681,6 +698,7 @@ func (d *decoder) decodePayload(r *rbuf) any {
 			Query: core.QueryID(r.u64()),
 			Build: core.StreamID(r.u64()), BuildKey: d.decodeStrs(r),
 			Probe: core.StreamID(r.u64()), ProbeKey: d.decodeStrs(r),
+			BuildOut: d.decodeStrs(r), ProbeOut: d.decodeStrs(r),
 			Out: core.StreamID(r.u64()), To: core.ACID(r.i32()),
 			Producers: r.varint(), Notify: core.ACID(r.i32()), Label: r.str(),
 		}

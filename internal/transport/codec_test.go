@@ -80,17 +80,20 @@ func sampleEvents() []*core.Event {
 		}),
 		mk(core.EvInstallOp, &olap.JoinSpec{
 			Query: 4, Build: 31, BuildKey: []string{"id"}, Probe: 32, ProbeKey: []string{"oid"},
+			BuildOut: []string{"name", "id"}, ProbeOut: []string{"amount"},
 			Out: 33, To: 6, Producers: 2, Notify: 1, Label: "join1",
 		}),
 		mk(core.EvInstallOp, &olap.JoinSpec{
 			Query: 4, Build: 33, BuildKey: []string{"a", "b", "c"}, Probe: 34, ProbeKey: []string{"x", "y", "z"},
-			Out: 35, To: 7, Producers: 1, Notify: core.NoAC, Label: "join2",
+			ProbeOut: []string{"x"},
+			Out:      35, To: 7, Producers: 1, Notify: core.NoAC, Label: "join2",
 		}),
 		// A join holding its probe scans, and one of them once the join
 		// has attached its build-key filter.
 		mk(core.EvInstallOp, &olap.JoinSpec{
 			Query: 4, Build: 31, BuildKey: []string{"c_w_id", "c_id"}, Probe: 32, ProbeKey: []string{"o_w_id", "o_c_id"},
-			Out: 33, To: 6, Producers: 1, Notify: core.NoAC, Label: "join1",
+			ProbeOut: []string{"o_w_id"},
+			Out:      33, To: 6, Producers: 1, Notify: core.NoAC, Label: "join1",
 			ProbeScans: []olap.ScanInstall{
 				{At: 2, Spec: &olap.SharedScanSpec{
 					Query: 4, Table: tpcc.TOrdersID, Part: 0,
@@ -103,11 +106,11 @@ func sampleEvents() []*core.Event {
 				}},
 			},
 		}),
-		mk(core.EvInstallOp, &olap.SharedScanSpec{
-			Query: 4, Table: tpcc.TOrdersID, Part: 1,
-			Cols: []string{"o_w_id", "o_c_id"}, Out: 32, To: 6, Producers: 2,
-			Keys: &olap.KeyFilter{Cols: []string{"o_w_id", "o_c_id"}, Bits: []uint64{0x8000000000000001, 0, 42, 1 << 40}},
-		}),
+		keyedScan(&olap.KeyFilter{Cols: []string{"o_w_id", "o_c_id"}, Lo: []int64{-1, 7}, Span: []uint64{3, 63},
+			Bits: []uint64{0x8000000000000001, 0, 42, 1 << 40}}),
+		// A filter whose box is past the cap is its ranges alone.
+		keyedScan(&olap.KeyFilter{Cols: []string{"o_w_id", "o_d_id", "o_c_id"},
+			Lo: []int64{math.MinInt64, 0, 1}, Span: []uint64{math.MaxUint64, 9, 2999}}),
 		mk(core.EvInstallOp, &olap.SinkSpec{
 			Query: 4, In: 35, Cols: []string{"c_id", "c_last"}, OutCols: []string{"c_id", "c_last"},
 			OutKinds: []storage.Kind{storage.KInt, storage.KStr}, Limit: -1, Notify: core.ClientAC,
@@ -120,6 +123,15 @@ func sampleEvents() []*core.Event {
 			OrderBy: []olap.OrderKey{{Col: 1, Desc: true}}, Limit: 10, Notify: 1,
 		}),
 	}
+}
+
+// keyedScan is a held probe scan's install event once its join has
+// attached the key filter f.
+func keyedScan(f *olap.KeyFilter) *core.Event {
+	return &core.Event{Kind: core.EvInstallOp, Txn: 7, Query: 9, Seq: 11, Size: 128, Payload: &olap.SharedScanSpec{
+		Query: 4, Table: tpcc.TOrdersID, Part: 1,
+		Cols: []string{"o_w_id", "o_c_id"}, Out: 32, To: 6, Producers: 2, Keys: f,
+	}}
 }
 
 func sampleDataMsgs() []*core.DataMsg {
@@ -281,6 +293,59 @@ func TestDecodeRejectsUnknownPredicateKind(t *testing.T) {
 	}
 }
 
+// badKeyFilterFrames are held-scan installs whose key filter no join
+// makes: each must fail the decode.
+func badKeyFilterFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	frame := func(f *olap.KeyFilter) []byte { return encodeOne(t, nil, keyedScan(f)) }
+	one := []string{"o_c_id"}
+	full := make([]uint64, olap.KeyBoxCap/64)
+	truncated := frame(&olap.KeyFilter{Cols: []string{"o_w_id", "o_c_id"}, Lo: []int64{0, 0},
+		Span: []uint64{1<<10 - 1, 1<<11 - 1}, Bits: full})
+	return map[string][]byte{
+		"span past MaxInt64": frame(&olap.KeyFilter{Cols: one, Lo: []int64{math.MaxInt64 - 1}, Span: []uint64{2}, Bits: []uint64{0}}),
+		"span of 2^64":       frame(&olap.KeyFilter{Cols: one, Lo: []int64{1}, Span: []uint64{math.MaxUint64}}),
+		"bitmap past the cap": frame(&olap.KeyFilter{Cols: []string{"o_w_id", "o_c_id"}, Lo: []int64{0, 0},
+			Span: []uint64{1 << 10, 1<<11 - 1}, Bits: make([]uint64, olap.KeyBoxCap/64+32)}),
+		"bitmap one word short": frame(&olap.KeyFilter{Cols: one, Lo: []int64{0}, Span: []uint64{64}, Bits: []uint64{1}}),
+		"bitmap one word long":  frame(&olap.KeyFilter{Cols: one, Lo: []int64{0}, Span: []uint64{63}, Bits: []uint64{1, 0}}),
+		"no bitmap in the cap":  frame(&olap.KeyFilter{Cols: one, Lo: []int64{0}, Span: []uint64{63}}),
+		"no key column":         frame(&olap.KeyFilter{}),
+		"four key columns": frame(&olap.KeyFilter{Cols: []string{"a", "b", "c", "d"}, Lo: make([]int64, 4),
+			Span: make([]uint64, 4), Bits: []uint64{1}}),
+		// The box at the cap claims 32 768 words; the frame ends after 8.
+		"bitmap longer than the frame": truncated[:len(truncated)-len(full)*8+64],
+	}
+}
+
+// TestDecodeRejectsMalformedKeyFilter: a key filter whose box overflows,
+// whose bitmap does not match its box's cells, or whose bitmap runs past
+// the frame is malformed input, rejected at the decoder without leaking
+// pooled objects and allocating on the order of the frame, not of the
+// bitmap it claims — never a member that panics or misfilters.
+func TestDecodeRejectsMalformedKeyFilter(t *testing.T) {
+	core.TrackPools(true)
+	defer core.TrackPools(false)
+	for name, frame := range badKeyFilterFrames(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := rbuf{b: frame}
+		m, err := newDecoder(nil).decodeMsg(&r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			freeLocal(m)
+			t.Errorf("%s: decoded", name)
+			continue
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(frame))+64<<10 {
+			t.Errorf("%s: rejecting a %d-byte frame allocated %d bytes", name, len(frame), got)
+		}
+	}
+	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
+		t.Fatalf("rejected decodes leaked pooled objects: %s", core.PoolBalanceString())
+	}
+}
+
 // FuzzEventCodec throws arbitrary bytes at the event decoder: malformed
 // frames must be rejected without panicking or leaking pooled objects,
 // and anything that decodes must re-encode to a byte-stable canonical
@@ -292,6 +357,9 @@ func FuzzEventCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{mtEvent})
 	f.Add(unknownPredKindFrame(f))
+	for _, frame := range badKeyFilterFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		core.TrackPools(true)
 		defer core.TrackPools(false)

@@ -17,8 +17,10 @@ import (
 // ProtoVersion gates the handshake: both sides must speak the same wire
 // format. Version 3 added the join's held probe scans and their key
 // filter; version 4 dropped the shared scan's batch-size field; version
-// 5 encodes a scan predicate as one string or one int range.
-const ProtoVersion = 5
+// 5 encodes a scan predicate as one string or one int range; version 6
+// makes the key filter the build keys' box and its exact bitmap, and
+// names the columns a join's output carries.
+const ProtoVersion = 6
 
 // Hello is the member's first frame after dialing. A reconnecting
 // member sets Rejoin with its previously assigned server slot; the head
