@@ -13,22 +13,23 @@ import (
 // SnapshotRows returns a deep copy of the table's live contents split
 // the way they must be re-inserted: keyed rows (with their primary
 // keys, so point lookups resolve identically after install) and keyless
-// heap rows (Append-only tables such as TPC-C history).
+// heap rows (Append-only tables such as TPC-C history). Both come in
+// heap-slot order, so an installed table keeps its source's row order
+// and chunk order.
 func (t *Table) SnapshotRows() (keys []Key, rows []Row, keyless []Row) {
+	keyOf := make([]Key, t.n)
 	keyed := make([]uint64, (t.n+63)/64)
-	for i, used := range t.pk.used {
-		if !used {
-			continue
-		}
-		slot := t.pk.slots[i]
-		row := make(Row, len(t.Schema.Cols))
-		t.decode(slot, row)
-		keys = append(keys, t.pk.keys[i])
-		rows = append(rows, row)
+	t.pk.each(func(k Key, slot int32) {
+		keyOf[slot] = k
 		keyed[slot>>6] |= 1 << (slot & 63)
-	}
+	})
+	keys = make([]Key, 0, t.pk.Len())
+	rows = make([]Row, 0, t.pk.Len())
 	t.Scan(func(slot int32, r Row) bool {
-		if keyed[slot>>6]&(1<<(slot&63)) == 0 {
+		if keyed[slot>>6]&(1<<(slot&63)) != 0 {
+			keys = append(keys, keyOf[slot])
+			rows = append(rows, r.Clone())
+		} else {
 			keyless = append(keyless, r.Clone())
 		}
 		return true
@@ -89,6 +90,7 @@ func (t *Table) InstallRows(keys []Key, rows []Row, keyless []Row) error {
 		return err
 	}
 	t.ResetRows()
+	t.pk = NewHashIndex(len(keys))
 	for i, k := range keys {
 		if _, err := t.Insert(k, rows[i]); err != nil {
 			return err

@@ -3,7 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Row heap: every table stores its rows in pages, one page per column
@@ -35,7 +35,8 @@ type SecondaryIndex struct {
 	keyOf KeyFunc
 }
 
-// Table is a row heap plus a primary hash index and optional ordered
+// Table is a row heap plus a blocked primary index (hashidx.go: 16
+// neighbouring keys share one cache line of slots) and optional ordered
 // secondary indexes. Tables are not safe for concurrent use: each engine
 // guarantees single ownership (one AC owns a partition; the simulation
 // runtime is single-threaded).
@@ -241,18 +242,16 @@ func (t *Table) Index(name string) *SecondaryIndex {
 	return nil
 }
 
-// Insert copies row in under key. A duplicate key, or a row whose arity
-// or cell kinds do not match the schema, is an error.
+// Insert copies row in under key. A row whose arity or cell kinds do not
+// match the schema, or a duplicate key, is an error, and writes nothing.
 func (t *Table) Insert(key Key, row Row) (int32, error) {
-	if _, dup := t.pk.Get(key); dup {
-		return 0, fmt.Errorf("storage: duplicate key %v in %s", key, t.Schema.Name)
-	}
 	if err := t.check(row, "inserting into"); err != nil {
 		return 0, err
 	}
-	slot := t.put(row)
-	t.pk.Put(key, slot)
-	return slot, nil
+	if !t.pk.insert(key, t.n) { // put lands the row at slot t.n
+		return 0, fmt.Errorf("storage: duplicate key %v in %s", key, t.Schema.Name)
+	}
+	return t.put(row), nil
 }
 
 // Append copies a keyless row into the heap: no primary-key entry, no
@@ -372,12 +371,8 @@ func (t *Table) Range(index string, lo, hi Key, fn func(slot int32) bool) {
 // Keys returns all live primary keys in sorted order — a helper for
 // comparing engine end states in tests.
 func (t *Table) Keys() []Key {
-	keys := make([]Key, 0, t.live)
-	for i, used := range t.pk.used {
-		if used {
-			keys = append(keys, t.pk.keys[i])
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	keys := make([]Key, 0, t.pk.Len())
+	t.pk.each(func(k Key, _ int32) { keys = append(keys, k) })
+	slices.Sort(keys)
 	return keys
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -170,6 +171,48 @@ func TestTableDeleteAndScan(t *testing.T) {
 		if keys[i] <= keys[i-1] {
 			t.Fatal("Keys not sorted")
 		}
+	}
+}
+
+// TestSnapshotInstallKeepsOrder moves a table whose keys arrive out of
+// key order, with deletes between them, through SnapshotRows and
+// InstallRows: the copy scans its rows in the source's order, across
+// more than one chunk, and every key looks up the same row.
+func TestSnapshotInstallKeepsOrder(t *testing.T) {
+	src := NewTable(custSchema())
+	for i := 0; i < 3*ColChunkRows; i++ {
+		// Order-line shaped: a district's next order, lines 1..7.
+		d, o, ol := i%7, int64(i/49), i/7%7+1
+		key := MakeKey(1, d, o*16+int64(ol))
+		if _, err := src.Insert(key, Row{Int(int64(i)), Str(key.String()), Float(float64(d))}); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			src.Delete(key)
+		}
+	}
+	var want []Row
+	src.Scan(func(_ int32, r Row) bool { want = append(want, r.Clone()); return true })
+
+	dst := NewTable(custSchema())
+	keys, rows, keyless := src.SnapshotRows()
+	if err := dst.InstallRows(keys, rows, keyless); err != nil {
+		t.Fatal(err)
+	}
+	var got []Row
+	dst.Scan(func(_ int32, r Row) bool { got = append(got, r.Clone()); return true })
+	if !slices.EqualFunc(got, want, rowsEqual) {
+		t.Fatalf("installed table scans %d rows in another order than the source's %d", len(got), len(want))
+	}
+	for _, k := range src.Keys() {
+		a, _ := src.Get(k)
+		b, ok := dst.Get(k)
+		if !ok || !rowsEqual(a, b) {
+			t.Fatalf("Lookup(%v) after install = %v (%v), source %v", k, b, ok, a)
+		}
+	}
+	if !slices.Equal(dst.Keys(), src.Keys()) {
+		t.Fatal("installed table has other keys than its source")
 	}
 }
 
