@@ -61,10 +61,16 @@ bench-check:
 # shows up here), one full pass of a streaming shared-scan
 # registration (BenchmarkScanFlush: chunk decode, projection, batch
 # flushes), the same pass under a dictionary-code and a
-# frame-of-reference range predicate (BenchmarkFilteredScan: per-chunk
-# preparation, the typed filter loops), one pass of a join's probe-side
-# scan under its build-key filter (BenchmarkKeyedScan: range checks
-# and key-box bitmap tests off the encoded columns, survivor gather),
+# frame-of-reference range predicate on unchanged data
+# (BenchmarkFilteredScan: every chunk's selection a memo hit), a
+# c_state LIKE pass after a c_state write in every chunk
+# (BenchmarkStaleFilteredScan: the typed filter loops, then the
+# selection stored into the memo), one pass of a join's probe-side
+# scan under its build-key filter on unchanged data
+# (BenchmarkKeyedScan: memo hits, survivor gather), the same pass
+# after an o_entry_d write in every chunk (BenchmarkStaleKeyedScan:
+# range checks and key-box bitmap tests off the encoded columns, the
+# survivors stored into the memo),
 # one hash-join probe of a 1 024-row batch (BenchmarkJoinProbe: table
 # lookups, match gather, output emission), one key-only distinct build
 # closed and one 1 024-row batch forwarded with no hash table
@@ -85,11 +91,11 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
 	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
-	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 10) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 10"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan, keyed-scan, join-probe, key-box-join, grouped-pass, stale-chunk-pass, join-build and heap-write hot paths"
+	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 12) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 12"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass, stale-chunk-pass, join-build and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

@@ -31,3 +31,7 @@ func KeyFilterOf(cols []string, keys [][]int64) *KeyFilter {
 	st.closeBuild()
 	return st.box.filter(cols)
 }
+
+// Work returns the worker's counts of chunk predicate evaluations and
+// key-filter passes.
+func (w *Worker) Work() (evals, keeps int) { return w.evals, w.keeps }

@@ -76,11 +76,12 @@ func boxStrides(span []uint64) [MaxJoinKeys]uint64 {
 }
 
 // keyScan is a KeyFilter compiled against a probe table, one per
-// held registration: a range predicate per key column (the scan
-// predicates' closed-range form, prepared per chunk, so a chunk outside
-// the box resolves to no row without a row loop), the box's place
-// values, a code → key-delta table per dictionary-encoded key column,
-// and scratch.
+// selection-memo signature (memo.go), so it is compiled once for every
+// query that brings the same filter: a range predicate per key column
+// (the scan predicates' closed-range form, prepared per chunk, so a
+// chunk outside the box resolves to no row without a row loop), the
+// box's place values, a code → key-delta table per dictionary-encoded
+// key column, and scratch.
 type keyScan struct {
 	f      *KeyFilter
 	ranges []compiledPred
@@ -93,7 +94,8 @@ type keyScan struct {
 // dictDeltas maps a dictionary's codes to their values' distance from
 // the box's least key, value − Lo modulo 2⁶⁴: a value is inside the box
 // exactly when its delta is at most the column's span. Like extendBits,
-// it extends as the dictionary grows.
+// it extends as the dictionary grows: inserts between two queries of one
+// signature add codes.
 type dictDeltas struct {
 	d      *storage.Dict
 	deltas []uint64

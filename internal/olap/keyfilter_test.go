@@ -289,17 +289,37 @@ func TestKeyedScanShipsOnlyJoinableRows(t *testing.T) {
 }
 
 // BenchmarkKeyedScan is BenchmarkScanFlush for a join's held probe scan:
-// one op is one pass of Q3's orders scan with its build-key filter, so
-// matched rows are range-checked and looked up in the key box's bitmap
-// straight off the encoded key columns, and only the survivors are
-// gathered. It must report 0 allocs/op: the offset and survivor scratch
-// live in the registration.
+// one op is one pass of Q3's orders scan with its build-key filter, on
+// unchanged data, so every chunk's kept rows come from the memo and only
+// the survivors are gathered. It must report 0 allocs/op.
 //
 //	go test -bench KeyedScan -benchmem ./internal/olap
 func BenchmarkKeyedScan(b *testing.B) {
+	db := keyedScanDB()
+	benchScanPasses(b, db, keyedOrdersScan(b, db, true))
+}
+
+// BenchmarkStaleKeyedScan is BenchmarkKeyedScan behind a write of the
+// filtered column o_entry_d in every chunk before each pass, so every
+// chunk misses the memo: the filter's matches are range-checked and
+// looked up in the key box's bitmap straight off the encoded key
+// columns, and the survivors are stored into the memo. It must report 0
+// allocs/op: the offset and survivor scratch live in the memo's
+// signature, the kept rows in its entries.
+//
+//	go test -bench StaleKeyedScan -benchmem ./internal/olap
+func BenchmarkStaleKeyedScan(b *testing.B) {
+	db := keyedScanDB()
+	benchScanPasses(b, db, keyedOrdersScan(b, db, true),
+		rewriteEveryChunk(db.Partition(0).TableByID(tpcc.TOrdersID), "o_entry_d"))
+}
+
+// keyedScanDB returns the one-partition database the keyed scan
+// benchmarks run over.
+func keyedScanDB() *storage.Database {
 	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
 		Items: 10, InitOrders: 3000, Seed: 7}.WithDefaults()
 	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
 	tpcc.Populate(db, cfg)
-	benchScanPasses(b, db, keyedOrdersScan(b, db, true))
+	return db
 }

@@ -129,9 +129,13 @@ type Worker struct {
 	DB *storage.Database
 
 	shared map[sharedKey]*sharedScan
+	// memos holds each (table, partition)'s selection memo (memo.go), its
+	// signatures most recently used first. It outlives the cursors.
+	memos map[sharedKey][]*memoSig
 	// evals counts predicate evaluations over a chunk (matchChunk calls):
-	// the work that registrations with one filter list share.
-	evals int
+	// the work that registrations with one filter list share and that a
+	// memo hit skips. keeps counts keyScan.keep calls the same way.
+	evals, keeps int
 }
 
 // OnEvent implements core.Behavior.

@@ -61,17 +61,14 @@ func BenchmarkScanFlush(b *testing.B) {
 }
 
 // BenchmarkFilteredScan is BenchmarkScanFlush under the filters of a
-// top-N customer query, c_d_id = 1 AND c_id <= 400: a dictionary code
-// range and a frame-of-reference delta range narrow each chunk before
-// the gather. A pass must show zero steady-state allocations.
+// top-N customer query, c_d_id = 1 AND c_id <= 400. Nothing writes the
+// table between passes, so every chunk's selection comes from the memo
+// and only the gather runs. A pass must show zero steady-state
+// allocations.
 //
 //	go test -bench FilteredScan -benchmem ./internal/olap
 func BenchmarkFilteredScan(b *testing.B) {
-	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
-		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
-	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
-	tpcc.Populate(db, cfg)
-	benchScanPasses(b, db, &SharedScanSpec{
+	benchScanPasses(b, customerDB(), &SharedScanSpec{
 		Query: 1, Table: tpcc.TCustomerID, Part: 0,
 		Filters: []Predicate{
 			{Col: "c_d_id", Kind: PredIn, Lo: 1, Hi: 1},
@@ -80,6 +77,46 @@ func BenchmarkFilteredScan(b *testing.B) {
 		Cols: []string{"c_id", "c_last", "c_balance"},
 		Out:  7, To: 1, Producers: 1,
 	})
+}
+
+// BenchmarkStaleFilteredScan is the customer side of Q3's first join,
+// c_state LIKE 'A%', behind a write of c_state in every chunk before
+// each pass, so every chunk misses the memo: the dictionary bitset
+// narrows it, and the selection is stored into the chunk's memo entry.
+// It must report 0 allocs/op: the entry reuses its storage.
+//
+//	go test -bench StaleFilteredScan -benchmem ./internal/olap
+func BenchmarkStaleFilteredScan(b *testing.B) {
+	db := customerDB()
+	benchScanPasses(b, db, &SharedScanSpec{
+		Query: 1, Table: tpcc.TCustomerID, Part: 0,
+		Filters: []Predicate{{Col: "c_state", Kind: PredPrefix, Str: tpcc.Q3StatePrefix}},
+		Cols:    []string{"c_w_id", "c_d_id", "c_id"},
+		Out:     7, To: 1, Producers: 1,
+	}, rewriteEveryChunk(db.Partition(0).TableByID(tpcc.TCustomerID), "c_state"))
+}
+
+// customerDB returns the one-partition, 6 000-customer database the
+// customer scan benchmarks run over.
+func customerDB() *storage.Database {
+	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	return db
+}
+
+// rewriteEveryChunk returns a write that stores column col of the first
+// row of every chunk of t back unchanged: the answer stays, but each
+// chunk's column is stale and re-encodes under a new stamp.
+func rewriteEveryChunk(t *storage.Table, col string) func() {
+	c := t.Schema.MustCol(col)
+	return func() {
+		for ci := range t.NumColChunks() {
+			slot := int32(ci << storage.ColChunkShift)
+			t.UpdateAt(slot, c, t.Field(slot, c))
+		}
+	}
 }
 
 // BenchmarkGroupedPass measures the steady-state allocation cost of a

@@ -28,6 +28,17 @@ import (
 // result state (a projection batch or a grouped-aggregate table), so
 // detaching is just emitting it downstream.
 //
+// Work is shared across time too (memo.go). Each registration with a
+// filter or a join's key filter looks its chunk up in the Worker's
+// selection memo right after the fetch: an entry stored at a table
+// stamp no older than the chunk's stamp over the columns the filters
+// read (storage.Table.ChunkStamp) is the exact answer, and the chunk
+// skips both the filters and the key filter. Only a write to one of
+// those columns, or a row added to or removed from the chunk, restamps
+// it. The memo keeps a constant number of signatures per (table,
+// partition), least recently used out, and virtual time charges a hit
+// exactly like the evaluation it replaces.
+//
 // Safety under live repartitioning: queries hold a submission-plane
 // registration (queryMask) from registration to completion, and a
 // partition move drains that mask before the storage handoff — so no
@@ -320,8 +331,9 @@ type scanReg struct {
 	outIdx []int
 	out    *storage.Batch
 
-	// Join-key filtering (spec.Keys), compiled against the table.
-	keys *keyScan
+	// The selection memo's signature of Filters and Keys (memo.go); nil
+	// when the registration has neither.
+	sig *memoSig
 
 	// Aggregate-pushdown mode: the partial layout, the group and source
 	// columns, and the group table.
@@ -399,9 +411,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			outCols[i] = t.Schema.Cols[r.outIdx[i]]
 		}
 		r.out = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
-		if spec.Keys != nil {
-			r.keys = newKeyScan(t.Schema, spec.Keys)
-		}
 	} else {
 		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
 		r.aggIdx = make([]int, len(spec.Aggs))
@@ -459,13 +468,8 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		}
 	}
 	r.set = ss.filterSet(t.Schema, spec.Filters)
-	for _, p := range r.set.preds {
-		r.reads |= 1 << p.col
-	}
-	if r.keys != nil {
-		for _, p := range r.keys.ranges {
-			r.reads |= 1 << p.col
-		}
+	if r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys); r.sig != nil {
+		r.reads |= r.sig.reads
 	}
 	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
 		for _, c := range cols {
@@ -532,17 +536,11 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			ctx.Charge(costs.ScanRow * sim.Time(chunk.Len()))
 			ss.steps++
 		}
-		// Registrations with equal filter lists share one evaluation of
-		// this chunk.
-		if f := r.set; f.step != ss.steps {
-			f.rows = matchChunk(chunk, f.preds, f.rows)
-			f.step = ss.steps
-			w.evals++
-		}
+		match, pre := r.selection(w, t, ci, chunk, ss.steps)
 		if len(r.spec.Aggs) == 0 {
-			r.foldStream(ctx, chunk, r.set.rows)
+			r.foldStream(ctx, chunk, match, pre)
 		} else {
-			r.foldAgg(ctx, chunk, r.set.rows)
+			r.foldAgg(ctx, chunk, match)
 		}
 		r.done++
 		r.next++
@@ -565,6 +563,35 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 	ctx.Send(ctx.Self(), ss.ev)
 }
 
+// selection returns the rows of chunk ci, just fetched with the
+// registration's reads, that its filters and key filter keep, and how
+// many passed the filters alone. A valid memo entry answers at once.
+// Otherwise registrations with equal filter lists share one evaluation
+// of the chunk, the key filter narrows it, and the answer is memoized.
+func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.EncChunk, step uint64) ([]int32, int) {
+	s := r.sig
+	if s != nil && ci < len(s.chunks) {
+		if e := &s.chunks[ci]; t.ChunkStamp(ci, s.reads) <= e.stamp {
+			return e.rows, e.pre
+		}
+	}
+	f := r.set
+	if f.step != step {
+		f.rows = matchChunk(chunk, f.preds, f.rows)
+		f.step = step
+		w.evals++
+	}
+	if s == nil {
+		return f.rows, len(f.rows)
+	}
+	rows := f.rows
+	if s.keys != nil && len(rows) > 0 {
+		rows = s.keys.keep(chunk, rows)
+		w.keeps++
+	}
+	return s.store(ci, t.Stamp(), rows, len(f.rows)), len(f.rows)
+}
+
 // matchChunk returns the row indexes of chunk c passing all preds,
 // reusing sel: it starts from every row, and each predicate, prepared
 // against the chunk's encoding, narrows the selection in place.
@@ -584,19 +611,17 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, sel []int32) []int32 
 	return sel
 }
 
-// foldStream appends the matched rows, projected, to the registration's
+// foldStream appends the kept rows, projected, to the registration's
 // output batch, flushing at batch granularity. Rows gather straight from
 // the encoded chunk in DefaultBatchRows-bounded slices of match. A join-key
-// filter first narrows match to the rows whose key the build has.
-func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32) {
+// filter is charged a probe for each of the probed rows that passed the
+// filters, whether the memo or keyScan.keep narrowed them.
+func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32, probed int) {
+	if r.spec.Keys != nil && probed > 0 {
+		ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(probed))
+	}
 	if len(match) == 0 {
 		return
-	}
-	if r.keys != nil {
-		ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(len(match)))
-		if match = r.keys.keep(chunk, match); len(match) == 0 {
-			return
-		}
 	}
 	n := len(match)
 	for len(match) > 0 {

@@ -40,6 +40,17 @@ import (
 // is the only reader and the only writer, so no locking is needed, and
 // the cache travels with the partition on a live handoff like every
 // other table state.
+//
+// Encode stamps let a reader tell whether a chunk's columns changed since
+// it last looked. The table counts up one stamp per fetch that does any
+// work, and that fetch stamps the slot list it recounts and each column
+// it re-encodes. A write stales what it touches, and the next fetch of
+// those columns re-encodes them under a stamp above every stamp handed
+// out before. So ChunkStamp(ci, cols) at most s, for an s read from
+// Stamp after an earlier fetch of cols, means no write reached those
+// columns or the slot list in between. The counter never goes back, not
+// even when ResetRows or InstallRows replace the contents: a stamp taken
+// before an install cannot pass for one taken after it.
 
 // ColChunkShift sets the chunk size: 1<<ColChunkShift heap slots per
 // columnar chunk. 2048 matches the scan operators' chunk granularity.
@@ -112,6 +123,11 @@ type EncChunk struct {
 	Schema *Schema
 	Cols   []EncVec
 	slots  []int32 // the range's live heap slots, in order: row i is slots[i]
+
+	// Encode stamps (Table.stamp): per column, when it was last encoded,
+	// and when slots was last recounted.
+	stamps    []uint64
+	slotStamp uint64
 }
 
 // Len returns the chunk's live-row count (tombstones are skipped).
@@ -215,9 +231,11 @@ func (t *Table) ColChunkCols(ci int, need ColSet) *EncChunk {
 	}
 	ch := c.chunk
 	if ch == nil {
-		ch = &EncChunk{Schema: t.Schema, Cols: make([]EncVec, t.Schema.NumCols())}
+		n := t.Schema.NumCols()
+		ch = &EncChunk{Schema: t.Schema, Cols: make([]EncVec, n), stamps: make([]uint64, n)}
 		c.chunk = ch
 	}
+	t.stamp++
 	p := t.pages[ci]
 	if !c.slotsOK {
 		// Live slots of the page, collected once from its bitmap so each
@@ -229,14 +247,32 @@ func (t *Table) ColChunkCols(ci int, need ColSet) *EncChunk {
 				ch.slots = append(ch.slots, base+int32(w<<6+bits.TrailingZeros64(m)))
 			}
 		}
-		c.slotsOK = true
+		c.slotsOK, ch.slotStamp = true, t.stamp
 	}
 	for ; stale != 0; stale &= stale - 1 {
 		col := bits.TrailingZeros64(uint64(stale))
 		t.encodeCol(&ch.Cols[col], p, col, ch.slots)
+		ch.stamps[col] = t.stamp
 	}
 	c.fresh |= need
 	return ch
+}
+
+// Stamp returns the table's encode stamp: every later re-encode of a
+// chunk column or slot list is stamped above it.
+func (t *Table) Stamp() uint64 { return t.stamp }
+
+// ChunkStamp returns the latest encode stamp of chunk ci over its live
+// slot list and the columns of cols. It is at least 1, and it is current
+// only right after a ColChunkCols(ci, need) whose need holds cols: a
+// stale column keeps the stamp of its last encode until it is fetched.
+func (t *Table) ChunkStamp(ci int, cols ColSet) uint64 {
+	ch := t.colChunks[ci].chunk
+	s := ch.slotStamp
+	for ; cols != 0; cols &= cols - 1 {
+		s = max(s, ch.stamps[bits.TrailingZeros64(uint64(cols))])
+	}
+	return s
 }
 
 // encodeCol re-encodes column col over the given live slots of page p

@@ -70,7 +70,8 @@ func (t *Table) CheckRows(keys []Key, rows []Row, keyless []Row) error {
 // The schema and index definitions survive, so a snapshot installs into
 // the same table identity. Dictionaries reset with the chunks: no chunk
 // survives to reference old codes, and the incoming contents rebuild
-// both from scratch.
+// both from scratch. The encode stamp counter is kept, so every chunk of
+// the new contents is stamped above anything stamped before.
 func (t *Table) ResetRows() {
 	t.pages, t.n = nil, 0
 	t.pk = NewHashIndex(64)

@@ -60,6 +60,7 @@ type Table struct {
 	live      int
 	colChunks []colChunk // lazily built columnar mirror (colstore.go)
 	dicts     []*Dict    // per-column dictionaries (dict.go), lazy
+	stamp     uint64     // encode stamp counter (colstore.go); never reset
 }
 
 // page holds the cells of one chunk's slots, column-major: numeric lane

@@ -200,10 +200,6 @@ func OrderLineKey(w, d int, o int64, ol int) storage.Key {
 	return storage.MakeKey(w, d, o*16+int64(ol))
 }
 
-// HistoryKey returns a synthetic unique PK for history rows (TPC-C gives
-// history no key; engines allocate sequence numbers per partition).
-func HistoryKey(w int, seq int64) storage.Key { return storage.MakeKey(w, 0, seq) }
-
 // ItemKey returns the PK of item i (replicated per partition).
 func ItemKey(i int) storage.Key { return storage.MakeKey(0, 0, int64(i)) }
 
