@@ -237,6 +237,7 @@ func BenchmarkKeyBoxJoin(b *testing.B) {
 	st := newBareJoin(key, []string{"o_w_id", "o_d_id", "o_c_id"}, nil, []string{"o_w_id", "o_d_id", "o_id"})
 	msg := &core.DataMsg{Stream: 1, Producers: 1}
 	all := identityCols(len(ps))
+	var sel []int32
 	op := func(i int) {
 		st.build, st.rows = st.build[:0], 0
 		st.ht.reset()
@@ -249,7 +250,8 @@ func BenchmarkKeyBoxJoin(b *testing.B) {
 		// what it probes.
 		w := windows[i%len(windows)]
 		pb := storage.GetBatch(w.Schema)
-		pb.AppendRows(w.Cols, all, st.ht.allRows(w.Len()))
+		sel = identity(sel, w.Len())
+		pb.AppendRows(w.Cols, all, sel)
 		msg.Batch = pb
 		(*joinProbeSink)(st).OnData(ctx, nil, msg)
 	}

@@ -88,7 +88,6 @@ type keyScan struct {
 	stride [MaxJoinKeys]uint64
 	dicts  [MaxJoinKeys]dictDeltas
 	off    []uint64
-	live   []int32
 }
 
 // dictDeltas maps a dictionary's codes to their values' distance from
@@ -122,10 +121,10 @@ func newKeyScan(schema *storage.Schema, f *KeyFilter) *keyScan {
 	return k
 }
 
-// keep returns the rows of sel whose key the filter keeps, in scratch
-// the keyScan owns. Each key column's range is first resolved for the
-// whole chunk: a column outside the box ends the chunk with no row
-// loop, and one wholly inside it needs no per-row check. Then one typed
+// keep narrows sel in place to the rows whose key the filter keeps.
+// Each key column's range is first resolved for the whole chunk: a
+// column outside the box ends the chunk with no row loop, and one
+// wholly inside it needs no per-row check. Then one typed
 // loop per key column, straight off the encoded vector, takes each row's
 // delta from the column's least key — a frame-of-reference delta over a
 // per-chunk constant, a dictionary code's table entry, a raw int minus
@@ -137,10 +136,10 @@ func (k *keyScan) keep(c *storage.EncChunk, sel []int32) []int32 {
 	for j := range k.ranges {
 		p := &k.ranges[j]
 		if p.prepare(c); p.mode == modeNone {
-			return k.live[:0]
+			return sel[:0]
 		}
 	}
-	live, off := append(k.live[:0], sel...), zeroed(k.off, len(sel))
+	live, off := sel, zeroed(k.off, len(sel))
 	var base uint64
 	for j := range k.ranges {
 		v, lo, span, stride := &c.Cols[k.ranges[j].col], uint64(k.f.Lo[j]), k.f.Span[j], k.stride[j]
@@ -192,7 +191,7 @@ func (k *keyScan) keep(c *storage.EncChunk, sel []int32) []int32 {
 		}
 		live, off = live[:w], off[:w]
 	}
-	k.live, k.off = live, off
+	k.off = off
 	if k.f.Bits == nil {
 		return live
 	}

@@ -118,16 +118,12 @@ func TestKeyFilterKeepsEveryBuildKey(t *testing.T) {
 		kept, wantKept := 0, 0
 		for ci := 0; ci < tbl.NumColChunks(); ci++ {
 			chunk := tbl.ColChunk(ci)
-			sel := make([]int32, chunk.Len())
-			for i := range sel {
-				sel[i] = int32(i)
-			}
 			keep := map[int32]bool{}
-			for _, m := range ks.keep(chunk, sel) {
+			for _, m := range ks.keep(chunk, identity(nil, chunk.Len())) {
 				keep[m] = true
 			}
 			kept += len(keep)
-			for _, m := range sel {
+			for m := range int32(chunk.Len()) {
 				k := keyOfRow(ci*storage.ColChunkRows + int(m))
 				var jk [MaxJoinKeys]int64
 				copy(jk[:], k)

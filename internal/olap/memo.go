@@ -6,21 +6,25 @@ import (
 	"anydb/internal/storage"
 )
 
-// The selection memo: a Worker remembers, per (table, partition), which
-// rows of each chunk a registration kept, so the next registration with
-// the same filters and key filter skips both matchChunk and keyScan.keep
-// for every chunk none of the columns they read changed in. A signature
-// is the filter list plus the key filter, compared exactly on Cols, Lo,
-// Span and every word of Bits. Each chunk's entry holds the kept rows,
-// the count that passed the filters before the key filter (the virtual
-// time charges the probe over it, hit or miss), and the table's encode
-// stamp when it was stored. A hit needs the chunk's stamp over the
-// signature's columns and slot list (storage.Table.ChunkStamp, read just
-// after the fetch) to be at most the stored stamp. Every write to one of
-// those columns, and every insert or delete in the chunk, re-encodes
-// under a later stamp, so a hit returns exactly what evaluating would.
-// A write to any other column leaves the entry valid: a payment's
-// c_balance does not cost the customer filters their hits.
+// The selection memo: the one place where the shared scan compiles,
+// evaluates and shares filters. A Worker remembers, per (table,
+// partition), which rows of each chunk a registration kept, so every
+// later registration with the same filters and key filter skips both
+// matchChunk and keyScan.keep for every chunk none of the columns they
+// read changed in. That holds within a pass as across passes: a second
+// registration due at the same cursor step hits the entry the first one
+// just stored. A signature is the filter list plus the key filter,
+// compared exactly on Cols, Lo, Span and every word of Bits. Each
+// chunk's entry holds the kept rows, the count that passed the filters
+// before the key filter (the virtual time charges the probe over it,
+// hit or miss), and the table's encode stamp when it was stored. A hit
+// needs the chunk's stamp over the signature's columns and slot list
+// (storage.Table.ChunkStamp, read just after the fetch) to be at most
+// the stored stamp. Every write to one of those columns, and every
+// insert or delete in the chunk, re-encodes under a later stamp, so a
+// hit returns exactly what evaluating would. A write to any other
+// column leaves the entry valid: a payment's c_balance does not cost
+// the customer filters their hits.
 //
 // The memo is bounded: memoSigs signatures per (table, partition), the
 // least recently registered one dropped when a new one arrives. A
@@ -29,15 +33,16 @@ import (
 // memoSigs bounds the signatures a Worker keeps per (table, partition).
 const memoSigs = 8
 
-// memoSig is one memoized signature: the filters, the key filter
-// compiled against the table over a private copy of it (the join
-// recycles the bitmap it hands out), the columns they read, and one
-// entry per chunk.
+// memoSig is one memoized signature: the filters and the key filter,
+// compiled against the table once (the key filter over a private copy:
+// the join recycles the bitmap it hands out), the columns they read,
+// and one entry per chunk. The compiled filters' dictionary bitsets
+// live as long as the signature.
 type memoSig struct {
-	filters []Predicate
-	keys    *keyScan // nil without a key filter
-	reads   storage.ColSet
-	chunks  []memoEntry
+	preds  []compiledPred
+	keys   *keyScan // nil without a key filter
+	reads  storage.ColSet
+	chunks []memoEntry
 }
 
 // memoEntry is one chunk's memoized selection. Stamp 0 marks none: a
@@ -64,9 +69,10 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 			return s
 		}
 	}
-	s := &memoSig{filters: slices.Clone(filters)}
-	for _, f := range filters {
-		s.reads |= 1 << schema.MustCol(f.Col)
+	s := &memoSig{preds: make([]compiledPred, len(filters))}
+	for i, f := range filters {
+		s.preds[i] = compilePred(schema, f)
+		s.reads |= 1 << s.preds[i].col
 	}
 	if keys != nil {
 		s.keys = newKeyScan(schema, &KeyFilter{Cols: slices.Clone(keys.Cols), Lo: slices.Clone(keys.Lo),
@@ -89,7 +95,8 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 
 // is reports whether the signature is filters and keys.
 func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
-	if !slices.Equal(s.filters, filters) || (s.keys == nil) != (keys == nil) {
+	same := func(p compiledPred, f Predicate) bool { return p.Predicate == f }
+	if !slices.EqualFunc(s.preds, filters, same) || (s.keys == nil) != (keys == nil) {
 		return false
 	}
 	if keys == nil {
@@ -98,15 +105,4 @@ func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
 	f := s.keys.f
 	return slices.Equal(f.Cols, keys.Cols) && slices.Equal(f.Lo, keys.Lo) &&
 		slices.Equal(f.Span, keys.Span) && slices.Equal(f.Bits, keys.Bits)
-}
-
-// store records chunk ci's selection, copied into the entry's own
-// storage, as of the table's stamp now, and returns the copy.
-func (s *memoSig) store(ci int, now uint64, rows []int32, pre int) []int32 {
-	for len(s.chunks) <= ci {
-		s.chunks = append(s.chunks, memoEntry{})
-	}
-	e := &s.chunks[ci]
-	e.stamp, e.pre, e.rows = now, pre, append(e.rows[:0], rows...)
-	return e.rows
 }

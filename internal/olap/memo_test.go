@@ -22,7 +22,10 @@ func (c *chargeSink) Charge(t sim.Time) { c.charged += t }
 // filter, a write to a filtered column re-evaluates exactly its chunk, a
 // write to a column no filter reads re-evaluates none (payments keep
 // the customer filters' hits), and an insert re-evaluates only the chunk
-// it lands in. A hit is charged the virtual time a miss is.
+// it lands in. A hit is charged the virtual time a miss is. A pass with
+// no filter evaluates nothing and adds no signature, and two
+// registrations of one keyed signature in one pass evaluate and probe
+// each chunk once.
 func TestMemoWorkCounts(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
 		Items: 10, InitOrders: 3000, Seed: 7}.WithDefaults()
@@ -93,4 +96,36 @@ func TestMemoWorkCounts(t *testing.T) {
 	}
 	e, k, _ = pass(orders)
 	want("after an orders insert", e, k, 1, 1)
+
+	group := &SharedScanSpec{
+		Query: 2, Table: tpcc.TCustomerID, Part: 0,
+		GroupBy: []string{"c_state"}, Aggs: []AggExpr{{Fn: AggCount}}, DictGroups: true,
+		Out: 8, To: 1, Producers: 1,
+	}
+	sigs := len(w.memos[sharedKey{table: tpcc.TCustomerID, part: 0}])
+	e, k, _ = pass(group)
+	want("an unfiltered grouped pass", e, k, 0, 0)
+	if n := len(w.memos[sharedKey{table: tpcc.TCustomerID, part: 0}]); n != sigs {
+		t.Fatalf("an unfiltered pass left %d customer signatures, want %d", n, sigs)
+	}
+
+	// Both registrations attach before the first step, so they ride one
+	// pass in lockstep: the first evaluates each chunk, the second hits.
+	for ci := range ochunks {
+		ot.UpdateAt(int32(ci<<storage.ColChunkShift), ot.Schema.MustCol("o_entry_d"), storage.Int(tpcc.Q3SinceYear))
+	}
+	e0, k0 := w.evals, w.keeps
+	ctx.resent = nil
+	for _, q := range []core.QueryID{3, 4} {
+		reg := *orders
+		reg.Query = q
+		ev := core.GetEvent()
+		ev.Kind, ev.Payload = core.EvInstallOp, &reg
+		w.OnEvent(ctx, nil, ev)
+	}
+	for ev := ctx.resent; ev != nil; ev = ctx.resent {
+		ctx.resent = nil
+		w.OnEvent(ctx, nil, ev)
+	}
+	want("two keyed registrations in one pass after an o_entry_d write", w.evals-e0, w.keeps-k0, ochunks, ochunks)
 }

@@ -133,9 +133,12 @@ type Worker struct {
 	// signatures most recently used first. It outlives the cursors.
 	memos map[sharedKey][]*memoSig
 	// evals counts predicate evaluations over a chunk (matchChunk calls):
-	// the work that registrations with one filter list share and that a
-	// memo hit skips. keeps counts keyScan.keep calls the same way.
+	// the work the memo shares among the registrations of one signature,
+	// within a pass and across passes. keeps counts keyScan.keep calls
+	// the same way.
 	evals, keeps int
+	// all is the identity selection of a registration with no filter.
+	all []int32
 }
 
 // OnEvent implements core.Behavior.
@@ -309,15 +312,6 @@ func (t *joinTable) lookup(k joinKey) int32 {
 	return t.entries[e].head
 }
 
-// allRows returns the rows 0..n-1 in t's row scratch.
-func (t *joinTable) allRows(n int) []int32 {
-	t.live = t.live[:0]
-	for i := range int32(n) {
-		t.live = append(t.live, i)
-	}
-	return t.live
-}
-
 // joinTables recycles join tables across queries.
 var joinTables sync.Pool
 
@@ -428,7 +422,8 @@ func (st *joinState) closeBuild() {
 		x.stride = boxStrides(x.span[:n])
 		t.bits = zeroed(t.bits, (cells+63)/64)
 		for _, b := range st.build {
-			_, t.off = x.cells(b, st.buildCols, t.allRows(b.Len()), t.off)
+			t.live = identity(t.live, b.Len())
+			_, t.off = x.cells(b, st.buildCols, t.live, t.off)
 			for _, o := range t.off {
 				w, m := o>>6, uint64(1)<<(o&63)
 				distinct = distinct && t.bits[w]&m == 0
@@ -561,7 +556,8 @@ func (st *joinState) probe(ctx core.Context, probe *storage.Batch, probeCost sim
 func (st *joinState) forward(ctx core.Context, probe *storage.Batch, probeCost sim.Time) {
 	st.arm(probe.Schema)
 	t := st.ht
-	rows := t.allRows(probe.Len())
+	t.live = identity(t.live, probe.Len())
+	rows := t.live
 	if !st.filtered {
 		rows, t.off = st.box.cells(probe, st.probeCols, rows, t.off)
 		w := 0

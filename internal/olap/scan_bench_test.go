@@ -224,7 +224,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	if reg.out != nil {
 		schema = reg.out.Schema
 	}
-	drive(ctx.resent) // warm: chunk cache, filter set, pools
+	drive(ctx.resent) // warm: chunk cache, memo signature, pools
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package olap
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"anydb/internal/core"
@@ -22,22 +21,23 @@ import (
 // circle). One driver continuation event advances the cursor one
 // columnar chunk at a time — the chunk fetch, the event-plane hop, and
 // the shared per-row scan charge are paid once per chunk regardless of
-// how many registrations ride the pass; each distinct filter list is
-// compiled and evaluated once per chunk for all the registrations that
-// carry it, and only the fold is per-query. Registrations carry private
-// result state (a projection batch or a grouped-aggregate table), so
-// detaching is just emitting it downstream.
+// how many registrations ride the pass, and only the fold is per-query.
+// Registrations carry private result state (a projection batch or a
+// grouped-aggregate table), so detaching is just emitting it downstream.
 //
-// Work is shared across time too (memo.go). Each registration with a
-// filter or a join's key filter looks its chunk up in the Worker's
-// selection memo right after the fetch: an entry stored at a table
-// stamp no older than the chunk's stamp over the columns the filters
-// read (storage.Table.ChunkStamp) is the exact answer, and the chunk
-// skips both the filters and the key filter. Only a write to one of
-// those columns, or a row added to or removed from the chunk, restamps
-// it. The memo keeps a constant number of signatures per (table,
-// partition), least recently used out, and virtual time charges a hit
-// exactly like the evaluation it replaces.
+// Filters are shared through the Worker's selection memo (memo.go),
+// within a pass and across passes alike. Each registration with a
+// filter or a join's key filter looks its chunk up in the memo right
+// after the fetch: an entry stored at a table stamp no older than the
+// chunk's stamp over the columns the filters read
+// (storage.Table.ChunkStamp) is the exact answer, and the chunk skips
+// both the filters and the key filter. The first registration of a
+// signature due at a chunk evaluates it and stores the entry, so every
+// other registration of that signature in the pass hits it. Only a
+// write to one of those columns, or a row added to or removed from the
+// chunk, restamps it. The memo keeps a constant number of signatures
+// per (table, partition), least recently used out, and virtual time
+// charges a hit exactly like the evaluation it replaces.
 //
 // Safety under live repartitioning: queries hold a submission-plane
 // registration (queryMask) from registration to completion, and a
@@ -318,7 +318,6 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
 	spec  *SharedScanSpec
-	set   *filterSet     // the compiled filters, shared with equal lists
 	reads storage.ColSet // every chunk column the registration reads
 
 	// Pass window: the registration joined at some chunk and detaches
@@ -352,17 +351,6 @@ type scanReg struct {
 	denseOK bool // hinted and not abandoned
 }
 
-// filterSet is one distinct filter list of a cursor's registrations,
-// compiled once: every registration with an equal list points at it and
-// reuses its matched rows for the chunk of the current step (valid while
-// step == sharedScan.steps).
-type filterSet struct {
-	filters []Predicate
-	preds   []compiledPred
-	rows    []int32
-	step    uint64
-}
-
 // sharedScan is the per-(table, partition) shared cursor state, owned
 // by the partition's AC.
 type sharedScan struct {
@@ -370,31 +358,6 @@ type sharedScan struct {
 	cursor int
 	regs   []*scanReg
 	ev     *core.Event // the driver continuation, re-sent per chunk
-
-	// Predicate evaluation is shared across registrations, not just the
-	// chunk fetch: registrations with equal filter lists share one
-	// filterSet and so one matchChunk evaluation per chunk. steps
-	// increments once per driven chunk (cursor positions repeat across
-	// passes, so the step counter is the validity token); sets live as
-	// long as the cursor does — one busy period.
-	steps uint64
-	sets  []*filterSet
-}
-
-// filterSet returns the cursor's set for filters, compiling a new one
-// against schema for a list no registration has brought yet.
-func (ss *sharedScan) filterSet(schema *storage.Schema, filters []Predicate) *filterSet {
-	for _, s := range ss.sets {
-		if slices.Equal(s.filters, filters) {
-			return s
-		}
-	}
-	s := &filterSet{filters: filters, preds: make([]compiledPred, len(filters))}
-	for i, f := range filters {
-		s.preds[i] = compilePred(schema, f)
-	}
-	ss.sets = append(ss.sets, s)
-	return s
 }
 
 // attachShared registers spec with the shared cursor, creating (and
@@ -467,7 +430,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			r.next = 0
 		}
 	}
-	r.set = ss.filterSet(t.Schema, spec.Filters)
 	if r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys); r.sig != nil {
 		r.reads |= r.sig.reads
 	}
@@ -534,9 +496,8 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			// paid once however many registrations ride this pass.
 			chunk = t.ColChunkCols(ci, need)
 			ctx.Charge(costs.ScanRow * sim.Time(chunk.Len()))
-			ss.steps++
 		}
-		match, pre := r.selection(w, t, ci, chunk, ss.steps)
+		match, pre := r.selection(w, t, ci, chunk)
 		if len(r.spec.Aggs) == 0 {
 			r.foldStream(ctx, chunk, match, pre)
 		} else {
@@ -565,41 +526,41 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 
 // selection returns the rows of chunk ci, just fetched with the
 // registration's reads, that its filters and key filter keep, and how
-// many passed the filters alone. A valid memo entry answers at once.
-// Otherwise registrations with equal filter lists share one evaluation
-// of the chunk, the key filter narrows it, and the answer is memoized.
-func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.EncChunk, step uint64) ([]int32, int) {
+// many passed the filters alone. With neither, that is every row. A
+// valid memo entry answers at once; otherwise the filters evaluate
+// straight into the chunk's entry, the key filter narrows it, and the
+// entry is stamped.
+func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.EncChunk) ([]int32, int) {
 	s := r.sig
-	if s != nil && ci < len(s.chunks) {
+	if s == nil {
+		w.all = identity(w.all, chunk.Len())
+		return w.all, len(w.all)
+	}
+	if ci < len(s.chunks) {
 		if e := &s.chunks[ci]; t.ChunkStamp(ci, s.reads) <= e.stamp {
 			return e.rows, e.pre
 		}
 	}
-	f := r.set
-	if f.step != step {
-		f.rows = matchChunk(chunk, f.preds, f.rows)
-		f.step = step
-		w.evals++
+	for len(s.chunks) <= ci {
+		s.chunks = append(s.chunks, memoEntry{})
 	}
-	if s == nil {
-		return f.rows, len(f.rows)
-	}
-	rows := f.rows
-	if s.keys != nil && len(rows) > 0 {
-		rows = s.keys.keep(chunk, rows)
+	e := &s.chunks[ci]
+	e.rows = matchChunk(chunk, s.preds, e.rows)
+	e.pre = len(e.rows)
+	w.evals++
+	if s.keys != nil && e.pre > 0 {
+		e.rows = s.keys.keep(chunk, e.rows)
 		w.keeps++
 	}
-	return s.store(ci, t.Stamp(), rows, len(f.rows)), len(f.rows)
+	e.stamp = t.Stamp()
+	return e.rows, e.pre
 }
 
 // matchChunk returns the row indexes of chunk c passing all preds,
 // reusing sel: it starts from every row, and each predicate, prepared
 // against the chunk's encoding, narrows the selection in place.
 func matchChunk(c *storage.EncChunk, preds []compiledPred, sel []int32) []int32 {
-	sel = sel[:0]
-	for i := range int32(c.Len()) {
-		sel = append(sel, i)
-	}
+	sel = identity(sel, c.Len())
 	for i := range preds {
 		if len(sel) == 0 {
 			break
