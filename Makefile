@@ -75,11 +75,13 @@ bench-check:
 # lookups, match gather, output emission), one key-only distinct build
 # closed and one 1 024-row batch forwarded with no hash table
 # (BenchmarkKeyBoxJoin: the key box's bitmap, projected forward),
-# one pass of a dictionary-grouped COUNT+SUM registration through its
-# partial batch (BenchmarkGroupedPass: dense fold, finish, the group
-# table back to its pool), the same pass after one c_balance write in
-# every chunk (BenchmarkStaleChunkPass: the one stale column re-encoded
-# into its vector's capacity), one ~8 k-row hash-join build released
+# a dictionary-grouped COUNT+SUM registration on unchanged data
+# (BenchmarkGroupedPass: a partial memo replay, every chunk's stamp
+# checked and the stored partial copied out), the same registration
+# after one c_balance write in every chunk (BenchmarkStaleChunkPass: the
+# one stale column re-encoded into its vector's capacity, the dense
+# fold, finish storing the partial and its stamps into the memo's
+# storage, the group table back to its pool), one ~8 k-row hash-join build released
 # to its pool (BenchmarkJoinBuild) and the typed row heap's write path
 # (BenchmarkHeapWrite: a keyed insert of a stack row, a keyless append,
 # a Field read and an UpdateAt) must report exactly 0 allocs/op.
@@ -95,7 +97,7 @@ allocs-gate:
 	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 12) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 12"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass, stale-chunk-pass, join-build and heap-write hot paths"
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), join-build and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

@@ -32,6 +32,6 @@ func KeyFilterOf(cols []string, keys [][]int64) *KeyFilter {
 	return st.box.filter(cols)
 }
 
-// Work returns the worker's counts of chunk predicate evaluations and
-// key-filter passes.
-func (w *Worker) Work() (evals, keeps int) { return w.evals, w.keeps }
+// Work returns the worker's counts of chunk predicate evaluations,
+// key-filter passes and grouped folds.
+func (w *Worker) Work() (evals, keeps, folds int) { return w.evals, w.keeps, w.folds }

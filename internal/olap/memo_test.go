@@ -17,15 +17,27 @@ type chargeSink struct {
 
 func (c *chargeSink) Charge(t sim.Time) { c.charged += t }
 
-// TestMemoWorkCounts counts the chunk work the selection memo leaves: a
-// repeated query on unchanged data evaluates no chunk and runs no key
-// filter, a write to a filtered column re-evaluates exactly its chunk, a
-// write to a column no filter reads re-evaluates none (payments keep
-// the customer filters' hits), and an insert re-evaluates only the chunk
-// it lands in. A hit is charged the virtual time a miss is. A pass with
-// no filter evaluates nothing and adds no signature, and two
-// registrations of one keyed signature in one pass evaluate and probe
-// each chunk once.
+// work is what one pass of TestMemoWorkCounts cost: chunk evaluations,
+// key-filter passes and grouped folds, the virtual time charged, and
+// whether the registration rode a cursor.
+type work struct {
+	evals, keeps, folds int
+	charged             sim.Time
+	rode                bool
+}
+
+// TestMemoWorkCounts counts the chunk work the selection memo and the
+// partial memo leave: a repeated query on unchanged data evaluates no
+// chunk and runs no key filter, a write to a filtered column
+// re-evaluates exactly its chunk, a write to a column no filter reads
+// re-evaluates none (payments keep the customer filters' hits), and an
+// insert re-evaluates only the chunk it lands in. A repeated grouped
+// pass folds no chunk and rides no cursor; a write to a column it reads
+// in one chunk folds every chunk again (the partial is one entry for the
+// partition), and leaves a pushdown that does not read that column its
+// replay. A hit is charged the virtual time a miss is. A pass with no
+// filter evaluates nothing, and two registrations of one keyed
+// signature in one pass evaluate and probe each chunk once.
 func TestMemoWorkCounts(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 1, Districts: 2, Customers: 3000,
 		Items: 10, InitOrders: 3000, Seed: 7}.WithDefaults()
@@ -34,80 +46,109 @@ func TestMemoWorkCounts(t *testing.T) {
 	w := &Worker{DB: db}
 	ctx := &chargeSink{flushSink: flushSink{costs: sim.DefaultCosts()}}
 	// pass runs one registration of spec to the end, as a new query
-	// does, and returns the work and the virtual time it took.
-	pass := func(spec *SharedScanSpec) (evals, keeps int, charged sim.Time) {
-		e0, k0, c0 := w.evals, w.keeps, ctx.charged
+	// does, and returns the work it took.
+	pass := func(spec *SharedScanSpec) work {
+		e0, k0, f0, c0 := w.evals, w.keeps, w.folds, ctx.charged
 		reg := *spec
 		ev := core.GetEvent()
 		ev.Kind, ev.Payload = core.EvInstallOp, &reg
+		rode := false
 		for ev != nil {
 			ctx.resent = nil
 			w.OnEvent(ctx, nil, ev)
 			ev = ctx.resent
+			rode = rode || w.shared[sharedKey{table: spec.Table, part: spec.Part}] != nil
 		}
-		return w.evals - e0, w.keeps - k0, ctx.charged - c0
+		return work{w.evals - e0, w.keeps - k0, w.folds - f0, ctx.charged - c0, rode}
 	}
-	want := func(what string, evals, keeps, wantEvals, wantKeeps int) {
+	want := func(what string, got work, wantEvals, wantKeeps int) {
 		t.Helper()
-		if evals != wantEvals || keeps != wantKeeps {
+		if got.evals != wantEvals || got.keeps != wantKeeps {
 			t.Fatalf("%s: %d chunk evaluations and %d key-filter passes, want %d and %d",
-				what, evals, keeps, wantEvals, wantKeeps)
+				what, got.evals, got.keeps, wantEvals, wantKeeps)
+		}
+	}
+	wantFolds := func(what string, got work, folds int) {
+		t.Helper()
+		if got.folds != folds || got.rode != (folds > 0) {
+			t.Fatalf("%s: %d chunks folded (rode a cursor: %v), want %d", what, got.folds, got.rode, folds)
 		}
 	}
 
 	cust := db.Partition(0).TableByID(tpcc.TCustomerID)
+	likeFilter := []Predicate{{Col: "c_state", Kind: PredPrefix, Str: tpcc.Q3StatePrefix}}
 	like := &SharedScanSpec{
-		Query: 1, Table: tpcc.TCustomerID, Part: 0,
-		Filters: []Predicate{{Col: "c_state", Kind: PredPrefix, Str: tpcc.Q3StatePrefix}},
-		Aggs:    []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
-		Out:     7, To: 1, Producers: 1,
+		Query: 1, Table: tpcc.TCustomerID, Part: 0, Filters: likeFilter,
+		Aggs: []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
+		Out:  7, To: 1, Producers: 1,
 	}
 	chunks := cust.NumColChunks()
 	if chunks < 3 {
 		t.Fatalf("%d customer chunks; the test needs several", chunks)
 	}
-	e, k, _ := pass(like)
-	want("first query", e, k, chunks, 0)
-	e, k, _ = pass(like)
-	want("repeated query", e, k, 0, 0)
+	want("first query", pass(like), chunks, 0)
+	want("repeated query", pass(like), 0, 0)
 	cust.UpdateAt(1<<storage.ColChunkShift, cust.Schema.MustCol("c_state"), storage.Str("ZZ"))
-	e, k, _ = pass(like)
-	want("after a c_state write in chunk 1", e, k, 1, 0)
+	want("after a c_state write in chunk 1", pass(like), 1, 0)
 	for ci := range chunks {
 		cust.UpdateAt(int32(ci<<storage.ColChunkShift), tpcc.ColCBalance, storage.Float(1))
 	}
-	e, k, _ = pass(like)
-	want("after a c_balance write in every chunk", e, k, 0, 0)
+	want("after a c_balance write in every chunk", pass(like), 0, 0)
 
 	orders := keyedOrdersScan(t, db, true)
 	ot := db.Partition(0).TableByID(tpcc.TOrdersID)
 	ochunks := ot.NumColChunks()
-	e, k, miss := pass(orders)
-	want("first keyed orders scan", e, k, ochunks, ochunks)
-	e, k, hit := pass(orders)
-	want("repeated keyed orders scan", e, k, 0, 0)
-	if hit != miss {
-		t.Fatalf("a memo hit charged %v of virtual time, a miss %v", hit, miss)
+	miss := pass(orders)
+	want("first keyed orders scan", miss, ochunks, ochunks)
+	hit := pass(orders)
+	want("repeated keyed orders scan", hit, 0, 0)
+	if hit.charged != miss.charged {
+		t.Fatalf("a memo hit charged %v of virtual time, a miss %v", hit.charged, miss.charged)
 	}
 	oid := int64(cfg.InitOrders + 1)
 	if _, err := ot.Insert(tpcc.OrderKey(0, 1, oid), storage.Row{storage.Int(0), storage.Int(1),
 		storage.Int(oid), storage.Int(1), storage.Int(tpcc.Q3SinceYear), storage.Int(0), storage.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
-	e, k, _ = pass(orders)
-	want("after an orders insert", e, k, 1, 1)
+	want("after an orders insert", pass(orders), 1, 1)
 
+	// The grouped pass has no filter: it gets the empty-filter signature,
+	// whose selection is the identity, and folds every chunk once.
 	group := &SharedScanSpec{
 		Query: 2, Table: tpcc.TCustomerID, Part: 0,
 		GroupBy: []string{"c_state"}, Aggs: []AggExpr{{Fn: AggCount}}, DictGroups: true,
 		Out: 8, To: 1, Producers: 1,
 	}
-	sigs := len(w.memos[sharedKey{table: tpcc.TCustomerID, part: 0}])
-	e, k, _ = pass(group)
-	want("an unfiltered grouped pass", e, k, 0, 0)
-	if n := len(w.memos[sharedKey{table: tpcc.TCustomerID, part: 0}]); n != sigs {
-		t.Fatalf("an unfiltered pass left %d customer signatures, want %d", n, sigs)
+	custKey := sharedKey{table: tpcc.TCustomerID, part: 0}
+	sigs := len(w.memos[custKey])
+	miss = pass(group)
+	want("an unfiltered grouped pass", miss, 0, 0)
+	wantFolds("the first grouped pass", miss, chunks)
+	if n := len(w.memos[custKey]); n != sigs+1 {
+		t.Fatalf("an unfiltered grouped pass left %d customer signatures, want %d", n, sigs+1)
 	}
+	hit = pass(group)
+	wantFolds("a repeated grouped pass", hit, 0)
+	if hit.charged != miss.charged {
+		t.Fatalf("a replayed partial charged %v of virtual time, its pass %v", hit.charged, miss.charged)
+	}
+
+	// A c_balance write in one chunk: a grouped SUM(c_balance) folds
+	// every chunk again, not just that one (the partial is one entry for
+	// the partition), while the grouped COUNT(*) and a LIKE count, which
+	// read no c_balance, replay.
+	sum := *group
+	sum.Aggs = []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}}
+	countLike := &SharedScanSpec{
+		Query: 3, Table: tpcc.TCustomerID, Part: 0, Filters: likeFilter,
+		Aggs: []AggExpr{{Fn: AggCount}}, Out: 9, To: 1, Producers: 1,
+	}
+	wantFolds("the first grouped SUM(c_balance) pass", pass(&sum), chunks)
+	wantFolds("the first LIKE count", pass(countLike), chunks)
+	cust.UpdateAt(1<<storage.ColChunkShift, tpcc.ColCBalance, storage.Float(2))
+	wantFolds("a grouped SUM(c_balance) pass after a c_balance write in chunk 1", pass(&sum), chunks)
+	wantFolds("a grouped COUNT(*) pass after the c_balance write", pass(group), 0)
+	wantFolds("a LIKE count after the c_balance write", pass(countLike), 0)
 
 	// Both registrations attach before the first step, so they ride one
 	// pass in lockstep: the first evaluates each chunk, the second hits.
@@ -127,5 +168,5 @@ func TestMemoWorkCounts(t *testing.T) {
 		ctx.resent = nil
 		w.OnEvent(ctx, nil, ev)
 	}
-	want("two keyed registrations in one pass after an o_entry_d write", w.evals-e0, w.keeps-k0, ochunks, ochunks)
+	want("two keyed registrations in one pass after an o_entry_d write", work{evals: w.evals - e0, keeps: w.keeps - k0}, ochunks, ochunks)
 }

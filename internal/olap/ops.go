@@ -129,16 +129,28 @@ type Worker struct {
 	DB *storage.Database
 
 	shared map[sharedKey]*sharedScan
-	// memos holds each (table, partition)'s selection memo (memo.go), its
-	// signatures most recently used first. It outlives the cursors.
+	// memos holds each (table, partition)'s selection memo and its
+	// partials (memo.go), signatures most recently used first. It
+	// outlives the cursors.
 	memos map[sharedKey][]*memoSig
 	// evals counts predicate evaluations over a chunk (matchChunk calls):
 	// the work the memo shares among the registrations of one signature,
 	// within a pass and across passes. keeps counts keyScan.keep calls
-	// the same way.
-	evals, keeps int
-	// all is the identity selection of a registration with no filter.
+	// the same way, and folds the chunks foldAgg folded: the work a
+	// replayed partial saves.
+	evals, keeps, folds int
+	// all is the identity selection 0..n-1 (identity): filled once to
+	// storage.ColChunkRows, grown only for a longer one.
 	all []int32
+}
+
+// identity returns the selection 0..n-1, a prefix of w.all. Its readers
+// (the folds and Batch.AppendRows) only read it.
+func (w *Worker) identity(n int) []int32 {
+	if n > len(w.all) {
+		w.all = identity(w.all, max(n, storage.ColChunkRows))
+	}
+	return w.all[:n]
 }
 
 // OnEvent implements core.Behavior.

@@ -120,11 +120,11 @@ func rewriteEveryChunk(t *storage.Table, col string) func() {
 }
 
 // BenchmarkGroupedPass measures the steady-state allocation cost of a
-// grouped-aggregate registration: one op is one full pass of a
+// grouped-aggregate registration over unchanged data: one op is a
 // dictionary-grouped COUNT(*), SUM(c_balance) over a customer partition
-// — the dense fold of every chunk, then finish gathering the partial
-// batch and returning the group table to its pool. A pass must show
-// zero steady-state allocations: the table's vectors recycle.
+// answered from the partial memo — every chunk's stamp checked, the
+// stored partial copied into a pooled batch and emitted. It must show
+// zero steady-state allocations: the copy's selection is the Worker's.
 //
 //	go test -bench GroupedPass -benchmem ./internal/olap
 func BenchmarkGroupedPass(b *testing.B) {
@@ -142,9 +142,11 @@ func BenchmarkGroupedPass(b *testing.B) {
 
 // BenchmarkStaleChunkPass is BenchmarkGroupedPass behind a stream of
 // payments: each op first writes c_balance once in every chunk, as a
-// payment does, then runs the grouped pass, which re-encodes only that
-// column of each chunk before folding it. It must report 0 allocs/op:
-// a column re-encodes into the capacity its vector already has.
+// payment does, so the memo misses and the grouped pass runs: it
+// re-encodes only that column of each chunk, folds it, and stores the
+// partial and the chunks' stamps in the memo. It must report 0
+// allocs/op: a column re-encodes into the capacity its vector already
+// has, and the store reuses the entry's batch and stamp slices.
 //
 //	go test -bench StaleChunkPass -benchmem ./internal/olap
 func BenchmarkStaleChunkPass(b *testing.B) {
@@ -213,11 +215,14 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	// Register once (compiling predicates, resolving the projection or
 	// the partial layout and its schema), keeping the cursor and the
 	// registration: a finished pass detaches both, and each timed pass
-	// re-arms them with a fresh output batch or group table.
+	// re-arms them with a fresh output batch, or, for a pushdown, asks
+	// the partial memo first as a new registration does (replay): it
+	// answers the op or arms a fresh group table.
 	ev := core.GetEvent()
 	ev.Kind, ev.Payload = core.EvInstallOp, spec
 	w.OnEvent(ctx, nil, ev)
 	key := sharedKey{table: spec.Table, part: spec.Part}
+	t := db.Partition(spec.Part).TableByID(spec.Table)
 	ss := w.shared[key]
 	reg := ss.regs[0]
 	var schema *storage.Schema
@@ -239,8 +244,8 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 		reg.next, reg.done = 0, 0
 		if schema != nil {
 			reg.out = storage.GetBatch(schema)
-		} else {
-			reg.armGroups()
+		} else if w.replay(ctx, t, reg) {
+			continue
 		}
 		ss.cursor = 0
 		ss.regs = append(ss.regs[:0], reg)

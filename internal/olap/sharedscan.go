@@ -3,6 +3,7 @@ package olap
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"anydb/internal/core"
@@ -21,9 +22,9 @@ import (
 // circle). One driver continuation event advances the cursor one
 // columnar chunk at a time — the chunk fetch, the event-plane hop, and
 // the shared per-row scan charge are paid once per chunk regardless of
-// how many registrations ride the pass, and only the fold is per-query.
-// Registrations carry private result state (a projection batch or a
-// grouped-aggregate table), so detaching is just emitting it downstream.
+// how many registrations ride the pass. Registrations carry private
+// result state (a projection batch or a grouped-aggregate table), so
+// detaching is just emitting it downstream.
 //
 // Filters are shared through the Worker's selection memo (memo.go),
 // within a pass and across passes alike. Each registration with a
@@ -38,6 +39,13 @@ import (
 // chunk, restamps it. The memo keeps a constant number of signatures
 // per (table, partition), least recently used out, and virtual time
 // charges a hit exactly like the evaluation it replaces.
+//
+// Folds are shared across time through the same memo. An aggregate
+// pushdown that attaches while no chunk it reads has changed since the
+// last pass of its signature, grouping and aggregates folded it replays
+// that pass's partial and never rides the cursor; virtual time charges
+// it the scan and fold rows of that pass. Otherwise it folds every chunk
+// as it comes round, and its finish stores the new partial.
 //
 // Safety under live repartitioning: queries hold a submission-plane
 // registration (queryMask) from registration to completion, and a
@@ -331,7 +339,7 @@ type scanReg struct {
 	out    *storage.Batch
 
 	// The selection memo's signature of Filters and Keys (memo.go); nil
-	// when the registration has neither.
+	// when a streaming registration has neither.
 	sig *memoSig
 
 	// Aggregate-pushdown mode: the partial layout, the group and source
@@ -349,6 +357,13 @@ type scanReg struct {
 	// chunk arrives with a different encoding or a code outgrows the
 	// slack-padded dims.
 	denseOK bool // hinted and not abandoned
+
+	// The partial memo entry the pass stores into at finish (memo.go):
+	// per chunk, its stamp over reads right after the fold, and the rows
+	// charged ScanRow and AggRow.
+	memo            *memoPartial
+	stamps          []uint64
+	scanned, folded int
 }
 
 // sharedScan is the per-(table, partition) shared cursor state, owned
@@ -365,7 +380,8 @@ type sharedScan struct {
 // recycled as the driver continuation when one is needed.
 func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScanSpec) {
 	t := w.DB.Partition(spec.Part).TableByID(spec.Table)
-	r := &scanReg{spec: spec}
+	key := sharedKey{table: spec.Table, part: spec.Part}
+	r := &scanReg{spec: spec, total: t.NumColChunks()}
 	if len(spec.Aggs) == 0 {
 		r.outIdx = make([]int, len(spec.Cols))
 		outCols := make([]storage.Column, len(spec.Cols))
@@ -403,10 +419,21 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		}
 		r.partial = storage.NewSchema(t.Schema.Name+"_partial", cols...)
 		r.partCols = identityCols(len(cols))
-		r.armGroups()
 	}
-
-	r.total = t.NumColChunks()
+	if r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys, len(spec.Aggs) > 0); r.sig != nil {
+		r.reads |= r.sig.reads
+	}
+	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
+		for _, c := range cols {
+			if c >= 0 { // aggIdx is -1 for COUNT(*)
+				r.reads |= 1 << c
+			}
+		}
+	}
+	if len(spec.Aggs) > 0 && w.replay(ctx, t, r) {
+		core.FreeEvent(ev) // answered from the memo: no pass
+		return
+	}
 	if r.total == 0 {
 		// Empty table: the pass is already over; the install event dies.
 		r.finish(ctx)
@@ -414,7 +441,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		return
 	}
 
-	key := sharedKey{table: spec.Table, part: spec.Part}
 	ss := w.shared[key]
 	idle := ss == nil
 	if idle {
@@ -430,16 +456,6 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			r.next = 0
 		}
 	}
-	if r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys); r.sig != nil {
-		r.reads |= r.sig.reads
-	}
-	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
-		for _, c := range cols {
-			if c >= 0 { // aggIdx is -1 for COUNT(*)
-				r.reads |= 1 << c
-			}
-		}
-	}
 	ss.regs = append(ss.regs, r)
 	if !idle {
 		core.FreeEvent(ev) // a continuation is already circulating
@@ -448,6 +464,31 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	// Reuse the install event as the driver continuation.
 	ev.Payload = ss
 	ctx.Send(ctx.Self(), ev)
+}
+
+// replay answers an aggregate pushdown from its partial memo (memo.go)
+// when the stored partial is fresh: it charges the virtual time the pass
+// would have, emits a copy of the partial with Last, and reports true.
+// Otherwise it arms the registration to ride the cursor: an empty group
+// table, and the partial's spare stamp slice to record into.
+func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg) bool {
+	p := r.sig.partial(r.spec.GroupBy, r.spec.Aggs)
+	if p.fresh(t, r.total, r.reads) {
+		costs := ctx.Costs()
+		ctx.Charge(costs.ScanRow*sim.Time(p.scanned) + costs.AggRow*sim.Time(p.folded))
+		var b *storage.Batch
+		if n := p.batch.Len(); n > 0 {
+			b = storage.GetBatch(r.partial)
+			b.AppendRows(p.batch.Cols, r.partCols, w.identity(n))
+		}
+		r.emit(ctx, b)
+		return true
+	}
+	r.memo, r.scanned, r.folded = p, 0, 0
+	r.stamps = slices.Grow(p.spare[:0], r.total)[:r.total]
+	p.spare = nil
+	r.armGroups()
+	return false
 }
 
 // step advances the shared cursor one chunk: every registration whose
@@ -502,6 +543,10 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			r.foldStream(ctx, chunk, match, pre)
 		} else {
 			r.foldAgg(ctx, chunk, match)
+			r.stamps[ci] = t.ChunkStamp(ci, r.reads)
+			r.scanned += chunk.Len()
+			r.folded += len(match)
+			w.folds++
 		}
 		r.done++
 		r.next++
@@ -526,15 +571,15 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 
 // selection returns the rows of chunk ci, just fetched with the
 // registration's reads, that its filters and key filter keep, and how
-// many passed the filters alone. With neither, that is every row. A
+// many passed the filters alone. With neither, that is every row: the
+// Worker's shared identity selection, which the folds only read. A
 // valid memo entry answers at once; otherwise the filters evaluate
 // straight into the chunk's entry, the key filter narrows it, and the
 // entry is stamped.
 func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.EncChunk) ([]int32, int) {
 	s := r.sig
-	if s == nil {
-		w.all = identity(w.all, chunk.Len())
-		return w.all, len(w.all)
+	if s == nil || len(s.preds) == 0 && s.keys == nil {
+		return w.identity(chunk.Len()), chunk.Len()
 	}
 	if ci < len(s.chunks) {
 		if e := &s.chunks[ci]; t.ChunkStamp(ci, s.reads) <= e.stamp {
@@ -647,7 +692,8 @@ func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int
 
 // finish detaches the registration: streaming mode flushes the tail
 // batch with the Last marker; pushdown mode gathers the groups' partial
-// rows, column by column in slot order, into one batch, emits it with
+// rows, column by column in slot order, into one batch, stores them with
+// the pass's stamps in its partial memo entry, emits the batch with
 // Last, and returns the table to the pool.
 func (r *scanReg) finish(ctx core.Context) {
 	if len(r.spec.Aggs) == 0 {
@@ -656,12 +702,28 @@ func (r *scanReg) finish(ctx core.Context) {
 	}
 	var b *storage.Batch
 	g := r.groups
-	if sel := g.touched(); len(sel) > 0 {
+	sel, view := g.touched(), g.viewOf(false)
+	if len(sel) > 0 {
 		b = storage.GetBatch(r.partial)
-		b.AppendRows(g.viewOf(false), r.partCols, sel)
+		b.AppendRows(view, r.partCols, sel)
 	}
+	p := r.memo
+	if p.batch == nil {
+		p.batch = storage.NewBatch(r.partial)
+	} else {
+		p.batch.Reset()
+	}
+	p.batch.AppendRows(view, r.partCols, sel)
+	p.stamps, p.spare, r.stamps = r.stamps, p.stamps, nil
+	p.scanned, p.folded = r.scanned, r.folded
 	g.release()
 	r.groups = nil
+	r.emit(ctx, b)
+}
+
+// emit sends a pushdown's partial batch (nil when no group) downstream
+// with Last.
+func (r *scanReg) emit(ctx core.Context, b *storage.Batch) {
 	msg := core.GetDataMsg()
 	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, true, r.spec.Producers
 	msg.Batch = b

@@ -109,10 +109,17 @@ func FreeBatch(b *Batch) {
 	if trackBatches.Load() {
 		batchBal.Add(-1)
 	}
+	b.Reset()
+	batchPools[batchClass(len(b.Cols))].Put(b)
+}
+
+// Reset empties b in place, keeping its schema and its column-vector
+// capacity.
+func (b *Batch) Reset() {
 	for i := range b.Cols {
 		b.Cols[i].Reset(b.Cols[i].Kind)
 	}
-	batchPools[batchClass(len(b.Cols))].Put(b)
+	b.n, b.bytes = 0, 0
 }
 
 // AppendRow copies row into the batch.
