@@ -80,8 +80,11 @@ bench-check:
 # checked and the stored partial copied out), the same registration
 # after one c_balance write in every chunk (BenchmarkStaleChunkPass: the
 # one stale column re-encoded into its vector's capacity, the dense
-# fold, finish storing the partial and its stamps into the memo's
-# storage, the group table back to its pool), one ~8 k-row hash-join build released
+# fold, the partial sorted into group order, finish storing it and its
+# stamps into the memo's storage, the group table back to its pool), a
+# sink merging four ordered 676-group COUNT+SUM partial runs and
+# releasing its table (BenchmarkSinkMerge: run heads, tied heads and
+# per-run slot lists in the pooled table), one ~8 k-row hash-join build released
 # to its pool (BenchmarkJoinBuild) and the typed row heap's write path
 # (BenchmarkHeapWrite: a keyed insert of a stack row, a keyless append,
 # a Field read and an UpdateAt) must report exactly 0 allocs/op.
@@ -93,11 +96,11 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkSinkMerge|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
 	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
-	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 12) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 12"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), join-build and heap-write hot paths"
+	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 13) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 13"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), sink-merge, join-build and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

@@ -140,11 +140,30 @@ func TestAggregateOracle(t *testing.T) {
 	}
 }
 
+// keepSink is a flushSink that keeps the rows of every batch sent.
+type keepSink struct {
+	flushSink
+	kept []storage.Row
+}
+
+func (c *keepSink) SendData(to core.ACID, msg *core.DataMsg) {
+	if b := msg.Batch; b != nil {
+		for i := range b.Len() {
+			c.kept = append(c.kept, b.Row(i))
+		}
+	}
+	c.flushSink.SendData(to, msg)
+}
+
 // TestAggregateOraclePaths pins that the oracle's cases take the fold
 // paths they are named after: a lone registration over a fresh partition
 // keeps its dense layout through the pass for the dense groupings, and
 // abandons it mid-pass for the migrating ones — still emitting one
-// partial row per group.
+// partial row per group. Each pass emits its partial rows in group order
+// (by canonical key, strictly increasing), whether its table stayed
+// dense, was keyed from the start, or turned keyed mid-pass; and a
+// second registration, answered from the partial memo, emits the same
+// rows in the same order.
 func TestAggregateOraclePaths(t *testing.T) {
 	for _, c := range []struct {
 		group []string
@@ -152,14 +171,14 @@ func TestAggregateOraclePaths(t *testing.T) {
 	}{
 		{[]string{"k_s"}, true}, {[]string{"k_s", "k_i"}, true}, {[]string{"k_i"}, true},
 		{[]string{"k_m"}, false}, {[]string{"k_i", "k_m"}, false}, {[]string{"k_n"}, false},
-		{[]string{"v_f"}, false},
+		{[]string{"v_f"}, false}, {[]string{"k_s", "v_f"}, false},
 	} {
 		db := oracleDB()
 		tab := db.Partition(0).Table("facts")
 		spec := &SharedScanSpec{Query: 1, Table: tab.Schema.ID, Part: 0,
 			GroupBy: c.group, Aggs: oracleAggs, DictGroups: true, Out: 1, To: 1, Producers: 1}
 		w := &Worker{DB: db}
-		ctx := &flushSink{costs: sim.DefaultCosts()}
+		ctx := &keepSink{flushSink: flushSink{costs: sim.DefaultCosts()}}
 		ev := core.GetEvent()
 		ev.Kind, ev.Payload = core.EvInstallOp, spec
 		w.OnEvent(ctx, nil, ev)
@@ -170,6 +189,29 @@ func TestAggregateOraclePaths(t *testing.T) {
 		}
 		if r.denseOK != c.dense {
 			t.Errorf("group %v: dense after the pass = %v, want %v", c.group, r.denseOK, c.dense)
+		}
+		folded := ctx.kept
+		for i := 1; i < len(folded); i++ {
+			if prev, cur := canonicalKey(folded[i-1][:len(c.group)]), canonicalKey(folded[i][:len(c.group)]); prev >= cur {
+				t.Fatalf("group %v: partial row %d %q follows %q: not in group order", c.group, i, cur, prev)
+			}
+		}
+		ctx.kept = nil
+		_, _, folds := w.Work()
+		replay := *spec
+		ev = core.GetEvent()
+		ev.Kind, ev.Payload = core.EvInstallOp, &replay
+		w.OnEvent(ctx, nil, ev)
+		if _, _, again := w.Work(); again != folds || ctx.resent != nil {
+			t.Fatalf("group %v: the second registration folded %d chunks, want a replay", c.group, again-folds)
+		}
+		if len(ctx.kept) != len(folded) {
+			t.Fatalf("group %v: the replay sent %d partial rows, the pass %d", c.group, len(ctx.kept), len(folded))
+		}
+		for i := range folded {
+			if !slices.EqualFunc(ctx.kept[i], folded[i], sameValue) {
+				t.Fatalf("group %v: replayed partial row %d\n got %v\nwant %v", c.group, i, ctx.kept[i], folded[i])
+			}
 		}
 		// One partial row per group: the groups folded before a migration
 		// and after it are one set.
@@ -182,8 +224,8 @@ func TestAggregateOraclePaths(t *testing.T) {
 			groups[key] = true
 			return true
 		})
-		if ctx.rows != int64(len(groups)) {
-			t.Errorf("group %v: %d partial rows, want one per group (%d)", c.group, ctx.rows, len(groups))
+		if len(folded) != len(groups) {
+			t.Errorf("group %v: %d partial rows, want one per group (%d)", c.group, len(folded), len(groups))
 		}
 	}
 

@@ -1,9 +1,13 @@
 package olap
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"anydb/internal/storage"
@@ -24,11 +28,17 @@ import (
 //   - keyVecs holds each slot's group values, one vector per group
 //     column.
 //
-// A slot is either a packed combination of dictionary codes (the dense
-// path, initDense) or an index the key map hands out in first-seen order
-// (slotOf). Both layouts read back as one list of vectors (viewOf), so
-// the partial batch and the result gather column by column. Tables recycle
-// through groupTables when their operator closes.
+// A slot is a packed combination of dictionary codes (the dense path,
+// initDense), an index the key map hands out in first-seen order
+// (slotOf), or, in a sink merging partials, the rank of its group among
+// the merged runs (mergeRuns), so that slot order is group order. Every
+// layout reads back as one list of vectors (viewOf), so the partial
+// batch and the result gather column by column. Tables recycle through
+// groupTables when their operator closes.
+//
+// Group order is the byte order of the canonical keys (appendKeyVal):
+// a scan emits its partial rows in it (ordered), and a sink merges the
+// partials as ordered runs.
 type groupTable struct {
 	aggs []aggVec
 	rows []int64
@@ -36,8 +46,20 @@ type groupTable struct {
 	keyVecs []storage.EncVec
 	strKey  bool             // one string group column: the map is keyed by the value itself
 	index   map[string]int32 // group key -> slot
-	keys    []string         // per slot: its index key, whose order is the result's group order
+	keys    []string         // per slot: its index key, whose order is the group order
 	keyBuf  []byte
+
+	// A merging sink's ordered runs (mergeRuns): the partial batches,
+	// kept until the stream closes and freed by release; each run's head
+	// row; the runs whose heads hold the least key; and per run, the slot
+	// each of its rows merged into.
+	runs  []*storage.Batch
+	heads []int
+	ties  []int
+	runAt [][]int32
+
+	// A scan's partial order (ordered): each touched slot's key prefix.
+	order []keyPrefix
 
 	// Dense layout: slot = Σ code[g] × stride[g] over the group columns,
 	// keyVecs are dictionary-coded with one code per slot.
@@ -94,6 +116,11 @@ func (g *groupTable) release() {
 	clear(g.index)
 	clear(g.keys)
 	g.keys = g.keys[:0]
+	for i, b := range g.runs {
+		storage.FreeBatch(b)
+		g.runs[i] = nil
+	}
+	g.runs = g.runs[:0]
 	g.strKey, g.dense = false, false
 	clear(g.view) // drop the dictionary and vector references
 	g.view = g.view[:0]
@@ -156,11 +183,13 @@ func (g *groupTable) keyOn(src []storage.EncVec, cols []int) {
 }
 
 // slotOf returns the slot of the group whose key is row i of the source
-// columns cols, adding the group when it is new: one map probe per row.
-// No grouping columns means one global slot. A single string column keys
-// the map by its value — for a dictionary column the dictionary's own
-// string, so neither lookup nor insert encodes or allocates a key —
-// and any other grouping by the canonical appendKeyVal encoding.
+// columns cols, adding the group when it is new: one map probe per row,
+// on a scan's keyed fold and a sink's fold of raw rows (a merging sink
+// finds its groups by mergeRuns instead). No grouping columns means one
+// global slot. A single string column keys the map by its value — for a
+// dictionary column the dictionary's own string, so neither lookup nor
+// insert encodes or allocates a key — and any other grouping by the
+// canonical appendKeyVal encoding.
 func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 	if len(cols) == 0 {
 		if len(g.rows) == 0 {
@@ -213,8 +242,8 @@ func (g *groupTable) addGroup(key string, src []storage.EncVec, cols []int, i in
 
 // appendKeyVal appends one value's canonical group-key encoding to buf
 // (NUL-terminated; kinds are fixed per column so the encoding cannot
-// collide across kinds). Sorting by it is the result's group order; for
-// a single string column it orders exactly as the strings themselves.
+// collide across kinds). Sorting by it is the group order; for a single
+// string column it orders exactly as the strings themselves.
 func appendKeyVal(buf []byte, v storage.Value) []byte {
 	switch v.Kind {
 	case storage.KInt:
@@ -225,6 +254,108 @@ func appendKeyVal(buf []byte, v storage.Value) []byte {
 		buf = append(buf, v.S...)
 	}
 	return append(buf, 0)
+}
+
+// compareKeys orders row i of the key columns a and row j of the key
+// columns b (as many, of the same kinds) as their canonical keys
+// (appendKeyVal) order, without building the keys: column by column, a
+// string by its bytes, a number by its encoding formatted on the stack.
+// Field by field is the same order as the whole key because NUL ends
+// each field and no field holds one. Equal numbers, the common case when
+// runs are merged, skip the formatting; a float's shortcut compares
+// bits, since 0 and -0 encode apart.
+func compareKeys(a []storage.EncVec, i int, b []storage.EncVec, j int) int {
+	for k := range a {
+		x, y := &a[k], &b[k]
+		switch x.Kind {
+		case storage.KInt:
+			if p, q := intAt(x, i), intAt(y, j); p != q {
+				var pb, qb [20]byte
+				return bytes.Compare(strconv.AppendInt(pb[:0], p, 10), strconv.AppendInt(qb[:0], q, 10))
+			}
+		case storage.KFloat:
+			if p, q := x.Floats[i], y.Floats[j]; math.Float64bits(p) != math.Float64bits(q) {
+				var pb, qb [32]byte
+				c := bytes.Compare(strconv.AppendFloat(pb[:0], p, 'g', -1, 64), strconv.AppendFloat(qb[:0], q, 'g', -1, 64))
+				if c != 0 {
+					return c
+				}
+			}
+		default:
+			if c := strings.Compare(strAt(x, i), strAt(y, j)); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
+}
+
+// mergeRuns gives every row of the ordered runs g.runs the slot of its
+// group, by a k-way merge: each run leads with nKeys key columns and
+// holds each key once, in group order. One sweep over the run heads per
+// group finds the least key and every head equal to it (k-1
+// comparisons); the group takes the next slot and the key cells, and
+// each of those heads records the slot in its run's g.runAt and
+// advances. Slots come out in group order, so the merged table needs no
+// sort. Empty runs take no part.
+func (g *groupTable) mergeRuns(nKeys int) {
+	runs := g.runs
+	g.heads = zeroed(g.heads, len(runs))
+	for len(g.runAt) < len(runs) {
+		g.runAt = append(g.runAt, nil)
+	}
+	// One raw string key column, the common grouping, compares inline.
+	strs := nKeys == 1
+	for r, b := range runs {
+		g.runAt[r] = slices.Grow(g.runAt[r][:0], b.Len())
+		if r == 0 {
+			for k := range nKeys {
+				g.keyVecs[k].Reset(b.Cols[k].Kind)
+			}
+		}
+		strs = strs && b.Cols[0].Kind == storage.KStr && b.Cols[0].Enc == storage.EncRaw
+	}
+	heads := g.heads
+	for {
+		// The least head so far (its key columns and row), and the runs
+		// whose heads equal it.
+		var least []storage.EncVec
+		row, ties := 0, g.ties[:0]
+		for r, b := range runs {
+			h := heads[r]
+			if h == b.Len() {
+				continue
+			}
+			c := -1
+			switch {
+			case len(ties) == 0:
+			case strs:
+				c = strings.Compare(b.Cols[0].Strs[h], least[0].Strs[row])
+			default:
+				c = compareKeys(b.Cols[:nKeys], h, least, row)
+			}
+			if c > 0 {
+				continue
+			}
+			if c < 0 {
+				ties = ties[:0]
+				least, row = b.Cols[:nKeys], h
+			}
+			ties = append(ties, r)
+		}
+		g.ties = ties
+		if len(ties) == 0 {
+			return
+		}
+		s := g.addSlot()
+		for k := range least {
+			appendCell(&g.keyVecs[k], &least[k], row)
+		}
+		for _, r := range ties {
+			g.runAt[r] = append(g.runAt[r], s)
+			heads[r]++
+		}
+	}
 }
 
 // denseSlotCap bounds the dense accumulator's group-combination space.
@@ -440,12 +571,68 @@ func (g *groupTable) touched() []int32 {
 	return sel
 }
 
+// ordered returns the slots any row was folded into (touched) in group
+// order: the rows of a scan's partial, from a dense, keyed or migrated
+// table alike. It sorts (prefix, slot) pairs: the first eight bytes of
+// each canonical key, read as a big-endian integer, decide nearly every
+// comparison, and only equal prefixes compare the key vectors.
+func (g *groupTable) ordered() []int32 {
+	sel := g.touched()
+	if len(g.keyVecs) == 0 {
+		return sel
+	}
+	order := g.order[:0]
+	for _, s := range sel {
+		order = append(order, keyPrefix{g.prefix(int(s)), s})
+	}
+	slices.SortFunc(order, func(a, b keyPrefix) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return compareKeys(g.keyVecs, int(a.slot), g.keyVecs, int(b.slot))
+	})
+	for i := range order {
+		sel[i] = order[i].slot
+	}
+	g.order = order
+	return sel
+}
+
+// keyPrefix is a slot and the first eight bytes of its canonical key.
+type keyPrefix struct {
+	prefix uint64
+	slot   int32
+}
+
+// prefix returns the first eight bytes of slot s's canonical key as a
+// big-endian integer, zero-padded: integers order as the keys' bytes do.
+func (g *groupTable) prefix(s int) uint64 {
+	var p [8]byte
+	n := 0
+	for k := 0; k < len(g.keyVecs) && n < len(p); k++ {
+		switch v := &g.keyVecs[k]; v.Kind {
+		case storage.KInt:
+			var b [20]byte
+			n += copy(p[n:], strconv.AppendInt(b[:0], intAt(v, s), 10))
+		case storage.KFloat:
+			var b [32]byte
+			n += copy(p[n:], strconv.AppendFloat(b[:0], v.Floats[s], 'g', -1, 64))
+		default:
+			n += copy(p[n:], strAt(v, s))
+		}
+		n++ // the field's NUL: p is zeroed
+	}
+	return binary.BigEndian.Uint64(p[:])
+}
+
 // sorted returns every slot of a sink's table (all of them groups) in
-// group-key order.
+// group order. Only a fold of raw rows sorts, by its index keys: a
+// merged table's slots are already in group order (mergeRuns), and so
+// is a global aggregate's one slot.
 func (g *groupTable) sorted() []int32 {
 	g.sel = identity(g.sel, len(g.rows))
 	if len(g.keys) == len(g.sel) {
-		slices.SortFunc(g.sel, func(a, b int32) int { return cmp.Compare(g.keys[a], g.keys[b]) })
+		slices.SortFunc(g.sel, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
 	}
 	return g.sel
 }

@@ -36,7 +36,9 @@ import (
 // registration with the same signature, grouping and aggregates whose
 // table has as many chunks, none stamped later, is answered with a copy
 // of that partial and never rides the cursor: a stamp that has not
-// moved means the chunk still holds what was folded. Any newer chunk
+// moved means the chunk still holds what was folded. The stored rows
+// are in group order, as the pass emitted them, and the copy keeps it:
+// the sink merges a replay like a fold, with no sort on either side. Any newer chunk
 // sends the registration round the cursor, and its finish stores the
 // new partial. The whole partition is one entry: merging per-chunk
 // partials of c_state costs a third of folding the chunk.

@@ -169,6 +169,49 @@ func BenchmarkStaleChunkPass(b *testing.B) {
 	})
 }
 
+// BenchmarkSinkMerge measures the steady-state allocation cost of a
+// sink's combine step for a grouped COUNT(*), SUM(c_balance) over four
+// partitions: one op takes a pooled group table, receives four partial
+// runs of 676 groups each (every two-letter state, in group order) as
+// pooled batches, merges them and releases the table, which frees the
+// runs. It must show zero steady-state allocations: the run heads, the
+// tied heads and the per-run slot lists live in the pooled table.
+//
+//	go test -bench SinkMerge -benchmem ./internal/olap
+func BenchmarkSinkMerge(b *testing.B) {
+	const parts, groups = 4, 26 * 26
+	spec := &SinkSpec{GroupBy: []string{"c_state"}, MergePartials: true,
+		Aggs:     []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
+		OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat}, OutSrc: []int{0, 1, 2}}
+	partial := storage.NewSchema("customer_partial", storage.Column{Name: "g0", Kind: storage.KStr},
+		storage.Column{Name: "p0", Kind: storage.KInt}, storage.Column{Name: "p1", Kind: storage.KFloat})
+	runs := make([]*storage.Batch, parts)
+	for p := range runs {
+		runs[p] = storage.NewBatch(partial)
+		for i := range groups {
+			state := string([]byte{'A' + byte(i/26), 'A' + byte(i%26)})
+			runs[p].AppendValues(storage.Str(state), storage.Int(int64(1+(i+p)%7)), storage.Float(float64(i*p)/4))
+		}
+	}
+	cols, sel := []int{0, 1, 2}, identity(nil, groups)
+	s := &sinkState{spec: spec}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.groups = sinkGroups(spec)
+		for _, run := range runs {
+			in := storage.GetBatch(partial)
+			in.AppendRows(run.Cols, cols, sel)
+			s.groups.runs = append(s.groups.runs, in)
+		}
+		s.mergePartials()
+		if len(s.groups.rows) != groups {
+			b.Fatalf("%d groups, want %d", len(s.groups.rows), groups)
+		}
+		s.groups.release()
+	}
+}
+
 // BenchmarkJoinBuild measures the steady-state allocation cost of a
 // hash join's build: one op indexes about 8 k build rows (two per key,
 // so every key heads a chain) in a pooled table and releases it, as a

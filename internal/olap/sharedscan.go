@@ -47,6 +47,12 @@ import (
 // it the scan and fold rows of that pass. Otherwise it folds every chunk
 // as it comes round, and its finish stores the new partial.
 //
+// A partial's rows are in group order, the byte order of the canonical
+// group keys: the pass sorts its groups once, when it finishes the
+// fold, and a replay sends the stored rows as they are, so on unchanged
+// data nothing hashes or sorts. The sink merges the partitions' ordered
+// runs without a key map and without a final sort (sink.go).
+//
 // Safety under live repartitioning: queries hold a submission-plane
 // registration (queryMask) from registration to completion, and a
 // partition move drains that mask before the storage handoff — so no
@@ -96,8 +102,9 @@ type AggExpr struct {
 //   - aggregate pushdown (len(Aggs) > 0): matching rows fold into a
 //     grouped partial-aggregate table private to the registration, and
 //     one partial batch (layout: group columns, then per-aggregate
-//     cells — AVG carries sum+count) is emitted when the pass
-//     completes. The sink merges partials with MergePartials.
+//     cells — AVG carries sum+count), its rows in group order, is
+//     emitted when the pass completes. The sink merges partials with
+//     MergePartials.
 type SharedScanSpec struct {
 	Query   core.QueryID
 	Table   storage.TableID
@@ -692,9 +699,9 @@ func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int
 
 // finish detaches the registration: streaming mode flushes the tail
 // batch with the Last marker; pushdown mode gathers the groups' partial
-// rows, column by column in slot order, into one batch, stores them with
-// the pass's stamps in its partial memo entry, emits the batch with
-// Last, and returns the table to the pool.
+// rows, column by column in group order (ordered), into one batch,
+// stores them with the pass's stamps in its partial memo entry, emits
+// the batch with Last, and returns the table to the pool.
 func (r *scanReg) finish(ctx core.Context) {
 	if len(r.spec.Aggs) == 0 {
 		r.flush(ctx, true)
@@ -702,7 +709,7 @@ func (r *scanReg) finish(ctx core.Context) {
 	}
 	var b *storage.Batch
 	g := r.groups
-	sel, view := g.touched(), g.viewOf(false)
+	sel, view := g.ordered(), g.viewOf(false)
 	if len(sel) > 0 {
 		b = storage.GetBatch(r.partial)
 		b.AppendRows(view, r.partCols, sel)

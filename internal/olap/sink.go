@@ -18,8 +18,10 @@ import (
 //
 //   - MergePartials: the stream carries partial-aggregate batches in
 //     the shared-scan partial layout (group columns, then aggregate
-//     cells); the sink merges them — the distributed-aggregation
-//     combine step.
+//     cells), each one run in group order; the sink keeps the runs
+//     until the stream closes, then merges them, k ways at once, into
+//     a result already in group order — the distributed-aggregation
+//     combine step, with no key map and no sort.
 //   - Aggs without MergePartials: the stream carries raw rows (join
 //     output); the sink folds them into group accumulators directly.
 //   - No Aggs: plain collection of projected rows (capped at
@@ -28,8 +30,11 @@ type SinkSpec struct {
 	Query core.QueryID
 	In    core.StreamID
 
-	GroupBy       []string // raw-fold grouping columns (stream schema names)
-	Aggs          []AggExpr
+	GroupBy []string // grouping columns (raw fold: stream schema names)
+	Aggs    []AggExpr
+	// MergePartials: the stream's batches are partials whose rows are in
+	// group order (every shared-scan pushdown emits them so), merged as
+	// ordered runs when the stream closes.
 	MergePartials bool
 	Cols          []string // collect-mode projection (stream schema names)
 
@@ -69,11 +74,6 @@ type sinkState struct {
 	aggIdx   []int
 	projIdx  []int
 
-	// Partial-merge scratch: the partial layout leads with the group
-	// columns, so the index list is the identity — built once here, not
-	// per incoming batch.
-	partIdx []int
-
 	// Per-batch scratch: the identity selection over its rows.
 	sel []int32
 }
@@ -86,74 +86,88 @@ func newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 	}
 	s.schema = storage.NewSchema("result", cols...)
 	if len(spec.Aggs) > 0 {
-		// Each accumulator takes its aggregate's result kind, recovered
-		// from its SELECT slot (every aggregate came from a select item, so
-		// one exists); AVG accumulates a float sum.
-		s.groups = getGroupTable(spec.Aggs, len(spec.GroupBy))
-		base := len(spec.GroupBy)
-		for i, src := range spec.OutSrc {
-			if src >= base {
-				s.groups.aggs[src-base].vals.Kind = spec.OutKinds[i]
-			}
-		}
-		for j, a := range spec.Aggs {
-			if a.Fn == AggAvg {
-				s.groups.aggs[j].vals.Kind = storage.KFloat
-			}
-		}
-	}
-	if spec.MergePartials {
-		s.partIdx = identityCols(len(spec.GroupBy))
+		s.groups = sinkGroups(spec)
 	}
 	ac.Subscribe(ctx, spec.In, s)
+}
+
+// sinkGroups returns a pooled group table for spec's aggregation. Each
+// accumulator takes its aggregate's result kind, recovered from its
+// SELECT slot (every aggregate came from a select item, so one exists);
+// AVG accumulates a float sum.
+func sinkGroups(spec *SinkSpec) *groupTable {
+	g := getGroupTable(spec.Aggs, len(spec.GroupBy))
+	base := len(spec.GroupBy)
+	for i, src := range spec.OutSrc {
+		if src >= base {
+			g.aggs[src-base].vals.Kind = spec.OutKinds[i]
+		}
+	}
+	for j, a := range spec.Aggs {
+		if a.Fn == AggAvg {
+			g.aggs[j].vals.Kind = storage.KFloat
+		}
+	}
+	return g
 }
 
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	if b := msg.Batch; b != nil {
 		ctx.Charge(ctx.Costs().AggRow * sim.Time(b.Len()))
-		s.sel = identity(s.sel, b.Len())
-		switch {
-		case s.spec.MergePartials:
-			s.mergePartials(b)
-		case len(s.spec.Aggs) > 0:
-			s.foldRaw(b)
-		default:
-			s.collect(b)
+		if s.spec.MergePartials {
+			// One ordered run, merged with the others when the stream
+			// closes; the table frees it on release.
+			s.groups.runs = append(s.groups.runs, b)
+		} else {
+			s.sel = identity(s.sel, b.Len())
+			if len(s.spec.Aggs) > 0 {
+				s.foldRaw(b)
+			} else {
+				s.collect(b)
+			}
+			storage.FreeBatch(b)
 		}
-		storage.FreeBatch(b)
 	}
 	if msg.Last {
+		if s.spec.MergePartials {
+			s.mergePartials()
+		}
 		s.finalize(ctx, ac)
 	}
 }
 
-// mergePartials merges partial-aggregate rows (shared-scan partial
-// layout) into the group table: one map probe per row finds its group,
-// then each aggregate merges in one typed loop over its partial column.
-// Every COUNT and AVG count column of a partial row carries the same
-// row count, so the first one feeds the table's counts.
-func (s *sinkState) mergePartials(b *storage.Batch) {
+// mergePartials merges the partial batches (shared-scan partial layout),
+// each one ordered run: mergeRuns gives every row the slot of its group,
+// then each run's aggregates merge in one typed loop per partial column,
+// driven by the run's slots. Every COUNT and AVG count column of a
+// partial row carries the same row count, so the first one feeds the
+// table's counts.
+func (s *sinkState) mergePartials() {
 	g := s.groups
-	g.slots(b.Cols, s.partIdx, s.sel)
-	col, counted := len(s.spec.GroupBy), false
-	for j, a := range s.spec.Aggs {
-		switch a.Fn {
-		case AggCount:
-			if !counted {
-				g.addCounts(b.Cols[col].Ints, g.at)
-				counted = true
+	g.mergeRuns(len(s.spec.GroupBy))
+	for r, b := range g.runs {
+		g.sel = identity(g.sel, b.Len())
+		sel, at := g.sel, g.runAt[r]
+		col, counted := len(s.spec.GroupBy), false
+		for j, a := range s.spec.Aggs {
+			switch a.Fn {
+			case AggCount:
+				if !counted {
+					g.addCounts(b.Cols[col].Ints, at)
+					counted = true
+				}
+				col++
+			case AggAvg:
+				g.aggs[j].add(&b.Cols[col], sel, at)
+				if !counted {
+					g.addCounts(b.Cols[col+1].Ints, at)
+					counted = true
+				}
+				col += 2
+			default:
+				g.aggs[j].add(&b.Cols[col], sel, at)
+				col++
 			}
-			col++
-		case AggAvg:
-			g.aggs[j].add(&b.Cols[col], s.sel, g.at)
-			if !counted {
-				g.addCounts(b.Cols[col+1].Ints, g.at)
-				counted = true
-			}
-			col += 2
-		default:
-			g.aggs[j].add(&b.Cols[col], s.sel, g.at)
-			col++
 		}
 	}
 }

@@ -19,8 +19,11 @@ import (
 // filter; version 4 dropped the shared scan's batch-size field; version
 // 5 encodes a scan predicate as one string or one int range; version 6
 // makes the key filter the build keys' box and its exact bitmap, and
-// names the columns a join's output carries.
-const ProtoVersion = 6
+// names the columns a join's output carries. Version 7 changes no byte
+// but a contract: a pushdown's partial rows are in group order, and the
+// sink merges them as ordered runs, so a member that sent them unordered
+// would get wrong answers without any error.
+const ProtoVersion = 7
 
 // Hello is the member's first frame after dialing. A reconnecting
 // member sets Rejoin with its previously assigned server slot; the head

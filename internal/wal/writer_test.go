@@ -56,16 +56,74 @@ func payment(i int) *tpcc.Txn {
 	return &tpcc.Txn{Kind: tpcc.TxnPayment, Payment: tpcc.Payment{W: i % 2, D: 1, CW: i % 2, CD: 1, C: 1 + i%20, Amount: 1}}
 }
 
+// syncGate is a MemDevice whose Sync waits until every appender with
+// records left to append has one the log has not yet made durable: in
+// the group being synced, or queued behind it. It stands in for a
+// device round trip long enough for every appender to re-queue, with no
+// clock involved.
+type syncGate struct {
+	*MemDevice
+	durable func() uint64 // the log's durable LSN, read as a sync starts
+
+	mu   sync.Mutex
+	cond *sync.Cond
+	last []uint64 // per appender: the LSN of its latest record
+	left []int    // per appender: records still to append
+}
+
+func newSyncGate(mem *MemDevice, appenders, rounds int) *syncGate {
+	d := &syncGate{MemDevice: mem, last: make([]uint64, appenders), left: make([]int, appenders)}
+	d.cond = sync.NewCond(&d.mu)
+	for a := range d.left {
+		d.left[a] = rounds
+	}
+	return d
+}
+
+// appended records appender a's latest record.
+func (d *syncGate) appended(a int, lsn uint64) {
+	d.mu.Lock()
+	d.last[a] = lsn
+	d.left[a]--
+	d.mu.Unlock()
+	d.cond.Broadcast()
+}
+
+// Sync holds the round trip until every unfinished appender has
+// appended its next record, then syncs. It cannot wait forever: the
+// writer notified the previous group before starting this one, so an
+// appender whose latest record is durable is already on its way to the
+// next Append.
+func (d *syncGate) Sync() error {
+	durable := d.durable()
+	d.mu.Lock()
+	for a := 0; a < len(d.last); {
+		if d.left[a] > 0 && d.last[a] <= durable {
+			d.cond.Wait()
+			continue
+		}
+		a++
+	}
+	d.mu.Unlock()
+	return d.MemDevice.Sync()
+}
+
 // TestWriterGroupsConcurrentAppenders is the group-size contract of the
 // live path: with K appenders each waiting for its own record, every
-// device round trip must cover about K records — whatever queued while
-// the previous group was on the device — with no group-size setting.
+// device round trip must cover whatever queued while the previous group
+// was on the device, with no group-size setting. The device holds each
+// sync until every unfinished appender has appended its next record, so
+// each appender has a record in at least one of any two consecutive
+// groups: its first lands in the first group or the one after, each
+// later one at most two groups after the one before. Then R rounds
+// take at most 2R syncs, and a group averages at least K/2 records,
+// whatever the scheduler does.
 func TestWriterGroupsConcurrentAppenders(t *testing.T) {
 	const appenders, rounds = 16, 25
 	mem := &MemDevice{}
-	dev := NewFaultDevice(mem)
-	dev.SetLatency(time.Millisecond) // per Write and per Sync
+	dev := newSyncGate(mem, appenders, rounds)
 	log := NewLogger(dev, 0)
+	dev.durable = log.DurableLSN
 	w := newDurableWaiter()
 	log.Start(w.notify)
 
@@ -80,6 +138,7 @@ func TestWriterGroupsConcurrentAppenders(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				dev.appended(a, lsn)
 				log.Kick()
 				if err := w.wait(lsn); err != nil {
 					t.Error(err)
@@ -99,8 +158,6 @@ func TestWriterGroupsConcurrentAppenders(t *testing.T) {
 	if records != appends || int(syncs) != mem.Syncs {
 		t.Fatalf("Stats = %d records / %d syncs, device saw %d syncs for %d appends", records, syncs, mem.Syncs, appends)
 	}
-	// A 2 ms round trip dwarfs an append, so all K appenders re-queue
-	// inside every sync: groups of ~K, allow half for scheduling slop.
 	if group := float64(appends) / float64(mem.Syncs); group < appenders/2 {
 		t.Fatalf("%d syncs for %d appends (group %.1f): writer did not group %d concurrent appenders", mem.Syncs, appends, group, appenders)
 	}
