@@ -122,9 +122,10 @@ crash-smoke:
 # On-demand fuzz smoke, deliberately not part of ci (random inputs would
 # make the pipeline nondeterministic): the wire codec's event and data
 # decoders, the WAL's frame and record decoders, the row heap against
-# its map model (FuzzTableHeap) and the blocked primary index against
-# its map model (FuzzHashIndex), FUZZTIME each (one target per
-# `go test -fuzz` run), on two fuzz workers. `go test ./...`
+# its map model (FuzzTableHeap), the blocked primary index against its
+# map model (FuzzHashIndex) and the group order's comparator against
+# value order and the group key map (FuzzGroupKeys), FUZZTIME each (one
+# target per `go test -fuzz` run), on two fuzz workers. `go test ./...`
 # already replays every committed seed and testdata/fuzz corpus entry;
 # a new crasher lands in the package's testdata/fuzz for committing.
 FUZZTIME ?= 10s
@@ -135,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzTableHeap$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzHashIndex$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupKeys$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/olap
 
 # CPU + allocation profiles of the parallel submission hot path (the
 # public API entry under GOMAXPROCS submitters). Inspect with `go tool

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -684,6 +685,11 @@ func (c *Cluster) paymentTxn(p Payment) (*tpcc.Txn, error) {
 	}
 	if k.err != nil {
 		return nil, k.err
+	}
+	if math.IsNaN(p.Amount) || math.IsInf(p.Amount, 0) {
+		// It would commit, be logged and replayed, and leave every
+		// year-to-date sum it touched failing Verify for good.
+		return nil, fmt.Errorf("anydb: payment amount %v is not finite", p.Amount)
 	}
 	t := tpcc.GetTxn()
 	t.Kind = tpcc.TxnPayment

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,10 +257,12 @@ func TestNewOrderItemPastCatalog(t *testing.T) {
 }
 
 // TestSubmitRejectsOutOfRangeIDs: a warehouse, district or customer id
-// outside the database fails at the entry, through the Cluster and the
-// Session entry points alike, before anything counts it in flight. Such
-// ids used to panic the caller or an AC, wedge Close, or commit a
-// new-order for a customer that does not exist.
+// outside the database, or a payment amount that is NaN or infinite,
+// fails at the entry, through the Cluster and the Session entry points
+// alike, before anything counts it in flight. Such ids used to panic the
+// caller or an AC, wedge Close, or commit a new-order for a customer
+// that does not exist; such an amount committed and left Verify failing
+// for good.
 func TestSubmitRejectsOutOfRangeIDs(t *testing.T) {
 	c, err := anydb.Open(anydb.Config{
 		Warehouses: 2, Districts: 2, CustomersPerDistrict: 30, Items: 40,
@@ -279,6 +283,9 @@ func TestSubmitRejectsOutOfRangeIDs(t *testing.T) {
 		{Warehouse: 0, District: 1, Customer: 1, CustomerWarehouse: 99, CustomerDistrict: 1, Amount: 1},
 		{Warehouse: 0, District: 1, Customer: 1, CustomerWarehouse: 1, CustomerDistrict: 99, Amount: 1},
 		{Warehouse: 99, District: 1, ByLastName: true, LastName: "BARBARBAR", Amount: 1},
+		{Warehouse: 0, District: 1, Customer: 1, Amount: math.NaN()},
+		{Warehouse: 0, District: 1, Customer: 1, Amount: math.Inf(1)},
+		{Warehouse: 0, District: 1, Customer: 1, Amount: math.Inf(-1)},
 	}
 	orders := []anydb.NewOrder{
 		{Warehouse: 99, District: 1, Customer: 1, Lines: line(0)},
@@ -901,6 +908,53 @@ func TestSQLQueryGroupedAggregate(t *testing.T) {
 	// orders per district.
 	if total != 4*2*30 {
 		t.Fatalf("total orders = %d, want 240", total)
+	}
+}
+
+// TestSQLGroupOrder: GROUP BY without ORDER BY returns the groups in
+// ascending order of their values — districts 1 to 12, not 1, 10, 11,
+// 12, 2, … as the text of the numbers would order them — both where the
+// scans fold partials the sink merges and where the sink folds a join's
+// raw rows.
+func TestSQLGroupOrder(t *testing.T) {
+	const warehouses, districts, orders = 2, 12, 5
+	c, err := anydb.Open(anydb.Config{
+		Warehouses: warehouses, Districts: districts, CustomersPerDistrict: 10, Items: 20,
+		InitialOrdersPerDist: orders,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range []struct{ path, sql string }{
+		{"pushdown and merge", "SELECT o_d_id, COUNT(*) FROM orders GROUP BY o_d_id"},
+		{"raw fold", `SELECT c_d_id, COUNT(*) FROM customer
+			JOIN orders ON customer.c_w_id = orders.o_w_id AND customer.c_d_id = orders.o_d_id AND customer.c_id = orders.o_c_id
+			GROUP BY c_d_id`},
+	} {
+		rows, err := c.Query(bg, q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.path, err)
+		}
+		var got []int64
+		for rows.Next() {
+			var d, n int64
+			if err := rows.Scan(&d, &n); err != nil {
+				t.Fatalf("%s: %v", q.path, err)
+			}
+			if n != warehouses*orders {
+				t.Errorf("%s: district %d counts %d orders, want %d", q.path, d, n, warehouses*orders)
+			}
+			got = append(got, d)
+		}
+		rows.Close()
+		want := make([]int64, districts)
+		for i := range want {
+			want[i] = int64(i + 1)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: districts %v, want %v", q.path, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package olap
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -160,7 +159,7 @@ func (c *keepSink) SendData(to core.ACID, msg *core.DataMsg) {
 // keeps its dense layout through the pass for the dense groupings, and
 // abandons it mid-pass for the migrating ones — still emitting one
 // partial row per group. Each pass emits its partial rows in group order
-// (by canonical key, strictly increasing), whether its table stayed
+// (by orderKey, strictly increasing), whether its table stayed
 // dense, was keyed from the start, or turned keyed mid-pass; and a
 // second registration, answered from the partial memo, emits the same
 // rows in the same order.
@@ -192,8 +191,8 @@ func TestAggregateOraclePaths(t *testing.T) {
 		}
 		folded := ctx.kept
 		for i := 1; i < len(folded); i++ {
-			if prev, cur := canonicalKey(folded[i-1][:len(c.group)]), canonicalKey(folded[i][:len(c.group)]); prev >= cur {
-				t.Fatalf("group %v: partial row %d %q follows %q: not in group order", c.group, i, cur, prev)
+			if prev, cur := folded[i-1][:len(c.group)], folded[i][:len(c.group)]; orderKey(prev) >= orderKey(cur) {
+				t.Fatalf("group %v: partial row %d %v follows %v: not in group order", c.group, i, cur, prev)
 			}
 		}
 		ctx.kept = nil
@@ -324,10 +323,10 @@ func runOracle(t *testing.T, db *storage.Database, sink *SinkSpec, path oraclePa
 
 // oracleEval evaluates sink naively over every row of every partition:
 // group the rows by their group values, compute each aggregate from a
-// group's rows, order the groups by their canonical key (each value
-// formatted, NUL-terminated, compared bytewise) — or, with ORDER BY,
-// stably by its keys after that — and apply LIMIT. A global aggregate
-// over no rows would be one zero row; the table is never empty.
+// group's rows, order the groups by their values (orderKey) — or, with
+// ORDER BY, stably by its keys after that — and apply LIMIT. A global
+// aggregate over no rows would be one zero row; the table is never
+// empty.
 func oracleEval(db *storage.Database, sink *SinkSpec) []storage.Row {
 	schema := db.Partition(0).Table("facts").Schema
 	type group struct {
@@ -337,17 +336,11 @@ func oracleEval(db *storage.Database, sink *SinkSpec) []storage.Row {
 	groups := map[string]*group{}
 	for p := 0; p < oracleParts; p++ {
 		db.Partition(p).Table("facts").Scan(func(_ int32, r storage.Row) bool {
-			var key string
+			var vals storage.Row
 			for _, g := range sink.GroupBy {
-				switch v := r[schema.MustCol(g)]; v.Kind {
-				case storage.KInt:
-					key += strconv.FormatInt(v.I, 10) + "\x00"
-				case storage.KFloat:
-					key += strconv.FormatFloat(v.F, 'g', -1, 64) + "\x00"
-				default:
-					key += v.S + "\x00"
-				}
+				vals = append(vals, r[schema.MustCol(g)])
 			}
+			key := orderKey(vals)
 			if groups[key] == nil {
 				groups[key] = &group{key: key}
 			}

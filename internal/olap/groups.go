@@ -1,12 +1,10 @@
 package olap
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -36,17 +34,16 @@ import (
 // batch and the result gather column by column. Tables recycle through
 // groupTables when their operator closes.
 //
-// Group order is the byte order of the canonical keys (appendKeyVal):
-// a scan emits its partial rows in it (ordered), and a sink merges the
-// partials as ordered runs.
+// Group order is the ascending order of the group values (compareKeys),
+// the order ORDER BY gives the group columns: a scan emits its partial
+// rows in it (ordered), a sink merges the partials as ordered runs
+// (mergeRuns) and sorts a fold of raw rows into it (sorted).
 type groupTable struct {
 	aggs []aggVec
 	rows []int64
 
 	keyVecs []storage.EncVec
-	strKey  bool             // one string group column: the map is keyed by the value itself
-	index   map[string]int32 // group key -> slot
-	keys    []string         // per slot: its index key, whose order is the group order
+	index   map[string]int32 // group key (appendKeyVal) -> slot
 	keyBuf  []byte
 
 	// A merging sink's ordered runs (mergeRuns): the partial batches,
@@ -57,9 +54,6 @@ type groupTable struct {
 	heads []int
 	ties  []int
 	runAt [][]int32
-
-	// A scan's partial order (ordered): each touched slot's key prefix.
-	order []keyPrefix
 
 	// Dense layout: slot = Σ code[g] × stride[g] over the group columns,
 	// keyVecs are dictionary-coded with one code per slot.
@@ -114,14 +108,12 @@ func (g *groupTable) release() {
 		g.keyVecs[k].Reset(storage.KInt)
 	}
 	clear(g.index)
-	clear(g.keys)
-	g.keys = g.keys[:0]
 	for i, b := range g.runs {
 		storage.FreeBatch(b)
 		g.runs[i] = nil
 	}
 	g.runs = g.runs[:0]
-	g.strKey, g.dense = false, false
+	g.dense = false
 	clear(g.view) // drop the dictionary and vector references
 	g.view = g.view[:0]
 	groupTables.Put(g)
@@ -179,17 +171,13 @@ func (g *groupTable) keyOn(src []storage.EncVec, cols []int) {
 	for k, c := range cols {
 		g.keyVecs[k].Reset(src[c].Kind)
 	}
-	g.strKey = len(cols) == 1 && src[cols[0]].Kind == storage.KStr
 }
 
 // slotOf returns the slot of the group whose key is row i of the source
 // columns cols, adding the group when it is new: one map probe per row,
 // on a scan's keyed fold and a sink's fold of raw rows (a merging sink
 // finds its groups by mergeRuns instead). No grouping columns means one
-// global slot. A single string column keys the map by its value — for a
-// dictionary column the dictionary's own string, so neither lookup nor
-// insert encodes or allocates a key — and any other grouping by the
-// canonical appendKeyVal encoding.
+// global slot.
 func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 	if len(cols) == 0 {
 		if len(g.rows) == 0 {
@@ -200,13 +188,6 @@ func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 	if len(g.rows) == 0 {
 		g.keyOn(src, cols)
 	}
-	if g.strKey {
-		key := strAt(&src[cols[0]], i)
-		if s, ok := g.index[key]; ok {
-			return s
-		}
-		return g.addGroup(key, src, cols, i)
-	}
 	g.keyBuf = g.keyBuf[:0]
 	for _, c := range cols {
 		g.keyBuf = appendKeyVal(g.keyBuf, src[c].Value(i))
@@ -214,7 +195,12 @@ func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 	if s, ok := g.index[string(g.keyBuf)]; ok {
 		return s
 	}
-	return g.addGroup(string(g.keyBuf), src, cols, i)
+	s := g.addSlot()
+	g.index[string(g.keyBuf)] = s
+	for k, c := range cols {
+		appendCell(&g.keyVecs[k], &src[c], i)
+	}
+	return s
 }
 
 // slots sets g.at to the slot (slotOf) of each row sel of the source
@@ -228,63 +214,48 @@ func (g *groupTable) slots(src []storage.EncVec, cols []int, sel []int32) []int3
 	return at
 }
 
-// addGroup adds a slot for the group keyed key, whose values are row i
-// of the source columns cols.
-func (g *groupTable) addGroup(key string, src []storage.EncVec, cols []int, i int) int32 {
-	s := g.addSlot()
-	g.index[key] = s
-	g.keys = append(g.keys, key)
-	for k, c := range cols {
-		appendCell(&g.keyVecs[k], &src[c], i)
-	}
-	return s
-}
-
-// appendKeyVal appends one value's canonical group-key encoding to buf
-// (NUL-terminated; kinds are fixed per column so the encoding cannot
-// collide across kinds). Sorting by it is the group order; for a single
-// string column it orders exactly as the strings themselves.
+// appendKeyVal appends one value's group-key encoding to buf: the key
+// map's key, not an order. An int is its eight bytes, a float its bits
+// (every NaN one group, as compareKeys has it), a string its length and
+// bytes. Kinds are fixed per column, so distinct rows of group values
+// never share a key.
 func appendKeyVal(buf []byte, v storage.Value) []byte {
 	switch v.Kind {
 	case storage.KInt:
-		buf = strconv.AppendInt(buf, v.I, 10)
+		return binary.BigEndian.AppendUint64(buf, uint64(v.I))
 	case storage.KFloat:
-		buf = strconv.AppendFloat(buf, v.F, 'g', -1, 64)
-	default:
-		buf = append(buf, v.S...)
+		f := v.F
+		if math.IsNaN(f) {
+			f = math.NaN()
+		}
+		return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	return append(buf, 0)
+	return append(binary.AppendUvarint(buf, uint64(len(v.S))), v.S...)
 }
 
 // compareKeys orders row i of the key columns a and row j of the key
-// columns b (as many, of the same kinds) as their canonical keys
-// (appendKeyVal) order, without building the keys: column by column, a
-// string by its bytes, a number by its encoding formatted on the stack.
-// Field by field is the same order as the whole key because NUL ends
-// each field and no field holds one. Equal numbers, the common case when
-// runs are merged, skip the formatting; a float's shortcut compares
-// bits, since 0 and -0 encode apart.
+// columns b (as many, of the same kinds) by value, column by column: an
+// int or a float by number, a string by its bytes. That is the group
+// order. The key map keeps a float's 0 and -0 as two groups, so -0 sorts
+// first; NaNs are one group, before every number.
 func compareKeys(a []storage.EncVec, i int, b []storage.EncVec, j int) int {
 	for k := range a {
 		x, y := &a[k], &b[k]
+		var c int
 		switch x.Kind {
 		case storage.KInt:
-			if p, q := intAt(x, i), intAt(y, j); p != q {
-				var pb, qb [20]byte
-				return bytes.Compare(strconv.AppendInt(pb[:0], p, 10), strconv.AppendInt(qb[:0], q, 10))
-			}
+			c = cmp.Compare(intAt(x, i), intAt(y, j))
 		case storage.KFloat:
-			if p, q := x.Floats[i], y.Floats[j]; math.Float64bits(p) != math.Float64bits(q) {
-				var pb, qb [32]byte
-				c := bytes.Compare(strconv.AppendFloat(pb[:0], p, 'g', -1, 64), strconv.AppendFloat(qb[:0], q, 'g', -1, 64))
-				if c != 0 {
-					return c
-				}
+			p, q := x.Floats[i], y.Floats[j]
+			if c = cmp.Compare(p, q); c == 0 && p == 0 {
+				// -0's bits exceed 0's.
+				c = cmp.Compare(math.Float64bits(q), math.Float64bits(p))
 			}
 		default:
-			if c := strings.Compare(strAt(x, i), strAt(y, j)); c != 0 {
-				return c
-			}
+			c = strings.Compare(strAt(x, i), strAt(y, j))
+		}
+		if c != 0 {
+			return c
 		}
 	}
 	return 0
@@ -394,7 +365,6 @@ func (g *groupTable) initDense(c *storage.EncChunk, cols []int) bool {
 			kv.Codes[p] = uint32(p / g.stride[k] % g.dims[k])
 		}
 	}
-	g.strKey = len(cols) == 1 && c.Cols[cols[0]].Kind == storage.KStr
 	g.dense = true
 	return true
 }
@@ -459,22 +429,15 @@ func (g *groupTable) undense() {
 		}
 		kv.Enc, kv.Dict, kv.Codes = storage.EncRaw, nil, kv.Codes[:0]
 	}
-	g.keys = zeroed(g.keys, n)
 	for p := 0; p < n; p++ {
 		if g.rows[p] == 0 {
 			continue
 		}
-		var key string
-		if g.strKey {
-			key = g.keyVecs[0].Strs[p]
-		} else {
-			g.keyBuf = g.keyBuf[:0]
-			for k := range g.keyVecs {
-				g.keyBuf = appendKeyVal(g.keyBuf, g.keyVecs[k].Value(p))
-			}
-			key = string(g.keyBuf)
+		g.keyBuf = g.keyBuf[:0]
+		for k := range g.keyVecs {
+			g.keyBuf = appendKeyVal(g.keyBuf, g.keyVecs[k].Value(p))
 		}
-		g.index[key], g.keys[p] = int32(p), key
+		g.index[string(g.keyBuf)] = int32(p)
 	}
 	g.dense = false
 }
@@ -573,68 +536,26 @@ func (g *groupTable) touched() []int32 {
 
 // ordered returns the slots any row was folded into (touched) in group
 // order: the rows of a scan's partial, from a dense, keyed or migrated
-// table alike. It sorts (prefix, slot) pairs: the first eight bytes of
-// each canonical key, read as a big-endian integer, decide nearly every
-// comparison, and only equal prefixes compare the key vectors.
+// table alike.
 func (g *groupTable) ordered() []int32 {
-	sel := g.touched()
-	if len(g.keyVecs) == 0 {
-		return sel
-	}
-	order := g.order[:0]
-	for _, s := range sel {
-		order = append(order, keyPrefix{g.prefix(int(s)), s})
-	}
-	slices.SortFunc(order, func(a, b keyPrefix) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		return compareKeys(g.keyVecs, int(a.slot), g.keyVecs, int(b.slot))
-	})
-	for i := range order {
-		sel[i] = order[i].slot
-	}
-	g.order = order
-	return sel
-}
-
-// keyPrefix is a slot and the first eight bytes of its canonical key.
-type keyPrefix struct {
-	prefix uint64
-	slot   int32
-}
-
-// prefix returns the first eight bytes of slot s's canonical key as a
-// big-endian integer, zero-padded: integers order as the keys' bytes do.
-func (g *groupTable) prefix(s int) uint64 {
-	var p [8]byte
-	n := 0
-	for k := 0; k < len(g.keyVecs) && n < len(p); k++ {
-		switch v := &g.keyVecs[k]; v.Kind {
-		case storage.KInt:
-			var b [20]byte
-			n += copy(p[n:], strconv.AppendInt(b[:0], intAt(v, s), 10))
-		case storage.KFloat:
-			var b [32]byte
-			n += copy(p[n:], strconv.AppendFloat(b[:0], v.Floats[s], 'g', -1, 64))
-		default:
-			n += copy(p[n:], strAt(v, s))
-		}
-		n++ // the field's NUL: p is zeroed
-	}
-	return binary.BigEndian.Uint64(p[:])
+	return g.sortSlots(g.touched())
 }
 
 // sorted returns every slot of a sink's table (all of them groups) in
-// group order. Only a fold of raw rows sorts, by its index keys: a
-// merged table's slots are already in group order (mergeRuns), and so
-// is a global aggregate's one slot.
+// group order. Only a fold of raw rows sorts: a merged table's slots are
+// already in group order (mergeRuns).
 func (g *groupTable) sorted() []int32 {
 	g.sel = identity(g.sel, len(g.rows))
-	if len(g.keys) == len(g.sel) {
-		slices.SortFunc(g.sel, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
+	if len(g.runs) > 0 {
+		return g.sel
 	}
-	return g.sel
+	return g.sortSlots(g.sel)
+}
+
+// sortSlots sorts the slots sel by their groups' values (compareKeys).
+func (g *groupTable) sortSlots(sel []int32) []int32 {
+	slices.SortFunc(sel, func(a, b int32) int { return compareKeys(g.keyVecs, int(a), g.keyVecs, int(b)) })
+	return sel
 }
 
 // viewOf lays the table out as vectors for Batch.AppendRows: the key

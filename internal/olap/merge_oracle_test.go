@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -15,7 +16,7 @@ import (
 
 // The merge oracle: ordered partial runs fed to a MergePartials sink,
 // compared — values and row order — with a naive merge of the same
-// partial rows: a map by canonical key (appendKeyVal), then a sort by
+// partial rows: a map by order-preserving key (orderKey), then a sort by
 // that key.
 
 // mergeSources are the source kinds the oracle's aggregates name; the
@@ -34,10 +35,10 @@ var mergeAggLists = [][]AggExpr{
 	{{Fn: AggCount}},
 }
 
-// mergeKeyPools are the key values per kind: ints whose encodings order
-// apart from their values (-1 before -10, 10 before 2), floats with 0
-// and -0 (distinct keys) and exponent forms, and strings with "" and
-// prefixes.
+// mergeKeyPools are the key values per kind: negative ints and ints
+// whose decimal text orders apart from their values (-10 before -1, 2
+// before 10), floats with 0 and -0 (distinct keys) and exponent forms,
+// and strings with "" and prefixes.
 var mergeKeyPools = map[storage.Kind][]storage.Value{
 	storage.KInt: {storage.Int(-1), storage.Int(-10), storage.Int(-2), storage.Int(0), storage.Int(1),
 		storage.Int(2), storage.Int(10), storage.Int(11), storage.Int(-100), storage.Int(9)},
@@ -85,7 +86,7 @@ func TestSinkMergeOracle(t *testing.T) {
 	I, F, S := storage.Int, storage.Float, storage.Str
 	all := mergeAggLists[0]
 	cases := []mergeCase{
-		{name: "int keys, -1 before -10", keys: []storage.Kind{storage.KInt}, aggs: all,
+		{name: "int keys, -10 before -1", keys: []storage.Kind{storage.KInt}, aggs: all,
 			runs: [][]storage.Row{{{I(-1)}, {I(-10)}, {I(2)}}, {{I(-10)}, {I(10)}, {I(-2)}}, {{I(2)}, {I(-1)}, {I(1)}}}},
 		{name: "string prefixes and the empty string", keys: []storage.Kind{storage.KStr}, aggs: all,
 			runs: [][]storage.Row{{{S("AB")}, {S("")}}, {{S("A")}, {S("AB")}, {S("B")}}, {{S("")}, {S("A")}}}},
@@ -170,12 +171,12 @@ func partialRuns(rng *rand.Rand, c mergeCase) [][]storage.Row {
 		seen := map[string]bool{}
 		var run []storage.Row
 		for _, k := range keys {
-			if key := canonicalKey(k); !seen[key] {
+			if key := orderKey(k); !seen[key] {
 				seen[key] = true
 				run = append(run, k)
 			}
 		}
-		slices.SortFunc(run, func(a, b storage.Row) int { return strings.Compare(canonicalKey(a), canonicalKey(b)) })
+		slices.SortFunc(run, func(a, b storage.Row) int { return strings.Compare(orderKey(a), orderKey(b)) })
 		for i, k := range run {
 			row := slices.Clone(k)
 			n := int64(1 + rng.IntN(5))
@@ -206,12 +207,28 @@ func randomCell(rng *rand.Rand, kind storage.Kind) storage.Value {
 	return storage.Str(fmt.Sprintf("v%02d", rng.IntN(60)))
 }
 
-// canonicalKey is a row's group key: its leading key values, each
-// encoded by appendKeyVal.
-func canonicalKey(row storage.Row) string {
+// orderKey is a row's group key, built apart from the code under test
+// so that its bytes order as group order does: an int as its big-endian
+// bits with the sign bit flipped, a float as its bits with the sign
+// folded (so -0 sorts just before 0), a string followed by a NUL. No
+// test value is a NaN or holds a NUL. Equal keys are one group.
+func orderKey(row storage.Row) string {
 	var buf []byte
 	for _, v := range row {
-		buf = appendKeyVal(buf, v)
+		switch v.Kind {
+		case storage.KInt:
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v.I)^1<<63)
+		case storage.KFloat:
+			bits := math.Float64bits(v.F)
+			if bits>>63 == 1 {
+				bits = ^bits
+			} else {
+				bits |= 1 << 63
+			}
+			buf = binary.BigEndian.AppendUint64(buf, bits)
+		default:
+			buf = append(append(buf, v.S...), 0)
+		}
 	}
 	return string(buf)
 }
@@ -225,7 +242,7 @@ func sameValue(a, b storage.Value) bool {
 	return a.Equal(b)
 }
 
-// naiveMerge merges partial rows through a map by canonical key, orders
+// naiveMerge merges partial rows through a map by orderKey, orders
 // the groups by that key and finalizes them. A global aggregate over no
 // row is one zero row.
 func naiveMerge(keys []storage.Kind, aggs []AggExpr, runs [][]storage.Row) []storage.Row {
@@ -238,7 +255,7 @@ func naiveMerge(keys []storage.Kind, aggs []AggExpr, runs [][]storage.Row) []sto
 	groups := map[string]*group{}
 	for _, run := range runs {
 		for _, row := range run {
-			key := canonicalKey(row[:len(keys)])
+			key := orderKey(row[:len(keys)])
 			g := groups[key]
 			if g == nil {
 				g = &group{row: slices.Clone(row[:len(keys)]), seen: make([]bool, len(aggs)), avg: make([]float64, len(aggs))}

@@ -47,11 +47,12 @@ import (
 // it the scan and fold rows of that pass. Otherwise it folds every chunk
 // as it comes round, and its finish stores the new partial.
 //
-// A partial's rows are in group order, the byte order of the canonical
-// group keys: the pass sorts its groups once, when it finishes the
-// fold, and a replay sends the stored rows as they are, so on unchanged
-// data nothing hashes or sorts. The sink merges the partitions' ordered
-// runs without a key map and without a final sort (sink.go).
+// A partial's rows are in group order, the ascending order of the group
+// values (compareKeys): the pass sorts its groups once, when it finishes
+// the fold, and a replay sends the stored rows as they are, so on
+// unchanged data nothing hashes or sorts. The sink merges the
+// partitions' ordered runs without a key map and without a final sort
+// (sink.go).
 //
 // Safety under live repartitioning: queries hold a submission-plane
 // registration (queryMask) from registration to completion, and a

@@ -222,8 +222,8 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 			// this value model).
 			g.addSlot()
 		}
-		// Deterministic group order: by group key. ORDER BY, when present,
-		// re-sorts below.
+		// Group order: ascending group values (compareKeys). ORDER BY,
+		// when present, re-sorts below, stably.
 		view, cols, perm = g.viewOf(true), spec.OutSrc, g.sorted()
 	} else {
 		if s.rows == nil {

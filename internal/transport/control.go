@@ -22,8 +22,11 @@ import (
 // names the columns a join's output carries. Version 7 changes no byte
 // but a contract: a pushdown's partial rows are in group order, and the
 // sink merges them as ordered runs, so a member that sent them unordered
-// would get wrong answers without any error.
-const ProtoVersion = 7
+// would get wrong answers without any error. Version 8 changes no byte
+// either: group order became the ascending order of the group values
+// instead of the byte order of formatted keys, and a version 7 member
+// would send its runs in the old order.
+const ProtoVersion = 8
 
 // Hello is the member's first frame after dialing. A reconnecting
 // member sets Rejoin with its previously assigned server slot; the head
