@@ -58,34 +58,38 @@ bench-check:
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
-# shows up here), one full pass of a streaming shared-scan
-# registration (BenchmarkScanFlush: chunk decode, projection, batch
-# flushes), the same pass under a dictionary-code and a
-# frame-of-reference range predicate on unchanged data
-# (BenchmarkFilteredScan: every chunk's selection a memo hit), a
-# c_state LIKE pass after a c_state write in every chunk
-# (BenchmarkStaleFilteredScan: the typed filter loops, then the
-# selection stored into the memo), one pass of a join's probe-side
-# scan under its build-key filter on unchanged data
-# (BenchmarkKeyedScan: memo hits, survivor gather), the same pass
-# after an o_entry_d write in every chunk (BenchmarkStaleKeyedScan:
-# range checks and key-box bitmap tests off the encoded columns, the
-# survivors stored into the memo),
+# shows up here), a streaming shared-scan registration on unchanged
+# data (BenchmarkScanFlush: a memo replay, every chunk's stamp checked
+# and the stored batches sent by reference), the same under a
+# dictionary-code and a frame-of-reference range predicate
+# (BenchmarkFilteredScan: a replay), a c_state LIKE pass after a
+# c_state write in every chunk (BenchmarkStaleFilteredScan: the typed
+# filter loops, the selection stored into the memo, the gather, and the
+# sent batches held and stored), a join's probe-side scan under its
+# build-key filter on unchanged data (BenchmarkKeyedScan: a replay),
+# the same pass after an o_entry_d write in every chunk
+# (BenchmarkStaleKeyedScan: range checks and key-box bitmap tests off
+# the encoded columns, the survivors stored into the memo, gathered,
+# held and stored),
 # one hash-join probe of a 1 024-row batch (BenchmarkJoinProbe: table
 # lookups, match gather, output emission), one key-only distinct build
 # closed and one 1 024-row batch forwarded with no hash table
 # (BenchmarkKeyBoxJoin: the key box's bitmap, projected forward),
 # a dictionary-grouped COUNT+SUM registration on unchanged data
-# (BenchmarkGroupedPass: a partial memo replay, every chunk's stamp
-# checked and the stored partial copied out), the same registration
+# (BenchmarkGroupedPass: a memo replay, every chunk's stamp checked
+# and the stored partial sent by reference), the same registration
 # after one c_balance write in every chunk (BenchmarkStaleChunkPass: the
 # one stale column re-encoded into its vector's capacity, the dense
 # fold, the partial sorted into group order, finish storing it and its
 # stamps into the memo's storage, the group table back to its pool), a
 # sink merging four ordered 676-group COUNT+SUM partial runs and
 # releasing its table (BenchmarkSinkMerge: run heads, tied heads and
-# per-run slot lists in the pooled table), one ~8 k-row hash-join build released
-# to its pool (BenchmarkJoinBuild) and the typed row heap's write path
+# per-run slot lists in the pooled table), the same four runs received
+# again as held batches (BenchmarkSinkMergeReuse: the kept merged
+# table read instead), one ~8 k-row hash-join build released to its
+# pool (BenchmarkJoinBuild), the same build's eight held batches
+# delivered again (BenchmarkJoinBuildReuse: the kept box and table
+# reused) and the typed row heap's write path
 # (BenchmarkHeapWrite: a keyed insert of a stack row, a keyless append,
 # a Field read and an UpdateAt) must report exactly 0 allocs/op.
 # Fixed iteration counts keep
@@ -96,11 +100,11 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkSinkMerge|BenchmarkJoinBuild' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkSinkMerge|BenchmarkSinkMergeReuse|BenchmarkJoinBuild|BenchmarkJoinBuildReuse' -benchmem -benchtime 100x ./internal/olap)"; \
 	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
-	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 13) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 13"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan, filtered-scan (memo hit and miss), keyed-scan (memo hit and miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), sink-merge, join-build and heap-write hot paths"
+	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 15) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 15"; bad=1 } exit bad }'; \
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan replay, filtered-scan (replay and memo miss), keyed-scan (replay and memo miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), sink-merge, sink-merge reuse, join-build, join-build reuse and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

@@ -1657,6 +1657,7 @@ func (c *Cluster) Close() {
 		}
 	}
 	c.eng.Stop()
+	c.asm.Release()
 	if c.remoteACs != nil {
 		// Stop closed the remote-AC outboxes, so the router drainers are
 		// exiting; wait for them, then drop the connections and the

@@ -47,8 +47,11 @@ type DataSink interface {
 	// OnData handles one batch for a stream the behavior subscribed to
 	// via AC.Subscribe. The *DataMsg envelope is owned by the runtime
 	// and recycled when OnData returns — sinks must not retain it.
-	// msg.Batch MAY be retained (or freed via storage.FreeBatch at the
-	// row data's own death point).
+	// msg.Batch comes with one hold for the sink, which it MAY retain
+	// and releases with storage.FreeBatch at the row data's own death
+	// point. A batch may be shared; read it, never write it: a shared
+	// scan's memo, or another query's join or sink, may hold the same
+	// batch.
 	OnData(ctx Context, ac *AC, msg *DataMsg)
 }
 

@@ -161,7 +161,7 @@ func (c *keepSink) SendData(to core.ACID, msg *core.DataMsg) {
 // partial row per group. Each pass emits its partial rows in group order
 // (by orderKey, strictly increasing), whether its table stayed
 // dense, was keyed from the start, or turned keyed mid-pass; and a
-// second registration, answered from the partial memo, emits the same
+// second registration, replayed from the memo, emits the same
 // rows in the same order.
 func TestAggregateOraclePaths(t *testing.T) {
 	for _, c := range []struct {
@@ -196,12 +196,12 @@ func TestAggregateOraclePaths(t *testing.T) {
 			}
 		}
 		ctx.kept = nil
-		_, _, folds := w.Work()
+		folds := w.work.folds
 		replay := *spec
 		ev = core.GetEvent()
 		ev.Kind, ev.Payload = core.EvInstallOp, &replay
 		w.OnEvent(ctx, nil, ev)
-		if _, _, again := w.Work(); again != folds || ctx.resent != nil {
+		if again := w.work.folds; again != folds || ctx.resent != nil {
 			t.Fatalf("group %v: the second registration folded %d chunks, want a replay", c.group, again-folds)
 		}
 		if len(ctx.kept) != len(folded) {

@@ -32,6 +32,27 @@ func KeyFilterOf(cols []string, keys [][]int64) *KeyFilter {
 	return st.box.filter(cols)
 }
 
-// Work returns the worker's counts of chunk predicate evaluations,
-// key-filter passes and grouped folds.
-func (w *Worker) Work() (evals, keeps, folds int) { return w.evals, w.keeps, w.folds }
+// Work is what a Worker did and what its memos spared it (workCounts).
+type Work struct {
+	Evals, Keeps, Folds, Gathered int
+	Builds, ReusedBuilds          int
+	Merges, ReusedMerges          int
+}
+
+// Work returns the worker's counts.
+func (w *Worker) Work() Work {
+	c := w.work
+	return Work{c.evals, c.keeps, c.folds, c.gathered, c.builds, c.reusedBuilds, c.merges, c.reusedMerges}
+}
+
+// Sub returns the counts of a minus those of b.
+func (a Work) Sub(b Work) Work {
+	return Work{a.Evals - b.Evals, a.Keeps - b.Keeps, a.Folds - b.Folds, a.Gathered - b.Gathered,
+		a.Builds - b.Builds, a.ReusedBuilds - b.ReusedBuilds, a.Merges - b.Merges, a.ReusedMerges - b.ReusedMerges}
+}
+
+// Add returns the counts of a plus those of b.
+func (a Work) Add(b Work) Work {
+	return Work{a.Evals + b.Evals, a.Keeps + b.Keeps, a.Folds + b.Folds, a.Gathered + b.Gathered,
+		a.Builds + b.Builds, a.ReusedBuilds + b.ReusedBuilds, a.Merges + b.Merges, a.ReusedMerges + b.ReusedMerges}
+}

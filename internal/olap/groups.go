@@ -72,7 +72,8 @@ type groupTable struct {
 type aggVec struct {
 	fn   AggFn
 	vals storage.EncVec
-	seen []bool // MIN/MAX
+	seen []bool    // MIN/MAX
+	avg  []float64 // AVG: the finalized means (viewOf)
 }
 
 // groupTables recycles tables (and so their vectors, map and scratch)
@@ -561,8 +562,9 @@ func (g *groupTable) sortSlots(sel []int32) []int32 {
 // viewOf lays the table out as vectors for Batch.AppendRows: the key
 // columns, then each aggregate's columns. In partial layout COUNT is
 // the row count and AVG its sum and the row count. Finalized, AVG is the
-// sum divided by the count (0 for an empty group), computed in place: a
-// finalized table is only read, then released.
+// sum divided by the count (the sum, 0, for an empty group), computed
+// into scratch: the table itself is only read, so a merged table a
+// Worker keeps finalizes again for the next sink.
 func (g *groupTable) viewOf(final bool) []storage.EncVec {
 	view := append(g.view[:0], g.keyVecs...)
 	counts := storage.EncVec{Kind: storage.KInt, Ints: g.rows}
@@ -572,12 +574,13 @@ func (g *groupTable) viewOf(final bool) []storage.EncVec {
 		case a.fn == AggCount:
 			view = append(view, counts)
 		case a.fn == AggAvg && final:
+			a.avg = append(a.avg[:0], a.vals.Floats...)
 			for s, n := range g.rows {
 				if n != 0 {
-					a.vals.Floats[s] /= float64(n)
+					a.avg[s] /= float64(n)
 				}
 			}
-			view = append(view, a.vals)
+			view = append(view, storage.EncVec{Kind: storage.KFloat, Floats: a.avg})
 		case a.fn == AggAvg:
 			view = append(view, a.vals, counts)
 		default:

@@ -62,7 +62,7 @@ func TestJoinBuildBatchOver64KRows(t *testing.T) {
 	st := newBareJoin([]string{"bk"}, []string{"pk"}, []string{"bk", "bv"}, []string{"pk"})
 	(*joinBuildSink)(st).OnData(ctx, nil, &core.DataMsg{Stream: 1, Batch: build, Producers: 1})
 	st.closeBuild()
-	(*joinProbeSink)(st).OnData(ctx, nil, &core.DataMsg{Stream: 2, Batch: probe, Last: true, Producers: 1})
+	(*joinProbeSink)(st).OnData(ctx, core.NewAC(1), &core.DataMsg{Stream: 2, Batch: probe, Last: true, Producers: 1})
 
 	if len(ctx.out) != len(keys)-1 {
 		t.Fatalf("%d output rows, want %d", len(ctx.out), len(keys)-1)
@@ -270,5 +270,50 @@ func BenchmarkKeyBoxJoin(b *testing.B) {
 	b.StopTimer()
 	if ctx.rows == 0 {
 		b.Fatal("join forwarded nothing")
+	}
+}
+
+// eosRecorder is a DataSink that notes an end of stream.
+type eosRecorder struct{ eos bool }
+
+func (r *eosRecorder) OnData(_ core.Context, _ *core.AC, msg *core.DataMsg) {
+	r.eos = r.eos || msg.Last
+}
+
+// TestJoinDropsItsStreams runs a join to its end on an AC and checks that
+// the join left no state behind for its build and probe streams: a new
+// subscriber to either starts a fresh stream, with no sink already on it
+// and no end of stream seen. A join that kept them would keep its own
+// state alive, query after query.
+func TestJoinDropsItsStreams(t *testing.T) {
+	ac := core.NewAC(1)
+	ctx := &joinCollect{flushSink: flushSink{costs: sim.DefaultCosts()}}
+	spec := &JoinSpec{Query: 1, Build: 1, BuildKey: []string{"k"}, Probe: 2, ProbeKey: []string{"k"},
+		BuildOut: []string{"k"}, Out: 3, To: 1, Producers: 1, Notify: core.NoAC}
+	(&Worker{}).newJoin(ctx, ac, spec)
+	s := storage.NewSchema("s", storage.Column{Name: "k", Kind: storage.KInt})
+	for _, sid := range []core.StreamID{spec.Build, spec.Probe} {
+		b := storage.GetBatch(s)
+		b.AppendValues(storage.Int(7))
+		msg := core.GetDataMsg()
+		msg.Stream, msg.Query, msg.Batch, msg.Last, msg.Producers = sid, spec.Query, b, true, 1
+		ac.HandleData(ctx, msg)
+	}
+	if len(ctx.out) != 1 {
+		t.Fatalf("the join emitted %d rows, want 1", len(ctx.out))
+	}
+	for _, sid := range []core.StreamID{spec.Build, spec.Probe} {
+		var r eosRecorder
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("stream %d kept the join subscribed after it closed: %v", sid, p)
+				}
+			}()
+			ac.Subscribe(ctx, sid, &r)
+		}()
+		if r.eos {
+			t.Fatalf("stream %d kept its closed state after the join closed", sid)
+		}
 	}
 }

@@ -7,50 +7,77 @@ import (
 )
 
 // The selection memo: the one place where the shared scan compiles,
-// evaluates and shares filters, and where it keeps the partials of its
-// aggregate pushdowns. A Worker remembers, per (table, partition),
-// which rows of each chunk a registration kept, so every later
-// registration with the same filters and key filter skips both
-// matchChunk and keyScan.keep for every chunk none of the columns they
-// read changed in. That holds within a pass as across passes: a second
-// registration due at the same cursor step hits the entry the first one
-// just stored. A signature is the filter list plus the key filter,
-// compared exactly on Cols, Lo, Span and every word of Bits. Each
-// chunk's entry holds the kept rows, the count that passed the filters
-// before the key filter (the virtual time charges the probe over it,
-// hit or miss), and the table's encode stamp when it was stored. A hit
-// needs the chunk's stamp over the signature's columns and slot list
-// (storage.Table.ChunkStamp, read just after the fetch) to be at most
-// the stored stamp. Every write to one of those columns, and every
-// insert or delete in the chunk, re-encodes under a later stamp, so a
-// hit returns exactly what evaluating would. A write to any other
-// column leaves the entry valid: a payment's c_balance does not cost
-// the customer filters their hits.
+// evaluates and shares filters, and where it keeps what its passes
+// emitted. A Worker remembers, per (table, partition), which rows of
+// each chunk a registration kept, so every later registration with the
+// same filters and key filter skips both matchChunk and keyScan.keep for
+// every chunk none of the columns they read changed in. That holds
+// within a pass as across passes: a second registration due at the same
+// cursor step hits the entry the first one just stored. A signature is
+// the filter list plus the key filter, compared exactly on Cols, Lo,
+// Span and every word of Bits. Each chunk's entry holds the kept rows,
+// the count that passed the filters before the key filter (the virtual
+// time charges the probe over it, hit or miss), and the table's encode
+// stamp when it was stored. A hit needs the chunk's stamp over the
+// signature's columns and slot list (storage.Table.ChunkStamp, read just
+// after the fetch) to be at most the stored stamp. Every write to one of
+// those columns, and every insert or delete in the chunk, re-encodes
+// under a later stamp, so a hit returns exactly what evaluating would. A
+// write to any other column leaves the entry valid: a payment's
+// c_balance does not cost the customer filters their hits.
 //
-// The partial memo rides the same signatures. An aggregate pushdown
-// always has one (an empty filter list when it has no filter, whose
-// selection stays the identity), and under it a partial per grouping
-// and aggregate list, compared exactly: the partial batch the last full
-// pass emitted and, per chunk, the chunk's stamp over every column the
-// registration reads, read right after the chunk was folded. A later
-// registration with the same signature, grouping and aggregates whose
-// table has as many chunks, none stamped later, is answered with a copy
-// of that partial and never rides the cursor: a stamp that has not
-// moved means the chunk still holds what was folded. The stored rows
-// are in group order (ascending group values, compareKeys), as the pass
-// emitted them, and the copy keeps it: the sink merges a replay like a
-// fold, with no sort on either side. Any newer chunk sends the
-// registration round the cursor, and its finish stores the new partial. The whole partition is one entry: merging per-chunk
-// partials of c_state costs a third of folding the chunk.
+// Every registration has a signature (an empty filter list when it has
+// no filter, whose selection stays the identity), and under it an output
+// per projection (a streaming registration's Cols) or per grouping and
+// aggregate list (a pushdown's), compared exactly. An output keeps the
+// batches the last full pass of its shape emitted — by reference: the
+// pass holds each batch (storage.HoldBatch) as it sends it, so storing
+// copies nothing — and, per chunk, the chunk's stamp over every column
+// the registration reads, read right after the chunk was scanned. A
+// later registration of the same shape whose table has as many chunks,
+// none stamped later, is answered with those same batches (replay, which
+// holds each again for its consumer) and never rides the cursor: a stamp
+// that has not moved means the chunk still holds what was scanned, and a
+// held batch is immutable, so the consumer reads exactly what a pass
+// would have sent. A partial's rows are in group order (ascending group
+// values, compareKeys), as the pass emitted them: the sink merges a
+// replay like a fold, with no sort on either side. Any newer chunk sends
+// the registration round the cursor, and its finish stores the new
+// batches, dropping the old holds. The whole partition is one output:
+// merging per-chunk partials of c_state costs a third of folding the
+// chunk.
+//
+// Joins and sinks build on that identity (ops.go, sink.go): a build or a
+// merge that receives exactly the batches it consumed last time — the
+// same pointers, which a replay alone can deliver again — keeps the
+// state it built from them.
 //
 // The memo is bounded: memoSigs signatures per (table, partition), and
-// memoSigs partials per signature, the least recently registered one
-// dropped when a new one arrives. A registration keeps the signature
-// and the partial it attached with, dropped or not.
+// memoSigs outputs per signature, the least recently registered one
+// dropped, with its holds, when a new one arrives. A streaming output
+// stores only a pass of at most memoBatches batches and memoRows rows; a
+// pushdown's stores its one partial batch whatever its size. A
+// registration keeps the signature and the output it attached with,
+// dropped or not; its finish stores nothing into a dropped output.
 
 // memoSigs bounds the signatures a Worker keeps per (table, partition),
-// and the partials it keeps per signature.
+// and the outputs it keeps per signature.
 const memoSigs = 8
+
+// memoBatches and memoRows cap what one streaming output pins: a pass
+// that emits more stores nothing, and the next registration rides the
+// cursor again. The benchmark's streams fit with room (a partition sends
+// Q3's customer and orders sides in at most two batches, top-N's in
+// one), and memoRows is CollectCap, the most a collecting sink keeps.
+// The caps bound the memory a stream pins, which grows with the rows a
+// filter keeps; nothing measured replaying a larger stream against
+// re-scanning it. A pushdown is not capped: its output is one partial
+// batch of at most one row per group, a fold of the whole partition
+// saved whatever the group count.
+const (
+	memoBatches = 16
+	memoRows    = CollectCap
+)
 
 // memoSig is one memoized signature: the filters and the key filter,
 // compiled against the table once (the key filter over a private copy:
@@ -58,11 +85,11 @@ const memoSigs = 8
 // and one entry per chunk. The compiled filters' dictionary bitsets
 // live as long as the signature.
 type memoSig struct {
-	preds    []compiledPred
-	keys     *keyScan // nil without a key filter
-	reads    storage.ColSet
-	chunks   []memoEntry
-	partials []*memoPartial // most recently registered first
+	preds  []compiledPred
+	keys   *keyScan // nil without a key filter
+	reads  storage.ColSet
+	chunks []memoEntry
+	outs   []*memoOut // most recently registered first
 }
 
 // memoEntry is one chunk's memoized selection. Stamp 0 marks none: a
@@ -73,29 +100,28 @@ type memoEntry struct {
 	rows  []int32
 }
 
-// memoPartial is one aggregate pushdown's memoized partial: the
-// grouping and aggregates it answers, the partial batch its last full
-// pass emitted (outside the batch pool; nil until one is stored), the
-// per-chunk stamps of that pass, and the rows it charged ScanRow and
-// AggRow for. spare is the stamp slice before the last store, which the
-// next registration to ride the cursor records into.
-type memoPartial struct {
-	groupBy         []string
-	aggs            []AggExpr
-	batch           *storage.Batch
-	stamps, spare   []uint64
-	scanned, folded int
+// memoOut is one output of a signature: the projection (streaming) or
+// the grouping and aggregates (pushdown) it answers; the batches the
+// last full pass emitted, held, in order; the per-chunk stamps of that
+// pass; and the rows it charged: ScanRow over scanned, HashProbeRow over
+// probed, and AggRow (pushdown) or PartitionRow (streaming) over kept.
+// spare and spareBatches are the slices before the last store, which the
+// next registration to ride the cursor records into. dropped marks an
+// output the memo let go.
+type memoOut struct {
+	cols                  []string
+	groupBy               []string
+	aggs                  []AggExpr
+	stored, dropped       bool
+	batches, spareBatches []*storage.Batch
+	stamps, spare         []uint64
+	scanned, probed, kept int
 }
 
 // signature returns the signature of filters and keys in the memo of key,
 // the most recently used first, adding it (and dropping the least
-// recently used past memoSigs) when it is new. A streaming registration
-// with no filter and no key filter gets nil: it keeps every row anyway.
-// An aggregate pushdown always gets one, for its partials.
-func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Predicate, keys *KeyFilter, agg bool) *memoSig {
-	if len(filters) == 0 && keys == nil && !agg {
-		return nil
-	}
+// recently used past memoSigs) when it is new.
+func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Predicate, keys *KeyFilter) *memoSig {
 	sigs := w.memos[key]
 	for i, s := range sigs {
 		if s.is(filters, keys) {
@@ -118,7 +144,11 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 	if w.memos == nil {
 		w.memos = make(map[sharedKey][]*memoSig)
 	}
-	w.memos[key] = pushFront(sigs, s)
+	var old *memoSig
+	w.memos[key], old = pushFront(sigs, s)
+	if old != nil {
+		old.drop()
+	}
 	return s
 }
 
@@ -136,19 +166,80 @@ func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
 		slices.Equal(f.Span, keys.Span) && slices.Equal(f.Bits, keys.Bits)
 }
 
-// partial returns the signature's partial for groupBy and aggs, the most
-// recently used first, adding an empty one (and dropping the least
-// recently used past memoSigs) when it is new.
-func (s *memoSig) partial(groupBy []string, aggs []AggExpr) *memoPartial {
-	for i, p := range s.partials {
-		if slices.Equal(p.groupBy, groupBy) && slices.Equal(p.aggs, aggs) {
-			toFront(s.partials, i)
+// out returns the signature's output for the projection cols or the
+// grouping groupBy and aggregates aggs, the most recently used first,
+// adding an empty one (and dropping the least recently used past
+// memoSigs) when it is new.
+func (s *memoSig) out(cols, groupBy []string, aggs []AggExpr) *memoOut {
+	for i, p := range s.outs {
+		if slices.Equal(p.cols, cols) && slices.Equal(p.groupBy, groupBy) && slices.Equal(p.aggs, aggs) {
+			toFront(s.outs, i)
 			return p
 		}
 	}
-	p := &memoPartial{groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
-	s.partials = pushFront(s.partials, p)
+	p := &memoOut{cols: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
+	var old *memoOut
+	if s.outs, old = pushFront(s.outs, p); old != nil {
+		old.drop()
+	}
 	return p
+}
+
+// drop lets go of every output of the signature.
+func (s *memoSig) drop() {
+	for _, p := range s.outs {
+		p.drop()
+	}
+	s.outs = nil
+}
+
+// drop releases the output's holds and marks it dropped: nothing is
+// stored into it again.
+func (p *memoOut) drop() {
+	p.release()
+	p.dropped = true
+}
+
+// release frees the stored batches' holds and forgets the store.
+func (p *memoOut) release() {
+	for i, b := range p.batches {
+		storage.FreeBatch(b)
+		p.batches[i] = nil
+	}
+	p.batches, p.stored = p.batches[:0], false
+}
+
+// store keeps what a pass of the output's shape emitted: the batches
+// (held by the pass), the chunks' stamps and the charged rows, releasing
+// the previous store. A dropped output frees the batches at once. It
+// returns the slices the store replaced, for the next pass to record
+// into.
+func (p *memoOut) store(held []*storage.Batch, stamps []uint64, scanned, probed, kept int) ([]*storage.Batch, []uint64) {
+	if p.dropped {
+		for i, b := range held {
+			storage.FreeBatch(b)
+			held[i] = nil
+		}
+		return held[:0], stamps
+	}
+	p.release()
+	oldBatches, oldStamps := p.batches, p.stamps
+	p.batches, p.stamps, p.stored = held, stamps, true
+	p.scanned, p.probed, p.kept = scanned, probed, kept
+	return oldBatches, oldStamps
+}
+
+// keepFront returns list with v in front, in place of list[i] when i is
+// not -1, and the element it let go: list[i], or the last past memoSigs
+// (the zero value when none).
+func keepFront[T any](list []T, i int, v T) ([]T, T) {
+	if i < 0 {
+		return pushFront(list, v)
+	}
+	old := list[i]
+	list[i] = v
+	toFront(list, i)
+	return list, old
 }
 
 // toFront moves list[i] to the front of list, keeping the order of the
@@ -159,24 +250,27 @@ func toFront[T any](list []T, i int) {
 	list[0] = v
 }
 
-// pushFront returns list with v in front, the last element dropped past
-// memoSigs.
-func pushFront[T any](list []T, v T) []T {
+// pushFront returns list with v in front, and the element it dropped
+// past memoSigs (the zero value when none).
+func pushFront[T any](list []T, v T) ([]T, T) {
+	var old T
 	if len(list) < memoSigs {
 		list = append(list, v)
+	} else {
+		old = list[len(list)-1]
 	}
 	copy(list[1:], list)
 	list[0] = v
-	return list
+	return list, old
 }
 
-// fresh reports whether the partial answers a pass over t's n chunks
+// fresh reports whether the output answers a pass over t's n chunks
 // that reads cols: one is stored, over n chunks, and no chunk is
-// stamped later than when it was folded. Each chunk is fetched first,
+// stamped later than when it was scanned. Each chunk is fetched first,
 // which makes its stamp current; the check stops at the first newer
 // chunk.
-func (p *memoPartial) fresh(t *storage.Table, n int, cols storage.ColSet) bool {
-	if p.batch == nil || len(p.stamps) != n {
+func (p *memoOut) fresh(t *storage.Table, n int, cols storage.ColSet) bool {
+	if !p.stored || len(p.stamps) != n {
 		return false
 	}
 	for ci, stamp := range p.stamps {
@@ -186,4 +280,14 @@ func (p *memoPartial) fresh(t *storage.Table, n int, cols storage.ColSet) bool {
 		}
 	}
 	return true
+}
+
+// releaseMemos drops every output of every signature the Worker keeps.
+func (w *Worker) releaseMemos() {
+	for _, sigs := range w.memos {
+		for _, s := range sigs {
+			s.drop()
+		}
+	}
+	w.memos = nil
 }

@@ -27,7 +27,7 @@ type work struct {
 }
 
 // TestMemoWorkCounts counts the chunk work the selection memo and the
-// partial memo leave: a repeated query on unchanged data evaluates no
+// memo's replays leave: a repeated query on unchanged data evaluates no
 // chunk and runs no key filter, a write to a filtered column
 // re-evaluates exactly its chunk, a write to a column no filter reads
 // re-evaluates none (payments keep the customer filters' hits), and an
@@ -48,7 +48,7 @@ func TestMemoWorkCounts(t *testing.T) {
 	// pass runs one registration of spec to the end, as a new query
 	// does, and returns the work it took.
 	pass := func(spec *SharedScanSpec) work {
-		e0, k0, f0, c0 := w.evals, w.keeps, w.folds, ctx.charged
+		e0, k0, f0, c0 := w.work.evals, w.work.keeps, w.work.folds, ctx.charged
 		reg := *spec
 		ev := core.GetEvent()
 		ev.Kind, ev.Payload = core.EvInstallOp, &reg
@@ -59,7 +59,7 @@ func TestMemoWorkCounts(t *testing.T) {
 			ev = ctx.resent
 			rode = rode || w.shared[sharedKey{table: spec.Table, part: spec.Part}] != nil
 		}
-		return work{w.evals - e0, w.keeps - k0, w.folds - f0, ctx.charged - c0, rode}
+		return work{w.work.evals - e0, w.work.keeps - k0, w.work.folds - f0, ctx.charged - c0, rode}
 	}
 	want := func(what string, got work, wantEvals, wantKeeps int) {
 		t.Helper()
@@ -155,7 +155,7 @@ func TestMemoWorkCounts(t *testing.T) {
 	for ci := range ochunks {
 		ot.UpdateAt(int32(ci<<storage.ColChunkShift), ot.Schema.MustCol("o_entry_d"), storage.Int(tpcc.Q3SinceYear))
 	}
-	e0, k0 := w.evals, w.keeps
+	e0, k0 := w.work.evals, w.work.keeps
 	ctx.resent = nil
 	for _, q := range []core.QueryID{3, 4} {
 		reg := *orders
@@ -168,5 +168,51 @@ func TestMemoWorkCounts(t *testing.T) {
 		ctx.resent = nil
 		w.OnEvent(ctx, nil, ev)
 	}
-	want("two keyed registrations in one pass after an o_entry_d write", work{evals: w.evals - e0, keeps: w.keeps - k0}, ochunks, ochunks)
+	want("two keyed registrations in one pass after an o_entry_d write", work{evals: w.work.evals - e0, keeps: w.work.keeps - k0}, ochunks, ochunks)
+}
+
+// TestMemoStoresLargePartial checks that the streaming caps leave a
+// pushdown alone: a partition partial of more than CollectCap groups is
+// stored, and the second registration replays it without folding a
+// chunk.
+func TestMemoStoresLargePartial(t *testing.T) {
+	cfg := tpcc.Config{Warehouses: 1, Districts: 6, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	w := &Worker{DB: db}
+	ctx := &flushSink{costs: sim.DefaultCosts()}
+	spec := &SharedScanSpec{
+		Query: 1, Table: tpcc.TCustomerID, Part: 0,
+		GroupBy: []string{"c_d_id", "c_id"}, Aggs: []AggExpr{{Fn: AggCount}},
+		Out: 7, To: 1, Producers: 1,
+	}
+	// pass runs one registration of spec to the end and returns the
+	// chunks it folded and the partial rows it sent.
+	pass := func() (folds int, rows int64) {
+		f0, r0 := w.work.folds, ctx.rows
+		reg := *spec
+		ev := core.GetEvent()
+		ev.Kind, ev.Payload = core.EvInstallOp, &reg
+		for ev != nil {
+			ctx.resent = nil
+			w.OnEvent(ctx, nil, ev)
+			ev = ctx.resent
+		}
+		return w.work.folds - f0, ctx.rows - r0
+	}
+	groups := int64(cfg.Districts * cfg.Customers)
+	if groups <= CollectCap {
+		t.Fatalf("%d groups; the test needs more than CollectCap (%d)", groups, CollectCap)
+	}
+	if folds, rows := pass(); folds == 0 || rows != groups {
+		t.Fatalf("first pass: %d chunks folded and %d partial rows, want every chunk and %d", folds, rows, groups)
+	}
+	if folds, rows := pass(); folds != 0 || rows != groups {
+		t.Fatalf("second pass: %d chunks folded and %d partial rows, want a replay (0) of %d", folds, rows, groups)
+	}
+	w.Release()
+	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
+		t.Fatalf("pooled objects outstanding after Release: %s", core.PoolBalanceString())
+	}
 }

@@ -404,7 +404,7 @@ func runMergeSink(t *testing.T, rng *rand.Rand, c mergeCase, runs [][]storage.Ro
 
 	ac := core.NewAC(1)
 	ctx := &flushSink{costs: sim.DefaultCosts()}
-	newSink(ctx, ac, spec)
+	(&Worker{}).newSink(ctx, ac, spec)
 	for {
 		var live []int
 		for p, q := range queues {
@@ -431,4 +431,78 @@ func runMergeSink(t *testing.T, rng *rand.Rand, c mergeCase, runs [][]storage.Ro
 		storage.FreeBatch(b)
 	}
 	return rows
+}
+
+// TestSinkReuseNeedsEveryRun feeds one merging sink shape on one Worker
+// held partial runs, as a shared scan's replays deliver them: the same
+// runs in either order reuse the kept merge, and a run list that differs
+// from the kept one in any single run — the first to arrive or the last
+// — merges anew and answers from its own runs.
+func TestSinkReuseNeedsEveryRun(t *testing.T) {
+	spec := &SinkSpec{Query: 1, In: 64, GroupBy: []string{"g0"}, MergePartials: true,
+		Aggs:     []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "f"}},
+		OutCols:  []string{"g", "n", "sum"},
+		OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat}, OutSrc: []int{0, 1, 2},
+		Limit: -1, Notify: core.ClientAC}
+	partial := storage.NewSchema("partial", storage.Column{Name: "g0", Kind: storage.KStr},
+		storage.Column{Name: "p0", Kind: storage.KInt}, storage.Column{Name: "p1", Kind: storage.KFloat})
+	// run is one partition's stored partial, held by the test as a memo
+	// holds it.
+	run := func(rows ...storage.Row) *storage.Batch {
+		b := storage.GetBatch(partial)
+		for _, r := range rows {
+			b.AppendRow(r)
+		}
+		return b
+	}
+	S, I, F := storage.Str, storage.Int, storage.Float
+	a0 := run(storage.Row{S("A"), I(1), F(1)}, storage.Row{S("B"), I(2), F(2)})
+	a1 := run(storage.Row{S("A"), I(3), F(3)})
+	b0 := run(storage.Row{S("A"), I(5), F(5)}, storage.Row{S("B"), I(2), F(2)})
+	c1 := run(storage.Row{S("B"), I(4), F(4)})
+	w := &Worker{}
+	query := func(runs ...*storage.Batch) string {
+		ac := core.NewAC(1)
+		ctx := &flushSink{costs: sim.DefaultCosts()}
+		w.newSink(ctx, ac, spec)
+		for _, r := range runs {
+			storage.HoldBatch(r) // the replay's hold, for the sink
+			msg := core.GetDataMsg()
+			msg.Stream, msg.Query, msg.Batch, msg.Last, msg.Producers = spec.In, spec.Query, r, true, len(runs)
+			ac.HandleData(ctx, msg)
+		}
+		res := ctx.resent.Payload.(*QueryResult)
+		var rows []storage.Row
+		for _, b := range res.Batches {
+			for i := range b.Len() {
+				rows = append(rows, b.Row(i))
+			}
+			storage.FreeBatch(b)
+		}
+		return fmt.Sprint(rows)
+	}
+	for _, step := range []struct {
+		name   string
+		runs   []*storage.Batch
+		want   string
+		reused bool
+	}{
+		{"first merge", []*storage.Batch{a0, a1}, "[[A 4 4] [B 2 2]]", false},
+		{"the same runs, reversed", []*storage.Batch{a1, a0}, "[[A 4 4] [B 2 2]]", true},
+		{"the first run new", []*storage.Batch{b0, a1}, "[[A 8 8] [B 2 2]]", false},
+		{"the last run new", []*storage.Batch{a1, c1}, "[[A 3 3] [B 4 4]]", false},
+		{"one run fewer", []*storage.Batch{a1}, "[[A 3 3]]", false},
+	} {
+		before := w.work.reusedMerges
+		if got := query(step.runs...); got != step.want {
+			t.Fatalf("%s: got %s, want %s", step.name, got, step.want)
+		}
+		if reused := w.work.reusedMerges > before; reused != step.reused {
+			t.Fatalf("%s: reused the kept merge: %v, want %v", step.name, reused, step.reused)
+		}
+	}
+	w.Release()
+	for _, r := range []*storage.Batch{a0, a1, b0, c1} {
+		storage.FreeBatch(r)
+	}
 }

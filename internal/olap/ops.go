@@ -62,6 +62,11 @@ type Predicate struct {
 // own key cells, so the join forwards the probe row. Every other build —
 // duplicate keys, non-key columns, a box past KeyBoxCap — is indexed in
 // a hash table sized from its row count.
+//
+// A build stream that delivers exactly the batches an earlier join of the
+// same build shape on the same AC consumed — the same held batches,
+// which only a shared scan's memo replay hands out again — reuses that
+// join's build (joinBuild): its box, bitmap, direct flag and table.
 type JoinSpec struct {
 	Query     core.QueryID
 	Build     core.StreamID
@@ -130,18 +135,49 @@ type Worker struct {
 
 	shared map[sharedKey]*sharedScan
 	// memos holds each (table, partition)'s selection memo and its
-	// partials (memo.go), signatures most recently used first. It
+	// outputs (memo.go), signatures most recently used first. It
 	// outlives the cursors.
 	memos map[sharedKey][]*memoSig
-	// evals counts predicate evaluations over a chunk (matchChunk calls):
-	// the work the memo shares among the registrations of one signature,
-	// within a pass and across passes. keeps counts keyScan.keep calls
-	// the same way, and folds the chunks foldAgg folded: the work a
-	// replayed partial saves.
-	evals, keeps, folds int
+	// builds and merges are the last join build per build shape and the
+	// last merged group table per sink shape, most recently used first,
+	// at most memoSigs of each (ops.go, sink.go): a join or sink that
+	// receives exactly their batches again reuses them.
+	builds []*joinBuild
+	merges []*sinkMerge
+	work   workCounts
 	// all is the identity selection 0..n-1 (identity): filled once to
 	// storage.ColChunkRows, grown only for a longer one.
 	all []int32
+}
+
+// workCounts is the work a Worker did and the work its memos spared it.
+// evals counts predicate evaluations over a chunk (matchChunk calls):
+// the work the memo shares among the registrations of one signature,
+// within a pass and across passes. keeps counts keyScan.keep calls the
+// same way, folds the chunks foldAgg folded, and gathered the rows the
+// scans copied into the batches they sent: the work a replay saves.
+// builds and merges count the join builds and partial merges done, and
+// reusedBuilds and reusedMerges those answered by the state kept from
+// the same batches.
+type workCounts struct {
+	evals, keeps, folds, gathered int
+	builds, reusedBuilds          int
+	merges, reusedMerges          int
+}
+
+// Release drops everything the Worker keeps between queries: its memo
+// outputs' batches, and the join builds and merged group tables kept for
+// reuse. Call it once the Worker's AC has stopped, after every query
+// completed: a drained Close leaves no pooled batch outstanding.
+func (w *Worker) Release() {
+	w.releaseMemos()
+	for _, b := range w.builds {
+		b.unref()
+	}
+	for _, m := range w.merges {
+		m.g.release()
+	}
+	w.builds, w.merges = nil, nil
 }
 
 // identity returns the selection 0..n-1, a prefix of w.all. Its readers
@@ -161,10 +197,10 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 	case *sharedScan:
 		spec.step(ctx, w)
 	case *JoinSpec:
-		newJoin(ctx, ac, spec)
+		w.newJoin(ctx, ac, spec)
 		core.FreeEvent(ev)
 	case *SinkSpec:
-		newSink(ctx, ac, spec)
+		w.newSink(ctx, ac, spec)
 		core.FreeEvent(ev)
 	default:
 		panic(fmt.Sprintf("olap: unknown operator spec %T", ev.Payload))
@@ -174,6 +210,7 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 // joinState is a two-phase join bound to one AC.
 type joinState struct {
 	spec  *JoinSpec
+	w     *Worker // the AC's, keeping builds for reuse; nil keeps none
 	ht    *joinTable
 	build []*storage.Batch
 	rows  int // build rows
@@ -183,11 +220,11 @@ type joinState struct {
 	// batch of a stream has the same layout).
 	buildCols, probeCols []int
 
-	// The build keys' box: hi holds the greatest keys while build batches
-	// widen it, and the spans and the bitmap follow when the build
-	// closes. direct marks a distinct key-only build, which the join
-	// answers from the bitmap alone; filtered marks a probe side whose
-	// every row the exact filter already kept.
+	// The build keys' box: its bounds (lo, and hi for the greatest
+	// keys), spans and bitmap are set when the build closes, unless the
+	// join reuses a kept build's. direct marks a distinct key-only
+	// build, which the join answers from the bitmap alone; filtered
+	// marks a probe side whose every row the exact filter already kept.
 	box              keyBox
 	hi               joinKey
 	direct, filtered bool
@@ -202,6 +239,128 @@ type joinState struct {
 	// refs and probe rows, gathered into out at each emission point.
 	mref []storage.RowRef
 	mrow []int32
+
+	// Build reuse. kept is the Worker's build of this join's shape, whose
+	// batches the build may turn out to be. built is the kept build the
+	// join runs on — reused (reused set), or its own build kept for the
+	// next join — and gives back at probe close.
+	kept, built *joinBuild
+	reused      bool
+}
+
+// joinBuild is a join build a Worker keeps for the next join of its
+// shape — the build key and the build batches' columns: the batches,
+// each held, in arrival order (the table's row refs index them), the key
+// box and its bitmap, the direct flag and the hash table. Joins running
+// on it only read it; its table and bitmap are shared with each of them
+// and with their held probe scans' KeyFilter. The table's row and offset
+// scratch is the AC's, used within one handler turn. refs counts the
+// Worker's keep plus each join running on it; the last unref frees the
+// holds and recycles the table.
+type joinBuild struct {
+	key     []string
+	schema  *storage.Schema
+	batches []*storage.Batch
+	cols    []int
+	rows    int
+	box     keyBox
+	hi      joinKey
+	direct  bool
+	ht      *joinTable
+	refs    int
+}
+
+// maxKept bounds the batches of a kept build or merge: matching them
+// (sameBatches) is quadratic.
+const maxKept = 64
+
+// buildOf returns the index in w.builds of the build for build key key
+// over batches of schema s, or -1.
+func (w *Worker) buildOf(key []string, s *storage.Schema) int {
+	return slices.IndexFunc(w.builds, func(jb *joinBuild) bool { return slices.Equal(jb.key, key) && sameCols(jb.schema, s) })
+}
+
+// keptBuild returns the Worker's build for build key key over batches of
+// schema s, or nil.
+func (w *Worker) keptBuild(key []string, s *storage.Schema) *joinBuild {
+	if w == nil {
+		return nil
+	}
+	i := w.buildOf(key, s)
+	if i < 0 {
+		return nil
+	}
+	toFront(w.builds, i)
+	return w.builds[0]
+}
+
+// sameCols reports whether schemas a and b name the same columns.
+func sameCols(a, b *storage.Schema) bool {
+	return a == b || a.Name == b.Name && slices.Equal(a.Cols, b.Cols)
+}
+
+// keepBuild keeps st's new build for the next join of its shape when the
+// same batches can come again (reusable). It replaces the Worker's build
+// of that shape and returns the kept build, which st runs on; nil when
+// it keeps none.
+func (w *Worker) keepBuild(st *joinState) *joinBuild {
+	if !reusable(st.build) {
+		return nil
+	}
+	jb := &joinBuild{key: st.spec.BuildKey, schema: st.build[0].Schema, batches: slices.Clone(st.build),
+		cols: st.buildCols, rows: st.rows, box: st.box, hi: st.hi, direct: st.direct, ht: st.ht, refs: 2}
+	for _, b := range jb.batches {
+		storage.HoldBatch(b)
+	}
+	var old *joinBuild
+	if w.builds, old = keepFront(w.builds, w.buildOf(jb.key, jb.schema), jb); old != nil {
+		old.unref()
+	}
+	return jb
+}
+
+// reusable reports whether a consumer that keeps what it built from
+// batches can meet the same batches again: there is at least one and at
+// most maxKept, and each is shared — a memo holds it, and only a memo's
+// replay hands a batch out twice.
+func reusable(batches []*storage.Batch) bool {
+	if len(batches) == 0 || len(batches) > maxKept {
+		return false
+	}
+	for _, b := range batches {
+		if !b.Shared() {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBatches reports whether a, no batch twice, holds the batches of b:
+// the same pointers, in any order. A held batch is never recycled, so
+// the same pointer is the same immutable rows.
+func sameBatches(a, b []*storage.Batch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if slices.Index(a, x) != i || !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
+}
+
+// unref gives back one reference to jb; the last frees its holds on the
+// batches and recycles its table.
+func (jb *joinBuild) unref() {
+	if jb.refs--; jb.refs > 0 {
+		return
+	}
+	for _, b := range jb.batches {
+		storage.FreeBatch(b)
+	}
+	jb.ht.release()
+	jb.batches, jb.ht = nil, nil
 }
 
 // MaxJoinKeys bounds the equi-join key width (the planner enforces it).
@@ -346,8 +505,8 @@ func (t *joinTable) release() {
 	joinTables.Put(t)
 }
 
-func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
-	j := &joinState{spec: spec, ht: getJoinTable()}
+func (w *Worker) newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
+	j := &joinState{spec: spec, w: w}
 	// Consume the build side first; staged (beamed) batches replay
 	// immediately inside Subscribe.
 	ac.Subscribe(ctx, spec.Build, (*joinBuildSink)(j))
@@ -382,21 +541,15 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		}
 		ctx.Charge(buildCost * sim.Time(b.Len()))
 		if st.buildCols == nil {
-			st.buildCols = keyCols(b.Schema, st.spec.BuildKey)
+			if st.kept = st.w.keptBuild(st.spec.BuildKey, b.Schema); st.kept != nil {
+				st.buildCols = st.kept.cols
+			} else {
+				st.buildCols = keyCols(b.Schema, st.spec.BuildKey)
+			}
 		}
 		// Build rows are materialized at probe time, so the batch must
-		// live until the probe side closes. Its keys widen the box.
+		// live until the probe side closes.
 		st.build = append(st.build, b)
-		for j, c := range st.buildCols {
-			lo, hi := st.box.lo[j], st.hi[j]
-			if st.rows == 0 {
-				lo, hi = math.MaxInt64, math.MinInt64
-			}
-			for _, v := range b.Cols[c].Ints {
-				lo, hi = min(lo, v), max(hi, v)
-			}
-			st.box.lo[j], st.hi[j] = lo, hi
-		}
 		st.rows += b.Len()
 	}
 	if msg.Last {
@@ -413,12 +566,36 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 }
 
-// closeBuild completes the build side: it fixes the key box, sets one
-// bit per build row when the box fits KeyBoxCap (a bit set twice marks a
-// duplicate key), and then either marks the join direct — keys distinct
-// and every build column a key column — or indexes the build in the
-// hash table.
+// boundBox sets the key box's bounds to the least and greatest keys of the
+// build batches.
+func (st *joinState) boundBox() {
+	for j, c := range st.buildCols {
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, b := range st.build {
+			for _, v := range b.Cols[c].Ints {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		st.box.lo[j], st.hi[j] = lo, hi
+	}
+}
+
+// closeBuild completes the build side. When the build delivered exactly
+// the batches of the kept build of its shape, the join reuses that
+// build. Otherwise it bounds the key box, sets one bit per build row when
+// the box fits KeyBoxCap (a bit set twice marks a duplicate key), then
+// either marks the join direct — keys distinct and every build column a
+// key column — or indexes the build in the hash table, and offers the
+// build to the Worker to keep.
 func (st *joinState) closeBuild() {
+	if jb := st.kept; jb != nil && sameBatches(st.build, jb.batches) {
+		st.reuse(jb)
+		return
+	}
+	st.boundBox()
+	if st.ht == nil {
+		st.ht = getJoinTable()
+	}
 	t, x := st.ht, &st.box
 	for j := range st.spec.BuildKey {
 		if st.rows == 0 {
@@ -448,6 +625,41 @@ func (st *joinState) closeBuild() {
 	if !st.direct {
 		t.index(st.build, st.buildCols, st.rows)
 	}
+	if st.w != nil {
+		st.w.work.builds++
+		st.built = st.w.keepBuild(st)
+	}
+}
+
+// reuse makes the kept build jb this join's. The delivered batches are
+// jb's own, so the join gives back its holds on them and runs on jb's
+// list — in jb's order, which its table's row refs index — its box,
+// bitmap, direct flag and table, all read-only.
+func (st *joinState) reuse(jb *joinBuild) {
+	for _, b := range st.build {
+		storage.FreeBatch(b)
+	}
+	st.build, st.ht, st.box, st.hi, st.direct = jb.batches, jb.ht, jb.box, jb.hi, jb.direct
+	jb.refs++
+	st.built, st.reused = jb, true
+	st.w.work.reusedBuilds++
+}
+
+// release ends the join once its probe side closed: it frees its holds
+// on the build batches and recycles its table, leaving to the kept build
+// it runs on whatever that build owns.
+func (st *joinState) release() {
+	if !st.reused {
+		for _, b := range st.build {
+			storage.FreeBatch(b)
+		}
+	}
+	if st.built != nil {
+		st.built.unref()
+	} else {
+		st.ht.release()
+	}
+	st.build, st.ht, st.box.bits, st.built = nil, nil, nil, nil
 }
 
 // keyOnly reports whether every column of the build schema s is one of
@@ -463,7 +675,8 @@ func keyOnly(s *storage.Schema, cols []int) bool {
 
 // installProbeScans starts the held probe-side scans, all sharing one
 // filter over the now complete build keys. The filter is read-only from
-// here on, so the scans' ACs read it without copies.
+// here on, so the scans' ACs read it without copies; its bitmap lives
+// until the join's release.
 func (st *joinState) installProbeScans(ctx core.Context) {
 	spec := st.spec
 	if len(spec.ProbeScans) == 0 {
@@ -516,12 +729,11 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 	if msg.Last {
 		st.emit(ctx, true)
-		// The join is over: release the build side and its table.
-		for _, b := range st.build {
-			storage.FreeBatch(b)
-		}
-		st.ht.release()
-		st.build, st.ht, st.box.bits = nil, nil, nil
+		st.release()
+		// Both input streams are over: drop their state, which would
+		// otherwise keep the join alive.
+		ac.DropStream(spec.Build)
+		ac.DropStream(spec.Probe)
 		if spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, spec.Query

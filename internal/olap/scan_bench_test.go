@@ -40,12 +40,12 @@ func (c *flushSink) SendData(_ core.ACID, msg *core.DataMsg) {
 }
 
 // BenchmarkScanFlush measures the steady-state allocation cost of the
-// analytical scan's production path: one op is one full pass of a
-// streaming SharedScanSpec registration over a customer partition —
-// decode and project every encoded chunk, several batch flushes, EOS.
-// With the batch and data-message pools, a pass must show zero
-// steady-state allocations: the out batch recycles through the consumer
-// and back.
+// analytical scan's production path on unchanged data: one op is one
+// streaming SharedScanSpec registration over a customer partition,
+// answered by a replay of the stored pass — every chunk's stamp checked,
+// the stored batches held and sent by reference with EOS. It must show
+// zero steady-state allocations: the data messages recycle through the
+// consumer, and the batches stay the memo's.
 //
 //	go test -bench ScanFlush -benchmem ./internal/olap
 func BenchmarkScanFlush(b *testing.B) {
@@ -62,9 +62,8 @@ func BenchmarkScanFlush(b *testing.B) {
 
 // BenchmarkFilteredScan is BenchmarkScanFlush under the filters of a
 // top-N customer query, c_d_id = 1 AND c_id <= 400. Nothing writes the
-// table between passes, so every chunk's selection comes from the memo
-// and only the gather runs. A pass must show zero steady-state
-// allocations.
+// table between passes, so every op replays the stored pass: nothing is
+// filtered or gathered. It must show zero steady-state allocations.
 //
 //	go test -bench FilteredScan -benchmem ./internal/olap
 func BenchmarkFilteredScan(b *testing.B) {
@@ -81,9 +80,12 @@ func BenchmarkFilteredScan(b *testing.B) {
 
 // BenchmarkStaleFilteredScan is the customer side of Q3's first join,
 // c_state LIKE 'A%', behind a write of c_state in every chunk before
-// each pass, so every chunk misses the memo: the dictionary bitset
-// narrows it, and the selection is stored into the chunk's memo entry.
-// It must report 0 allocs/op: the entry reuses its storage.
+// each pass, so the stored pass is stale and every chunk misses the
+// memo: the dictionary bitset narrows it, the selection is stored into
+// the chunk's memo entry, the kept rows are gathered, and the pass holds
+// and stores the batches it sends. It must report 0 allocs/op: the
+// entries, the output's batch and stamp lists and the batches reuse
+// their storage.
 //
 //	go test -bench StaleFilteredScan -benchmem ./internal/olap
 func BenchmarkStaleFilteredScan(b *testing.B) {
@@ -122,9 +124,9 @@ func rewriteEveryChunk(t *storage.Table, col string) func() {
 // BenchmarkGroupedPass measures the steady-state allocation cost of a
 // grouped-aggregate registration over unchanged data: one op is a
 // dictionary-grouped COUNT(*), SUM(c_balance) over a customer partition
-// answered from the partial memo — every chunk's stamp checked, the
-// stored partial copied into a pooled batch and emitted. It must show
-// zero steady-state allocations: the copy's selection is the Worker's.
+// answered from the memo — every chunk's stamp checked, the stored
+// partial batch held and emitted by reference. It must show zero
+// steady-state allocations.
 //
 //	go test -bench GroupedPass -benchmem ./internal/olap
 func BenchmarkGroupedPass(b *testing.B) {
@@ -144,9 +146,10 @@ func BenchmarkGroupedPass(b *testing.B) {
 // payments: each op first writes c_balance once in every chunk, as a
 // payment does, so the memo misses and the grouped pass runs: it
 // re-encodes only that column of each chunk, folds it, and stores the
-// partial and the chunks' stamps in the memo. It must report 0
-// allocs/op: a column re-encodes into the capacity its vector already
-// has, and the store reuses the entry's batch and stamp slices.
+// partial batch, held, and the chunks' stamps in the memo. It must
+// report 0 allocs/op: a column re-encodes into the capacity its vector
+// already has, and the store reuses the output's batch and stamp
+// slices.
 //
 //	go test -bench StaleChunkPass -benchmem ./internal/olap
 func BenchmarkStaleChunkPass(b *testing.B) {
@@ -242,6 +245,120 @@ func BenchmarkJoinBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSinkMergeReuse is BenchmarkSinkMerge when the four runs are
+// the batches the last merge of the shape received — held batches, as a
+// shared scan's memo replays them: one op draws a pooled group table,
+// receives the four runs, finds the Worker's merged table of the same
+// runs, gives its own table (and its holds on the runs) back, and reads
+// the kept one. It must show zero steady-state allocations.
+//
+//	go test -bench SinkMergeReuse -benchmem ./internal/olap
+func BenchmarkSinkMergeReuse(b *testing.B) {
+	const parts, groups = 4, 26 * 26
+	spec := &SinkSpec{GroupBy: []string{"c_state"}, MergePartials: true,
+		Aggs:     []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
+		OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat}, OutSrc: []int{0, 1, 2}}
+	partial := storage.NewSchema("customer_partial", storage.Column{Name: "g0", Kind: storage.KStr},
+		storage.Column{Name: "p0", Kind: storage.KInt}, storage.Column{Name: "p1", Kind: storage.KFloat})
+	runs := make([]*storage.Batch, parts)
+	for p := range runs {
+		runs[p] = storage.GetBatch(partial)
+		for i := range groups {
+			state := string([]byte{'A' + byte(i/26), 'A' + byte(i%26)})
+			runs[p].AppendValues(storage.Str(state), storage.Int(int64(1+(i+p)%7)), storage.Float(float64(i*p)/4))
+		}
+	}
+	w := &Worker{}
+	s := &sinkState{spec: spec, w: w}
+	op := func() {
+		s.groups, s.kept = sinkGroups(spec), false
+		for _, run := range runs {
+			storage.HoldBatch(run) // the delivery's hold, as a replay takes it
+			s.groups.runs = append(s.groups.runs, run)
+		}
+		s.merge()
+		if len(s.groups.rows) != groups {
+			b.Fatalf("%d groups, want %d", len(s.groups.rows), groups)
+		}
+		if !s.kept {
+			s.groups.release()
+		}
+	}
+	op() // the first merge is kept
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if w.work.merges != 1 || w.work.reusedMerges != b.N {
+		b.Fatalf("%d merges and %d reused, want 1 and %d", w.work.merges, w.work.reusedMerges, b.N)
+	}
+	w.Release()
+	for _, run := range runs {
+		storage.FreeBatch(run)
+	}
+}
+
+// BenchmarkJoinBuildReuse is BenchmarkJoinBuild when the build stream
+// delivers the batches the last build of the join's shape consumed —
+// eight held 1 024-row batches, as a shared scan's memo replays them:
+// one op feeds them to a join on the Worker that kept that build, which
+// defers the key box, finds every batch among the kept ones, reuses the
+// kept box and table at close, and gives its reference back as a join
+// does when its probe side closes. It must show zero steady-state
+// allocations.
+//
+//	go test -bench JoinBuildReuse -benchmem ./internal/olap
+func BenchmarkJoinBuildReuse(b *testing.B) {
+	const batches = 8
+	schema := storage.NewSchema("b",
+		storage.Column{Name: "w", Kind: storage.KInt},
+		storage.Column{Name: "d", Kind: storage.KInt},
+		storage.Column{Name: "c", Kind: storage.KInt})
+	build := make([]*storage.Batch, batches)
+	for i := range build {
+		build[i] = storage.GetBatch(schema)
+		for r := range DefaultBatchRows {
+			k := int64((i*DefaultBatchRows + r) / 2)
+			build[i].AppendValues(storage.Int(k%4), storage.Int(k/4%10), storage.Int(k/40))
+		}
+	}
+	w := &Worker{}
+	ctx := &flushSink{costs: sim.DefaultCosts()}
+	spec := &JoinSpec{Query: 1, Build: 1, BuildKey: []string{"w", "d", "c"}, Probe: 2, ProbeKey: []string{"w", "d", "c"},
+		BuildOut: []string{"c"}, Out: 3, To: 1, Producers: 1, Notify: core.NoAC}
+	msg := &core.DataMsg{Stream: 1, Producers: 1}
+	st, delivered := &joinState{}, make([]*storage.Batch, 0, batches)
+	op := func() {
+		*st = joinState{spec: spec, w: w, build: delivered[:0]}
+		for _, bb := range build {
+			storage.HoldBatch(bb) // the delivery's hold, as a replay takes it
+			msg.Batch = bb
+			(*joinBuildSink)(st).OnData(ctx, nil, msg)
+		}
+		st.closeBuild()
+		if st.distinctKeys() != batches*DefaultBatchRows/2 {
+			b.Fatalf("%d keys, want %d", st.distinctKeys(), batches*DefaultBatchRows/2)
+		}
+		st.release()
+	}
+	op() // the first build is indexed and kept
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if w.work.builds != 1 || w.work.reusedBuilds != b.N {
+		b.Fatalf("%d builds and %d reused, want 1 and %d", w.work.builds, w.work.reusedBuilds, b.N)
+	}
+	w.Release()
+	for _, bb := range build {
+		storage.FreeBatch(bb)
+	}
+}
+
 // benchScanPasses times one full pass of the registration spec per op,
 // over db's partition spec.Part, each after the optional writes.
 func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, writes ...func()) {
@@ -258,9 +375,9 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	// Register once (compiling predicates, resolving the projection or
 	// the partial layout and its schema), keeping the cursor and the
 	// registration: a finished pass detaches both, and each timed pass
-	// re-arms them with a fresh output batch, or, for a pushdown, asks
-	// the partial memo first as a new registration does (replay): it
-	// answers the op or arms a fresh group table.
+	// asks the memo first, as a new registration does (replay): it
+	// answers the op by reference, or arms a fresh output batch or group
+	// table for the pass.
 	ev := core.GetEvent()
 	ev.Kind, ev.Payload = core.EvInstallOp, spec
 	w.OnEvent(ctx, nil, ev)
@@ -268,11 +385,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	t := db.Partition(spec.Part).TableByID(spec.Table)
 	ss := w.shared[key]
 	reg := ss.regs[0]
-	var schema *storage.Schema
-	if reg.out != nil {
-		schema = reg.out.Schema
-	}
-	drive(ctx.resent) // warm: chunk cache, memo signature, pools
+	drive(ctx.resent) // warm: chunk cache, memo signature and output, pools
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -285,9 +398,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 		// death point), so reusing one event across passes would be a
 		// use-after-free against the pool.
 		reg.next, reg.done = 0, 0
-		if schema != nil {
-			reg.out = storage.GetBatch(schema)
-		} else if w.replay(ctx, t, reg) {
+		if w.replay(ctx, t, reg) {
 			continue
 		}
 		ss.cursor = 0
@@ -301,4 +412,5 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	if ctx.rows == 0 || ctx.batches == 0 {
 		b.Fatalf("scan produced nothing (rows=%d batches=%d)", ctx.rows, ctx.batches)
 	}
+	w.Release()
 }

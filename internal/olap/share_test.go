@@ -92,7 +92,7 @@ func runLikeQueries(t *testing.T, n int) likeRun {
 	}
 	cl.Run()
 	for _, w := range workers {
-		run.evals += w.evals
+		run.evals += w.work.evals
 	}
 	for w := 0; w < cfg.Warehouses; w++ {
 		run.chunks += db.Partition(w).TableByID(tpcc.TCustomerID).NumColChunks()

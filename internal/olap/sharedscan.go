@@ -40,16 +40,19 @@ import (
 // per (table, partition), least recently used out, and virtual time
 // charges a hit exactly like the evaluation it replaces.
 //
-// Folds are shared across time through the same memo. An aggregate
-// pushdown that attaches while no chunk it reads has changed since the
-// last pass of its signature, grouping and aggregates folded it replays
-// that pass's partial and never rides the cursor; virtual time charges
-// it the scan and fold rows of that pass. Otherwise it folds every chunk
-// as it comes round, and its finish stores the new partial.
+// Whole passes are shared across time through the same memo. A
+// registration that attaches while no chunk it reads has changed since
+// the last pass of its signature and shape (projection, or grouping and
+// aggregates) replays that pass: it sends the very batches the pass sent,
+// each held once more for its consumer, with Last on the final one, and
+// never rides the cursor; virtual time charges it the scan, probe and
+// per-row work of that pass. Nothing is gathered, folded or copied.
+// Otherwise it scans every chunk as it comes round, holds each batch it
+// sends, and its finish stores them with the chunks' stamps.
 //
 // A partial's rows are in group order, the ascending order of the group
 // values (compareKeys): the pass sorts its groups once, when it finishes
-// the fold, and a replay sends the stored rows as they are, so on
+// the fold, and a replay sends the stored batch as it is, so on
 // unchanged data nothing hashes or sorts. The sink merges the
 // partitions' ordered runs without a key map and without a final sort
 // (sink.go).
@@ -342,19 +345,21 @@ type scanReg struct {
 	// next; done counts consumed chunks.
 	next, done, total int
 
+	// The output batches' schema: the projection (streaming) or the
+	// partial layout (pushdown).
+	schema *storage.Schema
+
 	// Streaming mode.
 	outIdx []int
 	out    *storage.Batch
 
-	// The selection memo's signature of Filters and Keys (memo.go); nil
-	// when a streaming registration has neither.
+	// The selection memo's signature of Filters and Keys (memo.go).
 	sig *memoSig
 
-	// Aggregate-pushdown mode: the partial layout, the group and source
-	// columns, and the group table.
+	// Aggregate-pushdown mode: the group and source columns, and the
+	// group table.
 	groupIdx []int
 	aggIdx   []int // source column per aggregate; -1 for COUNT(*)
-	partial  *storage.Schema
 	partCols []int // the partial layout's view columns: the identity
 	groups   *groupTable
 
@@ -366,12 +371,15 @@ type scanReg struct {
 	// slack-padded dims.
 	denseOK bool // hinted and not abandoned
 
-	// The partial memo entry the pass stores into at finish (memo.go):
-	// per chunk, its stamp over reads right after the fold, and the rows
-	// charged ScanRow and AggRow.
-	memo            *memoPartial
-	stamps          []uint64
-	scanned, folded int
+	// The memo output the pass stores into at finish (memo.go): per
+	// chunk, its stamp over reads right after the scan; the batches it
+	// sent, held; the rows it charged (memoOut); and over, set when a
+	// streaming output outgrew memoBatches or memoRows.
+	memo                  *memoOut
+	stamps                []uint64
+	held                  []*storage.Batch
+	scanned, probed, kept int
+	over                  bool
 }
 
 // sharedScan is the per-(table, partition) shared cursor state, owned
@@ -397,7 +405,7 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			r.outIdx[i] = t.Schema.MustCol(c)
 			outCols[i] = t.Schema.Cols[r.outIdx[i]]
 		}
-		r.out = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
+		r.schema = storage.NewSchema(t.Schema.Name+"_scan", outCols...)
 	} else {
 		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
 		r.aggIdx = make([]int, len(spec.Aggs))
@@ -425,12 +433,11 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 				cols = append(cols, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: srcKind})
 			}
 		}
-		r.partial = storage.NewSchema(t.Schema.Name+"_partial", cols...)
+		r.schema = storage.NewSchema(t.Schema.Name+"_partial", cols...)
 		r.partCols = identityCols(len(cols))
 	}
-	if r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys, len(spec.Aggs) > 0); r.sig != nil {
-		r.reads |= r.sig.reads
-	}
+	r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys)
+	r.reads |= r.sig.reads
 	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
 		for _, c := range cols {
 			if c >= 0 { // aggIdx is -1 for COUNT(*)
@@ -438,13 +445,13 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 			}
 		}
 	}
-	if len(spec.Aggs) > 0 && w.replay(ctx, t, r) {
+	if w.replay(ctx, t, r) {
 		core.FreeEvent(ev) // answered from the memo: no pass
 		return
 	}
 	if r.total == 0 {
 		// Empty table: the pass is already over; the install event dies.
-		r.finish(ctx)
+		r.finish(ctx, w)
 		core.FreeEvent(ev)
 		return
 	}
@@ -474,28 +481,44 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	ctx.Send(ctx.Self(), ev)
 }
 
-// replay answers an aggregate pushdown from its partial memo (memo.go)
-// when the stored partial is fresh: it charges the virtual time the pass
-// would have, emits a copy of the partial with Last, and reports true.
-// Otherwise it arms the registration to ride the cursor: an empty group
-// table, and the partial's spare stamp slice to record into.
+// replay answers a registration from its memo output (memo.go) when
+// the stored pass is fresh: it charges the virtual time the pass would
+// have, sends the stored batches by reference — each held once more,
+// for the consumer to free — with Last on the final one (or Last alone
+// when the pass sent none), and reports true. Otherwise it arms the
+// registration to ride the cursor: an empty output batch or group table,
+// and the output's spare slices to record into.
 func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg) bool {
-	p := r.sig.partial(r.spec.GroupBy, r.spec.Aggs)
+	spec := r.spec
+	p := r.sig.out(spec.Cols, spec.GroupBy, spec.Aggs)
 	if p.fresh(t, r.total, r.reads) {
 		costs := ctx.Costs()
-		ctx.Charge(costs.ScanRow*sim.Time(p.scanned) + costs.AggRow*sim.Time(p.folded))
-		var b *storage.Batch
-		if n := p.batch.Len(); n > 0 {
-			b = storage.GetBatch(r.partial)
-			b.AppendRows(p.batch.Cols, r.partCols, w.identity(n))
+		perRow := costs.AggRow
+		if len(spec.Aggs) == 0 {
+			perRow = 0
+			if !ctx.Offloaded(spec.To) {
+				perRow = costs.PartitionRow
+			}
 		}
-		r.emit(ctx, b)
+		ctx.Charge(costs.ScanRow*sim.Time(p.scanned) + costs.HashProbeRow*sim.Time(p.probed) + perRow*sim.Time(p.kept))
+		for i, b := range p.batches {
+			storage.HoldBatch(b)
+			r.send(ctx, b, i == len(p.batches)-1)
+		}
+		if len(p.batches) == 0 {
+			r.send(ctx, nil, true)
+		}
 		return true
 	}
-	r.memo, r.scanned, r.folded = p, 0, 0
+	r.memo, r.scanned, r.probed, r.kept, r.over = p, 0, 0, 0, false
 	r.stamps = slices.Grow(p.spare[:0], r.total)[:r.total]
-	p.spare = nil
-	r.armGroups()
+	r.held = p.spareBatches[:0]
+	p.spare, p.spareBatches = nil, nil
+	if len(spec.Aggs) == 0 {
+		r.out = storage.GetBatch(r.schema)
+	} else {
+		r.armGroups()
+	}
 	return false
 }
 
@@ -549,20 +572,21 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 		match, pre := r.selection(w, t, ci, chunk)
 		if len(r.spec.Aggs) == 0 {
 			r.foldStream(ctx, chunk, match, pre)
+			w.work.gathered += len(match)
 		} else {
 			r.foldAgg(ctx, chunk, match)
-			r.stamps[ci] = t.ChunkStamp(ci, r.reads)
-			r.scanned += chunk.Len()
-			r.folded += len(match)
-			w.folds++
+			w.work.folds++
 		}
+		r.stamps[ci] = t.ChunkStamp(ci, r.reads)
+		r.scanned += chunk.Len()
+		r.kept += len(match)
 		r.done++
 		r.next++
 		if r.next >= r.total {
 			r.next = 0
 		}
 		if r.done >= r.total {
-			r.finish(ctx)
+			r.finish(ctx, w)
 			ss.regs = append(ss.regs[:i], ss.regs[i+1:]...)
 			continue
 		}
@@ -586,7 +610,7 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 // entry is stamped.
 func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.EncChunk) ([]int32, int) {
 	s := r.sig
-	if s == nil || len(s.preds) == 0 && s.keys == nil {
+	if len(s.preds) == 0 && s.keys == nil {
 		return w.identity(chunk.Len()), chunk.Len()
 	}
 	if ci < len(s.chunks) {
@@ -600,10 +624,10 @@ func (r *scanReg) selection(w *Worker, t *storage.Table, ci int, chunk *storage.
 	e := &s.chunks[ci]
 	e.rows = matchChunk(chunk, s.preds, e.rows)
 	e.pre = len(e.rows)
-	w.evals++
+	w.work.evals++
 	if s.keys != nil && e.pre > 0 {
 		e.rows = s.keys.keep(chunk, e.rows)
-		w.keeps++
+		w.work.keeps++
 	}
 	e.stamp = t.Stamp()
 	return e.rows, e.pre
@@ -633,6 +657,7 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, sel []int32) []int32 
 func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32, probed int) {
 	if r.spec.Keys != nil && probed > 0 {
 		ctx.Charge(ctx.Costs().HashProbeRow * sim.Time(probed))
+		r.probed += probed
 	}
 	if len(match) == 0 {
 		return
@@ -657,7 +682,7 @@ func (r *scanReg) armGroups() {
 	g := getGroupTable(r.spec.Aggs, len(r.groupIdx))
 	col := len(r.groupIdx)
 	for j, a := range r.spec.Aggs {
-		g.aggs[j].vals.Kind = r.partial.Cols[col].Kind
+		g.aggs[j].vals.Kind = r.schema.Cols[col].Kind
 		col++
 		if a.Fn == AggAvg {
 			col++
@@ -698,42 +723,74 @@ func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int
 	g.fold(chunk.Cols, r.aggIdx, match, g.slots(chunk.Cols, r.groupIdx, match))
 }
 
-// finish detaches the registration: streaming mode flushes the tail
-// batch with the Last marker; pushdown mode gathers the groups' partial
-// rows, column by column in group order (ordered), into one batch,
-// stores them with the pass's stamps in its partial memo entry, emits
-// the batch with Last, and returns the table to the pool.
-func (r *scanReg) finish(ctx core.Context) {
+// finish detaches the registration and stores what it sent in its memo
+// output. Streaming mode flushes the tail batch with the Last marker;
+// pushdown mode gathers the groups' partial rows, column by column in
+// group order (ordered), into one batch, emits it with Last, and returns
+// the table to the pool.
+func (r *scanReg) finish(ctx core.Context, w *Worker) {
 	if len(r.spec.Aggs) == 0 {
 		r.flush(ctx, true)
-		return
-	}
-	var b *storage.Batch
-	g := r.groups
-	sel, view := g.ordered(), g.viewOf(false)
-	if len(sel) > 0 {
-		b = storage.GetBatch(r.partial)
-		b.AppendRows(view, r.partCols, sel)
-	}
-	p := r.memo
-	if p.batch == nil {
-		p.batch = storage.NewBatch(r.partial)
 	} else {
-		p.batch.Reset()
+		var b *storage.Batch
+		g := r.groups
+		if sel := g.ordered(); len(sel) > 0 {
+			b = storage.GetBatch(r.schema)
+			b.AppendRows(g.viewOf(false), r.partCols, sel)
+			w.work.gathered += len(sel)
+			r.hold(b)
+		}
+		g.release()
+		r.groups = nil
+		r.send(ctx, b, true)
 	}
-	p.batch.AppendRows(view, r.partCols, sel)
-	p.stamps, p.spare, r.stamps = r.stamps, p.stamps, nil
-	p.scanned, p.folded = r.scanned, r.folded
-	g.release()
-	r.groups = nil
-	r.emit(ctx, b)
+	r.store()
 }
 
-// emit sends a pushdown's partial batch (nil when no group) downstream
-// with Last.
-func (r *scanReg) emit(ctx core.Context, b *storage.Batch) {
+// hold keeps b, about to be sent, for the memo output, unless a
+// streaming pass outgrows memoBatches or memoRows with it: then it frees
+// what it kept, and the pass stores nothing. A pushdown's one partial
+// batch is kept whatever its size.
+func (r *scanReg) hold(b *storage.Batch) {
+	if r.over {
+		return
+	}
+	rows := b.Len()
+	for _, h := range r.held {
+		rows += h.Len()
+	}
+	if len(r.spec.Aggs) == 0 && (len(r.held) == memoBatches || rows > memoRows) {
+		r.over = true
+		for i, h := range r.held {
+			storage.FreeBatch(h)
+			r.held[i] = nil
+		}
+		r.held = r.held[:0]
+		return
+	}
+	storage.HoldBatch(b)
+	r.held = append(r.held, b)
+}
+
+// store hands the pass's held batches, stamps and charged rows to its
+// memo output, taking back the slices they replace as the output's
+// spares. A streaming pass that outgrew the caps leaves the output
+// empty: its old store no longer answers.
+func (r *scanReg) store() {
+	p := r.memo
+	if r.over {
+		p.release()
+		p.spareBatches, p.spare = r.held, r.stamps
+	} else {
+		p.spareBatches, p.spare = p.store(r.held, r.stamps, r.scanned, r.probed, r.kept)
+	}
+	r.memo, r.held, r.stamps = nil, nil, nil
+}
+
+// send emits b (nil for none) downstream as one pooled data message.
+func (r *scanReg) send(ctx core.Context, b *storage.Batch, last bool) {
 	msg := core.GetDataMsg()
-	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, true, r.spec.Producers
+	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, last, r.spec.Producers
 	msg.Batch = b
 	ctx.SendData(r.spec.To, msg)
 }
@@ -748,25 +805,23 @@ func identityCols(n int) []int {
 }
 
 // flush emits the registration's accumulated streaming batch as one
-// pooled data message. The batch scratch is recycled, not reallocated:
-// the consumer frees each emitted batch at its death point, so
-// steady-state flushing allocates nothing.
+// pooled data message, held for the memo output first. The batch
+// scratch is recycled, not reallocated: each holder frees the batch at
+// its death point, so steady-state flushing allocates nothing.
 func (r *scanReg) flush(ctx core.Context, last bool) {
-	if r.out.Len() == 0 && !last {
-		return
-	}
-	msg := core.GetDataMsg()
-	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, last, r.spec.Producers
-	if r.out.Len() > 0 {
-		msg.Batch = r.out
-		if last {
-			r.out = nil
-		} else {
-			r.out = storage.GetBatch(msg.Batch.Schema)
+	b := r.out
+	if b.Len() == 0 {
+		if !last {
+			return
 		}
+		storage.FreeBatch(b)
+		b = nil
 	} else {
-		storage.FreeBatch(r.out)
-		r.out = nil
+		r.hold(b)
 	}
-	ctx.SendData(r.spec.To, msg)
+	r.out = nil
+	if !last {
+		r.out = storage.GetBatch(b.Schema)
+	}
+	r.send(ctx, b, last)
 }

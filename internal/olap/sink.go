@@ -21,7 +21,10 @@ import (
 //     cells), each one run in group order; the sink keeps the runs
 //     until the stream closes, then merges them, k ways at once, into
 //     a result already in group order — the distributed-aggregation
-//     combine step, with no key map and no sort.
+//     combine step, with no key map and no sort. Runs that are exactly
+//     the batches a sink of the same shape on the same AC merged last
+//     (held batches a shared scan's memo replayed) are not merged
+//     again: the sink reads the table that merge left (sinkMerge).
 //   - Aggs without MergePartials: the stream carries raw rows (join
 //     output); the sink folds them into group accumulators directly.
 //   - No Aggs: plain collection of projected rows (capped at
@@ -62,8 +65,10 @@ type OrderKey struct {
 // query aggregates, otherwise one batch of collected rows.
 type sinkState struct {
 	spec      *SinkSpec
+	w         *Worker         // the AC's, keeping merges for reuse; nil keeps none
 	schema    *storage.Schema // the result's
 	groups    *groupTable
+	kept      bool // groups is a merged table the Worker keeps: read it, never release it
 	rows      *storage.Batch
 	truncated bool
 
@@ -74,12 +79,60 @@ type sinkState struct {
 	aggIdx   []int
 	projIdx  []int
 
-	// Per-batch scratch: the identity selection over its rows.
-	sel []int32
+	// Per-batch scratch: the identity selection over its rows; and per
+	// result row, its position before the ORDER BY sort.
+	sel, pos []int32
 }
 
-func newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
-	s := &sinkState{spec: spec}
+// sinkMerge is a merged group table a Worker keeps for the next merging
+// sink of its shape — grouping, aggregates and accumulator kinds. The
+// table keeps its runs, each held; a sink whose runs are the same
+// batches, in any order, reads the table instead of merging, and never
+// writes it.
+type sinkMerge struct {
+	groupBy []string
+	aggs    []AggExpr
+	g       *groupTable
+}
+
+// is reports whether m merged runs of the shape of spec's table g.
+func (m *sinkMerge) is(spec *SinkSpec, g *groupTable) bool {
+	sameKind := func(a, b aggVec) bool { return a.vals.Kind == b.vals.Kind }
+	return slices.Equal(m.groupBy, spec.GroupBy) && slices.Equal(m.aggs, spec.Aggs) &&
+		slices.EqualFunc(m.g.aggs, g.aggs, sameKind)
+}
+
+// keptMerge returns the Worker's merged table of g's shape whose runs
+// are g's runs (sameBatches), or nil.
+func (w *Worker) keptMerge(spec *SinkSpec, g *groupTable) *sinkMerge {
+	if w == nil {
+		return nil
+	}
+	i := slices.IndexFunc(w.merges, func(m *sinkMerge) bool { return m.is(spec, g) && sameBatches(g.runs, m.g.runs) })
+	if i < 0 {
+		return nil
+	}
+	toFront(w.merges, i)
+	return w.merges[0]
+}
+
+// keepMerge keeps g, just merged, for the next sink of its shape when
+// its runs can come again (reusable), replacing the Worker's table of
+// that shape. It reports whether it kept g.
+func (w *Worker) keepMerge(spec *SinkSpec, g *groupTable) bool {
+	if !reusable(g.runs) {
+		return false
+	}
+	i := slices.IndexFunc(w.merges, func(m *sinkMerge) bool { return m.is(spec, g) })
+	var old *sinkMerge
+	if w.merges, old = keepFront(w.merges, i, &sinkMerge{groupBy: spec.GroupBy, aggs: spec.Aggs, g: g}); old != nil {
+		old.g.release()
+	}
+	return true
+}
+
+func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
+	s := &sinkState{spec: spec, w: w}
 	cols := make([]storage.Column, len(spec.OutCols))
 	for i := range cols {
 		cols[i] = storage.Column{Name: spec.OutCols[i], Kind: spec.OutKinds[i]}
@@ -130,9 +183,27 @@ func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	}
 	if msg.Last {
 		if s.spec.MergePartials {
-			s.mergePartials()
+			s.merge()
 		}
 		s.finalize(ctx, ac)
+	}
+}
+
+// merge combines the partial runs. When the Worker keeps a table merged
+// from exactly these runs, the sink gives its own table back — and with
+// it its holds on the runs — and reads the kept one. Otherwise it merges
+// (mergePartials) and offers the table to the Worker to keep.
+func (s *sinkState) merge() {
+	if m := s.w.keptMerge(s.spec, s.groups); m != nil {
+		s.groups.release()
+		s.groups, s.kept = m.g, true
+		s.w.work.reusedMerges++
+		return
+	}
+	s.mergePartials()
+	if s.w != nil {
+		s.w.work.merges++
+		s.kept = s.w.keepMerge(s.spec, s.groups)
 	}
 }
 
@@ -223,7 +294,7 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 			g.addSlot()
 		}
 		// Group order: ascending group values (compareKeys). ORDER BY,
-		// when present, re-sorts below, stably.
+		// when present, re-sorts below, ties kept in group order.
 		view, cols, perm = g.viewOf(true), spec.OutSrc, g.sorted()
 	} else {
 		if s.rows == nil {
@@ -234,17 +305,7 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 		perm = s.sel
 	}
 	if len(spec.OrderBy) > 0 {
-		slices.SortStableFunc(perm, func(a, b int32) int {
-			for _, k := range spec.OrderBy {
-				if c := compareAt(&view[cols[k.Col]], a, b); c != 0 {
-					if k.Desc {
-						return -c
-					}
-					return c
-				}
-			}
-			return 0
-		})
+		s.orderBy(view, cols, perm)
 	}
 	if spec.Limit >= 0 && len(perm) > spec.Limit {
 		perm = perm[:spec.Limit]
@@ -262,10 +323,10 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 	}
 
 	rows := len(perm)
-	if s.groups != nil {
+	if s.groups != nil && !s.kept {
 		s.groups.release()
-		s.groups = nil
 	}
+	s.groups = nil
 	storage.FreeBatch(s.rows)
 	s.rows = nil
 	ac.DropStream(spec.In)
@@ -276,6 +337,30 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 		Cols: spec.OutCols, Batches: batches, Truncated: s.truncated,
 	}
 	ctx.Send(spec.Notify, done)
+}
+
+// orderBy sorts perm, a permutation of the result rows view (columns
+// cols), by the ORDER BY keys, rows that tie keeping their order in
+// perm. The last key is each row's position in perm, so an unstable
+// pdqsort returns exactly what a stable sort would, and rows that arrive
+// in reverse order cost it no more than any others.
+func (s *sinkState) orderBy(view []storage.EncVec, cols []int, perm []int32) {
+	pos := slices.Grow(s.pos[:0], len(perm))[:len(perm)]
+	for i, r := range perm {
+		pos[r] = int32(i)
+	}
+	s.pos = pos
+	slices.SortFunc(perm, func(a, b int32) int {
+		for _, k := range s.spec.OrderBy {
+			if c := compareAt(&view[cols[k.Col]], a, b); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return cmp.Compare(pos[a], pos[b])
+	})
 }
 
 // compareAt orders rows a and b of the raw vector v as Value.Compare

@@ -37,6 +37,7 @@ type Assembly struct {
 	mu      sync.Mutex
 	policy  oltp.Policy
 	dispers map[core.ACID]*oltp.Dispatcher
+	workers []*olap.Worker
 }
 
 // NewAssembly derives the role layout from topo's first two servers: the
@@ -62,7 +63,11 @@ func NewAssembly(db *storage.Database, topo *core.Topology) *Assembly {
 // the active policy.
 func (a *Assembly) SetupAC(ac *core.AC) {
 	ac.Register(core.EvSegment, &oltp.Executor{DB: a.DB})
-	ac.Register(core.EvInstallOp, &olap.Worker{DB: a.DB})
+	w := &olap.Worker{DB: a.DB}
+	a.mu.Lock()
+	a.workers = append(a.workers, w)
+	a.mu.Unlock()
+	ac.Register(core.EvInstallOp, w)
 	ac.Register(core.EvQuery, &plan.QO{Topo: a.Topo})
 	ac.Register(core.EvSeqStamp, &core.Sequencer{})
 	// Every=32 keeps the signal stream dense enough that a sliding
@@ -96,6 +101,18 @@ func (a *Assembly) SetupAC(ac *core.AC) {
 	}
 	ac.Register(core.EvTxn, d)
 	ac.Register(core.EvAck, d)
+}
+
+// Release drops what every OLAP worker keeps between queries (memo
+// outputs, kept join builds and merges). Call it once the engine has
+// stopped: a drained shutdown then leaves no pooled batch outstanding.
+func (a *Assembly) Release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, w := range a.workers {
+		w.Release()
+	}
+	a.workers = nil
 }
 
 // SetPolicy reroutes every dispatcher, and every one set up later, to p.

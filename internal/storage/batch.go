@@ -13,6 +13,12 @@ import (
 // simulation charges transfer and dispatch costs. A batch's columns are
 // the same vectors as a chunk's (EncVec), so one gather (AppendRows)
 // reads a chunk, another batch or a group table alike.
+//
+// A batch may have several holders: a data stream's consumer, and a
+// shared-scan memo or a join or sink that keeps it for reuse. Each holder
+// releases its hold with FreeBatch, and the batch is recycled only when
+// the last one does. A batch with a second holder (Shared) is immutable:
+// every holder reads it, none writes it.
 type Batch struct {
 	Schema *Schema
 	// Cols holds one vector per schema column. Batch columns are raw
@@ -21,6 +27,7 @@ type Batch struct {
 	Cols  []EncVec
 	n     int
 	bytes int64
+	holds atomic.Int32 // GetBatch gives the first, HoldBatch adds one
 }
 
 // NewBatch returns an empty batch shaped like schema.
@@ -29,6 +36,7 @@ func NewBatch(schema *Schema) *Batch {
 	for i, c := range schema.Cols {
 		b.Cols[i].Kind = c.Kind
 	}
+	b.holds.Store(1)
 	return b
 }
 
@@ -64,13 +72,14 @@ func TrackBatches(on bool) {
 	trackBatches.Store(on)
 }
 
-// BatchBalance reports outstanding tracked batches (gets minus frees).
+// BatchBalance reports outstanding tracked batches: gets minus the frees
+// that recycled a batch (a batch's last holder's).
 func BatchBalance() int64 { return batchBal.Load() }
 
 // GetBatch returns an empty batch shaped like schema, recycling vector
-// capacity from the pool when a same-class batch is available. Pair
-// with FreeBatch at the batch's single-consumer death point (after the
-// last row was read or copied out).
+// capacity from the pool when a same-class batch is available, with one
+// holder: the caller. Pair every hold with one FreeBatch at that
+// holder's death point (after its last row was read or copied out).
 func GetBatch(schema *Schema) *Batch {
 	if trackBatches.Load() {
 		batchBal.Add(1)
@@ -93,29 +102,39 @@ func GetBatch(schema *Schema) *Batch {
 		b.Cols[i].Kind = schema.Cols[i].Kind
 	}
 	b.n, b.bytes = 0, 0
+	b.holds.Store(1)
 	return b
 }
 
-// FreeBatch recycles b, keeping its column-vector capacity. Only the
-// consumer the batch was delivered to may free it, and only once no row
-// or projected reference escapes (Row/Project copy, so their results
-// survive the free). The reset releases string cells eagerly so the
-// pool never pins row data. Frees are optional — missed ones fall back
-// to the GC.
+// HoldBatch adds a holder to b: the caller keeps reading it after handing
+// it on, and releases it with its own FreeBatch. From here on b is
+// immutable.
+func HoldBatch(b *Batch) { b.holds.Add(1) }
+
+// Shared reports whether b has a holder besides the caller's own hold: a
+// memo (or a join or sink keeping it) may deliver the same batch again.
+func (b *Batch) Shared() bool { return b.holds.Load() > 1 }
+
+// FreeBatch releases one hold on b, and recycles b, keeping its
+// column-vector capacity, when it was the last. A holder frees only once
+// no row or projected reference of its own escapes (Row/Project copy, so
+// their results survive the free). The reset releases string cells
+// eagerly so the pool never pins row data. Frees are optional — missed
+// ones fall back to the GC.
 func FreeBatch(b *Batch) {
-	if b == nil {
+	if b == nil || b.holds.Add(-1) > 0 {
 		return
 	}
 	if trackBatches.Load() {
 		batchBal.Add(-1)
 	}
-	b.Reset()
+	b.reset()
 	batchPools[batchClass(len(b.Cols))].Put(b)
 }
 
-// Reset empties b in place, keeping its schema and its column-vector
+// reset empties b in place, keeping its schema and its column-vector
 // capacity.
-func (b *Batch) Reset() {
+func (b *Batch) reset() {
 	for i := range b.Cols {
 		b.Cols[i].Reset(b.Cols[i].Kind)
 	}

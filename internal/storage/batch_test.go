@@ -160,3 +160,36 @@ func assertSameBatch(t *testing.T, what string, got, want *Batch) {
 		}
 	}
 }
+
+// TestBatchHolders checks the holder count: a held batch survives every
+// FreeBatch but its last holder's, the pool balance counts the get and
+// that last free only, and a recycled batch comes back with one holder.
+func TestBatchHolders(t *testing.T) {
+	TrackBatches(true)
+	defer TrackBatches(false)
+	s := NewSchema("t", Column{Name: "a", Kind: KInt})
+	b := GetBatch(s)
+	b.AppendValues(Int(7))
+	if b.Shared() {
+		t.Fatal("a fresh batch reports a second holder")
+	}
+	HoldBatch(b)
+	HoldBatch(b)
+	if !b.Shared() || BatchBalance() != 1 {
+		t.Fatalf("held twice: shared %v, balance %d", b.Shared(), BatchBalance())
+	}
+	FreeBatch(b)
+	FreeBatch(b)
+	if b.Len() != 1 || b.Value(0, 0).I != 7 || b.Shared() || BatchBalance() != 1 {
+		t.Fatalf("one holder left: %d rows, shared %v, balance %d", b.Len(), b.Shared(), BatchBalance())
+	}
+	FreeBatch(b)
+	if b.Len() != 0 || BatchBalance() != 0 {
+		t.Fatalf("after the last free: %d rows, balance %d", b.Len(), BatchBalance())
+	}
+	if c := GetBatch(s); c.Shared() {
+		t.Fatal("a recycled batch reports a second holder")
+	} else {
+		FreeBatch(c)
+	}
+}

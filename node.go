@@ -182,6 +182,7 @@ func ServeNode(ctx context.Context, addr string) error {
 		peer.SetConn(conn)
 	}
 	eng.Stop()
+	asm.Release()
 	peer.WaitDrainers()
 	peer.Close()
 	if serveErr == nil && ctx.Err() != nil {
