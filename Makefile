@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-submit bench-json bench-check allocs-gate cluster-smoke crash-smoke fuzz-smoke profile fmt vet figures loc clean ci
+.PHONY: all build test race bench bench-submit bench-json bench-check allocs-gate cluster-smoke crash-smoke fuzz-smoke profile profile-query fmt vet figures loc clean ci
 
 all: build
 
@@ -150,6 +150,16 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention/NoChurn' -benchtime 3s \
 		-cpuprofile cpu.prof -memprofile mem.prof -mutexprofile mutex.prof -o anydb-profile.test .
 	@echo "wrote cpu.prof, mem.prof, mutex.prof (binary: anydb-profile.test)"
+
+# CPU and allocation profiles of the analytical path:
+# BenchmarkQueryShapes, the repo benchmark's four olap_shared statements
+# from eight goroutines with every answer checked, its plans compiled
+# and memos filled before the timer starts. Inspect with `go tool pprof
+# -top cpu.prof` / `go tool pprof -sample_index=alloc_objects mem.prof`.
+profile-query:
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryShapes' -benchtime 3s -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof -o anydb-profile.test .
+	@echo "wrote cpu.prof, mem.prof (binary: anydb-profile.test)"
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -295,6 +295,10 @@ type Cluster struct {
 	// Failure-detection pacing (multi-process clusters; distributed.go).
 	heartbeat   time.Duration
 	memberGrace time.Duration
+
+	// plans keeps the compiled template of each recent statement text.
+	// Last, so adding it shifted no other field.
+	plans planCache
 }
 
 // Durability selects how (whether) the cluster logs admitted
@@ -1043,16 +1047,20 @@ func (c *Cluster) serverDown(s int) bool {
 }
 
 // runQuery is the analytical entry point shared by Query, QueryRow and
-// the OpenOrders wrappers: parse, compile onto the shared-scan operator
-// plane, register with the in-flight accounting, inject, await.
+// the OpenOrders wrappers: compile onto the shared-scan operator plane
+// (or take the statement's kept template) and bind, register with the
+// in-flight accounting, inject, await.
 func (c *Cluster) runQuery(ctx context.Context, text string, o QueryOptions) (*olap.QueryResult, error) {
 	return c.runQueryAt(ctx, text, o, -1)
 }
 
 // runQueryAt is runQuery with a caller-pinned submission shard (< 0
-// fingerprints the goroutine as usual); Session.Query pins its own.
+// fingerprints the goroutine as usual); Session.Query pins its own. The
+// statement's template comes from the cluster's plan cache, and the
+// query binds its id, streams and the compute ACs live at this moment,
+// so a query after a failover or an elastic grow runs on live ACs.
 func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, si int32) (*olap.QueryResult, error) {
-	q, err := sql.Parse(text)
+	t, err := c.plans.template(c.db.Catalog, text)
 	if err != nil {
 		return nil, err
 	}
@@ -1065,10 +1073,7 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	for i := range parts {
 		parts[i] = i
 	}
-	p, err := plan.CompileSQL(c.db.Catalog, q, qid, parts, c.computeACs(), core.ClientAC)
-	if err != nil {
-		return nil, err
-	}
+	p := t.Bind(qid, parts, c.computeACs(), core.ClientAC)
 	if o.Beam {
 		p.Beam = plan.BeamAll
 	}
@@ -1084,6 +1089,66 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	qev.Kind, qev.Query, qev.Payload = core.EvQuery, qid, p
 	c.eng.Inject(c.asm.Lay.QO, qev)
 	return c.awaitQuery(ctx, qid, ch)
+}
+
+// planCacheCap bounds the templates a plan cache keeps. A workload
+// repeats a handful of statements; 64 leaves room for many more, and a
+// template is a few kilobytes at most.
+const planCacheCap = 64
+
+// planCache maps a statement's exact text to its compiled template, so
+// a statement that comes again is neither parsed nor planned: the query
+// only binds its ids (plan.Template.Bind). It keeps at most planCacheCap
+// templates and evicts the oldest first. Errors are not kept. Nothing
+// writes the catalog after Open (tpcc.NewDatabase analyzes every table
+// once), so a kept template is the plan compiling the text again would
+// give, and the cache needs no statistics epoch; whatever re-analyzes a
+// live cluster must empty the cache. The key is the exact text: two
+// statements that differ only in a literal are two templates, since a
+// literal can change the join order estimateRows picks.
+type planCache struct {
+	mu     sync.Mutex
+	byText map[string]*plan.Template
+	order  []string // the kept texts, oldest at next once full
+	next   int
+	// compiles counts the statements compiled (the tests read it).
+	compiles atomic.Int64
+}
+
+// template returns the template of text, parsing and compiling it on a
+// miss.
+func (pc *planCache) template(cat *storage.Catalog, text string) (*plan.Template, error) {
+	pc.mu.Lock()
+	t := pc.byText[text]
+	pc.mu.Unlock()
+	if t != nil {
+		return t, nil
+	}
+	q, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	pc.compiles.Add(1)
+	if t, err = plan.Compile(cat, q); err != nil {
+		return nil, err
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if kept := pc.byText[text]; kept != nil {
+		return kept, nil // a concurrent miss kept it first
+	}
+	if pc.byText == nil {
+		pc.byText = make(map[string]*plan.Template, planCacheCap)
+	}
+	if len(pc.order) < planCacheCap {
+		pc.order = append(pc.order, text)
+	} else {
+		delete(pc.byText, pc.order[pc.next])
+		pc.order[pc.next] = text
+		pc.next = (pc.next + 1) % planCacheCap
+	}
+	pc.byText[text] = t
+	return t, nil
 }
 
 // queryWait is one registered analytical query: the 1-buffered result

@@ -11,6 +11,7 @@ package anydb_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,8 @@ import (
 	"anydb"
 	"anydb/internal/bench"
 	"anydb/internal/sim"
+	"anydb/internal/storage"
+	"anydb/internal/tpcc"
 )
 
 var printOnce sync.Once
@@ -300,6 +303,113 @@ func BenchmarkSharedScanConcurrency(b *testing.B) {
 				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
 			}
 		})
+	}
+}
+
+// BenchmarkQueryShapes runs the repo benchmark's four olap_shared
+// statements — the grouped count and sum, the LIKE count, Q3 and the
+// top-N — round-robin from eight goroutines on scanBenchConfig, and
+// checks every answer against a naive evaluation over the row heaps.
+// Every statement runs once before the timer starts, so the plans are
+// compiled and the memos filled, as in a long run. It reports queries/s,
+// and allocs/op under -benchmem; `make profile-query` profiles it.
+func BenchmarkQueryShapes(b *testing.B) {
+	cfg := scanBenchConfig()
+	c, err := anydb.Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	ctx := context.Background()
+	const limit = 200
+	shapes := []string{
+		`SELECT c_state, COUNT(*), SUM(c_balance) FROM customer GROUP BY c_state`,
+		`SELECT COUNT(*) FROM customer WHERE c_state LIKE 'A%'`,
+		tpcc.Q3SQL,
+		topnText(1, 2, limit),
+	}
+	db := c.Database()
+	customers := int64(cfg.Warehouses * cfg.Districts * cfg.CustomersPerDistrict)
+	var like int64
+	for w := range cfg.Warehouses {
+		ct := db.Partition(w).Table(tpcc.TCustomer)
+		sc := ct.Schema.MustCol("c_state")
+		ct.Scan(func(_ int32, r storage.Row) bool {
+			if strings.HasPrefix(r[sc].S, "A") {
+				like++
+			}
+			return true
+		})
+	}
+	q3 := naiveQ3(db, cfg.Warehouses, tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
+	// run runs shape i and checks its answer: the group counts sum to
+	// the customers, the counts are the naive ones, and the top-N lists
+	// c_id 2·limit down to limit+1.
+	run := func(i int) error {
+		if i == 1 || i == 2 {
+			want := [...]int64{1: like, 2: q3}[i]
+			var n int64
+			if err := c.QueryRow(ctx, shapes[i]).Scan(&n); err != nil {
+				return err
+			}
+			if n != want {
+				return fmt.Errorf("shape %d: count %d, want %d", i, n, want)
+			}
+			return nil
+		}
+		rows, err := c.Query(ctx, shapes[i])
+		if err != nil {
+			return err
+		}
+		defer rows.Close()
+		var sum, id, n int64
+		var s string
+		var f float64
+		for rows.Next() {
+			if i == 0 {
+				err = rows.Scan(&s, &n, &f)
+				sum += n
+			} else {
+				err = rows.Scan(&id, &s, &f)
+				if id != 2*limit-sum {
+					return fmt.Errorf("top-N row %d is c_id %d, want %d", sum, id, 2*limit-sum)
+				}
+				sum++
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if want := [...]int64{customers, 0, 0, limit}[i]; sum != want {
+			return fmt.Errorf("shape %d: %d counted, want %d", i, sum, want)
+		}
+		return nil
+	}
+	for i := range shapes {
+		if err := run(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := next.Add(1); q <= int64(b.N); q = next.Add(1) {
+				if err := run(int(q % int64(len(shapes)))); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
 	}
 }
 

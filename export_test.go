@@ -1,5 +1,7 @@
 package anydb
 
+import "anydb/internal/storage"
+
 // Test-only exports: hooks the black-box test package (anydb_test)
 // needs to inject faults that have no public-API surface.
 
@@ -10,4 +12,21 @@ func (c *Cluster) AbortMemberConns() {
 	for _, m := range c.peers {
 		m.peer.Abort()
 	}
+}
+
+// PlanCacheCap is the number of templates a cluster's plan cache keeps.
+const PlanCacheCap = planCacheCap
+
+// Database returns the cluster's storage, for oracles that read the row
+// heaps directly.
+func (c *Cluster) Database() *storage.Database { return c.db }
+
+// PlanCompiles reports how many statements the cluster's plan cache has
+// compiled, and PlanCacheLen how many templates it keeps.
+func (c *Cluster) PlanCompiles() int64 { return c.plans.compiles.Load() }
+
+func (c *Cluster) PlanCacheLen() int {
+	c.plans.mu.Lock()
+	defer c.plans.mu.Unlock()
+	return len(c.plans.byText)
 }

@@ -69,6 +69,15 @@ func TestMemberDeathFailover(t *testing.T) {
 		t.Fatalf("pre-failure session payment: committed=%v err=%v", committed, err)
 	}
 
+	// The post-adoption query below runs once before the failure too, so
+	// it comes back as a plan-cache hit: the hit must bind the compute
+	// ACs live then, not the member's it was compiled beside.
+	const districtCount = "SELECT COUNT(*) FROM district"
+	var districts int64
+	if err := c.QueryRow(ctx, districtCount).Scan(&districts); err != nil || districts != 8*2 {
+		t.Fatalf("pre-failure query: %d districts, err=%v", districts, err)
+	}
+
 	// Put a pipelined burst in flight against member-owned partitions,
 	// then kill the member process under it.
 	var futs []*anydb.Future
@@ -159,8 +168,7 @@ func TestMemberDeathFailover(t *testing.T) {
 	}); err != nil || !committed {
 		t.Fatalf("post-adoption session payment: committed=%v err=%v", committed, err)
 	}
-	var districts int64
-	if err := c.QueryRow(ctx, "SELECT COUNT(*) FROM district").Scan(&districts); err != nil {
+	if err := c.QueryRow(ctx, districtCount).Scan(&districts); err != nil {
 		t.Fatalf("post-adoption query: %v", err)
 	}
 	if districts != 8*2 {

@@ -3,6 +3,7 @@ package olap
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"anydb/internal/storage"
 )
@@ -21,7 +22,16 @@ type KeyFilter struct {
 	Lo   []int64  // per key column: the least build key
 	Span []uint64 // per key column: the greatest build key minus Lo
 	Bits []uint64 // the box's bitmap, BoxWords long; nil past the cap
+	// gen is the generation of the join build box the filter came from
+	// (keyBox.gen): two filters of one non-zero generation have the same
+	// bitmap. A filter made any other way — decoded from the wire, or
+	// built by hand — has generation 0 and is compared word by word.
+	gen uint64
 }
+
+// boxGens hands out key-box generations, one per build box a join
+// computes; 0 is never handed out.
+var boxGens atomic.Uint64
 
 // KeyBoxCap bounds the cells of a box that gets a bitmap: 2²¹ bits, a
 // 256 KiB bitmap.
@@ -206,13 +216,17 @@ func (k *keyScan) keep(c *storage.EncChunk, sel []int32) []int32 {
 }
 
 // keyBox is a join build's key box as the join itself uses it: the
-// least key and span per key column, the place values, and — within
-// KeyBoxCap — the bitmap of the build keys (in the pooled join table).
+// least key and span per key column, the place values, the bitmap of
+// the build keys when the box is within KeyBoxCap (in the pooled join
+// table), and the box's generation. A fresh build's box takes a new
+// generation from boxGens, and a join reusing a kept build takes the
+// kept box's, so one generation always names one bitmap.
 type keyBox struct {
 	lo     joinKey
 	span   [MaxJoinKeys]uint64
 	stride [MaxJoinKeys]uint64
 	bits   []uint64 // nil past the cap
+	gen    uint64
 }
 
 // cells narrows live — rows of batch b — to those whose key, columns
@@ -244,5 +258,6 @@ func (x *keyBox) filter(cols []string) *KeyFilter {
 		Lo:   slices.Clone(x.lo[:n]),
 		Span: slices.Clone(x.span[:n]),
 		Bits: x.bits,
+		gen:  x.gen,
 	}
 }

@@ -15,16 +15,18 @@ import (
 // within a pass as across passes: a second registration due at the same
 // cursor step hits the entry the first one just stored. A signature is
 // the filter list plus the key filter, compared exactly on Cols, Lo,
-// Span and every word of Bits. Each chunk's entry holds the kept rows,
-// the count that passed the filters before the key filter (the virtual
-// time charges the probe over it, hit or miss), and the table's encode
-// stamp when it was stored. A hit needs the chunk's stamp over the
-// signature's columns and slot list (storage.Table.ChunkStamp, read just
-// after the fetch) to be at most the stored stamp. Every write to one of
-// those columns, and every insert or delete in the chunk, re-encodes
-// under a later stamp, so a hit returns exactly what evaluating would. A
-// write to any other column leaves the entry valid: a payment's
-// c_balance does not cost the customer filters their hits.
+// Span and every word of Bits — unless both key filters carry one
+// generation of one join build box, which names one bitmap. Each
+// chunk's entry holds the kept rows, the count that passed the filters
+// before the key filter (the virtual time charges the probe over it, hit
+// or miss), and the table's encode stamp when it was stored. A hit needs
+// the chunk's stamp over the signature's columns and slot list
+// (storage.Table.ChunkStamp, read just after the fetch) to be at most
+// the stored stamp. Every write to one of those columns, and every
+// insert or delete in the chunk, re-encodes under a later stamp, so a
+// hit returns exactly what evaluating would. A write to any other column
+// leaves the entry valid: a payment's c_balance does not cost the
+// customer filters their hits.
 //
 // Every registration has a signature (an empty filter list when it has
 // no filter, whose selection stays the identity), and under it an output
@@ -101,14 +103,15 @@ type memoEntry struct {
 }
 
 // memoOut is one output of a signature: the projection (streaming) or
-// the grouping and aggregates (pushdown) it answers; the batches the
-// last full pass emitted, held, in order; the per-chunk stamps of that
-// pass; and the rows it charged: ScanRow over scanned, HashProbeRow over
+// the grouping and aggregates (pushdown) it answers, and its layout over
+// the table; the batches the last full pass emitted, held, in order; the
+// per-chunk stamps of that pass; and the rows it charged: ScanRow over scanned, HashProbeRow over
 // probed, and AggRow (pushdown) or PartitionRow (streaming) over kept.
 // spare and spareBatches are the slices before the last store, which the
 // next registration to ride the cursor records into. dropped marks an
 // output the memo let go.
 type memoOut struct {
+	scanLayout
 	cols                  []string
 	groupBy               []string
 	aggs                  []AggExpr
@@ -136,7 +139,7 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 	}
 	if keys != nil {
 		s.keys = newKeyScan(schema, &KeyFilter{Cols: slices.Clone(keys.Cols), Lo: slices.Clone(keys.Lo),
-			Span: slices.Clone(keys.Span), Bits: slices.Clone(keys.Bits)})
+			Span: slices.Clone(keys.Span), Bits: slices.Clone(keys.Bits), gen: keys.gen})
 		for _, p := range s.keys.ranges {
 			s.reads |= 1 << p.col
 		}
@@ -152,7 +155,11 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 	return s
 }
 
-// is reports whether the signature is filters and keys.
+// is reports whether the signature is filters and keys. Key filters of
+// one non-zero generation have one bitmap, so their bitmaps are not
+// compared; after a match word by word, the signature takes the
+// caller's generation, so the next filter of that build box matches at
+// once.
 func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
 	same := func(p compiledPred, f Predicate) bool { return p.Predicate == f }
 	if !slices.EqualFunc(s.preds, filters, same) || (s.keys == nil) != (keys == nil) {
@@ -162,22 +169,32 @@ func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
 		return true
 	}
 	f := s.keys.f
-	return slices.Equal(f.Cols, keys.Cols) && slices.Equal(f.Lo, keys.Lo) &&
-		slices.Equal(f.Span, keys.Span) && slices.Equal(f.Bits, keys.Bits)
+	if !slices.Equal(f.Cols, keys.Cols) || !slices.Equal(f.Lo, keys.Lo) || !slices.Equal(f.Span, keys.Span) {
+		return false
+	}
+	if keys.gen != 0 && f.gen == keys.gen {
+		return true
+	}
+	if !slices.Equal(f.Bits, keys.Bits) {
+		return false
+	}
+	f.gen = keys.gen
+	return true
 }
 
 // out returns the signature's output for the projection cols or the
 // grouping groupBy and aggregates aggs, the most recently used first,
-// adding an empty one (and dropping the least recently used past
-// memoSigs) when it is new.
-func (s *memoSig) out(cols, groupBy []string, aggs []AggExpr) *memoOut {
+// adding an empty one laid out over the table schema ts (and dropping
+// the least recently used past memoSigs) when it is new.
+func (s *memoSig) out(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) *memoOut {
 	for i, p := range s.outs {
 		if slices.Equal(p.cols, cols) && slices.Equal(p.groupBy, groupBy) && slices.Equal(p.aggs, aggs) {
 			toFront(s.outs, i)
 			return p
 		}
 	}
-	p := &memoOut{cols: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
+	p := &memoOut{scanLayout: newScanLayout(ts, cols, groupBy, aggs),
+		cols: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
 	var old *memoOut
 	if s.outs, old = pushFront(s.outs, p); old != nil {
 		old.drop()

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"slices"
 	"testing"
 
 	"anydb/internal/core"
@@ -35,7 +36,8 @@ type work struct {
 // pass folds no chunk and rides no cursor; a write to a column it reads
 // in one chunk folds every chunk again (the partial is one entry for the
 // partition), and leaves a pushdown that does not read that column its
-// replay. A hit is charged the virtual time a miss is. A pass with no
+// replay. A hit is charged the virtual time a miss is. A key filter of
+// generation 0 is told from the stored one by its bitmap. A pass with no
 // filter evaluates nothing, and two registrations of one keyed
 // signature in one pass evaluate and probe each chunk once.
 func TestMemoWorkCounts(t *testing.T) {
@@ -105,6 +107,21 @@ func TestMemoWorkCounts(t *testing.T) {
 	if hit.charged != miss.charged {
 		t.Fatalf("a memo hit charged %v of virtual time, a miss %v", hit.charged, miss.charged)
 	}
+	// A key filter made by hand, like one decoded from the wire, has
+	// generation 0 and is compared word by word. The same bitmap matches
+	// the stored signature, which takes its generation 0; then a bitmap
+	// one bit short, also of generation 0, is another signature and
+	// evaluates every chunk.
+	byHand := func(bits []uint64) *SharedScanSpec {
+		spec := *orders
+		spec.Keys = &KeyFilter{Cols: orders.Keys.Cols, Lo: orders.Keys.Lo, Span: orders.Keys.Span, Bits: bits}
+		return &spec
+	}
+	want("a generation-0 key filter with the same bitmap", pass(byHand(orders.Keys.Bits)), 0, 0)
+	bits := slices.Clone(orders.Keys.Bits)
+	i := slices.IndexFunc(bits, func(w uint64) bool { return w != 0 })
+	bits[i] &= bits[i] - 1 // clear the lowest set bit
+	want("a generation-0 key filter one bit short", pass(byHand(bits)), ochunks, ochunks)
 	oid := int64(cfg.InitOrders + 1)
 	if _, err := ot.Insert(tpcc.OrderKey(0, 1, oid), storage.Row{storage.Int(0), storage.Int(1),
 		storage.Int(oid), storage.Int(1), storage.Int(tpcc.Q3SinceYear), storage.Int(0), storage.Int(5)}); err != nil {

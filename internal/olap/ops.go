@@ -582,17 +582,18 @@ func (st *joinState) boundBox() {
 
 // closeBuild completes the build side. When the build delivered exactly
 // the batches of the kept build of its shape, the join reuses that
-// build. Otherwise it bounds the key box, sets one bit per build row when
-// the box fits KeyBoxCap (a bit set twice marks a duplicate key), then
-// either marks the join direct — keys distinct and every build column a
-// key column — or indexes the build in the hash table, and offers the
-// build to the Worker to keep.
+// build. Otherwise it bounds the key box, gives it a new generation,
+// sets one bit per build row when the box fits KeyBoxCap (a bit set
+// twice marks a duplicate key), then either marks the join direct —
+// keys distinct and every build column a key column — or indexes the
+// build in the hash table, and offers the build to the Worker to keep.
 func (st *joinState) closeBuild() {
 	if jb := st.kept; jb != nil && sameBatches(st.build, jb.batches) {
 		st.reuse(jb)
 		return
 	}
 	st.boundBox()
+	st.box.gen = boxGens.Add(1)
 	if st.ht == nil {
 		st.ht = getJoinTable()
 	}

@@ -398,7 +398,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 		// death point), so reusing one event across passes would be a
 		// use-after-free against the pool.
 		reg.next, reg.done = 0, 0
-		if w.replay(ctx, t, reg) {
+		if w.replay(ctx, t, reg, reg.sig.out(t.Schema, spec.Cols, spec.GroupBy, spec.Aggs)) {
 			continue
 		}
 		ss.cursor = 0

@@ -336,7 +336,9 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
-	spec  *SharedScanSpec
+	spec *SharedScanSpec
+	// The output layout, its memo output's (memo.go), read-only.
+	*scanLayout
 	reads storage.ColSet // every chunk column the registration reads
 
 	// Pass window: the registration joined at some chunk and detaches
@@ -345,23 +347,14 @@ type scanReg struct {
 	// next; done counts consumed chunks.
 	next, done, total int
 
-	// The output batches' schema: the projection (streaming) or the
-	// partial layout (pushdown).
-	schema *storage.Schema
-
-	// Streaming mode.
-	outIdx []int
-	out    *storage.Batch
+	// Streaming mode: the output batch being filled.
+	out *storage.Batch
 
 	// The selection memo's signature of Filters and Keys (memo.go).
 	sig *memoSig
 
-	// Aggregate-pushdown mode: the group and source columns, and the
-	// group table.
-	groupIdx []int
-	aggIdx   []int // source column per aggregate; -1 for COUNT(*)
-	partCols []int // the partial layout's view columns: the identity
-	groups   *groupTable
+	// Aggregate-pushdown mode: the group table.
+	groups *groupTable
 
 	// Dense grouped-aggregate fast path (spec.DictGroups): group codes
 	// pack into one table slot per combination — a bounds-checked array
@@ -382,6 +375,74 @@ type scanReg struct {
 	over                  bool
 }
 
+// scanLayout is a registration's output layout: the output batches'
+// schema — the projection (streaming) or the partial layout (pushdown)
+// — the table columns the projection takes (outIdx), or the group and
+// aggregate source columns (groupIdx, and aggIdx, -1 for COUNT(*)) and
+// the partial layout's view columns (partCols, the identity), and the
+// table columns all of these read. It follows from the table's schema
+// and the output's shape alone, so the memo output of that shape
+// derives it once, when it is created, and every registration of the
+// shape shares it.
+type scanLayout struct {
+	schema   *storage.Schema
+	outIdx   []int
+	groupIdx []int
+	aggIdx   []int
+	partCols []int
+	uses     storage.ColSet
+}
+
+// newScanLayout derives the layout of the projection cols, or of the
+// grouping groupBy and aggregates aggs when there are aggregates, over
+// a table of schema ts.
+func newScanLayout(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) scanLayout {
+	var l scanLayout
+	if len(aggs) == 0 {
+		l.outIdx = colIdx(ts, cols)
+		outCols := make([]storage.Column, len(cols))
+		for i, c := range l.outIdx {
+			outCols[i] = ts.Cols[c]
+		}
+		l.schema = storage.NewSchema(ts.Name+"_scan", outCols...)
+	} else {
+		l.groupIdx = colIdx(ts, groupBy)
+		l.aggIdx = make([]int, len(aggs))
+		out := make([]storage.Column, 0, len(groupBy)+2*len(aggs))
+		for i, c := range l.groupIdx {
+			out = append(out, storage.Column{Name: fmt.Sprintf("g%d", i), Kind: ts.Cols[c].Kind})
+		}
+		for j, a := range aggs {
+			l.aggIdx[j] = -1
+			srcKind := storage.KInt
+			if a.Fn != AggCount {
+				l.aggIdx[j] = ts.MustCol(a.Col)
+				srcKind = ts.Cols[l.aggIdx[j]].Kind
+			}
+			switch a.Fn {
+			case AggCount:
+				out = append(out, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: storage.KInt})
+			case AggAvg:
+				out = append(out,
+					storage.Column{Name: fmt.Sprintf("p%d_s", j), Kind: storage.KFloat},
+					storage.Column{Name: fmt.Sprintf("p%d_c", j), Kind: storage.KInt})
+			default:
+				out = append(out, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: srcKind})
+			}
+		}
+		l.schema = storage.NewSchema(ts.Name+"_partial", out...)
+		l.partCols = identityCols(len(out))
+	}
+	for _, cols := range [][]int{l.outIdx, l.groupIdx, l.aggIdx} {
+		for _, c := range cols {
+			if c >= 0 { // aggIdx is -1 for COUNT(*)
+				l.uses |= 1 << c
+			}
+		}
+	}
+	return l
+}
+
 // sharedScan is the per-(table, partition) shared cursor state, owned
 // by the partition's AC.
 type sharedScan struct {
@@ -397,55 +458,10 @@ type sharedScan struct {
 func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScanSpec) {
 	t := w.DB.Partition(spec.Part).TableByID(spec.Table)
 	key := sharedKey{table: spec.Table, part: spec.Part}
-	r := &scanReg{spec: spec, total: t.NumColChunks()}
-	if len(spec.Aggs) == 0 {
-		r.outIdx = make([]int, len(spec.Cols))
-		outCols := make([]storage.Column, len(spec.Cols))
-		for i, c := range spec.Cols {
-			r.outIdx[i] = t.Schema.MustCol(c)
-			outCols[i] = t.Schema.Cols[r.outIdx[i]]
-		}
-		r.schema = storage.NewSchema(t.Schema.Name+"_scan", outCols...)
-	} else {
-		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
-		r.aggIdx = make([]int, len(spec.Aggs))
-		cols := make([]storage.Column, 0, len(spec.GroupBy)+2*len(spec.Aggs))
-		for i := range spec.GroupBy {
-			cols = append(cols, storage.Column{
-				Name: fmt.Sprintf("g%d", i), Kind: t.Schema.Cols[r.groupIdx[i]].Kind,
-			})
-		}
-		for j, a := range spec.Aggs {
-			r.aggIdx[j] = -1
-			srcKind := storage.KInt
-			if a.Fn != AggCount {
-				r.aggIdx[j] = t.Schema.MustCol(a.Col)
-				srcKind = t.Schema.Cols[r.aggIdx[j]].Kind
-			}
-			switch a.Fn {
-			case AggCount:
-				cols = append(cols, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: storage.KInt})
-			case AggAvg:
-				cols = append(cols,
-					storage.Column{Name: fmt.Sprintf("p%d_s", j), Kind: storage.KFloat},
-					storage.Column{Name: fmt.Sprintf("p%d_c", j), Kind: storage.KInt})
-			default:
-				cols = append(cols, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: srcKind})
-			}
-		}
-		r.schema = storage.NewSchema(t.Schema.Name+"_partial", cols...)
-		r.partCols = identityCols(len(cols))
-	}
-	r.sig = w.signature(key, t.Schema, spec.Filters, spec.Keys)
-	r.reads |= r.sig.reads
-	for _, cols := range [][]int{r.outIdx, r.groupIdx, r.aggIdx} {
-		for _, c := range cols {
-			if c >= 0 { // aggIdx is -1 for COUNT(*)
-				r.reads |= 1 << c
-			}
-		}
-	}
-	if w.replay(ctx, t, r) {
+	sig := w.signature(key, t.Schema, spec.Filters, spec.Keys)
+	p := sig.out(t.Schema, spec.Cols, spec.GroupBy, spec.Aggs)
+	r := &scanReg{spec: spec, scanLayout: &p.scanLayout, reads: sig.reads | p.uses, sig: sig, total: t.NumColChunks()}
+	if w.replay(ctx, t, r, p) {
 		core.FreeEvent(ev) // answered from the memo: no pass
 		return
 	}
@@ -481,16 +497,15 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	ctx.Send(ctx.Self(), ev)
 }
 
-// replay answers a registration from its memo output (memo.go) when
+// replay answers a registration from its memo output p (memo.go) when
 // the stored pass is fresh: it charges the virtual time the pass would
 // have, sends the stored batches by reference — each held once more,
 // for the consumer to free — with Last on the final one (or Last alone
 // when the pass sent none), and reports true. Otherwise it arms the
 // registration to ride the cursor: an empty output batch or group table,
 // and the output's spare slices to record into.
-func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg) bool {
+func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg, p *memoOut) bool {
 	spec := r.spec
-	p := r.sig.out(spec.Cols, spec.GroupBy, spec.Aggs)
 	if p.fresh(t, r.total, r.reads) {
 		costs := ctx.Costs()
 		perRow := costs.AggRow

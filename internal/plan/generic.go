@@ -40,10 +40,40 @@ type GenericPlan struct {
 }
 
 // scanTemplate is one table's shared-scan registration: spec is complete
-// but for Part and Producers, which emission sets per partition.
+// but for Part and Producers, which emission sets per partition. In a
+// Template, spec carries no query (Query 0, Out relative to the query's
+// stream base, To unset) and at is the position in the compute list of
+// the AC it streams to; Bind sets the three.
 type scanTemplate struct {
 	table string
 	spec  olap.SharedScanSpec
+	at    int
+}
+
+// joinTemplate is one join of a Template: spec carries no query (Query
+// 0, streams relative to the query's stream base, To unset), and at and
+// to are the positions in the compute list of the AC the join runs on
+// and of the AC its output goes to.
+type joinTemplate struct {
+	spec   olap.JoinSpec
+	at, to int
+}
+
+// Template is a statement compiled against the catalog with no query
+// bound to it: the join order, the scan templates, the joins with their
+// keys, columns and labels, and the sink. Everything in it derives from
+// the catalog and the statement alone, so one Template serves every
+// query of its statement text while the catalog stays as it is. Stream
+// ids are relative to a query's stream base, and ACs are positions in a
+// compute list; Bind fills in both. A Template is immutable: every
+// query's bound plan shares its read-only slices (filters, columns,
+// keys, groupings, aggregates, output names), and Bind gives each query
+// fresh spec structs for the fields a query sets.
+type Template struct {
+	scans  []scanTemplate
+	joins  []joinTemplate
+	sink   olap.SinkSpec
+	sinkAt int
 }
 
 // tableInfo is the planner's view of one FROM entry.
@@ -66,14 +96,55 @@ type outItem struct {
 
 // CompileSQL turns a parsed query into a routed plan. compute lists the
 // ACs that host the joins and the final sink (round-robin); owner
-// placement of scans happens at emission via the topology.
+// placement of scans happens at emission via the topology. It is
+// Compile, then Bind.
 func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	parts []int, compute []core.ACID, notify core.ACID) (*GenericPlan, error) {
-	if len(q.Tables) == 0 {
-		return nil, fmt.Errorf("plan: no tables")
+	t, err := Compile(cat, q)
+	if err != nil {
+		return nil, err
 	}
 	if len(compute) == 0 {
 		return nil, fmt.Errorf("plan: no compute ACs")
+	}
+	return t.Bind(qid, parts, compute, notify), nil
+}
+
+// Bind instantiates the template for query qid over partitions parts,
+// placing the joins and the sink on compute (round-robin over the chain
+// positions, which must not be empty) and reporting the result to
+// notify. The plan gets its own spec structs; their slices are the
+// template's, which nothing writes.
+func (t *Template) Bind(qid core.QueryID, parts []int, compute []core.ACID, notify core.ACID) *GenericPlan {
+	base := core.StreamID(uint64(qid) * 64) // each query owns 64 stream ids
+	acOf := func(i int) core.ACID { return compute[i%len(compute)] }
+	p := &GenericPlan{Query: qid, Parts: parts, scans: make([]scanTemplate, len(t.scans)),
+		joins: make([]*olap.JoinSpec, len(t.joins)), joinACs: make([]core.ACID, len(t.joins)),
+		sinkAC: acOf(t.sinkAt)}
+	for i, sc := range t.scans {
+		sc.spec.Query, sc.spec.Out, sc.spec.To = qid, base+sc.spec.Out, acOf(sc.at)
+		p.scans[i] = sc
+	}
+	joins := make([]olap.JoinSpec, len(t.joins))
+	for i, jt := range t.joins {
+		js := &joins[i]
+		*js = jt.spec
+		js.Query, js.To = qid, acOf(jt.to)
+		js.Build, js.Probe, js.Out = base+js.Build, base+js.Probe, base+js.Out
+		p.joins[i], p.joinACs[i] = js, acOf(jt.at)
+	}
+	sink := t.sink
+	sink.Query, sink.In, sink.Notify = qid, base+sink.In, notify
+	p.sink = &sink
+	return p
+}
+
+// Compile turns a parsed query into a Template: it resolves tables,
+// columns and filters against the catalog, orders the joins by the
+// catalog's statistics, and lays out the scans, joins and sink.
+func Compile(cat *storage.Catalog, q *sql.Query) (*Template, error) {
+	if len(q.Tables) == 0 {
+		return nil, fmt.Errorf("plan: no tables")
 	}
 
 	// Resolve tables and filters.
@@ -200,26 +271,22 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	}
 
 	// Wire streams: scan of chain[i] → stream base+i+1; join_i output →
-	// stream base+32+i.
-	p := &GenericPlan{Query: qid, Parts: parts}
-	base := core.StreamID(uint64(qid) * 64)
-	scanStream := func(i int) core.StreamID { return base + core.StreamID(i) + 1 }
-	joinStream := func(i int) core.StreamID { return base + 32 + core.StreamID(i) }
+	// stream base+32+i, base added at Bind.
+	t := &Template{}
+	scanStream := func(i int) core.StreamID { return core.StreamID(i) + 1 }
+	joinStream := func(i int) core.StreamID { return 32 + core.StreamID(i) }
 
-	acOf := func(i int) core.ACID { return compute[i%len(compute)] }
-
-	sink := &olap.SinkSpec{
-		Query:    qid,
+	t.sink = olap.SinkSpec{
 		OutCols:  outCols,
 		OutKinds: outKinds,
 		OutSrc:   outSrc,
 		OrderBy:  orderKeys,
 		Limit:    q.Limit,
-		Notify:   notify,
 	}
+	sink := &t.sink
 
 	if len(chain) == 1 {
-		t := chain[0]
+		c := chain[0]
 		if len(aggs) > 0 {
 			// Aggregate pushdown: the shared scan folds the grouped
 			// aggregates per partition; the sink merges partials. The
@@ -228,30 +295,28 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			// cache; floats never do).
 			dict := len(groupCols) > 0
 			for _, g := range groupCols {
-				if infos[t].schema.Cols[infos[t].schema.MustCol(g)].Kind == storage.KFloat {
+				if infos[c].schema.Cols[infos[c].schema.MustCol(g)].Kind == storage.KFloat {
 					dict = false
 				}
 			}
-			p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
-				Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
+			t.scans = append(t.scans, scanTemplate{table: c, spec: olap.SharedScanSpec{
+				Table: infos[c].schema.ID, Filters: infos[c].filters,
 				GroupBy: groupCols, Aggs: aggs, DictGroups: dict,
-				Out: scanStream(0), To: acOf(0),
+				Out: scanStream(0),
 			}})
 			sink.GroupBy = groupCols
 			sink.Aggs = aggs
 			sink.MergePartials = true
 		} else {
-			p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
-				Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
-				Cols: setToSlice(needed[t]),
-				Out:  scanStream(0), To: acOf(0),
+			t.scans = append(t.scans, scanTemplate{table: c, spec: olap.SharedScanSpec{
+				Table: infos[c].schema.ID, Filters: infos[c].filters,
+				Cols: setToSlice(needed[c]),
+				Out:  scanStream(0),
 			}})
 			sink.Cols = itemCols(items)
 		}
 		sink.In = scanStream(0)
-		p.sinkAC = acOf(0)
-		p.sink = sink
-		return p, nil
+		return t, nil
 	}
 
 	// Accumulated (build) side starts as chain[0]'s scan; join_i runs on
@@ -260,22 +325,22 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 	// sink. A join's output carries only the columns an operator after it
 	// reads: a later join's key, or a sink column.
 	accStream := scanStream(0)
-	joinAC := func(i int) core.ACID { return acOf(i - 1) } // J_i for i>=1
-	p.scans = append(p.scans, scanTemplate{table: chain[0], spec: olap.SharedScanSpec{
-		Query: qid, Table: infos[chain[0]].schema.ID,
+	joinAt := func(i int) int { return i - 1 } // J_i for i>=1
+	t.scans = append(t.scans, scanTemplate{table: chain[0], spec: olap.SharedScanSpec{
+		Table:   infos[chain[0]].schema.ID,
 		Filters: infos[chain[0]].filters,
 		Cols:    setToSlice(needed[chain[0]]),
-		Out:     accStream, To: joinAC(1),
-	}})
+		Out:     accStream,
+	}, at: joinAt(1)})
 	for i := 1; i < len(chain); i++ {
-		t := chain[i]
+		c := chain[i]
 		probeStream := scanStream(i)
-		p.scans = append(p.scans, scanTemplate{table: t, spec: olap.SharedScanSpec{
-			Query: qid, Table: infos[t].schema.ID, Filters: infos[t].filters,
-			Cols: setToSlice(needed[t]),
-			Out:  probeStream, To: joinAC(i),
-		}})
-		buildKeys, probeKeys, err := joinKeys(q.Joins, infos[t], chain[:i])
+		t.scans = append(t.scans, scanTemplate{table: c, spec: olap.SharedScanSpec{
+			Table: infos[c].schema.ID, Filters: infos[c].filters,
+			Cols: setToSlice(needed[c]),
+			Out:  probeStream,
+		}, at: joinAt(i)})
+		buildKeys, probeKeys, err := joinKeys(q.Joins, infos[c], chain[:i])
 		if err != nil {
 			return nil, err
 		}
@@ -284,25 +349,23 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 		for _, bt := range chain[:i] {
 			buildOut = append(buildOut, setToSlice(read[bt])...)
 		}
-		probeOut := setToSlice(read[t])
+		probeOut := setToSlice(read[c])
 		if len(buildOut)+len(probeOut) == 0 {
 			// Ship at least one column so batches have shape.
 			probeOut = probeKeys[:1]
 		}
 		out := joinStream(i - 1)
-		outTo := joinAC(i + 1) // the next join consumes our output...
+		outTo := joinAt(i + 1) // the next join consumes our output...
 		if i == len(chain)-1 {
-			outTo = joinAC(i) // ...except the last, which feeds the local sink
+			outTo = joinAt(i) // ...except the last, which feeds the local sink
 		}
-		p.joins = append(p.joins, &olap.JoinSpec{
-			Query: qid,
+		t.joins = append(t.joins, joinTemplate{spec: olap.JoinSpec{
 			Build: accStream, BuildKey: buildKeys,
 			Probe: probeStream, ProbeKey: probeKeys,
 			BuildOut: buildOut, ProbeOut: probeOut,
-			Out: out, To: outTo, Producers: 1,
+			Out: out, Producers: 1,
 			Notify: core.NoAC, Label: fmt.Sprintf("join%d", i),
-		})
-		p.joinACs = append(p.joinACs, joinAC(i))
+		}, at: joinAt(i), to: outTo})
 		accStream = out
 	}
 	if len(aggs) > 0 {
@@ -313,9 +376,8 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 		sink.Cols = itemCols(items)
 	}
 	sink.In = accStream
-	p.sinkAC = joinAC(len(chain) - 1)
-	p.sink = sink
-	return p, nil
+	t.sinkAt = joinAt(len(chain) - 1)
+	return t, nil
 }
 
 // resolveItems resolves each select item to its source table/column,

@@ -374,41 +374,102 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// TestPlanDescribeGolden pins the routed shape of representative plans:
-// join ordering, stream wiring, pushdown vs fold vs collect sinks.
-func TestPlanDescribeGolden(t *testing.T) {
-	h := newSQLHarness(t)
-	cases := []struct {
-		name, query, want string
-	}{
-		{"join_count", `SELECT COUNT(*)
+// describeCases are representative plans: join ordering, stream wiring,
+// pushdown vs fold vs collect sinks.
+var describeCases = []struct {
+	name, query, want string
+}{
+	{"join_count", `SELECT COUNT(*)
 			FROM orders
 			JOIN customer ON customer.c_w_id = orders.o_w_id
 				AND customer.c_d_id = orders.o_d_id
 				AND customer.c_id = orders.o_c_id
 			WHERE c_state LIKE 'A%' AND o_entry_d >= 2007`,
-			""},
-		{"group_pushdown", `SELECT o_d_id, COUNT(*), SUM(o_ol_cnt)
+		// Golden strings are derived from the harness topology: ACs
+		// 0-7 (two servers of four), compute = {4,5,6}, qid = 7.
+		"scan customer parts=4 filters=1 cols=[c_d_id c_id c_w_id] -> s449@ac4\n" +
+			"scan orders parts=4 filters=1 cols=[o_c_id o_d_id o_w_id] -> s450@ac4\n" +
+			"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] out=[]+[o_w_id] @ac4 -> s480@ac4\n" +
+			"sink in=s480 fold group=[] aggs=[count] out=[count] @ac4\n"},
+	{"group_pushdown", `SELECT o_d_id, COUNT(*), SUM(o_ol_cnt)
 			FROM orders GROUP BY o_d_id ORDER BY COUNT(*) DESC LIMIT 3`,
-			""},
-		{"projection_order_limit", `SELECT c_id, c_last FROM customer
+		"scan orders parts=4 pushdown group=[o_d_id] dict aggs=[count sum(o_ol_cnt)] -> s449@ac4\n" +
+			"sink in=s449 merge group=[o_d_id] aggs=[count sum(o_ol_cnt)] order=[{1 true}] limit=3 out=[o_d_id count sum_o_ol_cnt] @ac4\n"},
+	{"projection_order_limit", `SELECT c_id, c_last FROM customer
 			WHERE c_d_id = 1 ORDER BY c_last DESC LIMIT 10`,
-			""},
-	}
-	// Golden strings below are derived from the harness topology: ACs
-	// 0-7 (two servers of four), compute = {4,5,6}, qid = 7.
-	cases[0].want = "scan customer parts=4 filters=1 cols=[c_d_id c_id c_w_id] -> s449@ac4\n" +
-		"scan orders parts=4 filters=1 cols=[o_c_id o_d_id o_w_id] -> s450@ac4\n" +
-		"join1 build=s449[c_w_id c_d_id c_id] probe=s450[o_w_id o_d_id o_c_id] out=[]+[o_w_id] @ac4 -> s480@ac4\n" +
-		"sink in=s480 fold group=[] aggs=[count] out=[count] @ac4\n"
-	cases[1].want = "scan orders parts=4 pushdown group=[o_d_id] dict aggs=[count sum(o_ol_cnt)] -> s449@ac4\n" +
-		"sink in=s449 merge group=[o_d_id] aggs=[count sum(o_ol_cnt)] order=[{1 true}] limit=3 out=[o_d_id count sum_o_ol_cnt] @ac4\n"
-	cases[2].want = "scan customer parts=4 filters=1 cols=[c_id c_last] -> s449@ac4\n" +
-		"sink in=s449 collect cols=[c_id c_last] order=[{1 true}] limit=10 out=[c_id c_last] @ac4\n"
-	for _, c := range cases {
+		"scan customer parts=4 filters=1 cols=[c_id c_last] -> s449@ac4\n" +
+			"sink in=s449 collect cols=[c_id c_last] order=[{1 true}] limit=10 out=[c_id c_last] @ac4\n"},
+}
+
+// TestPlanDescribeGolden pins the routed shape of representative plans
+// (describeCases).
+func TestPlanDescribeGolden(t *testing.T) {
+	h := newSQLHarness(t)
+	for _, c := range describeCases {
 		p := h.compile(t, c.query, 7)
 		if got := p.Describe(); got != c.want {
 			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestTemplateBind binds one template of each describeCases statement,
+// and of Q3, at two query ids and two compute lists: each bound plan
+// describes as CompileSQL's at the same arguments, stream ids and ACs
+// included, and still does after the other was bound. The plans share
+// no spec a query writes: NotifyJoins on one leaves the other's joins
+// silent.
+func TestTemplateBind(t *testing.T) {
+	h := newSQLHarness(t)
+	parts := make([]int, h.cfg.Warehouses)
+	for i := range parts {
+		parts[i] = i
+	}
+	binds := []struct {
+		qid     core.QueryID
+		compute []core.ACID
+	}{{7, h.comp}, {9, []core.ACID{h.comp[2], h.comp[0]}}}
+	queries := []string{tpcc.Q3SQL}
+	for _, c := range describeCases {
+		queries = append(queries, c.query)
+	}
+	for _, text := range queries {
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl, err := plan.Compile(h.db.Catalog, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plans []*plan.GenericPlan
+		var wants []string
+		for _, b := range binds {
+			want, err := plan.CompileSQL(h.db.Catalog, q, b.qid, parts, b.compute, core.ClientAC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, tmpl.Bind(b.qid, parts, b.compute, core.ClientAC))
+			wants = append(wants, want.Describe())
+		}
+		if wants[0] == wants[1] {
+			t.Fatalf("the two bindings compile alike:\n%s", wants[0])
+		}
+		for i, p := range plans {
+			if got := p.Describe(); got != wants[i] {
+				t.Errorf("bound at query %d:\ngot:\n%s\nwant:\n%s", binds[i].qid, got, wants[i])
+			}
+		}
+		plans[0].NotifyJoins(h.qoAC)
+		for i, n := range plans[0].JoinNotify() {
+			if n != h.qoAC {
+				t.Errorf("join %d of the notified plan reports to %v", i, n)
+			}
+		}
+		for i, n := range plans[1].JoinNotify() {
+			if n != core.NoAC {
+				t.Errorf("join %d of the other plan reports to %v after NotifyJoins on the first", i, n)
+			}
 		}
 	}
 }

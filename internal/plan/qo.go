@@ -1,5 +1,6 @@
 // Package plan contains the query-optimizer-as-AnyComponent: the SQL
-// planner (CompileSQL) that turns a parsed query into a routed
+// planner (CompileSQL: Compile a statement's Template once, then Bind it
+// per query) that turns a parsed query into a routed
 // event/data-stream program — shared-scan registrations at the partition
 // owners, a left-deep chain of hash joins and one generic sink on the
 // compute ACs — and the QO behavior that emits it, including the

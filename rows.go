@@ -3,6 +3,7 @@ package anydb
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"anydb/internal/olap"
 	"anydb/internal/storage"
@@ -49,8 +50,10 @@ func freeResult(res *olap.QueryResult) {
 	res.Batches = nil
 }
 
-// Columns returns the result column names, in SELECT order.
-func (r *Rows) Columns() []string { return r.cols }
+// Columns returns the result column names, in SELECT order, in a slice
+// of the caller's: the names themselves belong to the statement's
+// compiled plan, which later queries of the same text share.
+func (r *Rows) Columns() []string { return slices.Clone(r.cols) }
 
 // Next advances to the next row, reporting whether one exists. Batches
 // behind the cursor are returned to the pool immediately.
