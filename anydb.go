@@ -1013,11 +1013,12 @@ func (c *Cluster) QueryRow(ctx context.Context, text string) *Row {
 		return &Row{err: ErrNoRows}
 	}
 	b := rows.batches[rows.bi]
-	vals := make([]storage.Value, len(rows.cols))
-	for i := range vals {
-		vals[i] = b.Value(rows.ri, i)
+	row, cols := storage.NewBatch(b.Schema), make([]int, len(b.Cols))
+	for i := range cols {
+		cols[i] = i
 	}
-	return &Row{cols: rows.cols, vals: vals}
+	row.AppendRows(b.Cols, cols, []int32{int32(rows.ri)})
+	return &Row{cols: rows.cols, row: row}
 }
 
 // computeACs picks the pool that hosts a query's joins and final sink:

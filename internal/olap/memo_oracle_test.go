@@ -57,10 +57,11 @@ const memoQ3 = 3
 // the size of partition 1's share of Q3's build but changes its keys.
 // The second run of every statement must evaluate, fold and gather no
 // chunk — each of its scans replays — and reuse what its joins and sinks
-// built from the same batches: a merging sink its merged table, Q3 its
-// customer build (its second build, over join output, is built anew).
-// So the answers it checks come from the memo and the kept state. The
-// grouped statements fold on their first run before any write.
+// built from the same batches: a merging sink its merged table, Q3 both
+// its builds, and both its joins their kept output (the first join's
+// replay is the batches the second build consumed last time). So the
+// answers it checks come from the memo and the kept state. The grouped
+// statements fold on their first run before any write.
 func TestMemoOracleBesideWrites(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, Customers: 1500,
 		Items: 40, InitOrders: 1500, Seed: 11}.WithDefaults()
@@ -83,9 +84,9 @@ func TestMemoOracleBesideWrites(t *testing.T) {
 					t.Fatalf("after %s: statement %d merged %d times and reused %d merges on unchanged data, want 0 and 1",
 						step, i, d.Merges, d.ReusedMerges)
 				}
-				if pass == 1 && i == memoQ3 && (d.ReusedBuilds != 1 || d.Builds != 1) {
-					t.Fatalf("after %s: Q3 built %d joins and reused %d builds on unchanged data, want 1 and 1",
-						step, d.Builds, d.ReusedBuilds)
+				if pass == 1 && i == memoQ3 && (d.ReusedBuilds != 2 || d.Builds != 0 || d.ReplayedJoins != 2) {
+					t.Fatalf("after %s: Q3 built %d joins, reused %d builds and replayed %d joins on unchanged data, want 0, 2 and 2",
+						step, d.Builds, d.ReusedBuilds, d.ReplayedJoins)
 				}
 				if step == "no write" && pass == 0 && memoGrouped[i] && d.Folds == 0 {
 					t.Fatalf("statement %d folded no chunk on its first run", i)
@@ -278,12 +279,13 @@ func resultRows(res *olap.QueryResult) [][]storage.Value {
 
 // TestMemoReuseWorkCounts counts what replays and kept state leave of a
 // query's work. A second Q3 gathers no row on any of its three tables,
-// reuses its customer build and builds its second join anew (over join
-// output, which is never replayed). A c_state write in one customer
+// reuses both its builds and replays both joins' kept output: the first
+// join's replayed output is the second build's batches of last time. A c_state write in one customer
 // chunk, which keeps the build's keys, re-gathers only that partition's
 // customer rows, and the customer build is built anew: its batches are
 // new. An orders insert that no join keeps re-gathers only that
-// partition's joinable orders, and the customer build is reused. A
+// partition's joinable orders, and the customer build is reused; the
+// first join probes anew, so its output and the second build are new. A
 // grouped statement twice reuses its sink's merge, and after a c_balance
 // write merges again, re-folding and re-gathering only the written
 // partition.
@@ -296,11 +298,11 @@ func TestMemoReuseWorkCounts(t *testing.T) {
 		run(stmt)
 		return work().Sub(before)
 	}
-	want := func(what string, got olap.Work, gathered, builds, reusedBuilds int) {
+	want := func(what string, got olap.Work, gathered, builds, reusedBuilds, replayedJoins int) {
 		t.Helper()
-		if got.Gathered != gathered || got.Builds != builds || got.ReusedBuilds != reusedBuilds {
-			t.Fatalf("%s: gathered %d rows, built %d joins and reused %d builds, want %d, %d and %d",
-				what, got.Gathered, got.Builds, got.ReusedBuilds, gathered, builds, reusedBuilds)
+		if got.Gathered != gathered || got.Builds != builds || got.ReusedBuilds != reusedBuilds || got.ReplayedJoins != replayedJoins {
+			t.Fatalf("%s: gathered %d rows, built %d joins, reused %d builds and replayed %d joins, want %d, %d, %d and %d",
+				what, got.Gathered, got.Builds, got.ReusedBuilds, got.ReplayedJoins, gathered, builds, reusedBuilds, replayedJoins)
 		}
 	}
 	cust := db.Partition(0).Table(tpcc.TCustomer)
@@ -329,17 +331,17 @@ func TestMemoReuseWorkCounts(t *testing.T) {
 	if first.Gathered == 0 || first.Builds != 2 {
 		t.Fatalf("the first Q3 gathered %d rows and built %d joins", first.Gathered, first.Builds)
 	}
-	want("a second Q3", query(tpcc.Q3SQL), 0, 1, 1)
+	want("a second Q3", query(tpcc.Q3SQL), 0, 0, 2, 2)
 	slot := int32(1 << storage.ColChunkShift)
 	cust.UpdateAt(slot, stateCol, cust.Field(slot, stateCol))
-	want("Q3 after a c_state write in one customer chunk", query(tpcc.Q3SQL), len(build), 2, 0)
-	want("Q3 once more", query(tpcc.Q3SQL), 0, 1, 1)
+	want("Q3 after a c_state write in one customer chunk", query(tpcc.Q3SQL), len(build), 2, 0, 0)
+	want("Q3 once more", query(tpcc.Q3SQL), 0, 0, 2, 2)
 	oid := int64(cfg.InitOrders + 1)
 	if _, err := ord.Insert(tpcc.OrderKey(0, 1, oid), storage.Row{storage.Int(0), storage.Int(1),
 		storage.Int(oid), storage.Int(1), storage.Int(tpcc.Q3SinceYear - 1), storage.Int(0), storage.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
-	want("Q3 after an orders insert no join keeps", query(tpcc.Q3SQL), joinable, 1, 1)
+	want("Q3 after an orders insert no join keeps", query(tpcc.Q3SQL), joinable, 1, 1, 0)
 
 	group := memoStatements[0]
 	merged := query(group)

@@ -65,8 +65,12 @@ type Predicate struct {
 //
 // A build stream that delivers exactly the batches an earlier join of the
 // same build shape on the same AC consumed — the same held batches,
-// which only a shared scan's memo replay hands out again — reuses that
-// join's build (joinBuild): its box, bitmap, direct flag and table.
+// which a shared scan's memo replay or a join's output replay hands out
+// again — reuses that join's build (joinBuild): its box, bitmap, direct
+// flag and table. A join on a reused build whose probe stream then
+// delivers exactly the batches the last join of the same ProbeKey,
+// BuildOut and ProbeOut on that build probed sends that join's kept
+// output (joinOutput) again, by reference, instead of probing.
 type JoinSpec struct {
 	Query     core.QueryID
 	Build     core.StreamID
@@ -158,11 +162,13 @@ type Worker struct {
 // scans copied into the batches they sent: the work a replay saves.
 // builds and merges count the join builds and partial merges done, and
 // reusedBuilds and reusedMerges those answered by the state kept from
-// the same batches.
+// the same batches; replayedJoins counts the joins that sent a kept
+// output instead of probing.
 type workCounts struct {
 	evals, keeps, folds, gathered int
 	builds, reusedBuilds          int
 	merges, reusedMerges          int
+	replayedJoins                 int
 }
 
 // Release drops everything the Worker keeps between queries: its memo
@@ -246,6 +252,15 @@ type joinState struct {
 	// next join — and gives back at probe close.
 	kept, built *joinBuild
 	reused      bool
+
+	// Output reuse, on a kept build. keep marks a join still keeping its
+	// output: probes and outs are its probed and emitted batches so far,
+	// each held, which it stores on built at probe close. holding marks a
+	// join on a reused build whose probe batches so far are all in the
+	// kept output's list: held are those batches, in arrival order,
+	// charged but not yet probed.
+	keep, holding      bool
+	probes, outs, held []*storage.Batch
 }
 
 // joinBuild is a join build a Worker keeps for the next join of its
@@ -254,9 +269,10 @@ type joinState struct {
 // box and its bitmap, the direct flag and the hash table. Joins running
 // on it only read it; its table and bitmap are shared with each of them
 // and with their held probe scans' KeyFilter. The table's row and offset
-// scratch is the AC's, used within one handler turn. refs counts the
-// Worker's keep plus each join running on it; the last unref frees the
-// holds and recycles the table.
+// scratch is the AC's, used within one handler turn. out is the output
+// the last join on it that qualified kept (nil when none). refs counts
+// the Worker's keep plus each join running on it; the last unref frees
+// the holds, the kept output and recycles the table.
 type joinBuild struct {
 	key     []string
 	schema  *storage.Schema
@@ -267,7 +283,40 @@ type joinBuild struct {
 	hi      joinKey
 	direct  bool
 	ht      *joinTable
+	out     *joinOutput
 	refs    int
+}
+
+// joinOutput is the output a join on a kept build made from one probe
+// stream: the probe spec it ran under (two joins may share a build shape
+// and project differently), its probe batches in arrival order and its
+// output batches in emission order, each held. The build and these probe
+// batches determine the output, and a held batch is never recycled, so a
+// join on the same build whose probe stream delivers the same batches, in
+// any order, may send this output instead of probing.
+type joinOutput struct {
+	probeKey, buildOut, probeOut []string
+	probes, out                  []*storage.Batch
+}
+
+// is reports whether o was made under spec's probe key and projection.
+func (o *joinOutput) is(spec *JoinSpec) bool {
+	return slices.Equal(o.probeKey, spec.ProbeKey) && slices.Equal(o.buildOut, spec.BuildOut) &&
+		slices.Equal(o.probeOut, spec.ProbeOut)
+}
+
+// free gives back o's holds on its probe and output batches.
+func (o *joinOutput) free() {
+	freeBatches(o.probes)
+	freeBatches(o.out)
+	o.probes, o.out = nil, nil
+}
+
+// freeBatches gives back one hold on each of batches.
+func freeBatches(batches []*storage.Batch) {
+	for _, b := range batches {
+		storage.FreeBatch(b)
+	}
 }
 
 // maxKept bounds the batches of a kept build or merge: matching them
@@ -351,16 +400,17 @@ func sameBatches(a, b []*storage.Batch) bool {
 }
 
 // unref gives back one reference to jb; the last frees its holds on the
-// batches and recycles its table.
+// batches and its kept output, and recycles its table.
 func (jb *joinBuild) unref() {
 	if jb.refs--; jb.refs > 0 {
 		return
 	}
-	for _, b := range jb.batches {
-		storage.FreeBatch(b)
+	freeBatches(jb.batches)
+	if jb.out != nil {
+		jb.out.free()
 	}
 	jb.ht.release()
-	jb.batches, jb.ht = nil, nil
+	jb.batches, jb.ht, jb.out = nil, nil, nil
 }
 
 // MaxJoinKeys bounds the equi-join key width (the planner enforces it).
@@ -629,6 +679,7 @@ func (st *joinState) closeBuild() {
 	if st.w != nil {
 		st.w.work.builds++
 		st.built = st.w.keepBuild(st)
+		st.keep = st.built != nil
 	}
 }
 
@@ -637,12 +688,10 @@ func (st *joinState) closeBuild() {
 // list — in jb's order, which its table's row refs index — its box,
 // bitmap, direct flag and table, all read-only.
 func (st *joinState) reuse(jb *joinBuild) {
-	for _, b := range st.build {
-		storage.FreeBatch(b)
-	}
+	freeBatches(st.build)
 	st.build, st.ht, st.box, st.hi, st.direct = jb.batches, jb.ht, jb.box, jb.hi, jb.direct
 	jb.refs++
-	st.built, st.reused = jb, true
+	st.built, st.reused, st.keep, st.holding = jb, true, true, true
 	st.w.work.reusedBuilds++
 }
 
@@ -651,9 +700,7 @@ func (st *joinState) reuse(jb *joinBuild) {
 // it runs on whatever that build owns.
 func (st *joinState) release() {
 	if !st.reused {
-		for _, b := range st.build {
-			storage.FreeBatch(b)
-		}
+		freeBatches(st.build)
 	}
 	if st.built != nil {
 		st.built.unref()
@@ -713,23 +760,23 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		if msg.Prehashed {
 			probeCost = probeCost * 3 / 4
 		}
-		if st.probeCols == nil {
-			st.probeCols = keyCols(probe.Schema, spec.ProbeKey)
-		}
-		switch {
-		case st.rows == 0:
-			// An empty build matches nothing.
+		if st.holdBack(probe) {
+			// Charged as the probe would be: a replay costs what a
+			// fresh probe does.
 			ctx.Charge(probeCost * sim.Time(probe.Len()))
-		case st.direct:
-			st.forward(ctx, probe, probeCost)
-		default:
-			st.probe(ctx, probe, probeCost)
+		} else {
+			st.drain(ctx)
+			st.join(ctx, probe, probeCost)
 		}
-		// The gathers copy, so the probe batch dies here.
-		storage.FreeBatch(probe)
 	}
 	if msg.Last {
-		st.emit(ctx, true)
+		if o := st.replayable(); o != nil {
+			st.replay(ctx, o)
+		} else {
+			st.drain(ctx)
+			st.emit(ctx, true)
+			st.keepOutput()
+		}
 		st.release()
 		// Both input streams are over: drop their state, which would
 		// otherwise keep the join alive.
@@ -742,6 +789,124 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			ctx.Send(spec.Notify, done)
 		}
 	}
+}
+
+// join probes one batch and gives back its hold on it, or, while the
+// join keeps its output, keeps the hold for the stored output; a batch
+// that cannot come again (not Shared), or one past maxKept, ends the
+// keeping.
+func (st *joinState) join(ctx core.Context, probe *storage.Batch, probeCost sim.Time) {
+	if st.probeCols == nil {
+		st.probeCols = keyCols(probe.Schema, st.spec.ProbeKey)
+	}
+	switch {
+	case st.rows == 0:
+		// An empty build matches nothing.
+		ctx.Charge(probeCost * sim.Time(probe.Len()))
+	case st.direct:
+		st.forward(ctx, probe, probeCost)
+	default:
+		st.probe(ctx, probe, probeCost)
+	}
+	if st.keep && (!probe.Shared() || len(st.probes) == maxKept) {
+		st.dropOutput()
+	}
+	if st.keep {
+		st.probes = append(st.probes, probe)
+	} else {
+		// The gathers copy, so the probe batch dies here.
+		storage.FreeBatch(probe)
+	}
+}
+
+// keptOutput returns the output kept on the build the join runs on when
+// it was made under the join's probe spec, or nil.
+func (st *joinState) keptOutput() *joinOutput {
+	if st.built == nil || st.built.out == nil || !st.built.out.is(st.spec) {
+		return nil
+	}
+	return st.built.out
+}
+
+// holdBack reports whether the join holds probe back instead of probing
+// it: it runs on a reused build, and probe and every batch before it are
+// in the kept output's list.
+func (st *joinState) holdBack(probe *storage.Batch) bool {
+	if !st.holding {
+		return false
+	}
+	if o := st.keptOutput(); o != nil && slices.Contains(o.probes, probe) {
+		st.held = append(st.held, probe)
+		return true
+	}
+	st.holding = false
+	return false
+}
+
+// drain ends the hold-back: it probes the held batches, in arrival
+// order, their charge already paid.
+func (st *joinState) drain(ctx core.Context) {
+	st.holding = false
+	for _, b := range st.held {
+		st.join(ctx, b, 0)
+	}
+	st.held = st.held[:0]
+}
+
+// replayable returns the kept output when the probe stream delivered
+// exactly its probe batches, all held back, or nil.
+func (st *joinState) replayable() *joinOutput {
+	if !st.holding {
+		return nil
+	}
+	if o := st.keptOutput(); o != nil && sameBatches(st.held, o.probes) {
+		return o
+	}
+	return nil
+}
+
+// replay answers the probe stream with the kept output o: it gives back
+// its holds on the held probe batches, which are o's own, and sends o's
+// output batches, each held once more for its consumer, the last with
+// the end of stream (an empty output sends the end of stream alone).
+func (st *joinState) replay(ctx core.Context, o *joinOutput) {
+	freeBatches(st.held)
+	if len(o.out) == 0 {
+		st.send(ctx, nil, true)
+	}
+	for i, b := range o.out {
+		storage.HoldBatch(b)
+		st.send(ctx, b, i == len(o.out)-1)
+	}
+	st.w.work.replayedJoins++
+}
+
+// keepOutput stores the output on the kept build the join ran on when
+// the join still keeps it and its probe batches can come again
+// (reusable), replacing the output kept there; otherwise it gives back
+// the holds it took.
+func (st *joinState) keepOutput() {
+	if !st.keep || !reusable(st.probes) {
+		st.dropOutput()
+		return
+	}
+	jb := st.built
+	if jb.out != nil {
+		jb.out.free()
+	}
+	spec := st.spec
+	jb.out = &joinOutput{probeKey: spec.ProbeKey, buildOut: spec.BuildOut, probeOut: spec.ProbeOut,
+		probes: st.probes, out: st.outs}
+	st.probes, st.outs, st.keep = nil, nil, false
+}
+
+// dropOutput stops keeping the output: it gives back the holds taken on
+// the probed and emitted batches. The emitted batches stay valid for
+// their consumers, who hold them too.
+func (st *joinState) dropOutput() {
+	freeBatches(st.probes)
+	freeBatches(st.outs)
+	st.probes, st.outs, st.keep = nil, nil, false
 }
 
 // probe joins one probe batch through the hash table. Matches queue as
@@ -845,21 +1010,36 @@ func (st *joinState) gather(probe *storage.Batch) {
 }
 
 // emit forwards the accumulated output batch (if any) as one pooled
-// data message; the downstream consumer recycles both.
+// data message; the downstream consumer recycles both. A join keeping
+// its output holds the batch first.
 func (st *joinState) emit(ctx core.Context, last bool) {
-	msg := core.GetDataMsg()
-	msg.Stream, msg.Query, msg.Last, msg.Producers = st.spec.Out, st.spec.Query, last, st.spec.Producers
+	var b *storage.Batch
 	if st.out != nil && st.out.Len() > 0 {
-		msg.Batch = st.out
+		b = st.out
 		if last {
 			st.out = nil
 		} else {
-			st.out = storage.GetBatch(msg.Batch.Schema)
+			st.out = storage.GetBatch(b.Schema)
+		}
+		if st.keep && len(st.outs) == maxKept {
+			st.dropOutput()
+		}
+		if st.keep {
+			storage.HoldBatch(b)
+			st.outs = append(st.outs, b)
 		}
 	} else if last {
 		storage.FreeBatch(st.out)
 		st.out = nil
 	}
+	st.send(ctx, b, last)
+}
+
+// send sends batch b (nil: none) on the join's output stream.
+func (st *joinState) send(ctx core.Context, b *storage.Batch, last bool) {
+	msg := core.GetDataMsg()
+	msg.Stream, msg.Query, msg.Last, msg.Producers = st.spec.Out, st.spec.Query, last, st.spec.Producers
+	msg.Batch = b
 	ctx.SendData(st.spec.To, msg)
 }
 

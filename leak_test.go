@@ -81,3 +81,38 @@ func TestQueryShapesLeaveNoPooledBatch(t *testing.T) {
 	c.Close()
 	assertBalanced()
 }
+
+// TestReplayedJoinsLeaveNoPooledBatch runs Q3 three times on one cluster:
+// the second and third runs replay the scans' stored batches, reuse both
+// join builds and send the joins' kept output again, so at Close the
+// Workers hold probe and output batches for both joins beside the builds.
+// Every answer must be the first, and the drained Close, whose Release
+// frees each kept output with its build, must leave no pooled object
+// outstanding.
+func TestReplayedJoinsLeaveNoPooledBatch(t *testing.T) {
+	assertBalanced := trackPools(t)
+	c, err := anydb.Open(anydb.Config{
+		Warehouses: 2, Districts: 2, CustomersPerDistrict: 200,
+		InitialOrdersPerDist: 200, Items: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first int64
+	for i := range 3 {
+		var n int64
+		if err := c.QueryRow(bg, tpcc.Q3SQL).Scan(&n); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = n
+		} else if n != first {
+			t.Fatalf("Q3 run %d counted %d, the first %d", i+1, n, first)
+		}
+	}
+	if first == 0 {
+		t.Fatal("Q3 counted no order")
+	}
+	c.Close()
+	assertBalanced()
+}

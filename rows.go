@@ -92,7 +92,7 @@ func (r *Rows) Scan(dest ...any) error {
 	}
 	b := r.batches[r.bi]
 	for i := range dest {
-		if err := assignValue(dest[i], b.Value(r.ri, i), r.cols[i]); err != nil {
+		if err := assign(dest[i], &b.Cols[i], r.ri, r.cols[i]); err != nil {
 			return err
 		}
 	}
@@ -122,12 +122,12 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// Row is the single-row result of QueryRow; errors are deferred to Scan
-// so calls chain like database/sql.
+// Row is the single-row result of QueryRow, kept as a one-row batch of
+// its own; errors are deferred to Scan so calls chain like database/sql.
 type Row struct {
 	err  error
 	cols []string
-	vals []storage.Value
+	row  *storage.Batch
 }
 
 // Scan copies the row into dest (see Rows.Scan for supported types).
@@ -136,11 +136,11 @@ func (r *Row) Scan(dest ...any) error {
 	if r.err != nil {
 		return r.err
 	}
-	if len(dest) != len(r.vals) {
-		return fmt.Errorf("anydb: Scan got %d destinations for %d columns", len(dest), len(r.vals))
+	if len(dest) != len(r.cols) {
+		return fmt.Errorf("anydb: Scan got %d destinations for %d columns", len(dest), len(r.cols))
 	}
 	for i := range dest {
-		if err := assignValue(dest[i], r.vals[i], r.cols[i]); err != nil {
+		if err := assign(dest[i], &r.row.Cols[i], 0, r.cols[i]); err != nil {
 			return err
 		}
 	}
@@ -150,24 +150,28 @@ func (r *Row) Scan(dest ...any) error {
 // Err returns the query error, if any, without consuming the row.
 func (r *Row) Err() error { return r.err }
 
-func assignValue(dest any, v storage.Value, col string) error {
+// assign copies row of column v, named col, into dest: *int64 or *int
+// for an int column, *float64 for a float or (widened) int one, *string
+// for a string one, or *any for any. It reads the column's typed vector:
+// a result batch is raw, the sink having decoded its rows into it.
+func assign(dest any, v *storage.EncVec, row int, col string) error {
 	switch d := dest.(type) {
 	case *int64:
 		if v.Kind != storage.KInt {
 			return fmt.Errorf("anydb: column %s is %s, not int", col, v.Kind)
 		}
-		*d = v.I
+		*d = v.Ints[row]
 	case *int:
 		if v.Kind != storage.KInt {
 			return fmt.Errorf("anydb: column %s is %s, not int", col, v.Kind)
 		}
-		*d = int(v.I)
+		*d = int(v.Ints[row])
 	case *float64:
 		switch v.Kind {
 		case storage.KFloat:
-			*d = v.F
+			*d = v.Floats[row]
 		case storage.KInt:
-			*d = float64(v.I)
+			*d = float64(v.Ints[row])
 		default:
 			return fmt.Errorf("anydb: column %s is %s, not float", col, v.Kind)
 		}
@@ -175,15 +179,15 @@ func assignValue(dest any, v storage.Value, col string) error {
 		if v.Kind != storage.KStr {
 			return fmt.Errorf("anydb: column %s is %s, not string", col, v.Kind)
 		}
-		*d = v.S
+		*d = v.Strs[row]
 	case *any:
 		switch v.Kind {
 		case storage.KInt:
-			*d = v.I
+			*d = v.Ints[row]
 		case storage.KFloat:
-			*d = v.F
+			*d = v.Floats[row]
 		default:
-			*d = v.S
+			*d = v.Strs[row]
 		}
 	default:
 		return fmt.Errorf("anydb: unsupported Scan destination %T for column %s", dest, col)
