@@ -85,11 +85,11 @@ bench-check:
 # sink merging four ordered 676-group COUNT+SUM partial runs and
 # releasing its table (BenchmarkSinkMerge: run heads, tied heads and
 # per-run slot lists in the pooled table), the same four runs received
-# again as held batches (BenchmarkSinkMergeReuse: the kept merged
-# table read instead), one ~8 k-row hash-join build released to its
-# pool (BenchmarkJoinBuild), the same build's eight held batches
-# delivered again (BenchmarkJoinBuildReuse: the kept box and table
-# reused), a join on its kept build fed the probe batches of the last
+# again as held batches (BenchmarkSinkResultReplay: the runs held back,
+# the kept result sent by reference), one ~8 k-row hash-join build
+# released to its pool (BenchmarkJoinBuild), the same build's eight held
+# batches delivered again (BenchmarkJoinBuildReuse: the kept box and
+# table reused), a join on its kept build fed the probe batches of the last
 # join of its spec (BenchmarkJoinOutputReplay: the probe batches held
 # back, the kept output sent by reference), a 676 x 3 grouped result
 # drained through Rows.Next and Rows.Scan (BenchmarkRowsScan: the typed
@@ -104,11 +104,11 @@ bench-check:
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined|BenchmarkRowsScan' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkSinkMerge|BenchmarkSinkMergeReuse|BenchmarkJoinBuild|BenchmarkJoinBuildReuse|BenchmarkJoinOutputReplay' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkFilteredScan|BenchmarkStaleFilteredScan|BenchmarkKeyedScan|BenchmarkStaleKeyedScan|BenchmarkJoinProbe|BenchmarkKeyBoxJoin|BenchmarkGroupedPass|BenchmarkStaleChunkPass|BenchmarkSinkMerge|BenchmarkSinkResultReplay|BenchmarkJoinBuild|BenchmarkJoinBuildReuse|BenchmarkJoinOutputReplay' -benchmem -benchtime 100x ./internal/olap)"; \
 	out3="$$($(GO) test -run '^$$' -bench 'BenchmarkHeapWrite' -benchmem -benchtime 100000x ./internal/storage)"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3"; \
 	printf '%s\n%s\n%s\n' "$$out1" "$$out2" "$$out3" | awk '/^Benchmark/ { n++; a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { if (n != 17) { print "ALLOCS GATE FAIL: " n " benchmarks ran, want 17"; bad=1 } exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan replay, filtered-scan (replay and memo miss), keyed-scan (replay and memo miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), sink-merge, sink-merge reuse, join-build, join-build reuse, join-output replay, rows-scan and heap-write hot paths"
+	echo "allocs gate OK: 0 allocs/op on the payment, shared-scan replay, filtered-scan (replay and memo miss), keyed-scan (replay and memo miss), join-probe, key-box-join, grouped-pass replay, stale-chunk-pass (fold and store), sink-merge, sink-result replay, join-build, join-build reuse, join-output replay, rows-scan and heap-write hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

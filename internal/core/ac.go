@@ -8,8 +8,9 @@ import (
 
 // Context is the runtime interface a behavior sees while handling an
 // event or data message. The goroutine runtime implements Charge as a
-// no-op (real time passes by itself); the simulation runtime accumulates
-// virtual core time from the cost model.
+// no-op (real time passes by itself; Occupy is how a handler holds its
+// AC there); the simulation runtime accumulates virtual core time from
+// the cost model.
 type Context interface {
 	// Self returns the AC executing the handler.
 	Self() ACID
@@ -30,6 +31,19 @@ type Context interface {
 	// Offloaded reports whether data sent toward dst rides a DPI flow
 	// (shuffle partitioning runs on the NIC instead of this core, §4).
 	Offloaded(dst ACID) bool
+}
+
+// Occupy keeps the AC executing the handler busy for d: a modelled
+// window that no real work fills, such as a query optimizer's compile
+// time. The goroutine runtime, whose Charge only accounts, holds the AC
+// for d of real time; every other Context (the simulation runtime, a
+// test stub) is charged d.
+func Occupy(ctx Context, d sim.Time) {
+	if o, ok := ctx.(interface{ occupy(sim.Time) }); ok {
+		o.occupy(d)
+		return
+	}
+	ctx.Charge(d)
 }
 
 // Behavior is one capability an AC can perform. Every AC registers the

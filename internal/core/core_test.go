@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"anydb/internal/sim"
 	"anydb/internal/storage"
@@ -315,6 +316,36 @@ func TestEngineRealRuntime(t *testing.T) {
 		t.Fatalf("handled = %d, want 40", handled)
 	}
 	eng.Stop() // idempotent
+}
+
+// TestRealChargeOnlyAccounts charges a handler on the goroutine runtime
+// ten seconds of modelled work, as a replay of a large stored pass does
+// in one charge: Charge returns at once, since the real work already took
+// its own time. Occupy, the compile window, holds the AC for its length.
+func TestRealChargeOnlyAccounts(t *testing.T) {
+	topo := NewTopology(testDB(1))
+	ids := topo.AddServer(1)
+	took := make(chan time.Duration, 1)
+	eng := NewEngine(topo, func(ac *AC) {
+		ac.Register(EvControl, BehaviorFunc(func(ctx Context, _ *AC, ev *Event) {
+			start := time.Now()
+			if ev.Txn == 0 {
+				ctx.Charge(10 * sim.Second)
+			} else {
+				Occupy(ctx, 20*sim.Millisecond)
+			}
+			took <- time.Since(start)
+		}))
+	})
+	defer eng.Stop()
+	eng.Inject(ids[0], &Event{Kind: EvControl})
+	if d := <-took; d > time.Second {
+		t.Fatalf("a 10 s Charge held the AC for %v", d)
+	}
+	eng.Inject(ids[0], &Event{Kind: EvControl, Txn: 1})
+	if d := <-took; d < 20*time.Millisecond {
+		t.Fatalf("a 20 ms Occupy held the AC for %v", d)
+	}
 }
 
 func TestEngineDataFlow(t *testing.T) {

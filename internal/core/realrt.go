@@ -353,14 +353,17 @@ func (c *realCtx) flush() {
 func (c *realCtx) Self() ACID    { return c.self }
 func (c *realCtx) Now() sim.Time { return sim.Time(time.Since(c.e.start).Nanoseconds()) }
 
-// Charge is a no-op for operation-scale costs (the real work already
-// took real time), but large modelled windows — a query optimizer's
-// compile time — occupy the AC for real, so beaming genuinely overlaps
+// Charge is a no-op: the real work already took real time, however
+// much the cost model prices it at.
+func (c *realCtx) Charge(sim.Time) {}
+
+// occupy holds the AC for d of real time (Occupy): a modelled window —
+// a query optimizer's compile time — so beaming genuinely overlaps
 // transfers with compilation on this runtime too. Pending outbox sends
-// flush before the window starts: messages issued before the charge
-// (beamed scans) must not wait out the modelled busy time.
-func (c *realCtx) Charge(d sim.Time) {
-	if d >= sim.Millisecond {
+// flush before the window starts: messages issued before it (beamed
+// scans) must not wait it out.
+func (c *realCtx) occupy(d sim.Time) {
+	if d > 0 {
 		c.flush()
 		time.Sleep(time.Duration(d))
 	}

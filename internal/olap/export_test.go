@@ -36,26 +36,25 @@ func KeyFilterOf(cols []string, keys [][]int64) *KeyFilter {
 type Work struct {
 	Evals, Keeps, Folds, Gathered int
 	Builds, ReusedBuilds          int
-	Merges, ReusedMerges          int
-	ReplayedJoins                 int
+	ReplayedJoins, ReplayedSinks  int
 }
 
 // Work returns the worker's counts.
 func (w *Worker) Work() Work {
 	c := w.work
-	return Work{c.evals, c.keeps, c.folds, c.gathered, c.builds, c.reusedBuilds, c.merges, c.reusedMerges, c.replayedJoins}
+	return Work{c.evals, c.keeps, c.folds, c.gathered, c.builds, c.reusedBuilds, c.replayedJoins, c.replayedSinks}
 }
 
 // Sub returns the counts of a minus those of b.
 func (a Work) Sub(b Work) Work {
 	return Work{a.Evals - b.Evals, a.Keeps - b.Keeps, a.Folds - b.Folds, a.Gathered - b.Gathered,
-		a.Builds - b.Builds, a.ReusedBuilds - b.ReusedBuilds, a.Merges - b.Merges, a.ReusedMerges - b.ReusedMerges,
-		a.ReplayedJoins - b.ReplayedJoins}
+		a.Builds - b.Builds, a.ReusedBuilds - b.ReusedBuilds, a.ReplayedJoins - b.ReplayedJoins,
+		a.ReplayedSinks - b.ReplayedSinks}
 }
 
 // Add returns the counts of a plus those of b.
 func (a Work) Add(b Work) Work {
 	return Work{a.Evals + b.Evals, a.Keeps + b.Keeps, a.Folds + b.Folds, a.Gathered + b.Gathered,
-		a.Builds + b.Builds, a.ReusedBuilds + b.ReusedBuilds, a.Merges + b.Merges, a.ReusedMerges + b.ReusedMerges,
-		a.ReplayedJoins + b.ReplayedJoins}
+		a.Builds + b.Builds, a.ReusedBuilds + b.ReusedBuilds, a.ReplayedJoins + b.ReplayedJoins,
+		a.ReplayedSinks + b.ReplayedSinks}
 }

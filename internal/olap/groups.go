@@ -175,17 +175,10 @@ func (g *groupTable) keyOn(src []storage.EncVec, cols []int) {
 }
 
 // slotOf returns the slot of the group whose key is row i of the source
-// columns cols, adding the group when it is new: one map probe per row,
-// on a scan's keyed fold and a sink's fold of raw rows (a merging sink
-// finds its groups by mergeRuns instead). No grouping columns means one
-// global slot.
+// columns cols (at least one), adding the group when it is new: one map
+// probe per row, on a scan's keyed fold and a sink's fold of raw rows (a
+// merging sink finds its groups by mergeRuns instead).
 func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
-	if len(cols) == 0 {
-		if len(g.rows) == 0 {
-			g.addSlot()
-		}
-		return 0
-	}
 	if len(g.rows) == 0 {
 		g.keyOn(src, cols)
 	}
@@ -205,8 +198,16 @@ func (g *groupTable) slotOf(src []storage.EncVec, cols []int, i int) int32 {
 }
 
 // slots sets g.at to the slot (slotOf) of each row sel of the source
-// columns cols, and returns it.
+// columns cols, and returns it. No grouping columns means one global
+// slot, 0, for every row, with no lookup.
 func (g *groupTable) slots(src []storage.EncVec, cols []int, sel []int32) []int32 {
+	if len(cols) == 0 {
+		if len(g.rows) == 0 {
+			g.addSlot()
+		}
+		g.at = zeroed(g.at, len(sel))
+		return g.at
+	}
 	at := g.at[:0]
 	for _, i := range sel {
 		at = append(at, g.slotOf(src, cols, int(i)))
@@ -563,8 +564,7 @@ func (g *groupTable) sortSlots(sel []int32) []int32 {
 // columns, then each aggregate's columns. In partial layout COUNT is
 // the row count and AVG its sum and the row count. Finalized, AVG is the
 // sum divided by the count (the sum, 0, for an empty group), computed
-// into scratch: the table itself is only read, so a merged table a
-// Worker keeps finalizes again for the next sink.
+// into scratch, leaving the table itself as it was.
 func (g *groupTable) viewOf(final bool) []storage.EncVec {
 	view := append(g.view[:0], g.keyVecs...)
 	counts := storage.EncVec{Kind: storage.KInt, Ints: g.rows}

@@ -326,7 +326,7 @@ func BenchmarkJoinOutputReplay(b *testing.B) {
 	delivered := make([]*storage.Batch, 0, len(build))
 	held := make([]*storage.Batch, 0, len(probe))
 	op := func() {
-		*st = joinState{spec: &spec, w: r.w, build: delivered[:0], held: held[:0]}
+		*st = joinState{spec: &spec, w: r.w, build: delivered[:0], back: holdBack{held: held[:0]}}
 		for _, bb := range build {
 			storage.HoldBatch(bb) // the delivery's hold, as a replay takes it
 			msg.Batch, msg.Last = bb, false

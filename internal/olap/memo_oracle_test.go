@@ -36,11 +36,6 @@ var memoStatements = []string{
 // memoGrouped marks the statements whose answer has no row order.
 var memoGrouped = []bool{true, false, false, false, true, true, true}
 
-// memoMerges marks the statements whose sink merges partials: every
-// single-table aggregate. The others are the top-N, which collects, and
-// Q3 (memoQ3), whose sink folds join output.
-var memoMerges = []bool{true, true, false, false, true, true, true}
-
 // memoQ3 is Q3's index in memoStatements.
 const memoQ3 = 3
 
@@ -57,10 +52,10 @@ const memoQ3 = 3
 // the size of partition 1's share of Q3's build but changes its keys.
 // The second run of every statement must evaluate, fold and gather no
 // chunk — each of its scans replays — and reuse what its joins and sinks
-// built from the same batches: a merging sink its merged table, Q3 both
-// its builds, and both its joins their kept output (the first join's
-// replay is the batches the second build consumed last time). So the
-// answers it checks come from the memo and the kept state. The grouped
+// built from the same batches: Q3 both its builds, both its joins their
+// kept output (the first join's replay is the batches the second build
+// consumed last time), and every sink its kept result. So the answers it
+// checks come from the memo and the kept state. The grouped
 // statements fold on their first run before any write.
 func TestMemoOracleBesideWrites(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, Customers: 1500,
@@ -80,9 +75,8 @@ func TestMemoOracleBesideWrites(t *testing.T) {
 					t.Fatalf("after %s: statement %d evaluated %d chunks, folded %d and gathered %d rows on unchanged data",
 						step, i, d.Evals, d.Folds, d.Gathered)
 				}
-				if pass == 1 && memoMerges[i] && (d.ReusedMerges != 1 || d.Merges != 0) {
-					t.Fatalf("after %s: statement %d merged %d times and reused %d merges on unchanged data, want 0 and 1",
-						step, i, d.Merges, d.ReusedMerges)
+				if pass == 1 && d.ReplayedSinks != 1 {
+					t.Fatalf("after %s: statement %d replayed %d sink results on unchanged data, want 1", step, i, d.ReplayedSinks)
 				}
 				if pass == 1 && i == memoQ3 && (d.ReusedBuilds != 2 || d.Builds != 0 || d.ReplayedJoins != 2) {
 					t.Fatalf("after %s: Q3 built %d joins, reused %d builds and replayed %d joins on unchanged data, want 0, 2 and 2",
@@ -285,10 +279,11 @@ func resultRows(res *olap.QueryResult) [][]storage.Value {
 // customer rows, and the customer build is built anew: its batches are
 // new. An orders insert that no join keeps re-gathers only that
 // partition's joinable orders, and the customer build is reused; the
-// first join probes anew, so its output and the second build are new. A
-// grouped statement twice reuses its sink's merge, and after a c_balance
-// write merges again, re-folding and re-gathering only the written
-// partition.
+// first join probes anew, so its output and the second build are new.
+// The sink replays its kept result exactly when both joins replay. A
+// grouped statement twice replays its sink's result, and after a
+// c_balance write merges again, re-folding and re-gathering only the
+// written partition.
 func TestMemoReuseWorkCounts(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 2, Customers: 1500,
 		Items: 40, InitOrders: 1500, Seed: 5}.WithDefaults()
@@ -298,11 +293,13 @@ func TestMemoReuseWorkCounts(t *testing.T) {
 		run(stmt)
 		return work().Sub(before)
 	}
-	want := func(what string, got olap.Work, gathered, builds, reusedBuilds, replayedJoins int) {
+	want := func(what string, got olap.Work, gathered, builds, reusedBuilds, replayedJoins, replayedSinks int) {
 		t.Helper()
-		if got.Gathered != gathered || got.Builds != builds || got.ReusedBuilds != reusedBuilds || got.ReplayedJoins != replayedJoins {
-			t.Fatalf("%s: gathered %d rows, built %d joins, reused %d builds and replayed %d joins, want %d, %d, %d and %d",
-				what, got.Gathered, got.Builds, got.ReusedBuilds, got.ReplayedJoins, gathered, builds, reusedBuilds, replayedJoins)
+		if got.Gathered != gathered || got.Builds != builds || got.ReusedBuilds != reusedBuilds || got.ReplayedJoins != replayedJoins ||
+			got.ReplayedSinks != replayedSinks {
+			t.Fatalf("%s: gathered %d rows, built %d joins, reused %d builds, replayed %d joins and %d sinks, want %d, %d, %d, %d and %d",
+				what, got.Gathered, got.Builds, got.ReusedBuilds, got.ReplayedJoins, got.ReplayedSinks,
+				gathered, builds, reusedBuilds, replayedJoins, replayedSinks)
 		}
 	}
 	cust := db.Partition(0).Table(tpcc.TCustomer)
@@ -328,36 +325,35 @@ func TestMemoReuseWorkCounts(t *testing.T) {
 		t.Fatalf("partition 0 keeps %d customers and %d orders for Q3", len(build), joinable)
 	}
 	first := query(tpcc.Q3SQL)
-	if first.Gathered == 0 || first.Builds != 2 {
-		t.Fatalf("the first Q3 gathered %d rows and built %d joins", first.Gathered, first.Builds)
+	if first.Gathered == 0 || first.Builds != 2 || first.ReplayedSinks != 0 {
+		t.Fatalf("the first Q3 gathered %d rows, built %d joins and replayed %d sinks", first.Gathered, first.Builds, first.ReplayedSinks)
 	}
-	want("a second Q3", query(tpcc.Q3SQL), 0, 0, 2, 2)
+	want("a second Q3", query(tpcc.Q3SQL), 0, 0, 2, 2, 1)
 	slot := int32(1 << storage.ColChunkShift)
 	cust.UpdateAt(slot, stateCol, cust.Field(slot, stateCol))
-	want("Q3 after a c_state write in one customer chunk", query(tpcc.Q3SQL), len(build), 2, 0, 0)
-	want("Q3 once more", query(tpcc.Q3SQL), 0, 0, 2, 2)
+	want("Q3 after a c_state write in one customer chunk", query(tpcc.Q3SQL), len(build), 2, 0, 0, 0)
+	want("Q3 once more", query(tpcc.Q3SQL), 0, 0, 2, 2, 1)
 	oid := int64(cfg.InitOrders + 1)
 	if _, err := ord.Insert(tpcc.OrderKey(0, 1, oid), storage.Row{storage.Int(0), storage.Int(1),
 		storage.Int(oid), storage.Int(1), storage.Int(tpcc.Q3SinceYear - 1), storage.Int(0), storage.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
-	want("Q3 after an orders insert no join keeps", query(tpcc.Q3SQL), joinable, 1, 1, 0)
+	want("Q3 after an orders insert no join keeps", query(tpcc.Q3SQL), joinable, 1, 1, 0, 0)
 
 	group := memoStatements[0]
-	merged := query(group)
-	if merged.Merges != 1 || merged.ReusedMerges != 0 {
-		t.Fatalf("the first grouped statement merged %d times and reused %d merges", merged.Merges, merged.ReusedMerges)
+	if merged := query(group); merged.ReplayedSinks != 0 {
+		t.Fatalf("the first grouped statement replayed %d sink results", merged.ReplayedSinks)
 	}
 	again := query(group)
-	if again.Merges != 0 || again.ReusedMerges != 1 || again.Gathered != 0 || again.Folds != 0 {
-		t.Fatalf("the grouped statement again merged %d times, reused %d merges, gathered %d rows and folded %d chunks; want a reused merge",
-			again.Merges, again.ReusedMerges, again.Gathered, again.Folds)
+	if again.ReplayedSinks != 1 || again.Gathered != 0 || again.Folds != 0 {
+		t.Fatalf("the grouped statement again replayed %d sink results, gathered %d rows and folded %d chunks; want a replayed result",
+			again.ReplayedSinks, again.Gathered, again.Folds)
 	}
 	cust.UpdateAt(slot, tpcc.ColCBalance, storage.Float(3))
 	paid := query(group)
-	if paid.Merges != 1 || paid.ReusedMerges != 0 || paid.Folds != cust.NumColChunks() || paid.Gathered != len(stateGroups(cust)) {
-		t.Fatalf("the grouped statement after a c_balance write merged %d times, reused %d merges, folded %d chunks and gathered %d rows; want 1, 0, %d and %d",
-			paid.Merges, paid.ReusedMerges, paid.Folds, paid.Gathered, cust.NumColChunks(), len(stateGroups(cust)))
+	if paid.ReplayedSinks != 0 || paid.Folds != cust.NumColChunks() || paid.Gathered != len(stateGroups(cust)) {
+		t.Fatalf("the grouped statement after a c_balance write replayed %d sink results, folded %d chunks and gathered %d rows; want 0, %d and %d",
+			paid.ReplayedSinks, paid.Folds, paid.Gathered, cust.NumColChunks(), len(stateGroups(cust)))
 	}
 }
 

@@ -435,9 +435,10 @@ func runMergeSink(t *testing.T, rng *rand.Rand, c mergeCase, runs [][]storage.Ro
 
 // TestSinkReuseNeedsEveryRun feeds one merging sink shape on one Worker
 // held partial runs, as a shared scan's replays deliver them: the same
-// runs in either order reuse the kept merge, and a run list that differs
-// from the kept one in any single run — the first to arrive or the last
-// — merges anew and answers from its own runs.
+// runs in either order replay the kept result, and a run list that
+// differs from the kept one in any single run — the first to arrive or
+// the last — or has one run fewer or one more merges anew and answers
+// from its own runs.
 func TestSinkReuseNeedsEveryRun(t *testing.T) {
 	spec := &SinkSpec{Query: 1, In: 64, GroupBy: []string{"g0"}, MergePartials: true,
 		Aggs:     []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "f"}},
@@ -492,13 +493,19 @@ func TestSinkReuseNeedsEveryRun(t *testing.T) {
 		{"the first run new", []*storage.Batch{b0, a1}, "[[A 8 8] [B 2 2]]", false},
 		{"the last run new", []*storage.Batch{a1, c1}, "[[A 3 3] [B 4 4]]", false},
 		{"one run fewer", []*storage.Batch{a1}, "[[A 3 3]]", false},
+		{"one run more", []*storage.Batch{a1, c1}, "[[A 3 3] [B 4 4]]", false},
+		{"those runs again, reversed", []*storage.Batch{c1, a1}, "[[A 3 3] [B 4 4]]", true},
 	} {
-		before := w.work.reusedMerges
+		before := w.work.replayedSinks
 		if got := query(step.runs...); got != step.want {
 			t.Fatalf("%s: got %s, want %s", step.name, got, step.want)
 		}
-		if reused := w.work.reusedMerges > before; reused != step.reused {
-			t.Fatalf("%s: reused the kept merge: %v, want %v", step.name, reused, step.reused)
+		want := 0
+		if step.reused {
+			want = 1
+		}
+		if d := w.work.replayedSinks - before; d != want {
+			t.Fatalf("%s: replayed %d kept results, want %d", step.name, d, want)
 		}
 	}
 	w.Release()

@@ -142,13 +142,13 @@ type Worker struct {
 	// outputs (memo.go), signatures most recently used first. It
 	// outlives the cursors.
 	memos map[sharedKey][]*memoSig
-	// builds and merges are the last join build per build shape and the
-	// last merged group table per sink shape, most recently used first,
-	// at most memoSigs of each (ops.go, sink.go): a join or sink that
-	// receives exactly their batches again reuses them.
-	builds []*joinBuild
-	merges []*sinkMerge
-	work   workCounts
+	// builds and results are the last join build per build shape and the
+	// last sink result per sink shape, most recently used first, at most
+	// memoSigs of each (ops.go, sink.go): a join or sink that receives
+	// exactly their batches again reuses them.
+	builds  []*joinBuild
+	results []*sinkResult
+	work    workCounts
 	// all is the identity selection 0..n-1 (identity): filled once to
 	// storage.ColChunkRows, grown only for a longer one.
 	all []int32
@@ -160,30 +160,29 @@ type Worker struct {
 // within a pass and across passes. keeps counts keyScan.keep calls the
 // same way, folds the chunks foldAgg folded, and gathered the rows the
 // scans copied into the batches they sent: the work a replay saves.
-// builds and merges count the join builds and partial merges done, and
-// reusedBuilds and reusedMerges those answered by the state kept from
-// the same batches; replayedJoins counts the joins that sent a kept
-// output instead of probing.
+// builds counts the join builds done and reusedBuilds those answered by
+// the build kept from the same batches; replayedJoins and replayedSinks
+// count the joins and sinks that sent a kept output or result instead of
+// computing it.
 type workCounts struct {
 	evals, keeps, folds, gathered int
 	builds, reusedBuilds          int
-	merges, reusedMerges          int
-	replayedJoins                 int
+	replayedJoins, replayedSinks  int
 }
 
 // Release drops everything the Worker keeps between queries: its memo
-// outputs' batches, and the join builds and merged group tables kept for
-// reuse. Call it once the Worker's AC has stopped, after every query
-// completed: a drained Close leaves no pooled batch outstanding.
+// outputs' batches, and the join builds and sink results kept for reuse.
+// Call it once the Worker's AC has stopped, after every query completed:
+// a drained Close leaves no pooled batch outstanding.
 func (w *Worker) Release() {
 	w.releaseMemos()
 	for _, b := range w.builds {
 		b.unref()
 	}
-	for _, m := range w.merges {
-		m.g.release()
+	for _, r := range w.results {
+		r.unref()
 	}
-	w.builds, w.merges = nil, nil
+	w.builds, w.results = nil, nil
 }
 
 // identity returns the selection 0..n-1, a prefix of w.all. Its readers
@@ -255,12 +254,51 @@ type joinState struct {
 
 	// Output reuse, on a kept build. keep marks a join still keeping its
 	// output: probes and outs are its probed and emitted batches so far,
-	// each held, which it stores on built at probe close. holding marks a
-	// join on a reused build whose probe batches so far are all in the
-	// kept output's list: held are those batches, in arrival order,
-	// charged but not yet probed.
-	keep, holding      bool
-	probes, outs, held []*storage.Batch
+	// each held, which it stores on built at probe close. back holds back
+	// the probe batches of a join on a reused build while each is in the
+	// kept output's list.
+	keep         bool
+	probes, outs []*storage.Batch
+	back         holdBack
+}
+
+// holdBack is a stream consumer's hold-back against the kept list of
+// input batches something it may send again was made from: a kept
+// build's output, or a sink's kept result. While on, each delivered
+// batch in the list is held — charged, not yet consumed. The first batch
+// outside the list turns it off, and the consumer then consumes the held
+// batches (drain), in arrival order, before that one. A stream that
+// delivered exactly the list, all held back (all), is answered with what
+// was kept.
+type holdBack struct {
+	on   bool
+	held []*storage.Batch
+}
+
+// hold reports whether b is held back: the hold-back is on and b is in
+// list. Otherwise it turns the hold-back off.
+func (h *holdBack) hold(b *storage.Batch, list []*storage.Batch) bool {
+	if h.on && slices.Contains(list, b) {
+		h.held = append(h.held, b)
+		return true
+	}
+	h.on = false
+	return false
+}
+
+// all reports whether every delivered batch was held back and they are
+// exactly the batches of list, in any order.
+func (h *holdBack) all(list []*storage.Batch) bool {
+	return h.on && sameBatches(h.held, list)
+}
+
+// drain turns the hold-back off and returns the held batches, in
+// arrival order, for the consumer to consume or give back.
+func (h *holdBack) drain() []*storage.Batch {
+	h.on = false
+	held := h.held
+	h.held = h.held[:0]
+	return held
 }
 
 // joinBuild is a join build a Worker keeps for the next join of its
@@ -319,8 +357,8 @@ func freeBatches(batches []*storage.Batch) {
 	}
 }
 
-// maxKept bounds the batches of a kept build or merge: matching them
-// (sameBatches) is quadratic.
+// maxKept bounds the batches of a kept build, output or sink result:
+// matching them (sameBatches) is quadratic.
 const maxKept = 64
 
 // buildOf returns the index in w.builds of the build for build key key
@@ -691,7 +729,7 @@ func (st *joinState) reuse(jb *joinBuild) {
 	freeBatches(st.build)
 	st.build, st.ht, st.box, st.hi, st.direct = jb.batches, jb.ht, jb.box, jb.hi, jb.direct
 	jb.refs++
-	st.built, st.reused, st.keep, st.holding = jb, true, true, true
+	st.built, st.reused, st.keep, st.back.on = jb, true, true, true
 	st.w.work.reusedBuilds++
 }
 
@@ -760,7 +798,7 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		if msg.Prehashed {
 			probeCost = probeCost * 3 / 4
 		}
-		if st.holdBack(probe) {
+		if st.back.hold(probe, st.keptProbes()) {
 			// Charged as the probe would be: a replay costs what a
 			// fresh probe does.
 			ctx.Charge(probeCost * sim.Time(probe.Len()))
@@ -770,7 +808,7 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		}
 	}
 	if msg.Last {
-		if o := st.replayable(); o != nil {
+		if o := st.keptOutput(); o != nil && st.back.all(o.probes) {
 			st.replay(ctx, o)
 		} else {
 			st.drain(ctx)
@@ -828,41 +866,21 @@ func (st *joinState) keptOutput() *joinOutput {
 	return st.built.out
 }
 
-// holdBack reports whether the join holds probe back instead of probing
-// it: it runs on a reused build, and probe and every batch before it are
-// in the kept output's list.
-func (st *joinState) holdBack(probe *storage.Batch) bool {
-	if !st.holding {
-		return false
+// keptProbes returns the probe batches of the kept output (keptOutput),
+// the list the join holds its probe batches back against; nil when none.
+func (st *joinState) keptProbes() []*storage.Batch {
+	if o := st.keptOutput(); o != nil {
+		return o.probes
 	}
-	if o := st.keptOutput(); o != nil && slices.Contains(o.probes, probe) {
-		st.held = append(st.held, probe)
-		return true
-	}
-	st.holding = false
-	return false
+	return nil
 }
 
 // drain ends the hold-back: it probes the held batches, in arrival
 // order, their charge already paid.
 func (st *joinState) drain(ctx core.Context) {
-	st.holding = false
-	for _, b := range st.held {
+	for _, b := range st.back.drain() {
 		st.join(ctx, b, 0)
 	}
-	st.held = st.held[:0]
-}
-
-// replayable returns the kept output when the probe stream delivered
-// exactly its probe batches, all held back, or nil.
-func (st *joinState) replayable() *joinOutput {
-	if !st.holding {
-		return nil
-	}
-	if o := st.keptOutput(); o != nil && sameBatches(st.held, o.probes) {
-		return o
-	}
-	return nil
 }
 
 // replay answers the probe stream with the kept output o: it gives back
@@ -870,7 +888,7 @@ func (st *joinState) replayable() *joinOutput {
 // output batches, each held once more for its consumer, the last with
 // the end of stream (an empty output sends the end of stream alone).
 func (st *joinState) replay(ctx core.Context, o *joinOutput) {
-	freeBatches(st.held)
+	freeBatches(st.back.drain())
 	if len(o.out) == 0 {
 		st.send(ctx, nil, true)
 	}

@@ -20,10 +20,15 @@ import (
 // owner ACs: every write restamps a chunk, so the scans keep storing new
 // batches and dropping the holds on the old ones while other queries'
 // joins and sinks still read them, and joins and sinks keep switching
-// between reusing what they built and building anew. Every answer must
-// be the static one, and once the engine stopped and every Worker
-// released what it keeps, no pooled object may be outstanding. Run it
-// with -race: replayed batches are read from several ACs at once.
+// between reusing what they kept and computing anew — a sink may be
+// holding back against a kept result while another sink of its shape
+// replaces it. The writer writes once per writeEvery completed queries,
+// so however slowly the queries run, a statement meets unchanged batches
+// between writes. Every answer must be the static one, builds must be
+// reused and sink results replayed, and once the engine stopped and
+// every Worker released what it keeps, no pooled object may be
+// outstanding. Run it with -race: replayed batches are read from several
+// ACs at once.
 func TestSharedReplaysBesideWriters(t *testing.T) {
 	core.TrackPools(true)
 	defer core.TrackPools(false)
@@ -92,15 +97,20 @@ func TestSharedReplaysBesideWriters(t *testing.T) {
 		stmts[i] = q
 	}
 
+	const clientsN, rounds = 4, 12
+	writeEvery := 2 * len(stmts) // about two of each statement between writes
 	stop := make(chan struct{})
+	completed := make(chan struct{}, clientsN*rounds*len(stmts))
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(200 * time.Microsecond):
+			for range writeEvery {
+				select {
+				case <-stop:
+					return
+				case <-completed:
+				}
 			}
 			w := n % cfg.Warehouses
 			ev := core.GetEvent()
@@ -115,13 +125,13 @@ func TestSharedReplaysBesideWriters(t *testing.T) {
 			eng.Inject(topo.Owner(w), ev)
 		}
 	}()
-	errs := make(chan error, 4)
+	errs := make(chan error, clientsN)
 	var clients sync.WaitGroup
-	for c := range 4 {
+	for c := range clientsN {
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			for n := range 12 * len(stmts) {
+			for n := range rounds * len(stmts) {
 				i := (n + c) % len(stmts)
 				res, err := query(stmts[i])
 				if err != nil {
@@ -132,6 +142,7 @@ func TestSharedReplaysBesideWriters(t *testing.T) {
 					errs <- fmt.Errorf("client %d, statement %d:\n got %s\nwant %s", c, i, got, want[i])
 					return
 				}
+				completed <- struct{}{}
 			}
 		}()
 	}
@@ -148,8 +159,8 @@ func TestSharedReplaysBesideWriters(t *testing.T) {
 		reused = reused.Add(w.Work())
 		w.Release()
 	}
-	if reused.ReusedBuilds == 0 || reused.ReusedMerges == 0 {
-		t.Errorf("no reuse beside the writer: %d builds and %d merges reused", reused.ReusedBuilds, reused.ReusedMerges)
+	if reused.ReusedBuilds == 0 || reused.ReplayedSinks == 0 {
+		t.Errorf("no reuse beside the writer: %d builds reused and %d sink results replayed", reused.ReusedBuilds, reused.ReplayedSinks)
 	}
 	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
 		t.Errorf("pooled objects outstanding after Stop and Release: %s", core.PoolBalanceString())

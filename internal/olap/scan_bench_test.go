@@ -245,19 +245,23 @@ func BenchmarkJoinBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSinkMergeReuse is BenchmarkSinkMerge when the four runs are
-// the batches the last merge of the shape received — held batches, as a
-// shared scan's memo replays them: one op draws a pooled group table,
-// receives the four runs, finds the Worker's merged table of the same
-// runs, gives its own table (and its holds on the runs) back, and reads
-// the kept one. It must show zero steady-state allocations.
+// BenchmarkSinkResultReplay is BenchmarkSinkMerge when the four runs
+// are the batches the last sink of the shape consumed — held batches, as
+// a shared scan's memo replays them: one op opens a sink on the Worker,
+// which finds the kept result of its shape, delivers the four runs, each
+// held back against it, and closes the stream: the sink gives back its
+// holds on the runs and takes the kept result batches, each held once
+// more for the consumer, who frees them. The report's envelope — one
+// QueryResult and its batch list per query, which the consumer owns —
+// lies outside the op. It must show zero steady-state allocations.
 //
-//	go test -bench SinkMergeReuse -benchmem ./internal/olap
-func BenchmarkSinkMergeReuse(b *testing.B) {
+//	go test -bench SinkResultReplay -benchmem ./internal/olap
+func BenchmarkSinkResultReplay(b *testing.B) {
 	const parts, groups = 4, 26 * 26
 	spec := &SinkSpec{GroupBy: []string{"c_state"}, MergePartials: true,
 		Aggs:     []AggExpr{{Fn: AggCount}, {Fn: AggSum, Col: "c_balance"}},
-		OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat}, OutSrc: []int{0, 1, 2}}
+		OutCols:  []string{"c_state", "n", "balance"},
+		OutKinds: []storage.Kind{storage.KStr, storage.KInt, storage.KFloat}, OutSrc: []int{0, 1, 2}, Limit: -1}
 	partial := storage.NewSchema("customer_partial", storage.Column{Name: "g0", Kind: storage.KStr},
 		storage.Column{Name: "p0", Kind: storage.KInt}, storage.Column{Name: "p1", Kind: storage.KFloat})
 	runs := make([]*storage.Batch, parts)
@@ -269,30 +273,34 @@ func BenchmarkSinkMergeReuse(b *testing.B) {
 		}
 	}
 	w := &Worker{}
-	s := &sinkState{spec: spec, w: w}
+	ctx := &flushSink{costs: sim.DefaultCosts()}
+	msg := &core.DataMsg{Producers: parts}
+	s := &sinkState{}
+	held := make([]*storage.Batch, 0, parts)
+	var out []*storage.Batch
 	op := func() {
-		s.groups, s.kept = sinkGroups(spec), false
+		*s = sinkState{back: holdBack{held: held[:0]}}
+		s.open(w, spec)
 		for _, run := range runs {
 			storage.HoldBatch(run) // the delivery's hold, as a replay takes it
-			s.groups.runs = append(s.groups.runs, run)
+			msg.Batch = run
+			s.OnData(ctx, nil, msg)
 		}
-		s.merge()
-		if len(s.groups.rows) != groups {
-			b.Fatalf("%d groups, want %d", len(s.groups.rows), groups)
+		var rows int
+		if out, rows = s.result(out[:0]); rows != groups {
+			b.Fatalf("%d rows, want %d", rows, groups)
 		}
-		if !s.kept {
-			s.groups.release()
-		}
+		freeBatches(out) // the consumer's frees
 	}
-	op() // the first merge is kept
+	op() // the first sink merges and keeps its result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
 	}
 	b.StopTimer()
-	if w.work.merges != 1 || w.work.reusedMerges != b.N {
-		b.Fatalf("%d merges and %d reused, want 1 and %d", w.work.merges, w.work.reusedMerges, b.N)
+	if w.work.replayedSinks != b.N {
+		b.Fatalf("%d sinks replayed, want %d", w.work.replayedSinks, b.N)
 	}
 	w.Release()
 	for _, run := range runs {

@@ -21,14 +21,18 @@ import (
 //     cells), each one run in group order; the sink keeps the runs
 //     until the stream closes, then merges them, k ways at once, into
 //     a result already in group order — the distributed-aggregation
-//     combine step, with no key map and no sort. Runs that are exactly
-//     the batches a sink of the same shape on the same AC merged last
-//     (held batches a shared scan's memo replayed) are not merged
-//     again: the sink reads the table that merge left (sinkMerge).
+//     combine step, with no key map and no sort.
 //   - Aggs without MergePartials: the stream carries raw rows (join
 //     output); the sink folds them into group accumulators directly.
 //   - No Aggs: plain collection of projected rows (capped at
 //     CollectCap).
+//
+// The sink's shape is every field but Query, In and Notify. A stream
+// that delivers exactly the input batches the last sink of the same
+// shape on the same AC kept — held batches, which a shared scan's memo
+// replay or a join's output replay hands out again — is answered with
+// that sink's kept result (sinkResult), sent again by reference: no
+// fold, merge, sort or gather, and no result schema.
 type SinkSpec struct {
 	Query core.QueryID
 	In    core.StreamID
@@ -61,16 +65,34 @@ type OrderKey struct {
 	Desc bool
 }
 
+// sameShape reports whether sinks a and b make the same result from the
+// same input batches: every field but Query, In and Notify is equal.
+func sameShape(a, b *SinkSpec) bool {
+	return a.MergePartials == b.MergePartials && a.Limit == b.Limit &&
+		slices.Equal(a.GroupBy, b.GroupBy) && slices.Equal(a.Aggs, b.Aggs) && slices.Equal(a.Cols, b.Cols) &&
+		slices.Equal(a.OutCols, b.OutCols) && slices.Equal(a.OutKinds, b.OutKinds) &&
+		slices.Equal(a.OutSrc, b.OutSrc) && slices.Equal(a.OrderBy, b.OrderBy)
+}
+
 // sinkState accumulates one query's result: a group table when the
 // query aggregates, otherwise one batch of collected rows.
 type sinkState struct {
 	spec      *SinkSpec
-	w         *Worker         // the AC's, keeping merges for reuse; nil keeps none
-	schema    *storage.Schema // the result's
-	groups    *groupTable
-	kept      bool // groups is a merged table the Worker keeps: read it, never release it
+	w         *Worker         // the AC's, keeping results for reuse
+	schema    *storage.Schema // the result's, set when the sink first gathers
+	groups    *groupTable     // drawn at the first fold or run
 	rows      *storage.Batch
 	truncated bool
+
+	// Result reuse. kept is the Worker's result of the sink's shape at
+	// install, referenced until the sink closes; back holds back the
+	// delivered batches in its input list. keep marks a sink still
+	// keeping its result: in are the batches it consumed so far, each
+	// held once more, which it stores beside the result at close.
+	kept *sinkResult
+	back holdBack
+	keep bool
+	in   []*storage.Batch
 
 	// Column resolution against the stream's batch schema (raw fold and
 	// collect), cached per schema.
@@ -79,69 +101,71 @@ type sinkState struct {
 	aggIdx   []int
 	projIdx  []int
 
-	// Per-batch scratch: the identity selection over its rows; and per
-	// result row, its position before the ORDER BY sort.
+	// Finalize scratch: the result rows' permutation and, per result
+	// row, its position before the ORDER BY sort.
 	sel, pos []int32
 }
 
-// sinkMerge is a merged group table a Worker keeps for the next merging
-// sink of its shape — grouping, aggregates and accumulator kinds. The
-// table keeps its runs, each held; a sink whose runs are the same
-// batches, in any order, reads the table instead of merging, and never
-// writes it.
-type sinkMerge struct {
-	groupBy []string
-	aggs    []AggExpr
-	g       *groupTable
+// sinkResult is a result a Worker keeps for the next sink of its shape:
+// the shape (a sink's spec, Query, In and Notify zero), the result
+// schema, the input batches in arrival order and the result batches,
+// each held, and the row count and truncation flag. The shape and the
+// input batches determine the result, and a held batch is never
+// recycled, so a sink of the shape whose stream delivers the same
+// batches, in any order, may send these result batches instead of
+// computing them. refs counts the Worker's keep plus each sink holding
+// back against it; the last unref frees the holds.
+type sinkResult struct {
+	shape     SinkSpec
+	schema    *storage.Schema
+	in, out   []*storage.Batch
+	rows      int
+	truncated bool
+	refs      int
 }
 
-// is reports whether m merged runs of the shape of spec's table g.
-func (m *sinkMerge) is(spec *SinkSpec, g *groupTable) bool {
-	sameKind := func(a, b aggVec) bool { return a.vals.Kind == b.vals.Kind }
-	return slices.Equal(m.groupBy, spec.GroupBy) && slices.Equal(m.aggs, spec.Aggs) &&
-		slices.EqualFunc(m.g.aggs, g.aggs, sameKind)
+// unref gives back one reference to r; the last frees its holds on its
+// input and result batches.
+func (r *sinkResult) unref() {
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	freeBatches(r.in)
+	freeBatches(r.out)
+	r.in, r.out = nil, nil
 }
 
-// keptMerge returns the Worker's merged table of g's shape whose runs
-// are g's runs (sameBatches), or nil.
-func (w *Worker) keptMerge(spec *SinkSpec, g *groupTable) *sinkMerge {
-	if w == nil {
-		return nil
-	}
-	i := slices.IndexFunc(w.merges, func(m *sinkMerge) bool { return m.is(spec, g) && sameBatches(g.runs, m.g.runs) })
-	if i < 0 {
-		return nil
-	}
-	toFront(w.merges, i)
-	return w.merges[0]
+// resultOf returns the index in w.results of the result of spec's
+// shape, or -1.
+func (w *Worker) resultOf(spec *SinkSpec) int {
+	return slices.IndexFunc(w.results, func(r *sinkResult) bool { return sameShape(&r.shape, spec) })
 }
 
-// keepMerge keeps g, just merged, for the next sink of its shape when
-// its runs can come again (reusable), replacing the Worker's table of
-// that shape. It reports whether it kept g.
-func (w *Worker) keepMerge(spec *SinkSpec, g *groupTable) bool {
-	if !reusable(g.runs) {
-		return false
+// keepResult keeps r for the next sink of its shape, replacing the
+// Worker's result of that shape.
+func (w *Worker) keepResult(r *sinkResult) {
+	var old *sinkResult
+	if w.results, old = keepFront(w.results, w.resultOf(&r.shape), r); old != nil {
+		old.unref()
 	}
-	i := slices.IndexFunc(w.merges, func(m *sinkMerge) bool { return m.is(spec, g) })
-	var old *sinkMerge
-	if w.merges, old = keepFront(w.merges, i, &sinkMerge{groupBy: spec.GroupBy, aggs: spec.Aggs, g: g}); old != nil {
-		old.g.release()
-	}
-	return true
 }
 
 func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
-	s := &sinkState{spec: spec, w: w}
-	cols := make([]storage.Column, len(spec.OutCols))
-	for i := range cols {
-		cols[i] = storage.Column{Name: spec.OutCols[i], Kind: spec.OutKinds[i]}
-	}
-	s.schema = storage.NewSchema("result", cols...)
-	if len(spec.Aggs) > 0 {
-		s.groups = sinkGroups(spec)
-	}
+	s := &sinkState{}
+	s.open(w, spec)
 	ac.Subscribe(ctx, spec.In, s)
+}
+
+// open readies s to run spec on w. When w keeps a result of spec's
+// shape, s references it and holds back the batches of its input list.
+func (s *sinkState) open(w *Worker, spec *SinkSpec) {
+	s.spec, s.w, s.keep = spec, w, true
+	if i := w.resultOf(spec); i >= 0 {
+		toFront(w.results, i)
+		s.kept = w.results[0]
+		s.kept.refs++
+		s.back.on = true
+	}
 }
 
 // sinkGroups returns a pooled group table for spec's aggregation. Each
@@ -164,47 +188,98 @@ func sinkGroups(spec *SinkSpec) *groupTable {
 	return g
 }
 
+// OnData charges each batch as the sink's work on it, whether it is
+// consumed or held back against the kept result; at the end of the
+// stream the sink reports its result.
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	if b := msg.Batch; b != nil {
 		ctx.Charge(ctx.Costs().AggRow * sim.Time(b.Len()))
-		if s.spec.MergePartials {
-			// One ordered run, merged with the others when the stream
-			// closes; the table frees it on release.
-			s.groups.runs = append(s.groups.runs, b)
-		} else {
-			s.sel = identity(s.sel, b.Len())
-			if len(s.spec.Aggs) > 0 {
-				s.foldRaw(b)
-			} else {
-				s.collect(b)
+		if s.kept == nil || !s.back.hold(b, s.kept.in) {
+			for _, h := range s.back.drain() {
+				s.consume(h)
 			}
-			storage.FreeBatch(b)
+			s.consume(b)
 		}
 	}
 	if msg.Last {
-		if s.spec.MergePartials {
-			s.merge()
-		}
-		s.finalize(ctx, ac)
+		batches, rows := s.result(nil)
+		s.report(ctx, ac, batches, rows)
 	}
 }
 
-// merge combines the partial runs. When the Worker keeps a table merged
-// from exactly these runs, the sink gives its own table back — and with
-// it its holds on the runs — and reads the kept one. Otherwise it merges
-// (mergePartials) and offers the table to the Worker to keep.
-func (s *sinkState) merge() {
-	if m := s.w.keptMerge(s.spec, s.groups); m != nil {
-		s.groups.release()
-		s.groups, s.kept = m.g, true
-		s.w.work.reusedMerges++
+// consume takes one input batch: an ordered run, kept until the stream
+// closes and freed with the table, or rows folded or collected at once,
+// after which the sink gives the batch back. While the sink keeps its
+// result it holds b once more; a batch that cannot come again (not
+// Shared), or one past maxKept, ends the keeping.
+func (s *sinkState) consume(b *storage.Batch) {
+	if s.keep && (!b.Shared() || len(s.in) == maxKept) {
+		s.dropInputs()
+	}
+	if s.keep {
+		storage.HoldBatch(b)
+		s.in = append(s.in, b)
+	}
+	if s.spec.MergePartials {
+		g := s.table()
+		g.runs = append(g.runs, b)
 		return
 	}
-	s.mergePartials()
-	if s.w != nil {
-		s.w.work.merges++
-		s.kept = s.w.keepMerge(s.spec, s.groups)
+	sel := s.w.identity(b.Len())
+	if len(s.spec.Aggs) > 0 {
+		s.foldRaw(b, sel)
+	} else {
+		s.collect(b, sel)
 	}
+	storage.FreeBatch(b)
+}
+
+// dropInputs stops keeping the result: it gives back the holds taken on
+// the consumed batches.
+func (s *sinkState) dropInputs() {
+	freeBatches(s.in)
+	s.in, s.keep = nil, false
+}
+
+// table returns the sink's group table, drawn from the pool at first use.
+func (s *sinkState) table() *groupTable {
+	if s.groups == nil {
+		s.groups = sinkGroups(s.spec)
+	}
+	return s.groups
+}
+
+// result closes the sink's input and appends its result batches to
+// batches, returning them and the row count. When the stream delivered
+// exactly the kept result's input batches, all held back, the sink gives
+// back its holds on them — they are the result's own — and appends the
+// kept result batches, each held once more for the consumer. Otherwise
+// it consumes the held batches and finalizes, under the result schema
+// of its shape when one is kept. Either way it gives back its reference
+// to the kept result.
+func (s *sinkState) result(batches []*storage.Batch) ([]*storage.Batch, int) {
+	r := s.kept
+	if r != nil && s.back.all(r.in) {
+		freeBatches(s.back.drain())
+		for _, b := range r.out {
+			storage.HoldBatch(b)
+			batches = append(batches, b)
+		}
+		rows := r.rows
+		s.truncated = r.truncated
+		s.w.work.replayedSinks++
+		r.unref()
+		return batches, rows
+	}
+	for _, b := range s.back.drain() {
+		s.consume(b)
+	}
+	if r == nil {
+		return s.finalize(batches)
+	}
+	defer r.unref()
+	s.schema = r.schema
+	return s.finalize(batches)
 }
 
 // mergePartials merges the partial batches (shared-scan partial layout),
@@ -243,8 +318,9 @@ func (s *sinkState) mergePartials() {
 	}
 }
 
-// foldRaw folds raw stream rows (join output) into the group table.
-func (s *sinkState) foldRaw(b *storage.Batch) {
+// foldRaw folds the rows sel of raw stream batch b (join output) into
+// the group table.
+func (s *sinkState) foldRaw(b *storage.Batch, sel []int32) {
 	if s.resolved != b.Schema {
 		s.groupIdx = colIdx(b.Schema, s.spec.GroupBy)
 		s.aggIdx = make([]int, len(s.spec.Aggs))
@@ -256,37 +332,56 @@ func (s *sinkState) foldRaw(b *storage.Batch) {
 		}
 		s.resolved = b.Schema
 	}
-	g := s.groups
-	g.fold(b.Cols, s.aggIdx, s.sel, g.slots(b.Cols, s.groupIdx, s.sel))
+	g := s.table()
+	g.fold(b.Cols, s.aggIdx, sel, g.slots(b.Cols, s.groupIdx, sel))
 }
 
-// collect appends projected rows (no aggregation), up to CollectCap. A
-// column may be selected more than once.
-func (s *sinkState) collect(b *storage.Batch) {
+// collect appends the projected rows sel of b (no aggregation), up to
+// CollectCap. A column may be selected more than once.
+func (s *sinkState) collect(b *storage.Batch, sel []int32) {
 	if s.resolved != b.Schema {
 		s.projIdx = colIdx(b.Schema, s.spec.Cols)
 		s.resolved = b.Schema
 	}
 	if s.rows == nil {
-		s.rows = storage.GetBatch(s.schema)
+		s.rows = storage.GetBatch(s.resultSchema())
 	}
 	n := min(b.Len(), CollectCap-s.rows.Len())
 	if n < b.Len() {
 		s.truncated = true
 	}
-	s.rows.AppendRows(b.Cols, s.projIdx, s.sel[:n])
+	s.rows.AppendRows(b.Cols, s.projIdx, sel[:n])
 }
 
-// finalize orders, limits, and batches the result, then reports it. The
-// result is a list of vectors — the group table's key and finalized
-// aggregate columns, or the collected rows' — and a permutation of its
-// rows; the result batches gather from it column by column.
-func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
+// resultSchema returns the result's schema, built at first use.
+func (s *sinkState) resultSchema() *storage.Schema {
+	if s.schema == nil {
+		cols := make([]storage.Column, len(s.spec.OutCols))
+		for i := range cols {
+			cols[i] = storage.Column{Name: s.spec.OutCols[i], Kind: s.spec.OutKinds[i]}
+		}
+		s.schema = storage.NewSchema("result", cols...)
+	}
+	return s.schema
+}
+
+// finalize orders, limits, and batches the result, appending the result
+// batches to batches; it returns them and the row count. The result is
+// a list of vectors — the group table's key and finalized aggregate
+// columns, or the collected rows' — and a permutation of its rows; the
+// result batches gather from it column by column. A sink still keeping
+// its result holds the new batches once more and keeps them, beside its
+// input batches, for the next sink of its shape.
+func (s *sinkState) finalize(batches []*storage.Batch) ([]*storage.Batch, int) {
 	spec := s.spec
 	var view []storage.EncVec
 	var cols []int
 	var perm []int32
-	if g := s.groups; g != nil {
+	if len(spec.Aggs) > 0 {
+		g := s.table()
+		if spec.MergePartials {
+			s.mergePartials()
+		}
 		if len(g.rows) == 0 && len(spec.GroupBy) == 0 {
 			// Global aggregate over zero rows still yields one row
 			// (COUNT(*) = 0; sums and extrema zero-valued — no NULLs in
@@ -298,7 +393,7 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 		view, cols, perm = g.viewOf(true), spec.OutSrc, g.sorted()
 	} else {
 		if s.rows == nil {
-			s.rows = storage.GetBatch(s.schema)
+			s.rows = storage.GetBatch(s.resultSchema())
 		}
 		view, cols = s.rows.Cols, identityCols(len(spec.OutCols))
 		s.sel = identity(s.sel, s.rows.Len())
@@ -315,20 +410,40 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 		s.truncated = true
 	}
 
-	var batches []*storage.Batch
+	first := len(batches)
 	for i := 0; i < len(perm); i += DefaultBatchRows {
-		b := storage.GetBatch(s.schema)
+		b := storage.GetBatch(s.resultSchema())
 		b.AppendRows(view, cols, perm[i:min(i+DefaultBatchRows, len(perm))])
 		batches = append(batches, b)
 	}
-
 	rows := len(perm)
-	if s.groups != nil && !s.kept {
+	if s.groups != nil {
 		s.groups.release()
+		s.groups = nil
 	}
-	s.groups = nil
 	storage.FreeBatch(s.rows)
 	s.rows = nil
+
+	if s.keep && len(s.in) > 0 {
+		out := slices.Clone(batches[first:])
+		for _, b := range out {
+			storage.HoldBatch(b)
+		}
+		shape := *spec
+		shape.Query, shape.In, shape.Notify = 0, 0, 0
+		s.w.keepResult(&sinkResult{shape: shape, schema: s.resultSchema(), in: s.in, out: out,
+			rows: rows, truncated: s.truncated, refs: 1})
+		s.in, s.keep = nil, false
+	} else {
+		s.dropInputs()
+	}
+	return batches, rows
+}
+
+// report ends the query: it drops the input stream and sends the result
+// batches, rows rows in all, to Notify.
+func (s *sinkState) report(ctx core.Context, ac *core.AC, batches []*storage.Batch, rows int) {
+	spec := s.spec
 	ac.DropStream(spec.In)
 	done := core.GetEvent()
 	done.Kind, done.Query = core.EvQueryDone, spec.Query

@@ -104,3 +104,30 @@ func TestOrderByKeepsTiesInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestGlobalFoldOverRawBatches folds a global COUNT(*), SUM(v) and
+// MIN(v) over several raw batches, one of them empty, the way a sink
+// folds join output, and checks the answer against a naive evaluation.
+// With no group columns every row takes slot 0 and the key map stays
+// empty.
+func TestGlobalFoldOverRawBatches(t *testing.T) {
+	r := newSinkRig(t)
+	b1, b2, b3 := rigBatches(r)
+	empty := r.batch()
+	in := []*storage.Batch{b1, empty, b2, b3}
+	if _, got := r.run(rigGlobal, in...); got != naiveSink(rigGlobal, in...) {
+		t.Fatalf("got %s, want %s", got, naiveSink(rigGlobal, in...))
+	}
+	g := sinkGroups(&rigGlobal)
+	for _, b := range in {
+		at := g.slots(b.Cols, nil, identity(nil, b.Len()))
+		if len(at) != b.Len() || slices.ContainsFunc(at, func(s int32) bool { return s != 0 }) {
+			t.Fatalf("slots %v for %d rows, want all 0", at, b.Len())
+		}
+	}
+	if len(g.rows) != 1 || len(g.index) != 0 {
+		t.Fatalf("%d slots and %d keys, want one slot and no key", len(g.rows), len(g.index))
+	}
+	g.release()
+	r.finish()
+}

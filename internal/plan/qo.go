@@ -93,8 +93,9 @@ func (q *QO) OnEvent(ctx core.Context, _ *core.AC, ev *core.Event) {
 	}
 
 	// Phase 2 — compile. The QO core is busy for the whole window
-	// (the paper cites ~30ms for a commercial optimizer on this query).
-	ctx.Charge(p.CompileTime)
+	// (the paper cites ~30ms for a commercial optimizer on this query),
+	// on the goroutine runtime too.
+	core.Occupy(ctx, p.CompileTime)
 
 	// Phase 3 — execution: install whatever scans were neither beamed
 	// nor held, the joins (with their held probe scans) and the sink.

@@ -31,10 +31,12 @@ func trackPools(t *testing.T) (assertBalanced func()) {
 
 // TestQueryShapesLeaveNoPooledBatch runs the repo benchmark's four query
 // shapes twice each, so the second run of each replays the batches the
-// first stored and reuses the customer build and the merged groups, and
-// at Close the Workers hold batches for all of them. Each second answer
-// must equal the first, and the drained Close, which releases what the
-// Workers keep, must leave no pooled object outstanding.
+// first stored, reuses the customer build and sends its sink's kept
+// result again, and at Close the Workers hold batches for all of them.
+// Each second answer must equal the first. A third run of each stops
+// after its first row: closing its Rows frees the rest of the replayed
+// result. The drained Close, which releases what the Workers keep, must
+// leave no pooled object outstanding.
 func TestQueryShapesLeaveNoPooledBatch(t *testing.T) {
 	assertBalanced := trackPools(t)
 	c, err := anydb.Open(anydb.Config{
@@ -77,6 +79,14 @@ func TestQueryShapesLeaveNoPooledBatch(t *testing.T) {
 		if first, again := answer(stmt), answer(stmt); again != first {
 			t.Fatalf("%s: a second run answered\n%s\nthe first\n%s", stmt, again, first)
 		}
+		rows, err := c.Query(bg, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("%s: a third run has no rows", stmt)
+		}
+		rows.Close()
 	}
 	c.Close()
 	assertBalanced()
