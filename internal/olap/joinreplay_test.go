@@ -74,33 +74,59 @@ func (r *replayRig) batch(s *storage.Schema, rows ...[2]int64) *storage.Batch {
 	return b
 }
 
-// run runs one join of spec's keys and projection over build and probe,
-// delivered in order, and returns what it sent.
-func (r *replayRig) run(spec JoinSpec, build, probe []*storage.Batch) *outRecorder {
+// joinRun is one installed join and the context that records its
+// output.
+type joinRun struct {
+	spec JoinSpec
+	ctx  *outRecorder
+}
+
+// start installs a join of spec's keys and projection under a new query
+// and streams.
+func (r *replayRig) start(spec JoinSpec) *joinRun {
 	r.q++
 	spec.Query, spec.Build, spec.Probe, spec.Out = r.q, core.StreamID(3*r.q), core.StreamID(3*r.q+1), core.StreamID(3*r.q+2)
 	spec.To, spec.Producers, spec.Notify = 1, 1, core.NoAC
-	ctx := &outRecorder{flushSink: flushSink{costs: sim.DefaultCosts()}, lastAt: -1}
-	r.w.newJoin(ctx, r.ac, &spec)
-	deliver := func(sid core.StreamID, batches []*storage.Batch) {
-		for i, b := range batches {
-			storage.HoldBatch(b) // the delivery's hold, as a replay takes it
-			msg := core.GetDataMsg()
-			msg.Stream, msg.Query, msg.Batch, msg.Last, msg.Producers = sid, spec.Query, b, i == len(batches)-1, 1
-			r.ac.HandleData(ctx, msg)
-		}
-		if len(batches) == 0 {
-			msg := core.GetDataMsg()
-			msg.Stream, msg.Query, msg.Last, msg.Producers = sid, spec.Query, true, 1
-			r.ac.HandleData(ctx, msg)
-		}
+	run := &joinRun{spec: spec, ctx: &outRecorder{flushSink: flushSink{costs: sim.DefaultCosts()}, lastAt: -1}}
+	r.w.newJoin(run.ctx, r.ac, &run.spec)
+	return run
+}
+
+// send delivers batches on stream sid of run, each with one more hold,
+// the last with the end of stream when last is set (alone, when there
+// are none).
+func (r *replayRig) send(run *joinRun, sid core.StreamID, last bool, batches ...*storage.Batch) {
+	for i, b := range batches {
+		storage.HoldBatch(b) // the delivery's hold, as a replay takes it
+		msg := core.GetDataMsg()
+		msg.Stream, msg.Query, msg.Batch, msg.Last, msg.Producers = sid, run.spec.Query, b, last && i == len(batches)-1, 1
+		r.ac.HandleData(run.ctx, msg)
 	}
-	deliver(spec.Build, build)
-	deliver(spec.Probe, probe)
-	if ctx.lastAt != ctx.msgs-1 {
-		r.t.Fatalf("the join's end of stream came with message %d of %d", ctx.lastAt, ctx.msgs)
+	if last && len(batches) == 0 {
+		msg := core.GetDataMsg()
+		msg.Stream, msg.Query, msg.Last, msg.Producers = sid, run.spec.Query, true, 1
+		r.ac.HandleData(run.ctx, msg)
 	}
-	return ctx
+	if last && sid == run.spec.Probe && run.ctx.lastAt != run.ctx.msgs-1 {
+		r.t.Fatalf("the join's end of stream came with message %d of %d", run.ctx.lastAt, run.ctx.msgs)
+	}
+}
+
+// run runs one join of spec's keys and projection over build and probe,
+// delivered in order, and returns what it sent.
+func (r *replayRig) run(spec JoinSpec, build, probe []*storage.Batch) *outRecorder {
+	run := r.start(spec)
+	r.send(run, run.spec.Build, true, build...)
+	r.send(run, run.spec.Probe, true, probe...)
+	return run.ctx
+}
+
+// drop gives back the rig's own hold on b, as a memo that stored newer
+// batches does.
+func (r *replayRig) drop(b *storage.Batch) {
+	i := slices.Index(r.owned, b)
+	r.owned = slices.Delete(r.owned, i, i+1)
+	storage.FreeBatch(b)
 }
 
 // finish frees the rig's batches and what the Worker keeps, and checks
@@ -306,6 +332,110 @@ func TestJoinEmptyOutputReplays(t *testing.T) {
 	r.finish()
 }
 
+// TestKeptOutputOutlivesReplacement interleaves joins on one kept build.
+// Two joins reuse the build and start holding the kept output's first
+// probe batches back against it. A third join on the build then probes
+// other batches and replaces the kept output; the "memo" gives up its
+// holds on the first output's probe batches once it delivered them. The
+// first join receives exactly those batches and must replay the replaced
+// output, which its reference kept intact; the second receives a new
+// batch after the held-back ones and probes, after a fourth join, fed the
+// third one's probe batches, replayed the new output. Every answer must
+// be the naive join's, and no pooled object may be left.
+func TestKeptOutputOutlivesReplacement(t *testing.T) {
+	r := newReplayRig(t)
+	build, probe := rigData(r)
+	other := []*storage.Batch{r.batch(rigProbe, [2]int64{3, 1}, [2]int64{77, 2}), r.batch(rigProbe, [2]int64{5, 3})}
+	first := r.run(rigSpec, build, probe)
+	a, b := r.start(rigSpec), r.start(rigSpec)
+	r.send(a, a.spec.Build, true, build...)
+	r.send(b, b.spec.Build, true, build...)
+	r.send(a, a.spec.Probe, false, probe[0], probe[1])
+	r.send(b, b.spec.Probe, false, probe[0], probe[1])
+	replacing := r.run(rigSpec, build, other)
+	if want := naiveJoin(rigSpec, build, other); !slices.Equal(sorted(replacing.rows), want) {
+		t.Fatalf("the replacing join answered %s", rowDiff(sorted(replacing.rows), want))
+	}
+	r.send(a, a.spec.Probe, false, probe[2], probe[3])
+	r.send(b, b.spec.Probe, false, other[1])
+	wantA, wantB := naiveJoin(rigSpec, build, probe), naiveJoin(rigSpec, build, []*storage.Batch{probe[0], probe[1], other[1]})
+	for _, p := range probe {
+		r.drop(p)
+	}
+	before := r.w.work.replayedJoins
+	r.send(a, a.spec.Probe, true)
+	if got := sorted(a.ctx.rows); !slices.Equal(got, wantA) || !slices.Equal(a.ctx.batches, first.batches) {
+		t.Fatalf("the join holding back answered %s, replaying the first output's batches %v",
+			rowDiff(got, wantA), slices.Equal(a.ctx.batches, first.batches))
+	}
+	if d := r.w.work.replayedJoins - before; d != 1 {
+		t.Fatalf("%d joins replayed, want the one holding back", d)
+	}
+	again := r.run(rigSpec, build, other)
+	if d := r.w.work.replayedJoins - before; d != 2 || !slices.Equal(again.batches, replacing.batches) {
+		t.Fatalf("the join fed the replacing join's probe batches: %d joins replayed, the same batches %v, want 2 and true",
+			d, slices.Equal(again.batches, replacing.batches))
+	}
+	r.send(b, b.spec.Probe, true)
+	if got := sorted(b.ctx.rows); !slices.Equal(got, wantB) {
+		t.Fatalf("the join that stopped holding back answered %s", rowDiff(got, wantB))
+	}
+	if r.w.work.builds != 1 || r.w.work.reusedBuilds != 4 {
+		t.Fatalf("%d builds and %d reused, want 1 and 4", r.w.work.builds, r.w.work.reusedBuilds)
+	}
+	r.finish()
+}
+
+// TestFreshProbesShareOutputSchema: joins that probe a kept build afresh,
+// with probe batches of the same columns, emit their output under the
+// schema of the output kept on the build, so every output batch of one
+// build and one probe spec has one schema — for a hash join and for a
+// direct one. Each answer is the naive join's.
+func TestFreshProbesShareOutputSchema(t *testing.T) {
+	r := newReplayRig(t)
+	hashBuild, _ := rigData(r)
+	keys := storage.NewSchema("k", storage.Column{Name: "bk", Kind: storage.KInt})
+	keyBuild := storage.GetBatch(keys)
+	for k := range int64(50) {
+		keyBuild.AppendValues(storage.Int(k))
+	}
+	r.owned = append(r.owned, keyBuild)
+	direct := JoinSpec{BuildKey: []string{"bk"}, ProbeKey: []string{"pk"}, BuildOut: []string{"bk"}, ProbeOut: []string{"pv"}}
+	for _, c := range []struct {
+		what  string
+		spec  JoinSpec
+		build []*storage.Batch
+	}{
+		{"hash join", rigSpec, hashBuild},
+		{"direct join", direct, []*storage.Batch{keyBuild}},
+	} {
+		var schema *storage.Schema
+		for i := range int64(3) {
+			probe := []*storage.Batch{r.batch(rigProbe, [2]int64{i, 1}, [2]int64{7, 2}, [2]int64{200, 3}, [2]int64{40 + i, 4})}
+			got := r.run(c.spec, c.build, probe)
+			if want := naiveJoin(c.spec, c.build, probe); !slices.Equal(sorted(got.rows), want) {
+				t.Fatalf("%s %d answered %s", c.what, i, rowDiff(sorted(got.rows), want))
+			}
+			if len(got.batches) == 0 {
+				t.Fatalf("%s %d sent no batch", c.what, i)
+			}
+			if schema == nil {
+				schema = got.batches[0].Schema
+			}
+			for _, b := range got.batches {
+				if b.Schema != schema {
+					t.Fatalf("%s %d emitted a batch under a schema of its own", c.what, i)
+				}
+			}
+		}
+	}
+	if r.w.work.builds != 2 || r.w.work.reusedBuilds != 4 || r.w.work.replayedJoins != 0 {
+		t.Fatalf("%d builds, %d reused and %d replayed joins, want 2, 4 and 0",
+			r.w.work.builds, r.w.work.reusedBuilds, r.w.work.replayedJoins)
+	}
+	r.finish()
+}
+
 // BenchmarkJoinOutputReplay is a join on the Worker's kept build fed the
 // build and probe batches of the last join of its spec — three held
 // build batches, then four held probe batches, as a shared scan's memo
@@ -323,10 +453,9 @@ func BenchmarkJoinOutputReplay(b *testing.B) {
 	ctx := &flushSink{costs: sim.DefaultCosts()}
 	msg := &core.DataMsg{Producers: 1}
 	st := &joinState{}
-	delivered := make([]*storage.Batch, 0, len(build))
-	held := make([]*storage.Batch, 0, len(probe))
+	held := make([]*storage.Batch, 0, max(len(build), len(probe)))
 	op := func() {
-		*st = joinState{spec: &spec, w: r.w, build: delivered[:0], back: holdBack{held: held[:0]}}
+		*st = joinState{spec: &spec, w: r.w, back: holdBack{held: held[:0]}}
 		for _, bb := range build {
 			storage.HoldBatch(bb) // the delivery's hold, as a replay takes it
 			msg.Batch, msg.Last = bb, false

@@ -49,10 +49,11 @@ import (
 // merging per-chunk partials of c_state costs a third of folding the
 // chunk.
 //
-// Joins and sinks build on that identity (ops.go, sink.go): a build or a
-// merge that receives exactly the batches it consumed last time — the
-// same pointers, which a replay alone can deliver again — keeps the
-// state it built from them.
+// Joins and sinks build on that identity (keep.go): a build, a join's
+// output or a sink's result made from held batches is kept as one record
+// in the Worker's store, and a consumer of its shape that receives the
+// same batches again — the same pointers, which only a replay delivers —
+// takes what the record keeps.
 //
 // The memo is bounded: memoSigs signatures per (table, partition), and
 // memoSigs outputs per signature, the least recently registered one
@@ -148,7 +149,7 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 		w.memos = make(map[sharedKey][]*memoSig)
 	}
 	var old *memoSig
-	w.memos[key], old = pushFront(sigs, s)
+	w.memos[key], old = pushFront(sigs, s, memoSigs)
 	if old != nil {
 		old.drop()
 	}
@@ -196,7 +197,7 @@ func (s *memoSig) out(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr
 	p := &memoOut{scanLayout: newScanLayout(ts, cols, groupBy, aggs),
 		cols: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
 	var old *memoOut
-	if s.outs, old = pushFront(s.outs, p); old != nil {
+	if s.outs, old = pushFront(s.outs, p, memoSigs); old != nil {
 		old.drop()
 	}
 	return p
@@ -246,19 +247,6 @@ func (p *memoOut) store(held []*storage.Batch, stamps []uint64, scanned, probed,
 	return oldBatches, oldStamps
 }
 
-// keepFront returns list with v in front, in place of list[i] when i is
-// not -1, and the element it let go: list[i], or the last past memoSigs
-// (the zero value when none).
-func keepFront[T any](list []T, i int, v T) ([]T, T) {
-	if i < 0 {
-		return pushFront(list, v)
-	}
-	old := list[i]
-	list[i] = v
-	toFront(list, i)
-	return list, old
-}
-
 // toFront moves list[i] to the front of list, keeping the order of the
 // rest.
 func toFront[T any](list []T, i int) {
@@ -268,10 +256,10 @@ func toFront[T any](list []T, i int) {
 }
 
 // pushFront returns list with v in front, and the element it dropped
-// past memoSigs (the zero value when none).
-func pushFront[T any](list []T, v T) ([]T, T) {
+// past bound (the zero value when none).
+func pushFront[T any](list []T, v T, bound int) ([]T, T) {
 	var old T
-	if len(list) < memoSigs {
+	if len(list) < bound {
 		list = append(list, v)
 	} else {
 		old = list[len(list)-1]

@@ -63,14 +63,16 @@ type Predicate struct {
 // duplicate keys, non-key columns, a box past KeyBoxCap — is indexed in
 // a hash table sized from its row count.
 //
-// A build stream that delivers exactly the batches an earlier join of the
-// same build shape on the same AC consumed — the same held batches,
-// which a shared scan's memo replay or a join's output replay hands out
-// again — reuses that join's build (joinBuild): its box, bitmap, direct
-// flag and table. A join on a reused build whose probe stream then
-// delivers exactly the batches the last join of the same ProbeKey,
-// BuildOut and ProbeOut on that build probed sends that join's kept
-// output (joinOutput) again, by reference, instead of probing.
+// A join keeps its build as a record of its Worker (keep.go), shaped by
+// BuildKey and the build batches' columns. A build stream that delivers
+// exactly a kept build's batches — held batches, which a shared scan's
+// memo replay or a join's output replay hands out again — reuses its
+// box, bitmap, direct flag and table. A join on a reused build keeps its
+// output on the build, shaped by ProbeKey, BuildOut and ProbeOut; a
+// later one of that shape whose probe stream delivers exactly that
+// output's probe batches sends it again, by reference, instead of
+// probing, and one that probes other batches of the same columns takes
+// its output layout.
 type JoinSpec struct {
 	Query     core.QueryID
 	Build     core.StreamID
@@ -142,13 +144,12 @@ type Worker struct {
 	// outputs (memo.go), signatures most recently used first. It
 	// outlives the cursors.
 	memos map[sharedKey][]*memoSig
-	// builds and results are the last join build per build shape and the
-	// last sink result per sink shape, most recently used first, at most
-	// memoSigs of each (ops.go, sink.go): a join or sink that receives
-	// exactly their batches again reuses them.
-	builds  []*joinBuild
-	results []*sinkResult
-	work    workCounts
+	// kept is the store of join builds (each with its output) and sink
+	// results, most recently used first, at most keptRecords of them
+	// (keep.go): a join or sink that receives exactly a record's input
+	// batches again takes what it keeps.
+	kept []*kept
+	work workCounts
 	// all is the identity selection 0..n-1 (identity): filled once to
 	// storage.ColChunkRows, grown only for a longer one.
 	all []int32
@@ -176,13 +177,10 @@ type workCounts struct {
 // a drained Close leaves no pooled batch outstanding.
 func (w *Worker) Release() {
 	w.releaseMemos()
-	for _, b := range w.builds {
-		b.unref()
+	for _, k := range w.kept {
+		k.unref()
 	}
-	for _, r := range w.results {
-		r.unref()
-	}
-	w.builds, w.results = nil, nil
+	w.kept = nil
 }
 
 // identity returns the selection 0..n-1, a prefix of w.all. Its readers
@@ -245,210 +243,17 @@ type joinState struct {
 	mref []storage.RowRef
 	mrow []int32
 
-	// Build reuse. kept is the Worker's build of this join's shape, whose
-	// batches the build may turn out to be. built is the kept build the
-	// join runs on — reused (reused set), or its own build kept for the
-	// next join — and gives back at probe close.
-	kept, built *joinBuild
-	reused      bool
-
-	// Output reuse, on a kept build. keep marks a join still keeping its
-	// output: probes and outs are its probed and emitted batches so far,
-	// each held, which it stores on built at probe close. back holds back
-	// the probe batches of a join on a reused build while each is in the
-	// kept output's list.
-	keep         bool
-	probes, outs []*storage.Batch
-	back         holdBack
-}
-
-// holdBack is a stream consumer's hold-back against the kept list of
-// input batches something it may send again was made from: a kept
-// build's output, or a sink's kept result. While on, each delivered
-// batch in the list is held — charged, not yet consumed. The first batch
-// outside the list turns it off, and the consumer then consumes the held
-// batches (drain), in arrival order, before that one. A stream that
-// delivered exactly the list, all held back (all), is answered with what
-// was kept.
-type holdBack struct {
-	on   bool
-	held []*storage.Batch
-}
-
-// hold reports whether b is held back: the hold-back is on and b is in
-// list. Otherwise it turns the hold-back off.
-func (h *holdBack) hold(b *storage.Batch, list []*storage.Batch) bool {
-	if h.on && slices.Contains(list, b) {
-		h.held = append(h.held, b)
-		return true
-	}
-	h.on = false
-	return false
-}
-
-// all reports whether every delivered batch was held back and they are
-// exactly the batches of list, in any order.
-func (h *holdBack) all(list []*storage.Batch) bool {
-	return h.on && sameBatches(h.held, list)
-}
-
-// drain turns the hold-back off and returns the held batches, in
-// arrival order, for the consumer to consume or give back.
-func (h *holdBack) drain() []*storage.Batch {
-	h.on = false
-	held := h.held
-	h.held = h.held[:0]
-	return held
-}
-
-// joinBuild is a join build a Worker keeps for the next join of its
-// shape — the build key and the build batches' columns: the batches,
-// each held, in arrival order (the table's row refs index them), the key
-// box and its bitmap, the direct flag and the hash table. Joins running
-// on it only read it; its table and bitmap are shared with each of them
-// and with their held probe scans' KeyFilter. The table's row and offset
-// scratch is the AC's, used within one handler turn. out is the output
-// the last join on it that qualified kept (nil when none). refs counts
-// the Worker's keep plus each join running on it; the last unref frees
-// the holds, the kept output and recycles the table.
-type joinBuild struct {
-	key     []string
-	schema  *storage.Schema
-	batches []*storage.Batch
-	cols    []int
-	rows    int
-	box     keyBox
-	hi      joinKey
-	direct  bool
-	ht      *joinTable
-	out     *joinOutput
-	refs    int
-}
-
-// joinOutput is the output a join on a kept build made from one probe
-// stream: the probe spec it ran under (two joins may share a build shape
-// and project differently), its probe batches in arrival order and its
-// output batches in emission order, each held. The build and these probe
-// batches determine the output, and a held batch is never recycled, so a
-// join on the same build whose probe stream delivers the same batches, in
-// any order, may send this output instead of probing.
-type joinOutput struct {
-	probeKey, buildOut, probeOut []string
-	probes, out                  []*storage.Batch
-}
-
-// is reports whether o was made under spec's probe key and projection.
-func (o *joinOutput) is(spec *JoinSpec) bool {
-	return slices.Equal(o.probeKey, spec.ProbeKey) && slices.Equal(o.buildOut, spec.BuildOut) &&
-		slices.Equal(o.probeOut, spec.ProbeOut)
-}
-
-// free gives back o's holds on its probe and output batches.
-func (o *joinOutput) free() {
-	freeBatches(o.probes)
-	freeBatches(o.out)
-	o.probes, o.out = nil, nil
-}
-
-// freeBatches gives back one hold on each of batches.
-func freeBatches(batches []*storage.Batch) {
-	for _, b := range batches {
-		storage.FreeBatch(b)
-	}
-}
-
-// maxKept bounds the batches of a kept build, output or sink result:
-// matching them (sameBatches) is quadratic.
-const maxKept = 64
-
-// buildOf returns the index in w.builds of the build for build key key
-// over batches of schema s, or -1.
-func (w *Worker) buildOf(key []string, s *storage.Schema) int {
-	return slices.IndexFunc(w.builds, func(jb *joinBuild) bool { return slices.Equal(jb.key, key) && sameCols(jb.schema, s) })
-}
-
-// keptBuild returns the Worker's build for build key key over batches of
-// schema s, or nil.
-func (w *Worker) keptBuild(key []string, s *storage.Schema) *joinBuild {
-	if w == nil {
-		return nil
-	}
-	i := w.buildOf(key, s)
-	if i < 0 {
-		return nil
-	}
-	toFront(w.builds, i)
-	return w.builds[0]
-}
-
-// sameCols reports whether schemas a and b name the same columns.
-func sameCols(a, b *storage.Schema) bool {
-	return a == b || a.Name == b.Name && slices.Equal(a.Cols, b.Cols)
-}
-
-// keepBuild keeps st's new build for the next join of its shape when the
-// same batches can come again (reusable). It replaces the Worker's build
-// of that shape and returns the kept build, which st runs on; nil when
-// it keeps none.
-func (w *Worker) keepBuild(st *joinState) *joinBuild {
-	if !reusable(st.build) {
-		return nil
-	}
-	jb := &joinBuild{key: st.spec.BuildKey, schema: st.build[0].Schema, batches: slices.Clone(st.build),
-		cols: st.buildCols, rows: st.rows, box: st.box, hi: st.hi, direct: st.direct, ht: st.ht, refs: 2}
-	for _, b := range jb.batches {
-		storage.HoldBatch(b)
-	}
-	var old *joinBuild
-	if w.builds, old = keepFront(w.builds, w.buildOf(jb.key, jb.schema), jb); old != nil {
-		old.unref()
-	}
-	return jb
-}
-
-// reusable reports whether a consumer that keeps what it built from
-// batches can meet the same batches again: there is at least one and at
-// most maxKept, and each is shared — a memo holds it, and only a memo's
-// replay hands a batch out twice.
-func reusable(batches []*storage.Batch) bool {
-	if len(batches) == 0 || len(batches) > maxKept {
-		return false
-	}
-	for _, b := range batches {
-		if !b.Shared() {
-			return false
-		}
-	}
-	return true
-}
-
-// sameBatches reports whether a, no batch twice, holds the batches of b:
-// the same pointers, in any order. A held batch is never recycled, so
-// the same pointer is the same immutable rows.
-func sameBatches(a, b []*storage.Batch) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if slices.Index(a, x) != i || !slices.Contains(b, x) {
-			return false
-		}
-	}
-	return true
-}
-
-// unref gives back one reference to jb; the last frees its holds on the
-// batches and its kept output, and recycles its table.
-func (jb *joinBuild) unref() {
-	if jb.refs--; jb.refs > 0 {
-		return
-	}
-	freeBatches(jb.batches)
-	if jb.out != nil {
-		jb.out.free()
-	}
-	jb.ht.release()
-	jb.batches, jb.ht, jb.out = nil, nil, nil
+	// Reuse. back holds back the build batches against the kept build of
+	// the join's shape, then, on a reused build, the probe batches against
+	// the output kept on it. rec records the consumed build batches for
+	// the build the join keeps, then, on a kept build, the probe and output
+	// batches for the output it keeps there. built is the kept build the
+	// join runs on — reused (reused set), or its own — and gives back at
+	// probe close.
+	back   holdBack
+	rec    recorder
+	built  *kept
+	reused bool
 }
 
 // MaxJoinKeys bounds the equi-join key width (the planner enforces it).
@@ -629,16 +434,18 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		}
 		ctx.Charge(buildCost * sim.Time(b.Len()))
 		if st.buildCols == nil {
-			if st.kept = st.w.keptBuild(st.spec.BuildKey, b.Schema); st.kept != nil {
-				st.buildCols = st.kept.cols
+			if k := st.w.find(&keptShape{key: st.spec.BuildKey, cols: b.Schema}); k != nil {
+				st.buildCols = k.cols
+				st.back.open(k)
 			} else {
 				st.buildCols = keyCols(b.Schema, st.spec.BuildKey)
 			}
+			st.rec.on = st.w != nil
 		}
-		// Build rows are materialized at probe time, so the batch must
-		// live until the probe side closes.
-		st.build = append(st.build, b)
-		st.rows += b.Len()
+		if !st.back.hold(b) {
+			st.drainBuild()
+			st.add(b)
+		}
 	}
 	if msg.Last {
 		st.closeBuild()
@@ -668,18 +475,35 @@ func (st *joinState) boundBox() {
 	}
 }
 
+// add takes one build batch. Build rows are materialized at probe time,
+// so the batch lives until the probe side closes.
+func (st *joinState) add(b *storage.Batch) {
+	st.build = append(st.build, b)
+	st.rows += b.Len()
+	st.rec.input(b)
+}
+
+// drainBuild ends the build's hold-back, taking the held batches.
+func (st *joinState) drainBuild() {
+	for _, b := range st.back.drain() {
+		st.add(b)
+	}
+}
+
 // closeBuild completes the build side. When the build delivered exactly
 // the batches of the kept build of its shape, the join reuses that
 // build. Otherwise it bounds the key box, gives it a new generation,
 // sets one bit per build row when the box fits KeyBoxCap (a bit set
 // twice marks a duplicate key), then either marks the join direct —
 // keys distinct and every build column a key column — or indexes the
-// build in the hash table, and offers the build to the Worker to keep.
+// build in the hash table, and keeps the build when it recorded it.
 func (st *joinState) closeBuild() {
-	if jb := st.kept; jb != nil && sameBatches(st.build, jb.batches) {
-		st.reuse(jb)
+	if st.back.hit() {
+		st.reuse()
 		return
 	}
+	st.drainBuild()
+	st.back.close()
 	st.boundBox()
 	st.box.gen = boxGens.Add(1)
 	if st.ht == nil {
@@ -716,27 +540,41 @@ func (st *joinState) closeBuild() {
 	}
 	if st.w != nil {
 		st.w.work.builds++
-		st.built = st.w.keepBuild(st)
-		st.keep = st.built != nil
+		if k := st.rec.take(); k != nil {
+			k.shape = keptShape{key: st.spec.BuildKey, cols: k.in[0].Schema}
+			k.rows, k.cols, k.box, k.hi, k.direct, k.ht = st.rows, st.buildCols, st.box, st.hi, st.direct, st.ht
+			k.refs++ // the store's and the join's
+			st.w.keep(k)
+			st.built, st.rec.on = k, true
+		}
 	}
 }
 
-// reuse makes the kept build jb this join's. The delivered batches are
-// jb's own, so the join gives back its holds on them and runs on jb's
-// list — in jb's order, which its table's row refs index — its box,
-// bitmap, direct flag and table, all read-only.
-func (st *joinState) reuse(jb *joinBuild) {
-	freeBatches(st.build)
-	st.build, st.ht, st.box, st.hi, st.direct = jb.batches, jb.ht, jb.box, jb.hi, jb.direct
-	jb.refs++
-	st.built, st.reused, st.keep, st.back.on = jb, true, true, true
+// reuse makes the kept build held back against this join's. The
+// delivered batches are its own, so the join gives back its holds on
+// them and runs on its list — in its order, which its table's row refs
+// index — its box, bitmap, direct flag and table, all read-only. The
+// probe side then holds back against the output kept on the build when
+// that output was made under the join's probe spec.
+func (st *joinState) reuse() {
+	k := st.back.k
+	freeBatches(st.back.drain())
+	k.refs++
+	st.back.close()
+	st.build, st.rows, st.ht, st.box, st.hi, st.direct = k.in, k.rows, k.ht, k.box, k.hi, k.direct
+	st.built, st.reused, st.rec.on = k, true, true
+	if o := k.output; o != nil && o.shape.is(&keptShape{key: st.spec.ProbeKey, buildOut: st.spec.BuildOut, probeOut: st.spec.ProbeOut}) {
+		st.back.open(o)
+	}
 	st.w.work.reusedBuilds++
 }
 
-// release ends the join once its probe side closed: it frees its holds
-// on the build batches and recycles its table, leaving to the kept build
-// it runs on whatever that build owns.
+// release ends the join once its probe side closed: it gives back its
+// reference to the output it held back against, frees its holds on the
+// build batches and recycles its table, leaving to the kept build it runs
+// on whatever that build owns.
 func (st *joinState) release() {
+	st.back.close()
 	if !st.reused {
 		freeBatches(st.build)
 	}
@@ -798,7 +636,7 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		if msg.Prehashed {
 			probeCost = probeCost * 3 / 4
 		}
-		if st.back.hold(probe, st.keptProbes()) {
+		if st.back.hold(probe) {
 			// Charged as the probe would be: a replay costs what a
 			// fresh probe does.
 			ctx.Charge(probeCost * sim.Time(probe.Len()))
@@ -808,12 +646,21 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		}
 	}
 	if msg.Last {
-		if o := st.keptOutput(); o != nil && st.back.all(o.probes) {
-			st.replay(ctx, o)
+		if st.back.hit() {
+			st.replay(ctx)
 		} else {
 			st.drain(ctx)
 			st.emit(ctx, true)
-			st.keepOutput()
+			// A recorded output, with its layout, replaces the one kept
+			// on the build the join ran on.
+			if k := st.rec.take(); k != nil {
+				k.shape = keptShape{key: spec.ProbeKey, buildOut: spec.BuildOut, probeOut: spec.ProbeOut}
+				k.schema, k.bOut, k.pOut, k.fromProbe = st.outSchema, st.bOut, st.pOut, st.fromProbe
+				if old := st.built.output; old != nil {
+					old.unref()
+				}
+				st.built.output = k
+			}
 		}
 		st.release()
 		// Both input streams are over: drop their state, which would
@@ -829,10 +676,8 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 }
 
-// join probes one batch and gives back its hold on it, or, while the
-// join keeps its output, keeps the hold for the stored output; a batch
-// that cannot come again (not Shared), or one past maxKept, ends the
-// keeping.
+// join probes one batch, records it while the join keeps its output and
+// gives back its hold on it: the gathers copy, so the batch dies here.
 func (st *joinState) join(ctx core.Context, probe *storage.Batch, probeCost sim.Time) {
 	if st.probeCols == nil {
 		st.probeCols = keyCols(probe.Schema, st.spec.ProbeKey)
@@ -846,33 +691,8 @@ func (st *joinState) join(ctx core.Context, probe *storage.Batch, probeCost sim.
 	default:
 		st.probe(ctx, probe, probeCost)
 	}
-	if st.keep && (!probe.Shared() || len(st.probes) == maxKept) {
-		st.dropOutput()
-	}
-	if st.keep {
-		st.probes = append(st.probes, probe)
-	} else {
-		// The gathers copy, so the probe batch dies here.
-		storage.FreeBatch(probe)
-	}
-}
-
-// keptOutput returns the output kept on the build the join runs on when
-// it was made under the join's probe spec, or nil.
-func (st *joinState) keptOutput() *joinOutput {
-	if st.built == nil || st.built.out == nil || !st.built.out.is(st.spec) {
-		return nil
-	}
-	return st.built.out
-}
-
-// keptProbes returns the probe batches of the kept output (keptOutput),
-// the list the join holds its probe batches back against; nil when none.
-func (st *joinState) keptProbes() []*storage.Batch {
-	if o := st.keptOutput(); o != nil {
-		return o.probes
-	}
-	return nil
+	st.rec.input(probe)
+	storage.FreeBatch(probe)
 }
 
 // drain ends the hold-back: it probes the held batches, in arrival
@@ -883,48 +703,19 @@ func (st *joinState) drain(ctx core.Context) {
 	}
 }
 
-// replay answers the probe stream with the kept output o: it gives back
-// its holds on the held probe batches, which are o's own, and sends o's
-// output batches, each held once more for its consumer, the last with
-// the end of stream (an empty output sends the end of stream alone).
-func (st *joinState) replay(ctx core.Context, o *joinOutput) {
-	freeBatches(st.back.drain())
-	if len(o.out) == 0 {
+// replay answers the probe stream with the output held back against:
+// it sends the output batches, each held once more for its consumer, the
+// last with the end of stream (an empty output sends the end of stream
+// alone).
+func (st *joinState) replay(ctx core.Context) {
+	out := st.back.replay()
+	if len(out) == 0 {
 		st.send(ctx, nil, true)
 	}
-	for i, b := range o.out {
-		storage.HoldBatch(b)
-		st.send(ctx, b, i == len(o.out)-1)
+	for i, b := range out {
+		st.send(ctx, b, i == len(out)-1)
 	}
 	st.w.work.replayedJoins++
-}
-
-// keepOutput stores the output on the kept build the join ran on when
-// the join still keeps it and its probe batches can come again
-// (reusable), replacing the output kept there; otherwise it gives back
-// the holds it took.
-func (st *joinState) keepOutput() {
-	if !st.keep || !reusable(st.probes) {
-		st.dropOutput()
-		return
-	}
-	jb := st.built
-	if jb.out != nil {
-		jb.out.free()
-	}
-	spec := st.spec
-	jb.out = &joinOutput{probeKey: spec.ProbeKey, buildOut: spec.BuildOut, probeOut: spec.ProbeOut,
-		probes: st.probes, out: st.outs}
-	st.probes, st.outs, st.keep = nil, nil, false
-}
-
-// dropOutput stops keeping the output: it gives back the holds taken on
-// the probed and emitted batches. The emitted batches stay valid for
-// their consumers, who hold them too.
-func (st *joinState) dropOutput() {
-	freeBatches(st.probes)
-	freeBatches(st.outs)
-	st.probes, st.outs, st.keep = nil, nil, false
 }
 
 // probe joins one probe batch through the hash table. Matches queue as
@@ -993,8 +784,13 @@ func (st *joinState) forward(ctx core.Context, probe *storage.Batch, probeCost s
 
 // arm resolves the output layout at the first probe batch — the build
 // and probe columns it carries and, for a direct join, the probe column
-// each build key column copies — and draws the output batch.
+// each build key column copies — and draws the output batch. A join
+// that references a kept output (it held back against it) takes that
+// output's layout when its probe batches have the same columns.
 func (st *joinState) arm(probe *storage.Schema) {
+	if o := st.back.k; st.outSchema == nil && o != nil && o.schema != nil && sameCols(o.in[0].Schema, probe) {
+		st.outSchema, st.bOut, st.pOut, st.fromProbe = o.schema, o.bOut, o.pOut, o.fromProbe
+	}
 	if st.outSchema == nil {
 		bs := st.build[0].Schema
 		st.bOut, st.pOut = colIdx(bs, st.spec.BuildOut), colIdx(probe, st.spec.ProbeOut)
@@ -1029,7 +825,7 @@ func (st *joinState) gather(probe *storage.Batch) {
 
 // emit forwards the accumulated output batch (if any) as one pooled
 // data message; the downstream consumer recycles both. A join keeping
-// its output holds the batch first.
+// its output records the batch first.
 func (st *joinState) emit(ctx core.Context, last bool) {
 	var b *storage.Batch
 	if st.out != nil && st.out.Len() > 0 {
@@ -1039,13 +835,7 @@ func (st *joinState) emit(ctx core.Context, last bool) {
 		} else {
 			st.out = storage.GetBatch(b.Schema)
 		}
-		if st.keep && len(st.outs) == maxKept {
-			st.dropOutput()
-		}
-		if st.keep {
-			storage.HoldBatch(b)
-			st.outs = append(st.outs, b)
-		}
+		st.rec.output(b)
 	} else if last {
 		storage.FreeBatch(st.out)
 		st.out = nil

@@ -312,9 +312,9 @@ func BenchmarkSinkResultReplay(b *testing.B) {
 // delivers the batches the last build of the join's shape consumed —
 // eight held 1 024-row batches, as a shared scan's memo replays them:
 // one op feeds them to a join on the Worker that kept that build, which
-// defers the key box, finds every batch among the kept ones, reuses the
-// kept box and table at close, and gives its reference back as a join
-// does when its probe side closes. It must show zero steady-state
+// holds each batch back against it, reuses the kept box and table at
+// close, and gives its reference back as a join does when its probe side
+// closes. It must show zero steady-state
 // allocations.
 //
 //	go test -bench JoinBuildReuse -benchmem ./internal/olap
@@ -337,9 +337,9 @@ func BenchmarkJoinBuildReuse(b *testing.B) {
 	spec := &JoinSpec{Query: 1, Build: 1, BuildKey: []string{"w", "d", "c"}, Probe: 2, ProbeKey: []string{"w", "d", "c"},
 		BuildOut: []string{"c"}, Out: 3, To: 1, Producers: 1, Notify: core.NoAC}
 	msg := &core.DataMsg{Stream: 1, Producers: 1}
-	st, delivered := &joinState{}, make([]*storage.Batch, 0, batches)
+	st, held := &joinState{}, make([]*storage.Batch, 0, batches)
 	op := func() {
-		*st = joinState{spec: spec, w: w, build: delivered[:0]}
+		*st = joinState{spec: spec, w: w, back: holdBack{held: held[:0]}}
 		for _, bb := range build {
 			storage.HoldBatch(bb) // the delivery's hold, as a replay takes it
 			msg.Batch = bb

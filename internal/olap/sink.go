@@ -27,12 +27,12 @@ import (
 //   - No Aggs: plain collection of projected rows (capped at
 //     CollectCap).
 //
-// The sink's shape is every field but Query, In and Notify. A stream
-// that delivers exactly the input batches the last sink of the same
-// shape on the same AC kept — held batches, which a shared scan's memo
-// replay or a join's output replay hands out again — is answered with
-// that sink's kept result (sinkResult), sent again by reference: no
-// fold, merge, sort or gather, and no result schema.
+// The sink's shape is every field but Query, In and Notify. A sink keeps
+// its result as a record of its Worker (keep.go). A stream that delivers
+// exactly the input batches of the kept result of its shape — held
+// batches, which a shared scan's memo replay or a join's output replay
+// hands out again — is answered with that result, sent again by
+// reference: no fold, merge, sort or gather, and no result schema.
 type SinkSpec struct {
 	Query core.QueryID
 	In    core.StreamID
@@ -84,15 +84,11 @@ type sinkState struct {
 	rows      *storage.Batch
 	truncated bool
 
-	// Result reuse. kept is the Worker's result of the sink's shape at
-	// install, referenced until the sink closes; back holds back the
-	// delivered batches in its input list. keep marks a sink still
-	// keeping its result: in are the batches it consumed so far, each
-	// held once more, which it stores beside the result at close.
-	kept *sinkResult
+	// Result reuse. back holds back the delivered batches against the
+	// Worker's result of the sink's shape at install; rec records the
+	// consumed batches and the result for the result the sink keeps.
 	back holdBack
-	keep bool
-	in   []*storage.Batch
+	rec  recorder
 
 	// Column resolution against the stream's batch schema (raw fold and
 	// collect), cached per schema.
@@ -106,50 +102,6 @@ type sinkState struct {
 	sel, pos []int32
 }
 
-// sinkResult is a result a Worker keeps for the next sink of its shape:
-// the shape (a sink's spec, Query, In and Notify zero), the result
-// schema, the input batches in arrival order and the result batches,
-// each held, and the row count and truncation flag. The shape and the
-// input batches determine the result, and a held batch is never
-// recycled, so a sink of the shape whose stream delivers the same
-// batches, in any order, may send these result batches instead of
-// computing them. refs counts the Worker's keep plus each sink holding
-// back against it; the last unref frees the holds.
-type sinkResult struct {
-	shape     SinkSpec
-	schema    *storage.Schema
-	in, out   []*storage.Batch
-	rows      int
-	truncated bool
-	refs      int
-}
-
-// unref gives back one reference to r; the last frees its holds on its
-// input and result batches.
-func (r *sinkResult) unref() {
-	if r.refs--; r.refs > 0 {
-		return
-	}
-	freeBatches(r.in)
-	freeBatches(r.out)
-	r.in, r.out = nil, nil
-}
-
-// resultOf returns the index in w.results of the result of spec's
-// shape, or -1.
-func (w *Worker) resultOf(spec *SinkSpec) int {
-	return slices.IndexFunc(w.results, func(r *sinkResult) bool { return sameShape(&r.shape, spec) })
-}
-
-// keepResult keeps r for the next sink of its shape, replacing the
-// Worker's result of that shape.
-func (w *Worker) keepResult(r *sinkResult) {
-	var old *sinkResult
-	if w.results, old = keepFront(w.results, w.resultOf(&r.shape), r); old != nil {
-		old.unref()
-	}
-}
-
 func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 	s := &sinkState{}
 	s.open(w, spec)
@@ -157,14 +109,12 @@ func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 }
 
 // open readies s to run spec on w. When w keeps a result of spec's
-// shape, s references it and holds back the batches of its input list.
+// shape, s holds back against it, and computes under its schema.
 func (s *sinkState) open(w *Worker, spec *SinkSpec) {
-	s.spec, s.w, s.keep = spec, w, true
-	if i := w.resultOf(spec); i >= 0 {
-		toFront(w.results, i)
-		s.kept = w.results[0]
-		s.kept.refs++
-		s.back.on = true
+	s.spec, s.w, s.rec.on = spec, w, true
+	if k := w.find(&keptShape{sink: *spec}); k != nil {
+		s.back.open(k)
+		s.schema = k.schema
 	}
 }
 
@@ -194,7 +144,7 @@ func sinkGroups(spec *SinkSpec) *groupTable {
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	if b := msg.Batch; b != nil {
 		ctx.Charge(ctx.Costs().AggRow * sim.Time(b.Len()))
-		if s.kept == nil || !s.back.hold(b, s.kept.in) {
+		if !s.back.hold(b) {
 			for _, h := range s.back.drain() {
 				s.consume(h)
 			}
@@ -210,16 +160,9 @@ func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 // consume takes one input batch: an ordered run, kept until the stream
 // closes and freed with the table, or rows folded or collected at once,
 // after which the sink gives the batch back. While the sink keeps its
-// result it holds b once more; a batch that cannot come again (not
-// Shared), or one past maxKept, ends the keeping.
+// result it records b first.
 func (s *sinkState) consume(b *storage.Batch) {
-	if s.keep && (!b.Shared() || len(s.in) == maxKept) {
-		s.dropInputs()
-	}
-	if s.keep {
-		storage.HoldBatch(b)
-		s.in = append(s.in, b)
-	}
+	s.rec.input(b)
 	if s.spec.MergePartials {
 		g := s.table()
 		g.runs = append(g.runs, b)
@@ -234,13 +177,6 @@ func (s *sinkState) consume(b *storage.Batch) {
 	storage.FreeBatch(b)
 }
 
-// dropInputs stops keeping the result: it gives back the holds taken on
-// the consumed batches.
-func (s *sinkState) dropInputs() {
-	freeBatches(s.in)
-	s.in, s.keep = nil, false
-}
-
 // table returns the sink's group table, drawn from the pool at first use.
 func (s *sinkState) table() *groupTable {
 	if s.groups == nil {
@@ -251,34 +187,21 @@ func (s *sinkState) table() *groupTable {
 
 // result closes the sink's input and appends its result batches to
 // batches, returning them and the row count. When the stream delivered
-// exactly the kept result's input batches, all held back, the sink gives
-// back its holds on them — they are the result's own — and appends the
-// kept result batches, each held once more for the consumer. Otherwise
-// it consumes the held batches and finalizes, under the result schema
-// of its shape when one is kept. Either way it gives back its reference
-// to the kept result.
+// exactly the kept result's input batches, all held back, the sink
+// appends the kept result batches (holdBack.replay). Otherwise it
+// consumes the held batches and finalizes. Either way it gives back its
+// reference to the kept result.
 func (s *sinkState) result(batches []*storage.Batch) ([]*storage.Batch, int) {
-	r := s.kept
-	if r != nil && s.back.all(r.in) {
-		freeBatches(s.back.drain())
-		for _, b := range r.out {
-			storage.HoldBatch(b)
-			batches = append(batches, b)
-		}
-		rows := r.rows
-		s.truncated = r.truncated
+	defer s.back.close()
+	if s.back.hit() {
+		k := s.back.k
+		s.truncated = k.truncated
 		s.w.work.replayedSinks++
-		r.unref()
-		return batches, rows
+		return append(batches, s.back.replay()...), k.rows
 	}
 	for _, b := range s.back.drain() {
 		s.consume(b)
 	}
-	if r == nil {
-		return s.finalize(batches)
-	}
-	defer r.unref()
-	s.schema = r.schema
 	return s.finalize(batches)
 }
 
@@ -370,8 +293,8 @@ func (s *sinkState) resultSchema() *storage.Schema {
 // a list of vectors — the group table's key and finalized aggregate
 // columns, or the collected rows' — and a permutation of its rows; the
 // result batches gather from it column by column. A sink still keeping
-// its result holds the new batches once more and keeps them, beside its
-// input batches, for the next sink of its shape.
+// its result records the new batches and keeps the record for the next
+// sink of its shape.
 func (s *sinkState) finalize(batches []*storage.Batch) ([]*storage.Batch, int) {
 	spec := s.spec
 	var view []storage.EncVec
@@ -424,18 +347,12 @@ func (s *sinkState) finalize(batches []*storage.Batch) ([]*storage.Batch, int) {
 	storage.FreeBatch(s.rows)
 	s.rows = nil
 
-	if s.keep && len(s.in) > 0 {
-		out := slices.Clone(batches[first:])
-		for _, b := range out {
-			storage.HoldBatch(b)
-		}
-		shape := *spec
-		shape.Query, shape.In, shape.Notify = 0, 0, 0
-		s.w.keepResult(&sinkResult{shape: shape, schema: s.resultSchema(), in: s.in, out: out,
-			rows: rows, truncated: s.truncated, refs: 1})
-		s.in, s.keep = nil, false
-	} else {
-		s.dropInputs()
+	for _, b := range batches[first:] {
+		s.rec.output(b)
+	}
+	if k := s.rec.take(); k != nil {
+		k.shape, k.schema, k.rows, k.truncated = keptShape{sink: *spec}, s.resultSchema(), rows, s.truncated
+		s.w.keep(k)
 	}
 	return batches, rows
 }
