@@ -386,56 +386,6 @@ func TestKeptOutputOutlivesReplacement(t *testing.T) {
 	r.finish()
 }
 
-// TestFreshProbesShareOutputSchema: joins that probe a kept build afresh,
-// with probe batches of the same columns, emit their output under the
-// schema of the output kept on the build, so every output batch of one
-// build and one probe spec has one schema — for a hash join and for a
-// direct one. Each answer is the naive join's.
-func TestFreshProbesShareOutputSchema(t *testing.T) {
-	r := newReplayRig(t)
-	hashBuild, _ := rigData(r)
-	keys := storage.NewSchema("k", storage.Column{Name: "bk", Kind: storage.KInt})
-	keyBuild := storage.GetBatch(keys)
-	for k := range int64(50) {
-		keyBuild.AppendValues(storage.Int(k))
-	}
-	r.owned = append(r.owned, keyBuild)
-	direct := JoinSpec{BuildKey: []string{"bk"}, ProbeKey: []string{"pk"}, BuildOut: []string{"bk"}, ProbeOut: []string{"pv"}}
-	for _, c := range []struct {
-		what  string
-		spec  JoinSpec
-		build []*storage.Batch
-	}{
-		{"hash join", rigSpec, hashBuild},
-		{"direct join", direct, []*storage.Batch{keyBuild}},
-	} {
-		var schema *storage.Schema
-		for i := range int64(3) {
-			probe := []*storage.Batch{r.batch(rigProbe, [2]int64{i, 1}, [2]int64{7, 2}, [2]int64{200, 3}, [2]int64{40 + i, 4})}
-			got := r.run(c.spec, c.build, probe)
-			if want := naiveJoin(c.spec, c.build, probe); !slices.Equal(sorted(got.rows), want) {
-				t.Fatalf("%s %d answered %s", c.what, i, rowDiff(sorted(got.rows), want))
-			}
-			if len(got.batches) == 0 {
-				t.Fatalf("%s %d sent no batch", c.what, i)
-			}
-			if schema == nil {
-				schema = got.batches[0].Schema
-			}
-			for _, b := range got.batches {
-				if b.Schema != schema {
-					t.Fatalf("%s %d emitted a batch under a schema of its own", c.what, i)
-				}
-			}
-		}
-	}
-	if r.w.work.builds != 2 || r.w.work.reusedBuilds != 4 || r.w.work.replayedJoins != 0 {
-		t.Fatalf("%d builds, %d reused and %d replayed joins, want 2, 4 and 0",
-			r.w.work.builds, r.w.work.reusedBuilds, r.w.work.replayedJoins)
-	}
-	r.finish()
-}
-
 // BenchmarkJoinOutputReplay is a join on the Worker's kept build fed the
 // build and probe batches of the last join of its spec — three held
 // build batches, then four held probe batches, as a shared scan's memo

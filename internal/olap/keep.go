@@ -36,6 +36,11 @@ const keptRecords = 16
 // has seen in one word.
 const maxKept = 64
 
+// A sink's result, at most CollectCap rows in batches of
+// DefaultBatchRows, never reaches maxKept, so a sink keeps every result
+// it makes from kept inputs (this fails to compile once it could).
+const _ uint = maxKept*DefaultBatchRows - CollectCap
+
 // kept is one record: its shape, its input batches in arrival order and
 // its output batches in emission order, each held, and one reference
 // count — its keeper's (the store, or the build an output hangs on) plus
@@ -49,11 +54,8 @@ type kept struct {
 	rows      int
 	truncated bool
 
-	// A sink result's schema, or a join output's with its layout: the
-	// build and probe columns it carries and, for a direct join, the
-	// probe columns that stand in for all of them.
-	schema                *storage.Schema
-	bOut, pOut, fromProbe []int
+	// A sink result's schema.
+	schema *storage.Schema
 
 	// A build's key columns, key box, bitmap, direct flag and table, and
 	// the output the last join on it kept (nil when none). Joins running
@@ -77,9 +79,11 @@ type keptShape struct {
 	buildOut, probeOut []string
 }
 
-// is reports whether a and b are one shape.
+// is reports whether a and b are one shape. A sink result has no key and
+// no columns, so these tell it from a build before the sink specs are
+// compared.
 func (a *keptShape) is(b *keptShape) bool {
-	return sameShape(&a.sink, &b.sink) && slices.Equal(a.key, b.key) && sameCols(a.cols, b.cols) &&
+	return slices.Equal(a.key, b.key) && sameCols(a.cols, b.cols) && sameShape(&a.sink, &b.sink) &&
 		slices.Equal(a.buildOut, b.buildOut) && slices.Equal(a.probeOut, b.probeOut)
 }
 

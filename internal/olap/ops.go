@@ -71,8 +71,7 @@ type Predicate struct {
 // output on the build, shaped by ProbeKey, BuildOut and ProbeOut; a
 // later one of that shape whose probe stream delivers exactly that
 // output's probe batches sends it again, by reference, instead of
-// probing, and one that probes other batches of the same columns takes
-// its output layout.
+// probing.
 type JoinSpec struct {
 	Query     core.QueryID
 	Build     core.StreamID
@@ -651,11 +650,10 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		} else {
 			st.drain(ctx)
 			st.emit(ctx, true)
-			// A recorded output, with its layout, replaces the one kept
-			// on the build the join ran on.
+			// A recorded output replaces the one kept on the build the
+			// join ran on.
 			if k := st.rec.take(); k != nil {
 				k.shape = keptShape{key: spec.ProbeKey, buildOut: spec.BuildOut, probeOut: spec.ProbeOut}
-				k.schema, k.bOut, k.pOut, k.fromProbe = st.outSchema, st.bOut, st.pOut, st.fromProbe
 				if old := st.built.output; old != nil {
 					old.unref()
 				}
@@ -784,13 +782,8 @@ func (st *joinState) forward(ctx core.Context, probe *storage.Batch, probeCost s
 
 // arm resolves the output layout at the first probe batch — the build
 // and probe columns it carries and, for a direct join, the probe column
-// each build key column copies — and draws the output batch. A join
-// that references a kept output (it held back against it) takes that
-// output's layout when its probe batches have the same columns.
+// each build key column copies — and draws the output batch.
 func (st *joinState) arm(probe *storage.Schema) {
-	if o := st.back.k; st.outSchema == nil && o != nil && o.schema != nil && sameCols(o.in[0].Schema, probe) {
-		st.outSchema, st.bOut, st.pOut, st.fromProbe = o.schema, o.bOut, o.pOut, o.fromProbe
-	}
 	if st.outSchema == nil {
 		bs := st.build[0].Schema
 		st.bOut, st.pOut = colIdx(bs, st.spec.BuildOut), colIdx(probe, st.spec.ProbeOut)
