@@ -59,29 +59,30 @@ bench-check:
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
 # shows up here), a streaming shared-scan registration on unchanged
-# data (BenchmarkScanFlush: a memo replay, every chunk's stamp checked
-# and the stored batches sent by reference), the same under a
+# data (BenchmarkScanFlush: a replay of the kept output, every chunk's
+# stamp checked and the kept batches sent by reference), the same under a
 # dictionary-code and a frame-of-reference range predicate
 # (BenchmarkFilteredScan: a replay), a c_state LIKE pass after a
 # c_state write in every chunk (BenchmarkStaleFilteredScan: the typed
 # filter loops, the selection stored into the memo, the gather, and the
-# sent batches held and stored), a join's probe-side scan under its
+# sent batches held and kept as one record), a join's probe-side scan under its
 # build-key filter on unchanged data (BenchmarkKeyedScan: a replay),
 # the same pass after an o_entry_d write in every chunk
 # (BenchmarkStaleKeyedScan: range checks and key-box bitmap tests off
 # the encoded columns, the survivors stored into the memo, gathered,
-# held and stored),
+# held and kept),
 # one hash-join probe of a 1 024-row batch (BenchmarkJoinProbe: table
 # lookups, match gather, output emission), one key-only distinct build
 # closed and one 1 024-row batch forwarded with no hash table
 # (BenchmarkKeyBoxJoin: the key box's bitmap, projected forward),
 # a dictionary-grouped COUNT+SUM registration on unchanged data
-# (BenchmarkGroupedPass: a memo replay, every chunk's stamp checked
-# and the stored partial sent by reference), the same registration
+# (BenchmarkGroupedPass: a replay of the kept output, every chunk's
+# stamp checked and the kept partial sent by reference), the same registration
 # after one c_balance write in every chunk (BenchmarkStaleChunkPass: the
 # one stale column re-encoded into its vector's capacity, the dense
-# fold, the partial sorted into group order, finish storing it and its
-# stamps into the memo's storage, the group table back to its pool), a
+# fold, the partial sorted into group order, finish keeping it and its
+# chunk versions as the kept record, in the slices of a freed record,
+# the group table back to its pool), a
 # sink merging four ordered 676-group COUNT+SUM partial runs and
 # releasing its table (BenchmarkSinkMerge: run heads, tied heads and
 # per-run slot lists in the pooled table), the same four runs received
@@ -160,8 +161,9 @@ profile:
 # from eight goroutines with every answer checked, its plans compiled
 # and memos filled before the timer starts. Inspect with `go tool pprof
 # -top cpu.prof` / `go tool pprof -sample_index=alloc_objects mem.prof`.
+# Profile the churn variant with the same go test line and -bench '^BenchmarkQueryShapesChurn$'.
 profile-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryShapes' -benchtime 3s -benchmem \
+	$(GO) test -run '^$$' -bench '^BenchmarkQueryShapes$$' -benchtime 3s -benchmem \
 		-cpuprofile cpu.prof -memprofile mem.prof -o anydb-profile.test .
 	@echo "wrote cpu.prof, mem.prof (binary: anydb-profile.test)"
 

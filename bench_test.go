@@ -314,6 +314,88 @@ func BenchmarkSharedScanConcurrency(b *testing.B) {
 // compiled and the memos filled, as in a long run. It reports queries/s,
 // and allocs/op under -benchmem; `make profile-query` profiles it.
 func BenchmarkQueryShapes(b *testing.B) {
+	c, run := queryShapes(b)
+	q3 := naiveQ3(c.Database(), scanBenchConfig().Warehouses, tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
+	for i := range 4 {
+		if err := run(i, q3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := next.Add(1); q <= int64(b.N); q = next.Add(1) {
+				if err := run(int(q%4), q3); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
+	}
+}
+
+// BenchmarkQueryShapesChurn runs BenchmarkQueryShapes's four statements
+// in turn from one goroutine, each after one write into a chunk it
+// reads: a new-order before Q3, a payment (a c_balance write) before
+// the others. Each statement reads changed data, so it measures the
+// engine answering a repeated query over data that changes a little, not
+// a kept result. Every answer is checked against an invariant the writes
+// keep: the group counts sum to the customers, the LIKE count and the
+// top-N do not move, and Q3 equals naiveQ3 recomputed, off the timer,
+// after each insert. It reports queries/s, and allocs/op under
+// -benchmem.
+func BenchmarkQueryShapesChurn(b *testing.B) {
+	c, run := queryShapes(b)
+	cfg := scanBenchConfig()
+	q3 := naiveQ3(c.Database(), cfg.Warehouses, tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
+	for i := range 4 {
+		if err := run(i, q3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for q := range b.N {
+		w, d, cust := q%cfg.Warehouses, 1+q/cfg.Warehouses%cfg.Districts, 1+q*7%cfg.CustomersPerDistrict
+		var ok bool
+		var err error
+		if q%4 == 2 {
+			ok, err = c.NewOrder(anydb.NewOrder{Warehouse: w, District: d, Customer: cust,
+				Lines: []anydb.OrderLine{{Item: 1 + q%cfg.Items, Qty: 1, SupplyWarehouse: w}}})
+			b.StopTimer()
+			q3 = naiveQ3(c.Database(), cfg.Warehouses, tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
+			b.StartTimer()
+		} else {
+			ok, err = c.Payment(anydb.Payment{Warehouse: w, District: d, Customer: cust, Amount: 1})
+		}
+		if err != nil || !ok {
+			b.Fatalf("write before statement %d: committed %v, %v", q%4, ok, err)
+		}
+		if err := run(q%4, q3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if elapsed := b.Elapsed(); elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
+	}
+}
+
+// queryShapes opens a cluster on scanBenchConfig and returns it with a
+// runner of the four olap_shared statements: run(i, q3) runs statement
+// i and checks its answer — the group counts sum to the customers, the
+// LIKE count is the naive one, Q3 is q3, and the top-N lists c_id 2·limit
+// down to limit+1.
+func queryShapes(b *testing.B) (*anydb.Cluster, func(i int, q3 int64) error) {
 	cfg := scanBenchConfig()
 	c, err := anydb.Open(cfg)
 	if err != nil {
@@ -341,11 +423,7 @@ func BenchmarkQueryShapes(b *testing.B) {
 			return true
 		})
 	}
-	q3 := naiveQ3(db, cfg.Warehouses, tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
-	// run runs shape i and checks its answer: the group counts sum to
-	// the customers, the counts are the naive ones, and the top-N lists
-	// c_id 2·limit down to limit+1.
-	run := func(i int) error {
+	return c, func(i int, q3 int64) error {
 		if i == 1 || i == 2 {
 			want := [...]int64{1: like, 2: q3}[i]
 			var n int64
@@ -384,32 +462,6 @@ func BenchmarkQueryShapes(b *testing.B) {
 			return fmt.Errorf("shape %d: %d counted, want %d", i, sum, want)
 		}
 		return nil
-	}
-	for i := range shapes {
-		if err := run(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := next.Add(1); q <= int64(b.N); q = next.Add(1) {
-				if err := run(int(q % int64(len(shapes)))); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
 	}
 }
 

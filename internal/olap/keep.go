@@ -6,34 +6,47 @@ import (
 	"anydb/internal/storage"
 )
 
-// The kept record: what a stream consumer made from held input batches —
-// a join's build, the output of a join on a kept build, a sink's result —
-// kept by its Worker for the next consumer of its shape. The shape and
-// the input batches determine what the consumer made, and a held batch is
-// never recycled, so a consumer of the shape whose stream delivers the
-// same batches, in any order, may take the record's state or send its
-// output batches instead of computing them. Only a memo's replay, or a
-// record's, hands a batch out twice (storage.Batch.Shared), so a consumer
-// records while every batch it consumes is shared, and stops at the first
-// one that is not.
+// The kept record: what an operator made, kept by its Worker for the
+// next operator of its shape made from the same inputs. Four kinds
+// share it: a shared scan's output, a join's build, the output of a join
+// on a kept build, and a sink's result. A record holds its output
+// batches, each held, and its inputs: a scan output the chunk versions
+// it read — per chunk, the stamp over the registration's reads — and
+// the others their held input batches in arrival order.
 //
-// One store per Worker keeps builds and sink results, most recently used
-// first, at most keptRecords of them: a new record replaces the one of
-// its shape or, past the bound, the least recently used. A build carries
-// one output, the last stored by a join on it under any probe spec.
+// The shape and the inputs determine what the operator made. A scan is
+// answered before it reads anything, so a registration of the shape
+// takes the record while no chunk it read is stamped later (fresh,
+// memo.go). A stream consumer matches its batches as they arrive: a held
+// batch is never recycled, so a consumer of the shape whose stream
+// delivers the record's input batches, in any order, takes the record's
+// state or sends its output batches instead of computing them. Only a
+// replay hands a batch out twice (storage.Batch.Shared), so a consumer
+// records while every batch it consumes is shared, and stops at the
+// first one that is not.
 //
-// A consumer that finds a record of its shape holds back the delivered
-// batches that are its inputs (holdBack) and references it until it
-// closes, so a record replaced meanwhile stays whole for it. The last
-// reference frees the record's holds, its output and its table.
+// One store per Worker keeps the records of every kind, most recently
+// used first, at most keptRecords of them: a new record replaces the one
+// of its shape or, past the bound, the least recently used. A build
+// carries one output, the last stored by a join on it under any probe
+// spec. A recording stops past maxKept input or output batches. A scan
+// output's shape names its memo signature, and the store keeps no record
+// of a signature the memo dropped.
+//
+// A stream consumer that finds a record of its shape holds back the
+// delivered batches that are its inputs (holdBack) and references it
+// until it closes, so a record replaced meanwhile stays whole for it.
+// The last reference frees the record's holds, its output and its
+// table, and puts the record on its Worker's free list, whose slices the
+// next recording fills.
 
-// keptRecords bounds the records a Worker keeps: builds and sink results
-// together, each build with its one output.
+// keptRecords bounds the records a Worker keeps, of every kind, each
+// build with its one output, and the records its free list holds.
 const keptRecords = 16
 
 // maxKept bounds the input and the output batches of a record: a
-// consumer stops recording past it, and a hold-back marks the inputs it
-// has seen in one word.
+// recording stops past it, and a hold-back marks the inputs it has seen
+// in one word.
 const maxKept = 64
 
 // A sink's result, at most CollectCap rows in batches of
@@ -41,16 +54,25 @@ const maxKept = 64
 // it makes from kept inputs (this fails to compile once it could).
 const _ uint = maxKept*DefaultBatchRows - CollectCap
 
-// kept is one record: its shape, its input batches in arrival order and
-// its output batches in emission order, each held, and one reference
-// count — its keeper's (the store, or the build an output hangs on) plus
-// each consumer's running on it or holding back against it.
+// kept is one record: its shape, its inputs and its output batches in
+// emission order, each batch held, and one reference count — its
+// keeper's (the store, the build an output hangs on, or the recording)
+// plus each consumer's running on it or holding back against it.
 type kept struct {
 	shape   keptShape
 	in, out []*storage.Batch
 	refs    int
+	w       *Worker // whose free list takes the record at its last reference
 
-	// A sink result's row count and truncation flag, or a build's rows.
+	// A scan output's chunk versions, in chunk order, its layout, and the
+	// rows it charged: ScanRow over scanned, HashProbeRow over probed,
+	// and AggRow (pushdown) or PartitionRow (streaming) over rows.
+	stamps          []uint64
+	layout          *scanLayout
+	scanned, probed int
+
+	// A sink result's row count and truncation flag, a build's rows, or
+	// the rows a scan output kept.
 	rows      int
 	truncated bool
 
@@ -68,21 +90,29 @@ type kept struct {
 	output *kept
 }
 
-// keptShape is what makes a record answer a consumer besides its input
-// batches: a sink's spec (Query, In and Notify aside); a build's key and
-// the columns of its batches; or, for a join output on a build, the probe
-// key and the columns each side carries.
+// keptShape is what makes a record answer an operator besides its
+// inputs: a scan output's memo signature and its projection, or its
+// grouping and aggregates; a sink's spec (Query, In and Notify aside); a
+// build's key and the columns of its batches; or, for a join output on a
+// build, the probe key and the columns each side carries.
 type keptShape struct {
+	sig                *memoSig
+	proj, groupBy      []string
+	aggs               []AggExpr
 	sink               SinkSpec
 	key                []string
 	cols               *storage.Schema
 	buildOut, probeOut []string
 }
 
-// is reports whether a and b are one shape. A sink result has no key and
-// no columns, so these tell it from a build before the sink specs are
-// compared.
+// is reports whether a and b are one shape. Only a scan output has a
+// signature, and a sink result has no key and no columns, so these tell
+// the kinds apart before the sink specs are compared.
 func (a *keptShape) is(b *keptShape) bool {
+	if a.sig != nil || b.sig != nil {
+		return a.sig == b.sig && slices.Equal(a.proj, b.proj) && slices.Equal(a.groupBy, b.groupBy) &&
+			slices.Equal(a.aggs, b.aggs)
+	}
 	return slices.Equal(a.key, b.key) && sameCols(a.cols, b.cols) && sameShape(&a.sink, &b.sink) &&
 		slices.Equal(a.buildOut, b.buildOut) && slices.Equal(a.probeOut, b.probeOut)
 }
@@ -94,7 +124,8 @@ func sameCols(a, b *storage.Schema) bool {
 }
 
 // unref gives back one reference to k; the last frees its holds on its
-// batches, its reference to its output and its table.
+// batches, its reference to its output and its table, and empties k onto
+// its Worker's free list while that is short of keptRecords.
 func (k *kept) unref() {
 	if k.refs--; k.refs > 0 {
 		return
@@ -107,7 +138,13 @@ func (k *kept) unref() {
 	if k.ht != nil {
 		k.ht.release()
 	}
-	k.in, k.out, k.output, k.ht = nil, nil, nil, nil
+	clear(k.in)
+	clear(k.out)
+	w := k.w
+	*k = kept{in: k.in[:0], out: k.out[:0], stamps: k.stamps[:0]}
+	if len(w.free) < keptRecords {
+		w.free = append(w.free, k)
+	}
 }
 
 // freeBatches gives back one hold on each of batches.
@@ -132,9 +169,11 @@ func (w *Worker) find(sh *keptShape) *kept {
 }
 
 // index returns the index in the store of the record of shape sh, or -1.
+// It tests the signature first: an owner's store is mostly scan outputs,
+// of other signatures.
 func (w *Worker) index(sh *keptShape) int {
 	for i, k := range w.kept {
-		if k.shape.is(sh) {
+		if k.shape.sig == sh.sig && k.shape.is(sh) {
 			return i
 		}
 	}
@@ -143,8 +182,13 @@ func (w *Worker) index(sh *keptShape) int {
 
 // keep stores k as the most recently used record, in place of the record
 // of its shape or, past keptRecords, of the least recently used, and
-// gives back the store's reference to the record it let go.
+// gives back the store's reference to the record it let go. A scan
+// output of a signature the memo dropped is let go at once.
 func (w *Worker) keep(k *kept) {
+	if k.shape.sig != nil && k.shape.sig.dropped {
+		k.unref()
+		return
+	}
 	var old *kept
 	if i := w.index(&k.shape); i >= 0 {
 		old, w.kept[i] = w.kept[i], k
@@ -157,50 +201,125 @@ func (w *Worker) keep(k *kept) {
 	}
 }
 
-// recorder records what a consumer may keep, while on: its input batches
-// in arrival order and its output batches in emission order, each held
-// once more.
+// forget marks signature s dropped and lets go of the store's records of
+// its scan outputs.
+func (w *Worker) forget(s *memoSig) {
+	s.dropped = true
+	w.kept = slices.DeleteFunc(w.kept, func(k *kept) bool {
+		if k.shape.sig != s {
+			return false
+		}
+		k.unref()
+		return true
+	})
+}
+
+// toFront moves list[i] to the front of list, keeping the order of the
+// rest.
+func toFront[T any](list []T, i int) {
+	v := list[i]
+	copy(list[1:i+1], list[:i])
+	list[0] = v
+}
+
+// pushFront returns list with v in front, and the element it dropped
+// past bound (the zero value when none).
+func pushFront[T any](list []T, v T, bound int) ([]T, T) {
+	var old T
+	if len(list) < bound {
+		list = append(list, v)
+	} else {
+		old = list[len(list)-1]
+	}
+	copy(list[1:], list)
+	list[0] = v
+	return list, old
+}
+
+// recorder records what a consumer may keep, from start to take or stop,
+// into a record drawn from its Worker's free list at the first thing it
+// records: the inputs — the batches a stream consumer consumes, in
+// arrival order, or the chunk versions a scan read — and the output
+// batches in emission order, each batch held once more.
 type recorder struct {
-	on      bool
-	in, out []*storage.Batch
+	w *Worker // nil while off
+	k *kept
+}
+
+// start starts recording for w; a nil w records nothing.
+func (r *recorder) start(w *Worker) { r.w = w }
+
+// record returns the record being made, with the recording's reference,
+// drawing it at the first call.
+func (r *recorder) record() *kept {
+	if r.k == nil {
+		if n := len(r.w.free); n > 0 {
+			r.k, r.w.free = r.w.free[n-1], r.w.free[:n-1]
+		} else {
+			r.k = &kept{}
+		}
+		r.k.w, r.k.refs = r.w, 1
+	}
+	return r.k
 }
 
 // input records input batch b. A batch that is not Shared cannot come
 // again, so it stops the recording.
-func (r *recorder) input(b *storage.Batch) { r.add(&r.in, b, b.Shared()) }
+func (r *recorder) input(b *storage.Batch) {
+	if r.w != nil {
+		r.add(&r.record().in, b, b.Shared())
+	}
+}
 
 // output records output batch b.
-func (r *recorder) output(b *storage.Batch) { r.add(&r.out, b, true) }
+func (r *recorder) output(b *storage.Batch) {
+	if r.w != nil {
+		r.add(&r.record().out, b, true)
+	}
+}
+
+// version records stamp as the version of chunk ci of a pass over n
+// chunks.
+func (r *recorder) version(n, ci int, stamp uint64) {
+	if r.w == nil {
+		return
+	}
+	k := r.record()
+	if len(k.stamps) != n {
+		k.stamps = slices.Grow(k.stamps[:0], n)[:n]
+	}
+	k.stamps[ci] = stamp
+}
 
 // add appends b to list, held, unless b cannot come again or list holds
 // maxKept batches: either stops the recording.
 func (r *recorder) add(list *[]*storage.Batch, b *storage.Batch, again bool) {
-	if r.on && (!again || len(*list) == maxKept) {
+	if !again || len(*list) == maxKept {
 		r.stop()
+		return
 	}
-	if r.on {
-		storage.HoldBatch(b)
-		*list = append(*list, b)
-	}
+	storage.HoldBatch(b)
+	*list = append(*list, b)
 }
 
-// stop ends the recording and gives back its holds.
+// stop ends the recording and gives back its record with its holds.
 func (r *recorder) stop() {
-	freeBatches(r.in)
-	freeBatches(r.out)
-	r.in, r.out, r.on = nil, nil, false
+	if r.k != nil {
+		r.k.unref()
+	}
+	r.w, r.k = nil, nil
 }
 
-// take ends the recording and returns a record of what it recorded, with
-// one reference, for the caller to give its shape and state; nil, the
-// holds given back, when it stopped or recorded no input.
+// take ends the recording and returns its record, with one reference,
+// for the caller to give its shape and state; nil, the record given
+// back, when it stopped or recorded no input.
 func (r *recorder) take() *kept {
-	if !r.on || len(r.in) == 0 {
+	k := r.k
+	if k == nil || len(k.in)+len(k.stamps) == 0 {
 		r.stop()
 		return nil
 	}
-	k := &kept{in: r.in, out: r.out, refs: 1}
-	r.in, r.out, r.on = nil, nil, false
+	r.w, r.k = nil, nil
 	return k
 }
 

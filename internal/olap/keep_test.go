@@ -6,91 +6,172 @@ import (
 	"testing"
 
 	"anydb/internal/core"
+	"anydb/internal/sim"
 	"anydb/internal/storage"
+	"anydb/internal/tpcc"
 )
 
-// TestKeepStoreBound fills one Worker's store past keptRecords with join
-// builds and sink results mixed. Each new record past the bound evicts
-// the least recently used one, of either kind — a replay makes a record
-// the most recently used — and the evicted record gives back its holds
-// on its inputs and its output at once; the store never holds more than
-// keptRecords. An evicted shape computes afresh, a kept one still
-// replays, and Release leaves no pooled object.
+// TestKeepStoreBound fills one Worker's store past keptRecords with scan
+// outputs, join builds and sink results mixed. Each new record past the
+// bound evicts the least recently used one, of any kind — a replay makes
+// a record the most recently used — and the evicted record gives back
+// its holds on its inputs and its output at once and is emptied onto the
+// Worker's free list; the store never holds more than keptRecords. An
+// evicted shape computes afresh, a kept one still replays. A scan output
+// leaves the store when the memo drops its signature, and a registration
+// whose signature was dropped during its pass keeps no record. Release
+// leaves no pooled object.
 func TestKeepStoreBound(t *testing.T) {
 	r := newReplayRig(t)
+	r.w.DB = customerDB()
 	sinks := &sinkRig{t: t, w: r.w, ac: core.NewAC(2)}
-	probe := []*storage.Batch{r.batch(rigProbe, [2]int64{1, 1}, [2]int64{2, 2})}
-	type entry struct {
-		build bool
-		spec  any
-		in    *storage.Batch
+	scans := &flushSink{costs: sim.DefaultCosts()}
+	var names []string
+	for _, c := range r.w.DB.Partition(0).TableByID(tpcc.TCustomerID).Schema.Cols {
+		names = append(names, c.Name)
 	}
-	// record i is a build over a schema of its own, or a sink result of
-	// its own LIMIT, over its own input batch.
-	record := func(i int) entry {
-		if i%2 == 0 {
+	probe := []*storage.Batch{r.batch(rigProbe, [2]int64{1, 1}, [2]int64{2, 2})}
+	const build, sink, scan = 0, 1, 2
+	type entry struct {
+		kind int
+		spec any
+		in   *storage.Batch // a build's or a sink's input
+	}
+	// record returns an entry of kind over a shape of its own: a build
+	// over a schema of its own or a sink result of its own LIMIT, each
+	// over its own input batch, or a scan output of its own projection.
+	scanned := 0
+	record := func(kind, i int) entry {
+		switch kind {
+		case build:
 			s := storage.NewSchema(fmt.Sprintf("b%d", i), rigBuild.Cols...)
-			return entry{true, rigSpec, r.batch(s, [2]int64{1, int64(i)}, [2]int64{2, int64(i)})}
+			return entry{build, rigSpec, r.batch(s, [2]int64{1, int64(i)}, [2]int64{2, int64(i)})}
+		case sink:
+			spec := rigCollect
+			spec.Limit = 100 + i
+			return entry{sink, spec, r.batch(rigIn, [2]int64{int64(i), 1})}
 		}
-		spec := rigCollect
-		spec.Limit = 100 + i
-		return entry{false, spec, r.batch(rigIn, [2]int64{int64(i), 1})}
+		scanned++
+		return entry{kind: scan, spec: &SharedScanSpec{Query: 1, Table: tpcc.TCustomerID, Part: 0,
+			Cols: names[:scanned], Out: 7, To: 1, Producers: 1}}
+	}
+	// attach registers a scan of spec, driving it to the end when drive is
+	// set.
+	attach := func(spec *SharedScanSpec, drive bool) {
+		reg := *spec
+		ev := core.GetEvent()
+		ev.Kind, ev.Payload = core.EvInstallOp, &reg
+		r.w.OnEvent(scans, nil, ev)
+		for ev = scans.resent; drive && ev != nil; ev = scans.resent {
+			scans.resent = nil
+			r.w.OnEvent(scans, nil, ev)
+		}
 	}
 	run := func(e entry) {
-		if e.build {
+		switch e.kind {
+		case build:
 			r.run(e.spec.(JoinSpec), []*storage.Batch{e.in}, probe)
-		} else {
+		case sink:
 			sinks.run(e.spec.(SinkSpec), e.in)
+		default:
+			attach(e.spec.(*SharedScanSpec), true)
 		}
 	}
+	// replays runs e and reports whether its record answered it.
+	replays := func(e entry) bool {
+		before := r.w.work
+		run(e)
+		switch after := r.w.work; e.kind {
+		case build:
+			return after.reusedBuilds > before.reusedBuilds && after.replayedJoins > before.replayedJoins
+		case sink:
+			return after.replayedSinks > before.replayedSinks
+		default:
+			return after.gathered == before.gathered
+		}
+	}
+	// Records are told by their shapes: an emptied record is drawn again
+	// by the next recording.
 	var entries []entry
 	var recs []*kept
-	for i := range keptRecords {
-		entries = append(entries, record(i))
-		run(entries[i])
-		recs = append(recs, r.w.kept[0])
-	}
-	// A replay of record 0 makes it the most recently used, so records 1
-	// (a result) and then 2 (a build) are the least recently used.
-	before := r.w.work
-	run(entries[0])
-	if r.w.work.reusedBuilds != before.reusedBuilds+1 || r.w.work.replayedJoins != before.replayedJoins+1 {
-		t.Fatalf("record 0 again: %d builds reused and %d joins replayed, want 1 and 1",
-			r.w.work.reusedBuilds-before.reusedBuilds, r.w.work.replayedJoins-before.replayedJoins)
-	}
-	for n, evicted := range []int{1, 2} {
-		e := record(keptRecords + n)
+	var shapes []keptShape
+	add := func(e entry) {
+		entries = append(entries, e)
 		run(e)
+		recs, shapes = append(recs, r.w.kept[0]), append(shapes, r.w.kept[0].shape)
+	}
+	for i := range keptRecords {
+		add(record(i%3, i))
+	}
+	// A replay of record 0, a build, makes it the most recently used, so
+	// records 1 (a sink result), 2 (a scan output) and 3 (a build) are the
+	// least recently used.
+	if !replays(entries[0]) {
+		t.Fatal("record 0 again did not replay")
+	}
+	for n, kind := range []int{scan, sink, scan} {
+		evicted := 1 + n
+		add(record(kind, keptRecords+n))
 		if len(r.w.kept) != keptRecords {
 			t.Fatalf("the store holds %d records, want %d", len(r.w.kept), keptRecords)
 		}
-		k := recs[evicted]
-		for i, kk := range recs {
-			if kept := slices.Contains(r.w.kept, kk); kept == (i <= evicted && i > 0) {
+		for i := range shapes {
+			if kept := r.w.index(&shapes[i]) >= 0; kept == (i <= evicted && i > 0) {
 				t.Fatalf("record %d of %d kept %v after record %d evicted", i, len(recs), kept, evicted)
 			}
 		}
-		if k.refs != 0 || k.in != nil || k.out != nil || k.output != nil || entries[evicted].in.Shared() {
-			t.Fatalf("evicted record %d: %d references, holds on %d inputs and %d outputs, output kept %v, input still shared %v",
-				evicted, k.refs, len(k.in), len(k.out), k.output != nil, entries[evicted].in.Shared())
+		k, in := recs[evicted], entries[evicted].in
+		if k.refs != 0 || len(k.in)+len(k.out)+len(k.stamps) != 0 || k.output != nil || !slices.Contains(r.w.free, k) ||
+			in != nil && in.Shared() {
+			t.Fatalf("evicted record %d: %d references, holds on %d inputs and %d outputs, %d chunk versions, output kept %v, on the free list %v, input still shared %v",
+				evicted, k.refs, len(k.in), len(k.out), len(k.stamps), k.output != nil, slices.Contains(r.w.free, k), in != nil && in.Shared())
 		}
-		recs = append(recs, r.w.kept[0])
 	}
 	// Every record kept past the bound still answers; the evicted ones
 	// compute afresh.
-	for i, e := range entries[3:] {
-		before := r.w.work
-		run(e)
-		if d := r.w.work.replayedJoins + r.w.work.replayedSinks - before.replayedJoins - before.replayedSinks; d != 1 {
-			t.Fatalf("kept record %d again: %d replays, want 1", i+3, d)
+	for i, e := range entries[4:] {
+		if !replays(e) {
+			t.Fatalf("kept record %d again did not replay", i+4)
 		}
 	}
-	before = r.w.work
-	run(entries[1])
-	run(entries[2])
-	if r.w.work.replayedSinks != before.replayedSinks || r.w.work.builds != before.builds+1 {
-		t.Fatalf("the evicted records again: %d sinks replayed, %d builds, want 0 and 1",
-			r.w.work.replayedSinks-before.replayedSinks, r.w.work.builds-before.builds)
+	for i, e := range entries[1:4] {
+		if replays(e) {
+			t.Fatalf("evicted record %d again replayed", i+1)
+		}
+	}
+
+	// A filtered scan keeps a record under its signature. A registration
+	// of that signature and a new projection attaches, then memoSigs new
+	// signatures drop it: its record leaves the store, and the pass
+	// keeps no record while those of the new signatures are kept.
+	filtered := func(hi int64, cols ...string) *SharedScanSpec {
+		return &SharedScanSpec{Query: 1, Table: tpcc.TCustomerID, Part: 0,
+			Filters: []Predicate{{Col: "c_id", Kind: PredIn, Lo: 1, Hi: hi}}, Cols: cols, Out: 7, To: 1, Producers: 1}
+	}
+	attach(filtered(1, "c_id"), true)
+	k, sh := r.w.kept[0], r.w.kept[0].shape
+	attach(filtered(1, "c_id", "c_last"), false)
+	for i := range memoSigs {
+		attach(filtered(int64(2+i), "c_id"), false)
+	}
+	if !sh.sig.dropped || r.w.index(&sh) >= 0 || k.refs != 0 || !slices.Contains(r.w.free, k) {
+		t.Fatalf("signature dropped %v: its record kept %v, %d references, on the free list %v",
+			sh.sig.dropped, r.w.index(&sh) >= 0, k.refs, slices.Contains(r.w.free, k))
+	}
+	for ev := scans.resent; ev != nil; ev = scans.resent {
+		scans.resent = nil
+		r.w.OnEvent(scans, nil, ev)
+	}
+	fresh := 0
+	for _, k := range r.w.kept {
+		if s := k.shape.sig; s != nil && s.dropped {
+			t.Fatalf("the store keeps a record of a dropped signature (%d predicates)", len(s.preds))
+		} else if s != nil && len(s.preds) == 1 {
+			fresh++
+		}
+	}
+	if fresh != memoSigs {
+		t.Fatalf("%d records of the new signatures kept, want %d", fresh, memoSigs)
 	}
 	r.finish()
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // The selection memo: the one place where the shared scan compiles,
-// evaluates and shares filters, and where it keeps what its passes
-// emitted. A Worker remembers, per (table, partition), which rows of
+// evaluates and shares filters. A Worker remembers, per (table, partition), which rows of
 // each chunk a registration kept, so every later registration with the
 // same filters and key filter skips both matchChunk and keyScan.keep for
 // every chunk none of the columns they read changed in. That holds
@@ -29,70 +28,53 @@ import (
 // customer filters their hits.
 //
 // Every registration has a signature (an empty filter list when it has
-// no filter, whose selection stays the identity), and under it an output
-// per projection (a streaming registration's Cols) or per grouping and
-// aggregate list (a pushdown's), compared exactly. An output keeps the
-// batches the last full pass of its shape emitted — by reference: the
-// pass holds each batch (storage.HoldBatch) as it sends it, so storing
-// copies nothing — and, per chunk, the chunk's stamp over every column
-// the registration reads, read right after the chunk was scanned. A
-// later registration of the same shape whose table has as many chunks,
-// none stamped later, is answered with those same batches (replay, which
-// holds each again for its consumer) and never rides the cursor: a stamp
-// that has not moved means the chunk still holds what was scanned, and a
-// held batch is immutable, so the consumer reads exactly what a pass
-// would have sent. A partial's rows are in group order (ascending group
-// values, compareKeys), as the pass emitted them: the sink merges a
-// replay like a fold, with no sort on either side. Any newer chunk sends
-// the registration round the cursor, and its finish stores the new
-// batches, dropping the old holds. The whole partition is one output:
-// merging per-chunk partials of c_state costs a third of folding the
-// chunk.
+// no filter, whose selection stays the identity). What a pass of a
+// signature and a projection (a streaming registration's Cols), or of a
+// signature and a grouping and aggregate list (a pushdown's), emitted is
+// a kept record in the Worker's store (keep.go): the batches the pass
+// sent, held as it sent them, so keeping copies nothing, and as its
+// inputs the chunk versions it read — per chunk, the chunk's stamp over
+// every column the registration reads, read right after the chunk was
+// scanned. A later registration of that shape whose table has as many
+// chunks, none stamped later, is answered with those same batches
+// (replay, which holds each again for its consumer) and never rides the
+// cursor: a stamp that has not moved means the chunk still holds what
+// was scanned, and a held batch is immutable, so the consumer reads
+// exactly what a pass would have sent. A partial's rows are in group
+// order (ascending group values, compareKeys), as the pass emitted them:
+// the sink merges a replay like a fold, with no sort on either side. Any
+// newer chunk sends the registration round the cursor, and its finish
+// keeps the new record in place of the old. The whole partition is one
+// output: merging per-chunk partials of c_state costs a third of folding
+// the chunk. The record also carries the shape's layout, derived once,
+// for every registration of the shape to share.
 //
-// Joins and sinks build on that identity (keep.go): a build, a join's
-// output or a sink's result made from held batches is kept as one record
-// in the Worker's store, and a consumer of its shape that receives the
-// same batches again — the same pointers, which only a replay delivers —
-// takes what the record keeps.
+// Joins and sinks build on that identity: a build, a join's output or a
+// sink's result made from held batches is a kept record too, and a
+// consumer of its shape that receives the same batches again — the same
+// pointers, which only a replay delivers — takes what the record keeps.
 //
-// The memo is bounded: memoSigs signatures per (table, partition), and
-// memoSigs outputs per signature, the least recently registered one
-// dropped, with its holds, when a new one arrives. A streaming output
-// stores only a pass of at most memoBatches batches and memoRows rows; a
-// pushdown's stores its one partial batch whatever its size. A
-// registration keeps the signature and the output it attached with,
-// dropped or not; its finish stores nothing into a dropped output.
+// The memo keeps memoSigs signatures per (table, partition), the least
+// recently registered one dropped, with its records, when a new one
+// arrives. The store bounds the records of every kind together, and a
+// pass stops recording past maxKept batches; a pushdown's one partial
+// batch is always kept.
 
-// memoSigs bounds the signatures a Worker keeps per (table, partition),
-// and the outputs it keeps per signature.
+// memoSigs bounds the signatures a Worker keeps per (table, partition).
 const memoSigs = 8
-
-// memoBatches and memoRows cap what one streaming output pins: a pass
-// that emits more stores nothing, and the next registration rides the
-// cursor again. The benchmark's streams fit with room (a partition sends
-// Q3's customer and orders sides in at most two batches, top-N's in
-// one), and memoRows is CollectCap, the most a collecting sink keeps.
-// The caps bound the memory a stream pins, which grows with the rows a
-// filter keeps; nothing measured replaying a larger stream against
-// re-scanning it. A pushdown is not capped: its output is one partial
-// batch of at most one row per group, a fold of the whole partition
-// saved whatever the group count.
-const (
-	memoBatches = 16
-	memoRows    = CollectCap
-)
 
 // memoSig is one memoized signature: the filters and the key filter,
 // compiled against the table once (the key filter over a private copy:
 // the join recycles the bitmap it hands out), the columns they read,
 // and one entry per chunk. The compiled filters' dictionary bitsets
-// live as long as the signature.
+// live as long as the signature. dropped marks a signature the memo let
+// go: the store keeps no record of it (Worker.forget).
 type memoSig struct {
-	preds  []compiledPred
-	keys   *keyScan // nil without a key filter
-	reads  storage.ColSet
-	chunks []memoEntry
-	outs   []*memoOut // most recently registered first
+	preds   []compiledPred
+	keys    *keyScan // nil without a key filter
+	reads   storage.ColSet
+	chunks  []memoEntry
+	dropped bool
 }
 
 // memoEntry is one chunk's memoized selection. Stamp 0 marks none: a
@@ -103,28 +85,9 @@ type memoEntry struct {
 	rows  []int32
 }
 
-// memoOut is one output of a signature: the projection (streaming) or
-// the grouping and aggregates (pushdown) it answers, and its layout over
-// the table; the batches the last full pass emitted, held, in order; the
-// per-chunk stamps of that pass; and the rows it charged: ScanRow over scanned, HashProbeRow over
-// probed, and AggRow (pushdown) or PartitionRow (streaming) over kept.
-// spare and spareBatches are the slices before the last store, which the
-// next registration to ride the cursor records into. dropped marks an
-// output the memo let go.
-type memoOut struct {
-	scanLayout
-	cols                  []string
-	groupBy               []string
-	aggs                  []AggExpr
-	stored, dropped       bool
-	batches, spareBatches []*storage.Batch
-	stamps, spare         []uint64
-	scanned, probed, kept int
-}
-
 // signature returns the signature of filters and keys in the memo of key,
 // the most recently used first, adding it (and dropping the least
-// recently used past memoSigs) when it is new.
+// recently used past memoSigs, with its records) when it is new.
 func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Predicate, keys *KeyFilter) *memoSig {
 	sigs := w.memos[key]
 	for i, s := range sigs {
@@ -149,9 +112,8 @@ func (w *Worker) signature(key sharedKey, schema *storage.Schema, filters []Pred
 		w.memos = make(map[sharedKey][]*memoSig)
 	}
 	var old *memoSig
-	w.memos[key], old = pushFront(sigs, s, memoSigs)
-	if old != nil {
-		old.drop()
+	if w.memos[key], old = pushFront(sigs, s, memoSigs); old != nil {
+		w.forget(old)
 	}
 	return s
 }
@@ -183,116 +145,19 @@ func (s *memoSig) is(filters []Predicate, keys *KeyFilter) bool {
 	return true
 }
 
-// out returns the signature's output for the projection cols or the
-// grouping groupBy and aggregates aggs, the most recently used first,
-// adding an empty one laid out over the table schema ts (and dropping
-// the least recently used past memoSigs) when it is new.
-func (s *memoSig) out(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) *memoOut {
-	for i, p := range s.outs {
-		if slices.Equal(p.cols, cols) && slices.Equal(p.groupBy, groupBy) && slices.Equal(p.aggs, aggs) {
-			toFront(s.outs, i)
-			return p
-		}
-	}
-	p := &memoOut{scanLayout: newScanLayout(ts, cols, groupBy, aggs),
-		cols: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
-	var old *memoOut
-	if s.outs, old = pushFront(s.outs, p, memoSigs); old != nil {
-		old.drop()
-	}
-	return p
-}
-
-// drop lets go of every output of the signature.
-func (s *memoSig) drop() {
-	for _, p := range s.outs {
-		p.drop()
-	}
-	s.outs = nil
-}
-
-// drop releases the output's holds and marks it dropped: nothing is
-// stored into it again.
-func (p *memoOut) drop() {
-	p.release()
-	p.dropped = true
-}
-
-// release frees the stored batches' holds and forgets the store.
-func (p *memoOut) release() {
-	for i, b := range p.batches {
-		storage.FreeBatch(b)
-		p.batches[i] = nil
-	}
-	p.batches, p.stored = p.batches[:0], false
-}
-
-// store keeps what a pass of the output's shape emitted: the batches
-// (held by the pass), the chunks' stamps and the charged rows, releasing
-// the previous store. A dropped output frees the batches at once. It
-// returns the slices the store replaced, for the next pass to record
-// into.
-func (p *memoOut) store(held []*storage.Batch, stamps []uint64, scanned, probed, kept int) ([]*storage.Batch, []uint64) {
-	if p.dropped {
-		for i, b := range held {
-			storage.FreeBatch(b)
-			held[i] = nil
-		}
-		return held[:0], stamps
-	}
-	p.release()
-	oldBatches, oldStamps := p.batches, p.stamps
-	p.batches, p.stamps, p.stored = held, stamps, true
-	p.scanned, p.probed, p.kept = scanned, probed, kept
-	return oldBatches, oldStamps
-}
-
-// toFront moves list[i] to the front of list, keeping the order of the
-// rest.
-func toFront[T any](list []T, i int) {
-	v := list[i]
-	copy(list[1:i+1], list[:i])
-	list[0] = v
-}
-
-// pushFront returns list with v in front, and the element it dropped
-// past bound (the zero value when none).
-func pushFront[T any](list []T, v T, bound int) ([]T, T) {
-	var old T
-	if len(list) < bound {
-		list = append(list, v)
-	} else {
-		old = list[len(list)-1]
-	}
-	copy(list[1:], list)
-	list[0] = v
-	return list, old
-}
-
-// fresh reports whether the output answers a pass over t's n chunks
-// that reads cols: one is stored, over n chunks, and no chunk is
-// stamped later than when it was scanned. Each chunk is fetched first,
-// which makes its stamp current; the check stops at the first newer
-// chunk.
-func (p *memoOut) fresh(t *storage.Table, n int, cols storage.ColSet) bool {
-	if !p.stored || len(p.stamps) != n {
+// fresh reports whether scan output k answers a pass over t's n chunks
+// that reads cols: it read n chunks, and none is stamped later than when
+// it was scanned. Each chunk is fetched first, which makes its stamp
+// current; the check stops at the first newer chunk.
+func (k *kept) fresh(t *storage.Table, n int, cols storage.ColSet) bool {
+	if len(k.stamps) != n {
 		return false
 	}
-	for ci, stamp := range p.stamps {
+	for ci, stamp := range k.stamps {
 		t.ColChunkCols(ci, cols)
 		if t.ChunkStamp(ci, cols) > stamp {
 			return false
 		}
 	}
 	return true
-}
-
-// releaseMemos drops every output of every signature the Worker keeps.
-func (w *Worker) releaseMemos() {
-	for _, sigs := range w.memos {
-		for _, s := range sigs {
-			s.drop()
-		}
-	}
-	w.memos = nil
 }

@@ -233,3 +233,72 @@ func TestMemoStoresLargePartial(t *testing.T) {
 		t.Fatalf("pooled objects outstanding after Release: %s", core.PoolBalanceString())
 	}
 }
+
+// TestMemoKeepsLongStreams checks the one stop rule on a streaming
+// scan: a pass of more than 16 batches and 16 384 rows is kept and
+// replays, while a pass one batch past maxKept keeps nothing, so the
+// next registration of its shape rides the cursor again. Release then
+// leaves no pooled object.
+func TestMemoKeepsLongStreams(t *testing.T) {
+	core.TrackPools(true)
+	t.Cleanup(func() { core.TrackPools(false) })
+	cfg := tpcc.Config{Warehouses: 1, Districts: 22, Customers: 3000,
+		Items: 10, InitOrders: 10, Seed: 7}.WithDefaults()
+	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
+	tpcc.Populate(db, cfg)
+	w := &Worker{DB: db}
+	ctx := &flushSink{costs: sim.DefaultCosts()}
+	// pass runs one registration of spec to the end and returns the rows
+	// it gathered, the batches it sent, and whether it rode the cursor.
+	pass := func(spec *SharedScanSpec) (gathered int, batches int64, rode bool) {
+		g0, b0 := w.work.gathered, ctx.batches
+		reg := *spec
+		ev := core.GetEvent()
+		ev.Kind, ev.Payload = core.EvInstallOp, &reg
+		for ev != nil {
+			ctx.resent = nil
+			w.OnEvent(ctx, nil, ev)
+			ev = ctx.resent
+			rode = rode || w.shared[sharedKey{table: spec.Table, part: spec.Part}] != nil
+		}
+		return w.work.gathered - g0, ctx.batches - b0, rode
+	}
+	stream := func(filters ...Predicate) *SharedScanSpec {
+		return &SharedScanSpec{Query: 1, Table: tpcc.TCustomerID, Part: 0, Filters: filters,
+			Cols: []string{"c_w_id", "c_d_id", "c_id"}, Out: 7, To: 1, Producers: 1}
+	}
+
+	long := stream(Predicate{Col: "c_d_id", Kind: PredIn, Lo: 1, Hi: 6})
+	rows := 6 * cfg.Customers
+	if rows <= CollectCap || (rows+DefaultBatchRows-1)/DefaultBatchRows <= 16 {
+		t.Fatalf("%d rows; the test needs more than 16 batches and %d rows", rows, CollectCap)
+	}
+	if g, b, _ := pass(long); g != rows || b != int64((rows+DefaultBatchRows-1)/DefaultBatchRows) {
+		t.Fatalf("first long pass: %d rows gathered in %d batches, want %d", g, b, rows)
+	}
+	if len(w.kept) != 1 {
+		t.Fatalf("a pass of %d rows kept %d records, want 1", rows, len(w.kept))
+	}
+	if g, _, rode := pass(long); g != 0 || rode {
+		t.Fatalf("second long pass: %d rows gathered (rode a cursor: %v), want a replay", g, rode)
+	}
+
+	all := stream()
+	rows = cfg.Districts * cfg.Customers
+	if (rows+DefaultBatchRows-1)/DefaultBatchRows != maxKept+1 {
+		t.Fatalf("%d rows; the test needs a pass of exactly maxKept+1 (%d) batches", rows, maxKept+1)
+	}
+	for i := range 2 {
+		if g, b, rode := pass(all); g != rows || b != maxKept+1 || !rode {
+			t.Fatalf("pass %d over every customer: %d rows in %d batches (rode a cursor: %v), want %d in %d, scanned",
+				i, g, b, rode, rows, maxKept+1)
+		}
+		if len(w.kept) != 1 {
+			t.Fatalf("a pass of maxKept+1 batches left %d records, want the long pass's 1", len(w.kept))
+		}
+	}
+	w.Release()
+	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
+		t.Fatalf("pooled objects outstanding after Release: %s", core.PoolBalanceString())
+	}
+}

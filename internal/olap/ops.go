@@ -66,7 +66,7 @@ type Predicate struct {
 // A join keeps its build as a record of its Worker (keep.go), shaped by
 // BuildKey and the build batches' columns. A build stream that delivers
 // exactly a kept build's batches — held batches, which a shared scan's
-// memo replay or a join's output replay hands out again — reuses its
+// replay or a join's output replay hands out again — reuses its
 // box, bitmap, direct flag and table. A join on a reused build keeps its
 // output on the build, shaped by ProbeKey, BuildOut and ProbeOut; a
 // later one of that shape whose probe stream delivers exactly that
@@ -139,15 +139,17 @@ type Worker struct {
 	DB *storage.Database
 
 	shared map[sharedKey]*sharedScan
-	// memos holds each (table, partition)'s selection memo and its
-	// outputs (memo.go), signatures most recently used first. It
-	// outlives the cursors.
+	// memos holds each (table, partition)'s selection memo (memo.go),
+	// signatures most recently used first. It outlives the cursors.
 	memos map[sharedKey][]*memoSig
-	// kept is the store of join builds (each with its output) and sink
-	// results, most recently used first, at most keptRecords of them
-	// (keep.go): a join or sink that receives exactly a record's input
-	// batches again takes what it keeps.
+	// kept is the store of scan outputs, join builds (each with its
+	// output) and sink results, most recently used first, at most
+	// keptRecords of them (keep.go): a scan whose chunks are unchanged,
+	// or a join or sink that receives exactly a record's input batches
+	// again, takes what it keeps.
 	kept []*kept
+	// free holds emptied records for recordings to fill.
+	free []*kept
 	work workCounts
 	// all is the identity selection 0..n-1 (identity): filled once to
 	// storage.ColChunkRows, grown only for a longer one.
@@ -170,16 +172,15 @@ type workCounts struct {
 	replayedJoins, replayedSinks  int
 }
 
-// Release drops everything the Worker keeps between queries: its memo
-// outputs' batches, and the join builds and sink results kept for reuse.
-// Call it once the Worker's AC has stopped, after every query completed:
-// a drained Close leaves no pooled batch outstanding.
+// Release drops everything the Worker keeps between queries: its memos
+// and its kept records. Call it once the Worker's AC has stopped, after
+// every query completed: a drained Close leaves no pooled batch
+// outstanding.
 func (w *Worker) Release() {
-	w.releaseMemos()
 	for _, k := range w.kept {
 		k.unref()
 	}
-	w.kept = nil
+	w.memos, w.kept, w.free = nil, nil, nil
 }
 
 // identity returns the selection 0..n-1, a prefix of w.all. Its readers
@@ -439,7 +440,7 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			} else {
 				st.buildCols = keyCols(b.Schema, st.spec.BuildKey)
 			}
-			st.rec.on = st.w != nil
+			st.rec.start(st.w)
 		}
 		if !st.back.hold(b) {
 			st.drainBuild()
@@ -544,7 +545,8 @@ func (st *joinState) closeBuild() {
 			k.rows, k.cols, k.box, k.hi, k.direct, k.ht = st.rows, st.buildCols, st.box, st.hi, st.direct, st.ht
 			k.refs++ // the store's and the join's
 			st.w.keep(k)
-			st.built, st.rec.on = k, true
+			st.built = k
+			st.rec.start(st.w)
 		}
 	}
 }
@@ -561,7 +563,8 @@ func (st *joinState) reuse() {
 	k.refs++
 	st.back.close()
 	st.build, st.rows, st.ht, st.box, st.hi, st.direct = k.in, k.rows, k.ht, k.box, k.hi, k.direct
-	st.built, st.reused, st.rec.on = k, true, true
+	st.built, st.reused = k, true
+	st.rec.start(st.w)
 	if o := k.output; o != nil && o.shape.is(&keptShape{key: st.spec.ProbeKey, buildOut: st.spec.BuildOut, probeOut: st.spec.ProbeOut}) {
 		st.back.open(o)
 	}

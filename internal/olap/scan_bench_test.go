@@ -247,7 +247,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 
 // BenchmarkSinkResultReplay is BenchmarkSinkMerge when the four runs
 // are the batches the last sink of the shape consumed — held batches, as
-// a shared scan's memo replays them: one op opens a sink on the Worker,
+// a shared scan's replay sends them: one op opens a sink on the Worker,
 // which finds the kept result of its shape, delivers the four runs, each
 // held back against it, and closes the stream: the sink gives back its
 // holds on the runs and takes the kept result batches, each held once
@@ -310,7 +310,7 @@ func BenchmarkSinkResultReplay(b *testing.B) {
 
 // BenchmarkJoinBuildReuse is BenchmarkJoinBuild when the build stream
 // delivers the batches the last build of the join's shape consumed —
-// eight held 1 024-row batches, as a shared scan's memo replays them:
+// eight held 1 024-row batches, as a shared scan's replay sends them:
 // one op feeds them to a join on the Worker that kept that build, which
 // holds each batch back against it, reuses the kept box and table at
 // close, and gives its reference back as a join does when its probe side
@@ -383,9 +383,9 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	// Register once (compiling predicates, resolving the projection or
 	// the partial layout and its schema), keeping the cursor and the
 	// registration: a finished pass detaches both, and each timed pass
-	// asks the memo first, as a new registration does (replay): it
+	// asks the store first, as a new registration does (replay): it
 	// answers the op by reference, or arms a fresh output batch or group
-	// table for the pass.
+	// table and a recording for the pass.
 	ev := core.GetEvent()
 	ev.Kind, ev.Payload = core.EvInstallOp, spec
 	w.OnEvent(ctx, nil, ev)
@@ -393,7 +393,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 	t := db.Partition(spec.Part).TableByID(spec.Table)
 	ss := w.shared[key]
 	reg := ss.regs[0]
-	drive(ctx.resent) // warm: chunk cache, memo signature and output, pools
+	drive(ctx.resent) // warm: chunk cache, memo signature, kept output, pools
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -406,7 +406,7 @@ func benchScanPasses(b *testing.B, db *storage.Database, spec *SharedScanSpec, w
 		// death point), so reusing one event across passes would be a
 		// use-after-free against the pool.
 		reg.next, reg.done = 0, 0
-		if w.replay(ctx, t, reg, reg.sig.out(t.Schema, spec.Cols, spec.GroupBy, spec.Aggs)) {
+		if w.replay(ctx, t, reg) {
 			continue
 		}
 		ss.cursor = 0

@@ -40,15 +40,17 @@ import (
 // per (table, partition), least recently used out, and virtual time
 // charges a hit exactly like the evaluation it replaces.
 //
-// Whole passes are shared across time through the same memo. A
-// registration that attaches while no chunk it reads has changed since
-// the last pass of its signature and shape (projection, or grouping and
-// aggregates) replays that pass: it sends the very batches the pass sent,
-// each held once more for its consumer, with Last on the final one, and
-// never rides the cursor; virtual time charges it the scan, probe and
-// per-row work of that pass. Nothing is gathered, folded or copied.
-// Otherwise it scans every chunk as it comes round, holds each batch it
-// sends, and its finish stores them with the chunks' stamps.
+// Whole passes are shared across time through the Worker's store of
+// kept records (keep.go). A pass keeps the batches it sent, held, and the
+// chunk versions it read as one record of its signature and shape
+// (projection, or grouping and aggregates). A registration that attaches
+// while no chunk it reads is stamped later than that record's version
+// replays it: it sends the very batches the pass sent, each held once
+// more for its consumer, with Last on the final one, and never rides the
+// cursor; virtual time charges it the scan, probe and per-row work of
+// that pass. Nothing is gathered, folded or copied. Otherwise it scans
+// every chunk as it comes round, recording each chunk's version and each
+// batch it sends, and its finish keeps the record.
 //
 // A partial's rows are in group order, the ascending order of the group
 // values (compareKeys): the pass sorts its groups once, when it finishes
@@ -337,7 +339,7 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
 	spec *SharedScanSpec
-	// The output layout, its memo output's (memo.go), read-only.
+	// The output layout, its kept record's (keep.go), read-only.
 	*scanLayout
 	reads storage.ColSet // every chunk column the registration reads
 
@@ -364,40 +366,38 @@ type scanReg struct {
 	// slack-padded dims.
 	denseOK bool // hinted and not abandoned
 
-	// The memo output the pass stores into at finish (memo.go): per
-	// chunk, its stamp over reads right after the scan; the batches it
-	// sent, held; the rows it charged (memoOut); and over, set when a
-	// streaming output outgrew memoBatches or memoRows.
-	memo                  *memoOut
-	stamps                []uint64
-	held                  []*storage.Batch
+	// The record the pass keeps at finish (keep.go): the recording of
+	// each chunk's stamp over reads right after the scan and of the
+	// batches sent, and the rows charged (kept).
+	rec                   recorder
 	scanned, probed, kept int
-	over                  bool
 }
 
-// scanLayout is a registration's output layout: the output batches'
+// scanLayout is a registration's output layout: the shape it lays out
+// (the projection, or the grouping and aggregates); the output batches'
 // schema — the projection (streaming) or the partial layout (pushdown)
 // — the table columns the projection takes (outIdx), or the group and
 // aggregate source columns (groupIdx, and aggIdx, -1 for COUNT(*)) and
 // the partial layout's view columns (partCols, the identity), and the
 // table columns all of these read. It follows from the table's schema
-// and the output's shape alone, so the memo output of that shape
-// derives it once, when it is created, and every registration of the
-// shape shares it.
+// and the output's shape alone, so it is derived once per kept shape,
+// and every registration of the shape shares it.
 type scanLayout struct {
-	schema   *storage.Schema
-	outIdx   []int
-	groupIdx []int
-	aggIdx   []int
-	partCols []int
-	uses     storage.ColSet
+	proj, groupBy []string
+	aggs          []AggExpr
+	schema        *storage.Schema
+	outIdx        []int
+	groupIdx      []int
+	aggIdx        []int
+	partCols      []int
+	uses          storage.ColSet
 }
 
 // newScanLayout derives the layout of the projection cols, or of the
 // grouping groupBy and aggregates aggs when there are aggregates, over
 // a table of schema ts.
-func newScanLayout(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) scanLayout {
-	var l scanLayout
+func newScanLayout(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) *scanLayout {
+	l := &scanLayout{proj: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
 	if len(aggs) == 0 {
 		l.outIdx = colIdx(ts, cols)
 		outCols := make([]storage.Column, len(cols))
@@ -459,10 +459,9 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	t := w.DB.Partition(spec.Part).TableByID(spec.Table)
 	key := sharedKey{table: spec.Table, part: spec.Part}
 	sig := w.signature(key, t.Schema, spec.Filters, spec.Keys)
-	p := sig.out(t.Schema, spec.Cols, spec.GroupBy, spec.Aggs)
-	r := &scanReg{spec: spec, scanLayout: &p.scanLayout, reads: sig.reads | p.uses, sig: sig, total: t.NumColChunks()}
-	if w.replay(ctx, t, r, p) {
-		core.FreeEvent(ev) // answered from the memo: no pass
+	r := &scanReg{spec: spec, sig: sig, total: t.NumColChunks()}
+	if w.replay(ctx, t, r) {
+		core.FreeEvent(ev) // answered from the store: no pass
 		return
 	}
 	if r.total == 0 {
@@ -497,16 +496,24 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 	ctx.Send(ctx.Self(), ev)
 }
 
-// replay answers a registration from its memo output p (memo.go) when
-// the stored pass is fresh: it charges the virtual time the pass would
-// have, sends the stored batches by reference — each held once more,
-// for the consumer to free — with Last on the final one (or Last alone
-// when the pass sent none), and reports true. Otherwise it arms the
-// registration to ride the cursor: an empty output batch or group table,
-// and the output's spare slices to record into.
-func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg, p *memoOut) bool {
+// replay answers a registration from the Worker's kept output of its
+// shape (keep.go) when that output is fresh: it charges the virtual time
+// the pass would have, sends the kept batches by reference — each held
+// once more, for the consumer to free — with Last on the final one (or
+// Last alone when the pass sent none), and reports true. Otherwise it
+// arms the registration to ride the cursor: an empty output batch or
+// group table, and a recording. Either way the registration takes the
+// layout of the kept shape, or derives it when none is kept.
+func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg) bool {
 	spec := r.spec
-	if p.fresh(t, r.total, r.reads) {
+	k := w.find(&keptShape{sig: r.sig, proj: spec.Cols, groupBy: spec.GroupBy, aggs: spec.Aggs})
+	if k != nil {
+		r.scanLayout = k.layout
+	} else {
+		r.scanLayout = newScanLayout(t.Schema, spec.Cols, spec.GroupBy, spec.Aggs)
+	}
+	r.reads = r.sig.reads | r.uses
+	if k != nil && k.fresh(t, r.total, r.reads) {
 		costs := ctx.Costs()
 		perRow := costs.AggRow
 		if len(spec.Aggs) == 0 {
@@ -515,20 +522,18 @@ func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg, p *memoO
 				perRow = costs.PartitionRow
 			}
 		}
-		ctx.Charge(costs.ScanRow*sim.Time(p.scanned) + costs.HashProbeRow*sim.Time(p.probed) + perRow*sim.Time(p.kept))
-		for i, b := range p.batches {
+		ctx.Charge(costs.ScanRow*sim.Time(k.scanned) + costs.HashProbeRow*sim.Time(k.probed) + perRow*sim.Time(k.rows))
+		for i, b := range k.out {
 			storage.HoldBatch(b)
-			r.send(ctx, b, i == len(p.batches)-1)
+			r.send(ctx, b, i == len(k.out)-1)
 		}
-		if len(p.batches) == 0 {
+		if len(k.out) == 0 {
 			r.send(ctx, nil, true)
 		}
 		return true
 	}
-	r.memo, r.scanned, r.probed, r.kept, r.over = p, 0, 0, 0, false
-	r.stamps = slices.Grow(p.spare[:0], r.total)[:r.total]
-	r.held = p.spareBatches[:0]
-	p.spare, p.spareBatches = nil, nil
+	r.scanned, r.probed, r.kept = 0, 0, 0
+	r.rec.start(w)
 	if len(spec.Aggs) == 0 {
 		r.out = storage.GetBatch(r.schema)
 	} else {
@@ -592,7 +597,7 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			r.foldAgg(ctx, chunk, match)
 			w.work.folds++
 		}
-		r.stamps[ci] = t.ChunkStamp(ci, r.reads)
+		r.rec.version(r.total, ci, t.ChunkStamp(ci, r.reads))
 		r.scanned += chunk.Len()
 		r.kept += len(match)
 		r.done++
@@ -738,11 +743,11 @@ func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int
 	g.fold(chunk.Cols, r.aggIdx, match, g.slots(chunk.Cols, r.groupIdx, match))
 }
 
-// finish detaches the registration and stores what it sent in its memo
-// output. Streaming mode flushes the tail batch with the Last marker;
-// pushdown mode gathers the groups' partial rows, column by column in
-// group order (ordered), into one batch, emits it with Last, and returns
-// the table to the pool.
+// finish detaches the registration and keeps what it recorded.
+// Streaming mode flushes the tail batch with the Last marker; pushdown
+// mode gathers the groups' partial rows, column by column in group order
+// (ordered), into one batch, emits it with Last, and returns the table to
+// the pool.
 func (r *scanReg) finish(ctx core.Context, w *Worker) {
 	if len(r.spec.Aggs) == 0 {
 		r.flush(ctx, true)
@@ -753,53 +758,17 @@ func (r *scanReg) finish(ctx core.Context, w *Worker) {
 			b = storage.GetBatch(r.schema)
 			b.AppendRows(g.viewOf(false), r.partCols, sel)
 			w.work.gathered += len(sel)
-			r.hold(b)
+			r.rec.output(b)
 		}
 		g.release()
 		r.groups = nil
 		r.send(ctx, b, true)
 	}
-	r.store()
-}
-
-// hold keeps b, about to be sent, for the memo output, unless a
-// streaming pass outgrows memoBatches or memoRows with it: then it frees
-// what it kept, and the pass stores nothing. A pushdown's one partial
-// batch is kept whatever its size.
-func (r *scanReg) hold(b *storage.Batch) {
-	if r.over {
-		return
+	if k := r.rec.take(); k != nil {
+		k.shape = keptShape{sig: r.sig, proj: r.proj, groupBy: r.groupBy, aggs: r.aggs}
+		k.layout, k.scanned, k.probed, k.rows = r.scanLayout, r.scanned, r.probed, r.kept
+		w.keep(k)
 	}
-	rows := b.Len()
-	for _, h := range r.held {
-		rows += h.Len()
-	}
-	if len(r.spec.Aggs) == 0 && (len(r.held) == memoBatches || rows > memoRows) {
-		r.over = true
-		for i, h := range r.held {
-			storage.FreeBatch(h)
-			r.held[i] = nil
-		}
-		r.held = r.held[:0]
-		return
-	}
-	storage.HoldBatch(b)
-	r.held = append(r.held, b)
-}
-
-// store hands the pass's held batches, stamps and charged rows to its
-// memo output, taking back the slices they replace as the output's
-// spares. A streaming pass that outgrew the caps leaves the output
-// empty: its old store no longer answers.
-func (r *scanReg) store() {
-	p := r.memo
-	if r.over {
-		p.release()
-		p.spareBatches, p.spare = r.held, r.stamps
-	} else {
-		p.spareBatches, p.spare = p.store(r.held, r.stamps, r.scanned, r.probed, r.kept)
-	}
-	r.memo, r.held, r.stamps = nil, nil, nil
 }
 
 // send emits b (nil for none) downstream as one pooled data message.
@@ -820,7 +789,7 @@ func identityCols(n int) []int {
 }
 
 // flush emits the registration's accumulated streaming batch as one
-// pooled data message, held for the memo output first. The batch
+// pooled data message, recorded first. The batch
 // scratch is recycled, not reallocated: each holder frees the batch at
 // its death point, so steady-state flushing allocates nothing.
 func (r *scanReg) flush(ctx core.Context, last bool) {
@@ -832,7 +801,7 @@ func (r *scanReg) flush(ctx core.Context, last bool) {
 		storage.FreeBatch(b)
 		b = nil
 	} else {
-		r.hold(b)
+		r.rec.output(b)
 	}
 	r.out = nil
 	if !last {

@@ -30,7 +30,7 @@ import (
 // The sink's shape is every field but Query, In and Notify. A sink keeps
 // its result as a record of its Worker (keep.go). A stream that delivers
 // exactly the input batches of the kept result of its shape — held
-// batches, which a shared scan's memo replay or a join's output replay
+// batches, which a shared scan's replay or a join's output replay
 // hands out again — is answered with that result, sent again by
 // reference: no fold, merge, sort or gather, and no result schema.
 type SinkSpec struct {
@@ -111,7 +111,8 @@ func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 // open readies s to run spec on w. When w keeps a result of spec's
 // shape, s holds back against it, and computes under its schema.
 func (s *sinkState) open(w *Worker, spec *SinkSpec) {
-	s.spec, s.w, s.rec.on = spec, w, true
+	s.spec, s.w = spec, w
+	s.rec.start(w)
 	if k := w.find(&keptShape{sink: *spec}); k != nil {
 		s.back.open(k)
 		s.schema = k.schema
