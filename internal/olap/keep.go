@@ -64,7 +64,8 @@ type kept struct {
 	refs    int
 	w       *Worker // whose free list takes the record at its last reference
 
-	// A scan output's chunk versions, in chunk order, its layout, and the
+	// A scan output's chunk versions, in chunk order, its layout (which
+	// holds its shape's projection or grouping and aggregates), and the
 	// rows it charged: ScanRow over scanned, HashProbeRow over probed,
 	// and AggRow (pushdown) or PartitionRow (streaming) over rows.
 	stamps          []uint64
@@ -76,7 +77,8 @@ type kept struct {
 	rows      int
 	truncated bool
 
-	// A sink result's schema.
+	// A sink result's spec, which its shape names, and its schema.
+	spec   SinkSpec
 	schema *storage.Schema
 
 	// A build's key columns, key box, bitmap, direct flag and table, and
@@ -94,26 +96,30 @@ type kept struct {
 // inputs: a scan output's memo signature and its projection, or its
 // grouping and aggregates; a sink's spec (Query, In and Notify aside); a
 // build's key and the columns of its batches; or, for a join output on a
-// build, the probe key and the columns each side carries.
+// build, the probe key and the columns each side carries. A record's
+// shape points into what it owns: a scan output's layout, a sink
+// result's spec.
 type keptShape struct {
 	sig                *memoSig
-	proj, groupBy      []string
-	aggs               []AggExpr
-	sink               SinkSpec
+	scan               *scanShape
+	sink               *SinkSpec
 	key                []string
 	cols               *storage.Schema
 	buildOut, probeOut []string
 }
 
 // is reports whether a and b are one shape. Only a scan output has a
-// signature, and a sink result has no key and no columns, so these tell
-// the kinds apart before the sink specs are compared.
+// signature, and only a sink result a spec, so these tell the kinds
+// apart; the signature, compared first, sets an owner's scan outputs of
+// other signatures apart at once.
 func (a *keptShape) is(b *keptShape) bool {
 	if a.sig != nil || b.sig != nil {
-		return a.sig == b.sig && slices.Equal(a.proj, b.proj) && slices.Equal(a.groupBy, b.groupBy) &&
-			slices.Equal(a.aggs, b.aggs)
+		return a.sig == b.sig && a.scan.is(b.scan)
 	}
-	return slices.Equal(a.key, b.key) && sameCols(a.cols, b.cols) && sameShape(&a.sink, &b.sink) &&
+	if a.sink != nil || b.sink != nil {
+		return a.sink != nil && b.sink != nil && sameShape(a.sink, b.sink)
+	}
+	return slices.Equal(a.key, b.key) && sameCols(a.cols, b.cols) &&
 		slices.Equal(a.buildOut, b.buildOut) && slices.Equal(a.probeOut, b.probeOut)
 }
 
@@ -169,11 +175,9 @@ func (w *Worker) find(sh *keptShape) *kept {
 }
 
 // index returns the index in the store of the record of shape sh, or -1.
-// It tests the signature first: an owner's store is mostly scan outputs,
-// of other signatures.
 func (w *Worker) index(sh *keptShape) int {
 	for i, k := range w.kept {
-		if k.shape.sig == sh.sig && k.shape.is(sh) {
+		if k.shape.is(sh) {
 			return i
 		}
 	}

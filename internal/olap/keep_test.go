@@ -77,28 +77,38 @@ func TestKeepStoreBound(t *testing.T) {
 			attach(e.spec.(*SharedScanSpec), true)
 		}
 	}
-	// replays runs e and reports whether its record answered it.
-	replays := func(e entry) bool {
+	// again runs e and reports whether its record answered it, and
+	// whether it computed afresh: a build's join builds its table and
+	// replays nothing, a sink replays nothing, a scan gathers rows.
+	again := func(e entry) (replayed, computed bool) {
 		before := r.w.work
 		run(e)
-		switch after := r.w.work; e.kind {
+		after := r.w.work
+		builds, reused := after.builds-before.builds, after.reusedBuilds-before.reusedBuilds
+		joins, sinks := after.replayedJoins-before.replayedJoins, after.replayedSinks-before.replayedSinks
+		switch e.kind {
 		case build:
-			return after.reusedBuilds > before.reusedBuilds && after.replayedJoins > before.replayedJoins
+			return builds == 0 && reused == 1 && joins == 1, builds == 1 && reused == 0 && joins == 0
 		case sink:
-			return after.replayedSinks > before.replayedSinks
+			return sinks == 1, sinks == 0
 		default:
-			return after.gathered == before.gathered
+			return after.gathered == before.gathered, after.gathered > before.gathered
 		}
 	}
-	// Records are told by their shapes: an emptied record is drawn again
-	// by the next recording.
+	// Records are told by their shapes, each copied with what it points
+	// into: an emptied record is drawn again by the next recording.
 	var entries []entry
 	var recs []*kept
 	var shapes []keptShape
 	add := func(e entry) {
 		entries = append(entries, e)
 		run(e)
-		recs, shapes = append(recs, r.w.kept[0]), append(shapes, r.w.kept[0].shape)
+		sh := r.w.kept[0].shape
+		if sh.sink != nil {
+			spec := *sh.sink
+			sh.sink = &spec
+		}
+		recs, shapes = append(recs, r.w.kept[0]), append(shapes, sh)
 	}
 	for i := range keptRecords {
 		add(record(i%3, i))
@@ -106,8 +116,8 @@ func TestKeepStoreBound(t *testing.T) {
 	// A replay of record 0, a build, makes it the most recently used, so
 	// records 1 (a sink result), 2 (a scan output) and 3 (a build) are the
 	// least recently used.
-	if !replays(entries[0]) {
-		t.Fatal("record 0 again did not replay")
+	if replayed, _ := again(entries[0]); !replayed {
+		t.Fatal("record 0 again: want its build reused and its join replayed once, and no build")
 	}
 	for n, kind := range []int{scan, sink, scan} {
 		evicted := 1 + n
@@ -130,13 +140,13 @@ func TestKeepStoreBound(t *testing.T) {
 	// Every record kept past the bound still answers; the evicted ones
 	// compute afresh.
 	for i, e := range entries[4:] {
-		if !replays(e) {
+		if replayed, _ := again(e); !replayed {
 			t.Fatalf("kept record %d again did not replay", i+4)
 		}
 	}
 	for i, e := range entries[1:4] {
-		if replays(e) {
-			t.Fatalf("evicted record %d again replayed", i+1)
+		if _, computed := again(e); !computed {
+			t.Fatalf("evicted record %d again did not compute afresh", i+1)
 		}
 	}
 

@@ -383,21 +383,32 @@ type scanReg struct {
 // and the output's shape alone, so it is derived once per kept shape,
 // and every registration of the shape shares it.
 type scanLayout struct {
+	scanShape
+	schema   *storage.Schema
+	outIdx   []int
+	groupIdx []int
+	aggIdx   []int
+	partCols []int
+	uses     storage.ColSet
+}
+
+// scanShape is a scan output's shape besides its signature: the
+// projection, or the grouping and aggregates.
+type scanShape struct {
 	proj, groupBy []string
 	aggs          []AggExpr
-	schema        *storage.Schema
-	outIdx        []int
-	groupIdx      []int
-	aggIdx        []int
-	partCols      []int
-	uses          storage.ColSet
+}
+
+// is reports whether a and b are one shape.
+func (a *scanShape) is(b *scanShape) bool {
+	return slices.Equal(a.proj, b.proj) && slices.Equal(a.groupBy, b.groupBy) && slices.Equal(a.aggs, b.aggs)
 }
 
 // newScanLayout derives the layout of the projection cols, or of the
 // grouping groupBy and aggregates aggs when there are aggregates, over
 // a table of schema ts.
 func newScanLayout(ts *storage.Schema, cols, groupBy []string, aggs []AggExpr) *scanLayout {
-	l := &scanLayout{proj: slices.Clone(cols), groupBy: slices.Clone(groupBy), aggs: slices.Clone(aggs)}
+	l := &scanLayout{scanShape: scanShape{slices.Clone(cols), slices.Clone(groupBy), slices.Clone(aggs)}}
 	if len(aggs) == 0 {
 		l.outIdx = colIdx(ts, cols)
 		outCols := make([]storage.Column, len(cols))
@@ -506,7 +517,7 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 // layout of the kept shape, or derives it when none is kept.
 func (w *Worker) replay(ctx core.Context, t *storage.Table, r *scanReg) bool {
 	spec := r.spec
-	k := w.find(&keptShape{sig: r.sig, proj: spec.Cols, groupBy: spec.GroupBy, aggs: spec.Aggs})
+	k := w.find(&keptShape{sig: r.sig, scan: &scanShape{spec.Cols, spec.GroupBy, spec.Aggs}})
 	if k != nil {
 		r.scanLayout = k.layout
 	} else {
@@ -765,7 +776,7 @@ func (r *scanReg) finish(ctx core.Context, w *Worker) {
 		r.send(ctx, b, true)
 	}
 	if k := r.rec.take(); k != nil {
-		k.shape = keptShape{sig: r.sig, proj: r.proj, groupBy: r.groupBy, aggs: r.aggs}
+		k.shape = keptShape{sig: r.sig, scan: &r.scanLayout.scanShape}
 		k.layout, k.scanned, k.probed, k.rows = r.scanLayout, r.scanned, r.probed, r.kept
 		w.keep(k)
 	}

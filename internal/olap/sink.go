@@ -113,7 +113,7 @@ func (w *Worker) newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
 func (s *sinkState) open(w *Worker, spec *SinkSpec) {
 	s.spec, s.w = spec, w
 	s.rec.start(w)
-	if k := w.find(&keptShape{sink: *spec}); k != nil {
+	if k := w.find(&keptShape{sink: spec}); k != nil {
 		s.back.open(k)
 		s.schema = k.schema
 	}
@@ -352,7 +352,8 @@ func (s *sinkState) finalize(batches []*storage.Batch) ([]*storage.Batch, int) {
 		s.rec.output(b)
 	}
 	if k := s.rec.take(); k != nil {
-		k.shape, k.schema, k.rows, k.truncated = keptShape{sink: *spec}, s.resultSchema(), rows, s.truncated
+		k.spec, k.schema, k.rows, k.truncated = *spec, s.resultSchema(), rows, s.truncated
+		k.shape = keptShape{sink: &k.spec}
 		s.w.keep(k)
 	}
 	return batches, rows
